@@ -217,7 +217,7 @@ def experiment_mlmc(model_name: str, beta: float, alpha: float, eps: float,
         raise ConfigurationError(f"unknown model {model_name!r}; expected bridge or kl")
     params = _mlmc.mlmc_params(eps, beta, alpha)
     f = _mlmc.lookup_functional(functional)
-    cost = _mlmc.theoretical_cost(params, model)
+    cost = _mlmc.theoretical_cost(params)
     header = ["run", "estimate", "bits", "oracle_cost", "theoretical_cost"]
     rows = []
     for r in range(runs):
@@ -418,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("sde-error", help="strong error of the random-bit Milstein scheme")
-    p.add_argument("--model", choices=["geometric"], default="geometric")
     p.add_argument("--mu", type=float, default=0.05)
     p.add_argument("--sigma", type=float, default=0.2)
     p.add_argument("--x0", type=float, default=1.0)

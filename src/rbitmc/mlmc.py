@@ -38,7 +38,7 @@ from .bridge import (
     schauder,
     schauder_norm_sq,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InternalInvariantError
 from .gausskl import EigenSpec, allocation_kl, coarsen_kl_indices, sample_kl_batch, _alloc_runs
 from .normal import grid_normal_values
 
@@ -80,7 +80,7 @@ def mlmc_params(eps: float, beta: float, alpha: float) -> MLMCParams:
     return MLMCParams(eps, beta, alpha, z, L, K, N)
 
 
-def theoretical_cost(params: MLMCParams, model=None) -> float:
+def theoretical_cost(params: MLMCParams) -> float:
     """Level-dimension cost proxy sum_l 2**l * N_l of the schedule."""
     return float(sum((1 << l) * n for l, n in zip(range(1, params.L + 1), params.N)))
 
@@ -381,7 +381,7 @@ def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource,
         level_vars.append(float(np.var(y, ddof=1)) if n > 1 else 0.0)
         ns.append(n)
     if ledger.bits != expected_bits:
-        raise ConfigurationError(
+        raise InternalInvariantError(
             f"bit budget mismatch: drew {ledger.bits}, schedule says {expected_bits}")
     return MLMCResult(estimate, ledger, level_means, level_vars, ns)
 

@@ -22,11 +22,12 @@ import numpy as np
 
 from .bitcore import BitSource, CostLedger, dyadic_values, truncate_indices
 from .bridge import allocation_bridge_total, evaluate_coeffs, sample_bridge_batch
-from .errors import ConfigurationError, NumericFailure
+from .errors import ConfigurationError, InternalInvariantError, NumericFailure
 from .normal import Phi, grid_normal_values, phi_inv
 
 PARENT_BITS = 63  # precision of the coupling uniforms in experiments
 FINE_FACTOR = 64  # step refinement of the fallback reference scheme
+_BLOCK_BYTES = 1 << 20  # parent indices drawn at once by strong_error_experiment
 
 
 @dataclass
@@ -159,13 +160,25 @@ def refined_path_sample(src: BitSource, model: SDEModel, m: int, q: int, level: 
     used = src.bits_drawn - before
     expected = sde_bit_cost(m, q, level)
     if used != expected:
-        raise NumericFailure(f"bit accounting mismatch: {used} != {expected}")
+        raise InternalInvariantError(f"bit accounting mismatch: {used} != {expected}")
     return RefinedPath(m, q, level, skeleton, coeffs, used)
 
 
 def refined_path_eval(src: BitSource, model: SDEModel, m: int, q: int, level: int, grid) -> np.ndarray:
     """Values of a fresh X^(q, level) sample on the given grid."""
     return refined_path_sample(src, model, m, q, level).evaluate(model, grid)
+
+
+def _step_blocks(steps: int, reps: int):
+    """Yield (k0, k1) step ranges of at most _BLOCK_BYTES of uint64 indices."""
+    per = max(1, _BLOCK_BYTES // (8 * reps))
+    for k0 in range(0, steps, per):
+        yield k0, min(k0 + per, steps)
+
+
+def _draw_steps(src: BitSource, p: int, steps: int, reps: int) -> np.ndarray:
+    """1-based p-bit indices, shape (steps, reps), drawn step-major."""
+    return src.draw_bits_array(p, steps * reps).reshape(steps, reps) + np.uint64(1)
 
 
 def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: int,
@@ -178,6 +191,12 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     reference is the exact strong solution when the model provides one,
     otherwise a Milstein path on a 64x finer grid over the same Brownian
     path (reference="fine" forces the fallback).
+
+    Draw order is step-major: all replications of step 1, then of step 2,
+    and so on (53-bit draws over the 64*m fine steps for the fallback).
+    Steps are drawn and transformed in blocks of about 1 MiB of uint64
+    indices (``_BLOCK_BYTES``), at least one step per block; the block size
+    changes neither values nor bit counts.
     """
     if reps < 1:
         raise ValueError("reps must be a positive integer")
@@ -191,11 +210,10 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     if use_exact:
         y = np.empty((reps, m), dtype=np.float64)
         yq = np.empty((reps, m), dtype=np.float64)
-        for k in range(m):
-            idx = src.draw_bits_array(PARENT_BITS, reps) + np.uint64(1)
-            y[:, k] = phi_inv(dyadic_values(idx, PARENT_BITS))
-            idx_q = truncate_indices(idx, PARENT_BITS, q)
-            yq[:, k] = grid_normal_values(idx_q, q)
+        for k0, k1 in _step_blocks(m, reps):
+            idx = _draw_steps(src, PARENT_BITS, k1 - k0, reps)
+            y[:, k0:k1] = phi_inv(dyadic_values(idx, PARENT_BITS)).T
+            yq[:, k0:k1] = grid_normal_values(truncate_indices(idx, PARENT_BITS, q), q).T
         ledger.bits += PARENT_BITS * m * reps
         w = np.cumsum(y, axis=1) / math.sqrt(m)
         t = np.arange(1, m + 1, dtype=np.float64) / m
@@ -203,9 +221,8 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     else:
         mf = FINE_FACTOR * m
         yf = np.empty((reps, mf), dtype=np.float64)
-        for k in range(mf):
-            idx = src.draw_bits_array(53, reps) + np.uint64(1)
-            yf[:, k] = phi_inv(dyadic_values(idx, 53))
+        for k0, k1 in _step_blocks(mf, reps):
+            yf[:, k0:k1] = phi_inv(dyadic_values(_draw_steps(src, 53, k1 - k0, reps), 53)).T
         ledger.bits += 53 * mf * reps
         y = yf.reshape(reps, m, FINE_FACTOR).sum(axis=2) / math.sqrt(FINE_FACTOR)
         u = Phi(y)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -48,6 +48,27 @@ def test_array_draw_wide_words():
     a, b = BitSource(5), BitSource(5)
     wide = [a.draw_bits(63) for _ in range(65)]
     assert wide == [int(v) for v in b.draw_bits_array(63, 65)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=st.integers(1, 63), n=st.integers(0, 300), head=st.integers(0, 63),
+       after=st.integers(1, 63), seed=st.integers(0, 2**32 - 1))
+@example(p=54, n=1, head=10, after=5, seed=3)    # fills the leftover bits exactly
+@example(p=27, n=1, head=10, after=5, seed=3)    # fits inside the leftover bits
+@example(p=53, n=1, head=10, after=63, seed=3)   # 53 of 54 leftover bits
+@example(p=63, n=65, head=1, after=63, seed=4)   # 63 + 63*64 bits: ends on a word
+@example(p=32, n=6, head=0, after=1, seed=4)     # aligned head, ends on a word
+@example(p=63, n=300, head=17, after=63, seed=5)
+def test_draw_bits_array_matches_scalar_draws(p, n, head, after, seed):
+    a, b = BitSource(seed), BitSource(seed)
+    if head:
+        a.draw_bits(head)
+        b.draw_bits(head)
+    array = a.draw_bits_array(p, n)
+    assert array.dtype == np.uint64 and array.shape == (n,)
+    assert [int(v) for v in array] == [b.draw_bits(p) for _ in range(n)]
+    assert a.bits_drawn == b.bits_drawn == head + p * n
+    assert a.draw_bits(after) == b.draw_bits(after)
 
 
 def test_invalid_bit_counts():

@@ -6,7 +6,7 @@ import pytest
 from rbitmc import mlmc as M
 from rbitmc.bitcore import BitSource, child_source
 from rbitmc.bridge import BridgePath, allocation_bridge, allocation_bridge_total, pl_l2_norm_sq
-from rbitmc.errors import ConfigurationError
+from rbitmc.errors import ConfigurationError, InternalInvariantError
 from rbitmc.gausskl import EigenSpec, KLVector, allocation_kl
 
 BRIDGE = M.bridge_model()
@@ -58,6 +58,16 @@ def test_ledger_bits_identity_bridge_and_kl():
     expected = sum(n * allocation_kl(1 << l, KL_SPEC).total
                    for l, n in zip(range(1, params.L + 1), params.N))
     assert res.ledger.bits == expected
+
+
+def test_bit_budget_mismatch_is_internal():
+    class UnderReporting(M.BridgeModel):
+        def bits_per_fine(self, level, min_bits=0):
+            return super().bits_per_fine(level, min_bits) - 1
+
+    params = M.mlmc_params(2.0 ** -3, 2.0, 0.0)
+    with pytest.raises(InternalInvariantError, match="bit budget mismatch"):
+        M.mlmc_estimate(M.lookup_functional("norm"), UnderReporting(), params, BitSource(1))
 
 
 def test_oracle_cost_uses_exact_dimensions():

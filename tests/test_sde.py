@@ -6,7 +6,7 @@ import pytest
 from rbitmc import bridge as BR
 from rbitmc import sde as S
 from rbitmc.bitcore import BitSource, dyadic_values, truncate_indices
-from rbitmc.errors import ConfigurationError, NumericFailure
+from rbitmc.errors import ConfigurationError, InternalInvariantError, NumericFailure
 from rbitmc.normal import bit_normal_mse, grid_normal_values, phi_inv
 
 GM = S.geometric_model(0.05, 0.2, 1.0)
@@ -110,6 +110,12 @@ def test_refined_path_nodes_and_bits():
         r.evaluate(GM, [0.5, 0.25])
 
 
+def test_refined_path_bit_mismatch_is_internal(monkeypatch):
+    monkeypatch.setattr(S, "sde_bit_cost", lambda m, q, level: 0)
+    with pytest.raises(InternalInvariantError, match="bit accounting mismatch"):
+        S.refined_path_sample(BitSource(9), GM, 4, 6, 2)
+
+
 def test_refined_path_additive_closed_form():
     src = BitSource(10)
     model = additive_model(0.25)
@@ -183,3 +189,17 @@ def test_bridge_refinement_l2_consistency():
     expected = (BR.bridge_bit_error_sq(level) - 2.0 ** -lhat / 6.0) / m
     se = observed.std(ddof=1) / math.sqrt(reps)
     assert abs(observed.mean() - expected) < 4.0 * se
+
+
+# Pinned from one draw per step; no block size or bit-layer path may move them.
+@pytest.mark.parametrize("m, q, reps, seed, reference, rms_hex, bits", [
+    # blocks of 436, 436 and 152 steps
+    (1024, 52, 300, 1234, "auto", "0x1.f833afb2556fbp-17", 19353600),
+    # 7 * 63 bits per step: step boundaries fall inside words
+    (1000, 16, 7, 3, "auto", "0x1.025612b26e7bep-14", 441000),
+    (32, 52, 300, 11, "fine", "0x1.c4407406875e9p-12", 32563200),
+])
+def test_strong_error_golden_values(m, q, reps, seed, reference, rms_hex, bits):
+    rms, ledger = S.strong_error_experiment(GM, m, q, reps, seed, reference=reference)
+    assert float.hex(rms) == rms_hex
+    assert ledger.bits == bits
