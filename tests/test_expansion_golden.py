@@ -1,0 +1,120 @@
+"""Golden digests of sampled and coarsened expansion rows.
+
+Each case pins the sha256 of ``.tobytes()`` of the coefficient rows and the
+retained index rows, so any change in draw order, bit counts, coarsening
+or scaling of the bridge, KL and MLMC samplers shows up as a digest change.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from rbitmc import bridge as BR
+from rbitmc import gausskl as G
+from rbitmc import mlmc as M
+from rbitmc import sde as S
+from rbitmc.bitcore import BitSource
+
+SPEC = G.EigenSpec(beta=2.0, alpha=0.0)
+
+
+def _digest(arr: np.ndarray) -> str:
+    return hashlib.sha256(np.asarray(arr).tobytes()).hexdigest()
+
+
+def _pair(coeffs, idx) -> list[str]:
+    assert coeffs.dtype == np.float64 and idx.dtype == np.uint64
+    assert coeffs.shape == idx.shape
+    return [_digest(coeffs), _digest(idx)]
+
+
+def _bridge_chain():
+    src = BitSource(2024)
+    path = BR.sample_bridge(src, 6)
+    c4 = BR.coarsen(path, 4)
+    c2 = BR.coarsen(c4, 2)
+    return [d for x in (path, c4, c2) for d in _pair(x.coeffs, x.retained_indices)]
+
+
+def _kl_chain():
+    src = BitSource(2025)
+    x = G.sample_kl(src, 64, SPEC)
+    c16 = G.coarsen_kl(x, 16, SPEC)
+    return [d for v in (x, c16) for d in _pair(v.coeffs, v.retained_indices)]
+
+
+def _model_rows(model, seed, level, n, min_bits):
+    src = BitSource(seed)
+    fine = model.sample_rows(src, level, n, min_bits)
+    assert src.bits_drawn == n * model.bits_per_fine(level, min_bits)
+    coarse = model.coarsen_rows(fine, min_bits)
+    return [d for s in (fine, coarse) for d in _pair(s["coeffs"], s["idx"])]
+
+
+def _refined_path():
+    src = BitSource(2026)
+    r = S.refined_path_sample(src, S.geometric_model(0.05, 0.2, 1.0), 5, 8, 4)
+    assert r.bridge_coeffs.shape == (5, 15)
+    return [_digest(r.bridge_coeffs)]
+
+
+CASES = {
+    "bridge": _bridge_chain,
+    "kl": _kl_chain,
+    "bridge_model_min0": lambda: _model_rows(M.bridge_model(), 2027, 6, 9, 0),
+    # at min_bits 4 the level-4 and level-5 blocks (p = 4, 2 -> 4) draw as one run
+    "bridge_model_min4": lambda: _model_rows(M.bridge_model(), 2028, 6, 9, 4),
+    "kl_model_min0": lambda: _model_rows(M.kl_model(SPEC), 2029, 6, 9, 0),
+    "kl_model_min4": lambda: _model_rows(M.kl_model(SPEC), 2030, 6, 9, 4),
+    "refined_path": _refined_path,
+}
+
+GOLDEN = {
+    "bridge": [
+        "caf2430e01a01b85e5b05f3277612967e853dd77e36de3b0505de0de2eb35e96",
+        "48c88cb6c0c03ca7a6bfa14656a65b726430200ad5cb6e7badcdb9c55d126e79",
+        "cdb35797f471f9f438bdce1e83699d82ecc38f5d62968c85ec3aa842d71c77e7",
+        "fa7b78db182c7feaf076506fdfae6cc689c3a3f20b4ff266aeaebeb6f797ca70",
+        "1e03920dacc120890320544d3ef6145d91400a415f210d20a9b2ee58ae379882",
+        "6578b8e9689bfb45039c123aa8f231ede979c85dc7239360d986ef60987a9aa4",
+    ],
+    "bridge_model_min0": [
+        "815c5bebf17c416c3622c7615773a4c7b10ff72eefc390cdae2418d0ce7896b8",
+        "a7cfb028fb1223d5a946f2ca34e4f26919fc96700f636a8aaf530332eda5050e",
+        "dacc34ff61e2a32ef4ff68080fa5a374f2eeb9901a6211c4d8588f812b134377",
+        "1c372683607f765da2bedffc54326635ff95708d30be58d6b951bc764fa086f3",
+    ],
+    "bridge_model_min4": [
+        "4e6ceb391a26bf9d8dd07edeb1b897c58367a510a0cf059fd9366425606c9a5f",
+        "3eed9481866375f43f2a5f85c48975434501a4390e228b48c915a4beeec78682",
+        "42dd9d52072df45581994d49d99ef033a073c70aad34b701caba900869090422",
+        "253065c5b37552325631f4470790c528a82de2d16ab183a1d60d01e76a592f37",
+    ],
+    "kl": [
+        "2e6a38e28b4913a25769d1a53b8d9a62aa461d82f8bf46e0cb330fdf4d6a5d57",
+        "3b59be0ff68916faa89c123afab9f56770cc65ad763e4b2d5cc006a0391a5bc5",
+        "e51cc76126a6bbb3dfaf11ba95e40fe240525ab9986bf827b3f62fb92fd79038",
+        "95fbe2fe337feab7303a89e92216b309415d051ac12da9e3910f1cf5eff5634b",
+    ],
+    "kl_model_min0": [
+        "850af51ab9df50ed783fe0952fe54f42c1698a85c44c4f46dd4aeb902b4107a0",
+        "074d2b7a3f425668f9fd8044962473bf07b29b8d07e0bf9526a6eadc81321fb8",
+        "5f3aa35c3556c6724827644f5440b6d1574c480b44255347798f775df063e7d2",
+        "6227cdacd0f0e5c05438799c5af69f3b6b57c1034506eaa82d525e8f070cf80c",
+    ],
+    "kl_model_min4": [
+        "1bcbb80fe7b5efc6cb3ad4be0086e91907a4c0c481f5eb600a88b3575e863ed8",
+        "c5aec7279d2006e5816aaa7ca7da4ee10b7eefd89185bdfa88d317661eadb1e8",
+        "d7f47c9fb93ca26281fb648cfe08eda868c9cfe0125cf352762209414a6a34de",
+        "819becfe1f441778e86aff29fc5f47a6646cf4ec8e7798890ea727f22be32ee5",
+    ],
+    "refined_path": [
+        "7d2efaf9020c31eaeb20d862d16f2eaec3b1b7f0ddc63525c8f309adf3dff1ac",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_expansion_rows_match_golden_digests(name):
+    assert CASES[name]() == GOLDEN[name]
