@@ -14,7 +14,7 @@ which is what makes coupled coarse/fine sampling possible downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -20,9 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcore import BitAllocation, BitSource, truncate_indices
+# truncate_indices, grid_normal_values: unused, kept for perfbench/selftest.py
+from .bitcore import BitAllocation, BitSource, truncate_indices  # noqa: F401
 from .errors import CapacityError
-from .normal import bit_normal_mse, bit_normal_mse_extended, grid_normal_values
+from .gausskl import coarsen_rows, sample_rows
+from .normal import bit_normal_mse, bit_normal_mse_extended, grid_normal_values  # noqa: F401
 
 MAX_LEVEL = 25
 
@@ -62,12 +64,10 @@ def allocation_bridge(level: int) -> BitAllocation:
     """Bit counts p_i = 2 * (level - m_i) for i = 1 .. 2**level - 1."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    if level > 30:
-        raise CapacityError("bridge allocation capped at level 30")
-    counts = np.concatenate([
-        np.full(1 << m, 2 * (level - m), dtype=np.int64) for m in range(level)
-    ])
-    return BitAllocation(counts)
+    if level > MAX_LEVEL:  # caps every bridge sampler, as they all draw under this allocation
+        raise CapacityError(f"bridge allocation capped at level {MAX_LEVEL}")
+    m = np.arange(level)
+    return BitAllocation(np.repeat(2 * (level - m), 1 << m))
 
 
 def allocation_bridge_total(level: int) -> int:
@@ -154,57 +154,20 @@ def pl_inner(node_rows_f: np.ndarray, node_rows_g: np.ndarray) -> np.ndarray:
     return (h / 6.0) * np.sum(fa * (2.0 * ga + gb) + fb * (ga + 2.0 * gb), axis=1)
 
 
-def sample_bridge_batch(src: BitSource, level: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n random-bit bridges at once: (coefficient rows, index rows).
-
-    Bits are drawn level-block by level-block (all n rows of a block
-    together), consuming exactly n * |p(level)| bits in total.
-    """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    if level > MAX_LEVEL:
-        raise CapacityError(f"bridge sampling capped at level {MAX_LEVEL}")
-    dim = (1 << level) - 1
-    idx = np.empty((n, dim), dtype=np.uint64)
-    coeffs = np.empty((n, dim), dtype=np.float64)
-    for m in range(level):
-        p = 2 * (level - m)
-        lo, hi = (1 << m) - 1, (1 << (m + 1)) - 1
-        block = src.draw_bits_array(p, n * (hi - lo)).reshape(n, hi - lo) + np.uint64(1)
-        idx[:, lo:hi] = block
-        coeffs[:, lo:hi] = grid_normal_values(block, p)
-    return coeffs, idx
-
-
 def sample_bridge(src: BitSource, level: int) -> BridgePath:
     """One random-bit bridge at the given level; consumes |p(level)| bits."""
-    coeffs, idx = sample_bridge_batch(src, level, 1)
-    return BridgePath(level, coeffs[0], idx[0], allocation_bridge(level))
-
-
-def coarsen_indices_bridge(idx_rows: np.ndarray, level: int, new_level: int) -> np.ndarray:
-    """Exact re-truncation of retained uniform indices to a lower level."""
-    if new_level >= level:
-        raise ValueError("coarsening requires new_level < level")
-    rows = np.atleast_2d(idx_rows)
-    dim = (1 << new_level) - 1
-    out = np.empty((rows.shape[0], dim), dtype=np.uint64)
-    for m in range(new_level):
-        lo, hi = (1 << m) - 1, (1 << (m + 1)) - 1
-        out[:, lo:hi] = truncate_indices(rows[:, lo:hi], 2 * (level - m), 2 * (new_level - m))
-    return out
+    alloc = allocation_bridge(level)
+    coeffs, idx = sample_rows(src, alloc, 1)
+    return BridgePath(level, coeffs[0], idx[0], alloc)
 
 
 def coarsen(path: BridgePath, new_level: int) -> BridgePath:
     """Coupled coarse version of a sampled bridge; draws no bits."""
-    idx = coarsen_indices_bridge(path.retained_indices[np.newaxis, :], path.level, new_level)[0]
+    if new_level >= path.level:
+        raise ValueError("coarsening requires new_level < level")
     alloc = allocation_bridge(new_level)
-    coeffs = np.empty(len(idx), dtype=np.float64)
-    for m in range(new_level):
-        p = 2 * (new_level - m)
-        lo, hi = (1 << m) - 1, (1 << (m + 1)) - 1
-        coeffs[lo:hi] = grid_normal_values(idx[lo:hi], p)
-    return BridgePath(new_level, coeffs, idx, alloc)
+    coeffs, idx = coarsen_rows(path.retained_indices, path.allocation, alloc)
+    return BridgePath(new_level, coeffs[0], idx[0], alloc)
 
 
 def bridge_truncation_error_sq(level: int) -> float:

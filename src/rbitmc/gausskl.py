@@ -4,8 +4,9 @@ coordinates, with polynomially decaying eigenvalues
     lambda_i = c * i**-beta * ln(i+1)**-alpha,        beta > 1,
 
 a per-coordinate bit allocation that equalizes the contributions of the
-coefficient errors, coupled coarse/fine sampling, and the exact mean-square
-error of the truncated random-bit expansion.
+coefficient errors, coupled coarse/fine sampling of any Gaussian expansion
+(:func:`sample_rows`, :func:`coarsen_rows`; the bridge uses it too), and
+the exact mean-square error of the truncated random-bit expansion.
 
 The shifted logarithm ln(i+1) replaces ln(i) in the analytic eigenvalue
 model so that i = 1 is regular; the decay condition is asymptotic, so any
@@ -21,13 +22,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bitcore import BitAllocation, BitSource, truncate_indices
 from .errors import InternalInvariantError
-from .normal import bit_normal_mse_extended, grid_normal_values
+from .normal import bit_normal_mse_extended, checked_quad, grid_normal_values
 
 MAX_ALLOC_BITS = 63
+_TAIL_EXTEND = 4096  # terms tail_sum looks past M for the eigenvalues to stop rising
 
 
 @dataclass
@@ -95,58 +96,70 @@ class KLVector:
 
 def _alloc_runs(counts: np.ndarray):
     """Contiguous runs of equal bit counts as (start, stop, p) triples."""
-    edges = np.flatnonzero(np.diff(counts)) + 1
-    starts = np.concatenate([[0], edges])
-    stops = np.concatenate([edges, [len(counts)]])
-    return [(int(a), int(b), int(counts[a])) for a, b in zip(starts, stops)]
+    bounds = [0, *(np.flatnonzero(np.diff(counts)) + 1), len(counts)]
+    return [(int(a), int(b), int(counts[a])) for a, b in zip(bounds, bounds[1:])]
 
 
-def sample_kl_batch(src: BitSource, m: int, spec: EigenSpec,
-                    n: int, allocation: Optional[BitAllocation] = None):
-    """Draw n coordinate rows at once: (coeff rows, index rows, allocation).
+def sample_rows(src: BitSource, alloc: BitAllocation, n: int,
+                scale: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n expansion rows under ``alloc``: (coefficient rows, index rows).
 
-    Bits are drawn run by run over the allocation (all n rows of a run
-    together); total consumption is exactly n * |p(m)|.
+    Draw order: bits are drawn run by run over the maximal runs of equal bit
+    count in ``alloc.counts``, left to right; each run is one draw of
+    n * (run length) p-bit values filling the run's columns row by row.
+    Exactly n * |alloc| bits are consumed.  Coefficient i is scale[i] times
+    the p_i-bit grid normal at its retained index; ``scale=None`` means unit
+    scale.
     """
-    alloc = allocation if allocation is not None else allocation_kl(m, spec)
-    if len(alloc) != m:
-        raise ValueError("allocation length must equal m")
-    lam_sqrt = np.sqrt(spec.eigenvalues(np.arange(1, m + 1)))
-    idx = np.empty((n, m), dtype=np.uint64)
-    coeffs = np.empty((n, m), dtype=np.float64)
+    idx = np.empty((n, len(alloc)), dtype=np.uint64)
+    coeffs = np.empty((n, len(alloc)), dtype=np.float64)
     for a, b, p in _alloc_runs(alloc.counts):
         block = src.draw_bits_array(p, n * (b - a)).reshape(n, b - a) + np.uint64(1)
         idx[:, a:b] = block
-        coeffs[:, a:b] = lam_sqrt[a:b] * grid_normal_values(block, p)
-    return coeffs, idx, alloc
+        coeffs[:, a:b] = grid_normal_values(block, p)
+    if scale is not None:
+        coeffs *= scale
+    return coeffs, idx
+
+
+def coarsen_rows(idx_rows: np.ndarray, fine: BitAllocation, coarse: BitAllocation,
+                 scale: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Coupled coarse rows of sampled index rows: (coefficient rows, index rows).
+
+    The coarse sample keeps the first len(coarse) coordinates and re-truncates
+    each retained index from fine to coarse bits, run by run over the runs of
+    equal (fine, coarse) pairs; no bits are drawn.  Coefficients follow as in
+    :func:`sample_rows`.  Raises InternalInvariantError when ``coarse`` is
+    not nested in ``fine``.
+    """
+    m2 = len(coarse)
+    if m2 > len(fine):
+        raise ValueError("coarse dimension exceeds fine dimension")
+    pf, pc = fine.counts[:m2], coarse.counts
+    if np.any(pc > pf):
+        bad = int(np.flatnonzero(pc > pf)[0])
+        raise InternalInvariantError(
+            f"allocation not nested at coordinate {bad + 1}: "
+            f"coarse p={int(pc[bad])} > fine p={int(pf[bad])}")
+    rows = np.atleast_2d(idx_rows)
+    idx = np.empty((rows.shape[0], m2), dtype=np.uint64)
+    coeffs = np.empty((rows.shape[0], m2), dtype=np.float64)
+    for a, b, _ in _alloc_runs(pf * (1 << 32) + pc):
+        idx[:, a:b] = truncate_indices(rows[:, a:b], int(pf[a]), int(pc[a]))
+        coeffs[:, a:b] = grid_normal_values(idx[:, a:b], int(pc[a]))
+    if scale is not None:
+        coeffs *= scale
+    return coeffs, idx
 
 
 def sample_kl(src: BitSource, m: int, spec: EigenSpec,
               allocation: Optional[BitAllocation] = None) -> KLVector:
     """One truncated random-bit sample; consumes exactly |p(m)| bits."""
-    coeffs, idx, alloc = sample_kl_batch(src, m, spec, 1, allocation)
+    alloc = allocation if allocation is not None else allocation_kl(m, spec)
+    if len(alloc) != m:
+        raise ValueError("allocation length must equal m")
+    coeffs, idx = sample_rows(src, alloc, 1, np.sqrt(spec.eigenvalues(np.arange(1, m + 1))))
     return KLVector(m, coeffs[0], idx[0], alloc)
-
-
-def coarsen_kl_indices(idx_rows: np.ndarray, alloc_fine: BitAllocation,
-                       alloc_coarse: BitAllocation) -> np.ndarray:
-    """Exact re-truncation of index rows to a coarser allocation."""
-    m2 = len(alloc_coarse)
-    if m2 > len(alloc_fine):
-        raise ValueError("coarse dimension exceeds fine dimension")
-    fine = alloc_fine.counts[:m2]
-    coarse = alloc_coarse.counts
-    if np.any(coarse > fine):
-        bad = int(np.flatnonzero(coarse > fine)[0])
-        raise InternalInvariantError(
-            f"allocation not nested at coordinate {bad + 1}: "
-            f"coarse p={int(coarse[bad])} > fine p={int(fine[bad])}")
-    rows = np.atleast_2d(idx_rows)[:, :m2]
-    out = np.empty_like(rows)
-    for a, b, _ in _alloc_runs(np.stack([fine, coarse]).T @ np.array([1 << 32, 1])):
-        # runs of identical (fine, coarse) pairs
-        out[:, a:b] = truncate_indices(rows[:, a:b], int(fine[a]), int(coarse[a]))
-    return out
 
 
 def coarsen_kl(x: KLVector, m2: int, spec: EigenSpec,
@@ -155,12 +168,9 @@ def coarsen_kl(x: KLVector, m2: int, spec: EigenSpec,
     if m2 >= x.m:
         raise ValueError("coarsening requires m2 < m")
     alloc2 = allocation if allocation is not None else allocation_kl(m2, spec)
-    idx = coarsen_kl_indices(x.retained_indices[np.newaxis, :], x.allocation, alloc2)[0]
     lam_sqrt = np.sqrt(spec.eigenvalues(np.arange(1, m2 + 1)))
-    coeffs = np.empty(m2, dtype=np.float64)
-    for a, b, p in _alloc_runs(alloc2.counts):
-        coeffs[a:b] = lam_sqrt[a:b] * grid_normal_values(idx[a:b], p)
-    return KLVector(m2, coeffs, idx, alloc2)
+    coeffs, idx = coarsen_rows(x.retained_indices, x.allocation, alloc2, lam_sqrt)
+    return KLVector(m2, coeffs[0], idx[0], alloc2)
 
 
 def tail_sum(m: int, spec: EigenSpec, rel_increment: float = 1e-6) -> tuple[float, float]:
@@ -170,6 +180,9 @@ def tail_sum(m: int, spec: EigenSpec, rel_increment: float = 1e-6) -> tuple[floa
     ``rel_increment`` times the partial tail; the remainder is bracketed by
     the integral comparison  int_{M+1}^inf  <=  rest  <=  f(M+1) + int_{M+1}^inf,
     valid once the eigenvalue sequence is decreasing.
+
+    Raises ValueError when the eigenvalues still rise _TAIL_EXTEND terms past
+    M, or when quadrature cannot certify the (e.g. divergent) tail integral.
     """
     f = spec.eigenvalues
     partial = 0.0
@@ -185,16 +198,33 @@ def tail_sum(m: int, spec: EigenSpec, rel_increment: float = 1e-6) -> tuple[floa
         if big_m > 1 << 26:
             break
         chunk *= 2
-    while f(np.array([big_m + 1.0]))[0] > f(np.array([float(big_m)]))[0]:
-        # extend past any non-monotone prefix before the integral bound applies
-        partial += float(f(np.array([big_m + 1.0]))[0])
-        big_m += 1
+    # extend past any non-monotone prefix before the integral bound applies
+    ext = f(np.arange(big_m, big_m + _TAIL_EXTEND + 1, dtype=np.float64))
+    rising = ext[1:] > ext[:-1]
+    if rising.all():
+        raise ValueError(f"eigenvalues still increasing at i = {big_m + _TAIL_EXTEND}; "
+                         "tail_sum needs an eventually decreasing spectrum")
+    steps = int(np.argmin(rising))
+    for v in ext[1:steps + 1]:
+        partial += float(v)
+    big_m += steps
     # int_{M+1}^inf f(x) dx via x = 1/u, finite interval and regular integrand
     lo_u = 1.0 / (big_m + 1.0)
-    integral, _ = quad(lambda u: float(f(np.array([1.0 / u]))[0]) / (u * u), 0.0, lo_u,
-                       epsabs=0.0, epsrel=1e-10, limit=400)
+    integral = checked_quad(lambda u: float(f(np.array([1.0 / u]))[0]) / (u * u), 0.0, lo_u,
+                            (big_m + 1.0, math.inf), epsabs=0.0, epsrel=1e-10, limit=400)
     first = float(f(np.array([big_m + 1.0]))[0])
     return partial + integral, partial + integral + first
+
+
+def _kl_error_parts(m: int, spec: EigenSpec, allocation: Optional[BitAllocation]):
+    """(coefficient-error sum over i <= m, tail_sum interval) of kl_error_sq."""
+    alloc = allocation if allocation is not None else allocation_kl(m, spec)
+    if len(alloc) != m:
+        raise ValueError("allocation length must equal m")
+    lam = spec.eigenvalues(np.arange(1, m + 1))
+    head = math.fsum(bit_normal_mse_extended(int(p)) * lam[a:b].sum()
+                     for a, b, p in _alloc_runs(alloc.counts))
+    return head, tail_sum(m, spec)
 
 
 def kl_error_sq(m: int, spec: EigenSpec,
@@ -206,21 +236,11 @@ def kl_error_sq(m: int, spec: EigenSpec,
     the normal module).  The truncation tail enters as the midpoint of its
     certified interval.
     """
-    alloc = allocation if allocation is not None else allocation_kl(m, spec)
-    if len(alloc) != m:
-        raise ValueError("allocation length must equal m")
-    lam = spec.eigenvalues(np.arange(1, m + 1))
-    head = math.fsum(bit_normal_mse_extended(int(p)) * lam[a:b].sum()
-                     for a, b, p in _alloc_runs(alloc.counts))
-    lo, hi = tail_sum(m, spec)
+    head, (lo, hi) = _kl_error_parts(m, spec, allocation)
     return head + 0.5 * (lo + hi)
 
 
 def kl_error_interval(m: int, spec: EigenSpec) -> tuple[float, float]:
     """kl_error_sq with the tail's certified interval exposed."""
-    alloc = allocation_kl(m, spec)
-    lam = spec.eigenvalues(np.arange(1, m + 1))
-    head = math.fsum(bit_normal_mse_extended(int(p)) * lam[a:b].sum()
-                     for a, b, p in _alloc_runs(alloc.counts))
-    lo, hi = tail_sum(m, spec)
+    head, (lo, hi) = _kl_error_parts(m, spec, None)
     return head + lo, head + hi

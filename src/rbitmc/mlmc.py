@@ -29,8 +29,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bitcore import BitAllocation, BitSource, CostLedger, child_source, truncate_indices
+from . import gausskl
+# truncate_indices, grid_normal_values: unused, kept for perfbench/selftest.py
+from .bitcore import BitAllocation, BitSource, CostLedger, child_source, truncate_indices  # noqa: F401
 from .bridge import (
+    BridgePath,
     allocation_bridge,
     nodes_from_coeffs,
     pl_inner,
@@ -39,8 +42,8 @@ from .bridge import (
     schauder_norm_sq,
 )
 from .errors import ConfigurationError, InternalInvariantError
-from .gausskl import EigenSpec, allocation_kl, coarsen_kl_indices, sample_kl_batch, _alloc_runs
-from .normal import grid_normal_values
+from .gausskl import EigenSpec, KLVector, allocation_kl
+from .normal import grid_normal_values  # noqa: F401
 
 EPS_MAX = math.exp(-2.0)
 
@@ -89,7 +92,41 @@ def theoretical_cost(params: MLMCParams) -> float:
 # models
 
 
-class BridgeModel:
+class ExpansionModel:
+    """Random-bit Gaussian expansion with level_dim(l) coefficients at level l.
+
+    Subclasses supply ``level_dim``, ``base_allocation`` (bit counts per
+    coefficient), ``functional_rows`` and, unless all coefficients have unit
+    scale, ``scale``.
+    """
+
+    def scale(self, level: int) -> Optional[np.ndarray]:
+        return None
+
+    def allocation(self, level: int, min_bits: int = 0) -> BitAllocation:
+        alloc = self.base_allocation(level)
+        if min_bits:
+            alloc = BitAllocation(np.maximum(alloc.counts, min_bits))
+        return alloc
+
+    def bits_per_fine(self, level: int, min_bits: int = 0) -> int:
+        return self.allocation(level, min_bits).total
+
+    def sample_rows(self, src: BitSource, level: int, n: int, min_bits: int = 0) -> dict:
+        """n fine rows at ``level``, drawn in the order of :func:`gausskl.sample_rows`."""
+        alloc = self.allocation(level, min_bits)
+        coeffs, idx = gausskl.sample_rows(src, alloc, n, self.scale(level))
+        return {"level": level, "coeffs": coeffs, "idx": idx, "alloc": alloc}
+
+    def coarsen_rows(self, state: dict, min_bits: int = 0) -> dict:
+        """The rows of ``state`` coarsened one level by :func:`gausskl.coarsen_rows`."""
+        level = state["level"] - 1
+        alloc = self.allocation(level, min_bits)
+        coeffs, idx = gausskl.coarsen_rows(state["idx"], state["alloc"], alloc, self.scale(level))
+        return {"level": level, "coeffs": coeffs, "idx": idx, "alloc": alloc}
+
+
+class BridgeModel(ExpansionModel):
     """Brownian bridge model: level l lives on 2**l - 1 hat coefficients."""
 
     name = "bridge"
@@ -99,47 +136,15 @@ class BridgeModel:
     def level_dim(self, level: int) -> int:
         return (1 << level) - 1
 
-    def allocation(self, level: int, min_bits: int = 0) -> BitAllocation:
-        alloc = allocation_bridge(level)
-        if min_bits:
-            alloc = BitAllocation(np.maximum(alloc.counts, min_bits))
-        return alloc
-
-    def bits_per_fine(self, level: int, min_bits: int = 0) -> int:
-        return self.allocation(level, min_bits).total
-
-    def sample_rows(self, src: BitSource, level: int, n: int, min_bits: int = 0):
-        alloc = self.allocation(level, min_bits)
-        dim = self.level_dim(level)
-        idx = np.empty((n, dim), dtype=np.uint64)
-        coeffs = np.empty((n, dim), dtype=np.float64)
-        for a, b, p in _alloc_runs(alloc.counts):
-            block = src.draw_bits_array(p, n * (b - a)).reshape(n, b - a) + np.uint64(1)
-            idx[:, a:b] = block
-            coeffs[:, a:b] = grid_normal_values(block, p)
-        return {"level": level, "coeffs": coeffs, "idx": idx, "alloc": alloc}
-
-    def coarsen_rows(self, state: dict, min_bits: int = 0) -> dict:
-        level = state["level"]
-        new_level = level - 1
-        alloc_f = state["alloc"]
-        alloc_c = self.allocation(new_level, min_bits)
-        dim = self.level_dim(new_level)
-        idx = np.empty((state["idx"].shape[0], dim), dtype=np.uint64)
-        coeffs = np.empty_like(idx, dtype=np.float64)
-        fine, coarse = alloc_f.counts[:dim], alloc_c.counts
-        key = fine * (1 << 32) + coarse
-        for a, b, _ in _alloc_runs(key):
-            idx[:, a:b] = truncate_indices(state["idx"][:, a:b], int(fine[a]), int(coarse[a]))
-            coeffs[:, a:b] = grid_normal_values(idx[:, a:b], int(coarse[a]))
-        return {"level": new_level, "coeffs": coeffs, "idx": idx, "alloc": alloc_c}
+    def base_allocation(self, level: int) -> BitAllocation:
+        return allocation_bridge(level)
 
     def functional_rows(self, state: dict) -> dict:
         nodes = nodes_from_coeffs(state["coeffs"], state["level"])
         return {"kind": "bridge", "nodes": nodes, "coeffs": state["coeffs"]}
 
 
-class KLModel:
+class KLModel(ExpansionModel):
     """Karhunen-Loeve model: level l truncates the expansion at m = 2**l."""
 
     name = "kl"
@@ -154,30 +159,11 @@ class KLModel:
     def level_dim(self, level: int) -> int:
         return 1 << level
 
-    def allocation(self, level: int, min_bits: int = 0) -> BitAllocation:
-        alloc = allocation_kl(1 << level, self.spec)
-        if min_bits:
-            alloc = BitAllocation(np.maximum(alloc.counts, min_bits))
-        return alloc
+    def base_allocation(self, level: int) -> BitAllocation:
+        return allocation_kl(1 << level, self.spec)
 
-    def bits_per_fine(self, level: int, min_bits: int = 0) -> int:
-        return self.allocation(level, min_bits).total
-
-    def sample_rows(self, src: BitSource, level: int, n: int, min_bits: int = 0):
-        alloc = self.allocation(level, min_bits)
-        coeffs, idx, _ = sample_kl_batch(src, 1 << level, self.spec, n, alloc)
-        return {"level": level, "coeffs": coeffs, "idx": idx, "alloc": alloc}
-
-    def coarsen_rows(self, state: dict, min_bits: int = 0) -> dict:
-        level = state["level"]
-        m2 = 1 << (level - 1)
-        alloc_c = self.allocation(level - 1, min_bits)
-        idx = coarsen_kl_indices(state["idx"], state["alloc"], alloc_c)
-        lam_sqrt = np.sqrt(self.spec.eigenvalues(np.arange(1, m2 + 1)))
-        coeffs = np.empty_like(idx, dtype=np.float64)
-        for a, b, p in _alloc_runs(alloc_c.counts):
-            coeffs[:, a:b] = lam_sqrt[a:b] * grid_normal_values(idx[:, a:b], p)
-        return {"level": level - 1, "coeffs": coeffs, "idx": idx, "alloc": alloc_c}
+    def scale(self, level: int) -> np.ndarray:
+        return np.sqrt(self.spec.eigenvalues(np.arange(1, (1 << level) + 1)))
 
     def functional_rows(self, state: dict) -> dict:
         return {"kind": "kl", "coeffs": state["coeffs"]}
@@ -208,9 +194,6 @@ class LipFunctional:
 
     def evaluate(self, x) -> float:
         """Evaluate on a single KLVector or BridgePath."""
-        from .bridge import BridgePath  # local to avoid import cycle at module load
-        from .gausskl import KLVector
-
         if isinstance(x, BridgePath):
             nodes = x.node_values()[np.newaxis, :]
             return float(self.rows({"kind": "bridge", "nodes": nodes,
@@ -341,18 +324,15 @@ class MLMCResult:
 
 
 def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource,
-                  min_bits: int = 0, parallel: bool = False,
-                  base_seed: Optional[int] = None) -> MLMCResult:
+                  min_bits: int = 0, base_seed: Optional[int] = None) -> MLMCResult:
     """Run the multilevel estimator once.
 
     Replications within a level run sequentially on the given source.  With
-    ``parallel=True`` each level draws from an independently seeded child
-    source (seed derivation: SeedSequence(base_seed, spawn_key=(level,))),
-    which makes level blocks independently reproducible; bit counts are
-    summed into the same ledger.
+    ``base_seed`` each level draws from its own child source instead (seed
+    derivation: SeedSequence(base_seed, spawn_key=(level,))), which makes
+    level blocks independently reproducible; bit counts are summed into the
+    same ledger.
     """
-    if parallel and base_seed is None:
-        raise ConfigurationError("parallel mode requires base_seed for child sources")
     ledger = CostLedger()
     estimate = 0.0
     level_means: list[float] = []
@@ -361,11 +341,10 @@ def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource,
     expected_bits = 0
     for level in range(1, params.L + 1):
         n = params.N[level - 1]
-        level_src = child_source(base_seed, level) if parallel else src
+        level_src = src if base_seed is None else child_source(base_seed, level)
         before = level_src.bits_drawn
         fine = model.sample_rows(level_src, level, n, min_bits)
-        drawn = level_src.bits_drawn - before
-        ledger.bits += drawn
+        ledger.bits += level_src.bits_drawn - before
         expected_bits += n * model.bits_per_fine(level, min_bits)
         y = f.rows(model.functional_rows(fine))
         ledger.oracle_cost += n * model.level_dim(level)

@@ -21,8 +21,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bitcore import BitSource, CostLedger, dyadic_values, truncate_indices
-from .bridge import allocation_bridge_total, evaluate_coeffs, sample_bridge_batch
+from .bridge import allocation_bridge, allocation_bridge_total, evaluate_coeffs
 from .errors import ConfigurationError, InternalInvariantError, NumericFailure
+from .gausskl import sample_rows
 from .normal import Phi, grid_normal_values, phi_inv
 
 PARENT_BITS = 63  # precision of the coupling uniforms in experiments
@@ -151,22 +152,17 @@ class RefinedPath:
 def refined_path_sample(src: BitSource, model: SDEModel, m: int, q: int, level: int) -> RefinedPath:
     """Draw one continuous-time random-bit approximation X^(q, level).
 
-    Draw order: the m-step skeleton (m*q bits), then one level-`level`
-    random-bit bridge per step in step order; total bits = sde_bit_cost.
+    Draw order: the m-step skeleton (m*q bits), then one level-`level` bridge
+    per step, as the m rows of :func:`gausskl.sample_rows`; bits = sde_bit_cost.
     """
     before = src.bits_drawn
     skeleton = rbit_milstein_path(src, model, m, q)
-    coeffs, _ = sample_bridge_batch(src, level, m)
+    coeffs, _ = sample_rows(src, allocation_bridge(level), m)
     used = src.bits_drawn - before
     expected = sde_bit_cost(m, q, level)
     if used != expected:
         raise InternalInvariantError(f"bit accounting mismatch: {used} != {expected}")
     return RefinedPath(m, q, level, skeleton, coeffs, used)
-
-
-def refined_path_eval(src: BitSource, model: SDEModel, m: int, q: int, level: int, grid) -> np.ndarray:
-    """Values of a fresh X^(q, level) sample on the given grid."""
-    return refined_path_sample(src, model, m, q, level).evaluate(model, grid)
 
 
 def _step_blocks(steps: int, reps: int):

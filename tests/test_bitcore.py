@@ -129,6 +129,18 @@ def test_truncate_indices_matches_scalar():
         assert DyadicValue(int(i), 16).truncate_to(9).index == int(o)
 
 
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_truncate_indices_matches_truncate_to(data):
+    p_from = data.draw(st.integers(1, 63), label="p_from")
+    p_to = data.draw(st.integers(1, p_from), label="p_to")
+    # the end cells 1 and 2**p_from go in every batch
+    idx = [1, 1 << p_from, *data.draw(st.lists(st.integers(1, 1 << p_from), max_size=30))]
+    out = truncate_indices(np.array(idx, dtype=np.uint64), p_from, p_to)
+    assert out.dtype == np.uint64
+    assert [int(o) for o in out] == [DyadicValue(i, p_from).truncate_to(p_to).index for i in idx]
+
+
 @pytest.mark.parametrize("p", [1, 4, 8])
 def test_chi_square_uniformity(p):
     n = 100_000

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbitmc import bridge as BR
 from rbitmc import normal as N
+from rbitmc import sde as S
 from rbitmc.bitcore import BitSource, truncate
+from rbitmc.errors import CapacityError
+from rbitmc.gausskl import sample_rows
 
 
 def test_schauder_index_decomposition():
@@ -68,6 +73,17 @@ def test_node_values_match_direct_sum():
     assert np.max(np.abs(direct - path.node_values())) < 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(level=st.integers(1, 10), rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_nodes_from_coeffs_matches_evaluate_coeffs(level, rows, seed):
+    coeffs = np.random.default_rng(seed).standard_normal((rows, (1 << level) - 1))
+    grid = np.arange((1 << level) + 1, dtype=np.float64) / (1 << level)
+    nodes = BR.nodes_from_coeffs(coeffs, level)
+    assert nodes.shape == (rows, len(grid))
+    for row, got in zip(coeffs, nodes):
+        assert np.max(np.abs(got - BR.evaluate_coeffs(row, level, grid))) < 1e-12
+
+
 def test_coarsen_chain_and_coefficients():
     src = BitSource(42)
     path = BR.sample_bridge(src, 6)
@@ -84,6 +100,15 @@ def test_coarsen_chain_and_coefficients():
     assert c5.coeffs[0] == N.phi_inv(truncate(u1, 2 * 5).value)
     with pytest.raises(ValueError):
         BR.coarsen(path, 6)
+
+
+def test_level_cap_applies_to_every_sampler():
+    level = BR.MAX_LEVEL + 1
+    for call in (lambda: BR.allocation_bridge(level),
+                 lambda: BR.sample_bridge(BitSource(1), level),
+                 lambda: S.refined_path_sample(BitSource(1), S.geometric_model(0.05, 0.2), 1, 4, level)):
+        with pytest.raises(CapacityError):
+            call()
 
 
 def test_truncation_error_closed_form():
@@ -107,7 +132,7 @@ def test_precision_inequality():
 def test_empirical_second_moment_level4():
     level, n = 4, 100_000
     src = BitSource(77)
-    coeffs, _ = BR.sample_bridge_batch(src, level, n)
+    coeffs, _ = sample_rows(src, BR.allocation_bridge(level), n)
     norm_sq = BR.pl_l2_norm_sq(BR.nodes_from_coeffs(coeffs, level))
     alloc = BR.allocation_bridge(level)
     i = np.arange(1, (1 << level), dtype=np.int64)

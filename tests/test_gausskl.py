@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,13 @@ from rbitmc.normal import bit_normal_mse, bit_normal_moment
 from rbitmc.wasserstein1d import w2_empirical
 
 SPEC = G.EigenSpec(beta=2.0, alpha=0.0)
+
+
+def _sample_batch(src, m, n):
+    """n KL rows of dimension m: (coeff rows, index rows, allocation)."""
+    alloc = G.allocation_kl(m, SPEC)
+    coeffs, idx = G.sample_rows(src, alloc, n, np.sqrt(SPEC.eigenvalues(np.arange(1, m + 1))))
+    return coeffs, idx, alloc
 
 
 def test_allocation_examples():
@@ -67,7 +75,7 @@ def test_coarsen_rejects_non_nested_allocation():
 def test_empirical_norm_matches_moment_sum():
     m, n = 64, 100_000
     src = BitSource(21)
-    coeffs, _, alloc = G.sample_kl_batch(src, m, SPEC, n)
+    coeffs, _, alloc = _sample_batch(src, m, n)
     lam = SPEC.eigenvalues(np.arange(1, m + 1))
     expected = math.fsum(lam[i] * bit_normal_moment(int(alloc.counts[i]), 2)
                          for i in range(m))
@@ -79,7 +87,7 @@ def test_empirical_norm_matches_moment_sum():
 def test_coordinates_have_zero_mean():
     m, n = 8, 200_000
     src = BitSource(22)
-    coeffs, _, _ = G.sample_kl_batch(src, m, SPEC, n)
+    coeffs, _, _ = _sample_batch(src, m, n)
     means = coeffs.mean(axis=0)
     ses = coeffs.std(axis=0, ddof=1) / math.sqrt(n)
     assert np.all(np.abs(means) < 4.0 * ses)
@@ -89,22 +97,22 @@ def test_coupling_law_two_sample():
     # coordinate 1 of a coarsened fine sample has exactly the coarse law
     m, m2, n = 16, 4, 100_000
     src = BitSource(23)
-    _, idx_rows, alloc_f = G.sample_kl_batch(src, m, SPEC, n)
+    _, idx_rows, alloc_f = _sample_batch(src, m, n)
     alloc_c = G.allocation_kl(m2, SPEC)
-    idx_c = G.coarsen_kl_indices(idx_rows, alloc_f, alloc_c)
+    _, idx_c = G.coarsen_rows(idx_rows, alloc_f, alloc_c)
     lam1 = math.sqrt(float(SPEC.eigenvalues(np.array([1.0]))[0]))
     from rbitmc.normal import grid_normal_values
     coarse_coord1 = lam1 * grid_normal_values(idx_c[:, 0], int(alloc_c.counts[0]))
     fresh_src = BitSource(24)
-    fresh, _, _ = G.sample_kl_batch(fresh_src, m2, SPEC, n)
+    fresh, _, _ = _sample_batch(fresh_src, m2, n)
     observed = w2_empirical(coarse_coord1, fresh[:, 0]) ** 2
     # simulated null: distances between independent samples of the same law
     null = []
     for r in range(60):
         s1 = child_source(900, r, 0)
         s2 = child_source(900, r, 1)
-        a, _, _ = G.sample_kl_batch(s1, m2, SPEC, n)
-        b, _, _ = G.sample_kl_batch(s2, m2, SPEC, n)
+        a, _, _ = _sample_batch(s1, m2, n)
+        b, _, _ = _sample_batch(s2, m2, n)
         null.append(w2_empirical(a[:, 0], b[:, 0]) ** 2)
     null = np.array(null)
     assert observed <= null.mean() + 3.0 * null.std(ddof=1)
@@ -116,6 +124,17 @@ def test_tail_sum_matches_trigamma():
     exact = float(polygamma(1, 65))
     assert lo <= exact <= hi
     assert (hi - lo) <= 1e-5 * lo
+
+
+@pytest.mark.parametrize("eig", [lambda i: 1.0 - 1.0 / i, lambda i: i ** -0.5, lambda i: 1.0 / i],
+                         ids=["rising", "inverse_sqrt", "harmonic"])
+def test_tail_sum_rejects_non_summable_spectrum(eig):
+    # the rising spectrum used to hang, the other two returned finite wrong tails
+    spec = G.EigenSpec(beta=2.0, alpha=0.0, explicit=eig)
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        G.tail_sum(16, spec)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_kl_error_explicit_bridge_spectrum():

@@ -130,12 +130,14 @@ def test_min_bits_mode():
 def test_parallel_mode_reproducible():
     params = M.mlmc_params(2.0 ** -3, 2.0, 0.0)
     f = M.lookup_functional("coord1")
-    a = M.mlmc_estimate(f, BRIDGE, params, BitSource(0), parallel=True, base_seed=99)
-    b = M.mlmc_estimate(f, BRIDGE, params, BitSource(0), parallel=True, base_seed=99)
+    a = M.mlmc_estimate(f, BRIDGE, params, BitSource(0), base_seed=99)
+    b = M.mlmc_estimate(f, BRIDGE, params, BitSource(0), base_seed=99)
     assert a.estimate == b.estimate
     assert a.ledger.bits == b.ledger.bits
-    with pytest.raises(ConfigurationError):
-        M.mlmc_estimate(f, BRIDGE, params, BitSource(0), parallel=True)
+    # the per-level child sources replace the given one, which stays untouched
+    src = BitSource(1)
+    assert M.mlmc_estimate(f, BRIDGE, params, src, base_seed=99).estimate == a.estimate
+    assert src.bits_drawn == 0
 
 
 def test_variance_decay_slope():
