@@ -13,7 +13,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -236,64 +236,147 @@ def experiment_appendix_ratios(pmin: float, pmax: float):
 
 
 # ---------------------------------------------------------------------------
-# fixture checks attached to experiments
+# fixture checks: (fixture table, CSV rows as {column: value}, typed
+# parameters) -> one message per failed comparison
 
 
-def _fixture_failures(experiment: str, header, rows, fixtures: dict[str, Fixture],
-                      context: dict) -> list[str]:
-    failures: list[str] = []
+def _check_normal_error(fixtures: dict[str, Fixture], records, a) -> list[str]:
+    fx = fixtures.get("normal_scaled_mse_p26")
+    return [f"normal_scaled_mse_p26: p 26 scaled_const {r['scaled_const']!r} "
+            f"outside {fx.value} +- {fx.tolerance:g} relative"
+            for r in records if fx and r["p"] == 26 and not fx.matches(r["scaled_const"])]
 
-    def need(name: str) -> Optional[Fixture]:
-        return fixtures.get(name)
 
-    if experiment == "bridge-error":
-        fx = need("bridge_scaled_bit_error")
-        if fx:
-            col = header.index("scaled")
-            lvl = header.index("level")
-            for row in rows:
-                if 6 <= row[lvl] <= 16 and not fx.matches(row[col]):
-                    failures.append(
-                        f"bridge_scaled_bit_error: level {int(row[lvl])} scaled {row[col]!r} "
-                        f"outside {fx.value} +- {fx.tolerance * 100:.0f}%")
-    elif experiment == "kl-error":
-        key = f"kl_scaled_b{context['beta']:g}_a{context['alpha']:g}"
-        fx = need(key)
-        if fx:
-            col = header.index("scaled")
-            for row in rows:
-                if not fx.within_factor(row[col], 2.0):
-                    failures.append(f"{key}: scaled {row[col]!r} outside factor-4 bracket of {fx.value}")
-    elif experiment == "mlmc" and context.get("functional") == "coord1":
-        fx = need("mlmc_c_rmse")
-        if fx:
-            col = header.index("estimate")
-            rmse = math.sqrt(float(np.mean([row[col] ** 2 for row in rows])))
-            if rmse > fx.value * context["eps"]:
-                failures.append(f"mlmc_c_rmse: rmse {rmse!r} exceeds {fx.value} * eps")
-    elif experiment == "appendix-ratios":
-        fx = need("appendix_ratio5_lower")
-        if fx:
-            col = header.index("ratio5")
-            for row in rows:
-                if not fx.lower_bound(row[col]):
-                    failures.append(f"appendix_ratio5_lower: ratio5 {row[col]!r} below {fx.value}")
-    return failures
+def _check_bridge_error(fixtures: dict[str, Fixture], records, a) -> list[str]:
+    fx = fixtures.get("bridge_scaled_bit_error")
+    return [f"bridge_scaled_bit_error: level {int(r['level'])} scaled {r['scaled']!r} "
+            f"outside {fx.value} +- {fx.tolerance * 100:.0f}%"
+            for r in records if fx and 6 <= r["level"] <= 16 and not fx.matches(r["scaled"])]
+
+
+def _check_kl_error(fixtures: dict[str, Fixture], records, a) -> list[str]:
+    key = f"kl_scaled_b{a['beta']:g}_a{a['alpha']:g}"
+    fx = fixtures.get(key)
+    return [f"{key}: scaled {r['scaled']!r} outside factor-4 bracket of {fx.value}"
+            for r in records if fx and not fx.within_factor(r["scaled"], 2.0)]
+
+
+def _check_mlmc(fixtures: dict[str, Fixture], records, a) -> list[str]:
+    fx = fixtures.get("mlmc_c_rmse")
+    if fx is None or a["functional"] != "coord1":
+        return []
+    rmse = math.sqrt(float(np.mean([r["estimate"] ** 2 for r in records])))
+    return [f"mlmc_c_rmse: rmse {rmse!r} exceeds {fx.value} * eps"] if rmse > fx.value * a["eps"] else []
+
+
+def _check_appendix_ratios(fixtures: dict[str, Fixture], records, a) -> list[str]:
+    fx = fixtures.get("appendix_ratio5_lower")
+    return [f"appendix_ratio5_lower: ratio5 {r['ratio5']!r} below {fx.value}"
+            for r in records if fx and not fx.lower_bound(r["ratio5"])]
+
+
+# ---------------------------------------------------------------------------
+# the experiment table, which generates argparse, suite validation and
+# dispatch; ``run`` looks experiment_* up at call time, so rebinding is seen
+
+
+@dataclass(frozen=True)
+class Param:
+    name: str
+    type: type
+    default: object = None  # None: required
+    choices: tuple = ()
+    help: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class Experiment:
+    help: str
+    params: tuple[Param, ...]
+    run: Callable[[dict], tuple[list[str], list[list]]]
+    check: Optional[Callable[[dict, list[dict], dict], list[str]]] = None
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "normal-error": Experiment(
+        "exact p-bit normal error table",
+        (Param("pmin", int), Param("pmax", int)),
+        lambda a: experiment_normal_error(a["pmin"], a["pmax"]),
+        _check_normal_error),
+    "rbit-1d": Experiment(
+        "exact best-approximation distance for a 1-d law",
+        (Param("law", str, "normal", ("normal", "uniform")), Param("pmin", int), Param("pmax", int)),
+        lambda a: experiment_rbit_1d(a["law"], a["pmin"], a["pmax"])),
+    "bridge-error": Experiment(
+        "bridge truncation and bit error table",
+        (Param("lmin", int), Param("lmax", int)),
+        lambda a: experiment_bridge_error(a["lmin"], a["lmax"]),
+        _check_bridge_error),
+    "kl-error": Experiment(
+        "Karhunen-Loeve error table",
+        (Param("beta", float), Param("alpha", float), Param("mmin", int), Param("mmax", int)),
+        lambda a: experiment_kl_error(a["beta"], a["alpha"], a["mmin"], a["mmax"]),
+        _check_kl_error),
+    "sde-error": Experiment(
+        "strong error of the random-bit Milstein scheme",
+        (Param("mu", float, 0.05), Param("sigma", float, 0.2), Param("x0", float, 1.0),
+         Param("q", int, 52), Param("mmin", int), Param("mmax", int), Param("reps", int, 1000)),
+        lambda a: experiment_sde_error(a["mu"], a["sigma"], a["x0"], a["q"],
+                                       a["mmin"], a["mmax"], a["reps"], a["seed"])),
+    "mlmc": Experiment(
+        "random-bit multilevel Monte Carlo runs",
+        (Param("model", str, "bridge", ("bridge", "kl")), Param("beta", float, 2.0),
+         Param("alpha", float, 0.0), Param("eps", float), Param("functional", str, "norm"),
+         Param("runs", int, 100)),
+        lambda a: experiment_mlmc(a["model"], a["beta"], a["alpha"], a["eps"],
+                                  a["functional"], a["runs"], a["seed"]),
+        _check_mlmc),
+    "appendix-ratios": Experiment(
+        "tail asymptotics diagnostic ratios",
+        (Param("pmin", float, 10.0), Param("pmax", float, 50.0)),
+        lambda a: experiment_appendix_ratios(a["pmin"], a["pmax"]),
+        _check_appendix_ratios),
+}
+
+_SEED = Param("seed", int, 0, help="decimal 64-bit seed")  # taken by every experiment
+
+
+def _run(name: str, values: dict, csv: Optional[str], fixtures_path: Optional[str]) -> int:
+    """Run, write the CSV (or print it), check fixtures; 1 if any fails."""
+    exp = EXPERIMENTS[name]
+    header, rows = exp.run(values)
+    if csv:
+        write_csv(csv, header, rows)
+    else:
+        print(",".join(header))
+        for row in rows:
+            print(",".join(format_value(v) for v in row))
+    fixtures = load_fixtures(fixtures_path) if fixtures_path else {}
+    records = [dict(zip(header, row)) for row in rows]
+    failures = exp.check(fixtures, records, values) if exp.check else []
+    for msg in failures:
+        print(f"FIXTURE FAIL {msg}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
 # configuration files (strict key=value)
 
-_SUITE_KEYS = {
-    "normal-error": {"pmin", "pmax"},
-    "rbit-1d": {"law", "pmin", "pmax"},
-    "bridge-error": {"lmin", "lmax"},
-    "kl-error": {"beta", "alpha", "mmin", "mmax"},
-    "sde-error": {"mu", "sigma", "x0", "q", "mmin", "mmax", "reps"},
-    "mlmc": {"model", "beta", "alpha", "eps", "functional", "runs"},
-    "appendix-ratios": {"pmin", "pmax"},
-}
-_COMMON_KEYS = {"experiment", "seed", "csv", "fixtures"}
+
+def _config_values(path: str, cfg: dict[str, str]) -> dict:
+    """The typed parameters of a suite config; missing or malformed keys raise."""
+    name, values = cfg["experiment"], {}
+    for prm in (*EXPERIMENTS[name].params, _SEED):
+        raw, where = cfg.get(prm.name), f"{path}: {name} key {prm.name!r}"
+        if raw is None and prm.default is None:
+            raise ConfigurationError(f"{where} is required")
+        if raw is not None and prm.choices and raw not in prm.choices:
+            raise ConfigurationError(f"{where}: {raw!r} is not one of {', '.join(prm.choices)}")
+        try:
+            values[prm.name] = prm.default if raw is None else prm.type(raw)
+        except ValueError:
+            raise ConfigurationError(f"{where}: {raw!r} is not a valid {prm.type.__name__}") from None
+    return values
 
 
 def parse_config(path: str) -> dict[str, str]:
@@ -313,139 +396,46 @@ def parse_config(path: str) -> dict[str, str]:
     if "experiment" not in out:
         raise ConfigurationError(f"{path}: missing required key 'experiment'")
     exp = out["experiment"]
-    if exp not in _SUITE_KEYS:
+    if exp not in EXPERIMENTS:
         raise ConfigurationError(f"{path}: unknown experiment {exp!r}")
-    allowed = _SUITE_KEYS[exp] | _COMMON_KEYS
+    allowed = {prm.name for prm in (*EXPERIMENTS[exp].params, _SEED)} | {"experiment", "csv", "fixtures"}
     unknown = set(out) - allowed
     if unknown:
         raise ConfigurationError(f"{path}: unknown keys {sorted(unknown)} for {exp}")
+    _config_values(path, out)
     return out
 
 
-def _run_experiment(exp: str, cfg: dict) -> tuple[list[str], list[list], dict]:
-    seed = int(cfg.get("seed", 0))
-    if exp == "normal-error":
-        h, r = experiment_normal_error(int(cfg["pmin"]), int(cfg["pmax"]))
-        ctx = {}
-    elif exp == "rbit-1d":
-        h, r = experiment_rbit_1d(cfg.get("law", "normal"), int(cfg["pmin"]), int(cfg["pmax"]))
-        ctx = {}
-    elif exp == "bridge-error":
-        h, r = experiment_bridge_error(int(cfg["lmin"]), int(cfg["lmax"]))
-        ctx = {}
-    elif exp == "kl-error":
-        beta, alpha = float(cfg["beta"]), float(cfg["alpha"])
-        h, r = experiment_kl_error(beta, alpha, int(cfg["mmin"]), int(cfg["mmax"]))
-        ctx = {"beta": beta, "alpha": alpha}
-    elif exp == "sde-error":
-        h, r = experiment_sde_error(
-            float(cfg.get("mu", 0.05)), float(cfg.get("sigma", 0.2)),
-            float(cfg.get("x0", 1.0)), int(cfg.get("q", 52)),
-            int(cfg["mmin"]), int(cfg["mmax"]), int(cfg.get("reps", 100)), seed)
-        ctx = {}
-    elif exp == "mlmc":
-        eps = float(cfg["eps"])
-        functional = cfg.get("functional", "norm")
-        h, r = experiment_mlmc(cfg.get("model", "bridge"), float(cfg.get("beta", 2.0)),
-                               float(cfg.get("alpha", 0.0)), eps, functional,
-                               int(cfg.get("runs", 100)), seed)
-        ctx = {"eps": eps, "functional": functional}
-    elif exp == "appendix-ratios":
-        h, r = experiment_appendix_ratios(float(cfg["pmin"]), float(cfg["pmax"]))
-        ctx = {}
-    else:
-        raise ConfigurationError(f"unknown experiment {exp!r}")
-    return h, r, ctx
-
-
 def run_suite(config_path: str, fixtures_path: Optional[str] = None) -> int:
-    """Execute the configured experiment, write its CSV, check fixtures.
-
-    Returns 0 on success, 1 if any fixture comparison fails (the failing
-    fixture is named on stderr), raising ConfigurationError on bad input.
-    """
+    """Execute the configured experiment, write (or print) its CSV, check
+    fixtures: 0 on success, 1 if a fixture comparison fails (named on
+    stderr); bad input raises ConfigurationError."""
     cfg = parse_config(config_path)
-    exp = cfg["experiment"]
-    header, rows, ctx = _run_experiment(exp, cfg)
-    if "csv" in cfg:
-        write_csv(cfg["csv"], header, rows)
-    fixtures: dict[str, Fixture] = {}
-    path = fixtures_path or cfg.get("fixtures")
-    if path:
-        fixtures = load_fixtures(path)
-    failures = _fixture_failures(exp, header, rows, fixtures, ctx)
-    for msg in failures:
-        print(f"FIXTURE FAIL {msg}", file=sys.stderr)
-    return 1 if failures else 0
+    return _run(cfg["experiment"], _config_values(config_path, cfg),
+                cfg.get("csv"), fixtures_path or cfg.get("fixtures"))
 
 
 # ---------------------------------------------------------------------------
 # argparse front end
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="decimal 64-bit seed")
-    p.add_argument("--csv", type=str, default=None, help="output CSV path")
-    p.add_argument("--fixtures", type=str, default=None, help="fixture table to check")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rbitmc",
                                      description="random-bit distribution approximation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("normal-error", help="exact p-bit normal error table")
-    p.add_argument("--pmin", type=int, required=True)
-    p.add_argument("--pmax", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("rbit-1d", help="exact best-approximation distance for a 1-d law")
-    p.add_argument("--law", choices=["normal", "uniform"], default="normal")
-    p.add_argument("--pmin", type=int, required=True)
-    p.add_argument("--pmax", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("bridge-error", help="bridge truncation and bit error table")
-    p.add_argument("--lmin", type=int, required=True)
-    p.add_argument("--lmax", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("kl-error", help="Karhunen-Loeve error table")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--mmin", type=int, required=True)
-    p.add_argument("--mmax", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("sde-error", help="strong error of the random-bit Milstein scheme")
-    p.add_argument("--mu", type=float, default=0.05)
-    p.add_argument("--sigma", type=float, default=0.2)
-    p.add_argument("--x0", type=float, default=1.0)
-    p.add_argument("--q", type=int, default=52)
-    p.add_argument("--mmin", type=int, required=True)
-    p.add_argument("--mmax", type=int, required=True)
-    p.add_argument("--reps", type=int, default=1000)
-    _add_common(p)
-
-    p = sub.add_parser("mlmc", help="random-bit multilevel Monte Carlo runs")
-    p.add_argument("--model", choices=["bridge", "kl"], default="bridge")
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--functional", type=str, default="norm")
-    p.add_argument("--runs", type=int, default=100)
-    _add_common(p)
-
-    p = sub.add_parser("appendix-ratios", help="tail asymptotics diagnostic ratios")
-    p.add_argument("--pmin", type=float, default=10.0)
-    p.add_argument("--pmax", type=float, default=50.0)
-    _add_common(p)
+    for name, exp in EXPERIMENTS.items():
+        p = sub.add_parser(name, help=exp.help)
+        for prm in (*exp.params, _SEED):
+            p.add_argument(f"--{prm.name}", type=prm.type, default=prm.default,
+                           required=prm.default is None, choices=prm.choices or None, help=prm.help)
+        p.add_argument("--csv", type=str, default=None, help="output CSV path")
+        p.add_argument("--fixtures", type=str, default=None, help="fixture table to check")
 
     p = sub.add_parser("fit", help="log-log rate fit of two CSV columns")
     p.add_argument("--input", type=str, required=True, help="input CSV")
     p.add_argument("--x", type=str, required=True, help="abscissa column name")
     p.add_argument("--y", type=str, required=True, help="ordinate column name")
-    _add_common(p)
+    p.add_argument("--csv", type=str, default=None, help="output CSV path")
 
     p = sub.add_parser("suite", help="run a config-file experiment with fixture checks")
     p.add_argument("--config", type=str, required=True)
@@ -454,13 +444,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Exit code 0 on success, 1 if a fixture check fails, 2 on bad input
+    (ConfigurationError, or the ValueError of a library argument check)."""
     args = build_parser().parse_args(argv)
-    cmd = args.command
     try:
-        if cmd == "suite":
+        if args.command == "suite":
             return run_suite(args.config, args.fixtures)
-        if cmd == "fit":
+        if args.command == "fit":
             header, rows = read_csv(args.input)
+            for col in (args.x, args.y):
+                if col not in header:
+                    raise ConfigurationError(f"{args.input} has no column {col!r}; columns: {', '.join(header)}")
             xi, yi = header.index(args.x), header.index(args.y)
             fit = fit_rate([r[xi] for r in rows], [r[yi] for r in rows])
             out_header = ["slope", "intercept", "residual_max", "n_points"]
@@ -470,37 +464,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(",".join(out_header))
             print(",".join(format_value(v) for v in out_rows[0]))
             return 0
-        cfg = {"seed": str(args.seed)}
-        if cmd == "normal-error":
-            cfg.update(pmin=args.pmin, pmax=args.pmax)
-        elif cmd == "rbit-1d":
-            cfg.update(law=args.law, pmin=args.pmin, pmax=args.pmax)
-        elif cmd == "bridge-error":
-            cfg.update(lmin=args.lmin, lmax=args.lmax)
-        elif cmd == "kl-error":
-            cfg.update(beta=args.beta, alpha=args.alpha, mmin=args.mmin, mmax=args.mmax)
-        elif cmd == "sde-error":
-            cfg.update(mu=args.mu, sigma=args.sigma, x0=args.x0, q=args.q,
-                       mmin=args.mmin, mmax=args.mmax, reps=args.reps)
-        elif cmd == "mlmc":
-            cfg.update(model=args.model, beta=args.beta, alpha=args.alpha,
-                       eps=args.eps, functional=args.functional, runs=args.runs)
-        elif cmd == "appendix-ratios":
-            cfg.update(pmin=args.pmin, pmax=args.pmax)
-        cfg = {k: str(v) for k, v in cfg.items()}
-        header, rows, ctx = _run_experiment(cmd, cfg)
-        if args.csv:
-            write_csv(args.csv, header, rows)
-        else:
-            print(",".join(header))
-            for row in rows:
-                print(",".join(format_value(v) for v in row))
-        fixtures = load_fixtures(args.fixtures) if args.fixtures else {}
-        failures = _fixture_failures(cmd, header, rows, fixtures, ctx)
-        for msg in failures:
-            print(f"FIXTURE FAIL {msg}", file=sys.stderr)
-        return 1 if failures else 0
-    except ConfigurationError as exc:
+        values = {prm.name: getattr(args, prm.name)
+                  for prm in (*EXPERIMENTS[args.command].params, _SEED)}
+        return _run(args.command, values, args.csv, args.fixtures)
+    except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from rbitmc import cli
 from rbitmc.cli import (
+    EXPERIMENTS,
     Fixture,
     fit_rate,
     format_value,
@@ -173,3 +175,92 @@ def test_main_config_error_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("experiment = nope\n")
     assert main(["suite", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("text,key", [
+    ("experiment = normal-error\npmin = 4\n", "'pmax'"),
+    ("experiment = bridge-error\nlmin = x\nlmax = 4\n", "'lmin'"),
+    ("experiment = sde-error\nmmin = 4\nmmax = 8\nreps = 1.5\n", "'reps'"),
+    ("experiment = rbit-1d\nlaw = cauchy\npmin = 1\npmax = 4\n", "'law'"),
+    ("experiment = mlmc\neps = 0.125\nmodel = gauss\n", "'model'"),
+    ("experiment = kl-error\nbeta = 2\nalpha = 0\nmmin = 16\nmmax = 32\nseed = -x\n", "'seed'"),
+])
+def test_malformed_suite_config_is_bad_input(tmp_path, capsys, text, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    experiment = text.splitlines()[0].split("=")[1].strip()
+    with pytest.raises(ConfigurationError, match=f"{experiment} key {key}"):
+        parse_config(str(cfg))
+    assert main(["suite", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["mlmc", "--eps", "0.25"],
+    ["normal-error", "--pmin", "0", "--pmax", "3"],
+    ["kl-error", "--beta", "0.5", "--alpha", "0", "--mmin", "16", "--mmax", "32"],
+])
+def test_out_of_range_argument_is_bad_input(capsys, args):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_fit_unknown_column_is_bad_input(tmp_path, capsys):
+    data = str(tmp_path / "data.csv")
+    write_csv(data, ["m", "err"], [[2.0 ** k, 2.0 ** -k] for k in range(1, 5)])
+    assert main(["fit", "--input", data, "--x", "m", "--y", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'nope'" in err
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--fixtures"])
+def test_fit_takes_no_seed_or_fixtures(tmp_path, flag):
+    data = str(tmp_path / "data.csv")
+    write_csv(data, ["m", "err"], [[2.0 ** k, 2.0 ** -k] for k in range(1, 5)])
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--input", data, "--x", "m", "--y", "err", flag, "1"])
+    assert exc.value.code == 2
+
+
+def test_normal_error_checks_p26_fixture():
+    shipped = load_fixtures(FIXTURES)
+    check = EXPERIMENTS["normal-error"].check
+    row = {"p": 26, "scaled_const": 1.6984111061536882}
+    assert check(shipped, [row, {"p": 25, "scaled_const": 9.0}], {"pmin": 25, "pmax": 26}) == []
+    perturbed = dict(shipped)
+    fx = shipped["normal_scaled_mse_p26"]
+    perturbed[fx.name] = Fixture(fx.name, fx.value * (1.0 + 1e-8), fx.tolerance)
+    failures = check(perturbed, [row], {"pmin": 26, "pmax": 26})
+    assert len(failures) == 1 and failures[0].startswith("normal_scaled_mse_p26: p 26")
+
+
+_REQUIRED = {
+    "normal-error": {"pmin": "4", "pmax": "6"},
+    "rbit-1d": {"pmin": "1", "pmax": "4"},
+    "bridge-error": {"lmin": "1", "lmax": "4"},
+    "kl-error": {"beta": "2", "alpha": "0", "mmin": "16", "mmax": "32"},
+    "sde-error": {"mmin": "4", "mmax": "8"},
+    "mlmc": {"eps": "0.125"},
+    "appendix-ratios": {},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_subcommand_and_suite_share_defaults(tmp_path, name):
+    required = _REQUIRED[name]
+    assert set(required) == {prm.name for prm in EXPERIMENTS[name].params if prm.default is None}
+    sub_csv, suite_csv, cfg = tmp_path / "sub.csv", tmp_path / "suite.csv", tmp_path / "run.cfg"
+    flags = [tok for key, value in required.items() for tok in (f"--{key}", value)]
+    assert main([name, *flags, "--csv", str(sub_csv)]) == 0
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in
+                           {"experiment": name, **required, "csv": str(suite_csv)}.items()))
+    assert run_suite(str(cfg)) == 0
+    assert sub_csv.read_bytes() == suite_csv.read_bytes()
+
+
+def test_experiment_functions_are_looked_up_at_call_time(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "experiment_bridge_error", lambda lmin, lmax: (["level"], [[lmin], [lmax]]))
+    assert main(["bridge-error", "--lmin", "3", "--lmax", "5"]) == 0
+    assert capsys.readouterr().out == "level\n3\n5\n"
