@@ -15,10 +15,12 @@ which is what makes coupled coarse/fine sampling possible downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 MAX_BITS = 63  # grid index must fit one machine word
+_GATHER_MIN_BITS = 1 << 15  # draws this long at 4 < p <= 52 gather rather than unpack
 
 
 def _check_precision(p: int) -> None:
@@ -76,8 +78,8 @@ class BitSource:
         self._partial = 0  # unconsumed bits of the current word, right-aligned
         self._avail = 0
 
-    def _next_words(self, n: int) -> np.ndarray:
-        out = np.empty(n, dtype=np.uint64)
+    def _next_words(self, n: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        out = np.empty(n, dtype=np.uint64) if out is None else out
         got = 0
         while got < n:
             if self._cursor == len(self._words):
@@ -108,74 +110,103 @@ class BitSource:
     def draw_bits_array(self, p: int, n: int) -> np.ndarray:
         """Draw ``n`` values of ``p`` bits each from the same bit stream.
 
-        Equivalent to ``n`` successive :meth:`draw_bits` calls.  Two paths
-        give the same values:
+        Equivalent to ``n`` successive :meth:`draw_bits` calls.  Three paths
+        give the same values, selected by p and n:
 
-        - p <= 52 unpacks whole generator words into bits and packs each
-          row of p bits with a float matmul, exact up to 52 bits.  It stays
-          because the gather below was up to 3x slower for single values,
-          up to 6x slower for p <= 4 on long draws, and no faster on the
-          short p <= 26 draws (n <= 200) of the MLMC samplers (2-vCPU x86
-          VM).
-        - p > 52 gathers each value from the one or two 64-bit words it
-          straddles, with no per-bit pass: 8-17x faster than the per-bit
-          loop it replaced, for n from 1 to 131k.
+        - p in {1, 2, 4, 8} reads the stream bytes that hold the values
+          (:meth:`draw_bytes`) and splits each byte into its 8/p fields with
+          one lookup in the (256, 8/p) table :func:`byte_fields`.
+        - p > 52, and draws of at least _GATHER_MIN_BITS bits at 4 < p <= 52,
+          gather each value from the one or two 64-bit words it straddles,
+          with no per-bit pass.
+        - all other draws (p = 3, and shorter draws at 4 < p <= 52) unpack
+          the words into bits and pack each row of p bits with a float
+          matmul, exact up to 52 bits.  They need fewer numpy calls than
+          the gather.  On a 2-vCPU x86 VM the gather was 1.2-2.6x faster at
+          9 <= p <= 52 from about 2^15 bits on, 1.1-1.3x at p = 5..7 on long
+          draws (n = 64k-2M), and slower at p = 3.
         """
         _check_precision(p)
         if n < 0:
             raise ValueError("n must be non-negative")
         if n == 0:
             return np.empty(0, dtype=np.uint64)
-        if p > 52:
-            self.bits_drawn += p * n
-            return self._gather_words(p, n)
-        total = p * n
-        head = min(self._avail, total)
-        head_bits = np.empty(head, dtype=np.uint8)
-        for j in range(head):
-            head_bits[j] = (self._partial >> (self._avail - 1 - j)) & 1
-        rest = total - head
-        nwords = -(-rest // 64) if rest else 0
-        if nwords:
-            words = self._next_words(nwords)
-            word_bits = np.unpackbits(words.astype(">u8").view(np.uint8))
-            bits = np.concatenate([head_bits, word_bits[:rest]])
-            used = rest % 64
-            if used:
-                last = int(words[-1])
-                self._partial = last & ((1 << (64 - used)) - 1)
-                self._avail = 64 - used
-            else:
-                self._partial = 0
-                self._avail = 0
-        else:
-            bits = head_bits
-            self._avail -= head
-            self._partial &= (1 << self._avail) - 1
+        if 8 % p == 0:
+            return byte_fields(p)[self.draw_bytes(p, n)].reshape(-1)[:n]
+        w, start = self._take_words(p * n)
+        if p > 52 or (p > 4 and p * n >= _GATHER_MIN_BITS):
+            # value j is the top p bits of the 64 stream bits from s = start + j*p;
+            # (x >> 1) >> (63 - r) equals x >> (64 - r) for r > 0, 0 for r = 0
+            s = np.arange(n, dtype=np.int64) * p + start
+            q = s >> 6
+            r = (s & 63).astype(np.uint64)
+            lo = (w[q + 1] >> np.uint64(1)) >> (np.uint64(63) - r)
+            return ((w[q] << r) | lo) >> np.uint64(64 - p)
+        bits = np.unpackbits(w.astype(">u8").view(np.uint8))[start:start + p * n]
         # exact in float64 up to 52 bits; the matmul is the fast path
         powers = 2.0 ** np.arange(p - 1, -1, -1)
-        out = (bits.reshape(n, p).astype(np.float64) @ powers).astype(np.uint64)
-        self.bits_drawn += total
-        return out
+        return (bits.reshape(n, p).astype(np.float64) @ powers).astype(np.uint64)
 
-    def _gather_words(self, p: int, n: int) -> np.ndarray:
-        # w[0] is the unconsumed partial word, right-aligned, so the stream
-        # starts at bit 64 - _avail of w; a zero word pads the end.  Value j
-        # is the top p bits of the 64 stream bits from s = 64 - _avail + j*p,
-        # and (x >> 1) >> (63 - r) equals x >> (64 - r) for r > 0, 0 for r = 0.
-        total = p * n
+    def draw_bytes(self, p: int, n: int) -> np.ndarray:
+        """Draw ``n`` values of ``p`` bits each (p in {1, 2, 4, 8}) as the
+        stream bytes that hold them.
+
+        Returns ceil(p n / 8) uint8 codes, most significant bit first:
+        value j is field j % (8/p) of byte j // (8/p), so the values are
+        ``byte_fields(p)[codes].reshape(-1)[:n]``.  Consumes exactly p n
+        bits; the bits of the last byte past them are not defined.  When
+        the stream position is not on a byte boundary, the bytes are shifted
+        into place with one extra pass.
+        """
+        if p not in _BYTE_PRECISIONS:
+            raise ValueError(f"byte draws need p in {_BYTE_PRECISIONS}, got {p!r}")
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        w, start = self._take_words(p * n)
+        first, shift = divmod(start, 8)
+        raw = w.astype(">u8").view(np.uint8)[first:first + -(-p * n // 8) + 1]
+        if shift:
+            return (raw[:-1] << np.uint8(shift)) | (raw[1:] >> np.uint8(8 - shift))
+        return raw[:-1]
+
+    def _take_words(self, total: int) -> tuple[np.ndarray, int]:
+        """The words that hold the next ``total`` stream bits, and the bit
+        offset of the first of them; advances the stream by ``total`` bits.
+
+        w[0] is the unconsumed partial word, right-aligned, so the stream
+        starts at bit 64 - _avail of w; a zero word pads the end.
+        """
         nwords = -(-max(total - self._avail, 0) // 64)
         w = np.zeros(nwords + 2, dtype=np.uint64)
         w[0] = self._partial
-        w[1:nwords + 1] = self._next_words(nwords)
-        s = np.arange(n, dtype=np.int64) * p + (64 - self._avail)
-        q = s >> 6
-        r = (s & 63).astype(np.uint64)
-        lo = (w[q + 1] >> np.uint64(1)) >> (np.uint64(63) - r)
-        out = ((w[q] << r) | lo) >> np.uint64(64 - p)
+        self._next_words(nwords, w[1:nwords + 1])
+        start = 64 - self._avail
         self._avail += 64 * nwords - total
         self._partial = int(w[nwords]) & ((1 << self._avail) - 1)
-        return out
+        self.bits_drawn += total
+        return w, start
+
+
+_BYTE_PRECISIONS = (1, 2, 4, 8)
+_BYTE_TABLES: dict[tuple[int, int], np.ndarray] = {}
+
+
+def byte_fields(p: int, base: int = 0) -> np.ndarray:
+    """(256, 8/p) uint64 table whose row b holds ``base`` plus the p-bit
+    fields of byte b, most significant first, for p in {1, 2, 4, 8}.
+
+    ``base=1`` gives the 1-based grid indices of the fields.
+    """
+    key = (p, base)
+    table = _BYTE_TABLES.get(key)
+    if table is None:
+        if p not in _BYTE_PRECISIONS:
+            raise ValueError(f"byte tables need p in {_BYTE_PRECISIONS}, got {p!r}")
+        shifts = np.arange(8 - p, -1, -p, dtype=np.uint64)
+        fields = (np.arange(256, dtype=np.uint64)[:, np.newaxis] >> shifts) & np.uint64((1 << p) - 1)
+        table = _BYTE_TABLES[key] = fields + np.uint64(base)
+        table.flags.writeable = False  # shared by every caller
+    return table
 
 
 def child_source(base_seed: int, *key: int) -> BitSource:

@@ -215,6 +215,8 @@ def experiment_mlmc(model_name: str, beta: float, alpha: float, eps: float,
         model = _mlmc.kl_model(_gausskl.EigenSpec(beta=beta, alpha=alpha))
     else:
         raise ConfigurationError(f"unknown model {model_name!r}; expected bridge or kl")
+    if runs < 1:
+        raise ValueError("runs must be a positive integer")
     params = _mlmc.mlmc_params(eps, beta, alpha)
     f = _mlmc.lookup_functional(functional)
     cost = _mlmc.theoretical_cost(params)
@@ -265,8 +267,10 @@ def _check_mlmc(fixtures: dict[str, Fixture], records, a) -> list[str]:
     fx = fixtures.get("mlmc_c_rmse")
     if fx is None or a["functional"] != "coord1":
         return []
-    rmse = math.sqrt(float(np.mean([r["estimate"] ** 2 for r in records])))
-    return [f"mlmc_c_rmse: rmse {rmse!r} exceeds {fx.value} * eps"] if rmse > fx.value * a["eps"] else []
+    rmse = math.sqrt(float(np.mean([r["estimate"] ** 2 for r in records]))) if records else math.nan
+    if math.isfinite(rmse) and rmse <= fx.value * a["eps"]:
+        return []
+    return [f"mlmc_c_rmse: rmse {rmse!r} is not finite or exceeds {fx.value} * eps"]
 
 
 def _check_appendix_ratios(fixtures: dict[str, Fixture], records, a) -> list[str]:
@@ -342,8 +346,14 @@ _SEED = Param("seed", int, 0, help="decimal 64-bit seed")  # taken by every expe
 
 
 def _run(name: str, values: dict, csv: Optional[str], fixtures_path: Optional[str]) -> int:
-    """Run, write the CSV (or print it), check fixtures; 1 if any fails."""
+    """Check ranges, run, write the CSV (or print it), check fixtures; 1 if
+    any fixture fails.  Every ``<x>min`` parameter with a ``<x>max`` partner
+    is a range, and an inverted one raises ConfigurationError."""
     exp = EXPERIMENTS[name]
+    for prm in exp.params:
+        hi = prm.name[:-3] + "max"
+        if prm.name.endswith("min") and hi in values and values[prm.name] > values[hi]:
+            raise ConfigurationError(f"{name}: {prm.name} {values[prm.name]} exceeds {hi} {values[hi]}")
     header, rows = exp.run(values)
     if csv:
         write_csv(csv, header, rows)

@@ -23,12 +23,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bitcore import BitAllocation, BitSource, truncate_indices
+from .bitcore import BitAllocation, BitSource, byte_fields, truncate_indices
 from .errors import InternalInvariantError
-from .normal import bit_normal_mse_extended, checked_quad, grid_normal_values
+from .normal import bit_normal_mse_extended, checked_quad, grid_normal_byte_table, grid_normal_values
 
 MAX_ALLOC_BITS = 63
 _TAIL_EXTEND = 4096  # terms tail_sum looks past M for the eigenvalues to stop rising
+_LOOKUP_BYTES = 1 << 18  # rows looked up per block by sample_rows' byte-table path
 
 
 @dataclass
@@ -101,7 +102,8 @@ def _alloc_runs(counts: np.ndarray):
 
 
 def sample_rows(src: BitSource, alloc: BitAllocation, n: int,
-                scale: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+                scale: Optional[np.ndarray] = None,
+                indices: bool = True) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Draw n expansion rows under ``alloc``: (coefficient rows, index rows).
 
     Draw order: bits are drawn run by run over the maximal runs of equal bit
@@ -109,17 +111,49 @@ def sample_rows(src: BitSource, alloc: BitAllocation, n: int,
     n * (run length) p-bit values filling the run's columns row by row.
     Exactly n * |alloc| bits are consumed.  Coefficient i is scale[i] times
     the p_i-bit grid normal at its retained index; ``scale=None`` means unit
-    scale.
+    scale.  ``indices=False`` builds no index rows and returns None for them.
+
+    Two paths give the same rows.  A run at p in {1, 2, 4, 8} reads its
+    stream bytes once (:meth:`BitSource.draw_bytes`) and looks coefficients,
+    and index rows when wanted, up by byte in the (256, 8/p) tables
+    :func:`normal.grid_normal_byte_table` and :func:`bitcore.byte_fields`.
+    Any other run is drawn by :meth:`BitSource.draw_bits_array` and mapped
+    through :func:`normal.grid_normal_values`.
     """
-    idx = np.empty((n, len(alloc)), dtype=np.uint64)
+    idx = np.empty((n, len(alloc)), dtype=np.uint64) if indices else None
     coeffs = np.empty((n, len(alloc)), dtype=np.float64)
     for a, b, p in _alloc_runs(alloc.counts):
+        if 8 % p == 0:
+            codes = src.draw_bytes(p, n * (b - a))
+            _by_byte(grid_normal_byte_table(p), codes, coeffs[:, a:b])
+            if indices:
+                _by_byte(byte_fields(p, 1), codes, idx[:, a:b])
+            continue
         block = src.draw_bits_array(p, n * (b - a)).reshape(n, b - a) + np.uint64(1)
-        idx[:, a:b] = block
+        if indices:
+            idx[:, a:b] = block
         coeffs[:, a:b] = grid_normal_values(block, p)
     if scale is not None:
         coeffs *= scale
     return coeffs, idx
+
+
+def _by_byte(table: np.ndarray, codes: np.ndarray, out: np.ndarray) -> None:
+    """Fill the (n, w) rows ``out`` with the first n*w values of table[codes]."""
+    n, w = out.shape
+    k = table.shape[1]
+    if w % k:  # rows do not start on byte boundaries
+        out[...] = table[codes].reshape(-1)[:n * w].reshape(n, w)
+        return
+    # each row is w/k whole bytes: look up blocks of rows into a buffer that
+    # stays in cache, then copy them into the (strided) columns of ``out``
+    step = max(1, _LOOKUP_BYTES // (8 * w))
+    buf = np.empty((min(step, n), w // k, k), dtype=table.dtype)
+    rows = codes.reshape(n, w // k)
+    for r in range(0, n, step):
+        block = buf[:min(step, n - r)]
+        np.take(table, rows[r:r + step], axis=0, out=block, mode="clip")  # codes < 256
+        out[r:r + step] = block.reshape(-1, w)
 
 
 def coarsen_rows(idx_rows: np.ndarray, fine: BitAllocation, coarse: BitAllocation,

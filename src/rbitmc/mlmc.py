@@ -46,6 +46,7 @@ from .gausskl import EigenSpec, KLVector, allocation_kl
 from .normal import grid_normal_values  # noqa: F401
 
 EPS_MAX = math.exp(-2.0)
+_EVAL_BYTES = 4 << 20  # node values per functional evaluation, a block that stays in cache
 
 
 @dataclass
@@ -112,10 +113,12 @@ class ExpansionModel:
     def bits_per_fine(self, level: int, min_bits: int = 0) -> int:
         return self.allocation(level, min_bits).total
 
-    def sample_rows(self, src: BitSource, level: int, n: int, min_bits: int = 0) -> dict:
-        """n fine rows at ``level``, drawn in the order of :func:`gausskl.sample_rows`."""
+    def sample_rows(self, src: BitSource, level: int, n: int, min_bits: int = 0,
+                    indices: bool = True) -> dict:
+        """n fine rows at ``level``, drawn in the order of :func:`gausskl.sample_rows`;
+        ``indices=False`` leaves out the index rows (``"idx"`` is None)."""
         alloc = self.allocation(level, min_bits)
-        coeffs, idx = gausskl.sample_rows(src, alloc, n, self.scale(level))
+        coeffs, idx = gausskl.sample_rows(src, alloc, n, self.scale(level), indices)
         return {"level": level, "coeffs": coeffs, "idx": idx, "alloc": alloc}
 
     def coarsen_rows(self, state: dict, min_bits: int = 0) -> dict:
@@ -323,6 +326,27 @@ class MLMCResult:
         return math.sqrt(sum(v / n for v, n in zip(self.level_vars, self.level_ns)))
 
 
+def _evaluate(f: LipFunctional, model, state: dict) -> np.ndarray:
+    """``f.rows(model.functional_rows(state))``, taken over blocks of rows
+    that hold at most _EVAL_BYTES of node values each.
+
+    Rows are evaluated independently, so every value equals that of one
+    call on the whole batch; the blocks only keep the node arrays in cache.
+    No block has a single row unless the batch has: numpy's matmul rounds a
+    one-row product differently (seen with the KL ``soft_linear``).
+    """
+    coeffs = state["coeffs"]
+    n = coeffs.shape[0]
+    step = max(2, _EVAL_BYTES // (8 * (coeffs.shape[1] + 2)))
+    if n <= step:
+        return f.rows(model.functional_rows(state))
+    bounds = [*range(0, n - 1, step), n]  # a last single row joins the block before it
+    y = np.empty(n, dtype=np.float64)
+    for a, b in zip(bounds, bounds[1:]):
+        y[a:b] = f.rows(model.functional_rows({**state, "coeffs": coeffs[a:b]}))
+    return y
+
+
 def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource,
                   min_bits: int = 0, base_seed: Optional[int] = None) -> MLMCResult:
     """Run the multilevel estimator once.
@@ -346,12 +370,12 @@ def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource,
         fine = model.sample_rows(level_src, level, n, min_bits)
         ledger.bits += level_src.bits_drawn - before
         expected_bits += n * model.bits_per_fine(level, min_bits)
-        y = f.rows(model.functional_rows(fine))
+        y = _evaluate(f, model, fine)
         ledger.oracle_cost += n * model.level_dim(level)
         ledger.coeff_ops += n * model.level_dim(level)
         if level >= 2:
             coarse = model.coarsen_rows(fine, min_bits)
-            y = y - f.rows(model.functional_rows(coarse))
+            y = y - _evaluate(f, model, coarse)
             ledger.oracle_cost += n * model.level_dim(level - 1)
             ledger.coeff_ops += n * model.level_dim(level - 1)
         mean = float(np.mean(y))
@@ -367,7 +391,11 @@ def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource,
 
 def plain_mc(f: LipFunctional, model, level: int, n: int, src: BitSource,
              min_bits: int = 0, batch: int = 4096) -> tuple[float, float, CostLedger]:
-    """Single-level Monte Carlo reference at the given level: (mean, stderr, ledger)."""
+    """Single-level Monte Carlo reference at the given level: (mean, stderr, ledger).
+
+    Rows are drawn ``batch`` at a time, without index rows, and evaluated
+    in cache-sized blocks (:func:`_evaluate`); neither changes a value.
+    """
     ledger = CostLedger()
     total = 0.0
     total_sq = 0.0
@@ -375,9 +403,9 @@ def plain_mc(f: LipFunctional, model, level: int, n: int, src: BitSource,
     while done < n:
         b = min(batch, n - done)
         before = src.bits_drawn
-        state = model.sample_rows(src, level, b, min_bits)
+        state = model.sample_rows(src, level, b, min_bits, indices=False)
         ledger.bits += src.bits_drawn - before
-        y = f.rows(model.functional_rows(state))
+        y = _evaluate(f, model, state)
         ledger.oracle_cost += b * model.level_dim(level)
         ledger.coeff_ops += b * model.level_dim(level)
         total += float(np.sum(y))

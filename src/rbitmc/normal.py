@@ -20,7 +20,13 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfc as _erfc
 
-from .bitcore import BitSource, dyadic_values, sample_dyadic_uniform, sample_dyadic_uniform_array
+from .bitcore import (
+    BitSource,
+    byte_fields,
+    dyadic_values,
+    sample_dyadic_uniform,
+    sample_dyadic_uniform_array,
+)
 from .errors import CapacityError
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -191,6 +197,22 @@ def grid_normal_values(indices: np.ndarray, p: int) -> np.ndarray:
             _GRID_TABLES[p] = table
         return np.take(table, idx.astype(np.int64) - 1)
     return phi_inv(dyadic_values(idx, p))
+
+
+_BYTE_NORMALS: dict[int, np.ndarray] = {}
+
+
+def grid_normal_byte_table(p: int) -> np.ndarray:
+    """(256, 8/p) grid normals of the p-bit fields of each byte, p in {1, 2, 4, 8}.
+
+    Row b is ``grid_normal_values(byte_fields(p, 1)[b], p)``, so a lookup by
+    stream byte gives the values of grid_normal_values by construction.
+    """
+    table = _BYTE_NORMALS.get(p)
+    if table is None:
+        table = _BYTE_NORMALS[p] = grid_normal_values(byte_fields(p, 1), p)
+        table.flags.writeable = False  # shared by every caller
+    return table
 
 
 def bit_normal_sample_array(src: BitSource, p: int, n: int) -> np.ndarray:

@@ -157,7 +157,7 @@ def refined_path_sample(src: BitSource, model: SDEModel, m: int, q: int, level: 
     """
     before = src.bits_drawn
     skeleton = rbit_milstein_path(src, model, m, q)
-    coeffs, _ = sample_rows(src, allocation_bridge(level), m)
+    coeffs, _ = sample_rows(src, allocation_bridge(level), m, indices=False)
     used = src.bits_drawn - before
     expected = sde_bit_cost(m, q, level)
     if used != expected:
@@ -194,6 +194,8 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     indices (``_BLOCK_BYTES``), at least one step per block; the block size
     changes neither values nor bit counts.
     """
+    if m < 1:
+        raise ValueError("m must be a positive integer")
     if reps < 1:
         raise ValueError("reps must be a positive integer")
     if reference not in ("auto", "exact", "fine"):

@@ -10,6 +10,7 @@ from rbitmc.bitcore import (
     BitAllocation,
     BitSource,
     DyadicValue,
+    byte_fields,
     child_source,
     dyadic_values,
     sample_dyadic_uniform,
@@ -51,8 +52,20 @@ def test_array_draw_wide_words():
 
 
 @settings(max_examples=400, deadline=None)
-@given(p=st.integers(1, 63), n=st.integers(0, 300), head=st.integers(0, 63),
-       after=st.integers(1, 63), seed=st.integers(0, 2**32 - 1))
+@given(p=st.integers(1, 63), n=st.one_of(st.integers(0, 300), st.integers(301, 4000)),
+       head=st.integers(0, 63), after=st.integers(1, 63), seed=st.integers(0, 2**32 - 1))
+@example(p=2, n=3001, head=3, after=7, seed=1)   # byte path, stream 3 bits off a byte
+@example(p=1, n=4099, head=0, after=9, seed=2)   # byte path, aligned, tail inside a word
+@example(p=4, n=2001, head=4, after=5, seed=3)   # byte path, half-byte offset
+@example(p=8, n=1000, head=63, after=63, seed=4)  # byte path from the last leftover bit
+@example(p=8, n=7, head=8, after=1, seed=5)      # byte draw of exactly the leftover bits
+@example(p=2, n=3, head=61, after=2, seed=6)     # byte draw across a word boundary
+@example(p=6, n=6000, head=5, after=3, seed=7)   # gather at p <= 8 (36000 bits)
+@example(p=5, n=6554, head=1, after=3, seed=8)   # first gathered length at p = 5
+@example(p=9, n=3640, head=9, after=3, seed=9)   # last unpacked length at p = 9
+@example(p=9, n=3641, head=9, after=3, seed=9)   # first gathered length at p = 9
+@example(p=3, n=4000, head=2, after=3, seed=10)  # p = 3 always unpacks
+@example(p=52, n=631, head=12, after=52, seed=11)  # gather below p = 53
 @example(p=54, n=1, head=10, after=5, seed=3)    # fills the leftover bits exactly
 @example(p=27, n=1, head=10, after=5, seed=3)    # fits inside the leftover bits
 @example(p=53, n=1, head=10, after=63, seed=3)   # 53 of 54 leftover bits
@@ -69,6 +82,34 @@ def test_draw_bits_array_matches_scalar_draws(p, n, head, after, seed):
     assert [int(v) for v in array] == [b.draw_bits(p) for _ in range(n)]
     assert a.bits_drawn == b.bits_drawn == head + p * n
     assert a.draw_bits(after) == b.draw_bits(after)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 8])
+def test_byte_fields_split_every_byte(p):
+    table = byte_fields(p)
+    assert table.shape == (256, 8 // p) and table.dtype == np.uint64
+    for b in range(256):
+        bits = format(b, "08b")
+        assert [int(v) for v in table[b]] == [int(bits[j:j + p], 2) for j in range(0, 8, p)]
+    assert np.array_equal(byte_fields(p, 1), table + np.uint64(1))
+
+
+@pytest.mark.parametrize("head", [0, 3, 8, 61])
+@pytest.mark.parametrize("p", [1, 2, 4, 8])
+def test_draw_bytes_hold_the_scalar_draws(p, head):
+    a, b = BitSource(31), BitSource(31)
+    if head:
+        a.draw_bits(head)
+        b.draw_bits(head)
+    n = 1001
+    codes = a.draw_bytes(p, n)
+    assert codes.dtype == np.uint8 and codes.shape == (-(-p * n // 8),)
+    values = byte_fields(p)[codes].reshape(-1)[:n]
+    assert [int(v) for v in values] == [b.draw_bits(p) for _ in range(n)]
+    assert a.bits_drawn == b.bits_drawn == head + p * n
+    assert a.draw_bits(13) == b.draw_bits(13)
+    with pytest.raises(ValueError):
+        a.draw_bytes(3, 4)
 
 
 def test_invalid_bit_counts():

@@ -264,3 +264,59 @@ def test_experiment_functions_are_looked_up_at_call_time(monkeypatch, capsys):
     monkeypatch.setattr(cli, "experiment_bridge_error", lambda lmin, lmax: (["level"], [[lmin], [lmax]]))
     assert main(["bridge-error", "--lmin", "3", "--lmax", "5"]) == 0
     assert capsys.readouterr().out == "level\n3\n5\n"
+
+
+_INVERTED = {
+    "normal-error": ["--pmin", "5", "--pmax", "3"],
+    "rbit-1d": ["--pmin", "5", "--pmax", "3"],
+    "bridge-error": ["--lmin", "5", "--lmax", "3"],
+    "kl-error": ["--beta", "2", "--alpha", "0", "--mmin", "64", "--mmax", "32"],
+    "sde-error": ["--mmin", "16", "--mmax", "8", "--reps", "5"],
+    "appendix-ratios": ["--pmin", "20", "--pmax", "10"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_inverted_range_is_bad_input(tmp_path, capsys, name):
+    names = {prm.name for prm in EXPERIMENTS[name].params}
+    ranges = {n for n in names if n.endswith("min") and n[:-3] + "max" in names}
+    assert bool(ranges) == (name in _INVERTED)
+    if not ranges:
+        return
+    csv = tmp_path / "out.csv"
+    assert main([name, *_INVERTED[name], "--csv", str(csv)]) == 2
+    assert not csv.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}: ") and "exceeds" in err
+    flags = _INVERTED[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"experiment = {name}\n" + "".join(
+        f"{flags[k][2:]} = {flags[k + 1]}\n" for k in range(0, len(flags), 2)))
+    assert main(["suite", "--config", str(cfg)]) == 2
+
+
+def test_equal_range_ends_run_one_row(capsys):
+    assert main(["bridge-error", "--lmin", "3", "--lmax", "3"]) == 0
+    assert capsys.readouterr().out.count("\n") == 2
+
+
+def test_mlmc_without_runs_is_bad_input(capsys):
+    args = ["mlmc", "--eps", "0.125", "--functional", "coord1", "--fixtures", FIXTURES]
+    assert main([*args, "--runs", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: runs must be a positive integer")
+
+
+def test_mlmc_rmse_check_fails_when_not_finite():
+    check = EXPERIMENTS["mlmc"].check
+    fixtures = load_fixtures(FIXTURES)
+    a = {"functional": "coord1", "eps": 0.125}
+    assert check(fixtures, [{"estimate": 0.01}, {"estimate": -0.02}], a) == []
+    for records in ([], [{"estimate": math.nan}], [{"estimate": math.inf}]):
+        failures = check(fixtures, records, a)
+        assert len(failures) == 1 and failures[0].startswith("mlmc_c_rmse: rmse")
+
+
+def test_sde_error_without_steps_is_bad_input(capsys):
+    assert main(["sde-error", "--mmin", "0", "--mmax", "8", "--reps", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: m must be a positive integer") and "Traceback" not in err

@@ -1,13 +1,16 @@
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rbitmc import gausskl as G
-from rbitmc.bitcore import BitAllocation, BitSource, child_source
+from rbitmc.bitcore import BitAllocation, BitSource, byte_fields, child_source
 from rbitmc.errors import InternalInvariantError
-from rbitmc.normal import bit_normal_mse, bit_normal_moment
+from rbitmc.normal import bit_normal_mse, bit_normal_moment, grid_normal_byte_table, grid_normal_values
 from rbitmc.wasserstein1d import w2_empirical
 
 SPEC = G.EigenSpec(beta=2.0, alpha=0.0)
@@ -18,6 +21,44 @@ def _sample_batch(src, m, n):
     alloc = G.allocation_kl(m, SPEC)
     coeffs, idx = G.sample_rows(src, alloc, n, np.sqrt(SPEC.eigenvalues(np.arange(1, m + 1))))
     return coeffs, idx, alloc
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts=st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]), min_size=1, max_size=24),
+       n=st.integers(1, 40), head=st.integers(0, 63), seed=st.integers(0, 2**32 - 1))
+@example(counts=[2] * 8 + [4] * 6 + [8] * 3 + [1] * 5, n=37, head=3, seed=1)
+@example(counts=[6] * 5 + [2] * 3, n=9, head=0, seed=2)
+def test_sample_rows_matches_scalar_draws(counts, n, head, seed):
+    """Both sampling paths give the rows of run-by-run scalar draws; index
+    rows are optional and change nothing else; byte lookups are done in
+    blocks of every size down to one row."""
+    alloc = BitAllocation(np.array(counts))
+    srcs = [BitSource(seed) for _ in range(3)]
+    for src in srcs:
+        if head:
+            src.draw_bits(head)
+    ref = srcs[0]
+    idx_ref = np.empty((n, len(alloc)), dtype=np.uint64)
+    for a, b, p in G._alloc_runs(alloc.counts):
+        values = [ref.draw_bits(p) + 1 for _ in range(n * (b - a))]
+        idx_ref[:, a:b] = np.array(values, dtype=np.uint64).reshape(n, b - a)
+    with mock.patch.object(G, "_LOOKUP_BYTES", 64):
+        coeffs, idx = G.sample_rows(srcs[1], alloc, n)
+    bare, none = G.sample_rows(srcs[2], alloc, n, indices=False)
+    assert none is None and idx.dtype == np.uint64
+    assert np.array_equal(idx, idx_ref)
+    for j, p in enumerate(alloc.counts):
+        assert np.array_equal(coeffs[:, j], grid_normal_values(idx_ref[:, j], int(p)))
+    assert coeffs.tobytes() == bare.tobytes()
+    assert ref.bits_drawn == srcs[1].bits_drawn == srcs[2].bits_drawn == head + n * alloc.total
+    assert ref.draw_bits(17) == srcs[1].draw_bits(17) == srcs[2].draw_bits(17)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 8])
+def test_grid_normal_byte_table_matches_grid_normal_values(p):
+    table = grid_normal_byte_table(p)
+    assert table.shape == (256, 8 // p)
+    assert np.array_equal(table, grid_normal_values(byte_fields(p, 1), p))
 
 
 def test_allocation_examples():

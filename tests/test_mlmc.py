@@ -205,3 +205,51 @@ def test_cost_ratio_bracket():
         ledger_total = res.ledger.bits + res.ledger.oracle_cost + res.ledger.coeff_ops
         ratio = M.theoretical_cost(params) / ledger_total
         assert 0.125 <= ratio <= 8.0
+
+
+MODELS = {"bridge": BRIDGE, "kl": M.kl_model(KL_SPEC)}
+
+
+@pytest.mark.parametrize("n", [204, 205])
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+@pytest.mark.parametrize("name", sorted(M.builtin_functionals()))
+def test_blocked_evaluation_equals_whole_batch(model_name, name, n, monkeypatch):
+    model, f = MODELS[model_name], M.lookup_functional(name)
+    fine = model.sample_rows(BitSource(17), 5, n)
+    for state in (fine, model.coarsen_rows(fine)):
+        whole = f.rows(model.functional_rows(state)).tobytes()
+        assert M._evaluate(f, model, state).tobytes() == whole  # one block
+        for budget in (8 * 34 * 7, 8 * 34 * 5, 1):  # blocks of 5-14 rows, and of 2-3 rows
+            monkeypatch.setattr(M, "_EVAL_BYTES", budget)
+            assert M._evaluate(f, model, state).tobytes() == whole, budget
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+def test_estimators_do_not_depend_on_the_block_size(model_name, monkeypatch):
+    model = MODELS[model_name]
+    params = M.mlmc_params(2.0 ** -3, model.beta, model.alpha)
+    f = M.lookup_functional("norm")
+
+    def run():
+        mean, stderr, ledger = M.plain_mc(f, model, 8, 301, BitSource(5), batch=128)
+        est = M.mlmc_estimate(f, model, params, BitSource(6))
+        return mean.hex(), stderr.hex(), ledger.bits, est.estimate.hex(), est.stderr.hex()
+
+    default = run()
+    monkeypatch.setattr(M, "_EVAL_BYTES", 1)
+    assert run() == default
+
+
+def test_plain_mc_draws_no_index_rows(monkeypatch):
+    seen = []
+    sample = M.ExpansionModel.sample_rows
+
+    def spy(self, *args, **kwargs):
+        state = sample(self, *args, **kwargs)
+        seen.append(state["idx"])
+        return state
+
+    monkeypatch.setattr(M.ExpansionModel, "sample_rows", spy)
+    M.plain_mc(M.lookup_functional("norm"), BRIDGE, 6, 50, BitSource(3), batch=20)
+    assert seen == [None, None, None]

@@ -203,3 +203,9 @@ def test_strong_error_golden_values(m, q, reps, seed, reference, rms_hex, bits):
     rms, ledger = S.strong_error_experiment(GM, m, q, reps, seed, reference=reference)
     assert float.hex(rms) == rms_hex
     assert ledger.bits == bits
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_strong_error_rejects_no_steps(m):
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        S.strong_error_experiment(S.geometric_model(0.05, 0.2, 1.0), m, 8, 5, 1)
