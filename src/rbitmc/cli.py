@@ -230,6 +230,8 @@ def experiment_mlmc(model_name: str, beta: float, alpha: float, eps: float,
 
 def experiment_appendix_ratios(pmin: float, pmax: float):
     grid = np.arange(math.ceil(pmin), math.floor(pmax) + 1, dtype=np.float64)
+    if len(grid) == 0:
+        raise ValueError(f"no integer p in [{pmin:g}, {pmax:g}]")
     table = _normal.asymptotic_ratios(grid)
     header = ["p", "ratio1", "ratio2", "ratio3", "ratio4", "ratio5"]
     rows = [[table["p"][j]] + [table[f"ratio{i}"][j] for i in range(1, 6)]

@@ -213,6 +213,21 @@ def _hat_on_nodes(j: int, n_nodes: int) -> np.ndarray:
     return vals / math.sqrt(schauder_norm_sq(j))
 
 
+def _refine_nodes(nodes: np.ndarray, level: int) -> np.ndarray:
+    """Node rows on a mesh of at most 2**-level, by midpoint insertion.
+
+    The inserted values are the averages 0.5 * (a + b) of nodes_from_coeffs,
+    so the rows are the same piecewise-linear functions on a finer grid;
+    rows already that fine are returned as they are.
+    """
+    while nodes.shape[1] < (1 << level) + 1:
+        refined = np.empty((nodes.shape[0], 2 * nodes.shape[1] - 1), dtype=np.float64)
+        refined[:, 0::2] = nodes
+        refined[:, 1::2] = 0.5 * (nodes[:, :-1] + nodes[:, 1:])
+        nodes = refined
+    return nodes
+
+
 def make_coord(j: int) -> LipFunctional:
     """Coordinate functional: the j-th KL coordinate, or for bridge paths the
     inner product with the j-th normalized hat function."""
@@ -225,12 +240,8 @@ def make_coord(j: int) -> LipFunctional:
             if j > coeffs.shape[1]:
                 return np.zeros(coeffs.shape[0])
             return coeffs[:, j - 1].copy()
-        nodes = batch["nodes"]
-        n_nodes = nodes.shape[1]
-        if 2 * j >= n_nodes and j > 1:
-            raise ConfigurationError(
-                f"coord({j}) needs node mesh finer than the hat support")
-        return pl_inner(nodes, _hat_on_nodes(j, n_nodes)[np.newaxis, :])
+        nodes = _refine_nodes(batch["nodes"], j.bit_length())  # hat j kinks on mesh 2**-bit_length(j)
+        return pl_inner(nodes, _hat_on_nodes(j, nodes.shape[1])[np.newaxis, :])
 
     return LipFunctional(f"coord{j}", rows)
 
@@ -275,10 +286,8 @@ def make_soft_linear(weights) -> LipFunctional:
             c = batch["coeffs"]
             k = min(len(w), c.shape[1])
             return c[:, :k] @ w[:k]
-        nodes = batch["nodes"]
+        nodes = _refine_nodes(batch["nodes"], len(w).bit_length())  # mesh of the last hat
         n_nodes = nodes.shape[1]
-        if 2 * len(w) >= n_nodes and len(w) > 1:
-            raise ConfigurationError("soft_linear needs node mesh finer than its hat supports")
         g = np.zeros(n_nodes)
         for j, wj in enumerate(w, start=1):
             g += wj * _hat_on_nodes(j, n_nodes)

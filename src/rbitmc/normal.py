@@ -9,6 +9,13 @@ midpoint grid D(p) through the inverse distribution function.  Its support
 is antisymmetric, and all second-order error quantities against the exact
 normal (mean-square gap, moments, cross moment) have closed forms per grid
 cell, which this module evaluates exactly up to floating-point rounding.
+
+Four private helpers carry every exact enumeration: ``_exact_precision``
+refuses p outside 1..MSE_EXACT_MAX_P, ``_mid_quantiles`` gives the support
+points x_k of a range of cells, ``_quantile_density`` the density terms
+phi(y) and y phi(y) at quantile edges y = Phi^{-1}(u) (zero at the infinite
+edges u = 0 and u = 1), and ``_upper_sum`` sums a per-cell term over the
+upper half of the grid in 2**20-cell chunks, in ascending cell order.
 """
 
 from __future__ import annotations
@@ -39,6 +46,14 @@ LN4 = math.log(4.0)
 MSE_EXACT_MAX_P = 26
 
 _CHUNK = 1 << 20
+
+
+def _exact_precision(p: int, what: str) -> None:
+    """Refuse a precision outside 1..MSE_EXACT_MAX_P for an exact 2**p-cell enumeration."""
+    if p < 1:
+        raise ValueError("p must be a positive integer")
+    if p > MSE_EXACT_MAX_P:
+        raise CapacityError(f"{what} enumerates 2**{p} cells; capped at p={MSE_EXACT_MAX_P}")
 
 
 def phi(x):
@@ -162,12 +177,14 @@ class BitNormal:
             raise ValueError("support size must be 2**p")
 
 
+def _mid_quantiles(p: int, k0: int, k1: int) -> np.ndarray:
+    """Support points x_k of the p-bit normal for cells k0..k1."""
+    return phi_inv(dyadic_values(np.arange(k0, k1 + 1, dtype=np.float64), p))
+
+
 def bit_normal_support(p: int) -> BitNormal:
-    if p > MSE_EXACT_MAX_P:
-        raise CapacityError(f"support enumeration capped at p={MSE_EXACT_MAX_P}")
-    n = 1 << p
-    k = np.arange(1, n + 1, dtype=np.float64)
-    return BitNormal(p, phi_inv((2.0 * k - 1.0) * 2.0 ** -(p + 1)))
+    _exact_precision(p, "support")
+    return BitNormal(p, _mid_quantiles(p, 1, 1 << p))
 
 
 def bit_normal_sample(src: BitSource, p: int) -> float:
@@ -191,10 +208,7 @@ def grid_normal_values(indices: np.ndarray, p: int) -> np.ndarray:
     if p <= GRID_TABLE_MAX_P:
         table = _GRID_TABLES.get(p)
         if table is None:
-            n = 1 << p
-            k = np.arange(1, n + 1, dtype=np.float64)
-            table = phi_inv((2.0 * k - 1.0) * 2.0 ** -(p + 1))
-            _GRID_TABLES[p] = table
+            table = _GRID_TABLES[p] = _mid_quantiles(p, 1, 1 << p)
         return np.take(table, idx.astype(np.int64) - 1)
     return phi_inv(dyadic_values(idx, p))
 
@@ -221,31 +235,26 @@ def bit_normal_sample_array(src: BitSource, p: int, n: int) -> np.ndarray:
     return grid_normal_values(idx, p)
 
 
-def _upper_cells(p: int):
-    """Yield (k0, k1) chunk ranges covering cells 2**(p-1)+1 .. 2**p."""
-    n = 1 << p
-    k = (n >> 1) + 1
-    while k <= n:
-        hi = min(k + _CHUNK - 1, n)
-        yield k, hi
-        k = hi + 1
+def _quantile_density(u):
+    """phi(y) and y * phi(y) at y = Phi^{-1}(u); both are 0 at the infinite edges u = 0, 1."""
+    interior = (u > 0.0) & (u < 1.0)
+    y = np.where(interior, phi_inv(np.where(interior, u, 0.5)), 0.0)
+    pdf = np.where(interior, INV_SQRT_2PI * np.exp(-0.5 * y * y), 0.0)
+    return pdf, y * pdf
 
 
 def _cell_quantities(p: int, k0: int, k1: int):
-    """Quantile edges/midpoints and density values for cells k0..k1."""
-    scale = 2.0 ** -p
-    edges_k = np.arange(k0 - 1, k1 + 1, dtype=np.float64)
-    z = edges_k * scale  # exact: integer times power of two
-    y = np.empty_like(z)
-    interior = z < 1.0
-    y[interior] = phi_inv(z[interior])
-    y[~interior] = np.inf
-    mids = (2.0 * np.arange(k0, k1 + 1, dtype=np.float64) - 1.0) * 2.0 ** -(p + 1)
-    c = phi_inv(mids)
-    yf = np.where(np.isinf(y), 0.0, y)
-    pdf = np.where(np.isinf(y), 0.0, INV_SQRT_2PI * np.exp(-0.5 * yf * yf))
-    ypdf = yf * pdf
-    return y, pdf, ypdf, c
+    """Midpoint quantiles of cells k0..k1 and the density terms at their edges."""
+    pdf, ypdf = _quantile_density(np.arange(k0 - 1, k1 + 1, dtype=np.float64) * 2.0 ** -p)
+    return _mid_quantiles(p, k0, k1), pdf, ypdf
+
+
+def _upper_sum(p: int, term) -> float:
+    """fsum over cells 2**(p-1)+1 .. 2**p of term(k0, k1): one fsum per chunk
+    of at most 2**20 cells, then one over the chunk sums, in ascending order."""
+    n = 1 << p
+    return math.fsum(math.fsum(term(k0, min(k0 + _CHUNK - 1, n)))
+                     for k0 in range((n >> 1) + 1, n + 1, _CHUNK))
 
 
 _MSE_CACHE: dict[int, float] = {}
@@ -258,24 +267,16 @@ def bit_normal_mse(p: int) -> float:
     (int y^2 phi = Phi - y phi, int y phi = -phi, int phi = Phi) and
     compensated summation in ascending cell order.
     """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    if p > MSE_EXACT_MAX_P:
-        raise CapacityError(
-            f"exact mse enumerates 2**{p} cells; capped at p={MSE_EXACT_MAX_P}"
-            " (use bit_normal_mse_surrogate for the asymptotic value)")
+    _exact_precision(p, "exact mse (bit_normal_mse_surrogate gives the asymptotic value)")
     if p in _MSE_CACHE:
         return _MSE_CACHE[p]
     scale = 2.0 ** -p
-    parts = []
-    for k0, k1 in _upper_cells(p):
-        y, pdf, ypdf, c = _cell_quantities(p, k0, k1)
-        term = ((1.0 + c * c) * scale
-                + 2.0 * c * (pdf[1:] - pdf[:-1])
-                - (ypdf[1:] - ypdf[:-1]))
-        parts.append(math.fsum(term))
-    mse = 2.0 * math.fsum(parts)
-    _MSE_CACHE[p] = mse
+
+    def term(k0, k1):
+        c, pdf, ypdf = _cell_quantities(p, k0, k1)
+        return (1.0 + c * c) * scale + 2.0 * c * (pdf[1:] - pdf[:-1]) - (ypdf[1:] - ypdf[:-1])
+
+    mse = _MSE_CACHE[p] = 2.0 * _upper_sum(p, term)
     return mse
 
 
@@ -301,28 +302,21 @@ def bit_normal_mse_extended(p: int) -> float:
 
 def bit_normal_moment(p: int, r: int) -> float:
     """Exact absolute moment E|Y^(p)|^r = 2**-p * sum_k |x_k|^r for even r."""
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    if p > MSE_EXACT_MAX_P:
-        raise CapacityError(f"moment enumeration capped at p={MSE_EXACT_MAX_P}")
+    _exact_precision(p, "moment")
     if r not in (2, 4, 6, 8):
         raise ValueError("r must be one of 2, 4, 6, 8")
-    parts = []
-    for k0, k1 in _upper_cells(p):
-        mids = (2.0 * np.arange(k0, k1 + 1, dtype=np.float64) - 1.0) * 2.0 ** -(p + 1)
-        parts.append(math.fsum(phi_inv(mids) ** r))
-    return 2.0 ** -(p - 1) * math.fsum(parts)
+    return 2.0 ** -(p - 1) * _upper_sum(p, lambda k0, k1: _mid_quantiles(p, k0, k1) ** r)
 
 
 def bit_normal_cross_moment(p: int) -> float:
     """Exact E[Y * Y^(p)] = sum_k x_k * (phi(y_{k-1}) - phi(y_k))."""
-    if p > MSE_EXACT_MAX_P:
-        raise CapacityError(f"cross moment enumeration capped at p={MSE_EXACT_MAX_P}")
-    parts = []
-    for k0, k1 in _upper_cells(p):
-        y, pdf, _, c = _cell_quantities(p, k0, k1)
-        parts.append(math.fsum(c * (pdf[:-1] - pdf[1:])))
-    return 2.0 * math.fsum(parts)
+    _exact_precision(p, "cross moment")
+
+    def term(k0, k1):
+        c, pdf, _ = _cell_quantities(p, k0, k1)
+        return c * (pdf[:-1] - pdf[1:])
+
+    return 2.0 * _upper_sum(p, term)
 
 
 def gaussian_cell_sq_error(u_lo, u_hi, c):
@@ -333,20 +327,22 @@ def gaussian_cell_sq_error(u_lo, u_hi, c):
     u_lo = np.asarray(u_lo, dtype=np.float64)
     u_hi = np.asarray(u_hi, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-
-    def _edge(u):
-        interior = (u > 0.0) & (u < 1.0)
-        yv = phi_inv(np.where(interior, u, 0.5))
-        yv = np.where(interior, yv, 0.0)
-        pdf = np.where(interior, INV_SQRT_2PI * np.exp(-0.5 * yv * yv), 0.0)
-        return pdf, yv * pdf
-
-    pdf_lo, ypdf_lo = _edge(u_lo)
-    pdf_hi, ypdf_hi = _edge(u_hi)
+    pdf_lo, ypdf_lo = _quantile_density(u_lo)
+    pdf_hi, ypdf_hi = _quantile_density(u_hi)
     out = ((1.0 + c * c) * (u_hi - u_lo)
            + 2.0 * c * (pdf_hi - pdf_lo)
            - (ypdf_hi - ypdf_lo))
     return float(out) if out.ndim == 0 else out
+
+
+def gaussian_cell_average(u_lo, u_hi):
+    """Mean of Phi^{-1} over (u_lo, u_hi) in closed form (vectorized; int y phi = -phi).
+
+    u_lo = 0 and u_hi = 1 are admitted as the unbounded edges.
+    """
+    u_lo = np.asarray(u_lo, dtype=np.float64)
+    u_hi = np.asarray(u_hi, dtype=np.float64)
+    return (_quantile_density(u_lo)[0] - _quantile_density(u_hi)[0]) / (u_hi - u_lo)
 
 
 def checked_quad(f, a: float, b: float, cell: tuple[float, float], **kwargs) -> float:
@@ -377,10 +373,7 @@ def optimal_points(quantile_spec, p: int) -> np.ndarray:
     does not certify a cell integral at that tolerance (in particular when
     the quantile is not integrable over the cell).
     """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    if p > MSE_EXACT_MAX_P:
-        raise CapacityError(f"optimal point enumeration capped at p={MSE_EXACT_MAX_P}")
+    _exact_precision(p, "optimal points")
     n = 1 << p
     scale = 2.0 ** -p
     lo = np.arange(0, n, dtype=np.float64) * scale

@@ -20,11 +20,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bitcore import BitSource, CostLedger, dyadic_values, truncate_indices
+from .bitcore import BitSource, CostLedger, truncate_indices
 from .bridge import allocation_bridge, allocation_bridge_total, evaluate_coeffs
 from .errors import ConfigurationError, InternalInvariantError, NumericFailure
 from .gausskl import sample_rows
-from .normal import Phi, grid_normal_values, phi_inv
+from .normal import Phi, grid_normal_values
 
 PARENT_BITS = 63  # precision of the coupling uniforms in experiments
 FINE_FACTOR = 64  # step refinement of the fallback reference scheme
@@ -210,7 +210,7 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
         yq = np.empty((reps, m), dtype=np.float64)
         for k0, k1 in _step_blocks(m, reps):
             idx = _draw_steps(src, PARENT_BITS, k1 - k0, reps)
-            y[:, k0:k1] = phi_inv(dyadic_values(idx, PARENT_BITS)).T
+            y[:, k0:k1] = grid_normal_values(idx, PARENT_BITS).T
             yq[:, k0:k1] = grid_normal_values(truncate_indices(idx, PARENT_BITS, q), q).T
         ledger.bits += PARENT_BITS * m * reps
         w = np.cumsum(y, axis=1) / math.sqrt(m)
@@ -220,7 +220,7 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
         mf = FINE_FACTOR * m
         yf = np.empty((reps, mf), dtype=np.float64)
         for k0, k1 in _step_blocks(mf, reps):
-            yf[:, k0:k1] = phi_inv(dyadic_values(_draw_steps(src, 53, k1 - k0, reps), 53)).T
+            yf[:, k0:k1] = grid_normal_values(_draw_steps(src, 53, k1 - k0, reps), 53).T
         ledger.bits += 53 * mf * reps
         y = yf.reshape(reps, m, FINE_FACTOR).sum(axis=2) / math.sqrt(FINE_FACTOR)
         u = Phi(y)

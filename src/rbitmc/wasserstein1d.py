@@ -22,8 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import normal as _normal
-from .errors import CapacityError
-from .normal import checked_quad, gaussian_cell_sq_error, optimal_points
+from .normal import checked_quad, gaussian_cell_average, gaussian_cell_sq_error, optimal_points
 
 _TAIL_EDGE = 2.0 ** -40
 _LN2 = math.log(2.0)
@@ -48,19 +47,12 @@ class QuantileSpec:
 
 
 def standard_normal_spec() -> QuantileSpec:
-    def _cell_average(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        def edge_pdf(u):
-            interior = (u > 0.0) & (u < 1.0)
-            y = _normal.phi_inv(np.where(interior, u, 0.5))
-            return np.where(interior, _normal.INV_SQRT_2PI * np.exp(-0.5 * y * y), 0.0)
-        return (edge_pdf(lo) - edge_pdf(hi)) / (hi - lo)
-
     return QuantileSpec(
         name="normal",
         quantile=_normal.phi_inv,
         second_moment=1.0,
         tail_form=_normal.phi_inv_tail,
-        cell_average=_cell_average,
+        cell_average=gaussian_cell_average,
         cell_sq_error=gaussian_cell_sq_error,
     )
 
@@ -154,11 +146,10 @@ def w2_uniform(q: QuantileSpec, nu: DiscreteUniform) -> float:
 
 
 def rbit_error(q: QuantileSpec, p: int) -> float:
-    """Exact distance from the law to its best 2**p-point uniform approximation."""
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    if p > _normal.MSE_EXACT_MAX_P:
-        raise CapacityError(f"cell enumeration capped at p={_normal.MSE_EXACT_MAX_P}")
+    """Exact distance from the law to its best 2**p-point uniform approximation.
+
+    p is checked by :func:`optimal_points` (ValueError, CapacityError).
+    """
     return w2_uniform(q, DiscreteUniform(optimal_points(q, p)))
 
 

@@ -320,3 +320,17 @@ def test_sde_error_without_steps_is_bad_input(capsys):
     assert main(["sde-error", "--mmin", "0", "--mmax", "8", "--reps", "5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: m must be a positive integer") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("functional", ["coord2", "soft_linear"])
+def test_mlmc_runs_every_bridge_functional(functional, capsys):
+    args = ["mlmc", "--eps", "0.125", "--functional", functional, "--fixtures", FIXTURES]
+    assert main(args) == 0
+    assert capsys.readouterr().out.count("\n") > 1
+
+
+def test_appendix_ratios_without_integer_p_is_bad_input(tmp_path, capsys):
+    csv = tmp_path / "ratios.csv"
+    assert main(["appendix-ratios", "--pmin", "10.5", "--pmax", "10.7", "--csv", str(csv)]) == 2
+    assert capsys.readouterr().err.startswith("error: no integer p in [10.5, 10.7]")
+    assert not csv.exists()

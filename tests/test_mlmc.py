@@ -253,3 +253,20 @@ def test_plain_mc_draws_no_index_rows(monkeypatch):
     monkeypatch.setattr(M.ExpansionModel, "sample_rows", spy)
     M.plain_mc(M.lookup_functional("norm"), BRIDGE, 6, 50, BitSource(3), batch=20)
     assert seen == [None, None, None]
+
+
+@pytest.mark.parametrize("name, target", [("coord2", 2), ("soft_linear", 3)])
+@pytest.mark.parametrize("level", [1, 2])
+def test_bridge_functionals_refine_coarse_meshes(name, target, level):
+    # the rows give the same bits as the same coefficients zero-padded to the
+    # level of the functional's finest hat and put through nodes_from_coeffs
+    from rbitmc.bridge import nodes_from_coeffs
+    f = M.lookup_functional(name)
+    state = BRIDGE.sample_rows(BitSource(40 + level), level, 9)
+    coeffs = state["coeffs"]
+    padded = np.zeros((coeffs.shape[0], (1 << max(level, target)) - 1))
+    padded[:, :coeffs.shape[1]] = coeffs
+    fine = {"kind": "bridge", "nodes": nodes_from_coeffs(padded, max(level, target)), "coeffs": padded}
+    got = f.rows(BRIDGE.functional_rows(state))
+    assert got.tobytes() == f.rows(fine).tobytes()
+    assert np.all(np.isfinite(got)) and np.any(got != 0.0)

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from rbitmc import normal as N
+from rbitmc import wasserstein1d as W
 from rbitmc.bitcore import BitSource
 from rbitmc.errors import CapacityError
 
@@ -182,6 +183,30 @@ def test_mse_capacity_and_surrogate():
     assert surro == N.MSE_SCALED_LIMIT * 2.0 ** -30 / 30
     assert N.bit_normal_mse_extended(12) == N.bit_normal_mse(12)
     assert N.bit_normal_mse_extended(30) == surro
+
+
+@pytest.mark.parametrize("enumerate_cells", [
+    N.bit_normal_support, N.bit_normal_mse, lambda p: N.bit_normal_moment(p, 2),
+    N.bit_normal_cross_moment, lambda p: N.optimal_points(W.standard_normal_spec(), p),
+    lambda p: W.rbit_error(W.standard_normal_spec(), p),
+], ids=["support", "mse", "moment", "cross_moment", "optimal_points", "rbit_error"])
+def test_exact_enumerations_check_the_precision(enumerate_cells):
+    for p in (0, -1):
+        with pytest.raises(ValueError, match="positive integer"):
+            enumerate_cells(p)
+    with pytest.raises(CapacityError):
+        enumerate_cells(N.MSE_EXACT_MAX_P + 1)
+
+
+def test_gaussian_cell_average_matches_quadrature():
+    lo = np.array([0.0, 0.1, 0.5, 0.75])
+    hi = np.array([0.25, 0.3, 0.625, 1.0])
+    got = N.gaussian_cell_average(lo, hi)
+    for a, b, g in zip(lo, hi, got):
+        want = quad(N.phi_inv, a, b, epsabs=0.0, epsrel=1e-12)[0] / (b - a)
+        assert abs(g - want) <= 1e-10 * abs(want)
+    assert N.gaussian_cell_average(0.0, 1.0) == 0.0
+    assert N.gaussian_cell_average(0.0, 0.5) == -N.gaussian_cell_average(0.5, 1.0)
 
 
 def test_moments():
