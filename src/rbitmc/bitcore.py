@@ -15,6 +15,7 @@ which is what makes coupled coarse/fine sampling possible downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -110,71 +111,37 @@ class BitSource:
     def draw_bits_array(self, p: int, n: int) -> np.ndarray:
         """Draw ``n`` values of ``p`` bits each from the same bit stream.
 
-        Equivalent to ``n`` successive :meth:`draw_bits` calls.  Three paths
-        give the same values, selected by p and n:
-
-        - p in {1, 2, 4, 8} reads the stream bytes that hold the values
-          (:meth:`draw_bytes`) and splits each byte into its 8/p fields with
-          one lookup in the (256, 8/p) table :func:`byte_fields`.
-        - p > 52, and draws of at least _GATHER_MIN_BITS bits at 4 < p <= 52,
-          gather each value from the one or two 64-bit words it straddles,
-          with no per-bit pass.
-        - all other draws (p = 3, and shorter draws at 4 < p <= 52) unpack
-          the words into bits and pack each row of p bits with a float
-          matmul, exact up to 52 bits.  They need fewer numpy calls than
-          the gather.  On a 2-vCPU x86 VM the gather was 1.2-2.6x faster at
-          9 <= p <= 52 from about 2^15 bits on, 1.1-1.3x at p = 5..7 on long
-          draws (n = 64k-2M), and slower at p = 3.
+        Equivalent to ``n`` successive :meth:`draw_bits` calls, in the same
+        stream order: the words that hold the p n bits are taken
+        (:meth:`take_words`, about p n / 8 bytes), then decoded whole by
+        :func:`read_fields`, which holds the three paths, into n uint64
+        values.  Callers that want blocks of a long draw keep the words and
+        call :func:`read_fields` per block instead.
         """
         _check_precision(p)
         if n < 0:
             raise ValueError("n must be non-negative")
-        if n == 0:
-            return np.empty(0, dtype=np.uint64)
-        if 8 % p == 0:
-            return byte_fields(p)[self.draw_bytes(p, n)].reshape(-1)[:n]
-        w, start = self._take_words(p * n)
-        if p > 52 or (p > 4 and p * n >= _GATHER_MIN_BITS):
-            # value j is the top p bits of the 64 stream bits from s = start + j*p;
-            # (x >> 1) >> (63 - r) equals x >> (64 - r) for r > 0, 0 for r = 0
-            s = np.arange(n, dtype=np.int64) * p + start
-            q = s >> 6
-            r = (s & 63).astype(np.uint64)
-            lo = (w[q + 1] >> np.uint64(1)) >> (np.uint64(63) - r)
-            return ((w[q] << r) | lo) >> np.uint64(64 - p)
-        bits = np.unpackbits(w.astype(">u8").view(np.uint8))[start:start + p * n]
-        # exact in float64 up to 52 bits; the matmul is the fast path
-        powers = 2.0 ** np.arange(p - 1, -1, -1)
-        return (bits.reshape(n, p).astype(np.float64) @ powers).astype(np.uint64)
+        return read_fields(*self.take_words(p * n), p, n)
 
     def draw_bytes(self, p: int, n: int) -> np.ndarray:
         """Draw ``n`` values of ``p`` bits each (p in {1, 2, 4, 8}) as the
-        stream bytes that hold them.
-
-        Returns ceil(p n / 8) uint8 codes, most significant bit first:
-        value j is field j % (8/p) of byte j // (8/p), so the values are
-        ``byte_fields(p)[codes].reshape(-1)[:n]``.  Consumes exactly p n
-        bits; the bits of the last byte past them are not defined.  When
-        the stream position is not on a byte boundary, the bytes are shifted
-        into place with one extra pass.
+        stream bytes that hold them: :meth:`take_words`, then
+        :func:`read_bytes`.
         """
         if p not in _BYTE_PRECISIONS:
             raise ValueError(f"byte draws need p in {_BYTE_PRECISIONS}, got {p!r}")
         if n < 0:
             raise ValueError("n must be non-negative")
-        w, start = self._take_words(p * n)
-        first, shift = divmod(start, 8)
-        raw = w.astype(">u8").view(np.uint8)[first:first + -(-p * n // 8) + 1]
-        if shift:
-            return (raw[:-1] << np.uint8(shift)) | (raw[1:] >> np.uint8(8 - shift))
-        return raw[:-1]
+        return read_bytes(*self.take_words(p * n), p, n)
 
-    def _take_words(self, total: int) -> tuple[np.ndarray, int]:
+    def take_words(self, total: int) -> tuple[np.ndarray, int]:
         """The words that hold the next ``total`` stream bits, and the bit
         offset of the first of them; advances the stream by ``total`` bits.
 
         w[0] is the unconsumed partial word, right-aligned, so the stream
-        starts at bit 64 - _avail of w; a zero word pads the end.
+        starts at bit 64 - _avail of w; a zero word pads the end, as
+        :func:`read_fields` and :func:`read_bytes` need.  The words hold
+        ``total`` / 8 bytes plus at most 24: nothing is decoded yet.
         """
         nwords = -(-max(total - self._avail, 0) // 64)
         w = np.zeros(nwords + 2, dtype=np.uint64)
@@ -185,6 +152,70 @@ class BitSource:
         self._partial = int(w[nwords]) & ((1 << self._avail) - 1)
         self.bits_drawn += total
         return w, start
+
+
+def read_fields(words: np.ndarray, start: int, p: int, n: int) -> np.ndarray:
+    """The ``n`` values of ``p`` bits each (uint64) held by bits ``start``,
+    ``start + p``, ... of ``words``, most significant bit first.
+
+    A pure function of its arguments: any block of values of a stream taken
+    by :meth:`BitSource.take_words` can be decoded on its own, in any order.
+    ``words`` must hold one word past the last bit read.  Three paths give
+    the same values, selected by p and n:
+
+    - p in {1, 2, 4, 8} reads the bytes that hold the values
+      (:func:`read_bytes`) and splits each byte into its 8/p fields with one
+      lookup in the (256, 8/p) table :func:`byte_fields`.
+    - p > 52, and reads of at least _GATHER_MIN_BITS bits at 4 < p <= 52,
+      gather each value from the one or two 64-bit words it straddles, with
+      no per-bit pass.
+    - all other reads (p = 3, and shorter reads at 4 < p <= 52) unpack the
+      words into bits and pack each row of p bits with a float matmul, exact
+      up to 52 bits.  They need fewer numpy calls than the gather.  On a
+      2-vCPU x86 VM the gather was 1.2-2.6x faster at 9 <= p <= 52 from
+      about 2^15 bits on, 1.1-1.3x at p = 5..7 on long reads (n = 64k-2M),
+      and slower at p = 3.
+    """
+    if n == 0:
+        return np.empty(0, dtype=np.uint64)
+    if 8 % p == 0:
+        return byte_fields(p)[read_bytes(words, start, p, n)].reshape(-1)[:n]
+    w = words[start >> 6:]
+    start &= 63
+    if p > 52 or (p > 4 and p * n >= _GATHER_MIN_BITS):
+        # value j is the top p bits of the 64 stream bits from s = start + j*p;
+        # (x >> 1) >> (63 - r) equals x >> (64 - r) for r > 0, 0 for r = 0
+        s = np.arange(n, dtype=np.int64) * p + start
+        q = s >> 6
+        r = (s & 63).astype(np.uint64)
+        lo = (w[q + 1] >> np.uint64(1)) >> (np.uint64(63) - r)
+        return ((w[q] << r) | lo) >> np.uint64(64 - p)
+    w = w[:(start + p * n + 63) >> 6]
+    bits = np.unpackbits(w.astype(">u8").view(np.uint8))[start:start + p * n]
+    # exact in float64 up to 52 bits; the matmul is the fast path
+    powers = 2.0 ** np.arange(p - 1, -1, -1)
+    return (bits.reshape(n, p).astype(np.float64) @ powers).astype(np.uint64)
+
+
+def read_bytes(words: np.ndarray, start: int, p: int, n: int) -> np.ndarray:
+    """The bytes that hold ``n`` values of ``p`` bits each (p in {1, 2, 4, 8})
+    from bit ``start`` of ``words`` on, as uint8 codes.
+
+    Returns ceil(p n / 8) codes, most significant bit first: value j is
+    field j % (8/p) of byte j // (8/p), so the values are
+    ``byte_fields(p)[codes].reshape(-1)[:n]``; the bits of the last byte past
+    them are not defined.  When ``start`` is not on a byte boundary, the
+    bytes are shifted into place with one extra pass.  Only the words that
+    hold the values are converted; ``words`` must hold one word past the
+    last bit read.
+    """
+    first, shift = divmod(start & 63, 8)
+    nbytes = -(-p * n // 8)
+    w = words[start >> 6:(start >> 6) + -(-(first + nbytes + 1) // 8)]
+    raw = w.astype(">u8").view(np.uint8)[first:first + nbytes + 1]
+    if shift:
+        return (raw[:-1] << np.uint8(shift)) | (raw[1:] >> np.uint8(8 - shift))
+    return raw[:-1]
 
 
 _BYTE_PRECISIONS = (1, 2, 4, 8)
@@ -253,18 +284,30 @@ def truncate_indices(indices: np.ndarray, p_from: int, p_to: int) -> np.ndarray:
     return ((np.asarray(indices, dtype=np.uint64) - one) >> shift) + one
 
 
+def equal_runs(values: np.ndarray) -> list[tuple[int, int, int]]:
+    """Maximal runs of equal values, left to right, as (start, stop, value) triples."""
+    bounds = [0, *(np.flatnonzero(np.diff(values)) + 1), len(values)]
+    return [(int(a), int(b), int(values[a])) for a, b in zip(bounds, bounds[1:])]
+
+
 @dataclass
 class BitAllocation:
-    """Per-coefficient bit counts p = (p_1, ..., p_m)."""
+    """Per-coefficient bit counts p = (p_1, ..., p_m), read-only."""
 
     counts: np.ndarray
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        self.counts = np.array(self.counts, dtype=np.int64)
         if self.counts.ndim != 1 or len(self.counts) == 0:
             raise ValueError("allocation must be a non-empty 1-d sequence")
         if self.counts.min() < 1 or self.counts.max() > MAX_BITS:
             raise ValueError(f"bit counts must lie in [1, {MAX_BITS}]")
+        self.counts.flags.writeable = False
+
+    @cached_property
+    def runs(self) -> list[tuple[int, int, int]]:
+        """Maximal runs of equal bit counts as (start, stop, p) triples."""
+        return equal_runs(self.counts)
 
     @property
     def total(self) -> int:

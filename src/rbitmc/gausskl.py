@@ -23,13 +23,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bitcore import BitAllocation, BitSource, byte_fields, truncate_indices
+from .bitcore import BitAllocation, BitSource, byte_fields, equal_runs, read_bytes, read_fields, truncate_indices
 from .errors import InternalInvariantError
 from .normal import bit_normal_mse_extended, checked_quad, grid_normal_byte_table, grid_normal_values
 
 MAX_ALLOC_BITS = 63
 _TAIL_EXTEND = 4096  # terms tail_sum looks past M for the eigenvalues to stop rising
-_LOOKUP_BYTES = 1 << 18  # rows looked up per block by sample_rows' byte-table path
 
 
 @dataclass
@@ -95,10 +94,61 @@ class KLVector:
         return float(np.dot(self.coeffs, self.coeffs))
 
 
-def _alloc_runs(counts: np.ndarray):
-    """Contiguous runs of equal bit counts as (start, stop, p) triples."""
-    bounds = [0, *(np.flatnonzero(np.diff(counts)) + 1), len(counts)]
-    return [(int(a), int(b), int(counts[a])) for a, b in zip(bounds, bounds[1:])]
+@dataclass(eq=False)
+class DrawnRows:
+    """n expansion rows under ``alloc``, held as the stream bits that encode
+    them: bits ``start`` on of ``words`` (:meth:`BitSource.take_words`), in
+    the draw order of :func:`sample_rows`.  That is n |alloc| / 8 bytes,
+    where the decoded rows take 8 bytes per coefficient.
+    """
+
+    words: np.ndarray
+    start: int
+    n: int
+    alloc: BitAllocation
+
+
+def draw_rows(src: BitSource, alloc: BitAllocation, n: int) -> DrawnRows:
+    """Draw n rows under ``alloc``; consumes exactly n * |alloc| bits and
+    decodes none of them (:func:`decode_rows`)."""
+    words, start = src.take_words(n * alloc.total)
+    return DrawnRows(words, start, n, alloc)
+
+
+def decode_rows(drawn: DrawnRows, a: int, b: int, scale: Optional[np.ndarray] = None,
+                width: int = 0, out: Optional[np.ndarray] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Rows a..b (b exclusive) of ``drawn``: (coefficient rows, into ``out``
+    when given; index rows of the first ``width`` columns, None for width 0).
+
+    Coefficient i is scale[i] times the p_i-bit grid normal at its retained
+    (1-based) index; ``scale=None`` means unit scale.  Each run's fields are
+    read once.  A run at p in {1, 2, 4, 8} looks its stream bytes up in the
+    (256, 8/p) tables :func:`normal.grid_normal_byte_table` and
+    :func:`bitcore.byte_fields`; any other run maps its fields through
+    :func:`normal.grid_normal_values`.  Every block of rows gives the values
+    of the whole batch.
+    """
+    nb = b - a
+    coeffs = np.empty((nb, len(drawn.alloc)), dtype=np.float64) if out is None else out
+    idx = np.empty((nb, width), dtype=np.uint64) if width else None
+    pos = drawn.start
+    for c0, c1, p in drawn.alloc.runs:
+        w, k = c1 - c0, min(c1, width) - c0  # run width, index columns wanted from it
+        at = pos + a * w * p
+        pos += drawn.n * w * p
+        if 8 % p == 0:
+            codes = read_bytes(drawn.words, at, p, nb * w)
+            coeffs[:, c0:c1] = grid_normal_byte_table(p)[codes].reshape(-1)[:nb * w].reshape(nb, w)
+            if k > 0:
+                idx[:, c0:c0 + k] = byte_fields(p, 1)[codes].reshape(-1)[:nb * w].reshape(nb, w)[:, :k]
+        else:
+            fields = read_fields(drawn.words, at, p, nb * w).reshape(nb, w) + np.uint64(1)
+            coeffs[:, c0:c1] = grid_normal_values(fields, p)
+            if k > 0:
+                idx[:, c0:c0 + k] = fields[:, :k]
+    if scale is not None:
+        coeffs *= scale
+    return coeffs, idx
 
 
 def sample_rows(src: BitSource, alloc: BitAllocation, n: int,
@@ -107,53 +157,15 @@ def sample_rows(src: BitSource, alloc: BitAllocation, n: int,
     """Draw n expansion rows under ``alloc``: (coefficient rows, index rows).
 
     Draw order: bits are drawn run by run over the maximal runs of equal bit
-    count in ``alloc.counts``, left to right; each run is one draw of
-    n * (run length) p-bit values filling the run's columns row by row.
-    Exactly n * |alloc| bits are consumed.  Coefficient i is scale[i] times
-    the p_i-bit grid normal at its retained index; ``scale=None`` means unit
-    scale.  ``indices=False`` builds no index rows and returns None for them.
-
-    Two paths give the same rows.  A run at p in {1, 2, 4, 8} reads its
-    stream bytes once (:meth:`BitSource.draw_bytes`) and looks coefficients,
-    and index rows when wanted, up by byte in the (256, 8/p) tables
-    :func:`normal.grid_normal_byte_table` and :func:`bitcore.byte_fields`.
-    Any other run is drawn by :meth:`BitSource.draw_bits_array` and mapped
-    through :func:`normal.grid_normal_values`.
+    count in ``alloc.counts``, left to right; each run is n * (run length)
+    p-bit values filling the run's columns row by row.  Exactly n * |alloc|
+    bits are consumed.  The stream is taken once (:func:`draw_rows`) and
+    rows 0..n decoded from it (:func:`decode_rows`), so the (n, len(alloc))
+    rows are held in memory: callers that need only blocks of rows keep the
+    :class:`DrawnRows` and decode those.  ``indices=False`` builds no index
+    rows and returns None for them.
     """
-    idx = np.empty((n, len(alloc)), dtype=np.uint64) if indices else None
-    coeffs = np.empty((n, len(alloc)), dtype=np.float64)
-    for a, b, p in _alloc_runs(alloc.counts):
-        if 8 % p == 0:
-            codes = src.draw_bytes(p, n * (b - a))
-            _by_byte(grid_normal_byte_table(p), codes, coeffs[:, a:b])
-            if indices:
-                _by_byte(byte_fields(p, 1), codes, idx[:, a:b])
-            continue
-        block = src.draw_bits_array(p, n * (b - a)).reshape(n, b - a) + np.uint64(1)
-        if indices:
-            idx[:, a:b] = block
-        coeffs[:, a:b] = grid_normal_values(block, p)
-    if scale is not None:
-        coeffs *= scale
-    return coeffs, idx
-
-
-def _by_byte(table: np.ndarray, codes: np.ndarray, out: np.ndarray) -> None:
-    """Fill the (n, w) rows ``out`` with the first n*w values of table[codes]."""
-    n, w = out.shape
-    k = table.shape[1]
-    if w % k:  # rows do not start on byte boundaries
-        out[...] = table[codes].reshape(-1)[:n * w].reshape(n, w)
-        return
-    # each row is w/k whole bytes: look up blocks of rows into a buffer that
-    # stays in cache, then copy them into the (strided) columns of ``out``
-    step = max(1, _LOOKUP_BYTES // (8 * w))
-    buf = np.empty((min(step, n), w // k, k), dtype=table.dtype)
-    rows = codes.reshape(n, w // k)
-    for r in range(0, n, step):
-        block = buf[:min(step, n - r)]
-        np.take(table, rows[r:r + step], axis=0, out=block, mode="clip")  # codes < 256
-        out[r:r + step] = block.reshape(-1, w)
+    return decode_rows(draw_rows(src, alloc, n), 0, n, scale, len(alloc) if indices else 0)
 
 
 def coarsen_rows(idx_rows: np.ndarray, fine: BitAllocation, coarse: BitAllocation,
@@ -178,7 +190,7 @@ def coarsen_rows(idx_rows: np.ndarray, fine: BitAllocation, coarse: BitAllocatio
     rows = np.atleast_2d(idx_rows)
     idx = np.empty((rows.shape[0], m2), dtype=np.uint64)
     coeffs = np.empty((rows.shape[0], m2), dtype=np.float64)
-    for a, b, _ in _alloc_runs(pf * (1 << 32) + pc):
+    for a, b, _ in equal_runs(pf * (1 << 32) + pc):
         idx[:, a:b] = truncate_indices(rows[:, a:b], int(pf[a]), int(pc[a]))
         coeffs[:, a:b] = grid_normal_values(idx[:, a:b], int(pc[a]))
     if scale is not None:
@@ -257,7 +269,7 @@ def _kl_error_parts(m: int, spec: EigenSpec, allocation: Optional[BitAllocation]
         raise ValueError("allocation length must equal m")
     lam = spec.eigenvalues(np.arange(1, m + 1))
     head = math.fsum(bit_normal_mse_extended(int(p)) * lam[a:b].sum()
-                     for a, b, p in _alloc_runs(alloc.counts))
+                     for a, b, p in alloc.runs)
     return head, tail_sum(m, spec)
 
 

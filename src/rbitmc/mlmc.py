@@ -98,28 +98,51 @@ class ExpansionModel:
 
     Subclasses supply ``level_dim``, ``base_allocation`` (bit counts per
     coefficient), ``functional_rows`` and, unless all coefficients have unit
-    scale, ``scale``.
+    scale, ``scale``.  Allocations (and scales) are computed once per model
+    and level and returned as read-only arrays.
     """
+
+    def __init__(self):
+        self._allocs: dict[tuple[int, int], BitAllocation] = {}
 
     def scale(self, level: int) -> Optional[np.ndarray]:
         return None
 
     def allocation(self, level: int, min_bits: int = 0) -> BitAllocation:
-        alloc = self.base_allocation(level)
-        if min_bits:
-            alloc = BitAllocation(np.maximum(alloc.counts, min_bits))
+        alloc = self._allocs.get((level, min_bits))
+        if alloc is None:
+            alloc = self.base_allocation(level)
+            if min_bits:
+                alloc = BitAllocation(np.maximum(alloc.counts, min_bits))
+            self._allocs[level, min_bits] = alloc
         return alloc
 
     def bits_per_fine(self, level: int, min_bits: int = 0) -> int:
         return self.allocation(level, min_bits).total
 
-    def sample_rows(self, src: BitSource, level: int, n: int, min_bits: int = 0,
-                    indices: bool = True) -> dict:
-        """n fine rows at ``level``, drawn in the order of :func:`gausskl.sample_rows`;
-        ``indices=False`` leaves out the index rows (``"idx"`` is None)."""
+    def sample_rows(self, src: BitSource, level: int, n: int, min_bits: int = 0) -> dict:
+        """n fine rows at ``level``, drawn in the order of :func:`gausskl.sample_rows`.
+
+        The state holds the drawn stream words (:func:`gausskl.draw_rows`,
+        n |p| / 8 bytes), not the rows; :meth:`decode_rows` decodes a block
+        of them.  Looking up ``"coeffs"`` or ``"idx"`` decodes all n rows.
+        """
         alloc = self.allocation(level, min_bits)
-        coeffs, idx = gausskl.sample_rows(src, alloc, n, self.scale(level), indices)
-        return {"level": level, "coeffs": coeffs, "idx": idx, "alloc": alloc}
+        return _DrawnState(level=level, alloc=alloc, min_bits=min_bits, scale=self.scale(level),
+                           drawn=gausskl.draw_rows(src, alloc, n))
+
+    def decode_rows(self, state: dict, a: int, b: int, coarse: bool = False,
+                    out: Optional[np.ndarray] = None) -> tuple[dict, Optional[dict]]:
+        """Rows a..b of the drawn ``state``: (the fine coefficient rows, into
+        ``out`` when given; with ``coarse``, their coupled coarsening one level
+        down, re-truncated from the block's index rows, else None)."""
+        level, alloc = state["level"], state["alloc"]
+        width = self.level_dim(level - 1) if coarse else 0
+        coeffs, idx = gausskl.decode_rows(state["drawn"], a, b, state["scale"], width, out)
+        fine = {"level": level, "coeffs": coeffs, "alloc": alloc}
+        if not coarse:
+            return fine, None
+        return fine, self.coarsen_rows({"level": level, "idx": idx, "alloc": alloc}, state["min_bits"])
 
     def coarsen_rows(self, state: dict, min_bits: int = 0) -> dict:
         """The rows of ``state`` coarsened one level by :func:`gausskl.coarsen_rows`."""
@@ -127,6 +150,19 @@ class ExpansionModel:
         alloc = self.allocation(level, min_bits)
         coeffs, idx = gausskl.coarsen_rows(state["idx"], state["alloc"], alloc, self.scale(level))
         return {"level": level, "coeffs": coeffs, "idx": idx, "alloc": alloc}
+
+
+class _DrawnState(dict):
+    """State of :meth:`ExpansionModel.sample_rows`: "level", "alloc",
+    "min_bits", "scale" and "drawn".  "coeffs" and "idx" are not stored;
+    looking one up decodes all rows (:meth:`dict.__missing__`)."""
+
+    def __missing__(self, key):
+        if key not in ("coeffs", "idx"):
+            raise KeyError(key)
+        drawn = self["drawn"]
+        coeffs, idx = gausskl.decode_rows(drawn, 0, drawn.n, self["scale"], len(drawn.alloc))
+        return coeffs if key == "coeffs" else idx
 
 
 class BridgeModel(ExpansionModel):
@@ -143,8 +179,8 @@ class BridgeModel(ExpansionModel):
         return allocation_bridge(level)
 
     def functional_rows(self, state: dict) -> dict:
-        nodes = nodes_from_coeffs(state["coeffs"], state["level"])
-        return {"kind": "bridge", "nodes": nodes, "coeffs": state["coeffs"]}
+        coeffs = state["coeffs"]
+        return {"kind": "bridge", "nodes": nodes_from_coeffs(coeffs, state["level"]), "coeffs": coeffs}
 
 
 class KLModel(ExpansionModel):
@@ -153,9 +189,11 @@ class KLModel(ExpansionModel):
     name = "kl"
 
     def __init__(self, spec: EigenSpec):
+        super().__init__()
         if not spec.analytic:
             raise ConfigurationError("multilevel schedule requires the analytic eigenvalue mode")
         self.spec = spec
+        self._scales: dict[int, np.ndarray] = {}
         self.beta = spec.beta
         self.alpha = spec.alpha
 
@@ -166,7 +204,11 @@ class KLModel(ExpansionModel):
         return allocation_kl(1 << level, self.spec)
 
     def scale(self, level: int) -> np.ndarray:
-        return np.sqrt(self.spec.eigenvalues(np.arange(1, (1 << level) + 1)))
+        scale = self._scales.get(level)
+        if scale is None:
+            scale = self._scales[level] = np.sqrt(self.spec.eigenvalues(np.arange(1, (1 << level) + 1)))
+            scale.flags.writeable = False
+        return scale
 
     def functional_rows(self, state: dict) -> dict:
         return {"kind": "kl", "coeffs": state["coeffs"]}
@@ -196,13 +238,18 @@ class LipFunctional:
     rows: Callable[[dict], np.ndarray]
 
     def evaluate(self, x) -> float:
-        """Evaluate on a single KLVector or BridgePath."""
+        """Evaluate on a single KLVector or BridgePath.
+
+        The vector goes through ``rows`` as a two-row batch (itself twice):
+        numpy's matmul rounds a one-row product differently, so this gives
+        the value ``rows`` gives the vector inside any larger batch.
+        """
         if isinstance(x, BridgePath):
-            nodes = x.node_values()[np.newaxis, :]
-            return float(self.rows({"kind": "bridge", "nodes": nodes,
-                                    "coeffs": x.coeffs[np.newaxis, :]})[0])
+            nodes = x.node_values()
+            return float(self.rows({"kind": "bridge", "nodes": np.stack([nodes, nodes]),
+                                    "coeffs": np.stack([x.coeffs, x.coeffs])})[0])
         if isinstance(x, KLVector):
-            return float(self.rows({"kind": "kl", "coeffs": x.coeffs[np.newaxis, :]})[0])
+            return float(self.rows({"kind": "kl", "coeffs": np.stack([x.coeffs, x.coeffs])})[0])
         raise TypeError(f"unsupported argument type {type(x).__name__}")
 
 
@@ -335,25 +382,32 @@ class MLMCResult:
         return math.sqrt(sum(v / n for v, n in zip(self.level_vars, self.level_ns)))
 
 
-def _evaluate(f: LipFunctional, model, state: dict) -> np.ndarray:
-    """``f.rows(model.functional_rows(state))``, taken over blocks of rows
-    that hold at most _EVAL_BYTES of node values each.
+def _evaluate(f: LipFunctional, model, state: dict,
+              coarse: bool = False) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """``f.rows`` of every row of the drawn ``state`` and, with ``coarse``,
+    of its coarsening one level down (else None), decoded by
+    ``model.decode_rows`` in blocks that hold at most _EVAL_BYTES of fine
+    node values each.
 
-    Rows are evaluated independently, so every value equals that of one
-    call on the whole batch; the blocks only keep the node arrays in cache.
-    No block has a single row unless the batch has: numpy's matmul rounds a
-    one-row product differently (seen with the KL ``soft_linear``).
+    Only the drawn words and one block are held; fine coefficient blocks are
+    decoded into one reused buffer.  Rows are evaluated independently, so
+    every value equals that of one call on the whole batch.  No block has a
+    single row unless the batch has: numpy's matmul rounds a one-row product
+    differently (seen with the KL ``soft_linear``).
     """
-    coeffs = state["coeffs"]
-    n = coeffs.shape[0]
-    step = max(2, _EVAL_BYTES // (8 * (coeffs.shape[1] + 2)))
-    if n <= step:
-        return f.rows(model.functional_rows(state))
-    bounds = [*range(0, n - 1, step), n]  # a last single row joins the block before it
+    n = state["drawn"].n
+    dim = model.level_dim(state["level"])
+    step = max(2, _EVAL_BYTES // (8 * (dim + 2)))
+    bounds = [0, n] if n <= step else [*range(0, n - 1, step), n]  # a last single row joins the block before it
+    buf = np.empty((min(n, step + 1), dim))
     y = np.empty(n, dtype=np.float64)
+    y_coarse = np.empty(n, dtype=np.float64) if coarse else None
     for a, b in zip(bounds, bounds[1:]):
-        y[a:b] = f.rows(model.functional_rows({**state, "coeffs": coeffs[a:b]}))
-    return y
+        fine, coarse_rows = model.decode_rows(state, a, b, coarse, buf[:b - a])
+        y[a:b] = f.rows(model.functional_rows(fine))
+        if coarse:
+            y_coarse[a:b] = f.rows(model.functional_rows(coarse_rows))
+    return y, y_coarse
 
 
 def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource,
@@ -365,6 +419,12 @@ def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource,
     derivation: SeedSequence(base_seed, spawn_key=(level,))), which makes
     level blocks independently reproducible; bit counts are summed into the
     same ledger.
+
+    A level draws all its N_l rows at once, in the stream order of
+    :func:`gausskl.sample_rows`, and holds only their words
+    (N_l |p(l)| / 8 bytes).  Its fine and coarse terms are decoded and
+    evaluated in cache-sized blocks of rows (:func:`_evaluate`); each
+    block's coarse rows are re-truncated from its index rows.
     """
     ledger = CostLedger()
     estimate = 0.0
@@ -379,12 +439,11 @@ def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource,
         fine = model.sample_rows(level_src, level, n, min_bits)
         ledger.bits += level_src.bits_drawn - before
         expected_bits += n * model.bits_per_fine(level, min_bits)
-        y = _evaluate(f, model, fine)
+        y, y_coarse = _evaluate(f, model, fine, coarse=level >= 2)
         ledger.oracle_cost += n * model.level_dim(level)
         ledger.coeff_ops += n * model.level_dim(level)
         if level >= 2:
-            coarse = model.coarsen_rows(fine, min_bits)
-            y = y - _evaluate(f, model, coarse)
+            y = y - y_coarse
             ledger.oracle_cost += n * model.level_dim(level - 1)
             ledger.coeff_ops += n * model.level_dim(level - 1)
         mean = float(np.mean(y))
@@ -402,9 +461,16 @@ def plain_mc(f: LipFunctional, model, level: int, n: int, src: BitSource,
              min_bits: int = 0, batch: int = 4096) -> tuple[float, float, CostLedger]:
     """Single-level Monte Carlo reference at the given level: (mean, stderr, ledger).
 
-    Rows are drawn ``batch`` at a time, without index rows, and evaluated
-    in cache-sized blocks (:func:`_evaluate`); neither changes a value.
+    Rows are drawn ``batch`` at a time in the stream order of
+    :func:`gausskl.sample_rows`.  A batch is held as its drawn words
+    (batch * |p| / 8 bytes) and decoded and evaluated in cache-sized blocks
+    (:func:`_evaluate`), so no (batch, dim) array and no index row is ever
+    built; neither changes a value.
     """
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if batch < 1:
+        raise ValueError(f"batch must be a positive integer, got {batch!r}")
     ledger = CostLedger()
     total = 0.0
     total_sq = 0.0
@@ -412,9 +478,9 @@ def plain_mc(f: LipFunctional, model, level: int, n: int, src: BitSource,
     while done < n:
         b = min(batch, n - done)
         before = src.bits_drawn
-        state = model.sample_rows(src, level, b, min_bits, indices=False)
+        state = model.sample_rows(src, level, b, min_bits)
         ledger.bits += src.bits_drawn - before
-        y = _evaluate(f, model, state)
+        y, _ = _evaluate(f, model, state)
         ledger.oracle_cost += b * model.level_dim(level)
         ledger.coeff_ops += b * model.level_dim(level)
         total += float(np.sum(y))

@@ -1,6 +1,5 @@
 import math
 import time
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,8 +29,7 @@ def _sample_batch(src, m, n):
 @example(counts=[6] * 5 + [2] * 3, n=9, head=0, seed=2)
 def test_sample_rows_matches_scalar_draws(counts, n, head, seed):
     """Both sampling paths give the rows of run-by-run scalar draws; index
-    rows are optional and change nothing else; byte lookups are done in
-    blocks of every size down to one row."""
+    rows are optional and change nothing else."""
     alloc = BitAllocation(np.array(counts))
     srcs = [BitSource(seed) for _ in range(3)]
     for src in srcs:
@@ -39,11 +37,10 @@ def test_sample_rows_matches_scalar_draws(counts, n, head, seed):
             src.draw_bits(head)
     ref = srcs[0]
     idx_ref = np.empty((n, len(alloc)), dtype=np.uint64)
-    for a, b, p in G._alloc_runs(alloc.counts):
+    for a, b, p in alloc.runs:
         values = [ref.draw_bits(p) + 1 for _ in range(n * (b - a))]
         idx_ref[:, a:b] = np.array(values, dtype=np.uint64).reshape(n, b - a)
-    with mock.patch.object(G, "_LOOKUP_BYTES", 64):
-        coeffs, idx = G.sample_rows(srcs[1], alloc, n)
+    coeffs, idx = G.sample_rows(srcs[1], alloc, n)
     bare, none = G.sample_rows(srcs[2], alloc, n, indices=False)
     assert none is None and idx.dtype == np.uint64
     assert np.array_equal(idx, idx_ref)
@@ -52,6 +49,52 @@ def test_sample_rows_matches_scalar_draws(counts, n, head, seed):
     assert coeffs.tobytes() == bare.tobytes()
     assert ref.bits_drawn == srcs[1].bits_drawn == srcs[2].bits_drawn == head + n * alloc.total
     assert ref.draw_bits(17) == srcs[1].draw_bits(17) == srcs[2].draw_bits(17)
+
+
+_RUN_PS = [1, 2, 3, 4, 6, 8, 9, 52, 53, 63]
+
+
+@settings(max_examples=120, deadline=None)
+@given(runs=st.lists(st.tuples(st.sampled_from(_RUN_PS), st.integers(1, 5)), min_size=1, max_size=8),
+       n=st.integers(1, 9), head=st.integers(0, 130), seed=st.integers(0, 2**32 - 1), data=st.data())
+@example(runs=[(2, 3), (63, 1), (3, 2)], n=1, head=3, seed=3, data=None)
+@example(runs=[(52, 2), (53, 1), (8, 5), (1, 4)], n=7, head=64, seed=4, data=None)
+@example(runs=[(9, 5), (6, 4), (4, 3)], n=9, head=67, seed=5, data=None)
+def test_blocked_decode_equals_whole_batch(runs, n, head, seed, data):
+    """Blocks of rows decoded from the drawn words, for every block size down
+    to one row, give the rows of one whole-batch sample_rows and, re-truncated
+    from their first m2 index columns, of coarsen_rows; so do blocks decoded
+    into a buffer.  Sources start off a byte or word boundary."""
+    counts = np.repeat([p for p, _ in runs], [k for _, k in runs])
+    alloc = BitAllocation(counts)
+    m = len(counts)
+    if data is None:
+        m2, drops = m, [0] * m
+    else:
+        m2 = data.draw(st.integers(1, m), label="m2")
+        drops = data.draw(st.lists(st.integers(0, 62), min_size=m2, max_size=m2), label="drops")
+    coarse = BitAllocation(np.maximum(counts[:m2] - np.array(drops[:m2]), 1))
+    scale = np.sqrt(SPEC.eigenvalues(np.arange(1, m + 1)))
+    whole_src, block_src = BitSource(seed), BitSource(seed)
+    for src in (whole_src, block_src):
+        src.draw_bits_array(1, head)
+    coeffs, idx = G.sample_rows(whole_src, alloc, n, scale)
+    coarse_coeffs, coarse_idx = G.coarsen_rows(idx, alloc, coarse, scale[:m2])
+    drawn = G.draw_rows(block_src, alloc, n)
+    assert block_src.bits_drawn == whole_src.bits_drawn == head + n * alloc.total
+    assert block_src.draw_bits(63) == whole_src.draw_bits(63)
+    buf = np.empty((n, m))
+    for step in range(1, n + 1):
+        for a in range(0, n, step):
+            b = min(a + step, n)
+            c, none = G.decode_rows(drawn, a, b, scale)
+            assert none is None and c.tobytes() == coeffs[a:b].tobytes()
+            c, i = G.decode_rows(drawn, a, b, scale, m, buf[:b - a])
+            assert c.tobytes() == coeffs[a:b].tobytes() and np.array_equal(i, idx[a:b])
+            _, i = G.decode_rows(drawn, a, b, scale, m2)
+            c, i = G.coarsen_rows(i, alloc, coarse, scale[:m2])
+            assert c.tobytes() == coarse_coeffs[a:b].tobytes()
+            assert np.array_equal(i, coarse_idx[a:b])
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 8])

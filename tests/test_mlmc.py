@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rbitmc import gausskl as G
 from rbitmc import mlmc as M
 from rbitmc.bitcore import BitSource, child_source
 from rbitmc.bridge import BridgePath, allocation_bridge, allocation_bridge_total, pl_l2_norm_sq
@@ -216,12 +217,12 @@ MODELS = {"bridge": BRIDGE, "kl": M.kl_model(KL_SPEC)}
 def test_blocked_evaluation_equals_whole_batch(model_name, name, n, monkeypatch):
     model, f = MODELS[model_name], M.lookup_functional(name)
     fine = model.sample_rows(BitSource(17), 5, n)
-    for state in (fine, model.coarsen_rows(fine)):
+    for k, state in enumerate((fine, model.coarsen_rows(fine))):
         whole = f.rows(model.functional_rows(state)).tobytes()
-        assert M._evaluate(f, model, state).tobytes() == whole  # one block
+        assert M._evaluate(f, model, fine, True)[k].tobytes() == whole  # one block
         for budget in (8 * 34 * 7, 8 * 34 * 5, 1):  # blocks of 5-14 rows, and of 2-3 rows
             monkeypatch.setattr(M, "_EVAL_BYTES", budget)
-            assert M._evaluate(f, model, state).tobytes() == whole, budget
+            assert M._evaluate(f, model, fine, True)[k].tobytes() == whole, budget
         monkeypatch.undo()
 
 
@@ -242,17 +243,38 @@ def test_estimators_do_not_depend_on_the_block_size(model_name, monkeypatch):
 
 
 def test_plain_mc_draws_no_index_rows(monkeypatch):
-    seen = []
+    # a batch is held as its drawn words: no index rows are decoded, and no
+    # coefficient block has more rows than one evaluation block
+    seen, decoded = [], []
     sample = M.ExpansionModel.sample_rows
 
     def spy(self, *args, **kwargs):
         state = sample(self, *args, **kwargs)
-        seen.append(state["idx"])
+        seen.append(("idx" in state, "coeffs" in state, state["drawn"].n))
         return state
 
+    decode = G.decode_rows
+
+    def blocks(drawn, a, b, *args, **kwargs):
+        coeffs, idx = decode(drawn, a, b, *args, **kwargs)
+        decoded.append((b - a, idx))
+        return coeffs, idx
+
     monkeypatch.setattr(M.ExpansionModel, "sample_rows", spy)
+    monkeypatch.setattr(G, "decode_rows", blocks)
+    monkeypatch.setattr(M, "_EVAL_BYTES", 8 * 65 * 4)  # level 6: blocks of 4 rows
     M.plain_mc(M.lookup_functional("norm"), BRIDGE, 6, 50, BitSource(3), batch=20)
-    assert seen == [None, None, None]
+    assert seen == [(False, False, 20), (False, False, 20), (False, False, 10)]
+    assert sum(rows for rows, _ in decoded) == 50 and max(rows for rows, _ in decoded) == 4
+    assert all(idx is None for _, idx in decoded)
+
+
+@pytest.mark.parametrize("kwargs", [{"n": 0}, {"n": -3}, {"n": 10, "batch": 0}, {"n": 10, "batch": -1}])
+def test_plain_mc_rejects_empty_runs_and_batches(kwargs):
+    src = BitSource(3)
+    with pytest.raises(ValueError, match="positive integer"):
+        M.plain_mc(M.lookup_functional("norm"), BRIDGE, 4, src=src, **kwargs)
+    assert src.bits_drawn == 0
 
 
 @pytest.mark.parametrize("name, target", [("coord2", 2), ("soft_linear", 3)])
@@ -270,3 +292,51 @@ def test_bridge_functionals_refine_coarse_meshes(name, target, level):
     got = f.rows(BRIDGE.functional_rows(state))
     assert got.tobytes() == f.rows(fine).tobytes()
     assert np.all(np.isfinite(got)) and np.any(got != 0.0)
+
+
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+def test_evaluate_equals_batch_rows(model_name):
+    # a single vector gets the value its row gets inside the batch, also for
+    # the KL soft_linear, whose one-row matmul rounds differently
+    model, level, n = MODELS[model_name], 5, 205
+    state = model.sample_rows(BitSource(7), level, n)
+    coeffs, idx, alloc = state["coeffs"], state["idx"], state["alloc"]
+    for name, f in M.builtin_functionals().items():
+        batch = f.rows(model.functional_rows(state))
+        for i in range(n):
+            if model_name == "kl":
+                x = KLVector(1 << level, coeffs[i], idx[i], alloc)
+            else:
+                x = BridgePath(level, coeffs[i], idx[i], alloc)
+            assert f.evaluate(x) == batch[i], (name, i)
+
+
+def test_plain_mc_memory_is_bounded_by_the_drawn_words():
+    # a 4096-row level-12 batch is held as its n |p| / 8 bytes of stream
+    # words plus cache-sized blocks; the (4096, 4095) float64 coefficient
+    # rows alone would take 134 MB
+    import tracemalloc
+
+    f, n = M.lookup_functional("norm"), 4096
+    M.plain_mc(f, BRIDGE, 12, 8, BitSource(1))  # fill the lazily built tables
+    tracemalloc.start()
+    try:
+        M.plain_mc(f, BRIDGE, 12, n, BitSource(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    words = n * allocation_bridge_total(12) // 8
+    assert peak < 2 * words + 8 * M._EVAL_BYTES
+
+
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+def test_allocations_and_scales_are_computed_once(model_name):
+    model = MODELS[model_name]
+    for level in (1, 6):
+        for min_bits in (0, 4):
+            alloc = model.allocation(level, min_bits)
+            assert model.allocation(level, min_bits) is alloc
+            assert not alloc.counts.flags.writeable
+        scale = model.scale(level)
+        assert model.scale(level) is scale
+        assert scale is None or not scale.flags.writeable
