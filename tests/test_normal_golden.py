@@ -6,7 +6,8 @@ one 2**20-cell chunk, at p = 22 it spans two, so the chunked summation order
 is pinned as well as the cell formulas.  sha256 digests pin the support, the
 grid table of ``grid_normal_values`` and the best fixed-weight points of the
 normal law (whose first and last cells have the infinite edges u = 0 and
-u = 1), and ``float.hex`` pins their W2 distance.
+u = 1), and ``float.hex`` pins their W2 distance; at p = 21 and 22 the cell
+edges span many blocks of ``phi_inv`` on either side of u = 1/2.
 """
 
 import hashlib
@@ -37,6 +38,8 @@ OPTIMAL = {
     1: ("684cb0b5a7065a8860aa6d842b79a92ee8f672e5963aa33885fe6c43001b8130", '0x1.34a38c618ab2dp-1'),
     6: ("b82d1d59f9a590440b13c1a8c62822d715d2229b5fa398367bd2e0f3f8fa6050", '0x1.fff6c6ed51e46p-5'),
     16: ("3ee21bad2cb969f389c2c28cdf3ea302be1a1f9a2d660e5b102645d6a9796f48", '0x1.3ef8d2c440177p-10'),
+    21: ("6cb2a8ec03fa925e5b132002797badd61657245704ee730b1cab0e8797a5069c", '0x1.8aeb1e1a0cebfp-13'),
+    22: ("0a1151784912952a3be25450e87ae80c5de6d2aa26f294d48b985e1a47aa1bea", '0x1.10f19ce21448bp-13'),
 }
 
 
