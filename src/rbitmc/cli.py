@@ -24,7 +24,7 @@ from . import normal as _normal
 from . import sde as _sde
 from . import wasserstein1d as _w1d
 from .bitcore import child_source
-from .errors import ConfigurationError
+from .errors import CapacityError, ConfigurationError
 
 LN4 = math.log(4.0)
 
@@ -138,9 +138,7 @@ def experiment_normal_error(pmin: int, pmax: int):
     flagged = []
     for p in range(pmin, pmax + 1):
         if p <= _normal.MSE_EXACT_MAX_P:
-            mse = _normal.bit_normal_mse(p)
-            m2 = _normal.bit_normal_moment(p, 2)
-            m4 = _normal.bit_normal_moment(p, 4)
+            mse, m2, m4 = _normal.bit_normal_mse_moments(p)
         else:
             # beyond the exact-enumeration cap: asymptotic surrogate, flagged
             mse = _normal.bit_normal_mse_surrogate(p)
@@ -457,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Exit code 0 on success, 1 if a fixture check fails, 2 on bad input
-    (ConfigurationError, or the ValueError of a library argument check)."""
+    (ConfigurationError, the ValueError of a library argument check, or the
+    CapacityError of a request beyond an exact-evaluation cap)."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "suite":
@@ -479,7 +478,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         values = {prm.name: getattr(args, prm.name)
                   for prm in (*EXPERIMENTS[args.command].params, _SEED)}
         return _run(args.command, values, args.csv, args.fixtures)
-    except (ConfigurationError, ValueError) as exc:
+    except (ConfigurationError, CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,21 +10,27 @@ is antisymmetric, and all second-order error quantities against the exact
 normal (mean-square gap, moments, cross moment) have closed forms per grid
 cell, which this module evaluates exactly up to floating-point rounding.
 
-Four private helpers carry every exact enumeration: ``_exact_precision``
+Private helpers carry every exact enumeration: ``_exact_precision``
 refuses p outside 1..MSE_EXACT_MAX_P, ``_mid_quantiles`` gives the support
 points x_k of a range of cells, ``_quantile_density`` the density terms
 phi(y) and y phi(y) at quantile edges y = Phi^{-1}(u) (zero at the infinite
-edges u = 0 and u = 1), and ``_upper_sum`` sums a per-cell term over the
-upper half of the grid in 2**20-cell chunks, in ascending cell order.
+edges u = 0 and u = 1), ``_edge_density`` the same terms at all 2**p + 1
+edges of the uniform cells from one ``phi_inv`` pass over the lower half
+(kept for the latest p only), ``_sq_error`` the closed-form squared error
+of a cell from the terms at its edges, and ``_upper_sums`` sums several
+per-cell terms over the upper half of the grid in 2**20-cell chunks, in
+ascending cell order, so that one pass over the cells gives all of them.
+``phi_inv`` itself runs in blocks of 2**14 points, which keep its
+temporaries in cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfc as _erfc
 
 from .bitcore import (
@@ -46,6 +52,7 @@ LN4 = math.log(4.0)
 MSE_EXACT_MAX_P = 26
 
 _CHUNK = 1 << 20
+_PHI_INV_BLOCK = 1 << 14
 
 
 def _exact_precision(p: int, what: str) -> None:
@@ -121,23 +128,28 @@ def _halley_low(u: np.ndarray, y: np.ndarray, iterations: int = 2) -> np.ndarray
 
 
 def phi_inv(u):
-    """Inverse of Phi on (0, 1).
+    """Inverse of Phi on (0, 1), elementwise over an array of any shape.
 
     Antisymmetry phi_inv(1 - u) = -phi_inv(u) holds exactly by construction:
     arguments above one half are mapped by u -> 1 - u, which is exact in
     binary floating point on (1/2, 1).  For |u| or |1 - u| below 2**-63 use
-    :func:`phi_inv_tail` instead.
+    :func:`phi_inv_tail` instead.  The points are taken in blocks of
+    2**14; every step is elementwise, so the blocking changes no value.
     """
-    arr = np.atleast_1d(np.asarray(u, dtype=np.float64)).copy()
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("phi_inv requires 0 < u < 1")
-    upper = arr > 0.5
-    low = np.where(upper, 1.0 - arr, arr)
-    y = _halley_low(low, _acklam_low(low))
-    y = np.where(upper, -y, y)
-    if np.isscalar(u) or np.asarray(u).ndim == 0:
+    arr = np.asarray(u, dtype=np.float64)
+    flat = arr.ravel()
+    y = np.empty(flat.shape)
+    for a in range(0, flat.size, _PHI_INV_BLOCK):
+        u_blk = flat[a:a + _PHI_INV_BLOCK]
+        if np.any(u_blk <= 0.0) or np.any(u_blk >= 1.0):
+            raise ValueError("phi_inv requires 0 < u < 1")
+        upper = u_blk > 0.5
+        low = np.where(upper, 1.0 - u_blk, u_blk)
+        y_blk = _halley_low(low, _acklam_low(low))
+        y[a:a + _PHI_INV_BLOCK] = np.where(upper, -y_blk, y_blk)
+    if arr.ndim == 0:
         return float(y[0])
-    return y
+    return y.reshape(arr.shape)
 
 
 def phi_inv_tail(t: float) -> float:
@@ -243,21 +255,55 @@ def _quantile_density(u):
     return pdf, y * pdf
 
 
+@functools.lru_cache(maxsize=1)
+def _edge_density(p: int):
+    """phi(y) and y phi(y) at the edges u = k 2**-p, k = 0..2**p, of the uniform cells.
+
+    ``phi_inv`` runs once, over the lower half k <= 2**(p-1); the upper half
+    is its mirror, because phi_inv(1 - u) = -phi_inv(u) exactly, phi(y) is
+    even and y phi(y) odd.  The arrays are read-only; only the latest p is kept.
+    """
+    n = 1 << p
+    half = n >> 1
+    pdf_low, ypdf_low = _quantile_density(np.arange(half + 1, dtype=np.float64) * 2.0 ** -p)
+    mirror = slice(n - half - 1, None, -1)  # edges n - k for k = half + 1..n
+    pdf = np.concatenate((pdf_low, pdf_low[mirror]))
+    ypdf = np.concatenate((ypdf_low, -ypdf_low[mirror]))
+    ypdf[n] = 0.0  # +0.0 at the infinite edge u = 1, as _quantile_density gives
+    pdf.flags.writeable = ypdf.flags.writeable = False
+    return pdf, ypdf
+
+
+def _sq_error(width, c, pdf_lo, pdf_hi, ypdf_lo, ypdf_hi):
+    """int (Phi^{-1}(u) - c)^2 du over cells of the given width from the density
+    terms at their edges (int y^2 phi = Phi - y phi, int y phi = -phi)."""
+    return (1.0 + c * c) * width + 2.0 * c * (pdf_hi - pdf_lo) - (ypdf_hi - ypdf_lo)
+
+
 def _cell_quantities(p: int, k0: int, k1: int):
     """Midpoint quantiles of cells k0..k1 and the density terms at their edges."""
     pdf, ypdf = _quantile_density(np.arange(k0 - 1, k1 + 1, dtype=np.float64) * 2.0 ** -p)
     return _mid_quantiles(p, k0, k1), pdf, ypdf
 
 
-def _upper_sum(p: int, term) -> float:
-    """fsum over cells 2**(p-1)+1 .. 2**p of term(k0, k1): one fsum per chunk
-    of at most 2**20 cells, then one over the chunk sums, in ascending order."""
+def _mid_terms(p: int, k0: int, k1: int):
+    """Support points x_k of cells k0..k1 and each cell's int (Phi^{-1}(u) - x_k)^2 du."""
+    c, pdf, ypdf = _cell_quantities(p, k0, k1)
+    return c, _sq_error(2.0 ** -p, c, pdf[:-1], pdf[1:], ypdf[:-1], ypdf[1:])
+
+
+def _upper_sums(p: int, terms) -> list[float]:
+    """fsums over cells 2**(p-1)+1 .. 2**p of each array in terms(k0, k1): for
+    each term, one fsum per chunk of at most 2**20 cells, then one over the
+    chunk sums, in ascending order."""
     n = 1 << p
-    return math.fsum(math.fsum(term(k0, min(k0 + _CHUNK - 1, n)))
-                     for k0 in range((n >> 1) + 1, n + 1, _CHUNK))
+    chunk_sums = [[math.fsum(t) for t in terms(k0, min(k0 + _CHUNK - 1, n))]
+                  for k0 in range((n >> 1) + 1, n + 1, _CHUNK)]
+    return [math.fsum(sums) for sums in zip(*chunk_sums)]
 
 
 _MSE_CACHE: dict[int, float] = {}
+_MSE_WHAT = "exact mse (bit_normal_mse_surrogate gives the asymptotic value)"
 
 
 def bit_normal_mse(p: int) -> float:
@@ -267,17 +313,26 @@ def bit_normal_mse(p: int) -> float:
     (int y^2 phi = Phi - y phi, int y phi = -phi, int phi = Phi) and
     compensated summation in ascending cell order.
     """
-    _exact_precision(p, "exact mse (bit_normal_mse_surrogate gives the asymptotic value)")
+    _exact_precision(p, _MSE_WHAT)
     if p in _MSE_CACHE:
         return _MSE_CACHE[p]
-    scale = 2.0 ** -p
-
-    def term(k0, k1):
-        c, pdf, ypdf = _cell_quantities(p, k0, k1)
-        return (1.0 + c * c) * scale + 2.0 * c * (pdf[1:] - pdf[:-1]) - (ypdf[1:] - ypdf[:-1])
-
-    mse = _MSE_CACHE[p] = 2.0 * _upper_sum(p, term)
+    (half,) = _upper_sums(p, lambda k0, k1: _mid_terms(p, k0, k1)[1:])
+    mse = _MSE_CACHE[p] = 2.0 * half
     return mse
+
+
+def bit_normal_mse_moments(p: int) -> tuple[float, float, float]:
+    """bit_normal_mse(p), bit_normal_moment(p, 2) and bit_normal_moment(p, 4),
+    bit for bit, from one pass over the cells."""
+    _exact_precision(p, _MSE_WHAT)
+
+    def terms(k0, k1):
+        c, sq = _mid_terms(p, k0, k1)
+        return sq, c ** 2, c ** 4
+
+    half, s2, s4 = _upper_sums(p, terms)
+    mse = _MSE_CACHE[p] = 2.0 * half
+    return mse, 2.0 ** -(p - 1) * s2, 2.0 ** -(p - 1) * s4
 
 
 # Empirical value of 2**p * p * mse(p), frozen from the exact value at p = 26
@@ -305,18 +360,20 @@ def bit_normal_moment(p: int, r: int) -> float:
     _exact_precision(p, "moment")
     if r not in (2, 4, 6, 8):
         raise ValueError("r must be one of 2, 4, 6, 8")
-    return 2.0 ** -(p - 1) * _upper_sum(p, lambda k0, k1: _mid_quantiles(p, k0, k1) ** r)
+    (half,) = _upper_sums(p, lambda k0, k1: (_mid_quantiles(p, k0, k1) ** r,))
+    return 2.0 ** -(p - 1) * half
 
 
 def bit_normal_cross_moment(p: int) -> float:
     """Exact E[Y * Y^(p)] = sum_k x_k * (phi(y_{k-1}) - phi(y_k))."""
     _exact_precision(p, "cross moment")
 
-    def term(k0, k1):
+    def terms(k0, k1):
         c, pdf, _ = _cell_quantities(p, k0, k1)
-        return c * (pdf[:-1] - pdf[1:])
+        return (c * (pdf[:-1] - pdf[1:]),)
 
-    return 2.0 * _upper_sum(p, term)
+    (half,) = _upper_sums(p, terms)
+    return 2.0 * half
 
 
 def gaussian_cell_sq_error(u_lo, u_hi, c):
@@ -329,9 +386,7 @@ def gaussian_cell_sq_error(u_lo, u_hi, c):
     c = np.asarray(c, dtype=np.float64)
     pdf_lo, ypdf_lo = _quantile_density(u_lo)
     pdf_hi, ypdf_hi = _quantile_density(u_hi)
-    out = ((1.0 + c * c) * (u_hi - u_lo)
-           + 2.0 * c * (pdf_hi - pdf_lo)
-           - (ypdf_hi - ypdf_lo))
+    out = _sq_error(u_hi - u_lo, c, pdf_lo, pdf_hi, ypdf_lo, ypdf_hi)
     return float(out) if out.ndim == 0 else out
 
 
@@ -345,6 +400,20 @@ def gaussian_cell_average(u_lo, u_hi):
     return (_quantile_density(u_lo)[0] - _quantile_density(u_hi)[0]) / (u_hi - u_lo)
 
 
+def gaussian_grid_average(p: int) -> np.ndarray:
+    """gaussian_cell_average over the 2**p uniform cells of (0, 1), bit for bit."""
+    pdf, _ = _edge_density(p)
+    return (pdf[:-1] - pdf[1:]) / 2.0 ** -p
+
+
+def gaussian_grid_sq_error(p: int, c) -> np.ndarray:
+    """gaussian_cell_sq_error over the 2**p uniform cells of (0, 1) against the
+    points c (one per cell), bit for bit."""
+    pdf, ypdf = _edge_density(p)
+    c = np.asarray(c, dtype=np.float64)
+    return _sq_error(2.0 ** -p, c, pdf[:-1], pdf[1:], ypdf[:-1], ypdf[1:])
+
+
 def checked_quad(f, a: float, b: float, cell: tuple[float, float], **kwargs) -> float:
     """int_a^b f by ``scipy.integrate.quad``, refusing results it cannot certify.
 
@@ -352,6 +421,8 @@ def checked_quad(f, a: float, b: float, cell: tuple[float, float], **kwargs) -> 
     to) when quad reports a problem -- subdivision limit reached, roundoff,
     probable divergence, bad integrand -- or returns a non-finite value.
     """
+    from scipy.integrate import quad  # only the quadrature routes pay its import
+
     out = quad(f, a, b, full_output=1, **kwargs)
     if len(out) > 3:  # quad appends its message only when ier > 0
         reason = out[3].splitlines()[0]
@@ -366,22 +437,23 @@ def optimal_points(quantile_spec, p: int) -> np.ndarray:
 
     The k-th point is the average of the quantile function over the k-th
     cell of the uniform partition of (0, 1) into 2**p cells.  Closed-form
-    cell averages are used when the law provides them; otherwise each cell
-    integral is computed by adaptive quadrature (relative tolerance 1e-12).
+    cell averages (``cell_average(p)``) are used when the law provides them;
+    otherwise each cell integral is computed by adaptive quadrature
+    (relative tolerance 1e-12).
 
     Raises ValueError when a cell average is not finite, or when quadrature
     does not certify a cell integral at that tolerance (in particular when
     the quantile is not integrable over the cell).
     """
     _exact_precision(p, "optimal points")
-    n = 1 << p
-    scale = 2.0 ** -p
-    lo = np.arange(0, n, dtype=np.float64) * scale
-    hi = np.arange(1, n + 1, dtype=np.float64) * scale
     cell_average = getattr(quantile_spec, "cell_average", None)
     if cell_average is not None:
-        pts = np.asarray(cell_average(lo, hi), dtype=np.float64)
+        pts = np.asarray(cell_average(p), dtype=np.float64)
     else:
+        n = 1 << p
+        scale = 2.0 ** -p
+        lo = np.arange(0, n, dtype=np.float64) * scale
+        hi = np.arange(1, n + 1, dtype=np.float64) * scale
         q = quantile_spec.quantile
         pts = np.empty(n)
         for k in range(n):
@@ -399,6 +471,8 @@ def func_h(a: float) -> float:
         raise ValueError("func_h requires a > 0")
     if a > 40.0:
         raise CapacityError("func_h overflows double precision beyond a = 40")
+    from scipy.integrate import quad
+
     # scaled integrand exp((x^2 - a^2)/2) <= 1 avoids overflow inside quad
     val, _ = quad(lambda x: math.exp(0.5 * (x * x - a * a)), 0.0, a,
                   epsabs=0.0, epsrel=1e-12, limit=400)

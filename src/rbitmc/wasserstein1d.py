@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import normal as _normal
-from .normal import checked_quad, gaussian_cell_average, gaussian_cell_sq_error, optimal_points
+from .normal import checked_quad, gaussian_grid_average, gaussian_grid_sq_error, optimal_points
 
 _TAIL_EDGE = 2.0 ** -40
 _LN2 = math.log(2.0)
@@ -33,17 +33,27 @@ class QuantileSpec:
     """A one-dimensional law described by its quantile function.
 
     ``tail_form(t)`` evaluates the quantile at 1 - 2**-t without forming
-    1 - 2**-t in floating point; ``cell_average`` and ``cell_sq_error`` are
-    optional closed forms for cell means and squared cell errors used in
-    place of quadrature.
+    1 - 2**-t in floating point.  ``cell_average(p)`` and
+    ``cell_sq_error(p, c)`` are optional closed forms used in place of
+    quadrature; both act on the 2**p uniform cells ((k-1) 2**-p, k 2**-p) of
+    (0, 1), the only partition that :func:`optimal_points` and
+    :func:`w2_uniform` use.  The first gives the mean of the quantile over
+    each cell, the second each cell's int (quantile(u) - c_k)^2 du for one
+    point c_k per cell.
     """
 
     name: str
     quantile: Callable[[float], float]
     second_moment: float
     tail_form: Optional[Callable[[float], float]] = None
-    cell_average: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    cell_sq_error: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    cell_average: Optional[Callable[[int], np.ndarray]] = None
+    cell_sq_error: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
+
+
+def _cell_edges(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper edges of the 2**p uniform cells of (0, 1)."""
+    n = 1 << p
+    return np.arange(0, n, dtype=np.float64) / n, np.arange(1, n + 1, dtype=np.float64) / n
 
 
 def standard_normal_spec() -> QuantileSpec:
@@ -52,14 +62,19 @@ def standard_normal_spec() -> QuantileSpec:
         quantile=_normal.phi_inv,
         second_moment=1.0,
         tail_form=_normal.phi_inv_tail,
-        cell_average=gaussian_cell_average,
-        cell_sq_error=gaussian_cell_sq_error,
+        cell_average=gaussian_grid_average,
+        cell_sq_error=gaussian_grid_sq_error,
     )
 
 
 def uniform_spec() -> QuantileSpec:
-    def _cell_sq_error(lo, hi, c):
+    def _cell_average(p):
+        lo, hi = _cell_edges(p)
+        return 0.5 * (lo + hi)
+
+    def _cell_sq_error(p, c):
         # int_lo^hi (u - c)^2 du, exact cubic difference
+        lo, hi = _cell_edges(p)
         return ((hi - c) ** 3 - (lo - c) ** 3) / 3.0
 
     return QuantileSpec(
@@ -67,7 +82,7 @@ def uniform_spec() -> QuantileSpec:
         quantile=lambda u: np.asarray(u, dtype=np.float64),
         second_moment=1.0 / 3.0,
         tail_form=lambda t: 1.0 - 2.0 ** -t,
-        cell_average=lambda lo, hi: 0.5 * (lo + hi),
+        cell_average=_cell_average,
         cell_sq_error=_cell_sq_error,
     )
 
@@ -130,13 +145,12 @@ def w2_uniform(q: QuantileSpec, nu: DiscreteUniform) -> float:
         raise ValueError("support size must be a power of two (2**p points)")
     if not math.isfinite(q.second_moment):
         raise ValueError(f"law {q.name!r} has no finite second moment; W2 is infinite")
-    pts = nu.points
-    lo = np.arange(0, n, dtype=np.float64) / n
-    hi = np.arange(1, n + 1, dtype=np.float64) / n
+    pts, p = nu.points, n.bit_length() - 1
     if q.cell_sq_error is not None:
-        cells = np.asarray(q.cell_sq_error(lo, hi, pts), dtype=np.float64)
+        cells = np.asarray(q.cell_sq_error(p, pts), dtype=np.float64)
         total = math.fsum(cells)
     else:
+        lo, hi = _cell_edges(p)
         total = math.fsum(
             _cell_sq_error_quad(q, lo[k], hi[k], pts[k]) for k in range(n)
         )

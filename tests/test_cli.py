@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from rbitmc.cli import (
     run_suite,
     write_csv,
 )
-from rbitmc.errors import ConfigurationError
+from rbitmc.errors import ConfigurationError, InternalInvariantError, NumericFailure
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures", "acceptance.txt")
 
@@ -334,3 +336,36 @@ def test_appendix_ratios_without_integer_p_is_bad_input(tmp_path, capsys):
     assert main(["appendix-ratios", "--pmin", "10.5", "--pmax", "10.7", "--csv", str(csv)]) == 2
     assert capsys.readouterr().err.startswith("error: no integer p in [10.5, 10.7]")
     assert not csv.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["rbit-1d", "--law", "normal", "--pmin", "27", "--pmax", "27"],
+    ["bridge-error", "--lmin", "26", "--lmax", "26"],
+])
+def test_capacity_error_is_bad_input(tmp_path, capsys, args):
+    csv = tmp_path / "table.csv"
+    assert main([*args, "--csv", str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "capped" in err and "Traceback" not in err
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("exc", [InternalInvariantError("ledger mismatch"), NumericFailure("non-finite")])
+def test_internal_failures_propagate(monkeypatch, exc):
+    def fail(lmin, lmax):
+        raise exc
+
+    monkeypatch.setattr(cli, "experiment_bridge_error", fail)
+    with pytest.raises(type(exc)):
+        main(["bridge-error", "--lmin", "3", "--lmax", "5"])
+
+
+def test_import_leaves_quadrature_unloaded():
+    """scipy.integrate is imported by the quadrature routes only, not at start-up."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, rbitmc, rbitmc.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -62,6 +62,36 @@ def test_phi_inv_domain_errors():
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
             N.phi_inv(bad)
+    # a bad point in a later block is refused too
+    us = np.full(N._PHI_INV_BLOCK + 2, 0.25)
+    us[-1] = 1.0
+    with pytest.raises(ValueError):
+        N.phi_inv(us)
+
+
+def test_blocked_phi_inv_matches_scalar_calls():
+    """phi_inv over blocks of _PHI_INV_BLOCK points equals one scalar call per
+    point, bit for bit: sizes block - 1, block and block + 1, a 2-d input,
+    both halves of (0, 1) and both tails beyond _ACK_SPLIT."""
+    block = N._PHI_INV_BLOCK
+    rng = np.random.default_rng(11)
+    us = rng.uniform(0.0, 1.0, block + 1)
+    quarter = (block + 1) // 4
+    us[:quarter] = N._ACK_SPLIT * 2.0 ** -rng.uniform(0.0, 60.0, quarter)
+    us[quarter:2 * quarter] = 1.0 - N._ACK_SPLIT * 2.0 ** -rng.uniform(0.0, 40.0, quarter)
+    us = us[rng.permutation(block + 1)]
+    assert np.all((us > 0.0) & (us < 1.0))
+    for part in (us < N._ACK_SPLIT, us > 1.0 - N._ACK_SPLIT, (us > 0.25) & (us < 0.5), (us > 0.5) & (us < 0.75)):
+        assert part[:block - 1].any()
+    oracle = np.array([N.phi_inv(float(u)) for u in us])
+    for size in (block - 1, block, block + 1):
+        assert N.phi_inv(us[:size]).tobytes() == oracle[:size].tobytes()
+    grid = us.reshape(5, -1)  # 5 rows of 3277; the last one straddles the block boundary
+    got = N.phi_inv(grid)
+    assert got.shape == grid.shape and got.tobytes() == oracle.tobytes()
+    assert N.phi_inv(us[::-1])[::-1].tobytes() == oracle.tobytes()  # strided input
+    assert N.phi_inv(np.empty((0, 3))).shape == (0, 3)
+    assert isinstance(N.phi_inv(np.array(0.3)), float)
 
 
 def test_phi_inv_tail_values():
@@ -187,9 +217,10 @@ def test_mse_capacity_and_surrogate():
 
 @pytest.mark.parametrize("enumerate_cells", [
     N.bit_normal_support, N.bit_normal_mse, lambda p: N.bit_normal_moment(p, 2),
+    N.bit_normal_mse_moments,
     N.bit_normal_cross_moment, lambda p: N.optimal_points(W.standard_normal_spec(), p),
     lambda p: W.rbit_error(W.standard_normal_spec(), p),
-], ids=["support", "mse", "moment", "cross_moment", "optimal_points", "rbit_error"])
+], ids=["support", "mse", "moment", "mse_moments", "cross_moment", "optimal_points", "rbit_error"])
 def test_exact_enumerations_check_the_precision(enumerate_cells):
     for p in (0, -1):
         with pytest.raises(ValueError, match="positive integer"):
@@ -207,6 +238,34 @@ def test_gaussian_cell_average_matches_quadrature():
         assert abs(g - want) <= 1e-10 * abs(want)
     assert N.gaussian_cell_average(0.0, 1.0) == 0.0
     assert N.gaussian_cell_average(0.0, 0.5) == -N.gaussian_cell_average(0.5, 1.0)
+
+
+@pytest.mark.parametrize("p", range(0, 13))
+def test_edge_density_matches_direct_density(p):
+    pdf, ypdf = N._edge_density(p)
+    want_pdf, want_ypdf = N._quantile_density(np.arange((1 << p) + 1, dtype=np.float64) * 2.0 ** -p)
+    assert pdf.tobytes() == want_pdf.tobytes() and ypdf.tobytes() == want_ypdf.tobytes()
+    assert not pdf.flags.writeable and not ypdf.flags.writeable
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 5, 12])
+def test_grid_closed_forms_match_cell_forms(p):
+    n = 1 << p
+    lo = np.arange(0, n, dtype=np.float64) / n
+    hi = np.arange(1, n + 1, dtype=np.float64) / n
+    avg = N.gaussian_grid_average(p)
+    assert avg.tobytes() == N.gaussian_cell_average(lo, hi).tobytes()
+    c = avg * 1.01 + 0.125
+    assert N.gaussian_grid_sq_error(p, c).tobytes() == N.gaussian_cell_sq_error(lo, hi, c).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 8, 12, 21])
+def test_fused_normal_error_row_matches_separate_calls(p, monkeypatch):
+    monkeypatch.setattr(N, "_MSE_CACHE", {})
+    row = N.bit_normal_mse_moments(p)
+    monkeypatch.setattr(N, "_MSE_CACHE", {})
+    separate = (N.bit_normal_mse(p), N.bit_normal_moment(p, 2), N.bit_normal_moment(p, 4))
+    assert [v.hex() for v in row] == [v.hex() for v in separate]
 
 
 def test_moments():

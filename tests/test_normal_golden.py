@@ -1,7 +1,8 @@
 """Golden pins of the exact p-bit normal enumerations.
 
 ``float.hex`` of the mean-square gap, the cross moment and the moments 2 and
-4 at p = 1, 2, 8, 21 and 22: at p = 21 the upper half of the grid is exactly
+4 at p = 1, 2, 8, 21 and 22, from the separate functions and from the fused
+``bit_normal_mse_moments``: at p = 21 the upper half of the grid is exactly
 one 2**20-cell chunk, at p = 22 it spans two, so the chunked summation order
 is pinned as well as the cell formulas.  sha256 digests pin the support, the
 grid table of ``grid_normal_values`` and the best fixed-weight points of the
@@ -52,6 +53,12 @@ def test_enumeration_golden(p):
     got = (N.bit_normal_mse(p).hex(), N.bit_normal_cross_moment(p).hex(),
            N.bit_normal_moment(p, 2).hex(), N.bit_normal_moment(p, 4).hex())
     assert got == ENUMERATIONS[p]
+
+
+@pytest.mark.parametrize("p", sorted(ENUMERATIONS))
+def test_fused_normal_error_row_golden(p):
+    mse, _, m2, m4 = ENUMERATIONS[p]
+    assert [v.hex() for v in N.bit_normal_mse_moments(p)] == [mse, m2, m4]
 
 
 @pytest.mark.parametrize("p", sorted(SUPPORT_SHA256))
