@@ -123,17 +123,6 @@ class BitSource:
             raise ValueError("n must be non-negative")
         return read_fields(*self.take_words(p * n), p, n)
 
-    def draw_bytes(self, p: int, n: int) -> np.ndarray:
-        """Draw ``n`` values of ``p`` bits each (p in {1, 2, 4, 8}) as the
-        stream bytes that hold them: :meth:`take_words`, then
-        :func:`read_bytes`.
-        """
-        if p not in _BYTE_PRECISIONS:
-            raise ValueError(f"byte draws need p in {_BYTE_PRECISIONS}, got {p!r}")
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        return read_bytes(*self.take_words(p * n), p, n)
-
     def take_words(self, total: int) -> tuple[np.ndarray, int]:
         """The words that hold the next ``total`` stream bits, and the bit
         offset of the first of them; advances the stream by ``total`` bits.

@@ -81,9 +81,6 @@ class Fixture:
     def lower_bound(self, observed: float) -> bool:
         return observed >= self.value
 
-    def upper_bound(self, observed: float) -> bool:
-        return observed <= self.value
-
 
 def load_fixtures(path: str) -> dict[str, Fixture]:
     """Parse the plain-text fixture table: ``name value tolerance # note``."""

@@ -100,6 +100,12 @@ class ExpansionModel:
     coefficient), ``functional_rows`` and, unless all coefficients have unit
     scale, ``scale``.  Allocations (and scales) are computed once per model
     and level and returned as read-only arrays.
+
+    Rows pass as arrays: ``sample_rows`` draws a level's stream words,
+    :func:`gausskl.decode_rows` decodes blocks of them with ``scale(level)``,
+    ``coarsen_rows`` re-truncates index rows one level down and
+    ``functional_rows`` makes coefficient rows the batch of
+    :attr:`LipFunctional.rows`.
     """
 
     def __init__(self):
@@ -120,49 +126,17 @@ class ExpansionModel:
     def bits_per_fine(self, level: int, min_bits: int = 0) -> int:
         return self.allocation(level, min_bits).total
 
-    def sample_rows(self, src: BitSource, level: int, n: int, min_bits: int = 0) -> dict:
-        """n fine rows at ``level``, drawn in the order of :func:`gausskl.sample_rows`.
+    def sample_rows(self, src: BitSource, level: int, n: int, min_bits: int = 0) -> gausskl.DrawnRows:
+        """n fine rows at ``level``, drawn in the order of :func:`gausskl.sample_rows`
+        and held as their stream words (:func:`gausskl.draw_rows`, n |p| / 8 bytes)."""
+        return gausskl.draw_rows(src, self.allocation(level, min_bits), n)
 
-        The state holds the drawn stream words (:func:`gausskl.draw_rows`,
-        n |p| / 8 bytes), not the rows; :meth:`decode_rows` decodes a block
-        of them.  Looking up ``"coeffs"`` or ``"idx"`` decodes all n rows.
-        """
-        alloc = self.allocation(level, min_bits)
-        return _DrawnState(level=level, alloc=alloc, min_bits=min_bits, scale=self.scale(level),
-                           drawn=gausskl.draw_rows(src, alloc, n))
-
-    def decode_rows(self, state: dict, a: int, b: int, coarse: bool = False,
-                    out: Optional[np.ndarray] = None) -> tuple[dict, Optional[dict]]:
-        """Rows a..b of the drawn ``state``: (the fine coefficient rows, into
-        ``out`` when given; with ``coarse``, their coupled coarsening one level
-        down, re-truncated from the block's index rows, else None)."""
-        level, alloc = state["level"], state["alloc"]
-        width = self.level_dim(level - 1) if coarse else 0
-        coeffs, idx = gausskl.decode_rows(state["drawn"], a, b, state["scale"], width, out)
-        fine = {"level": level, "coeffs": coeffs, "alloc": alloc}
-        if not coarse:
-            return fine, None
-        return fine, self.coarsen_rows({"level": level, "idx": idx, "alloc": alloc}, state["min_bits"])
-
-    def coarsen_rows(self, state: dict, min_bits: int = 0) -> dict:
-        """The rows of ``state`` coarsened one level by :func:`gausskl.coarsen_rows`."""
-        level = state["level"] - 1
-        alloc = self.allocation(level, min_bits)
-        coeffs, idx = gausskl.coarsen_rows(state["idx"], state["alloc"], alloc, self.scale(level))
-        return {"level": level, "coeffs": coeffs, "idx": idx, "alloc": alloc}
-
-
-class _DrawnState(dict):
-    """State of :meth:`ExpansionModel.sample_rows`: "level", "alloc",
-    "min_bits", "scale" and "drawn".  "coeffs" and "idx" are not stored;
-    looking one up decodes all rows (:meth:`dict.__missing__`)."""
-
-    def __missing__(self, key):
-        if key not in ("coeffs", "idx"):
-            raise KeyError(key)
-        drawn = self["drawn"]
-        coeffs, idx = gausskl.decode_rows(drawn, 0, drawn.n, self["scale"], len(drawn.alloc))
-        return coeffs if key == "coeffs" else idx
+    def coarsen_rows(self, idx: np.ndarray, level: int, min_bits: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(coefficient rows, index rows) one level below ``level``, re-truncated
+        from the index rows ``idx`` of ``level`` by :func:`gausskl.coarsen_rows`;
+        ``idx`` needs only the coarse level's columns."""
+        coarse = self.allocation(level - 1, min_bits)
+        return gausskl.coarsen_rows(idx, self.allocation(level, min_bits), coarse, self.scale(level - 1))
 
 
 class BridgeModel(ExpansionModel):
@@ -178,9 +152,8 @@ class BridgeModel(ExpansionModel):
     def base_allocation(self, level: int) -> BitAllocation:
         return allocation_bridge(level)
 
-    def functional_rows(self, state: dict) -> dict:
-        coeffs = state["coeffs"]
-        return {"kind": "bridge", "nodes": nodes_from_coeffs(coeffs, state["level"]), "coeffs": coeffs}
+    def functional_rows(self, coeffs: np.ndarray, level: int) -> dict:
+        return {"kind": "bridge", "nodes": nodes_from_coeffs(coeffs, level)}
 
 
 class KLModel(ExpansionModel):
@@ -210,8 +183,8 @@ class KLModel(ExpansionModel):
             scale.flags.writeable = False
         return scale
 
-    def functional_rows(self, state: dict) -> dict:
-        return {"kind": "kl", "coeffs": state["coeffs"]}
+    def functional_rows(self, coeffs: np.ndarray, level: int) -> dict:
+        return {"kind": "kl", "coeffs": coeffs}
 
 
 def bridge_model() -> BridgeModel:
@@ -230,8 +203,10 @@ def kl_model(spec: EigenSpec) -> KLModel:
 class LipFunctional:
     """Real functional on the model space with Lipschitz constant one.
 
-    ``rows`` evaluates a batch: it receives the dict produced by the model's
-    ``functional_rows`` and returns one value per sample row.
+    ``rows`` evaluates a batch: it receives the dict the model's
+    ``functional_rows`` makes of coefficient rows, ``{"kind": "bridge",
+    "nodes": node rows}`` or ``{"kind": "kl", "coeffs": coefficient rows}``,
+    and returns one value per row.
     """
 
     name: str
@@ -246,8 +221,7 @@ class LipFunctional:
         """
         if isinstance(x, BridgePath):
             nodes = x.node_values()
-            return float(self.rows({"kind": "bridge", "nodes": np.stack([nodes, nodes]),
-                                    "coeffs": np.stack([x.coeffs, x.coeffs])})[0])
+            return float(self.rows({"kind": "bridge", "nodes": np.stack([nodes, nodes])})[0])
         if isinstance(x, KLVector):
             return float(self.rows({"kind": "kl", "coeffs": np.stack([x.coeffs, x.coeffs])})[0])
         raise TypeError(f"unsupported argument type {type(x).__name__}")
@@ -346,19 +320,23 @@ def make_soft_linear(weights) -> LipFunctional:
     return LipFunctional("soft_linear", rows)
 
 
-def builtin_functionals(clip: float = 1.0, weights=(0.6, 0.48, 0.384, 0.3072)) -> dict[str, LipFunctional]:
+CLIP = 1.0  # clip level of the catalog's clipped_norm
+SOFT_WEIGHTS = (0.6, 0.48, 0.384, 0.3072)  # weights of the catalog's soft_linear
+
+
+def builtin_functionals() -> dict[str, LipFunctional]:
     """Catalog of 1-Lipschitz functionals addressable by name."""
     return {
         "coord1": make_coord(1),
         "coord2": make_coord(2),
         "norm": make_norm(),
-        "clipped_norm": make_clipped_norm(clip),
-        "soft_linear": make_soft_linear(weights),
+        "clipped_norm": make_clipped_norm(CLIP),
+        "soft_linear": make_soft_linear(SOFT_WEIGHTS),
     }
 
 
-def lookup_functional(name: str, **kwargs) -> LipFunctional:
-    catalog = builtin_functionals(**kwargs)
+def lookup_functional(name: str) -> LipFunctional:
+    catalog = builtin_functionals()
     if name not in catalog:
         raise ConfigurationError(
             f"unknown functional {name!r}; available: {sorted(catalog)}")
@@ -382,12 +360,13 @@ class MLMCResult:
         return math.sqrt(sum(v / n for v, n in zip(self.level_vars, self.level_ns)))
 
 
-def _evaluate(f: LipFunctional, model, state: dict,
-              coarse: bool = False) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """``f.rows`` of every row of the drawn ``state`` and, with ``coarse``,
-    of its coarsening one level down (else None), decoded by
-    ``model.decode_rows`` in blocks that hold at most _EVAL_BYTES of fine
-    node values each.
+def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows, min_bits: int,
+              coarse: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """``f.rows`` of every row of ``drawn`` (rows of ``level``) and, with
+    ``coarse``, of its coarsening one level down (else None), decoded by
+    :func:`gausskl.decode_rows` in blocks that hold at most _EVAL_BYTES of
+    fine node values each; a block's coarse rows are re-truncated from its
+    index rows by ``model.coarsen_rows``.
 
     Only the drawn words and one block are held; fine coefficient blocks are
     decoded into one reused buffer.  Rows are evaluated independently, so
@@ -395,19 +374,37 @@ def _evaluate(f: LipFunctional, model, state: dict,
     single row unless the batch has: numpy's matmul rounds a one-row product
     differently (seen with the KL ``soft_linear``).
     """
-    n = state["drawn"].n
-    dim = model.level_dim(state["level"])
+    n = drawn.n
+    dim = model.level_dim(level)
+    width = model.level_dim(level - 1) if coarse else 0
+    scale = model.scale(level)
     step = max(2, _EVAL_BYTES // (8 * (dim + 2)))
     bounds = [0, n] if n <= step else [*range(0, n - 1, step), n]  # a last single row joins the block before it
     buf = np.empty((min(n, step + 1), dim))
     y = np.empty(n, dtype=np.float64)
     y_coarse = np.empty(n, dtype=np.float64) if coarse else None
     for a, b in zip(bounds, bounds[1:]):
-        fine, coarse_rows = model.decode_rows(state, a, b, coarse, buf[:b - a])
-        y[a:b] = f.rows(model.functional_rows(fine))
+        coeffs, idx = gausskl.decode_rows(drawn, a, b, scale, width, buf[:b - a])
+        y[a:b] = f.rows(model.functional_rows(coeffs, level))
         if coarse:
-            y_coarse[a:b] = f.rows(model.functional_rows(coarse_rows))
+            coarse_coeffs, _ = model.coarsen_rows(idx, level, min_bits)
+            y_coarse[a:b] = f.rows(model.functional_rows(coarse_coeffs, level - 1))
     return y, y_coarse
+
+
+def _level_values(f: LipFunctional, model, src: BitSource, level: int, n: int, min_bits: int,
+                  coarse: bool, ledger: CostLedger) -> np.ndarray:
+    """f at n rows of ``level`` drawn from ``src``, minus f at their coupled
+    coarsening with ``coarse``; charges the bits drawn and the oracle cost
+    and coefficients of every evaluated row to ``ledger``."""
+    before = src.bits_drawn
+    drawn = model.sample_rows(src, level, n, min_bits)
+    ledger.bits += src.bits_drawn - before
+    y, y_coarse = _evaluate(f, model, level, drawn, min_bits, coarse)
+    dims = model.level_dim(level) + (model.level_dim(level - 1) if coarse else 0)
+    ledger.oracle_cost += n * dims
+    ledger.coeff_ops += n * dims
+    return y - y_coarse if coarse else y
 
 
 def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource,
@@ -420,8 +417,8 @@ def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource,
     level blocks independently reproducible; bit counts are summed into the
     same ledger.
 
-    A level draws all its N_l rows at once, in the stream order of
-    :func:`gausskl.sample_rows`, and holds only their words
+    A level (:func:`_level_values`) draws all its N_l rows at once, in the
+    stream order of :func:`gausskl.sample_rows`, and holds only their words
     (N_l |p(l)| / 8 bytes).  Its fine and coarse terms are decoded and
     evaluated in cache-sized blocks of rows (:func:`_evaluate`); each
     block's coarse rows are re-truncated from its index rows.
@@ -435,17 +432,8 @@ def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource,
     for level in range(1, params.L + 1):
         n = params.N[level - 1]
         level_src = src if base_seed is None else child_source(base_seed, level)
-        before = level_src.bits_drawn
-        fine = model.sample_rows(level_src, level, n, min_bits)
-        ledger.bits += level_src.bits_drawn - before
+        y = _level_values(f, model, level_src, level, n, min_bits, level >= 2, ledger)
         expected_bits += n * model.bits_per_fine(level, min_bits)
-        y, y_coarse = _evaluate(f, model, fine, coarse=level >= 2)
-        ledger.oracle_cost += n * model.level_dim(level)
-        ledger.coeff_ops += n * model.level_dim(level)
-        if level >= 2:
-            y = y - y_coarse
-            ledger.oracle_cost += n * model.level_dim(level - 1)
-            ledger.coeff_ops += n * model.level_dim(level - 1)
         mean = float(np.mean(y))
         estimate += mean
         level_means.append(mean)
@@ -461,11 +449,12 @@ def plain_mc(f: LipFunctional, model, level: int, n: int, src: BitSource,
              min_bits: int = 0, batch: int = 4096) -> tuple[float, float, CostLedger]:
     """Single-level Monte Carlo reference at the given level: (mean, stderr, ledger).
 
-    Rows are drawn ``batch`` at a time in the stream order of
-    :func:`gausskl.sample_rows`.  A batch is held as its drawn words
-    (batch * |p| / 8 bytes) and decoded and evaluated in cache-sized blocks
-    (:func:`_evaluate`), so no (batch, dim) array and no index row is ever
-    built; neither changes a value.
+    Rows are drawn ``batch`` at a time (:func:`_level_values`, with no
+    coarse term) in the stream order of :func:`gausskl.sample_rows`.  A
+    batch is held as its drawn words (batch * |p| / 8 bytes) and decoded
+    and evaluated in cache-sized blocks (:func:`_evaluate`), so no
+    (batch, dim) array and no index row is ever built; neither changes a
+    value.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -477,12 +466,7 @@ def plain_mc(f: LipFunctional, model, level: int, n: int, src: BitSource,
     done = 0
     while done < n:
         b = min(batch, n - done)
-        before = src.bits_drawn
-        state = model.sample_rows(src, level, b, min_bits)
-        ledger.bits += src.bits_drawn - before
-        y, _ = _evaluate(f, model, state)
-        ledger.oracle_cost += b * model.level_dim(level)
-        ledger.coeff_ops += b * model.level_dim(level)
+        y = _level_values(f, model, src, level, b, min_bits, False, ledger)
         total += float(np.sum(y))
         total_sq += float(np.sum(y * y))
         done += b

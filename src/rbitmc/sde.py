@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bitcore import BitSource, CostLedger, truncate_indices
+from .bitcore import BitSource, CostLedger, sample_dyadic_uniform_array, truncate_indices
 from .bridge import allocation_bridge, allocation_bridge_total, evaluate_coeffs
 from .errors import ConfigurationError, InternalInvariantError, NumericFailure
 from .gausskl import sample_rows
@@ -107,7 +107,7 @@ def rbit_milstein_path(src: BitSource, model: SDEModel, m: int, q: int) -> Milst
     The q-bit dyadic uniforms are retained (as grid indices) so the coupled
     exact-increment companion can be reconstructed by the caller.
     """
-    idx = src.draw_bits_array(q, m) + np.uint64(1)
+    idx = sample_dyadic_uniform_array(src, q, m)
     y = grid_normal_values(idx, q)
     values = _milstein_rows(model, m, y[np.newaxis, :])[0]
     return MilsteinPath(m, values, y, f"bits({q})", retained_indices=idx)
@@ -174,7 +174,7 @@ def _step_blocks(steps: int, reps: int):
 
 def _draw_steps(src: BitSource, p: int, steps: int, reps: int) -> np.ndarray:
     """1-based p-bit indices, shape (steps, reps), drawn step-major."""
-    return src.draw_bits_array(p, steps * reps).reshape(steps, reps) + np.uint64(1)
+    return sample_dyadic_uniform_array(src, p, steps * reps).reshape(steps, reps)
 
 
 def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: int,
@@ -196,6 +196,8 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
+    if not isinstance(q, (int, np.integer)) or not 1 <= q <= PARENT_BITS:  # truncations of the parents
+        raise ValueError(f"q must be an integer in [1, {PARENT_BITS}], got {q!r}")
     if reps < 1:
         raise ValueError("reps must be a positive integer")
     if reference not in ("auto", "exact", "fine"):

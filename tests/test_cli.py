@@ -324,6 +324,14 @@ def test_sde_error_without_steps_is_bad_input(capsys):
     assert err.startswith("error: m must be a positive integer") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("q", ["0", "-1", "64"])
+def test_sde_error_q_outside_the_parent_bits_is_bad_input(tmp_path, capsys, q):
+    csv = tmp_path / "sde.csv"
+    assert main(["sde-error", "--q", q, "--mmin", "4", "--mmax", "8", "--reps", "5", "--csv", str(csv)]) == 2
+    assert not csv.exists()
+    assert capsys.readouterr().err.startswith("error: q must be an integer in [1, 63]")
+
+
 @pytest.mark.parametrize("functional", ["coord2", "soft_linear"])
 def test_mlmc_runs_every_bridge_functional(functional, capsys):
     args = ["mlmc", "--eps", "0.125", "--functional", functional, "--fixtures", FIXTURES]

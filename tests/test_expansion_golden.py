@@ -46,10 +46,11 @@ def _kl_chain():
 
 def _model_rows(model, seed, level, n, min_bits):
     src = BitSource(seed)
-    fine = model.sample_rows(src, level, n, min_bits)
+    drawn = model.sample_rows(src, level, n, min_bits)
     assert src.bits_drawn == n * model.bits_per_fine(level, min_bits)
-    coarse = model.coarsen_rows(fine, min_bits)
-    return [d for s in (fine, coarse) for d in _pair(s["coeffs"], s["idx"])]
+    coeffs, idx = G.decode_rows(drawn, 0, n, model.scale(level), len(drawn.alloc))
+    coarse = model.coarsen_rows(idx, level, min_bits)
+    return [d for rows in ((coeffs, idx), coarse) for d in _pair(*rows)]
 
 
 def _refined_path():

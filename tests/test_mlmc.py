@@ -14,6 +14,11 @@ BRIDGE = M.bridge_model()
 KL_SPEC = EigenSpec(beta=2.0, alpha=0.0)
 
 
+def _decode(model, level, drawn):
+    """(coefficient rows, index rows) of every row drawn by ``model.sample_rows``."""
+    return G.decode_rows(drawn, 0, drawn.n, model.scale(level), len(drawn.alloc))
+
+
 def test_params_reference_case():
     p = M.mlmc_params(math.exp(-2.0), 2.0, 0.0)
     assert abs(p.z - (1.0 + math.exp(2.0))) < 1e-12
@@ -93,11 +98,11 @@ def test_estimator_deterministic():
 
 def test_coupling_bit_exact():
     src = BitSource(8)
-    state = BRIDGE.sample_rows(src, 5, 64)
-    c1 = BRIDGE.coarsen_rows(state)
-    c2 = BRIDGE.coarsen_rows(state)
-    assert np.array_equal(c1["idx"], c2["idx"])
-    assert np.array_equal(c1["coeffs"], c2["coeffs"])
+    _, idx = _decode(BRIDGE, 5, BRIDGE.sample_rows(src, 5, 64))
+    c1, i1 = BRIDGE.coarsen_rows(idx, 5)
+    c2, i2 = BRIDGE.coarsen_rows(idx, 5)
+    assert np.array_equal(i1, i2)
+    assert np.array_equal(c1, c2)
 
 
 def test_zero_mean_estimator_200_runs():
@@ -147,9 +152,9 @@ def test_variance_decay_slope():
     variances = []
     for level in levels:
         src = BitSource(900 + level)
-        state = BRIDGE.sample_rows(src, level, 2000)
-        y = (f.rows(BRIDGE.functional_rows(state))
-             - f.rows(BRIDGE.functional_rows(BRIDGE.coarsen_rows(state))))
+        coeffs, idx = _decode(BRIDGE, level, BRIDGE.sample_rows(src, level, 2000))
+        y = (f.rows(BRIDGE.functional_rows(coeffs, level))
+             - f.rows(BRIDGE.functional_rows(BRIDGE.coarsen_rows(idx, level)[0], level - 1)))
         variances.append(float(np.var(y, ddof=1)))
     slope = np.polyfit(levels, np.log2(variances), 1)[0]
     assert slope <= -0.8
@@ -217,12 +222,13 @@ MODELS = {"bridge": BRIDGE, "kl": M.kl_model(KL_SPEC)}
 def test_blocked_evaluation_equals_whole_batch(model_name, name, n, monkeypatch):
     model, f = MODELS[model_name], M.lookup_functional(name)
     fine = model.sample_rows(BitSource(17), 5, n)
-    for k, state in enumerate((fine, model.coarsen_rows(fine))):
-        whole = f.rows(model.functional_rows(state)).tobytes()
-        assert M._evaluate(f, model, fine, True)[k].tobytes() == whole  # one block
+    coeffs, idx = _decode(model, 5, fine)
+    for k, (rows, level) in enumerate(((coeffs, 5), (model.coarsen_rows(idx, 5)[0], 4))):
+        whole = f.rows(model.functional_rows(rows, level)).tobytes()
+        assert M._evaluate(f, model, 5, fine, 0, True)[k].tobytes() == whole  # one block
         for budget in (8 * 34 * 7, 8 * 34 * 5, 1):  # blocks of 5-14 rows, and of 2-3 rows
             monkeypatch.setattr(M, "_EVAL_BYTES", budget)
-            assert M._evaluate(f, model, fine, True)[k].tobytes() == whole, budget
+            assert M._evaluate(f, model, 5, fine, 0, True)[k].tobytes() == whole, budget
         monkeypatch.undo()
 
 
@@ -249,9 +255,9 @@ def test_plain_mc_draws_no_index_rows(monkeypatch):
     sample = M.ExpansionModel.sample_rows
 
     def spy(self, *args, **kwargs):
-        state = sample(self, *args, **kwargs)
-        seen.append(("idx" in state, "coeffs" in state, state["drawn"].n))
-        return state
+        drawn = sample(self, *args, **kwargs)
+        seen.append((type(drawn), drawn.n))
+        return drawn
 
     decode = G.decode_rows
 
@@ -264,7 +270,7 @@ def test_plain_mc_draws_no_index_rows(monkeypatch):
     monkeypatch.setattr(G, "decode_rows", blocks)
     monkeypatch.setattr(M, "_EVAL_BYTES", 8 * 65 * 4)  # level 6: blocks of 4 rows
     M.plain_mc(M.lookup_functional("norm"), BRIDGE, 6, 50, BitSource(3), batch=20)
-    assert seen == [(False, False, 20), (False, False, 20), (False, False, 10)]
+    assert seen == [(G.DrawnRows, 20), (G.DrawnRows, 20), (G.DrawnRows, 10)]
     assert sum(rows for rows, _ in decoded) == 50 and max(rows for rows, _ in decoded) == 4
     assert all(idx is None for _, idx in decoded)
 
@@ -284,12 +290,11 @@ def test_bridge_functionals_refine_coarse_meshes(name, target, level):
     # level of the functional's finest hat and put through nodes_from_coeffs
     from rbitmc.bridge import nodes_from_coeffs
     f = M.lookup_functional(name)
-    state = BRIDGE.sample_rows(BitSource(40 + level), level, 9)
-    coeffs = state["coeffs"]
+    coeffs, _ = _decode(BRIDGE, level, BRIDGE.sample_rows(BitSource(40 + level), level, 9))
     padded = np.zeros((coeffs.shape[0], (1 << max(level, target)) - 1))
     padded[:, :coeffs.shape[1]] = coeffs
-    fine = {"kind": "bridge", "nodes": nodes_from_coeffs(padded, max(level, target)), "coeffs": padded}
-    got = f.rows(BRIDGE.functional_rows(state))
+    fine = {"kind": "bridge", "nodes": nodes_from_coeffs(padded, max(level, target))}
+    got = f.rows(BRIDGE.functional_rows(coeffs, level))
     assert got.tobytes() == f.rows(fine).tobytes()
     assert np.all(np.isfinite(got)) and np.any(got != 0.0)
 
@@ -299,10 +304,10 @@ def test_evaluate_equals_batch_rows(model_name):
     # a single vector gets the value its row gets inside the batch, also for
     # the KL soft_linear, whose one-row matmul rounds differently
     model, level, n = MODELS[model_name], 5, 205
-    state = model.sample_rows(BitSource(7), level, n)
-    coeffs, idx, alloc = state["coeffs"], state["idx"], state["alloc"]
+    drawn = model.sample_rows(BitSource(7), level, n)
+    (coeffs, idx), alloc = _decode(model, level, drawn), drawn.alloc
     for name, f in M.builtin_functionals().items():
-        batch = f.rows(model.functional_rows(state))
+        batch = f.rows(model.functional_rows(coeffs, level))
         for i in range(n):
             if model_name == "kl":
                 x = KLVector(1 << level, coeffs[i], idx[i], alloc)

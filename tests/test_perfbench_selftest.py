@@ -2,9 +2,13 @@
 breaks the benchmark (a renamed, removed or re-wrapped public function, an
 import site its tracer pins) fails here too."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+from rbitmc import mlmc as M
+from rbitmc.bitcore import BitSource
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -13,3 +17,27 @@ def test_perfbench_selftest_passes():
     run = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
                          cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_tracer_hooks_see_the_mlmc_layers():
+    # the tracer keys its mlmc metrics on method and parameter names; a
+    # rename reads 0 (or counts a hook error) rather than failing the run
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        f, model = M.lookup_functional("norm"), M.bridge_model()
+        params = M.mlmc_params(2.0 ** -3, model.beta, model.alpha)
+        M.mlmc_estimate(f, model, params, BitSource(1))
+        M.plain_mc(f, model, 4, 50, BitSource(2))
+    finally:
+        tr.uninstall()
+    metrics = tr.layer_metrics(1)
+    names = ["mlmc.rows", "mlmc.coeff_ops",
+             *(f"mlmc.level.{level}.s" for level in range(1, params.L + 1)),
+             *(f"mlmc.{layer}.self_s" for layer in ("mlmc_estimate", "plain_mc", "sample_rows",
+                                                    "coarsen_rows", "functional_rows", "functional"))]
+    assert [name for name in names if not metrics[name][0] > 0] == []
+    assert "trace.hook_errors" not in tr.counters

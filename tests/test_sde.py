@@ -209,3 +209,21 @@ def test_strong_error_golden_values(m, q, reps, seed, reference, rms_hex, bits):
 def test_strong_error_rejects_no_steps(m):
     with pytest.raises(ValueError, match="m must be a positive integer"):
         S.strong_error_experiment(S.geometric_model(0.05, 0.2, 1.0), m, 8, 5, 1)
+
+
+@pytest.mark.parametrize("reference", ["auto", "fine"])
+@pytest.mark.parametrize("q", [0, -1, 64, 2.5])
+def test_strong_error_rejects_q_outside_the_parent_bits(q, reference, monkeypatch):
+    # q = 0 would give all-zero increments, q < 0 and q = 2.5 a numpy shift
+    # error: all are refused before any bit is drawn
+    sources = []
+
+    class Recording(BitSource):
+        def __init__(self, seed):
+            super().__init__(seed)
+            sources.append(self)
+
+    monkeypatch.setattr(S, "BitSource", Recording)
+    with pytest.raises(ValueError, match=r"q must be an integer in \[1, 63\]"):
+        S.strong_error_experiment(GM, 8, q, 5, 1, reference=reference)
+    assert all(src.bits_drawn == 0 for src in sources)
