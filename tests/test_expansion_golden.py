@@ -3,6 +3,8 @@
 Each case pins the sha256 of ``.tobytes()`` of the coefficient rows and the
 retained index rows, so any change in draw order, bit counts, coarsening
 or scaling of the bridge, KL and MLMC samplers shows up as a digest change.
+The Milstein cases pin the skeleton values, its retained indices and the
+bits drawn.
 """
 
 import hashlib
@@ -60,6 +62,14 @@ def _refined_path():
     return [_digest(r.bridge_coeffs)]
 
 
+def _milstein_path(q, head=0):
+    src = BitSource(2031 + q)
+    if head:
+        src.draw_bits(head)
+    path = S.rbit_milstein_path(src, S.geometric_model(0.05, 0.2, 1.0), 37, q)
+    return [_digest(path.values), _digest(path.retained_indices), src.bits_drawn]
+
+
 CASES = {
     "bridge": _bridge_chain,
     "kl": _kl_chain,
@@ -69,6 +79,12 @@ CASES = {
     "kl_model_min0": lambda: _model_rows(M.kl_model(SPEC), 2029, 6, 9, 0),
     "kl_model_min4": lambda: _model_rows(M.kl_model(SPEC), 2030, 6, 9, 4),
     "refined_path": _refined_path,
+    "milstein_q2": lambda: _milstein_path(2),
+    "milstein_q5": lambda: _milstein_path(5),
+    # the skeleton starts 3 bits into the stream
+    "milstein_q8_head3": lambda: _milstein_path(8, head=3),
+    "milstein_q52": lambda: _milstein_path(52),
+    "milstein_q63": lambda: _milstein_path(63),
 }
 
 GOLDEN = {
@@ -112,6 +128,31 @@ GOLDEN = {
     ],
     "refined_path": [
         "7d2efaf9020c31eaeb20d862d16f2eaec3b1b7f0ddc63525c8f309adf3dff1ac",
+    ],
+    "milstein_q2": [
+        "6b9ab73f11fe5d77407ea6ef9b2f76c1389a3935713f97e29f059f5c063b9f5a",
+        "7a6f088a359c8d49c2157fef73aa0ee942a6b28f4572cd67c1a33ebc97281228",
+        74,
+    ],
+    "milstein_q5": [
+        "6aafd81c10a683414d1680882defb17e9c73f34f6e32a92c9904973bbee19712",
+        "2a204c6cc7f4e464fe9709ef1e7de7a3dcbcfe6e4e2b17f4c08dd5bc1c85caae",
+        185,
+    ],
+    "milstein_q8_head3": [
+        "9f11a98a62d56609503f340d476d8138207dc4938022c693eff20064e75bc25f",
+        "5162a07ea52755e104c42c8fc9659a475ae54a7becaa018658c24c96f02037ba",
+        299,
+    ],
+    "milstein_q52": [
+        "e46fb8ee22d0159584f2c40446fcf065277170169062f42e829b11d364c5069e",
+        "3416ba01293a1db539cd8e7e778452f8cc8ff9479ea8c3c861f0de9ad8ff7bac",
+        1924,
+    ],
+    "milstein_q63": [
+        "8f75f1a50cd5472a2bdd0c9beab1f451268d8a3927d4888c2ce2575329ca55b2",
+        "f7c575eda038400d7c89608b4aecf38b59102cc565ecf67abb6b9210cc2b6c5f",
+        2331,
     ],
 }
 
