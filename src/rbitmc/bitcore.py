@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -59,38 +58,24 @@ class DyadicValue:
 class BitSource:
     """Counted stream of independent fair bits with deterministic seeding.
 
-    Bits come from the 64-bit output words of a PCG64 generator (period
-    2**128) and are consumed most-significant-first, so the leading bits of
-    any multi-bit draw coincide with what a coarser draw from the same
-    stream position would have returned.
+    Bits are the 64-bit output words of a PCG64 generator (period 2**128),
+    read straight from ``PCG64(seed).random_raw`` and consumed
+    most-significant-first, so the leading bits of any multi-bit draw
+    coincide with what a coarser draw from the same stream position would
+    have returned.  :meth:`take_words` is the draw of every batch sampler
+    (through :func:`gausskl.sample_rows`); :meth:`draw_bits` draws single
+    values and is the scalar oracle the tests hold the batch draws against.
 
     A BitSource is single-owner: parallel replications should each construct
     their own source, e.g. via :func:`child_source`.
     """
 
-    _BLOCK = 1024  # words fetched from the generator at a time
-
     def __init__(self, seed: int):
         self.seed = int(seed)
         self.bits_drawn = 0
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-        self._words: np.ndarray = np.empty(0, dtype=np.uint64)
-        self._cursor = 0
+        self._raw = np.random.PCG64(self.seed).random_raw
         self._partial = 0  # unconsumed bits of the current word, right-aligned
         self._avail = 0
-
-    def _next_words(self, n: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        out = np.empty(n, dtype=np.uint64) if out is None else out
-        got = 0
-        while got < n:
-            if self._cursor == len(self._words):
-                self._words = self._gen.integers(0, 2**64, size=self._BLOCK, dtype=np.uint64)
-                self._cursor = 0
-            take = min(n - got, len(self._words) - self._cursor)
-            out[got:got + take] = self._words[self._cursor:self._cursor + take]
-            self._cursor += take
-            got += take
-        return out
 
     def draw_bits(self, p: int) -> int:
         """Return p fresh bits packed as an integer in [0, 2**p)."""
@@ -101,7 +86,7 @@ class BitSource:
             self._partial &= (1 << self._avail) - 1
         else:
             need = p - self._avail
-            word = int(self._next_words(1)[0])
+            word = self._raw()
             out = (self._partial << need) | (word >> (64 - need))
             self._partial = word & ((1 << (64 - need)) - 1)
             self._avail = 64 - need
@@ -113,10 +98,9 @@ class BitSource:
 
         Equivalent to ``n`` successive :meth:`draw_bits` calls, in the same
         stream order: the words that hold the p n bits are taken
-        (:meth:`take_words`, about p n / 8 bytes), then decoded whole by
-        :func:`read_fields`, which holds the three paths, into n uint64
-        values.  Callers that want blocks of a long draw keep the words and
-        call :func:`read_fields` per block instead.
+        (:meth:`take_words`) and decoded whole by :func:`read_fields`.  No
+        sampler of the package calls it; they draw rows through
+        :func:`gausskl.sample_rows`.
         """
         _check_precision(p)
         if n < 0:
@@ -135,7 +119,7 @@ class BitSource:
         nwords = -(-max(total - self._avail, 0) // 64)
         w = np.zeros(nwords + 2, dtype=np.uint64)
         w[0] = self._partial
-        self._next_words(nwords, w[1:nwords + 1])
+        w[1:nwords + 1] = self._raw(nwords)
         start = 64 - self._avail
         self._avail += 64 * nwords - total
         self._partial = int(w[nwords]) & ((1 << self._avail) - 1)
@@ -149,26 +133,24 @@ def read_fields(words: np.ndarray, start: int, p: int, n: int) -> np.ndarray:
 
     A pure function of its arguments: any block of values of a stream taken
     by :meth:`BitSource.take_words` can be decoded on its own, in any order.
-    ``words`` must hold one word past the last bit read.  Three paths give
-    the same values, selected by p and n:
+    ``words`` must hold one word past the last bit read.  Two paths give
+    the same values, selected by p and n (runs at p in {1, 2, 4, 8} of a
+    sampled expansion are read by :func:`gausskl.decode_rows` as bytes
+    instead):
 
-    - p in {1, 2, 4, 8} reads the bytes that hold the values
-      (:func:`read_bytes`) and splits each byte into its 8/p fields with one
-      lookup in the (256, 8/p) table :func:`byte_fields`.
     - p > 52, and reads of at least _GATHER_MIN_BITS bits at 4 < p <= 52,
       gather each value from the one or two 64-bit words it straddles, with
       no per-bit pass.
-    - all other reads (p = 3, and shorter reads at 4 < p <= 52) unpack the
+    - all other reads (p <= 4, and shorter reads at 4 < p <= 52) unpack the
       words into bits and pack each row of p bits with a float matmul, exact
       up to 52 bits.  They need fewer numpy calls than the gather.  On a
       2-vCPU x86 VM the gather was 1.2-2.6x faster at 9 <= p <= 52 from
       about 2^15 bits on, 1.1-1.3x at p = 5..7 on long reads (n = 64k-2M),
-      and slower at p = 3.
+      and slower at p = 3; on reads of at most 64 values the gather took
+      about 15 us per call against 10 us for the unpack.
     """
     if n == 0:
         return np.empty(0, dtype=np.uint64)
-    if 8 % p == 0:
-        return byte_fields(p)[read_bytes(words, start, p, n)].reshape(-1)[:n]
     w = words[start >> 6:]
     start &= 63
     if p > 52 or (p > 4 and p * n >= _GATHER_MIN_BITS):
@@ -191,12 +173,12 @@ def read_bytes(words: np.ndarray, start: int, p: int, n: int) -> np.ndarray:
     from bit ``start`` of ``words`` on, as uint8 codes.
 
     Returns ceil(p n / 8) codes, most significant bit first: value j is
-    field j % (8/p) of byte j // (8/p), so the values are
-    ``byte_fields(p)[codes].reshape(-1)[:n]``; the bits of the last byte past
-    them are not defined.  When ``start`` is not on a byte boundary, the
-    bytes are shifted into place with one extra pass.  Only the words that
-    hold the values are converted; ``words`` must hold one word past the
-    last bit read.
+    field j % (8/p) of byte j // (8/p), so the 1-based grid indices of the
+    values are ``byte_fields(p)[codes].reshape(-1)[:n]``; the bits of the
+    last byte past them are not defined.  When ``start`` is not on a byte
+    boundary, the bytes are shifted into place with one extra pass.  Only
+    the words that hold the values are converted; ``words`` must hold one
+    word past the last bit read.
     """
     first, shift = divmod(start & 63, 8)
     nbytes = -(-p * n // 8)
@@ -208,23 +190,21 @@ def read_bytes(words: np.ndarray, start: int, p: int, n: int) -> np.ndarray:
 
 
 _BYTE_PRECISIONS = (1, 2, 4, 8)
-_BYTE_TABLES: dict[tuple[int, int], np.ndarray] = {}
+_BYTE_TABLES: dict[int, np.ndarray] = {}
 
 
-def byte_fields(p: int, base: int = 0) -> np.ndarray:
-    """(256, 8/p) uint64 table whose row b holds ``base`` plus the p-bit
-    fields of byte b, most significant first, for p in {1, 2, 4, 8}.
-
-    ``base=1`` gives the 1-based grid indices of the fields.
+def byte_fields(p: int) -> np.ndarray:
+    """(256, 8/p) uint64 table whose row b holds the 1-based grid indices
+    of the p-bit fields of byte b (each field plus one), most significant
+    first, for p in {1, 2, 4, 8}.
     """
-    key = (p, base)
-    table = _BYTE_TABLES.get(key)
+    table = _BYTE_TABLES.get(p)
     if table is None:
         if p not in _BYTE_PRECISIONS:
             raise ValueError(f"byte tables need p in {_BYTE_PRECISIONS}, got {p!r}")
         shifts = np.arange(8 - p, -1, -p, dtype=np.uint64)
         fields = (np.arange(256, dtype=np.uint64)[:, np.newaxis] >> shifts) & np.uint64((1 << p) - 1)
-        table = _BYTE_TABLES[key] = fields + np.uint64(base)
+        table = _BYTE_TABLES[p] = fields + np.uint64(1)
         table.flags.writeable = False  # shared by every caller
     return table
 
@@ -242,11 +222,6 @@ def child_source(base_seed: int, *key: int) -> BitSource:
 def sample_dyadic_uniform(src: BitSource, p: int) -> DyadicValue:
     """Uniform draw from the p-bit midpoint grid D(p); consumes exactly p bits."""
     return DyadicValue(src.draw_bits(p) + 1, p)
-
-
-def sample_dyadic_uniform_array(src: BitSource, p: int, n: int) -> np.ndarray:
-    """Indices (1-based, uint64) of ``n`` uniform draws from D(p)."""
-    return src.draw_bits_array(p, n) + np.uint64(1)
 
 
 def dyadic_values(indices: np.ndarray, p: int) -> np.ndarray:

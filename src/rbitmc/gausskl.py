@@ -29,6 +29,7 @@ from .normal import bit_normal_mse_extended, checked_quad, grid_normal_byte_tabl
 
 MAX_ALLOC_BITS = 63
 _TAIL_EXTEND = 4096  # terms tail_sum looks past M for the eigenvalues to stop rising
+_TAIL_REL_INCREMENT = 1e-6  # tail_sum sums directly until a term falls below this share
 
 
 @dataclass
@@ -140,7 +141,7 @@ def decode_rows(drawn: DrawnRows, a: int, b: int, scale: Optional[np.ndarray] = 
             codes = read_bytes(drawn.words, at, p, nb * w)
             coeffs[:, c0:c1] = grid_normal_byte_table(p)[codes].reshape(-1)[:nb * w].reshape(nb, w)
             if k > 0:
-                idx[:, c0:c0 + k] = byte_fields(p, 1)[codes].reshape(-1)[:nb * w].reshape(nb, w)[:, :k]
+                idx[:, c0:c0 + k] = byte_fields(p)[codes].reshape(-1)[:nb * w].reshape(nb, w)[:, :k]
         else:
             fields = read_fields(drawn.words, at, p, nb * w).reshape(nb, w) + np.uint64(1)
             coeffs[:, c0:c1] = grid_normal_values(fields, p)
@@ -219,11 +220,11 @@ def coarsen_kl(x: KLVector, m2: int, spec: EigenSpec,
     return KLVector(m2, coeffs[0], idx[0], alloc2)
 
 
-def tail_sum(m: int, spec: EigenSpec, rel_increment: float = 1e-6) -> tuple[float, float]:
+def tail_sum(m: int, spec: EigenSpec) -> tuple[float, float]:
     """Certified interval for sum_{i > m} lambda_i.
 
     Direct summation proceeds until the next eigenvalue falls below
-    ``rel_increment`` times the partial tail; the remainder is bracketed by
+    ``_TAIL_REL_INCREMENT`` times the partial tail; the remainder is bracketed by
     the integral comparison  int_{M+1}^inf  <=  rest  <=  f(M+1) + int_{M+1}^inf,
     valid once the eigenvalue sequence is decreasing.
 
@@ -239,7 +240,7 @@ def tail_sum(m: int, spec: EigenSpec, rel_increment: float = 1e-6) -> tuple[floa
         vals = f(i)
         partial += float(np.sum(vals))
         big_m += chunk
-        if vals[-1] <= rel_increment * partial:
+        if vals[-1] <= _TAIL_REL_INCREMENT * partial:
             break
         if big_m > 1 << 26:
             break

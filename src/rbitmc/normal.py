@@ -33,13 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc as _erfc
 
-from .bitcore import (
-    BitSource,
-    byte_fields,
-    dyadic_values,
-    sample_dyadic_uniform,
-    sample_dyadic_uniform_array,
-)
+from .bitcore import BitSource, byte_fields, dyadic_values, sample_dyadic_uniform
 from .errors import CapacityError
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -95,6 +89,7 @@ _ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00
 _ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
           3.754408661907416e+00)
 _ACK_SPLIT = 0.02425
+_HALLEY_STEPS = 2
 
 
 def _acklam_low(u: np.ndarray) -> np.ndarray:
@@ -117,10 +112,10 @@ def _acklam_low(u: np.ndarray) -> np.ndarray:
     return y
 
 
-def _halley_low(u: np.ndarray, y: np.ndarray, iterations: int = 2) -> np.ndarray:
+def _halley_low(u: np.ndarray, y: np.ndarray) -> np.ndarray:
     # Solve Phi(y) = u for u in (0, 0.5]; Phi is evaluated through erfc so
     # the residual stays relatively accurate down to the smallest cells.
-    for _ in range(iterations):
+    for _ in range(_HALLEY_STEPS):
         f = 0.5 * _erfc(-y / SQRT_2) - u
         r = f / (INV_SQRT_2PI * np.exp(-0.5 * y * y))
         y = y - r / (1.0 + 0.5 * y * r)
@@ -231,20 +226,14 @@ _BYTE_NORMALS: dict[int, np.ndarray] = {}
 def grid_normal_byte_table(p: int) -> np.ndarray:
     """(256, 8/p) grid normals of the p-bit fields of each byte, p in {1, 2, 4, 8}.
 
-    Row b is ``grid_normal_values(byte_fields(p, 1)[b], p)``, so a lookup by
+    Row b is ``grid_normal_values(byte_fields(p)[b], p)``, so a lookup by
     stream byte gives the values of grid_normal_values by construction.
     """
     table = _BYTE_NORMALS.get(p)
     if table is None:
-        table = _BYTE_NORMALS[p] = grid_normal_values(byte_fields(p, 1), p)
+        table = _BYTE_NORMALS[p] = grid_normal_values(byte_fields(p), p)
         table.flags.writeable = False  # shared by every caller
     return table
-
-
-def bit_normal_sample_array(src: BitSource, p: int, n: int) -> np.ndarray:
-    """n draws of the p-bit normal from one stream; consumes n*p bits."""
-    idx = sample_dyadic_uniform_array(src, p, n)
-    return grid_normal_values(idx, p)
 
 
 def _quantile_density(u):
@@ -341,11 +330,11 @@ def bit_normal_mse_moments(p: int) -> tuple[float, float, float]:
 MSE_SCALED_LIMIT = 1.698411106154
 
 
-def bit_normal_mse_surrogate(p: int, const: float = MSE_SCALED_LIMIT) -> float:
-    """Asymptotic stand-in const * 2**-p / p for the exact mean-square gap."""
+def bit_normal_mse_surrogate(p: int) -> float:
+    """Asymptotic stand-in MSE_SCALED_LIMIT * 2**-p / p for the exact mean-square gap."""
     if p < 1:
         raise ValueError("p must be a positive integer")
-    return const * 2.0 ** -p / p
+    return MSE_SCALED_LIMIT * 2.0 ** -p / p
 
 
 def bit_normal_mse_extended(p: int) -> float:

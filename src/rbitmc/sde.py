@@ -20,10 +20,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bitcore import BitSource, CostLedger, sample_dyadic_uniform_array, truncate_indices
+from .bitcore import BitAllocation, BitSource, CostLedger, truncate_indices  # noqa: F401
 from .bridge import allocation_bridge, allocation_bridge_total, evaluate_coeffs
 from .errors import ConfigurationError, InternalInvariantError, NumericFailure
-from .gausskl import sample_rows
+from .gausskl import coarsen_rows, sample_rows
 from .normal import Phi, grid_normal_values
 
 PARENT_BITS = 63  # precision of the coupling uniforms in experiments
@@ -67,10 +67,20 @@ def geometric_model(mu: float, sigma: float, x0: float = 1.0) -> SDEModel:
 @dataclass
 class MilsteinPath:
     m: int
-    values: np.ndarray            # shape (m + 1,), values at t_k = k/m
-    increments_used: np.ndarray   # normalized increments driving the path
-    bit_mode: str                 # "exact" or "bits(q)"
-    retained_indices: Optional[np.ndarray] = None
+    values: np.ndarray  # shape (m + 1,), values at t_k = k/m
+    retained_indices: Optional[np.ndarray] = None  # q-bit grid indices of a random-bit path
+
+
+def _check_steps(m: int) -> None:
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+
+
+def _check_scheme(m: int, q: int) -> None:
+    """Refuse m steps or q-bit increments before any bit is drawn."""
+    _check_steps(m)
+    if not isinstance(q, (int, np.integer)) or not 1 <= q <= PARENT_BITS:  # truncations of the parents
+        raise ValueError(f"q must be an integer in [1, {PARENT_BITS}], got {q!r}")
 
 
 def _milstein_rows(model: SDEModel, m: int, normals: np.ndarray) -> np.ndarray:
@@ -94,23 +104,24 @@ def _milstein_rows(model: SDEModel, m: int, normals: np.ndarray) -> np.ndarray:
 
 def milstein_path(model: SDEModel, m: int, normals) -> MilsteinPath:
     """Milstein scheme driven by the given normalized increments."""
+    _check_steps(m)
     normals = np.asarray(normals, dtype=np.float64)
     if normals.shape != (m,):
         raise ValueError(f"expected {m} normalized increments, got shape {normals.shape}")
-    values = _milstein_rows(model, m, normals[np.newaxis, :])[0]
-    return MilsteinPath(m, values, normals.copy(), "exact")
+    return MilsteinPath(m, _milstein_rows(model, m, normals[np.newaxis, :])[0])
 
 
 def rbit_milstein_path(src: BitSource, model: SDEModel, m: int, q: int) -> MilsteinPath:
     """Random-bit Milstein scheme; consumes exactly m * q bits.
 
-    The q-bit dyadic uniforms are retained (as grid indices) so the coupled
-    exact-increment companion can be reconstructed by the caller.
+    The m increments are one row of :func:`gausskl.sample_rows` under m
+    q-bit coefficients: q-bit grid normals in step order.  Their grid
+    indices are retained so the coupled exact-increment companion can be
+    reconstructed by the caller.
     """
-    idx = sample_dyadic_uniform_array(src, q, m)
-    y = grid_normal_values(idx, q)
-    values = _milstein_rows(model, m, y[np.newaxis, :])[0]
-    return MilsteinPath(m, values, y, f"bits({q})", retained_indices=idx)
+    _check_scheme(m, q)
+    y, idx = sample_rows(src, BitAllocation(np.full(m, q)), 1)
+    return MilsteinPath(m, _milstein_rows(model, m, y)[0], retained_indices=idx[0])
 
 
 def sde_bit_cost(m: int, q: int, level: int) -> int:
@@ -172,11 +183,6 @@ def _step_blocks(steps: int, reps: int):
         yield k0, min(k0 + per, steps)
 
 
-def _draw_steps(src: BitSource, p: int, steps: int, reps: int) -> np.ndarray:
-    """1-based p-bit indices, shape (steps, reps), drawn step-major."""
-    return sample_dyadic_uniform_array(src, p, steps * reps).reshape(steps, reps)
-
-
 def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: int,
                             reference: str = "auto") -> tuple[float, CostLedger]:
     """RMS of max_k |X_ref(t_k) - X_m^(q)(t_k)| over coupled replications.
@@ -188,16 +194,15 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     otherwise a Milstein path on a 64x finer grid over the same Brownian
     path (reference="fine" forces the fallback).
 
-    Draw order is step-major: all replications of step 1, then of step 2,
-    and so on (53-bit draws over the 64*m fine steps for the fallback).
-    Steps are drawn and transformed in blocks of about 1 MiB of uint64
-    indices (``_BLOCK_BYTES``), at least one step per block; the block size
-    changes neither values nor bit counts.
+    Draw order is step-major: step k is row k of :func:`gausskl.sample_rows`
+    under ``reps`` 63-bit coefficients, one per replication (53-bit rows
+    over the 64*m fine steps for the fallback), and the q-bit increments
+    are its :func:`gausskl.coarsen_rows`.  Steps are drawn and transformed
+    in blocks of about 1 MiB of uint64 indices (``_BLOCK_BYTES``), at least
+    one step per block; the block size changes neither values nor bit
+    counts.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if not isinstance(q, (int, np.integer)) or not 1 <= q <= PARENT_BITS:  # truncations of the parents
-        raise ValueError(f"q must be an integer in [1, {PARENT_BITS}], got {q!r}")
+    _check_scheme(m, q)
     if reps < 1:
         raise ValueError("reps must be a positive integer")
     if reference not in ("auto", "exact", "fine"):
@@ -208,21 +213,24 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     src = BitSource(seed)
     ledger = CostLedger()
     if use_exact:
+        parent = BitAllocation(np.full(reps, PARENT_BITS))
+        child = BitAllocation(np.full(reps, q))
         y = np.empty((reps, m), dtype=np.float64)
         yq = np.empty((reps, m), dtype=np.float64)
         for k0, k1 in _step_blocks(m, reps):
-            idx = _draw_steps(src, PARENT_BITS, k1 - k0, reps)
-            y[:, k0:k1] = grid_normal_values(idx, PARENT_BITS).T
-            yq[:, k0:k1] = grid_normal_values(truncate_indices(idx, PARENT_BITS, q), q).T
+            y_blk, idx = sample_rows(src, parent, k1 - k0)
+            y[:, k0:k1] = y_blk.T
+            yq[:, k0:k1] = coarsen_rows(idx, parent, child)[0].T
         ledger.bits += PARENT_BITS * m * reps
         w = np.cumsum(y, axis=1) / math.sqrt(m)
         t = np.arange(1, m + 1, dtype=np.float64) / m
         ref = model.exact_strong_solution(t, w)
     else:
         mf = FINE_FACTOR * m
+        fine = BitAllocation(np.full(reps, 53))
         yf = np.empty((reps, mf), dtype=np.float64)
         for k0, k1 in _step_blocks(mf, reps):
-            yf[:, k0:k1] = grid_normal_values(_draw_steps(src, 53, k1 - k0, reps), 53).T
+            yf[:, k0:k1] = sample_rows(src, fine, k1 - k0, indices=False)[0].T
         ledger.bits += 53 * mf * reps
         y = yf.reshape(reps, m, FINE_FACTOR).sum(axis=2) / math.sqrt(FINE_FACTOR)
         u = Phi(y)

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from rbitmc.bitcore import (
     dyadic_values,
     read_bytes,
     sample_dyadic_uniform,
-    sample_dyadic_uniform_array,
     truncate,
     truncate_indices,
 )
@@ -55,12 +56,12 @@ def test_array_draw_wide_words():
 @settings(max_examples=400, deadline=None)
 @given(p=st.integers(1, 63), n=st.one_of(st.integers(0, 300), st.integers(301, 4000)),
        head=st.integers(0, 63), after=st.integers(1, 63), seed=st.integers(0, 2**32 - 1))
-@example(p=2, n=3001, head=3, after=7, seed=1)   # byte path, stream 3 bits off a byte
-@example(p=1, n=4099, head=0, after=9, seed=2)   # byte path, aligned, tail inside a word
-@example(p=4, n=2001, head=4, after=5, seed=3)   # byte path, half-byte offset
-@example(p=8, n=1000, head=63, after=63, seed=4)  # byte path from the last leftover bit
-@example(p=8, n=7, head=8, after=1, seed=5)      # byte draw of exactly the leftover bits
-@example(p=2, n=3, head=61, after=2, seed=6)     # byte draw across a word boundary
+@example(p=2, n=3001, head=3, after=7, seed=1)   # stream 3 bits off a byte
+@example(p=1, n=4099, head=0, after=9, seed=2)   # aligned, tail inside a word
+@example(p=4, n=2001, head=4, after=5, seed=3)   # half-byte offset
+@example(p=8, n=1000, head=63, after=63, seed=4)  # from the last leftover bit
+@example(p=8, n=7, head=8, after=1, seed=5)      # exactly the leftover bits
+@example(p=2, n=3, head=61, after=2, seed=6)     # across a word boundary
 @example(p=6, n=6000, head=5, after=3, seed=7)   # gather at p <= 8 (36000 bits)
 @example(p=5, n=6554, head=1, after=3, seed=8)   # first gathered length at p = 5
 @example(p=9, n=3640, head=9, after=3, seed=9)   # last unpacked length at p = 9
@@ -91,8 +92,7 @@ def test_byte_fields_split_every_byte(p):
     assert table.shape == (256, 8 // p) and table.dtype == np.uint64
     for b in range(256):
         bits = format(b, "08b")
-        assert [int(v) for v in table[b]] == [int(bits[j:j + p], 2) for j in range(0, 8, p)]
-    assert np.array_equal(byte_fields(p, 1), table + np.uint64(1))
+        assert [int(v) for v in table[b]] == [int(bits[j:j + p], 2) + 1 for j in range(0, 8, p)]
 
 
 @pytest.mark.parametrize("head", [0, 3, 8, 61])
@@ -106,7 +106,7 @@ def test_draw_bytes_hold_the_scalar_draws(p, head):
     codes = read_bytes(*a.take_words(p * n), p, n)
     assert codes.dtype == np.uint8 and codes.shape == (-(-p * n // 8),)
     values = byte_fields(p)[codes].reshape(-1)[:n]
-    assert [int(v) for v in values] == [b.draw_bits(p) for _ in range(n)]
+    assert [int(v) for v in values] == [b.draw_bits(p) + 1 for _ in range(n)]
     assert a.bits_drawn == b.bits_drawn == head + p * n
     assert a.draw_bits(13) == b.draw_bits(13)
 
@@ -185,7 +185,7 @@ def test_truncate_indices_matches_truncate_to(data):
 def test_chi_square_uniformity(p):
     n = 100_000
     src = BitSource(1000 + p)
-    idx = sample_dyadic_uniform_array(src, p, n)
+    idx = src.draw_bits_array(p, n) + np.uint64(1)
     counts = np.bincount(idx.astype(np.int64) - 1, minlength=1 << p)
     expected = n / (1 << p)
     stat = float(np.sum((counts - expected) ** 2) / expected)
@@ -196,7 +196,7 @@ def test_chi_square_uniformity(p):
 def test_dyadic_mean_clt():
     n = 1_000_000
     src = BitSource(42)
-    vals = dyadic_values(sample_dyadic_uniform_array(src, 4, n), 4)
+    vals = dyadic_values(src.draw_bits_array(4, n) + np.uint64(1), 4)
     sd = math.sqrt((1.0 - 2.0 ** -8) / 12.0)  # closed-form sd of uniform on D(4)
     assert abs(vals.mean() - 0.5) < 3.0 * sd / 1000.0
 
@@ -225,3 +225,18 @@ def test_allocation_validation():
         BitAllocation(np.array([0, 1]))
     with pytest.raises(ValueError):
         BitAllocation(np.array([], dtype=np.int64))
+
+
+_DRAW_METHODS = {"draw_bits", "draw_bits_array", "take_words"}
+
+
+def test_only_bitcore_and_gausskl_draw_from_the_stream():
+    """Every sampler draws through gausskl.sample_rows: no other module of
+    the package calls a BitSource draw method itself."""
+    callers = set()
+    for path in sorted(Path(__file__).resolve().parents[1].glob("src/rbitmc/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _DRAW_METHODS):
+                callers.add(path.name)
+    assert callers == {"bitcore.py", "gausskl.py"}

@@ -23,10 +23,11 @@ def _sample_batch(src, m, n):
 
 
 @settings(max_examples=150, deadline=None)
-@given(counts=st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]), min_size=1, max_size=24),
+@given(counts=st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 52, 53, 63]), min_size=1, max_size=24),
        n=st.integers(1, 40), head=st.integers(0, 63), seed=st.integers(0, 2**32 - 1))
 @example(counts=[2] * 8 + [4] * 6 + [8] * 3 + [1] * 5, n=37, head=3, seed=1)
 @example(counts=[6] * 5 + [2] * 3, n=9, head=0, seed=2)
+@example(counts=[63] * 5, n=7, head=3, seed=3)  # the rows of sde's 63-bit parents
 def test_sample_rows_matches_scalar_draws(counts, n, head, seed):
     """Both sampling paths give the rows of run-by-run scalar draws; index
     rows are optional and change nothing else."""
@@ -101,7 +102,7 @@ def test_blocked_decode_equals_whole_batch(runs, n, head, seed, data):
 def test_grid_normal_byte_table_matches_grid_normal_values(p):
     table = grid_normal_byte_table(p)
     assert table.shape == (256, 8 // p)
-    assert np.array_equal(table, grid_normal_values(byte_fields(p, 1), p))
+    assert np.array_equal(table, grid_normal_values(byte_fields(p), p))
 
 
 def test_allocation_examples():

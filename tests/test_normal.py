@@ -127,14 +127,14 @@ def test_bit_normal_sampling_matches_support():
     draws = {N.bit_normal_sample(src, 2) for _ in range(200)}
     assert draws <= s2
     assert src.bits_drawn == 400
-    arr = N.bit_normal_sample_array(src, 2, 1000)
+    arr = N.grid_normal_values(src.draw_bits_array(2, 1000) + np.uint64(1), 2)
     assert set(arr) <= s2
 
 
 def test_bit_normal_empirical_mean_p8():
     src = BitSource(20)
     n = 1_000_000
-    draws = N.bit_normal_sample_array(src, 8, n)
+    draws = N.grid_normal_values(src.draw_bits_array(8, n) + np.uint64(1), 8)
     sigma_hat = draws.std(ddof=1)
     assert abs(draws.mean()) < 4.0 * sigma_hat / 1000.0
 
@@ -282,7 +282,7 @@ def test_moments():
 def test_monte_carlo_second_moment_consistency():
     p, n = 10, 1_000_000
     src = BitSource(31)
-    draws = N.bit_normal_sample_array(src, p, n)
+    draws = N.grid_normal_values(src.draw_bits_array(p, n) + np.uint64(1), p)
     m2 = N.bit_normal_moment(p, 2)
     m4 = N.bit_normal_moment(p, 4)
     se = math.sqrt((m4 - m2 * m2) / n)

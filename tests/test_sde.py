@@ -206,6 +206,27 @@ def test_strong_error_golden_values(m, q, reps, seed, reference, rms_hex, bits):
 
 
 @pytest.mark.parametrize("m", [0, -1])
+def test_paths_reject_no_steps_before_drawing(m):
+    # m = 0 divided by zero in the recursion; m < 0 failed inside the draw
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        S.milstein_path(GM, m, [])
+    src = BitSource(1)
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        S.rbit_milstein_path(src, GM, m, 8)
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        S.refined_path_sample(src, GM, m, 8, 2)
+    assert src.bits_drawn == 0
+
+
+@pytest.mark.parametrize("q", [0, -1, 64, 2.5])
+def test_rbit_milstein_rejects_q_outside_the_parent_bits(q):
+    src = BitSource(1)
+    with pytest.raises(ValueError, match=r"q must be an integer in \[1, 63\]"):
+        S.rbit_milstein_path(src, GM, 8, q)
+    assert src.bits_drawn == 0
+
+
+@pytest.mark.parametrize("m", [0, -1])
 def test_strong_error_rejects_no_steps(m):
     with pytest.raises(ValueError, match="m must be a positive integer"):
         S.strong_error_experiment(S.geometric_model(0.05, 0.2, 1.0), m, 8, 5, 1)

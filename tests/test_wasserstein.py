@@ -131,6 +131,6 @@ def test_w2_empirical_examples():
 def test_w2_empirical_between_samplers():
     # same grid law sampled twice stays close in W2
     src = BitSource(3)
-    a = N.bit_normal_sample_array(src, 6, 20_000)
-    b = N.bit_normal_sample_array(src, 6, 20_000)
+    a = N.grid_normal_values(src.draw_bits_array(6, 20_000) + np.uint64(1), 6)
+    b = N.grid_normal_values(src.draw_bits_array(6, 20_000) + np.uint64(1), 6)
     assert w2_empirical(a, b) < 0.05
