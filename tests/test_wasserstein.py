@@ -26,6 +26,14 @@ def test_w2_uniform_law_midpoint_grid():
         assert abs(d - 2.0 ** -p / (2.0 * math.sqrt(3.0))) < 1e-14 * d
 
 
+def test_uniform_grid_cells_are_correctly_rounded():
+    # on its own grid every uniform cell is int (u - m)^2 du = w^3 / 12,
+    # rounded once; pinned byte for byte
+    for p in range(1, 23):
+        cells = UNIFORM.cell_sq_error(p, UNIFORM.cell_average(p))
+        assert cells.tobytes() == np.full(1 << p, 2.0 ** (-3 * p) / 12.0).tobytes(), p
+
+
 def test_w2_normal_two_point_optimal():
     pts = N.optimal_points(NORMAL, 1)
     d = w2_uniform(NORMAL, DiscreteUniform(pts))
