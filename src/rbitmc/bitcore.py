@@ -256,16 +256,19 @@ def equal_runs(values: np.ndarray) -> list[tuple[int, int, int]]:
 
 @dataclass
 class BitAllocation:
-    """Per-coefficient bit counts p = (p_1, ..., p_m), read-only."""
+    """Per-coefficient bit counts p = (p_1, ..., p_m), read-only: m is the
+    dimension of a sample and :attr:`total` its cost |p| in bits.  Counts are
+    integers in [1, MAX_BITS]; integral floats (``np.ceil`` output) count."""
 
     counts: np.ndarray
 
     def __post_init__(self):
-        self.counts = np.array(self.counts, dtype=np.int64)
-        if self.counts.ndim != 1 or len(self.counts) == 0:
+        counts = np.asarray(self.counts)
+        if counts.ndim != 1 or len(counts) == 0:
             raise ValueError("allocation must be a non-empty 1-d sequence")
-        if self.counts.min() < 1 or self.counts.max() > MAX_BITS:
-            raise ValueError(f"bit counts must lie in [1, {MAX_BITS}]")
+        if not (np.all(counts == np.floor(counts)) and 1 <= counts.min() and counts.max() <= MAX_BITS):
+            raise ValueError(f"bit counts must be integers in [1, {MAX_BITS}]")  # NaN fails ==
+        self.counts = counts.astype(np.int64)
         self.counts.flags.writeable = False
 
     @cached_property

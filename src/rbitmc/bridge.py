@@ -48,14 +48,12 @@ def schauder(i: int, t) -> np.ndarray | float:
 
 
 def schauder_norm_sq(i) -> np.ndarray | float:
-    """Exact squared L2 norm of s_i: the triangle integral 2**(-2m-2)/3."""
+    """Exact squared L2 norm of s_i: the triangle integral 2**(-2m-2)/3,
+    m = floor(log2 i), for 1 <= i < 2**53 (every index up to MAX_LEVEL)."""
     i_arr = np.asarray(i, dtype=np.int64)
     if np.any(i_arr < 1):
         raise ValueError("basis index must be >= 1")
-    m = np.floor(np.log2(i_arr)).astype(np.int64)
-    # guard against log2 rounding at exact powers of two
-    m = np.where(1 << (m + 1) <= i_arr, m + 1, m)
-    m = np.where(1 << m > i_arr, m - 1, m)
+    m = np.frexp(i_arr)[1] - 1  # floor(log2 i), exact: i = f 2**e with f in [1/2, 1)
     out = 2.0 ** (-2.0 * m - 2.0) / 3.0
     return float(out) if out.ndim == 0 else out
 

@@ -205,7 +205,9 @@ def experiment_mlmc(model_name: str, beta: float, alpha: float, eps: float,
                     functional: str, runs: int, seed: int):
     if model_name == "bridge":
         model = _mlmc.bridge_model()
-        beta, alpha = model.beta, model.alpha
+        if (beta, alpha) != (model.beta, model.alpha):
+            raise ConfigurationError(f"the bridge model has beta {model.beta:g} and alpha {model.alpha:g}, "
+                                     f"got beta {beta:g} and alpha {alpha:g}")
     elif model_name == "kl":
         model = _mlmc.kl_model(_gausskl.EigenSpec(beta=beta, alpha=alpha))
     else:

@@ -27,7 +27,6 @@ from .bitcore import BitAllocation, BitSource, byte_fields, equal_runs, read_byt
 from .errors import InternalInvariantError
 from .normal import bit_normal_mse_extended, checked_quad, grid_normal_byte_table, grid_normal_values
 
-MAX_ALLOC_BITS = 63
 _TAIL_EXTEND = 4096  # terms tail_sum looks past M for the eigenvalues to stop rising
 _TAIL_REL_INCREMENT = 1e-6  # tail_sum sums directly until a term falls below this share
 
@@ -67,6 +66,8 @@ def allocation_kl(m: int, spec: EigenSpec) -> BitAllocation:
     """Bit counts p_i = ceil(max(ptilde_i, 1)) with
 
     ptilde_i = beta*log2(m/i) + max(alpha,0)*log2(log2(m+1)/log2(i+1)).
+
+    Counts above :data:`bitcore.MAX_BITS` are refused by :class:`BitAllocation`.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -76,10 +77,7 @@ def allocation_kl(m: int, spec: EigenSpec) -> BitAllocation:
     ptilde = spec.beta * np.log2(m / i)
     if spec.alpha > 0.0:
         ptilde = ptilde + spec.alpha * np.log2(np.log2(m + 1.0) / np.log2(i + 1.0))
-    counts = np.ceil(np.maximum(ptilde, 1.0)).astype(np.int64)
-    if counts.max() > MAX_ALLOC_BITS:
-        raise ValueError(f"allocation exceeds {MAX_ALLOC_BITS} bits per coefficient")
-    return BitAllocation(counts)
+    return BitAllocation(np.ceil(np.maximum(ptilde, 1.0)))
 
 
 @dataclass

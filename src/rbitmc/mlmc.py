@@ -94,12 +94,14 @@ def theoretical_cost(params: MLMCParams) -> float:
 
 
 class ExpansionModel:
-    """Random-bit Gaussian expansion with level_dim(l) coefficients at level l.
+    """Random-bit Gaussian expansion whose level l is its bit allocation p(l).
 
-    Subclasses supply ``level_dim``, ``base_allocation`` (bit counts per
-    coefficient), ``functional_rows`` and, unless all coefficients have unit
-    scale, ``scale``.  Allocations (and scales) are computed once per model
-    and level and returned as read-only arrays.
+    Subclasses supply ``base_allocation`` (a :class:`BitAllocation` per
+    level), ``functional_rows`` and, unless all coefficients have unit
+    scale, ``scale``.  The allocation is all there is to know of a level:
+    its length is the level's dimension, and its total |p| the bits of one
+    row.  Allocations (and scales) are computed once per model and level
+    and returned read-only.
 
     Rows pass as arrays: ``sample_rows`` draws a level's stream words,
     :func:`gausskl.decode_rows` decodes blocks of them with ``scale(level)``,
@@ -123,9 +125,6 @@ class ExpansionModel:
             self._allocs[level, min_bits] = alloc
         return alloc
 
-    def bits_per_fine(self, level: int, min_bits: int = 0) -> int:
-        return self.allocation(level, min_bits).total
-
     def sample_rows(self, src: BitSource, level: int, n: int, min_bits: int = 0) -> gausskl.DrawnRows:
         """n fine rows at ``level``, drawn in the order of :func:`gausskl.sample_rows`
         and held as their stream words (:func:`gausskl.draw_rows`, n |p| / 8 bytes)."""
@@ -142,12 +141,8 @@ class ExpansionModel:
 class BridgeModel(ExpansionModel):
     """Brownian bridge model: level l lives on 2**l - 1 hat coefficients."""
 
-    name = "bridge"
     beta = 2.0
     alpha = 0.0
-
-    def level_dim(self, level: int) -> int:
-        return (1 << level) - 1
 
     def base_allocation(self, level: int) -> BitAllocation:
         return allocation_bridge(level)
@@ -159,8 +154,6 @@ class BridgeModel(ExpansionModel):
 class KLModel(ExpansionModel):
     """Karhunen-Loeve model: level l truncates the expansion at m = 2**l."""
 
-    name = "kl"
-
     def __init__(self, spec: EigenSpec):
         super().__init__()
         if not spec.analytic:
@@ -169,9 +162,6 @@ class KLModel(ExpansionModel):
         self._scales: dict[int, np.ndarray] = {}
         self.beta = spec.beta
         self.alpha = spec.alpha
-
-    def level_dim(self, level: int) -> int:
-        return 1 << level
 
     def base_allocation(self, level: int) -> BitAllocation:
         return allocation_kl(1 << level, self.spec)
@@ -374,9 +364,8 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows, min
     single row unless the batch has: numpy's matmul rounds a one-row product
     differently (seen with the KL ``soft_linear``).
     """
-    n = drawn.n
-    dim = model.level_dim(level)
-    width = model.level_dim(level - 1) if coarse else 0
+    n, dim = drawn.n, len(drawn.alloc)
+    width = len(model.allocation(level - 1, min_bits)) if coarse else 0
     scale = model.scale(level)
     step = max(2, _EVAL_BYTES // (8 * (dim + 2)))
     bounds = [0, n] if n <= step else [*range(0, n - 1, step), n]  # a last single row joins the block before it
@@ -401,7 +390,7 @@ def _level_values(f: LipFunctional, model, src: BitSource, level: int, n: int, m
     drawn = model.sample_rows(src, level, n, min_bits)
     ledger.bits += src.bits_drawn - before
     y, y_coarse = _evaluate(f, model, level, drawn, min_bits, coarse)
-    dims = model.level_dim(level) + (model.level_dim(level - 1) if coarse else 0)
+    dims = len(drawn.alloc) + (len(model.allocation(level - 1, min_bits)) if coarse else 0)
     ledger.oracle_cost += n * dims
     ledger.coeff_ops += n * dims
     return y - y_coarse if coarse else y
@@ -433,7 +422,7 @@ def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource,
         n = params.N[level - 1]
         level_src = src if base_seed is None else child_source(base_seed, level)
         y = _level_values(f, model, level_src, level, n, min_bits, level >= 2, ledger)
-        expected_bits += n * model.bits_per_fine(level, min_bits)
+        expected_bits += n * model.allocation(level, min_bits).total
         mean = float(np.mean(y))
         estimate += mean
         level_means.append(mean)

@@ -345,10 +345,10 @@ def bit_normal_mse_extended(p: int) -> float:
 
 
 def bit_normal_moment(p: int, r: int) -> float:
-    """Exact absolute moment E|Y^(p)|^r = 2**-p * sum_k |x_k|^r for even r."""
+    """Exact absolute moment E|Y^(p)|^r = 2**-p * sum_k |x_k|^r for r in {2, 4}."""
     _exact_precision(p, "moment")
-    if r not in (2, 4, 6, 8):
-        raise ValueError("r must be one of 2, 4, 6, 8")
+    if r not in (2, 4):
+        raise ValueError("r must be 2 or 4")
     (half,) = _upper_sums(p, lambda k0, k1: (_mid_quantiles(p, k0, k1) ** r,))
     return 2.0 ** -(p - 1) * half
 

@@ -20,13 +20,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bitcore import BitAllocation, BitSource, CostLedger, truncate_indices  # noqa: F401
+from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, truncate_indices  # noqa: F401
 from .bridge import allocation_bridge, allocation_bridge_total, evaluate_coeffs
 from .errors import ConfigurationError, InternalInvariantError, NumericFailure
 from .gausskl import coarsen_rows, sample_rows
 from .normal import Phi, grid_normal_values
 
-PARENT_BITS = 63  # precision of the coupling uniforms in experiments
+PARENT_BITS = MAX_BITS  # precision of the coupling uniforms in experiments
 FINE_FACTOR = 64  # step refinement of the fallback reference scheme
 _BLOCK_BYTES = 1 << 20  # parent indices drawn at once by strong_error_experiment
 
@@ -200,7 +200,8 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     are its :func:`gausskl.coarsen_rows`.  Steps are drawn and transformed
     in blocks of about 1 MiB of uint64 indices (``_BLOCK_BYTES``), at least
     one step per block; the block size changes neither values nor bit
-    counts.
+    counts.  The ledger's bits are what the run's source counted: |p| of
+    every step row, PARENT_BITS * reps (53 * reps per fine step).
     """
     _check_scheme(m, q)
     if reps < 1:
@@ -221,7 +222,6 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
             y_blk, idx = sample_rows(src, parent, k1 - k0)
             y[:, k0:k1] = y_blk.T
             yq[:, k0:k1] = coarsen_rows(idx, parent, child)[0].T
-        ledger.bits += PARENT_BITS * m * reps
         w = np.cumsum(y, axis=1) / math.sqrt(m)
         t = np.arange(1, m + 1, dtype=np.float64) / m
         ref = model.exact_strong_solution(t, w)
@@ -231,12 +231,12 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
         yf = np.empty((reps, mf), dtype=np.float64)
         for k0, k1 in _step_blocks(mf, reps):
             yf[:, k0:k1] = sample_rows(src, fine, k1 - k0, indices=False)[0].T
-        ledger.bits += 53 * mf * reps
         y = yf.reshape(reps, m, FINE_FACTOR).sum(axis=2) / math.sqrt(FINE_FACTOR)
         u = Phi(y)
         idx_q = np.minimum((u * 2.0**q).astype(np.int64), (1 << q) - 1).astype(np.uint64) + np.uint64(1)
         yq = grid_normal_values(idx_q, q)
         ref = _milstein_rows(model, mf, yf)[:, FINE_FACTOR::FINE_FACTOR]
+    ledger.bits = src.bits_drawn
     bit = _milstein_rows(model, m, yq)[:, 1:]
     ledger.coeff_ops += m * reps
     err = np.max(np.abs(ref - bit), axis=1)

@@ -22,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import normal as _normal
+from .bitcore import dyadic_values
 from .normal import checked_quad, gaussian_grid_average, gaussian_grid_sq_error, optimal_points
 
 _TAIL_EDGE = 2.0 ** -40
@@ -68,14 +69,15 @@ def standard_normal_spec() -> QuantileSpec:
 
 
 def uniform_spec() -> QuantileSpec:
+    """The uniform law on (0, 1): its best 2**p-point approximation is D(p),
+    and a cell of width w and midpoint m adds w (m - c)^2 + w^3 / 12 to W2^2,
+    two terms that cannot cancel (on D(p) itself, w^3 / 12 rounded once)."""
     def _cell_average(p):
-        lo, hi = _cell_edges(p)
-        return 0.5 * (lo + hi)
+        return dyadic_values(np.arange(1, (1 << p) + 1), p)
 
     def _cell_sq_error(p, c):
-        # int_lo^hi (u - c)^2 du, exact cubic difference
-        lo, hi = _cell_edges(p)
-        return ((hi - c) ** 3 - (lo - c) ** 3) / 3.0
+        w = 2.0 ** -p
+        return w * (_cell_average(p) - c) ** 2 + w ** 3 / 12.0
 
     return QuantileSpec(
         name="uniform",

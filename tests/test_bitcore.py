@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from rbitmc.bitcore import (
+    MAX_BITS,
     BitAllocation,
     BitSource,
     DyadicValue,
@@ -20,6 +21,7 @@ from rbitmc.bitcore import (
     truncate,
     truncate_indices,
 )
+from rbitmc.gausskl import EigenSpec, sample_kl
 
 
 def test_draw_bits_range_and_counter():
@@ -225,6 +227,14 @@ def test_allocation_validation():
         BitAllocation(np.array([0, 1]))
     with pytest.raises(ValueError):
         BitAllocation(np.array([], dtype=np.int64))
+    # fractional and non-finite counts are refused, not truncated
+    for counts in ([2.5, 3.9], [1.5, 1.5], [np.nan], [3.0, np.inf], [64.0]):
+        with pytest.raises(ValueError):
+            BitAllocation(counts)
+    with pytest.raises(ValueError, match="integers"):
+        sample_kl(BitSource(1), 2, EigenSpec(2, 0), allocation=BitAllocation([1.5, 1.5]))
+    # integral floats, as np.ceil gives them, are counts
+    assert BitAllocation(np.ceil([1.2, 3.0])).counts.tolist() == [2, 3]
 
 
 _DRAW_METHODS = {"draw_bits", "draw_bits_array", "take_words"}
@@ -240,3 +250,15 @@ def test_only_bitcore_and_gausskl_draw_from_the_stream():
                     and node.func.attr in _DRAW_METHODS):
                 callers.add(path.name)
     assert callers == {"bitcore.py", "gausskl.py"}
+
+
+def test_only_bitcore_states_the_bit_limit():
+    """The 63-bit limit is bitcore.MAX_BITS: no other module of the package
+    binds a module-level name to it."""
+    binders = set()
+    for path in sorted(Path(__file__).resolve().parents[1].glob("src/rbitmc/*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Constant)
+                    and type(node.value.value) is int and node.value.value == MAX_BITS):
+                binders.add(path.name)
+    assert binders == {"bitcore.py"}

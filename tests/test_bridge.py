@@ -39,6 +39,11 @@ def test_schauder_norms():
     assert BR.schauder_norm_sq(3) == 1.0 / 48.0
     total = math.fsum(BR.schauder_norm_sq(np.arange(1, 1 << 22)))
     assert abs(total - (1.0 / 6.0 - BR.bridge_truncation_error_sq(22))) < 1e-15
+    # the level m = floor(log2 i) is exact on both sides of every power of two
+    for k in range(1, 53):
+        i = np.array([(1 << k) - 1, 1 << k, (1 << k) + 1], dtype=np.int64)
+        m = np.array([k - 1, k, k])
+        assert BR.schauder_norm_sq(i).tobytes() == (2.0 ** (-2.0 * m - 2.0) / 3.0).tobytes(), k
 
 
 def test_allocation_examples_and_identity():

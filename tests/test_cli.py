@@ -308,6 +308,20 @@ def test_mlmc_without_runs_is_bad_input(capsys):
     assert capsys.readouterr().err.startswith("error: runs must be a positive integer")
 
 
+@pytest.mark.parametrize("rates", [["--beta", "3"], ["--alpha", "1"], ["--beta", "3", "--alpha", "1"]])
+def test_mlmc_bridge_refuses_other_decay_rates(tmp_path, capsys, rates):
+    csv = tmp_path / "mlmc.csv"
+    args = ["mlmc", "--model", "bridge", "--eps", "0.125", "--runs", "2", *rates]
+    assert main([*args, "--csv", str(csv)]) == 2
+    assert not csv.exists()
+    assert capsys.readouterr().err.startswith("error: the bridge model has beta 2 and alpha 0")
+    cfg = tmp_path / "mlmc.cfg"
+    cfg.write_text("experiment = mlmc\nmodel = bridge\neps = 0.125\nruns = 2\n"
+                   f"{rates[0][2:]} = {rates[1]}\ncsv = {csv}\n")
+    assert main(["suite", "--config", str(cfg)]) == 2
+    assert not csv.exists()
+
+
 def test_mlmc_rmse_check_fails_when_not_finite():
     check = EXPERIMENTS["mlmc"].check
     fixtures = load_fixtures(FIXTURES)

@@ -49,7 +49,7 @@ def _kl_chain():
 def _model_rows(model, seed, level, n, min_bits):
     src = BitSource(seed)
     drawn = model.sample_rows(src, level, n, min_bits)
-    assert src.bits_drawn == n * model.bits_per_fine(level, min_bits)
+    assert src.bits_drawn == n * model.allocation(level, min_bits).total
     coeffs, idx = G.decode_rows(drawn, 0, n, model.scale(level), len(drawn.alloc))
     coarse = model.coarsen_rows(idx, level, min_bits)
     return [d for rows in ((coeffs, idx), coarse) for d in _pair(*rows)]

@@ -67,13 +67,14 @@ def test_ledger_bits_identity_bridge_and_kl():
 
 
 def test_bit_budget_mismatch_is_internal():
-    class UnderReporting(M.BridgeModel):
-        def bits_per_fine(self, level, min_bits=0):
-            return super().bits_per_fine(level, min_bits) - 1
+    class OverDrawing(M.BridgeModel):
+        def sample_rows(self, src, level, n, min_bits=0):
+            src.draw_bits(1)
+            return super().sample_rows(src, level, n, min_bits)
 
     params = M.mlmc_params(2.0 ** -3, 2.0, 0.0)
     with pytest.raises(InternalInvariantError, match="bit budget mismatch"):
-        M.mlmc_estimate(M.lookup_functional("norm"), UnderReporting(), params, BitSource(1))
+        M.mlmc_estimate(M.lookup_functional("norm"), OverDrawing(), params, BitSource(1))
 
 
 def test_oracle_cost_uses_exact_dimensions():

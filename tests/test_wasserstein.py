@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,19 @@ def test_uniform_grid_cells_are_correctly_rounded():
     for p in range(1, 23):
         cells = UNIFORM.cell_sq_error(p, UNIFORM.cell_average(p))
         assert cells.tobytes() == np.full(1 << p, 2.0 ** (-3 * p) / 12.0).tobytes(), p
+
+
+def test_uniform_off_grid_cells_match_exact_integrals():
+    # int_lo^hi (u - c)^2 du in exact rationals; the float c is exact as a Fraction
+    rng = np.random.default_rng(11)
+    for p in (1, 4, 10, 16):
+        n = 1 << p
+        c = np.sort(rng.uniform(-0.5, 1.5, n))
+        cells = UNIFORM.cell_sq_error(p, c)
+        for k in rng.choice(n, size=min(n, 64), replace=False):
+            lo, hi, ck = Fraction(int(k), n), Fraction(int(k) + 1, n), Fraction(float(c[k]))
+            exact = ((hi - ck) ** 3 - (lo - ck) ** 3) / 3
+            assert abs(Fraction(float(cells[k])) - exact) <= Fraction(1, 10 ** 14) * exact, (p, k)
 
 
 def test_w2_normal_two_point_optimal():
