@@ -21,6 +21,7 @@ import numpy as np
 
 MAX_BITS = 63  # grid index must fit one machine word
 _GATHER_MIN_BITS = 1 << 15  # draws this long at 4 < p <= 52 gather rather than unpack
+_RAW_CHUNK = 1 << 16  # words per random_raw call of take_words: a draw holds its words once
 
 
 def _check_precision(p: int) -> None:
@@ -114,12 +115,16 @@ class BitSource:
         w[0] is the unconsumed partial word, right-aligned, so the stream
         starts at bit 64 - _avail of w; a zero word pads the end, as
         :func:`read_fields` and :func:`read_bytes` need.  The words hold
-        ``total`` / 8 bytes plus at most 24: nothing is decoded yet.
+        ``total`` / 8 bytes plus at most 24: nothing is decoded yet.  They
+        are filled _RAW_CHUNK words at a time, in stream order, so the draw
+        holds at most one chunk beyond them.
         """
         nwords = -(-max(total - self._avail, 0) // 64)
         w = np.zeros(nwords + 2, dtype=np.uint64)
         w[0] = self._partial
-        w[1:nwords + 1] = self._raw(nwords)
+        for a in range(1, nwords + 1, _RAW_CHUNK):
+            b = min(a + _RAW_CHUNK, nwords + 1)
+            w[a:b] = self._raw(b - a)
         start = 64 - self._avail
         self._avail += 64 * nwords - total
         self._partial = int(w[nwords]) & ((1 << self._avail) - 1)

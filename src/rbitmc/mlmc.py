@@ -31,7 +31,7 @@ import numpy as np
 
 from . import gausskl
 # truncate_indices, grid_normal_values: unused, kept for perfbench/selftest.py
-from .bitcore import BitAllocation, BitSource, CostLedger, child_source, truncate_indices  # noqa: F401
+from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, truncate_indices  # noqa: F401
 from .bridge import (
     BridgePath,
     allocation_bridge,
@@ -47,6 +47,8 @@ from .normal import grid_normal_values  # noqa: F401
 
 EPS_MAX = math.exp(-2.0)
 _EVAL_BYTES = 4 << 20  # node values per functional evaluation, a block that stays in cache
+_BATCH_BYTES = 32 << 20  # drawn words per plain_mc batch
+_BATCH_ROWS = 4096  # only keeps the batch sums of levels <= 14; goes once those sums are exact
 
 
 @dataclass
@@ -78,7 +80,12 @@ def mlmc_params(eps: float, beta: float, alpha: float) -> MLMCParams:
         log_factor = math.log(log_inv)
     else:
         log_factor = log_inv ** (alpha / (2.0 * (1.0 - beta)))
-    K = eps ** -exponent * log_factor
+    try:
+        K = eps ** -exponent * log_factor
+    except OverflowError:
+        K = math.inf
+    if not math.isfinite(K):
+        raise ValueError(f"eps {eps!r} is too small: the replication constant K(eps) overflows")
     N = [max(1, math.ceil(2.0 ** (-l * beta / 2.0) * l ** (-alpha / 2.0) * K))
          for l in range(1, L + 1)]
     return MLMCParams(eps, beta, alpha, z, L, K, N)
@@ -98,10 +105,10 @@ class ExpansionModel:
 
     Subclasses supply ``base_allocation`` (a :class:`BitAllocation` per
     level), ``functional_rows`` and, unless all coefficients have unit
-    scale, ``scale``.  The allocation is all there is to know of a level:
-    its length is the level's dimension, and its total |p| the bits of one
-    row.  Allocations (and scales) are computed once per model and level
-    and returned read-only.
+    scale, ``scale``; ``min_bits`` raises every count of p(l) to at least
+    that.  The allocation is all there is to know of a level: its length is
+    the level's dimension, and its total |p| the bits of one row.
+    Allocations (and scales) are computed once per level, read-only.
 
     Rows pass as arrays: ``sample_rows`` draws a level's stream words,
     :func:`gausskl.decode_rows` decodes blocks of them with ``scale(level)``,
@@ -110,32 +117,35 @@ class ExpansionModel:
     :attr:`LipFunctional.rows`.
     """
 
-    def __init__(self):
-        self._allocs: dict[tuple[int, int], BitAllocation] = {}
+    def __init__(self, min_bits: int = 0):
+        if not isinstance(min_bits, (int, np.integer)) or not 0 <= min_bits <= MAX_BITS:
+            raise ValueError(f"min_bits must be an integer in [0, {MAX_BITS}], got {min_bits!r}")
+        self.min_bits = int(min_bits)
+        self._allocs: dict[int, BitAllocation] = {}
 
     def scale(self, level: int) -> Optional[np.ndarray]:
         return None
 
-    def allocation(self, level: int, min_bits: int = 0) -> BitAllocation:
-        alloc = self._allocs.get((level, min_bits))
+    def allocation(self, level: int) -> BitAllocation:
+        alloc = self._allocs.get(level)
         if alloc is None:
             alloc = self.base_allocation(level)
-            if min_bits:
-                alloc = BitAllocation(np.maximum(alloc.counts, min_bits))
-            self._allocs[level, min_bits] = alloc
+            if self.min_bits:
+                alloc = BitAllocation(np.maximum(alloc.counts, self.min_bits))
+            self._allocs[level] = alloc
         return alloc
 
-    def sample_rows(self, src: BitSource, level: int, n: int, min_bits: int = 0) -> gausskl.DrawnRows:
+    def sample_rows(self, src: BitSource, level: int, n: int) -> gausskl.DrawnRows:
         """n fine rows at ``level``, drawn in the order of :func:`gausskl.sample_rows`
         and held as their stream words (:func:`gausskl.draw_rows`, n |p| / 8 bytes)."""
-        return gausskl.draw_rows(src, self.allocation(level, min_bits), n)
+        return gausskl.draw_rows(src, self.allocation(level), n)
 
-    def coarsen_rows(self, idx: np.ndarray, level: int, min_bits: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    def coarsen_rows(self, idx: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
         """(coefficient rows, index rows) one level below ``level``, re-truncated
         from the index rows ``idx`` of ``level`` by :func:`gausskl.coarsen_rows`;
         ``idx`` needs only the coarse level's columns."""
-        coarse = self.allocation(level - 1, min_bits)
-        return gausskl.coarsen_rows(idx, self.allocation(level, min_bits), coarse, self.scale(level - 1))
+        fine, coarse = self.allocation(level), self.allocation(level - 1)
+        return gausskl.coarsen_rows(idx, fine, coarse, self.scale(level - 1))
 
 
 class BridgeModel(ExpansionModel):
@@ -154,8 +164,8 @@ class BridgeModel(ExpansionModel):
 class KLModel(ExpansionModel):
     """Karhunen-Loeve model: level l truncates the expansion at m = 2**l."""
 
-    def __init__(self, spec: EigenSpec):
-        super().__init__()
+    def __init__(self, spec: EigenSpec, min_bits: int = 0):
+        super().__init__(min_bits)
         if not spec.analytic:
             raise ConfigurationError("multilevel schedule requires the analytic eigenvalue mode")
         self.spec = spec
@@ -350,13 +360,13 @@ class MLMCResult:
         return math.sqrt(sum(v / n for v, n in zip(self.level_vars, self.level_ns)))
 
 
-def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows, min_bits: int,
-              coarse: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """``f.rows`` of every row of ``drawn`` (rows of ``level``) and, with
-    ``coarse``, of its coarsening one level down (else None), decoded by
-    :func:`gausskl.decode_rows` in blocks that hold at most _EVAL_BYTES of
-    fine node values each; a block's coarse rows are re-truncated from its
-    index rows by ``model.coarsen_rows``.
+def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
+              width: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """``f.rows`` of every row of ``drawn`` (rows of ``level``) and, with the
+    coarse dimension ``width`` > 0, of its coarsening one level down (else
+    None), decoded by :func:`gausskl.decode_rows` in blocks that hold at
+    most _EVAL_BYTES of fine node values each; a block's coarse rows are
+    re-truncated from its index rows by ``model.coarsen_rows``.
 
     Only the drawn words and one block are held; fine coefficient blocks are
     decoded into one reused buffer.  Rows are evaluated independently, so
@@ -365,7 +375,7 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows, min
     differently (seen with the KL ``soft_linear``).
     """
     n, dim = drawn.n, len(drawn.alloc)
-    width = len(model.allocation(level - 1, min_bits)) if coarse else 0
+    coarse = width > 0
     scale = model.scale(level)
     step = max(2, _EVAL_BYTES // (8 * (dim + 2)))
     bounds = [0, n] if n <= step else [*range(0, n - 1, step), n]  # a last single row joins the block before it
@@ -376,36 +386,32 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows, min
         coeffs, idx = gausskl.decode_rows(drawn, a, b, scale, width, buf[:b - a])
         y[a:b] = f.rows(model.functional_rows(coeffs, level))
         if coarse:
-            coarse_coeffs, _ = model.coarsen_rows(idx, level, min_bits)
+            coarse_coeffs, _ = model.coarsen_rows(idx, level)
             y_coarse[a:b] = f.rows(model.functional_rows(coarse_coeffs, level - 1))
     return y, y_coarse
 
 
-def _level_values(f: LipFunctional, model, src: BitSource, level: int, n: int, min_bits: int,
+def _level_values(f: LipFunctional, model, src: BitSource, level: int, n: int,
                   coarse: bool, ledger: CostLedger) -> np.ndarray:
     """f at n rows of ``level`` drawn from ``src``, minus f at their coupled
     coarsening with ``coarse``; charges the bits drawn and the oracle cost
     and coefficients of every evaluated row to ``ledger``."""
     before = src.bits_drawn
-    drawn = model.sample_rows(src, level, n, min_bits)
+    drawn = model.sample_rows(src, level, n)
     ledger.bits += src.bits_drawn - before
-    y, y_coarse = _evaluate(f, model, level, drawn, min_bits, coarse)
-    dims = len(drawn.alloc) + (len(model.allocation(level - 1, min_bits)) if coarse else 0)
+    width = len(model.allocation(level - 1)) if coarse else 0
+    y, y_coarse = _evaluate(f, model, level, drawn, width)
+    dims = len(drawn.alloc) + width
     ledger.oracle_cost += n * dims
     ledger.coeff_ops += n * dims
     return y - y_coarse if coarse else y
 
 
-def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource,
-                  min_bits: int = 0, base_seed: Optional[int] = None) -> MLMCResult:
-    """Run the multilevel estimator once.
+def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource) -> MLMCResult:
+    """Run the multilevel estimator once, drawing every level from ``src``.
 
-    Replications within a level run sequentially on the given source.  With
-    ``base_seed`` each level draws from its own child source instead (seed
-    derivation: SeedSequence(base_seed, spawn_key=(level,))), which makes
-    level blocks independently reproducible; bit counts are summed into the
-    same ledger.
-
+    The bit budget sum_l N_l |p(l)| is summed top level first, before the
+    first draw, so a level beyond the model's cap raises with nothing drawn.
     A level (:func:`_level_values`) draws all its N_l rows at once, in the
     stream order of :func:`gausskl.sample_rows`, and holds only their words
     (N_l |p(l)| / 8 bytes).  Its fine and coarse terms are decoded and
@@ -417,12 +423,11 @@ def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource,
     level_means: list[float] = []
     level_vars: list[float] = []
     ns: list[int] = []
-    expected_bits = 0
+    expected_bits = sum(params.N[level - 1] * model.allocation(level).total
+                        for level in range(params.L, 0, -1))
     for level in range(1, params.L + 1):
         n = params.N[level - 1]
-        level_src = src if base_seed is None else child_source(base_seed, level)
-        y = _level_values(f, model, level_src, level, n, min_bits, level >= 2, ledger)
-        expected_bits += n * model.allocation(level, min_bits).total
+        y = _level_values(f, model, src, level, n, level >= 2, ledger)
         mean = float(np.mean(y))
         estimate += mean
         level_means.append(mean)
@@ -434,28 +439,27 @@ def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource,
     return MLMCResult(estimate, ledger, level_means, level_vars, ns)
 
 
-def plain_mc(f: LipFunctional, model, level: int, n: int, src: BitSource,
-             min_bits: int = 0, batch: int = 4096) -> tuple[float, float, CostLedger]:
+def plain_mc(f: LipFunctional, model, level: int, n: int,
+             src: BitSource) -> tuple[float, float, CostLedger]:
     """Single-level Monte Carlo reference at the given level: (mean, stderr, ledger).
 
-    Rows are drawn ``batch`` at a time (:func:`_level_values`, with no
-    coarse term) in the stream order of :func:`gausskl.sample_rows`.  A
-    batch is held as its drawn words (batch * |p| / 8 bytes) and decoded
-    and evaluated in cache-sized blocks (:func:`_evaluate`), so no
-    (batch, dim) array and no index row is ever built; neither changes a
-    value.
+    Rows are drawn a batch at a time (:func:`_level_values`, with no coarse
+    term) in the stream order of :func:`gausskl.sample_rows`.  A batch holds
+    at most _BATCH_ROWS rows and _BATCH_BYTES of drawn words (one row if a
+    row alone is larger), and is decoded and evaluated in cache-sized
+    blocks (:func:`_evaluate`), so no (batch, dim) array and no index row
+    is ever built; neither changes a value.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if batch < 1:
-        raise ValueError(f"batch must be a positive integer, got {batch!r}")
+    batch = max(1, min(_BATCH_ROWS, _BATCH_BYTES * 8 // model.allocation(level).total))
     ledger = CostLedger()
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < n:
         b = min(batch, n - done)
-        y = _level_values(f, model, src, level, b, min_bits, False, ledger)
+        y = _level_values(f, model, src, level, b, False, ledger)
         total += float(np.sum(y))
         total_sq += float(np.sum(y * y))
         done += b

@@ -49,6 +49,29 @@ def test_scalar_and_array_draws_share_the_stream():
     assert a.draw_bits(7) == b.draw_bits(7)
 
 
+def test_take_words_fill_the_stream_once():
+    # a draw over several random_raw chunks holds the unchunked stream words,
+    # leaves the stream where it was, and holds those words about once
+    import tracemalloc
+
+    nwords = 3 * 2 ** 16 + 5
+    src = BitSource(9)
+    head = src.draw_bits(3)
+    w, start = src.take_words(61 + 64 * nwords - 7)  # the 61 leftover bits, then 7 unread
+    raw = np.random.PCG64(9).random_raw(nwords + 2)
+    assert head == int(raw[0]) >> 61 and start == 3
+    assert np.array_equal(w[1:nwords + 1], raw[1:nwords + 1]) and w[-1] == 0
+    assert src.draw_bits(10) == (int(raw[nwords]) & 0x7F) << 3 | int(raw[nwords + 1]) >> 61
+    total = 64 << 21  # 16 MiB of words
+    tracemalloc.start()
+    try:
+        BitSource(10).take_words(total)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * total / 8
+
+
 def test_array_draw_wide_words():
     a, b = BitSource(5), BitSource(5)
     wide = [a.draw_bits(63) for _ in range(65)]

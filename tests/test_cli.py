@@ -202,6 +202,7 @@ def test_malformed_suite_config_is_bad_input(tmp_path, capsys, text, key):
     ["mlmc", "--eps", "0.25"],
     ["normal-error", "--pmin", "0", "--pmax", "3"],
     ["kl-error", "--beta", "0.5", "--alpha", "0", "--mmin", "16", "--mmax", "32"],
+    ["mlmc", "--eps", "1e-200"],  # K(eps) = eps^-2 overflows a double
 ])
 def test_out_of_range_argument_is_bad_input(capsys, args):
     assert main(args) == 2

@@ -46,12 +46,12 @@ def _kl_chain():
     return [d for v in (x, c16) for d in _pair(v.coeffs, v.retained_indices)]
 
 
-def _model_rows(model, seed, level, n, min_bits):
+def _model_rows(model, seed, level, n):
     src = BitSource(seed)
-    drawn = model.sample_rows(src, level, n, min_bits)
-    assert src.bits_drawn == n * model.allocation(level, min_bits).total
+    drawn = model.sample_rows(src, level, n)
+    assert src.bits_drawn == n * model.allocation(level).total
     coeffs, idx = G.decode_rows(drawn, 0, n, model.scale(level), len(drawn.alloc))
-    coarse = model.coarsen_rows(idx, level, min_bits)
+    coarse = model.coarsen_rows(idx, level)
     return [d for rows in ((coeffs, idx), coarse) for d in _pair(*rows)]
 
 
@@ -73,11 +73,11 @@ def _milstein_path(q, head=0):
 CASES = {
     "bridge": _bridge_chain,
     "kl": _kl_chain,
-    "bridge_model_min0": lambda: _model_rows(M.bridge_model(), 2027, 6, 9, 0),
+    "bridge_model_min0": lambda: _model_rows(M.bridge_model(), 2027, 6, 9),
     # at min_bits 4 the level-4 and level-5 blocks (p = 4, 2 -> 4) draw as one run
-    "bridge_model_min4": lambda: _model_rows(M.bridge_model(), 2028, 6, 9, 4),
-    "kl_model_min0": lambda: _model_rows(M.kl_model(SPEC), 2029, 6, 9, 0),
-    "kl_model_min4": lambda: _model_rows(M.kl_model(SPEC), 2030, 6, 9, 4),
+    "bridge_model_min4": lambda: _model_rows(M.BridgeModel(min_bits=4), 2028, 6, 9),
+    "kl_model_min0": lambda: _model_rows(M.kl_model(SPEC), 2029, 6, 9),
+    "kl_model_min4": lambda: _model_rows(M.KLModel(SPEC, min_bits=4), 2030, 6, 9),
     "refined_path": _refined_path,
     "milstein_q2": lambda: _milstein_path(2),
     "milstein_q5": lambda: _milstein_path(5),

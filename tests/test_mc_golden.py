@@ -2,8 +2,9 @@
 
 Each case pins ``float.hex`` of the mean and the standard error, and the bits
 drawn, of :func:`mlmc.plain_mc` and :func:`mlmc.mlmc_estimate` for both
-models, every built-in functional that runs on the model, ``min_bits`` 0 and
-4, row counts that are not multiples of 4, several ``plain_mc`` batches, and
+models, every built-in functional that runs on the model, models with
+``min_bits`` 0 and 4, row counts that are not multiples of 4, several
+``plain_mc`` batch row counts (``_BATCH_ROWS``), and
 sources with 3 bits drawn beforehand (so every draw starts off a byte
 boundary).  Any change of draw order, sampling path, chunking or summation
 order shows up here.
@@ -16,7 +17,8 @@ from rbitmc import mlmc as M
 from rbitmc.bitcore import BitSource
 
 SPEC = G.EigenSpec(beta=2.0, alpha=0.0)
-MODELS = {"bridge": M.bridge_model(), "kl": M.kl_model(SPEC)}
+MODELS = {(name, min_bits): M.BridgeModel(min_bits) if name == "bridge" else M.KLModel(SPEC, min_bits)
+          for name in ("bridge", "kl") for min_bits in (0, 4)}
 
 # plain_mc: (model, functional, level, n, min_bits, head bits, batch)
 #   -> (mean.hex(), stderr.hex(), bits drawn); source BitSource(100 + case number)
@@ -87,11 +89,11 @@ def _source(seed, head):
 
 
 @pytest.mark.parametrize("k, case", list(enumerate(PLAIN)), ids=_case_id)
-def test_plain_mc_golden(k, case):
+def test_plain_mc_golden(k, case, monkeypatch):
     model, f, level, n, min_bits, head, batch = case
     src = _source(100 + k, head)
-    mean, stderr, ledger = M.plain_mc(M.lookup_functional(f), MODELS[model], level, n, src,
-                                      min_bits=min_bits, batch=batch)
+    monkeypatch.setattr(M, "_BATCH_ROWS", batch)
+    mean, stderr, ledger = M.plain_mc(M.lookup_functional(f), MODELS[model, min_bits], level, n, src)
     assert (mean.hex(), stderr.hex(), src.bits_drawn) == PLAIN[case]
     assert ledger.bits == src.bits_drawn - head
 
@@ -100,8 +102,7 @@ def test_plain_mc_golden(k, case):
 def test_mlmc_estimate_golden(k, case):
     model, f, min_bits, head = case
     src = _source(200 + k, head)
-    m = MODELS[model]
-    res = M.mlmc_estimate(M.lookup_functional(f), m, M.mlmc_params(2.0 ** -4, m.beta, m.alpha),
-                          src, min_bits=min_bits)
+    m = MODELS[model, min_bits]
+    res = M.mlmc_estimate(M.lookup_functional(f), m, M.mlmc_params(2.0 ** -4, m.beta, m.alpha), src)
     assert (res.estimate.hex(), res.stderr.hex(), src.bits_drawn) == MLMC[case]
     assert res.ledger.bits == src.bits_drawn - head

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from rbitmc import gausskl as G
 from rbitmc import mlmc as M
 from rbitmc.bitcore import BitSource, child_source
 from rbitmc.bridge import BridgePath, allocation_bridge, allocation_bridge_total, pl_l2_norm_sq
-from rbitmc.errors import ConfigurationError, InternalInvariantError
+from rbitmc.errors import CapacityError, ConfigurationError, InternalInvariantError
 from rbitmc.gausskl import EigenSpec, KLVector, allocation_kl
 
 BRIDGE = M.bridge_model()
@@ -43,6 +44,9 @@ def test_params_validation_and_nl():
         M.mlmc_params(0.2, 2.0, 0.0)  # above e^-2
     with pytest.raises(ValueError):
         M.mlmc_params(0.01, 1.0, 0.0)
+    for eps, beta in ((1e-200, 2.0), (1e-154, 2.0), (0.1, 1.0001)):  # K(eps) overflows
+        with pytest.raises(ValueError, match="too small"):
+            M.mlmc_params(eps, beta, 0.0)
     for eps in (2.0 ** -3, 2.0 ** -6, 1e-4):
         p = M.mlmc_params(eps, 2.0, 0.0)
         assert all(n >= 1 for n in p.N)
@@ -68,13 +72,55 @@ def test_ledger_bits_identity_bridge_and_kl():
 
 def test_bit_budget_mismatch_is_internal():
     class OverDrawing(M.BridgeModel):
-        def sample_rows(self, src, level, n, min_bits=0):
+        def sample_rows(self, src, level, n):
             src.draw_bits(1)
-            return super().sample_rows(src, level, n, min_bits)
+            return super().sample_rows(src, level, n)
 
     params = M.mlmc_params(2.0 ** -3, 2.0, 0.0)
     with pytest.raises(InternalInvariantError, match="bit budget mismatch"):
         M.mlmc_estimate(M.lookup_functional("norm"), OverDrawing(), params, BitSource(1))
+
+
+def test_capped_level_raises_before_drawing():
+    # the bit budget is summed from the top level down before the first draw
+    params = M.MLMCParams(2.0 ** -4, 2.0, 0.0, 0.0, 26, 0.0, [1] * 26)
+    src = BitSource(1)
+    with pytest.raises(CapacityError):
+        M.mlmc_estimate(M.lookup_functional("norm"), M.BridgeModel(), params, src)
+    assert src.bits_drawn == 0
+
+
+def test_models_check_min_bits():
+    for min_bits in (-5, 64, 2.5, "4", None):
+        with pytest.raises(ValueError, match="min_bits"):
+            M.BridgeModel(min_bits)
+        with pytest.raises(ValueError, match="min_bits"):
+            M.KLModel(KL_SPEC, min_bits=min_bits)
+    for min_bits in (0, np.int64(4), 63):
+        assert M.BridgeModel(min_bits).allocation(3).counts.min() == max(2, min_bits)
+        assert M.KLModel(KL_SPEC, min_bits).allocation(3).counts.min() >= min_bits
+
+
+def test_only_the_model_constructors_take_min_bits():
+    """A level's allocation is the model's: no function or method of mlmc but
+    the model constructors takes ``min_bits``, and none takes ``base_seed``
+    or ``batch``."""
+    takers = set()
+    for name, obj in vars(M).items():
+        if getattr(obj, "__module__", None) != M.__name__:
+            continue
+        if inspect.isfunction(obj):
+            members = {name: obj}
+        elif inspect.isclass(obj):
+            members = {f"{name}.{k}": v for k, v in vars(obj).items() if inspect.isfunction(v)}
+        else:
+            continue
+        for qualname, fn in members.items():
+            params = inspect.signature(fn).parameters
+            assert "base_seed" not in params and "batch" not in params, qualname
+            if "min_bits" in params:
+                takers.add(qualname)
+    assert takers == {"ExpansionModel.__init__", "KLModel.__init__"}
 
 
 def test_oracle_cost_uses_exact_dimensions():
@@ -128,23 +174,10 @@ def test_telescoping_matches_single_level():
 def test_min_bits_mode():
     params = M.mlmc_params(2.0 ** -3, 2.0, 0.0)
     f = M.lookup_functional("norm")
-    res = M.mlmc_estimate(f, BRIDGE, params, BitSource(50), min_bits=20)
+    res = M.mlmc_estimate(f, M.BridgeModel(min_bits=20), params, BitSource(50))
     expected = sum(n * int(np.maximum(allocation_bridge(l).counts, 20).sum())
                    for l, n in zip(range(1, params.L + 1), params.N))
     assert res.ledger.bits == expected
-
-
-def test_parallel_mode_reproducible():
-    params = M.mlmc_params(2.0 ** -3, 2.0, 0.0)
-    f = M.lookup_functional("coord1")
-    a = M.mlmc_estimate(f, BRIDGE, params, BitSource(0), base_seed=99)
-    b = M.mlmc_estimate(f, BRIDGE, params, BitSource(0), base_seed=99)
-    assert a.estimate == b.estimate
-    assert a.ledger.bits == b.ledger.bits
-    # the per-level child sources replace the given one, which stays untouched
-    src = BitSource(1)
-    assert M.mlmc_estimate(f, BRIDGE, params, src, base_seed=99).estimate == a.estimate
-    assert src.bits_drawn == 0
 
 
 def test_variance_decay_slope():
@@ -226,10 +259,11 @@ def test_blocked_evaluation_equals_whole_batch(model_name, name, n, monkeypatch)
     coeffs, idx = _decode(model, 5, fine)
     for k, (rows, level) in enumerate(((coeffs, 5), (model.coarsen_rows(idx, 5)[0], 4))):
         whole = f.rows(model.functional_rows(rows, level)).tobytes()
-        assert M._evaluate(f, model, 5, fine, 0, True)[k].tobytes() == whole  # one block
+        width = len(model.allocation(4))
+        assert M._evaluate(f, model, 5, fine, width)[k].tobytes() == whole  # one block
         for budget in (8 * 34 * 7, 8 * 34 * 5, 1):  # blocks of 5-14 rows, and of 2-3 rows
             monkeypatch.setattr(M, "_EVAL_BYTES", budget)
-            assert M._evaluate(f, model, 5, fine, 0, True)[k].tobytes() == whole, budget
+            assert M._evaluate(f, model, 5, fine, width)[k].tobytes() == whole, budget
         monkeypatch.undo()
 
 
@@ -239,8 +273,10 @@ def test_estimators_do_not_depend_on_the_block_size(model_name, monkeypatch):
     params = M.mlmc_params(2.0 ** -3, model.beta, model.alpha)
     f = M.lookup_functional("norm")
 
+    monkeypatch.setattr(M, "_BATCH_ROWS", 128)
+
     def run():
-        mean, stderr, ledger = M.plain_mc(f, model, 8, 301, BitSource(5), batch=128)
+        mean, stderr, ledger = M.plain_mc(f, model, 8, 301, BitSource(5))
         est = M.mlmc_estimate(f, model, params, BitSource(6))
         return mean.hex(), stderr.hex(), ledger.bits, est.estimate.hex(), est.stderr.hex()
 
@@ -270,13 +306,14 @@ def test_plain_mc_draws_no_index_rows(monkeypatch):
     monkeypatch.setattr(M.ExpansionModel, "sample_rows", spy)
     monkeypatch.setattr(G, "decode_rows", blocks)
     monkeypatch.setattr(M, "_EVAL_BYTES", 8 * 65 * 4)  # level 6: blocks of 4 rows
-    M.plain_mc(M.lookup_functional("norm"), BRIDGE, 6, 50, BitSource(3), batch=20)
+    monkeypatch.setattr(M, "_BATCH_ROWS", 20)
+    M.plain_mc(M.lookup_functional("norm"), BRIDGE, 6, 50, BitSource(3))
     assert seen == [(G.DrawnRows, 20), (G.DrawnRows, 20), (G.DrawnRows, 10)]
     assert sum(rows for rows, _ in decoded) == 50 and max(rows for rows, _ in decoded) == 4
     assert all(idx is None for _, idx in decoded)
 
 
-@pytest.mark.parametrize("kwargs", [{"n": 0}, {"n": -3}, {"n": 10, "batch": 0}, {"n": 10, "batch": -1}])
+@pytest.mark.parametrize("kwargs", [{"n": 0}, {"n": -3}])
 def test_plain_mc_rejects_empty_runs_and_batches(kwargs):
     src = BitSource(3)
     with pytest.raises(ValueError, match="positive integer"):
@@ -335,13 +372,33 @@ def test_plain_mc_memory_is_bounded_by_the_drawn_words():
     assert peak < 2 * words + 8 * M._EVAL_BYTES
 
 
+def test_plain_mc_memory_is_bounded_by_the_batch_bytes(monkeypatch):
+    # level 12 rows hold 2 kB of words each: 512 rows are 4 batches of 128
+    # rows, and only one batch's words are held at a time
+    import tracemalloc
+
+    f, n, budget = M.lookup_functional("norm"), 512, 256 << 10
+    monkeypatch.setattr(M, "_BATCH_BYTES", budget)
+    monkeypatch.setattr(M, "_EVAL_BYTES", 64 << 10)
+    M.plain_mc(f, BRIDGE, 12, 8, BitSource(1))  # fill the lazily built tables
+    tracemalloc.start()
+    try:
+        M.plain_mc(f, BRIDGE, 12, n, BitSource(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n * allocation_bridge_total(12) // 8 > 3 * budget
+    assert peak < 2 * budget + 8 * M._EVAL_BYTES
+
+
 @pytest.mark.parametrize("model_name", sorted(MODELS))
 def test_allocations_and_scales_are_computed_once(model_name):
     model = MODELS[model_name]
+    min4 = M.BridgeModel(min_bits=4) if model_name == "bridge" else M.KLModel(KL_SPEC, min_bits=4)
     for level in (1, 6):
-        for min_bits in (0, 4):
-            alloc = model.allocation(level, min_bits)
-            assert model.allocation(level, min_bits) is alloc
+        for m in (model, min4):
+            alloc = m.allocation(level)
+            assert m.allocation(level) is alloc
             assert not alloc.counts.flags.writeable
         scale = model.scale(level)
         assert model.scale(level) is scale
