@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 MAX_BITS = 63  # grid index must fit one machine word
+MAX_LEVEL = 25  # a level's dimension is at most 2**MAX_LEVEL (bridge and KL alike)
 _GATHER_MIN_BITS = 1 << 15  # draws this long at 4 < p <= 52 gather rather than unpack
 _RAW_CHUNK = 1 << 16  # words per random_raw call of take_words: a draw holds its words once
 

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 # truncate_indices, grid_normal_values: unused, kept for perfbench/selftest.py
-from .bitcore import BitAllocation, BitSource, truncate_indices  # noqa: F401
+from .bitcore import MAX_LEVEL, BitAllocation, BitSource, truncate_indices  # noqa: F401
 from .errors import CapacityError
 from .gausskl import coarsen_rows, sample_rows
-from .normal import bit_normal_mse, bit_normal_mse_extended, grid_normal_values  # noqa: F401
-
-MAX_LEVEL = 25
+from .normal import bit_normal_mse_extended
+from .normal import grid_normal_values  # noqa: F401
 
 
 def schauder_level(i: int) -> tuple[int, int]:
@@ -206,11 +205,3 @@ def precision_sum(level: int) -> float:
         total += 2.0 ** -p / p * math.fsum(i ** -2.0)
     return total
 
-
-def coupled_difference_mean_sq(level: int) -> float:
-    """Exact E || B^(level) - B^(level, p(level)) ||_{L2}^2 (no truncation tail)."""
-    acc = 0.0
-    for m in range(level):
-        p = 2 * (level - m)
-        acc += (1 << m) * bit_normal_mse(p) * 2.0 ** (-2 * m - 2) / 3.0
-    return acc

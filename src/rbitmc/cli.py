@@ -75,8 +75,9 @@ class Fixture:
             return abs(observed) <= self.tolerance
         return abs(observed - self.value) <= self.tolerance * abs(self.value)
 
-    def within_factor(self, observed: float, factor: float = 2.0) -> bool:
-        return self.value / factor <= observed <= self.value * factor
+    def within_factor(self, observed: float) -> bool:
+        """Within a factor 2 of the value either way (a factor-4 bracket)."""
+        return self.value / 2.0 <= observed <= self.value * 2.0
 
     def lower_bound(self, observed: float) -> bool:
         return observed >= self.value
@@ -111,11 +112,16 @@ def format_value(v) -> str:
     return "%.17g" % float(v)
 
 
+def _write_rows(handle, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """The one CSV row format, for files and stdout alike."""
+    handle.write(",".join(header) + "\n")
+    for row in rows:
+        handle.write(",".join(format_value(v) for v in row) + "\n")
+
+
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(format_value(v) for v in row) + "\n")
+        _write_rows(handle, header, rows)
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[float]]]:
@@ -259,7 +265,7 @@ def _check_kl_error(fixtures: dict[str, Fixture], records, a) -> list[str]:
     key = f"kl_scaled_b{a['beta']:g}_a{a['alpha']:g}"
     fx = fixtures.get(key)
     return [f"{key}: scaled {r['scaled']!r} outside factor-4 bracket of {fx.value}"
-            for r in records if fx and not fx.within_factor(r["scaled"], 2.0)]
+            for r in records if fx and not fx.within_factor(r["scaled"])]
 
 
 def _check_mlmc(fixtures: dict[str, Fixture], records, a) -> list[str]:
@@ -357,9 +363,7 @@ def _run(name: str, values: dict, csv: Optional[str], fixtures_path: Optional[st
     if csv:
         write_csv(csv, header, rows)
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(format_value(v) for v in row))
+        _write_rows(sys.stdout, header, rows)
     fixtures = load_fixtures(fixtures_path) if fixtures_path else {}
     records = [dict(zip(header, row)) for row in rows]
     failures = exp.check(fixtures, records, values) if exp.check else []
@@ -471,8 +475,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out_rows = [[fit.slope, fit.intercept, fit.residual_max, fit.n_points]]
             if args.csv:
                 write_csv(args.csv, out_header, out_rows)
-            print(",".join(out_header))
-            print(",".join(format_value(v) for v in out_rows[0]))
+            _write_rows(sys.stdout, out_header, out_rows)
             return 0
         values = {prm.name: getattr(args, prm.name)
                   for prm in (*EXPERIMENTS[args.command].params, _SEED)}

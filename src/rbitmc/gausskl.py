@@ -23,8 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bitcore import BitAllocation, BitSource, byte_fields, equal_runs, read_bytes, read_fields, truncate_indices
-from .errors import InternalInvariantError
+from .bitcore import MAX_LEVEL, BitAllocation, BitSource, byte_fields, equal_runs, read_bytes, read_fields, truncate_indices
+from .errors import CapacityError, InternalInvariantError
 from .normal import bit_normal_mse_extended, checked_quad, grid_normal_byte_table, grid_normal_values
 
 _TAIL_EXTEND = 4096  # terms tail_sum looks past M for the eigenvalues to stop rising
@@ -46,6 +46,9 @@ class EigenSpec:
     explicit: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
+        for name, value in (("beta", self.beta), ("alpha", self.alpha), ("scale", self.scale)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.explicit is None and not self.beta > 1.0:
             raise ValueError("analytic mode requires beta > 1 for summability")
         if self.scale <= 0.0:
@@ -67,10 +70,14 @@ def allocation_kl(m: int, spec: EigenSpec) -> BitAllocation:
 
     ptilde_i = beta*log2(m/i) + max(alpha,0)*log2(log2(m+1)/log2(i+1)).
 
-    Counts above :data:`bitcore.MAX_BITS` are refused by :class:`BitAllocation`.
+    Counts above :data:`bitcore.MAX_BITS` are refused by :class:`BitAllocation`,
+    and m above 2**MAX_LEVEL (:data:`bitcore.MAX_LEVEL`) raises CapacityError
+    before anything is built.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
+    if m > 1 << MAX_LEVEL:
+        raise CapacityError(f"KL allocation capped at m = 2**{MAX_LEVEL}, got {m}")
     if not spec.analytic:
         raise ValueError("allocation formula requires the analytic eigenvalue mode")
     i = np.arange(1, m + 1, dtype=np.float64)

@@ -66,6 +66,9 @@ def mlmc_params(eps: float, beta: float, alpha: float) -> MLMCParams:
     """Level count, replication numbers and scaling constant for accuracy eps."""
     if not 0.0 < eps <= EPS_MAX:
         raise ValueError(f"eps must lie in (0, e^-2], got {eps}")
+    for name, value in (("beta", beta), ("alpha", alpha)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not beta > 1.0:
         raise ValueError("beta must exceed 1")
     log_inv = math.log(1.0 / eps)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc as _erfc
@@ -68,13 +67,6 @@ def Phi(x):
     """Standard normal distribution function, accurate in the lower tail."""
     x = np.asarray(x, dtype=np.float64)
     out = 0.5 * _erfc(-x / SQRT_2)
-    return float(out) if out.ndim == 0 else out
-
-
-def Phi_c(x):
-    """Complementary distribution function 1 - Phi(x), accurate for x >> 0."""
-    x = np.asarray(x, dtype=np.float64)
-    out = 0.5 * _erfc(x / SQRT_2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -172,26 +164,15 @@ def phi_inv_tail(t: float) -> float:
     return y
 
 
-@dataclass
-class BitNormal:
-    """The p-bit grid normal: uniform distribution on 2**p quantile points."""
-
-    p: int
-    support: np.ndarray
-
-    def __post_init__(self):
-        if len(self.support) != 1 << self.p:
-            raise ValueError("support size must be 2**p")
-
-
 def _mid_quantiles(p: int, k0: int, k1: int) -> np.ndarray:
     """Support points x_k of the p-bit normal for cells k0..k1."""
     return phi_inv(dyadic_values(np.arange(k0, k1 + 1, dtype=np.float64), p))
 
 
-def bit_normal_support(p: int) -> BitNormal:
+def bit_normal_support(p: int) -> np.ndarray:
+    """The 2**p support points x_k of the p-bit normal, in ascending order."""
     _exact_precision(p, "support")
-    return BitNormal(p, _mid_quantiles(p, 1, 1 << p))
+    return _mid_quantiles(p, 1, 1 << p)
 
 
 def bit_normal_sample(src: BitSource, p: int) -> float:
@@ -476,7 +457,7 @@ def func_g(a: float) -> float:
     a = float(a)
     if a < 0.0:
         raise ValueError("func_g requires a >= 0")
-    return (1.0 + a * a) * Phi_c(a) - a * phi(a)
+    return (1.0 + a * a) * Phi(-a) - a * phi(a)
 
 
 def asymptotic_ratios(p_grid) -> dict[str, np.ndarray]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, truncate_indices  # noqa: F401
 from .bridge import allocation_bridge, allocation_bridge_total, evaluate_coeffs
-from .errors import ConfigurationError, InternalInvariantError, NumericFailure
+from .errors import InternalInvariantError, NumericFailure
 from .gausskl import coarsen_rows, sample_rows
 from .normal import Phi, grid_normal_values
 
@@ -183,16 +183,15 @@ def _step_blocks(steps: int, reps: int):
         yield k0, min(k0 + per, steps)
 
 
-def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: int,
-                            reference: str = "auto") -> tuple[float, CostLedger]:
+def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: int) -> tuple[float, CostLedger]:
     """RMS of max_k |X_ref(t_k) - X_m^(q)(t_k)| over coupled replications.
 
     The bit scheme and the reference share driving randomness: each step
     draws one 63-bit parent uniform per replication; the reference uses its
-    full-precision normal, the bit scheme the q-bit truncation.  The
-    reference is the exact strong solution when the model provides one,
-    otherwise a Milstein path on a 64x finer grid over the same Brownian
-    path (reference="fine" forces the fallback).
+    full-precision normal, the bit scheme the q-bit truncation.  The model
+    picks the reference: its exact strong solution when it has one
+    (``model.exact_strong_solution``), otherwise a Milstein path on a 64x
+    finer grid over the same Brownian path.
 
     Draw order is step-major: step k is row k of :func:`gausskl.sample_rows`
     under ``reps`` 63-bit coefficients, one per replication (53-bit rows
@@ -206,14 +205,9 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     _check_scheme(m, q)
     if reps < 1:
         raise ValueError("reps must be a positive integer")
-    if reference not in ("auto", "exact", "fine"):
-        raise ConfigurationError(f"unknown reference mode {reference!r}")
-    if reference == "exact" and model.exact_strong_solution is None:
-        raise ConfigurationError("model provides no exact strong solution")
-    use_exact = (reference in ("auto", "exact")) and model.exact_strong_solution is not None
     src = BitSource(seed)
     ledger = CostLedger()
-    if use_exact:
+    if model.exact_strong_solution is not None:
         parent = BitAllocation(np.full(reps, PARENT_BITS))
         child = BitAllocation(np.full(reps, q))
         y = np.empty((reps, m), dtype=np.float64)

@@ -122,7 +122,7 @@ def test_criterion_5_kl_rates():
         for level in range(6, 15):
             m = 1 << level
             scaled = m ** (beta - 1.0) * math.log(m) ** alpha * G.kl_error_sq(m, spec)
-            if not fx.within_factor(scaled, 2.0):
+            if not fx.within_factor(scaled):
                 ok_scaled = False
                 details.append(f"({beta:g},{alpha:g}) m=2^{level} scaled={scaled:.4f}")
     ok_linear = True

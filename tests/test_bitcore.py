@@ -285,3 +285,29 @@ def test_only_bitcore_states_the_bit_limit():
                     and type(node.value.value) is int and node.value.value == MAX_BITS):
                 binders.add(path.name)
     assert binders == {"bitcore.py"}
+
+
+_PINNED_IMPORTS = {"grid_normal_values", "truncate_indices"}  # re-exports perfbench/selftest.py asserts
+
+
+def test_every_imported_name_is_used():
+    """No linter runs here, so this is the unused-import check: each module
+    of the package (``__init__`` re-exports, so it is left out) uses every
+    name it imports, except the pinned re-exports on a ``# noqa: F401`` line."""
+    unused = []
+    for path in sorted(Path(__file__).resolve().parents[1].glob("src/rbitmc/*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            noqa = any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and not (noqa and name in _PINNED_IMPORTS):
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

@@ -163,7 +163,7 @@ def test_coupled_difference_matches_exact_formula():
         coarse[:, j] = N.grid_normal_values(truncate_indices(idx[:, j], parent_p, p), p)
     diff_sq = BR.pl_l2_norm_sq(BR.nodes_from_coeffs(fine - coarse, level))
     # expectation: sum_i E(Y^(40) - Y^(p_i))^2 ||s_i||^2; p=40 side adds ~2^-40
-    expected = BR.coupled_difference_mean_sq(level)
+    expected = BR.bridge_bit_error_sq(level) - BR.bridge_truncation_error_sq(level)
     se = diff_sq.std(ddof=1) / math.sqrt(n)
     assert abs(diff_sq.mean() - expected) < 4.0 * se
 

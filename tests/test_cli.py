@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -145,6 +146,35 @@ def test_fit_subcommand(tmp_path):
     assert abs(rows[0][0] + 1.0) < 1e-12
 
 
+_SMALL_RUNS = {
+    "normal-error": ["--pmin", "4", "--pmax", "5"],
+    "rbit-1d": ["--pmin", "1", "--pmax", "3"],
+    "bridge-error": ["--lmin", "1", "--lmax", "3"],
+    "kl-error": ["--beta", "2", "--alpha", "0", "--mmin", "64", "--mmax", "64"],
+    "sde-error": ["--mmin", "4", "--mmax", "4", "--reps", "3"],
+    "mlmc": ["--eps", "0.125", "--runs", "2"],
+    "appendix-ratios": ["--pmin", "10", "--pmax", "11"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_stdout_equals_the_csv_file(tmp_path, capsys, name):
+    out = tmp_path / "out.csv"
+    assert main([name, *_SMALL_RUNS[name], "--csv", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main([name, *_SMALL_RUNS[name]]) == 0
+    printed = capsys.readouterr().out
+    assert printed.count("\n") >= 2 and printed.encode("utf-8") == out.read_bytes()
+
+
+def test_fit_stdout_equals_its_csv_file(tmp_path, capsys):
+    data = str(tmp_path / "data.csv")
+    write_csv(data, ["m", "err"], [[2.0 ** k, 3.0 * 2.0 ** -k] for k in range(1, 7)])
+    out = tmp_path / "fit.csv"
+    assert main(["fit", "--input", data, "--x", "m", "--y", "err", "--csv", str(out)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
 def test_config_parsing(tmp_path):
     good = tmp_path / "good.cfg"
     good.write_text("experiment = bridge-error\nlmin = 1\nlmax = 4\nseed = 0\n")
@@ -203,11 +233,39 @@ def test_malformed_suite_config_is_bad_input(tmp_path, capsys, text, key):
     ["normal-error", "--pmin", "0", "--pmax", "3"],
     ["kl-error", "--beta", "0.5", "--alpha", "0", "--mmin", "16", "--mmax", "32"],
     ["mlmc", "--eps", "1e-200"],  # K(eps) = eps^-2 overflows a double
+    # non-finite decay rates: L = 0 wrote all-zero rows, NaN failed in math.ceil
+    ["mlmc", "--model", "kl", "--beta", "inf", "--eps", "0.1", "--runs", "2"],
+    ["mlmc", "--model", "kl", "--alpha", "inf", "--eps", "0.1", "--runs", "2"],
+    ["mlmc", "--model", "kl", "--alpha", "nan", "--eps", "0.1", "--runs", "2"],
+    ["kl-error", "--beta", "inf", "--alpha", "0", "--mmin", "16", "--mmax", "32"],
 ])
 def test_out_of_range_argument_is_bad_input(capsys, args):
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("flag,value,command", [
+    ("--beta", "inf", "mlmc"), ("--alpha", "inf", "mlmc"), ("--alpha", "nan", "mlmc"), ("--beta", "inf", "kl-error"),
+])
+def test_non_finite_decay_rate_is_named(capsys, flag, value, command):
+    rest = (["--model", "kl", "--eps", "0.1", "--runs", "2"] if command == "mlmc"
+            else ["--beta", "2", "--alpha", "0", "--mmin", "16", "--mmax", "32"])
+    assert main([command, *rest, flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {flag[2:]} must be finite, got {value}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["mlmc", "--model", "kl", "--eps", "1e-4"],  # L = 27: about 4.4 GB of top-level allocation
+    ["kl-error", "--beta", "2", "--alpha", "0", "--mmin", "67108864", "--mmax", "67108864"],
+])
+def test_kl_level_cap_is_bad_input(tmp_path, capsys, args):
+    out = tmp_path / "out.csv"
+    t0 = time.perf_counter()
+    assert main([*args, "--csv", str(out)]) == 2
+    assert time.perf_counter() - t0 < 10.0
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: KL allocation capped")
 
 
 def test_fit_unknown_column_is_bad_input(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rbitmc import gausskl as G
 from rbitmc.bitcore import BitAllocation, BitSource, byte_fields, child_source
-from rbitmc.errors import InternalInvariantError
+from rbitmc.errors import CapacityError, InternalInvariantError
 from rbitmc.normal import bit_normal_mse, bit_normal_moment, grid_normal_byte_table, grid_normal_values
 from rbitmc.wasserstein1d import w2_empirical
 
@@ -247,3 +247,27 @@ def test_invalid_spec():
         G.EigenSpec(beta=1.0, alpha=0.0)
     with pytest.raises(ValueError):
         G.EigenSpec(beta=2.0, alpha=0.0, scale=0.0)
+    # non-finite rates and scales were accepted: beta = inf gave nan bit counts (inf * 0)
+    for kwargs in ({"beta": math.inf, "alpha": 0.0}, {"beta": math.nan, "alpha": 0.0},
+                   {"beta": 2.0, "alpha": math.inf}, {"beta": 2.0, "alpha": -math.inf},
+                   {"beta": 2.0, "alpha": math.nan}, {"beta": 2.0, "alpha": 0.0, "scale": math.inf},
+                   {"beta": 2.0, "alpha": 0.0, "scale": math.nan}):
+        name = next(k for k, v in kwargs.items() if not math.isfinite(v))
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            G.EigenSpec(**kwargs)
+
+
+def test_allocation_refuses_m_above_the_level_cap():
+    import tracemalloc
+
+    from rbitmc.bitcore import MAX_LEVEL
+
+    assert len(G.allocation_kl(1 << 10, SPEC)) == 1 << 10
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="capped"):
+            G.allocation_kl(1 << (MAX_LEVEL + 1), SPEC)  # about 2.2 GB if built
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -47,6 +47,10 @@ def test_params_validation_and_nl():
     for eps, beta in ((1e-200, 2.0), (1e-154, 2.0), (0.1, 1.0001)):  # K(eps) overflows
         with pytest.raises(ValueError, match="too small"):
             M.mlmc_params(eps, beta, 0.0)
+    for beta, alpha, name in ((math.inf, 0.0, "beta"), (math.nan, 0.0, "beta"),
+                              (2.0, math.inf, "alpha"), (2.0, -math.inf, "alpha"), (2.0, math.nan, "alpha")):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):  # beta = inf gave L = 0
+            M.mlmc_params(0.1, beta, alpha)
     for eps in (2.0 ** -3, 2.0 ** -6, 1e-4):
         p = M.mlmc_params(eps, 2.0, 0.0)
         assert all(n >= 1 for n in p.N)

@@ -63,7 +63,7 @@ def test_fused_normal_error_row_golden(p):
 
 @pytest.mark.parametrize("p", sorted(SUPPORT_SHA256))
 def test_support_golden(p):
-    assert _sha256(N.bit_normal_support(p).support) == SUPPORT_SHA256[p]
+    assert _sha256(N.bit_normal_support(p)) == SUPPORT_SHA256[p]
 
 
 def test_grid_table_golden():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 from rbitmc import bridge as BR
 from rbitmc import sde as S
 from rbitmc.bitcore import BitSource, dyadic_values, truncate_indices
-from rbitmc.errors import ConfigurationError, InternalInvariantError, NumericFailure
+from rbitmc.errors import InternalInvariantError, NumericFailure
 from rbitmc.normal import bit_normal_mse, grid_normal_values, phi_inv
 
 GM = S.geometric_model(0.05, 0.2, 1.0)
+GM_FINE = dataclasses.replace(GM, exact_strong_solution=None)  # the 64x fine Milstein reference
 
 
 def additive_model(x0=0.0):
@@ -136,10 +138,6 @@ def test_strong_error_determinism_and_modes():
     a1, _ = S.strong_error_experiment(GM, 32, 8, 1, seed=5)
     a2, _ = S.strong_error_experiment(GM, 32, 8, 1, seed=5)
     assert a1 == a2
-    with pytest.raises(ConfigurationError):
-        S.strong_error_experiment(additive_model(), 8, 8, 2, seed=1, reference="exact")
-    with pytest.raises(ConfigurationError):
-        S.strong_error_experiment(GM, 8, 8, 2, seed=1, reference="bogus")
 
 
 def test_strong_error_slope_and_plateau_small():
@@ -156,13 +154,13 @@ def test_strong_error_slope_and_plateau_small():
 def test_strong_error_ledger_bits():
     _, ledger = S.strong_error_experiment(GM, 16, 8, 10, seed=2)
     assert ledger.bits == S.PARENT_BITS * 16 * 10
-    _, ledger = S.strong_error_experiment(GM, 8, 8, 5, seed=2, reference="fine")
+    _, ledger = S.strong_error_experiment(GM_FINE, 8, 8, 5, seed=2)
     assert ledger.bits == 53 * S.FINE_FACTOR * 8 * 5
 
 
 def test_fine_reference_agrees_with_exact():
-    e_fine, _ = S.strong_error_experiment(GM, 32, 52, 300, seed=11, reference="fine")
-    e_exact, _ = S.strong_error_experiment(GM, 32, 52, 300, seed=11, reference="exact")
+    e_fine, _ = S.strong_error_experiment(GM_FINE, 32, 52, 300, seed=11)
+    e_exact, _ = S.strong_error_experiment(GM, 32, 52, 300, seed=11)
     assert abs(e_fine - e_exact) < 0.3 * e_exact
 
 
@@ -200,7 +198,7 @@ def test_bridge_refinement_l2_consistency():
     (32, 52, 300, 11, "fine", "0x1.c4407406875e9p-12", 32563200),
 ])
 def test_strong_error_golden_values(m, q, reps, seed, reference, rms_hex, bits):
-    rms, ledger = S.strong_error_experiment(GM, m, q, reps, seed, reference=reference)
+    rms, ledger = S.strong_error_experiment(GM if reference == "auto" else GM_FINE, m, q, reps, seed)
     assert float.hex(rms) == rms_hex
     assert ledger.bits == bits
 
@@ -246,5 +244,5 @@ def test_strong_error_rejects_q_outside_the_parent_bits(q, reference, monkeypatc
 
     monkeypatch.setattr(S, "BitSource", Recording)
     with pytest.raises(ValueError, match=r"q must be an integer in \[1, 63\]"):
-        S.strong_error_experiment(GM, 8, q, 5, 1, reference=reference)
+        S.strong_error_experiment(GM if reference == "auto" else GM_FINE, 8, q, 5, 1)
     assert all(src.bits_drawn == 0 for src in sources)

@@ -56,7 +56,7 @@ def test_w2_normal_two_point_optimal():
 
 
 def test_w2_normal_midpoints_equal_rmse():
-    sup = N.bit_normal_support(1).support
+    sup = N.bit_normal_support(1)
     d = w2_uniform(NORMAL, DiscreteUniform(sup))
     assert abs(d - math.sqrt(N.bit_normal_mse(1))) < 1e-14
 
