@@ -23,12 +23,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bitcore import MAX_LEVEL, BitAllocation, BitSource, byte_fields, equal_runs, read_bytes, read_fields, truncate_indices
+from .bitcore import MAX_BITS, MAX_LEVEL, BitAllocation, BitSource, byte_fields, equal_runs, read_bytes, read_fields, truncate_indices
 from .errors import CapacityError, InternalInvariantError
 from .normal import bit_normal_mse_extended, checked_quad, grid_normal_byte_table, grid_normal_values
 
 _TAIL_EXTEND = 4096  # terms tail_sum looks past M for the eigenvalues to stop rising
 _TAIL_REL_INCREMENT = 1e-6  # tail_sum sums directly until a term falls below this share
+_ALLOC_BLOCK = 1 << 16  # indices allocation_kl evaluates ptilde at in one go
 
 
 @dataclass
@@ -72,7 +73,9 @@ def allocation_kl(m: int, spec: EigenSpec) -> BitAllocation:
 
     Counts above :data:`bitcore.MAX_BITS` are refused by :class:`BitAllocation`,
     and m above 2**MAX_LEVEL (:data:`bitcore.MAX_LEVEL`) raises CapacityError
-    before anything is built.
+    before anything is built.  ptilde is evaluated _ALLOC_BLOCK indices at a
+    time into one byte per count, so the float temporaries stay small and
+    the counts take 9 bytes each at the peak (with their int64 copy).
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -80,11 +83,21 @@ def allocation_kl(m: int, spec: EigenSpec) -> BitAllocation:
         raise CapacityError(f"KL allocation capped at m = 2**{MAX_LEVEL}, got {m}")
     if not spec.analytic:
         raise ValueError("allocation formula requires the analytic eigenvalue mode")
-    i = np.arange(1, m + 1, dtype=np.float64)
+    counts = np.empty(m, dtype=np.uint8)
+    for a in range(0, m, _ALLOC_BLOCK):
+        b = min(a + _ALLOC_BLOCK, m)
+        counts[a:b] = _bit_counts(a, b, m, spec)
+    return BitAllocation(counts)
+
+
+def _bit_counts(a: int, b: int, m: int, spec: EigenSpec) -> np.ndarray:
+    """ceil(max(ptilde_i, 1)) of :func:`allocation_kl` for i = a+1..b, with a
+    count above MAX_BITS given as MAX_BITS + 1, which BitAllocation refuses."""
+    i = np.arange(a + 1, b + 1, dtype=np.float64)
     ptilde = spec.beta * np.log2(m / i)
     if spec.alpha > 0.0:
         ptilde = ptilde + spec.alpha * np.log2(np.log2(m + 1.0) / np.log2(i + 1.0))
-    return BitAllocation(np.ceil(np.maximum(ptilde, 1.0)))
+    return np.minimum(np.ceil(np.maximum(ptilde, 1.0)), MAX_BITS + 1)
 
 
 @dataclass

@@ -24,6 +24,8 @@ evaluation), and generated coefficients as an arithmetic proxy.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -46,7 +48,7 @@ from .gausskl import EigenSpec, KLVector, allocation_kl
 from .normal import grid_normal_values  # noqa: F401
 
 EPS_MAX = math.exp(-2.0)
-_EVAL_BYTES = 4 << 20  # node values per functional evaluation, a block that stays in cache
+_EVAL_BYTES = 4 << 20  # node values of all evaluation blocks in flight, split among the threads
 _BATCH_BYTES = 32 << 20  # drawn words per plain_mc batch
 _BATCH_ROWS = 4096  # only keeps the batch sums of levels <= 14; goes once those sums are exact
 
@@ -367,30 +369,57 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
               width: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """``f.rows`` of every row of ``drawn`` (rows of ``level``) and, with the
     coarse dimension ``width`` > 0, of its coarsening one level down (else
-    None), decoded by :func:`gausskl.decode_rows` in blocks that hold at
-    most _EVAL_BYTES of fine node values each; a block's coarse rows are
-    re-truncated from its index rows by ``model.coarsen_rows``.
+    None), decoded by :func:`gausskl.decode_rows` in blocks of rows; a
+    block's coarse rows are re-truncated from its index rows by
+    ``model.coarsen_rows``.
 
-    Only the drawn words and one block are held; fine coefficient blocks are
-    decoded into one reused buffer.  Rows are evaluated independently, so
-    every value equals that of one call on the whole batch.  No block has a
-    single row unless the batch has: numpy's matmul rounds a one-row product
-    differently (seen with the KL ``soft_linear``).
+    The blocks run on min(2, usable CPUs) threads while numpy releases the
+    GIL.  The first block runs on the calling thread alone, filling every
+    lazily built table before another thread reads one; with two or more
+    blocks left and two CPUs, the calling thread and one pool thread, made
+    for this call and joined before it returns, take every other block of
+    the rest.  (A thread keeps its freed blocks in its own malloc arena, so
+    the caller works rather than waits: an idle caller beside a pool of two
+    raised the peak RSS of a level-13 plain_mc by 10%.)  _EVAL_BYTES bounds
+    the node values of all blocks in flight, so a block holds
+    _EVAL_BYTES / threads of them.  Only the drawn words and the blocks in
+    flight are held: a thread decodes its fine coefficient blocks into one
+    reused buffer and writes its rows' values to their own slices of the
+    result, and nothing is reduced across threads.  Rows are evaluated
+    independently, so every value equals that of one call on the whole
+    batch.  No block has a single row unless the batch has: numpy's matmul
+    rounds a one-row product differently (seen with the KL
+    ``soft_linear``).  A batch of one or two blocks starts no thread, and
+    an exception raised in any block propagates.
     """
     n, dim = drawn.n, len(drawn.alloc)
     coarse = width > 0
     scale = model.scale(level)
-    step = max(2, _EVAL_BYTES // (8 * (dim + 2)))
+    threads = min(2, len(os.sched_getaffinity(0)))
+    step = max(2, _EVAL_BYTES // threads // (8 * (dim + 2)))
     bounds = [0, n] if n <= step else [*range(0, n - 1, step), n]  # a last single row joins the block before it
-    buf = np.empty((min(n, step + 1), dim))
+    blocks = list(zip(bounds, bounds[1:]))
     y = np.empty(n, dtype=np.float64)
     y_coarse = np.empty(n, dtype=np.float64) if coarse else None
-    for a, b in zip(bounds, bounds[1:]):
-        coeffs, idx = gausskl.decode_rows(drawn, a, b, scale, width, buf[:b - a])
-        y[a:b] = f.rows(model.functional_rows(coeffs, level))
-        if coarse:
-            coarse_coeffs, _ = model.coarsen_rows(idx, level)
-            y_coarse[a:b] = f.rows(model.functional_rows(coarse_coeffs, level - 1))
+
+    def run(blocks: list[tuple[int, int]]) -> None:
+        buf = np.empty((min(n, step + 1), dim))
+        for a, b in blocks:
+            coeffs, idx = gausskl.decode_rows(drawn, a, b, scale, width, buf[:b - a])
+            y[a:b] = f.rows(model.functional_rows(coeffs, level))
+            if coarse:
+                coarse_coeffs, _ = model.coarsen_rows(idx, level)
+                y_coarse[a:b] = f.rows(model.functional_rows(coarse_coeffs, level - 1))
+
+    run(blocks[:1])
+    rest = blocks[1:]
+    if threads == 1 or len(rest) < 2:
+        run(rest)
+    else:
+        with ThreadPoolExecutor(1) as pool:
+            other = pool.submit(run, rest[1::2])
+            run(rest[::2])
+            other.result()
     return y, y_coarse
 
 
@@ -398,7 +427,9 @@ def _level_values(f: LipFunctional, model, src: BitSource, level: int, n: int,
                   coarse: bool, ledger: CostLedger) -> np.ndarray:
     """f at n rows of ``level`` drawn from ``src``, minus f at their coupled
     coarsening with ``coarse``; charges the bits drawn and the oracle cost
-    and coefficients of every evaluated row to ``ledger``."""
+    and coefficients of every evaluated row to ``ledger``.  The words are
+    drawn on the calling thread before :func:`_evaluate` runs any block on
+    a second thread, so the stream order does not depend on the threads."""
     before = src.bits_drawn
     drawn = model.sample_rows(src, level, n)
     ledger.bits += src.bits_drawn - before
@@ -418,8 +449,10 @@ def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource) -
     A level (:func:`_level_values`) draws all its N_l rows at once, in the
     stream order of :func:`gausskl.sample_rows`, and holds only their words
     (N_l |p(l)| / 8 bytes).  Its fine and coarse terms are decoded and
-    evaluated in cache-sized blocks of rows (:func:`_evaluate`); each
-    block's coarse rows are re-truncated from its index rows.
+    evaluated in cache-sized blocks of rows, on two threads when a level
+    has three or more blocks (:func:`_evaluate`); each block's coarse rows
+    are re-truncated from its index rows.  Level values, means and
+    variances are those of one thread.
     """
     ledger = CostLedger()
     estimate = 0.0
@@ -450,8 +483,10 @@ def plain_mc(f: LipFunctional, model, level: int, n: int,
     term) in the stream order of :func:`gausskl.sample_rows`.  A batch holds
     at most _BATCH_ROWS rows and _BATCH_BYTES of drawn words (one row if a
     row alone is larger), and is decoded and evaluated in cache-sized
-    blocks (:func:`_evaluate`), so no (batch, dim) array and no index row
-    is ever built; neither changes a value.
+    blocks, on two threads when it has three or more (:func:`_evaluate`),
+    so no (batch, dim) array and no index row is ever built; neither the
+    blocks nor the threads change a value, and the batch sums are taken on
+    the calling thread in row order.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")

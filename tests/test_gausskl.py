@@ -271,3 +271,41 @@ def test_allocation_refuses_m_above_the_level_cap():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("beta, alpha, m", [(2.0, 0.0, 1), (2.0, 0.0, (1 << 16) + 1), (1.5, 2.0, 3 << 16),
+                                            (3.0, -2.0, 100_003), (2.5, 1.0, 1 << 18)])
+def test_allocation_blocks_give_the_whole_array_counts(beta, alpha, m):
+    # ptilde is evaluated in blocks of indices; every count is the one of
+    # the formula on the whole index array
+    spec = G.EigenSpec(beta=beta, alpha=alpha)
+    i = np.arange(1, m + 1, dtype=np.float64)
+    ptilde = beta * np.log2(m / i)
+    if alpha > 0.0:
+        ptilde = ptilde + alpha * np.log2(np.log2(m + 1.0) / np.log2(i + 1.0))
+    expected = np.ceil(np.maximum(ptilde, 1.0)).astype(np.int64)
+    counts = G.allocation_kl(m, spec).counts
+    assert counts.dtype == np.int64 and np.array_equal(counts, expected)
+
+
+def test_allocation_memory_is_nine_bytes_per_count():
+    # one byte per count while ptilde is evaluated, then the int64 counts;
+    # the whole-array formula peaked at 33 bytes per count
+    import tracemalloc
+
+    m = 1 << 20
+    G.allocation_kl(1 << 10, SPEC)
+    tracemalloc.start()
+    try:
+        alloc = G.allocation_kl(m, SPEC)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(alloc) == m and peak <= 10 * m
+
+
+def test_allocation_refuses_counts_above_the_bit_limit():
+    # beta 300 asks for 300 bits at i = 1 of m = 2, more than a byte holds:
+    # BitAllocation still refuses it
+    with pytest.raises(ValueError, match="bit counts must be integers"):
+        G.allocation_kl(2, G.EigenSpec(beta=300.0, alpha=0.0))

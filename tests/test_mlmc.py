@@ -1,5 +1,8 @@
 import inspect
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -309,12 +312,105 @@ def test_plain_mc_draws_no_index_rows(monkeypatch):
 
     monkeypatch.setattr(M.ExpansionModel, "sample_rows", spy)
     monkeypatch.setattr(G, "decode_rows", blocks)
-    monkeypatch.setattr(M, "_EVAL_BYTES", 8 * 65 * 4)  # level 6: blocks of 4 rows
+    monkeypatch.setattr(M, "_EVAL_BYTES", 8 * 65 * 4)  # level 6: 4 rows in flight, split among the threads
     monkeypatch.setattr(M, "_BATCH_ROWS", 20)
     M.plain_mc(M.lookup_functional("norm"), BRIDGE, 6, 50, BitSource(3))
     assert seen == [(G.DrawnRows, 20), (G.DrawnRows, 20), (G.DrawnRows, 10)]
-    assert sum(rows for rows, _ in decoded) == 50 and max(rows for rows, _ in decoded) == 4
+    threads = min(2, len(os.sched_getaffinity(0)))
+    assert sum(rows for rows, _ in decoded) == 50 and max(rows for rows, _ in decoded) == 4 // threads
     assert all(idx is None for _, idx in decoded)
+
+
+class _PoolSpy:
+    """Records the thread count of each pool ``mlmc._evaluate`` makes."""
+
+    def __init__(self, monkeypatch):
+        self.pools = []
+        make = M.ThreadPoolExecutor
+
+        def spy(workers):
+            self.pools.append(workers)
+            return make(workers)
+
+        monkeypatch.setattr(M, "ThreadPoolExecutor", spy)
+
+
+def _fresh_model(model_name):
+    return M.BridgeModel() if model_name == "bridge" else M.KLModel(KL_SPEC)
+
+
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+def test_threaded_blocks_give_the_one_block_bytes(model_name, monkeypatch):
+    # a batch of many blocks, evaluated on two threads from cold tables and
+    # switching threads every 10 us, gives the bytes of one block on one
+    # thread; so does one CPU, serially
+    from rbitmc import bitcore, normal
+
+    level, n = 6, 203
+    width = len(MODELS[model_name].allocation(level - 1))
+    one_block = {}
+    for name, f in M.builtin_functionals().items():
+        drawn = MODELS[model_name].sample_rows(BitSource(23), level, n)
+        y, y_coarse = M._evaluate(f, MODELS[model_name], level, drawn, width)
+        one_block[name] = y.tobytes(), y_coarse.tobytes()
+    plain = M.plain_mc(M.lookup_functional("norm"), MODELS[model_name], level, n, BitSource(24))
+    monkeypatch.setattr(M, "_EVAL_BYTES", 8 * 66 * 16)  # 8 rows a block on two threads
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            pools = _PoolSpy(monkeypatch)
+            for name, f in M.builtin_functionals().items():
+                for module, cache in ((normal, "_GRID_TABLES"), (normal, "_BYTE_NORMALS"),
+                                      (bitcore, "_BYTE_TABLES")):
+                    monkeypatch.setattr(module, cache, {})
+                model = _fresh_model(model_name)
+                drawn = model.sample_rows(BitSource(23), level, n)
+                y, y_coarse = M._evaluate(f, model, level, drawn, width)
+                assert (y.tobytes(), y_coarse.tobytes()) == one_block[name], (name, cpus)
+            mean, stderr, ledger = M.plain_mc(M.lookup_functional("norm"), _fresh_model(model_name),
+                                              level, n, BitSource(24))
+            assert (mean.hex(), stderr.hex(), ledger.bits) == (plain[0].hex(), plain[1].hex(), plain[2].bits)
+            assert pools.pools == ([1] * 6 if len(cpus) == 2 else []), cpus  # one pool thread beside the caller
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_worker_exception_propagates_and_leaves_no_thread(monkeypatch):
+    # a block evaluated off the calling thread raises: plain_mc and
+    # mlmc_estimate raise it, and every pool thread has ended
+    base = M.lookup_functional("norm")
+
+    def rows(batch):
+        if threading.current_thread() is not threading.main_thread():
+            raise InternalInvariantError("worker block")
+        return base.rows(batch)
+
+    f = M.LipFunctional("raises_off_main", rows)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(M, "_EVAL_BYTES", 1)  # blocks of 2 rows
+    pools = _PoolSpy(monkeypatch)
+    before = threading.active_count()
+    with pytest.raises(InternalInvariantError, match="worker block"):
+        M.plain_mc(f, BRIDGE, 6, 100, BitSource(5))
+    assert threading.active_count() == before
+    with pytest.raises(InternalInvariantError, match="worker block"):
+        M.mlmc_estimate(f, BRIDGE, M.mlmc_params(2.0 ** -3, 2.0, 0.0), BitSource(5))
+    assert threading.active_count() == before
+    assert pools.pools == [1, 1]
+
+
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+def test_one_block_batches_start_no_thread(model_name, monkeypatch):
+    # every level of the estimator at eps 2^-6 fits in one block of a thread
+    model = MODELS[model_name]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pools = _PoolSpy(monkeypatch)
+    before = threading.active_count()
+    M.mlmc_estimate(M.lookup_functional("norm"), model, M.mlmc_params(2.0 ** -6, model.beta, model.alpha),
+                    BitSource(8))
+    assert pools.pools == [] and threading.active_count() == before
 
 
 @pytest.mark.parametrize("kwargs", [{"n": 0}, {"n": -3}])
