@@ -129,6 +129,27 @@ def test_bit_error_level_one():
     assert abs(BR.bridge_bit_error_sq(1) - expected) < 1e-16
 
 
+# level -> float.hex of bridge_bit_error_sq(level); levels above 13 use the
+# mse surrogate for their p > 26 counts
+BIT_ERROR_SQ = {
+    1: '0x1.876c9a7266f3bp-4', 2: '0x1.978b3268ec2a0p-5', 3: '0x1.9d3ea97eccf4ep-6',
+    4: '0x1.9f6c7d42b889cp-7', 5: '0x1.a04dd2091e262p-8', 6: '0x1.a0ac5e68a9d65p-9',
+    7: '0x1.a0d51d122429bp-10', 8: '0x1.a0e70491b3722p-11', 9: '0x1.a0ef00cf58bacp-12',
+    10: '0x1.a0f29b48be6ddp-13', 11: '0x1.a0f43f870b943p-14', 12: '0x1.a0f5007c7b806p-15',
+    13: '0x1.a0f559acb3b42p-16', 14: '0x1.a0f5831560154p-17', 15: '0x1.a0f596685b318p-18',
+    16: '0x1.a0f59f7740e6cp-19', 17: '0x1.a0f5a3ba7fd2ap-20', 18: '0x1.a0f5a5bdcf504p-21',
+    19: '0x1.a0f5a6b1e77e4p-22', 20: '0x1.a0f5a725d960fp-23', 21: '0x1.a0f5a75d0f9c2p-24',
+    22: '0x1.a0f5a777697e3p-25', 23: '0x1.a0f5a78403c8ep-26', 24: '0x1.a0f5a78a0db76p-27',
+    25: '0x1.a0f5a78cf3c37p-28',
+}
+
+
+def test_bit_error_matches_golden_at_every_level():
+    assert sorted(BIT_ERROR_SQ) == list(range(1, BR.MAX_LEVEL + 1))
+    got = {level: BR.bridge_bit_error_sq(level).hex() for level in BIT_ERROR_SQ}
+    assert got == BIT_ERROR_SQ
+
+
 def test_precision_inequality():
     for level in range(1, 21):
         assert BR.precision_sum(level) <= 2.0 ** -level
