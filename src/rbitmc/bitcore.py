@@ -235,6 +235,11 @@ def dyadic_values(indices: np.ndarray, p: int) -> np.ndarray:
     return (2.0 * np.asarray(indices, dtype=np.float64) - 1.0) * 2.0 ** -(p + 1)
 
 
+def dyadic_edges(k0: int, k1: int, p: int) -> np.ndarray:
+    """Edges k * 2**-p, k = k0..k1, of the 2**p uniform cells of (0, 1) (the cells of D(p))."""
+    return np.arange(k0, k1 + 1, dtype=np.float64) * 2.0 ** -p
+
+
 def truncate(u: float, p: int) -> DyadicValue:
     """Round u in [0, 1) to the midpoint of its cell in D(p)."""
     _check_precision(p)
@@ -304,8 +309,3 @@ class CostLedger:
     bits: int = 0
     oracle_cost: int = 0
     coeff_ops: int = 0
-
-    def add(self, other: "CostLedger") -> None:
-        self.bits += other.bits
-        self.oracle_cost += other.oracle_cost
-        self.coeff_ops += other.coeff_ops

@@ -178,7 +178,8 @@ def bridge_bit_error_sq(level: int) -> float:
     """Exact E || B - B^(level, p(level)) ||_{L2}^2.
 
     Independence of the coefficients makes the pointwise-variance identity
-    exact: sum_i mse(p_i) ||s_i||^2 plus the truncation tail.  Bit counts
+    exact: sum_i mse(p_i) ||s_i||^2 plus the truncation tail, summed as
+    gausskl.kl_error_sq sums its terms.  Bit counts
     above the exact-mse capacity (p > 26, i.e. level > 13) fall back to the
     asymptotic surrogate; their weight in the sum is below 1e-4 relative.
     """
@@ -186,12 +187,9 @@ def bridge_bit_error_sq(level: int) -> float:
         raise ValueError("level must be >= 1")
     if level > MAX_LEVEL:
         raise CapacityError(f"bridge error formula capped at level {MAX_LEVEL}")
-    acc = 0.0
-    for m in range(level):
-        p = 2 * (level - m)
-        norm_sq = 2.0 ** (-2 * m - 2) / 3.0
-        acc += (1 << m) * bit_normal_mse_extended(p) * norm_sq
-    return acc + bridge_truncation_error_sq(level)
+    # level m holds 2**m hats of squared norm 2**(-2m-2)/3, which sum to 2**(-m-2)/3 exactly
+    return math.fsum(bit_normal_mse_extended(2 * (level - m)) * (2.0 ** (-m - 2) / 3.0)
+                     for m in range(level)) + bridge_truncation_error_sq(level)
 
 
 def precision_sum(level: int) -> float:

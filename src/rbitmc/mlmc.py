@@ -254,89 +254,60 @@ def _refine_nodes(nodes: np.ndarray, level: int) -> np.ndarray:
     return nodes
 
 
-def make_coord(j: int) -> LipFunctional:
-    """Coordinate functional: the j-th KL coordinate, or for bridge paths the
-    inner product with the j-th normalized hat function."""
-    if j < 1:
-        raise ValueError("coordinate index must be >= 1")
-
-    def rows(batch: dict) -> np.ndarray:
-        if batch["kind"] == "kl":
-            coeffs = batch["coeffs"]
-            if j > coeffs.shape[1]:
-                return np.zeros(coeffs.shape[0])
-            return coeffs[:, j - 1].copy()
-        nodes = _refine_nodes(batch["nodes"], j.bit_length())  # hat j kinks on mesh 2**-bit_length(j)
-        return pl_inner(nodes, _hat_on_nodes(j, nodes.shape[1])[np.newaxis, :])
-
-    return LipFunctional(f"coord{j}", rows)
+def _coord(j: int, rows: dict) -> np.ndarray:
+    """The j-th KL coordinate, or for bridge paths the inner product with the
+    j-th normalized hat function."""
+    if rows["kind"] == "kl":
+        coeffs = rows["coeffs"]
+        if j > coeffs.shape[1]:
+            return np.zeros(coeffs.shape[0])
+        return coeffs[:, j - 1].copy()
+    nodes = _refine_nodes(rows["nodes"], j.bit_length())  # hat j kinks on mesh 2**-bit_length(j)
+    return pl_inner(nodes, _hat_on_nodes(j, nodes.shape[1])[np.newaxis, :])
 
 
-def make_norm() -> LipFunctional:
-    def rows(batch: dict) -> np.ndarray:
-        if batch["kind"] == "kl":
-            c = batch["coeffs"]
-            return np.sqrt(np.einsum("ij,ij->i", c, c))
-        return np.sqrt(pl_l2_norm_sq(batch["nodes"]))
-
-    return LipFunctional("norm", rows)
-
-
-def make_clipped_norm(clip: float) -> LipFunctional:
-    if clip <= 0.0:
-        raise ValueError("clip level must be positive")
-    base = make_norm()
-
-    def rows(batch: dict) -> np.ndarray:
-        return np.minimum(clip, base.rows(batch))
-
-    return LipFunctional(f"clipped_norm({clip:g})", rows)
-
-
-def make_soft_linear(weights) -> LipFunctional:
-    """x -> sum_j w_j x_j with the weight vector scaled so ||w|| <= 1.
-
-    For bridge paths the coordinates are inner products with normalized hat
-    functions, whose combination is rescaled by its true L2 norm so the
-    functional stays 1-Lipschitz despite the basis not being orthogonal.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or len(w) == 0:
-        raise ValueError("weights must be a non-empty 1-d sequence")
-    nrm = math.sqrt(float(np.dot(w, w)))
-    if nrm > 1.0:
-        w = w / nrm
-
-    def rows(batch: dict) -> np.ndarray:
-        if batch["kind"] == "kl":
-            c = batch["coeffs"]
-            k = min(len(w), c.shape[1])
-            return c[:, :k] @ w[:k]
-        nodes = _refine_nodes(batch["nodes"], len(w).bit_length())  # mesh of the last hat
-        n_nodes = nodes.shape[1]
-        g = np.zeros(n_nodes)
-        for j, wj in enumerate(w, start=1):
-            g += wj * _hat_on_nodes(j, n_nodes)
-        g_norm = math.sqrt(float(pl_l2_norm_sq(g[np.newaxis, :])[0]))
-        if g_norm > 1.0:
-            g = g / g_norm
-        return pl_inner(nodes, g[np.newaxis, :])
-
-    return LipFunctional("soft_linear", rows)
+def _norm(rows: dict) -> np.ndarray:
+    if rows["kind"] == "kl":
+        c = rows["coeffs"]
+        return np.sqrt(np.einsum("ij,ij->i", c, c))
+    return np.sqrt(pl_l2_norm_sq(rows["nodes"]))
 
 
 CLIP = 1.0  # clip level of the catalog's clipped_norm
-SOFT_WEIGHTS = (0.6, 0.48, 0.384, 0.3072)  # weights of the catalog's soft_linear
+SOFT_WEIGHTS = np.array([0.6, 0.48, 0.384, 0.3072])  # weights of the catalog's soft_linear, norm 0.9123
+
+
+def _soft_linear(rows: dict) -> np.ndarray:
+    """x -> sum_j w_j x_j with w = SOFT_WEIGHTS.
+
+    For bridge paths the coordinates are inner products with normalized hat
+    functions, whose combination is rescaled by its true L2 norm (1.268) so
+    the functional stays 1-Lipschitz despite the basis not being orthogonal.
+    """
+    w = SOFT_WEIGHTS
+    if rows["kind"] == "kl":
+        c = rows["coeffs"]
+        k = min(len(w), c.shape[1])
+        return c[:, :k] @ w[:k]
+    nodes = _refine_nodes(rows["nodes"], len(w).bit_length())  # mesh of the last hat
+    n_nodes = nodes.shape[1]
+    g = np.zeros(n_nodes)
+    for j, wj in enumerate(w, start=1):
+        g += wj * _hat_on_nodes(j, n_nodes)
+    g_norm = math.sqrt(float(pl_l2_norm_sq(g[np.newaxis, :])[0]))
+    if g_norm > 1.0:
+        g = g / g_norm
+    return pl_inner(nodes, g[np.newaxis, :])
 
 
 def builtin_functionals() -> dict[str, LipFunctional]:
     """Catalog of 1-Lipschitz functionals addressable by name."""
     return {
-        "coord1": make_coord(1),
-        "coord2": make_coord(2),
-        "norm": make_norm(),
-        "clipped_norm": make_clipped_norm(CLIP),
-        "soft_linear": make_soft_linear(SOFT_WEIGHTS),
+        "coord1": LipFunctional("coord1", lambda rows: _coord(1, rows)),
+        "coord2": LipFunctional("coord2", lambda rows: _coord(2, rows)),
+        "norm": LipFunctional("norm", _norm),
+        "clipped_norm": LipFunctional(f"clipped_norm({CLIP:g})", lambda rows: np.minimum(CLIP, _norm(rows))),
+        "soft_linear": LipFunctional("soft_linear", _soft_linear),
     }
 
 
@@ -374,11 +345,11 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
     ``model.coarsen_rows``.
 
     The blocks run on min(2, usable CPUs) threads while numpy releases the
-    GIL.  The first block runs on the calling thread alone, filling every
-    lazily built table before another thread reads one; with two or more
-    blocks left and two CPUs, the calling thread and one pool thread, made
-    for this call and joined before it returns, take every other block of
-    the rest.  (A thread keeps its freed blocks in its own malloc arena, so
+    GIL: with three or more blocks and two CPUs, the calling thread and one
+    pool thread, made for this call and joined before it returns, take
+    every other block.  A lazily built table is stored only once complete,
+    so a second thread at worst builds it again.  (A thread keeps its freed
+    blocks in its own malloc arena, so
     the caller works rather than waits: an idle caller beside a pool of two
     raised the peak RSS of a level-13 plain_mc by 10%.)  _EVAL_BYTES bounds
     the node values of all blocks in flight, so a block holds
@@ -411,14 +382,12 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
                 coarse_coeffs, _ = model.coarsen_rows(idx, level)
                 y_coarse[a:b] = f.rows(model.functional_rows(coarse_coeffs, level - 1))
 
-    run(blocks[:1])
-    rest = blocks[1:]
-    if threads == 1 or len(rest) < 2:
-        run(rest)
+    if threads == 1 or len(blocks) < 3:
+        run(blocks)
     else:
         with ThreadPoolExecutor(1) as pool:
-            other = pool.submit(run, rest[1::2])
-            run(rest[::2])
+            other = pool.submit(run, blocks[1::2])
+            run(blocks[::2])
             other.result()
     return y, y_coarse
 

@@ -32,7 +32,7 @@ import math
 import numpy as np
 from scipy.special import erfc as _erfc
 
-from .bitcore import BitSource, byte_fields, dyadic_values, sample_dyadic_uniform
+from .bitcore import BitSource, byte_fields, dyadic_edges, dyadic_values, sample_dyadic_uniform
 from .errors import CapacityError
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -235,7 +235,7 @@ def _edge_density(p: int):
     """
     n = 1 << p
     half = n >> 1
-    pdf_low, ypdf_low = _quantile_density(np.arange(half + 1, dtype=np.float64) * 2.0 ** -p)
+    pdf_low, ypdf_low = _quantile_density(dyadic_edges(0, half, p))
     mirror = slice(n - half - 1, None, -1)  # edges n - k for k = half + 1..n
     pdf = np.concatenate((pdf_low, pdf_low[mirror]))
     ypdf = np.concatenate((ypdf_low, -ypdf_low[mirror]))
@@ -252,7 +252,7 @@ def _sq_error(width, c, pdf_lo, pdf_hi, ypdf_lo, ypdf_hi):
 
 def _cell_quantities(p: int, k0: int, k1: int):
     """Midpoint quantiles of cells k0..k1 and the density terms at their edges."""
-    pdf, ypdf = _quantile_density(np.arange(k0 - 1, k1 + 1, dtype=np.float64) * 2.0 ** -p)
+    pdf, ypdf = _quantile_density(dyadic_edges(k0 - 1, k1, p))
     return _mid_quantiles(p, k0, k1), pdf, ypdf
 
 
@@ -420,15 +420,10 @@ def optimal_points(quantile_spec, p: int) -> np.ndarray:
     if cell_average is not None:
         pts = np.asarray(cell_average(p), dtype=np.float64)
     else:
-        n = 1 << p
-        scale = 2.0 ** -p
-        lo = np.arange(0, n, dtype=np.float64) * scale
-        hi = np.arange(1, n + 1, dtype=np.float64) * scale
+        edges = dyadic_edges(0, 1 << p, p)
         q = quantile_spec.quantile
-        pts = np.empty(n)
-        for k in range(n):
-            val = checked_quad(q, lo[k], hi[k], (lo[k], hi[k]), epsabs=0.0, epsrel=1e-12, limit=200)
-            pts[k] = val / scale
+        pts = np.array([checked_quad(q, lo, hi, (lo, hi), epsabs=0.0, epsrel=1e-12, limit=200)
+                        for lo, hi in zip(edges[:-1], edges[1:])]) / 2.0 ** -p
     if not np.all(np.isfinite(pts)):
         raise ValueError("divergent cell integral: quantile not integrable")
     return pts

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import normal as _normal
-from .bitcore import dyadic_values
+from .bitcore import dyadic_edges, dyadic_values
 from .normal import checked_quad, gaussian_grid_average, gaussian_grid_sq_error, optimal_points
 
 _TAIL_EDGE = 2.0 ** -40
@@ -49,12 +49,6 @@ class QuantileSpec:
     tail_form: Optional[Callable[[float], float]] = None
     cell_average: Optional[Callable[[int], np.ndarray]] = None
     cell_sq_error: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
-
-
-def _cell_edges(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper edges of the 2**p uniform cells of (0, 1)."""
-    n = 1 << p
-    return np.arange(0, n, dtype=np.float64) / n, np.arange(1, n + 1, dtype=np.float64) / n
 
 
 def standard_normal_spec() -> QuantileSpec:
@@ -152,10 +146,8 @@ def w2_uniform(q: QuantileSpec, nu: DiscreteUniform) -> float:
         cells = np.asarray(q.cell_sq_error(p, pts), dtype=np.float64)
         total = math.fsum(cells)
     else:
-        lo, hi = _cell_edges(p)
-        total = math.fsum(
-            _cell_sq_error_quad(q, lo[k], hi[k], pts[k]) for k in range(n)
-        )
+        edges = dyadic_edges(0, n, p)
+        total = math.fsum(_cell_sq_error_quad(q, edges[k], edges[k + 1], pts[k]) for k in range(n))
     if not np.isfinite(total) or total < -1e-15:
         raise ValueError("divergent Wasserstein cell integral")
     return math.sqrt(max(total, 0.0))
