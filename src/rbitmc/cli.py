@@ -23,7 +23,7 @@ from . import mlmc as _mlmc
 from . import normal as _normal
 from . import sde as _sde
 from . import wasserstein1d as _w1d
-from .bitcore import child_source
+from .bitcore import MAX_BITS, child_source
 from .errors import CapacityError, ConfigurationError
 
 LN4 = math.log(4.0)
@@ -135,7 +135,18 @@ def read_csv(path: str) -> tuple[list[str], list[list[float]]]:
 # experiments (shared by the CLI and run_suite)
 
 
+def _note_surrogate(column: str, flagged: list, extra: str = "") -> None:
+    """One stderr note naming the rows with bit counts above the exact cap,
+    whose error values use the asymptotic mse surrogate."""
+    if flagged:
+        print(f"note: rows {column} in {flagged} have bit counts p above the exact cap "
+              f"{_normal.MSE_EXACT_MAX_P}; the mse at such p is the asymptotic surrogate "
+              f"{_normal.MSE_SCALED_LIMIT:.6f} * 2**-p / p{extra}", file=sys.stderr)
+
+
 def experiment_normal_error(pmin: int, pmax: int):
+    if pmax > MAX_BITS:
+        raise ValueError(f"pmax must be at most {MAX_BITS}: no draw makes a {pmax}-bit normal")
     header = ["p", "mse", "rmse", "scaled_const", "moment2", "moment4"]
     rows = []
     flagged = []
@@ -148,11 +159,7 @@ def experiment_normal_error(pmin: int, pmax: int):
             m2 = m4 = math.nan
             flagged.append(p)
         rows.append([p, mse, math.sqrt(mse), 2.0**p * p * mse, m2, m4])
-    if flagged:
-        print(f"note: rows p in {flagged} exceed the exact cap "
-              f"(p <= {_normal.MSE_EXACT_MAX_P}); mse is the asymptotic surrogate "
-              f"{_normal.MSE_SCALED_LIMIT:.6f} * 2**-p / p and moments are nan",
-              file=sys.stderr)
+    _note_surrogate("p", flagged, " and moments are nan")
     return header, rows
 
 
@@ -178,6 +185,8 @@ def experiment_bridge_error(lmin: int, lmax: int):
         err = _bridge.bridge_bit_error_sq(level)
         rows.append([level, _bridge.allocation_bridge_total(level),
                      _bridge.bridge_truncation_error_sq(level), err, 2.0**level * err])
+    _note_surrogate("level", [level for level in range(lmin, lmax + 1)
+                              if 2 * level > _normal.MSE_EXACT_MAX_P])  # p = 2 * level at m = 0
     return header, rows
 
 
@@ -185,12 +194,17 @@ def experiment_kl_error(beta: float, alpha: float, mmin: int, mmax: int):
     spec = _gausskl.EigenSpec(beta=beta, alpha=alpha)
     header = ["m", "bits", "err_sq", "scaled"]
     rows = []
+    flagged = []
     m = mmin
     while m <= mmax:
-        err = _gausskl.kl_error_sq(m, spec)
+        alloc = _gausskl.allocation_kl(m, spec)
+        err = _gausskl.kl_error_sq(m, spec, alloc)
         scaled = m ** (beta - 1.0) * math.log(m) ** alpha * err
-        rows.append([m, _gausskl.allocation_kl(m, spec).total, err, scaled])
+        rows.append([m, alloc.total, err, scaled])
+        if alloc.counts.max() > _normal.MSE_EXACT_MAX_P:
+            flagged.append(m)
         m *= 2
+    _note_surrogate("m", flagged)
     return header, rows
 
 
@@ -351,10 +365,14 @@ _SEED = Param("seed", int, 0, help="decimal 64-bit seed")  # taken by every expe
 
 
 def _run(name: str, values: dict, csv: Optional[str], fixtures_path: Optional[str]) -> int:
-    """Check ranges, run, write the CSV (or print it), check fixtures; 1 if
-    any fixture fails.  Every ``<x>min`` parameter with a ``<x>max`` partner
+    """Check values and ranges, run, write the CSV (or print it), check
+    fixtures; 1 if any fixture fails.  A float parameter that is not finite
+    raises ValueError.  Every ``<x>min`` parameter with a ``<x>max`` partner
     is a range, and an inverted one raises ConfigurationError."""
     exp = EXPERIMENTS[name]
+    for prm in exp.params:
+        if prm.type is float and not math.isfinite(values[prm.name]):
+            raise ValueError(f"{prm.name} must be finite, got {values[prm.name]!r}")
     for prm in exp.params:
         hi = prm.name[:-3] + "max"
         if prm.name.endswith("min") and hi in values and values[prm.name] > values[hi]:

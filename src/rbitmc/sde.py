@@ -47,6 +47,9 @@ class SDEModel:
 
 def geometric_model(mu: float, sigma: float, x0: float = 1.0) -> SDEModel:
     """dX = mu X dt + sigma X dW with exact solution x0 exp((mu - sigma^2/2) t + sigma W)."""
+    for name, value in (("mu", mu), ("sigma", sigma), ("x0", x0)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if sigma == 0.0 or x0 == 0.0:
         raise ValueError("geometric model requires sigma != 0 and x0 != 0")
 

@@ -311,3 +311,25 @@ def test_every_imported_name_is_used():
                 if name not in used and not (noqa and name in _PINNED_IMPORTS):
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_private_module_name_is_read():
+    """The dead-code check for private names: every module-level function,
+    class or constant of the package whose name starts with one underscore
+    is read somewhere in its own module (no other module may use it)."""
+    unread = []
+    for path in sorted(Path(__file__).resolve().parents[1].glob("src/rbitmc/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            unread += [f"{path.name}:{node.lineno} {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert unread == []

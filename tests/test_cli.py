@@ -1,5 +1,7 @@
+import ast
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -253,6 +255,74 @@ def test_non_finite_decay_rate_is_named(capsys, flag, value, command):
             else ["--beta", "2", "--alpha", "0", "--mmin", "16", "--mmax", "32"])
     assert main([command, *rest, flag, value]) == 2
     assert capsys.readouterr().err == f"error: {flag[2:]} must be finite, got {value}\n"
+
+
+# valid values of the other parameters of each experiment that takes a float
+_FLOAT_BASE = {
+    "kl-error": {"beta": "2", "alpha": "0", "mmin": "16", "mmax": "16"},
+    "sde-error": {"mmin": "2", "mmax": "2", "reps": "3"},
+    "mlmc": {"model": "kl", "eps": "0.1", "runs": "2"},
+    "appendix-ratios": {"pmin": "10", "pmax": "12"},
+}
+_FLOAT_CASES = [(name, prm.name, value) for name, exp in EXPERIMENTS.items()
+                for prm in exp.params if prm.type is float for value in ("nan", "inf", "-inf")]
+
+
+@pytest.mark.parametrize("via", ["flag", "suite"])
+@pytest.mark.parametrize("name,param,value", _FLOAT_CASES)
+def test_non_finite_float_is_bad_input(tmp_path, capsys, via, name, param, value):
+    """A non-finite float parameter of any experiment exits 2 before anything
+    runs (sde-error used to end in NumericFailure, appendix-ratios in
+    OverflowError); a flag value is passed as --name=-inf, as argparse reads
+    a bare -inf as a flag."""
+    values = {**_FLOAT_BASE[name], param: value}
+    csv = tmp_path / "out.csv"
+    if via == "flag":
+        argv = [name, *(f"--{k}={v}" for k, v in values.items()), "--csv", str(csv)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {"experiment": name, **values, "csv": csv}.items()))
+        argv = ["suite", "--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {param} must be finite, got {value}\n"
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("p", [64, 1023, 1024])
+def test_normal_error_refuses_p_above_the_bit_limit(tmp_path, capsys, p):
+    """No draw makes a normal of more than 63 bits: p = 1024 ended in
+    OverflowError and p = 1023 wrote scaled_const inf."""
+    csv = tmp_path / "out.csv"
+    assert main(["normal-error", "--pmin", str(p), "--pmax", str(p), "--csv", str(csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: pmax must be at most 63") and captured.out == ""
+    assert not csv.exists()
+
+
+def test_normal_error_writes_the_last_bit_limit_row(tmp_path, capsys):
+    csv = tmp_path / "out.csv"
+    assert main(["normal-error", "--pmin", "63", "--pmax", "63", "--csv", str(csv)]) == 0
+    assert "rows p in [63]" in capsys.readouterr().err
+    header, rows = read_csv(str(csv))
+    assert len(rows) == 1 and rows[0][0] == 63 and math.isfinite(rows[0][3])
+
+
+def _flagged_rows(err: str, column: str) -> list:
+    return ast.literal_eval(re.search(rf"note: rows {column} in (\[[^]]*\])", err).group(1))
+
+
+def test_bridge_and_kl_error_flag_surrogate_rows(capsys):
+    """Rows whose bit counts exceed the exact mse cap are named on stderr,
+    as normal-error names its p > 26 rows."""
+    assert main(["bridge-error", "--lmin", "13", "--lmax", "14"]) == 0
+    assert _flagged_rows(capsys.readouterr().err, "level") == [14]  # p = 28 at m = 0
+    assert main(["kl-error", "--beta", "3", "--alpha", "0", "--mmin", "64", "--mmax", "1024"]) == 0
+    flagged = _flagged_rows(capsys.readouterr().err, "m")
+    assert 1024 in flagged and 64 not in flagged  # counts reach 30 at m = 1024, 18 at m = 64
+    assert main(["bridge-error", "--lmin", "1", "--lmax", "13"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("args", [

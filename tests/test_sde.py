@@ -29,6 +29,14 @@ def test_degenerate_diffusion_rejected():
                    diffusion_deriv=lambda x: 0.0 * x, x0=1.0)
 
 
+@pytest.mark.parametrize("arg", ["mu", "sigma", "x0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_geometric_model_refuses_non_finite_parameters(arg, value):
+    args = {"mu": 0.05, "sigma": 0.2, "x0": 1.0, arg: value}
+    with pytest.raises(ValueError, match=f"{arg} must be finite"):
+        S.geometric_model(**args)
+
+
 def test_milstein_additive_noise():
     ys = np.array([0.3, -1.2, 0.8])
     path = S.milstein_path(additive_model(0.5), 3, ys)
