@@ -15,7 +15,7 @@ which is what makes coupled coarse/fine sampling possible downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -196,22 +196,20 @@ def read_bytes(words: np.ndarray, start: int, p: int, n: int) -> np.ndarray:
 
 
 _BYTE_PRECISIONS = (1, 2, 4, 8)
-_BYTE_TABLES: dict[int, np.ndarray] = {}
 
 
+@cache
 def byte_fields(p: int) -> np.ndarray:
     """(256, 8/p) uint64 table whose row b holds the 1-based grid indices
     of the p-bit fields of byte b (each field plus one), most significant
-    first, for p in {1, 2, 4, 8}.
+    first, for p in {1, 2, 4, 8}; built once per p, read-only.
     """
-    table = _BYTE_TABLES.get(p)
-    if table is None:
-        if p not in _BYTE_PRECISIONS:
-            raise ValueError(f"byte tables need p in {_BYTE_PRECISIONS}, got {p!r}")
-        shifts = np.arange(8 - p, -1, -p, dtype=np.uint64)
-        fields = (np.arange(256, dtype=np.uint64)[:, np.newaxis] >> shifts) & np.uint64((1 << p) - 1)
-        table = _BYTE_TABLES[p] = fields + np.uint64(1)
-        table.flags.writeable = False  # shared by every caller
+    if p not in _BYTE_PRECISIONS:
+        raise ValueError(f"byte tables need p in {_BYTE_PRECISIONS}, got {p!r}")
+    shifts = np.arange(8 - p, -1, -p, dtype=np.uint64)
+    fields = (np.arange(256, dtype=np.uint64)[:, np.newaxis] >> shifts) & np.uint64((1 << p) - 1)
+    table = fields + np.uint64(1)
+    table.flags.writeable = False  # shared by every caller
     return table
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -25,8 +26,6 @@ from . import sde as _sde
 from . import wasserstein1d as _w1d
 from .bitcore import MAX_BITS, child_source
 from .errors import CapacityError, ConfigurationError
-
-LN4 = math.log(4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,22 +82,26 @@ class Fixture:
         return observed >= self.value
 
 
+def _entries(path: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) of every line of a key file (fixture
+    table or suite config) that is neither blank nor a comment."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return [(lineno, line) for lineno, line in enumerate(map(str.strip, handle), start=1)
+                if line and not line.startswith("#")]
+
+
 def load_fixtures(path: str) -> dict[str, Fixture]:
     """Parse the plain-text fixture table: ``name value tolerance # note``."""
     out: dict[str, Fixture] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            body, _, note = line.partition("#")
-            parts = body.split()
-            if len(parts) != 3:
-                raise ConfigurationError(f"{path}:{lineno}: expected 'name value tolerance'")
-            name, value, tol = parts
-            if name in out:
-                raise ConfigurationError(f"{path}:{lineno}: duplicate fixture {name!r}")
-            out[name] = Fixture(name, float(value), float(tol), note.strip())
+    for lineno, line in _entries(path):
+        body, _, note = line.partition("#")
+        parts = body.split()
+        if len(parts) != 3:
+            raise ConfigurationError(f"{path}:{lineno}: expected 'name value tolerance'")
+        name, value, tol = parts
+        if name in out:
+            raise ConfigurationError(f"{path}:{lineno}: duplicate fixture {name!r}")
+        out[name] = Fixture(name, float(value), float(tol), note.strip())
     return out
 
 
@@ -144,22 +147,23 @@ def _note_surrogate(column: str, flagged: list, extra: str = "") -> None:
               f"{_normal.MSE_SCALED_LIMIT:.6f} * 2**-p / p{extra}", file=sys.stderr)
 
 
+def _rows_top_down(keys, row) -> list:
+    """[row(k) for k in keys], computed from the last key down: a key beyond
+    a library cap is refused before any row below it is computed."""
+    return [row(k) for k in reversed(keys)][::-1]
+
+
 def experiment_normal_error(pmin: int, pmax: int):
     if pmax > MAX_BITS:
         raise ValueError(f"pmax must be at most {MAX_BITS}: no draw makes a {pmax}-bit normal")
     header = ["p", "mse", "rmse", "scaled_const", "moment2", "moment4"]
     rows = []
-    flagged = []
     for p in range(pmin, pmax + 1):
-        if p <= _normal.MSE_EXACT_MAX_P:
-            mse, m2, m4 = _normal.bit_normal_mse_moments(p)
-        else:
-            # beyond the exact-enumeration cap: asymptotic surrogate, flagged
-            mse = _normal.bit_normal_mse_surrogate(p)
-            m2 = m4 = math.nan
-            flagged.append(p)
+        mse, m2, m4 = (_normal.bit_normal_mse_moments(p) if p <= _normal.MSE_EXACT_MAX_P
+                       else (_normal.bit_normal_mse_surrogate(p), math.nan, math.nan))
         rows.append([p, mse, math.sqrt(mse), 2.0**p * p * mse, m2, m4])
-    _note_surrogate("p", flagged, " and moments are nan")
+    _note_surrogate("p", [p for p in range(pmin, pmax + 1) if p > _normal.MSE_EXACT_MAX_P],
+                    " and moments are nan")
     return header, rows
 
 
@@ -171,20 +175,23 @@ def experiment_rbit_1d(law: str, pmin: int, pmax: int):
     else:
         raise ConfigurationError(f"unknown law {law!r}; expected normal or uniform")
     header = ["p", "rbit", "scaled_2p", "scaled_2p_p_sq"]
-    rows = []
-    for p in range(pmin, pmax + 1):
+
+    def row(p):
         r = _w1d.rbit_error(spec, p)
-        rows.append([p, r, 2.0**p * r, 2.0**p * p * r * r])
-    return header, rows
+        return [p, r, 2.0**p * r, 2.0**p * p * r * r]
+
+    return header, _rows_top_down(range(pmin, pmax + 1), row)
 
 
 def experiment_bridge_error(lmin: int, lmax: int):
     header = ["level", "bits", "trunc_err_sq", "bit_err_sq", "scaled"]
-    rows = []
-    for level in range(lmin, lmax + 1):
+
+    def row(level):
         err = _bridge.bridge_bit_error_sq(level)
-        rows.append([level, _bridge.allocation_bridge_total(level),
-                     _bridge.bridge_truncation_error_sq(level), err, 2.0**level * err])
+        return [level, _bridge.allocation_bridge_total(level),
+                _bridge.bridge_truncation_error_sq(level), err, 2.0**level * err]
+
+    rows = _rows_top_down(range(lmin, lmax + 1), row)
     _note_surrogate("level", [level for level in range(lmin, lmax + 1)
                               if 2 * level > _normal.MSE_EXACT_MAX_P])  # p = 2 * level at m = 0
     return header, rows
@@ -193,18 +200,19 @@ def experiment_bridge_error(lmin: int, lmax: int):
 def experiment_kl_error(beta: float, alpha: float, mmin: int, mmax: int):
     spec = _gausskl.EigenSpec(beta=beta, alpha=alpha)
     header = ["m", "bits", "err_sq", "scaled"]
-    rows = []
     flagged = []
-    m = mmin
-    while m <= mmax:
+
+    def row(m):
         alloc = _gausskl.allocation_kl(m, spec)
         err = _gausskl.kl_error_sq(m, spec, alloc)
-        scaled = m ** (beta - 1.0) * math.log(m) ** alpha * err
-        rows.append([m, alloc.total, err, scaled])
         if alloc.counts.max() > _normal.MSE_EXACT_MAX_P:
             flagged.append(m)
-        m *= 2
-    _note_surrogate("m", flagged)
+        return [m, alloc.total, err, m ** (beta - 1.0) * math.log(m) ** alpha * err]
+
+    # mmin, 2 mmin, 4 mmin, ... up to mmax; an mmin below 1 is left to allocation_kl to refuse
+    ms = [mmin << k for k in range((mmax // mmin).bit_length())] if mmin > 0 else [mmin]
+    rows = _rows_top_down(ms, row)
+    _note_surrogate("m", sorted(flagged))
     return header, rows
 
 
@@ -365,10 +373,13 @@ _SEED = Param("seed", int, 0, help="decimal 64-bit seed")  # taken by every expe
 
 
 def _run(name: str, values: dict, csv: Optional[str], fixtures_path: Optional[str]) -> int:
-    """Check values and ranges, run, write the CSV (or print it), check
-    fixtures; 1 if any fixture fails.  A float parameter that is not finite
-    raises ValueError.  Every ``<x>min`` parameter with a ``<x>max`` partner
-    is a range, and an inverted one raises ConfigurationError."""
+    """Check values and ranges, load the fixtures, run, write the CSV (or
+    print it), check fixtures; 1 if any fixture fails.  A float parameter
+    that is not finite raises ValueError.  Every ``<x>min`` parameter with a
+    ``<x>max`` partner is a range, and an inverted one raises
+    ConfigurationError, as does a CSV path in a directory that does not
+    exist; all of these, and an unreadable fixture table, raise before the
+    experiment runs."""
     exp = EXPERIMENTS[name]
     for prm in exp.params:
         if prm.type is float and not math.isfinite(values[prm.name]):
@@ -377,12 +388,14 @@ def _run(name: str, values: dict, csv: Optional[str], fixtures_path: Optional[st
         hi = prm.name[:-3] + "max"
         if prm.name.endswith("min") and hi in values and values[prm.name] > values[hi]:
             raise ConfigurationError(f"{name}: {prm.name} {values[prm.name]} exceeds {hi} {values[hi]}")
+    if csv and not os.path.isdir(os.path.dirname(csv) or "."):
+        raise ConfigurationError(f"csv {csv!r}: directory {os.path.dirname(csv)!r} does not exist")
+    fixtures = load_fixtures(fixtures_path) if fixtures_path else {}
     header, rows = exp.run(values)
     if csv:
         write_csv(csv, header, rows)
     else:
         _write_rows(sys.stdout, header, rows)
-    fixtures = load_fixtures(fixtures_path) if fixtures_path else {}
     records = [dict(zip(header, row)) for row in rows]
     failures = exp.check(fixtures, records, values) if exp.check else []
     for msg in failures:
@@ -412,18 +425,14 @@ def _config_values(path: str, cfg: dict[str, str]) -> dict:
 
 def parse_config(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key in out:
-                raise ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value
+    for lineno, line in _entries(path):
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key in out:
+            raise ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value
     if "experiment" not in out:
         raise ConfigurationError(f"{path}: missing required key 'experiment'")
     exp = out["experiment"]
@@ -476,8 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Exit code 0 on success, 1 if a fixture check fails, 2 on bad input
-    (ConfigurationError, the ValueError of a library argument check, or the
-    CapacityError of a request beyond an exact-evaluation cap)."""
+    (ConfigurationError, the ValueError of a library argument check, the
+    CapacityError of a request beyond an exact-evaluation cap, or the
+    OSError of a file that cannot be read or written)."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "suite":
@@ -498,7 +508,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         values = {prm.name: getattr(args, prm.name)
                   for prm in (*EXPERIMENTS[args.command].params, _SEED)}
         return _run(args.command, values, args.csv, args.fixtures)
-    except (ConfigurationError, CapacityError, ValueError) as exc:
+    except (ConfigurationError, CapacityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

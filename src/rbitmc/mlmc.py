@@ -333,7 +333,12 @@ class MLMCResult:
 
     @property
     def stderr(self) -> float:
-        return math.sqrt(sum(v / n for v, n in zip(self.level_vars, self.level_ns)))
+        """sqrt(sum_l V_l / N_l), summed left to right (the built-in ``sum`` of
+        floats rounds differently from Python 3.12 on)."""
+        total = 0.0
+        for v, n in zip(self.level_vars, self.level_ns):
+            total += v / n
+        return math.sqrt(total)
 
 
 def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
@@ -427,21 +432,17 @@ def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource) -
     estimate = 0.0
     level_means: list[float] = []
     level_vars: list[float] = []
-    ns: list[int] = []
     expected_bits = sum(params.N[level - 1] * model.allocation(level).total
                         for level in range(params.L, 0, -1))
     for level in range(1, params.L + 1):
-        n = params.N[level - 1]
-        y = _level_values(f, model, src, level, n, level >= 2, ledger)
-        mean = float(np.mean(y))
-        estimate += mean
-        level_means.append(mean)
-        level_vars.append(float(np.var(y, ddof=1)) if n > 1 else 0.0)
-        ns.append(n)
+        y = _level_values(f, model, src, level, params.N[level - 1], level >= 2, ledger)
+        level_means.append(float(np.mean(y)))
+        level_vars.append(float(np.var(y, ddof=1)) if len(y) > 1 else 0.0)
+        estimate += level_means[-1]  # left to right, as MLMCResult.stderr sums
     if ledger.bits != expected_bits:
         raise InternalInvariantError(
             f"bit budget mismatch: drew {ledger.bits}, schedule says {expected_bits}")
-    return MLMCResult(estimate, ledger, level_means, level_vars, ns)
+    return MLMCResult(estimate, ledger, level_means, level_vars, list(params.N))
 
 
 def plain_mc(f: LipFunctional, model, level: int, n: int,

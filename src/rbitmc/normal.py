@@ -40,6 +40,8 @@ SQRT_2 = math.sqrt(2.0)
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
 
+TAIL_MAX_T = 1074  # 2**-1074 is the smallest positive double
+
 # Exact enumeration of the 2**p support cells is capped here; beyond it the
 # asymptotic surrogate (see mse_scaled_limit) must be used.
 MSE_EXACT_MAX_P = 26
@@ -140,7 +142,7 @@ def phi_inv(u):
 
 
 def phi_inv_tail(t: float) -> float:
-    """Phi^{-1}(1 - 2**-t) for real t >= 1, solved on the log scale.
+    """Phi^{-1}(1 - 2**-t) for real 1 <= t <= TAIL_MAX_T, solved on the log scale.
 
     Works far beyond the resolution of 1 - 2**-t in double precision and is
     free of cancellation; relative accuracy is ~1e-14.
@@ -148,6 +150,8 @@ def phi_inv_tail(t: float) -> float:
     t = float(t)
     if t < 1.0:
         raise ValueError(f"tail exponent t must be >= 1, got {t}")
+    if t > TAIL_MAX_T:
+        raise ValueError(f"tail exponent t must be at most {TAIL_MAX_T} (2**-t underflows beyond it), got {t}")
     if t == 1.0:
         return 0.0
     target = -t * LN2  # = ln(1 - Phi(y)) at the root
@@ -183,7 +187,14 @@ def bit_normal_sample(src: BitSource, p: int) -> float:
 # Quantile values of whole dyadic grids are reused heavily by the samplers;
 # memoizing them up to this precision turns bulk draws into table lookups.
 GRID_TABLE_MAX_P = 20
-_GRID_TABLES: dict[int, np.ndarray] = {}
+
+
+@functools.cache
+def _grid_table(p: int) -> np.ndarray:
+    """The 2**p support points of the p-bit normal for p <= GRID_TABLE_MAX_P, read-only."""
+    table = _mid_quantiles(p, 1, 1 << p)
+    table.flags.writeable = False  # shared by every caller
+    return table
 
 
 def grid_normal_values(indices: np.ndarray, p: int) -> np.ndarray:
@@ -194,26 +205,20 @@ def grid_normal_values(indices: np.ndarray, p: int) -> np.ndarray:
     """
     idx = np.asarray(indices, dtype=np.uint64)
     if p <= GRID_TABLE_MAX_P:
-        table = _GRID_TABLES.get(p)
-        if table is None:
-            table = _GRID_TABLES[p] = _mid_quantiles(p, 1, 1 << p)
-        return np.take(table, idx.astype(np.int64) - 1)
+        return np.take(_grid_table(p), idx.astype(np.int64) - 1)
     return phi_inv(dyadic_values(idx, p))
 
 
-_BYTE_NORMALS: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def grid_normal_byte_table(p: int) -> np.ndarray:
-    """(256, 8/p) grid normals of the p-bit fields of each byte, p in {1, 2, 4, 8}.
+    """(256, 8/p) grid normals of the p-bit fields of each byte, p in {1, 2, 4, 8};
+    built once per p, read-only.
 
     Row b is ``grid_normal_values(byte_fields(p)[b], p)``, so a lookup by
     stream byte gives the values of grid_normal_values by construction.
     """
-    table = _BYTE_NORMALS.get(p)
-    if table is None:
-        table = _BYTE_NORMALS[p] = grid_normal_values(byte_fields(p), p)
-        table.flags.writeable = False  # shared by every caller
+    table = grid_normal_values(byte_fields(p), p)
+    table.flags.writeable = False  # shared by every caller
     return table
 
 
@@ -434,16 +439,15 @@ def func_h(a: float) -> float:
     a = float(a)
     if a <= 0.0:
         raise ValueError("func_h requires a > 0")
-    if a > 40.0:
-        raise CapacityError("func_h overflows double precision beyond a = 40")
+    factor = 0.5 * a * a
+    if factor > 709.0:
+        raise CapacityError(f"func_h overflows double precision for a above sqrt(1418) = 37.66 "
+                            f"(0.5 a**2 > 709), got a = {a!r}")
     from scipy.integrate import quad
 
     # scaled integrand exp((x^2 - a^2)/2) <= 1 avoids overflow inside quad
     val, _ = quad(lambda x: math.exp(0.5 * (x * x - a * a)), 0.0, a,
                   epsabs=0.0, epsrel=1e-12, limit=400)
-    factor = 0.5 * a * a
-    if factor > 709.0:
-        raise CapacityError("func_h overflows double precision for this argument")
     return val * math.exp(factor)
 
 
@@ -472,21 +476,17 @@ def asymptotic_ratios(p_grid) -> dict[str, np.ndarray]:
     ps = np.asarray(p_grid, dtype=np.float64)
     if np.any(ps < 1.0):
         raise ValueError("grid precisions must be >= 1")
-    r1 = np.empty_like(ps)
-    r2 = np.empty_like(ps)
-    r3 = np.empty_like(ps)
-    r4 = np.empty_like(ps)
-    r5 = np.empty_like(ps)
     log2_3 = math.log2(3.0)
-    for j, p in enumerate(ps):
+    rows = []
+    for p in ps:
         y = phi_inv_tail(p)
-        r1[j] = y / (math.sqrt(LN4) * math.sqrt(p))
-        r2[j] = 2.0 ** -p * p * func_h(y) * math.sqrt(2.0 * math.pi) * LN4 if y > 0 else math.nan
-        r3[j] = func_g(phi_inv_tail(p + 1.0)) * 2.0 ** p * p * LN4
-        r4[j] = phi(y) / (SQRT_2 * 2.0 ** -p * math.sqrt(p * LN2))
+        ratio2 = 2.0 ** -p * p * func_h(y) * math.sqrt(2.0 * math.pi) * LN4 if y > 0 else math.nan
         y_b = phi_inv_tail(p + 1.0)
         y_a = phi_inv_tail(p + 2.0 - log2_3)
         one_minus_a = 3.0 * 2.0 ** -(p + 2.0)
         b_minus_a = 2.0 ** -(p + 2.0)
-        r5[j] = (y_b - y_a) * one_minus_a * math.sqrt((p + 2.0) * LN2 - math.log(3.0)) / b_minus_a
+        rows.append((y / (math.sqrt(LN4) * math.sqrt(p)), ratio2, func_g(y_b) * 2.0 ** p * p * LN4,
+                     phi(y) / (SQRT_2 * 2.0 ** -p * math.sqrt(p * LN2)),
+                     (y_b - y_a) * one_minus_a * math.sqrt((p + 2.0) * LN2 - math.log(3.0)) / b_minus_a))
+    r1, r2, r3, r4, r5 = np.array(rows, dtype=np.float64).reshape(-1, 5).T
     return {"p": ps, "ratio1": r1, "ratio2": r2, "ratio3": r3, "ratio4": r4, "ratio5": r5}

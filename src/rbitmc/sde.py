@@ -203,7 +203,9 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     in blocks of about 1 MiB of uint64 indices (``_BLOCK_BYTES``), at least
     one step per block; the block size changes neither values nor bit
     counts.  The ledger's bits are what the run's source counted: |p| of
-    every step row, PARENT_BITS * reps (53 * reps per fine step).
+    every step row, PARENT_BITS * reps (53 * reps per fine step).  A
+    reference that is not finite raises NumericFailure, as a non-finite
+    Milstein state does.
     """
     _check_scheme(m, q)
     if reps < 1:
@@ -221,7 +223,10 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
             yq[:, k0:k1] = coarsen_rows(idx, parent, child)[0].T
         w = np.cumsum(y, axis=1) / math.sqrt(m)
         t = np.arange(1, m + 1, dtype=np.float64) / m
-        ref = model.exact_strong_solution(t, w)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+            ref = model.exact_strong_solution(t, w)
+        if not np.all(np.isfinite(ref)):
+            raise NumericFailure("non-finite exact reference solution")
     else:
         mf = FINE_FACTOR * m
         fine = BitAllocation(np.full(reps, 53))

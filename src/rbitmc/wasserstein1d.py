@@ -23,10 +23,9 @@ import numpy as np
 
 from . import normal as _normal
 from .bitcore import dyadic_edges, dyadic_values
-from .normal import checked_quad, gaussian_grid_average, gaussian_grid_sq_error, optimal_points
+from .normal import LN2, checked_quad, gaussian_grid_average, gaussian_grid_sq_error, optimal_points
 
 _TAIL_EDGE = 2.0 ** -40
-_LN2 = math.log(2.0)
 
 
 @dataclass
@@ -110,12 +109,12 @@ def _cell_sq_error_quad(q: QuantileSpec, lo: float, hi: float, c: float) -> floa
         # upper tail: substitute u = 1 - 2**-t, du = ln2 * 2**-t dt
         t_lo = -math.log2(1.0 - lo)
         t_hi = -math.log2(1.0 - hi) if hi < 1.0 else math.inf
-        f = lambda t: (q.tail_form(t) - c) ** 2 * _LN2 * 2.0 ** -t
+        f = lambda t: (q.tail_form(t) - c) ** 2 * LN2 * 2.0 ** -t
     elif lo < _TAIL_EDGE and q.tail_form is not None:
         # lower tail via u = 2**-t
         t_lo = -math.log2(hi)
         t_hi = -math.log2(lo) if lo > 0.0 else math.inf
-        f = lambda t: (q.quantile(2.0 ** -t) - c) ** 2 * _LN2 * 2.0 ** -t
+        f = lambda t: (q.quantile(2.0 ** -t) - c) ** 2 * LN2 * 2.0 ** -t
     else:
         return checked_quad(lambda u: (q.quantile(u) - c) ** 2, lo, hi, (lo, hi),
                             epsabs=0.0, epsrel=1e-10, limit=300)

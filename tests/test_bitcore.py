@@ -333,3 +333,25 @@ def test_every_private_module_name_is_read():
             unread += [f"{path.name}:{node.lineno} {name}" for name in names
                        if name.startswith("_") and not name.startswith("__") and name not in read]
     assert unread == []
+
+
+def test_every_module_constant_is_read():
+    """The dead-code check for module-level assignments, public ones too: each
+    name a module of the package assigns at top level (dunders aside) is read
+    somewhere in src/, by name in its own module, through an import from it,
+    or as an attribute."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(__file__).resolve().parents[1].glob("src/rbitmc/*.py"))}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    imported = {(node.module, alias.name) for node in nodes
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unread = []
+    for module, tree in trees.items():
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+            unread += [f"{module}.py:{node.lineno} {t.id}" for t in targets
+                       if isinstance(t, ast.Name) and not t.id.startswith("__")
+                       and t.id not in loaded and (module, t.id) not in imported and t.id not in attributes]
+    assert unread == []

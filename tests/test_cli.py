@@ -1,4 +1,5 @@
 import ast
+import importlib
 import math
 import os
 import re
@@ -498,6 +499,90 @@ def test_capacity_error_is_bad_input(tmp_path, capsys, args):
     assert main([*args, "--csv", str(csv)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "capped" in err and "Traceback" not in err
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("args,module,func,key_arg,top", [
+    (["bridge-error", "--lmin", "13", "--lmax", "26"], "bridge", "bridge_bit_error_sq", 0, 26),
+    (["kl-error", "--beta", "2", "--alpha", "0", "--mmin", "1048576", "--mmax", "100000000"],
+     "gausskl", "allocation_kl", 0, 1 << 26),
+    (["rbit-1d", "--law", "uniform", "--pmin", "20", "--pmax", "27"], "wasserstein1d", "rbit_error", 1, 27),
+])
+def test_range_top_beyond_a_cap_is_refused_first(tmp_path, capsys, monkeypatch, args, module, func, key_arg, top):
+    """A range whose top key is beyond a cap computed every row below it
+    first (10-20 s and up to 1.6 GB), then exited 2: the top row is now the
+    first one computed, and the library refuses it before any work."""
+    mod = importlib.import_module(f"rbitmc.{module}")
+    real, keys = getattr(mod, func), []
+
+    def spy(*a, **kw):
+        keys.append(a[key_arg])
+        return real(*a, **kw)
+
+    monkeypatch.setattr(mod, func, spy)
+    csv = tmp_path / "table.csv"
+    assert main([*args, "--csv", str(csv)]) == 2
+    captured = capsys.readouterr()
+    assert keys == [top]
+    assert captured.err.startswith("error: ") and "capped" in captured.err and captured.out == ""
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("case", ["fit-input", "suite-config", "fixtures", "malformed-fixtures",
+                                  "csv-dir", "suite-csv-dir"])
+def test_unreadable_or_unwritable_file_is_bad_input(tmp_path, capsys, monkeypatch, case):
+    """A file that cannot be read, or a CSV whose directory does not exist,
+    exits 2 before the table is computed, with nothing on stdout and no CSV
+    (each ended in FileNotFoundError, exit 1; a fixture table was read, and a
+    malformed one refused, only after the table was printed or written)."""
+    missing = str(tmp_path / "missing")
+    csv = tmp_path / "out.csv"
+    bridge = ["bridge-error", "--lmin", "1", "--lmax", "2"]
+    calls = []
+    monkeypatch.setattr(cli, "experiment_bridge_error", lambda lmin, lmax: calls.append((lmin, lmax)))
+    if case == "fit-input":
+        argv = ["fit", "--input", missing + ".csv", "--x", "a", "--y", "b", "--csv", str(csv)]
+    elif case == "suite-config":
+        argv = ["suite", "--config", missing + ".cfg"]
+    elif case == "fixtures":
+        argv = [*bridge, "--fixtures", missing + ".txt"]
+    elif case == "malformed-fixtures":
+        bad = tmp_path / "bad.txt"
+        bad.write_text("bridge_scaled_bit_error 0.5\n")
+        argv = [*bridge, "--fixtures", str(bad), "--csv", str(csv)]
+    elif case == "csv-dir":
+        csv = tmp_path / "missing" / "out.csv"
+        argv = [*bridge, "--csv", str(csv)]
+    else:
+        csv = tmp_path / "missing" / "out.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"experiment = bridge-error\nlmin = 1\nlmax = 2\ncsv = {csv}\n")
+        argv = ["suite", "--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert calls == []
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("pmin,message", [
+    ("1080", "error: tail exponent t must be at most 1074 (2**-t underflows beyond it), got 1080.0\n"),
+    ("1040", "error: func_h overflows double precision for a above sqrt(1418) = 37.66 (0.5 a**2 > 709), got a = "),
+])
+def test_appendix_ratios_beyond_the_tail_bounds_names_them(capsys, pmin, message):
+    """'math domain error' and 'overflows double precision for this argument'
+    named neither the parameter nor its bound."""
+    assert main(["appendix-ratios", "--pmin", pmin, "--pmax", pmin]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.out == ""
+
+
+def test_sde_error_with_an_overflowing_reference_raises(tmp_path):
+    """exp(800) overflows the exact solution: the run wrote rms_error inf
+    and exited 0, with a numpy RuntimeWarning (an error in this suite)."""
+    csv = tmp_path / "out.csv"
+    with pytest.raises(NumericFailure, match="non-finite exact reference"):
+        main(["sde-error", "--mmin", "2", "--mmax", "2", "--reps", "3", "--mu", "800", "--csv", str(csv)])
     assert not csv.exists()
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from rbitmc import gausskl as G
 from rbitmc import mlmc as M
-from rbitmc.bitcore import BitSource, child_source
+from rbitmc.bitcore import BitSource, CostLedger, child_source
 from rbitmc.bridge import BridgePath, allocation_bridge, allocation_bridge_total, pl_l2_norm_sq
 from rbitmc.errors import CapacityError, ConfigurationError, InternalInvariantError
 from rbitmc.gausskl import EigenSpec, KLVector, allocation_kl
@@ -362,9 +362,8 @@ def test_threaded_blocks_give_the_one_block_bytes(model_name, monkeypatch):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             pools = _PoolSpy(monkeypatch)
             for name, f in M.builtin_functionals().items():
-                for module, cache in ((normal, "_GRID_TABLES"), (normal, "_BYTE_NORMALS"),
-                                      (bitcore, "_BYTE_TABLES")):
-                    monkeypatch.setattr(module, cache, {})
+                for table in (normal._grid_table, normal.grid_normal_byte_table, bitcore.byte_fields):
+                    table.cache_clear()
                 model = _fresh_model(model_name)
                 drawn = model.sample_rows(BitSource(23), level, n)
                 y, y_coarse = M._evaluate(f, model, level, drawn, width)
@@ -503,3 +502,10 @@ def test_allocations_and_scales_are_computed_once(model_name):
         scale = model.scale(level)
         assert model.scale(level) is scale
         assert scale is None or not scale.flags.writeable
+
+
+def test_stderr_sums_left_to_right():
+    """The built-in sum() of floats compensates its rounding from Python 3.12
+    on, which gives 1 + 2**-51 here and a stderr of 1 + 2**-52."""
+    result = M.MLMCResult(0.0, CostLedger(), [], [1.0, 1e-16, 1e-16, 1e-16, 1e-16], [1] * 5)
+    assert result.stderr == 1.0

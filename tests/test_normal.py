@@ -358,6 +358,28 @@ def test_func_h_series_oracle():
         N.func_h(45.0)
 
 
+def test_func_h_refuses_an_overflowing_argument_before_quadrature(monkeypatch):
+    """h(a) overflows once 0.5 a**2 > 709; the refusal names a and its bound
+    and runs no quadrature (every a in (37.66, 40] ran quad, then raised)."""
+    import scipy.integrate
+
+    def quad(*args, **kwargs):
+        raise AssertionError("quad ran")
+
+    monkeypatch.setattr(scipy.integrate, "quad", quad)
+    for a in (37.7, 40.0, 45.0):
+        with pytest.raises(CapacityError, match=rf"a above sqrt\(1418\) = 37.66 .*got a = {a}$"):
+            N.func_h(a)
+
+
+def test_phi_inv_tail_names_its_bound():
+    """2**-t underflows beyond t = 1074: a bare 'math domain error' named neither."""
+    assert abs(N.phi_inv_tail(1074.0) - 38.467) < 1e-3
+    for t in (1074.5, 1080.0):
+        with pytest.raises(ValueError, match=rf"t must be at most 1074 \(2\*\*-t underflows beyond it\), got {t}$"):
+            N.phi_inv_tail(t)
+
+
 def test_asymptotic_ratio_brackets():
     table = N.asymptotic_ratios(np.arange(10, 51, dtype=np.float64))
     for name in ("ratio1", "ratio2", "ratio3", "ratio4"):

@@ -254,3 +254,10 @@ def test_strong_error_rejects_q_outside_the_parent_bits(q, reference, monkeypatc
     with pytest.raises(ValueError, match=r"q must be an integer in \[1, 63\]"):
         S.strong_error_experiment(GM if reference == "auto" else GM_FINE, 8, q, 5, 1)
     assert all(src.bits_drawn == 0 for src in sources)
+
+
+def test_overflowing_exact_reference_raises():
+    """exp(800) overflows the geometric model's exact solution: the run
+    wrote rms_error inf with a numpy RuntimeWarning (an error in this suite)."""
+    with pytest.raises(NumericFailure, match="non-finite exact reference"):
+        S.strong_error_experiment(S.geometric_model(800.0, 0.2, 1.0), 2, 52, 3, 0)
