@@ -151,6 +151,57 @@ def pl_inner(node_rows_f: np.ndarray, node_rows_g: np.ndarray) -> np.ndarray:
     return (h / 6.0) * np.sum(fa * (2.0 * ga + gb) + fb * (ga + 2.0 * gb), axis=1)
 
 
+def _hat_on_nodes(j: int, n_nodes: int) -> np.ndarray:
+    """Normalized hat e_j = s_j / ||s_j|| on a dyadic node grid (exact kinks)."""
+    t = np.arange(n_nodes, dtype=np.float64) / (n_nodes - 1)
+    return schauder(j, t) / math.sqrt(schauder_norm_sq(j))
+
+
+def _refine_nodes(nodes: np.ndarray, level: int) -> np.ndarray:
+    """Node rows on a mesh of at most 2**-level, by midpoint insertion.
+
+    The inserted values are the averages 0.5 * (a + b) of nodes_from_coeffs,
+    so the rows are the same piecewise-linear functions on a finer grid;
+    rows already that fine are returned as they are.
+    """
+    while nodes.shape[1] < (1 << level) + 1:
+        refined = np.empty((nodes.shape[0], 2 * nodes.shape[1] - 1), dtype=np.float64)
+        refined[:, 0::2] = nodes
+        refined[:, 1::2] = 0.5 * (nodes[:, :-1] + nodes[:, 1:])
+        nodes = refined
+    return nodes
+
+
+@dataclass
+class BridgeRows:
+    """A batch of bridge paths as node rows on a dyadic mesh, for the
+    functionals: the L2 norm of each row and its inner products with the
+    normalized hats e_j (the coordinates of the model)."""
+
+    nodes: np.ndarray
+
+    def norm(self) -> np.ndarray:
+        return np.sqrt(pl_l2_norm_sq(self.nodes))
+
+    def linear(self, w) -> np.ndarray:
+        """<x, g> with g = sum_j w_j e_j, j = 1..len(w).
+
+        The hats are not orthogonal, so g is rescaled by its true L2 norm
+        when that is above 1, which keeps the functional 1-Lipschitz.  The
+        rows are refined to the mesh of the last hat, where every hat kinks
+        on a node.
+        """
+        nodes = _refine_nodes(self.nodes, len(w).bit_length())
+        n_nodes = nodes.shape[1]
+        g = np.zeros(n_nodes)
+        for j, wj in enumerate(w, start=1):
+            g += wj * _hat_on_nodes(j, n_nodes)
+        g_norm = math.sqrt(float(pl_l2_norm_sq(g[np.newaxis, :])[0]))
+        if g_norm > 1.0:
+            g = g / g_norm
+        return pl_inner(nodes, g[np.newaxis, :])
+
+
 def sample_bridge(src: BitSource, level: int) -> BridgePath:
     """One random-bit bridge at the given level; consumes |p(level)| bits."""
     alloc = allocation_bridge(level)

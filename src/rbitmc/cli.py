@@ -198,6 +198,9 @@ def experiment_bridge_error(lmin: int, lmax: int):
 
 
 def experiment_kl_error(beta: float, alpha: float, mmin: int, mmax: int):
+    if alpha < 0.0 and mmin < 2:
+        raise ConfigurationError(f"kl-error: mmin {mmin} must be at least 2 for alpha {alpha:g} < 0, "
+                                 f"as the scaled column's factor (ln m)**alpha is undefined at m = 1")
     spec = _gausskl.EigenSpec(beta=beta, alpha=alpha)
     header = ["m", "bits", "err_sq", "scaled"]
     flagged = []

@@ -113,6 +113,23 @@ class KLVector:
         return float(np.dot(self.coeffs, self.coeffs))
 
 
+@dataclass
+class KLRows:
+    """A batch of KL vectors as coefficient rows, for the functionals: the
+    norm of each row and its inner products with the eigenvectors."""
+
+    coeffs: np.ndarray
+
+    def norm(self) -> np.ndarray:
+        return np.sqrt(np.einsum("ij,ij->i", self.coeffs, self.coeffs))
+
+    def linear(self, w) -> np.ndarray:
+        """<x, sum_j w_j e_j>, j = 1..len(w): the weighted sum of the first
+        coordinates; weights beyond the row's dimension meet zeros."""
+        k = min(len(w), self.coeffs.shape[1])
+        return self.coeffs[:, :k] @ np.asarray(w, dtype=np.float64)[:k]
+
+
 @dataclass(eq=False)
 class DrawnRows:
     """n expansion rows under ``alloc``, held as the stream bits that encode

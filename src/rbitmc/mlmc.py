@@ -34,17 +34,9 @@ import numpy as np
 from . import gausskl
 # truncate_indices, grid_normal_values: unused, kept for perfbench/selftest.py
 from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, truncate_indices  # noqa: F401
-from .bridge import (
-    BridgePath,
-    allocation_bridge,
-    nodes_from_coeffs,
-    pl_inner,
-    pl_l2_norm_sq,
-    schauder,
-    schauder_norm_sq,
-)
+from .bridge import BridgePath, BridgeRows, allocation_bridge, nodes_from_coeffs
 from .errors import ConfigurationError, InternalInvariantError
-from .gausskl import EigenSpec, KLVector, allocation_kl
+from .gausskl import EigenSpec, KLRows, KLVector, allocation_kl
 from .normal import grid_normal_values  # noqa: F401
 
 EPS_MAX = math.exp(-2.0)
@@ -90,7 +82,8 @@ def mlmc_params(eps: float, beta: float, alpha: float) -> MLMCParams:
     except OverflowError:
         K = math.inf
     if not math.isfinite(K):
-        raise ValueError(f"eps {eps!r} is too small: the replication constant K(eps) overflows")
+        raise ValueError(f"eps {eps!r} is too small for beta {beta!r}: the replication constant "
+                         f"K(eps) overflows, as eps is raised to -max(2, beta/(beta-1)) = {-exponent:.6g}")
     N = [max(1, math.ceil(2.0 ** (-l * beta / 2.0) * l ** (-alpha / 2.0) * K))
          for l in range(1, L + 1)]
     return MLMCParams(eps, beta, alpha, z, L, K, N)
@@ -162,8 +155,8 @@ class BridgeModel(ExpansionModel):
     def base_allocation(self, level: int) -> BitAllocation:
         return allocation_bridge(level)
 
-    def functional_rows(self, coeffs: np.ndarray, level: int) -> dict:
-        return {"kind": "bridge", "nodes": nodes_from_coeffs(coeffs, level)}
+    def functional_rows(self, coeffs: np.ndarray, level: int) -> BridgeRows:
+        return BridgeRows(nodes_from_coeffs(coeffs, level))
 
 
 class KLModel(ExpansionModel):
@@ -188,8 +181,8 @@ class KLModel(ExpansionModel):
             scale.flags.writeable = False
         return scale
 
-    def functional_rows(self, coeffs: np.ndarray, level: int) -> dict:
-        return {"kind": "kl", "coeffs": coeffs}
+    def functional_rows(self, coeffs: np.ndarray, level: int) -> KLRows:
+        return KLRows(coeffs)
 
 
 def bridge_model() -> BridgeModel:
@@ -208,14 +201,15 @@ def kl_model(spec: EigenSpec) -> KLModel:
 class LipFunctional:
     """Real functional on the model space with Lipschitz constant one.
 
-    ``rows`` evaluates a batch: it receives the dict the model's
-    ``functional_rows`` makes of coefficient rows, ``{"kind": "bridge",
-    "nodes": node rows}`` or ``{"kind": "kl", "coeffs": coefficient rows}``,
-    and returns one value per row.
+    ``rows`` evaluates a batch: it receives the rows the model's
+    ``functional_rows`` makes of coefficient rows, a :class:`BridgeRows` or
+    a :class:`KLRows`, and returns one value per row.  Both row types offer
+    ``norm()`` and ``linear(w)``, so a functional written against those two
+    runs on either model.
     """
 
     name: str
-    rows: Callable[[dict], np.ndarray]
+    rows: Callable[[BridgeRows | KLRows], np.ndarray]
 
     def evaluate(self, x) -> float:
         """Evaluate on a single KLVector or BridgePath.
@@ -226,88 +220,25 @@ class LipFunctional:
         """
         if isinstance(x, BridgePath):
             nodes = x.node_values()
-            return float(self.rows({"kind": "bridge", "nodes": np.stack([nodes, nodes])})[0])
+            return float(self.rows(BridgeRows(np.stack([nodes, nodes])))[0])
         if isinstance(x, KLVector):
-            return float(self.rows({"kind": "kl", "coeffs": np.stack([x.coeffs, x.coeffs])})[0])
+            return float(self.rows(KLRows(np.stack([x.coeffs, x.coeffs])))[0])
         raise TypeError(f"unsupported argument type {type(x).__name__}")
 
 
-def _hat_on_nodes(j: int, n_nodes: int) -> np.ndarray:
-    """Normalized hat e_j = s_j / ||s_j|| on a dyadic node grid (exact kinks)."""
-    t = np.arange(n_nodes, dtype=np.float64) / (n_nodes - 1)
-    vals = schauder(j, t)
-    return vals / math.sqrt(schauder_norm_sq(j))
-
-
-def _refine_nodes(nodes: np.ndarray, level: int) -> np.ndarray:
-    """Node rows on a mesh of at most 2**-level, by midpoint insertion.
-
-    The inserted values are the averages 0.5 * (a + b) of nodes_from_coeffs,
-    so the rows are the same piecewise-linear functions on a finer grid;
-    rows already that fine are returned as they are.
-    """
-    while nodes.shape[1] < (1 << level) + 1:
-        refined = np.empty((nodes.shape[0], 2 * nodes.shape[1] - 1), dtype=np.float64)
-        refined[:, 0::2] = nodes
-        refined[:, 1::2] = 0.5 * (nodes[:, :-1] + nodes[:, 1:])
-        nodes = refined
-    return nodes
-
-
-def _coord(j: int, rows: dict) -> np.ndarray:
-    """The j-th KL coordinate, or for bridge paths the inner product with the
-    j-th normalized hat function."""
-    if rows["kind"] == "kl":
-        coeffs = rows["coeffs"]
-        if j > coeffs.shape[1]:
-            return np.zeros(coeffs.shape[0])
-        return coeffs[:, j - 1].copy()
-    nodes = _refine_nodes(rows["nodes"], j.bit_length())  # hat j kinks on mesh 2**-bit_length(j)
-    return pl_inner(nodes, _hat_on_nodes(j, nodes.shape[1])[np.newaxis, :])
-
-
-def _norm(rows: dict) -> np.ndarray:
-    if rows["kind"] == "kl":
-        c = rows["coeffs"]
-        return np.sqrt(np.einsum("ij,ij->i", c, c))
-    return np.sqrt(pl_l2_norm_sq(rows["nodes"]))
-
-
 CLIP = 1.0  # clip level of the catalog's clipped_norm
-SOFT_WEIGHTS = np.array([0.6, 0.48, 0.384, 0.3072])  # weights of the catalog's soft_linear, norm 0.9123
-
-
-def _soft_linear(rows: dict) -> np.ndarray:
-    """x -> sum_j w_j x_j with w = SOFT_WEIGHTS.
-
-    For bridge paths the coordinates are inner products with normalized hat
-    functions, whose combination is rescaled by its true L2 norm (1.268) so
-    the functional stays 1-Lipschitz despite the basis not being orthogonal.
-    """
-    w = SOFT_WEIGHTS
-    if rows["kind"] == "kl":
-        c = rows["coeffs"]
-        k = min(len(w), c.shape[1])
-        return c[:, :k] @ w[:k]
-    nodes = _refine_nodes(rows["nodes"], len(w).bit_length())  # mesh of the last hat
-    n_nodes = nodes.shape[1]
-    g = np.zeros(n_nodes)
-    for j, wj in enumerate(w, start=1):
-        g += wj * _hat_on_nodes(j, n_nodes)
-    g_norm = math.sqrt(float(pl_l2_norm_sq(g[np.newaxis, :])[0]))
-    if g_norm > 1.0:
-        g = g / g_norm
-    return pl_inner(nodes, g[np.newaxis, :])
+SOFT_WEIGHTS = np.array([0.6, 0.48, 0.384, 0.3072])  # soft_linear's: norm 0.9123, 1.268 over the bridge hats
 
 
 def builtin_functionals() -> dict[str, LipFunctional]:
-    """Catalog of 1-Lipschitz functionals addressable by name."""
+    """Catalog of 1-Lipschitz functionals addressable by name; the linear ones
+    are ``rows.linear(w)`` with their weights w written out."""
     return {
-        "coord1": LipFunctional("coord1", lambda rows: _coord(1, rows)),
-        "coord2": LipFunctional("coord2", lambda rows: _coord(2, rows)),
-        "norm": LipFunctional("norm", _norm),
-        "clipped_norm": LipFunctional(f"clipped_norm({CLIP:g})", lambda rows: np.minimum(CLIP, _norm(rows))),
-        "soft_linear": LipFunctional("soft_linear", _soft_linear),
+        "coord1": LipFunctional("coord1", lambda rows: rows.linear((1.0,))),
+        "coord2": LipFunctional("coord2", lambda rows: rows.linear((0.0, 1.0))),
+        "norm": LipFunctional("norm", lambda rows: rows.norm()),
+        "clipped_norm": LipFunctional(f"clipped_norm({CLIP:g})", lambda rows: np.minimum(CLIP, rows.norm())),
+        "soft_linear": LipFunctional("soft_linear", lambda rows: rows.linear(SOFT_WEIGHTS)),
     }
 
 

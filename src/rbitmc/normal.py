@@ -485,7 +485,8 @@ def asymptotic_ratios(p_grid) -> dict[str, np.ndarray]:
         y_a = phi_inv_tail(p + 2.0 - log2_3)
         one_minus_a = 3.0 * 2.0 ** -(p + 2.0)
         b_minus_a = 2.0 ** -(p + 2.0)
-        rows.append((y / (math.sqrt(LN4) * math.sqrt(p)), ratio2, func_g(y_b) * 2.0 ** p * p * LN4,
+        g_scaled = math.ldexp(func_g(y_b), int(p)) * 2.0 ** (p % 1.0)  # g 2**p; 2.0 ** p overflows from p = 1024
+        rows.append((y / (math.sqrt(LN4) * math.sqrt(p)), ratio2, g_scaled * p * LN4,
                      phi(y) / (SQRT_2 * 2.0 ** -p * math.sqrt(p * LN2)),
                      (y_b - y_a) * one_minus_a * math.sqrt((p + 2.0) * LN2 - math.log(3.0)) / b_minus_a))
     r1, r2, r3, r4, r5 = np.array(rows, dtype=np.float64).reshape(-1, 5).T

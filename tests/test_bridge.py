@@ -201,3 +201,11 @@ def test_pl_integrals():
     assert abs(BR.pl_l2_norm_sq(nodes)[0] - 1.0 / 3.0) < 1e-15
     g = np.ones((1, 9))
     assert abs(BR.pl_inner(nodes, g)[0] - 0.5) < 1e-15
+
+
+@pytest.mark.parametrize("j", range(1, 9))
+def test_normalized_hats_have_unit_norm_on_their_own_mesh(j):
+    # BridgeRows.linear rescales g only when its computed norm is above 1, so
+    # a unit weight on one hat (coord1, coord2) is the plain inner product
+    hat = BR._hat_on_nodes(j, (1 << j.bit_length()) + 1)
+    assert BR.pl_l2_norm_sq(hat[np.newaxis, :])[0] == 1.0

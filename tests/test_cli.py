@@ -432,6 +432,37 @@ def test_equal_range_ends_run_one_row(capsys):
     assert capsys.readouterr().out.count("\n") == 2
 
 
+@pytest.mark.parametrize("via", ["flag", "suite"])
+def test_kl_error_refuses_m_one_for_negative_alpha(tmp_path, capsys, via):
+    """(ln m)**alpha of the scaled column is undefined at m = 1 for alpha < 0:
+    the run ended in ZeroDivisionError with exit 1."""
+    values = {"beta": "3", "alpha": "-2", "mmin": "1", "mmax": "2"}
+    csv = tmp_path / "out.csv"
+    if via == "flag":
+        argv = ["kl-error", *(f"--{k}={v}" for k, v in values.items()), "--csv", str(csv)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {"experiment": "kl-error", **values, "csv": csv}.items()))
+        argv = ["suite", "--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: kl-error: mmin 1 must be at least 2 for alpha -2 < 0, "
+                            "as the scaled column's factor (ln m)**alpha is undefined at m = 1\n")
+    assert not csv.exists()
+    assert main(["kl-error", "--beta", "3", "--alpha", "0", "--mmin", "1", "--mmax", "2"]) == 0
+
+
+def test_mlmc_overflow_names_beta_and_the_exponent(capsys):
+    """The refusal blamed eps alone, but at beta 1.001 the exponent
+    beta/(beta-1) = 1001 is what overflows K(eps)."""
+    assert main(["mlmc", "--model", "kl", "--beta", "1.001", "--eps", "0.1", "--runs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: eps 0.1 is too small for beta 1.001: the replication constant K(eps) "
+                            "overflows, as eps is raised to -max(2, beta/(beta-1)) = -1001\n")
+
+
 def test_mlmc_without_runs_is_bad_input(capsys):
     args = ["mlmc", "--eps", "0.125", "--functional", "coord1", "--fixtures", FIXTURES]
     assert main([*args, "--runs", "0"]) == 2

@@ -430,7 +430,7 @@ def test_bridge_functionals_refine_coarse_meshes(name, target, level):
     coeffs, _ = _decode(BRIDGE, level, BRIDGE.sample_rows(BitSource(40 + level), level, 9))
     padded = np.zeros((coeffs.shape[0], (1 << max(level, target)) - 1))
     padded[:, :coeffs.shape[1]] = coeffs
-    fine = {"kind": "bridge", "nodes": nodes_from_coeffs(padded, max(level, target))}
+    fine = M.BridgeRows(nodes_from_coeffs(padded, max(level, target)))
     got = f.rows(BRIDGE.functional_rows(coeffs, level))
     assert got.tobytes() == f.rows(fine).tobytes()
     assert np.all(np.isfinite(got)) and np.any(got != 0.0)
@@ -509,3 +509,24 @@ def test_stderr_sums_left_to_right():
     on, which gives 1 + 2**-51 here and a stderr of 1 + 2**-52."""
     result = M.MLMCResult(0.0, CostLedger(), [], [1.0, 1e-16, 1e-16, 1e-16, 1e-16], [1] * 5)
     assert result.stderr == 1.0
+
+
+def test_overflowing_replication_constant_names_eps_beta_and_the_exponent():
+    # at beta 1.001 the exponent beta/(beta-1) = 1001 overflows K(eps), not eps 0.1 itself
+    with pytest.raises(ValueError, match=r"^eps 0\.1 is too small for beta 1\.001: the replication constant "
+                                         r"K\(eps\) overflows, as eps is raised to -max\(2, beta/\(beta-1\)\) = -1001$"):
+        M.mlmc_params(0.1, 1.001, 0.0)
+
+
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+def test_a_functional_of_the_row_methods_runs_on_both_models(model_name):
+    # written only against linear(w), it runs on either row type; negation
+    # is exact, so it gives the bits of -coord1 and the same stderr
+    neg = M.LipFunctional("neg", lambda r: -r.linear(np.array([1.0])))
+    coord1 = M.lookup_functional("coord1")
+    model = MODELS[model_name]
+    (mean, stderr, _), (mean1, stderr1, _) = (M.plain_mc(f, model, 5, 300, BitSource(11)) for f in (neg, coord1))
+    assert (mean.hex(), stderr.hex()) == ((-mean1).hex(), stderr1.hex())
+    params = M.mlmc_params(2.0 ** -4, model.beta, model.alpha)
+    res, res1 = (M.mlmc_estimate(f, model, params, BitSource(12)) for f in (neg, coord1))
+    assert (res.estimate.hex(), res.stderr.hex()) == ((-res1.estimate).hex(), res1.stderr.hex())

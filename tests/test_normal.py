@@ -388,3 +388,17 @@ def test_asymptotic_ratio_brackets():
     assert np.all(table["ratio5"] > 0.0)
     with pytest.raises(ValueError):
         N.asymptotic_ratios([0.5])
+
+
+def test_ratio3_is_finite_where_2_pow_p_overflows():
+    """2.0 ** p overflowed from p = 1024 on and ratio3 read inf (exit 0 in
+    appendix-ratios); the suite turns the RuntimeWarning into an error."""
+    table = N.asymptotic_ratios(np.arange(1020, 1030, dtype=np.float64))
+    r3 = table["ratio3"]
+    assert np.all(np.abs(r3 - 1.0019) < 1e-3)
+    # below the overflow the bits are those of g * 2.0 ** p, pinned before the change
+    assert [float(v).hex() for v in r3[:4]] == [
+        "0x1.007ddc0d6b0e6p+0", "0x1.007dc9f1fa0edp+0", "0x1.007db225907b7p+0", "0x1.007da019f31a3p+0"]
+    for p in (10.5, 1000.25):  # a real p keeps its fractional power of two
+        expected = N.func_g(N.phi_inv_tail(p + 1.0)) * 2.0 ** p * p * N.LN4
+        assert N.asymptotic_ratios([p])["ratio3"][0] == expected
