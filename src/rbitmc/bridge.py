@@ -120,15 +120,21 @@ def nodes_from_coeffs(coeff_rows: np.ndarray, level: int) -> np.ndarray:
     an average plus a scaled coefficient.
     """
     rows = np.atleast_2d(coeff_rows)
-    n = rows.shape[0]
-    vals = np.zeros((n, 2), dtype=np.float64)
+    vals = np.zeros((rows.shape[0], 2), dtype=np.float64)
     for m in range(level):
         mids = 0.5 * (vals[:, :-1] + vals[:, 1:]) + rows[:, (1 << m) - 1:(1 << (m + 1)) - 1] * 2.0 ** (-m / 2.0 - 1.0)
-        merged = np.empty((n, vals.shape[1] + mids.shape[1]), dtype=np.float64)
-        merged[:, 0::2] = vals
-        merged[:, 1::2] = mids
-        vals = merged
+        vals = _insert_midpoints(vals, mids)
     return vals
+
+
+def _insert_midpoints(nodes: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """The midpoint-refinement step: node rows (n, k) on the halved mesh,
+    (n, 2k - 1), with the values ``mids`` (n, k - 1) inserted between
+    neighbours."""
+    refined = np.empty((nodes.shape[0], 2 * nodes.shape[1] - 1), dtype=np.float64)
+    refined[:, 0::2] = nodes
+    refined[:, 1::2] = mids
+    return refined
 
 
 def pl_l2_norm_sq(node_rows: np.ndarray) -> np.ndarray:
@@ -165,10 +171,7 @@ def _refine_nodes(nodes: np.ndarray, level: int) -> np.ndarray:
     rows already that fine are returned as they are.
     """
     while nodes.shape[1] < (1 << level) + 1:
-        refined = np.empty((nodes.shape[0], 2 * nodes.shape[1] - 1), dtype=np.float64)
-        refined[:, 0::2] = nodes
-        refined[:, 1::2] = 0.5 * (nodes[:, :-1] + nodes[:, 1:])
-        nodes = refined
+        nodes = _insert_midpoints(nodes, 0.5 * (nodes[:, :-1] + nodes[:, 1:]))
     return nodes
 
 

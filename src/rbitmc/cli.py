@@ -46,6 +46,8 @@ def fit_rate(xs: Sequence[float], ys: Sequence[float]) -> RateFit:
     y = np.asarray(ys, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 3:
         raise ValueError("need two equal-length sequences of at least 3 points")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("rate fits require finite data")
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise ValueError("rate fits require strictly positive data")
     lx, ly = np.log(x), np.log(y)
@@ -101,7 +103,11 @@ def load_fixtures(path: str) -> dict[str, Fixture]:
         name, value, tol = parts
         if name in out:
             raise ConfigurationError(f"{path}:{lineno}: duplicate fixture {name!r}")
-        out[name] = Fixture(name, float(value), float(tol), note.strip())
+        try:
+            out[name] = Fixture(name, float(value), float(tol), note.strip())
+        except ValueError:
+            raise ConfigurationError(f"{path}:{lineno}: value {value!r} and tolerance {tol!r} "
+                                     "must be numbers") from None
     return out
 
 
@@ -167,13 +173,17 @@ def experiment_normal_error(pmin: int, pmax: int):
     return header, rows
 
 
+def _doubling(lo: int, hi: int) -> list[int]:
+    """lo, 2 lo, 4 lo, ... up to hi; [lo] alone for lo < 1, which the
+    experiment then refuses."""
+    return [lo << k for k in range((hi // lo).bit_length())] if lo > 0 else [lo]
+
+
+_LAWS = {"normal": _w1d.standard_normal_spec, "uniform": _w1d.uniform_spec}  # rbit-1d --law
+
+
 def experiment_rbit_1d(law: str, pmin: int, pmax: int):
-    if law == "normal":
-        spec = _w1d.standard_normal_spec()
-    elif law == "uniform":
-        spec = _w1d.uniform_spec()
-    else:
-        raise ConfigurationError(f"unknown law {law!r}; expected normal or uniform")
+    spec = _LAWS[law]()
     header = ["p", "rbit", "scaled_2p", "scaled_2p_p_sq"]
 
     def row(p):
@@ -212,9 +222,7 @@ def experiment_kl_error(beta: float, alpha: float, mmin: int, mmax: int):
             flagged.append(m)
         return [m, alloc.total, err, m ** (beta - 1.0) * math.log(m) ** alpha * err]
 
-    # mmin, 2 mmin, 4 mmin, ... up to mmax; an mmin below 1 is left to allocation_kl to refuse
-    ms = [mmin << k for k in range((mmax // mmin).bit_length())] if mmin > 0 else [mmin]
-    rows = _rows_top_down(ms, row)
+    rows = _rows_top_down(_doubling(mmin, mmax), row)
     _note_surrogate("m", sorted(flagged))
     return header, rows
 
@@ -223,26 +231,24 @@ def experiment_sde_error(mu: float, sigma: float, x0: float, q: int,
                          mmin: int, mmax: int, reps: int, seed: int):
     model = _sde.geometric_model(mu, sigma, x0)
     header = ["m", "q", "reps", "rms_error", "bits"]
-    rows = []
-    m = mmin
-    while m <= mmax:
+
+    def row(m):
         rms, ledger = _sde.strong_error_experiment(model, m, q, reps, seed)
-        rows.append([m, q, reps, rms, ledger.bits])
-        m *= 2
-    return header, rows
+        return [m, q, reps, rms, ledger.bits]
+
+    return header, _rows_top_down(_doubling(mmin, mmax), row)
+
+
+_MODELS = {"bridge": lambda beta, alpha: _mlmc.bridge_model(),  # mlmc --model: (beta, alpha) -> model
+           "kl": lambda beta, alpha: _mlmc.kl_model(_gausskl.EigenSpec(beta=beta, alpha=alpha))}
 
 
 def experiment_mlmc(model_name: str, beta: float, alpha: float, eps: float,
                     functional: str, runs: int, seed: int):
-    if model_name == "bridge":
-        model = _mlmc.bridge_model()
-        if (beta, alpha) != (model.beta, model.alpha):
-            raise ConfigurationError(f"the bridge model has beta {model.beta:g} and alpha {model.alpha:g}, "
-                                     f"got beta {beta:g} and alpha {alpha:g}")
-    elif model_name == "kl":
-        model = _mlmc.kl_model(_gausskl.EigenSpec(beta=beta, alpha=alpha))
-    else:
-        raise ConfigurationError(f"unknown model {model_name!r}; expected bridge or kl")
+    model = _MODELS[model_name](beta, alpha)
+    if (beta, alpha) != (model.beta, model.alpha):
+        raise ConfigurationError(f"the {model_name} model has beta {model.beta:g} and alpha {model.alpha:g}, "
+                                 f"got beta {beta:g} and alpha {alpha:g}")
     if runs < 1:
         raise ValueError("runs must be a positive integer")
     params = _mlmc.mlmc_params(eps, beta, alpha)
@@ -339,7 +345,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         _check_normal_error),
     "rbit-1d": Experiment(
         "exact best-approximation distance for a 1-d law",
-        (Param("law", str, "normal", ("normal", "uniform")), Param("pmin", int), Param("pmax", int)),
+        (Param("law", str, "normal", tuple(_LAWS)), Param("pmin", int), Param("pmax", int)),
         lambda a: experiment_rbit_1d(a["law"], a["pmin"], a["pmax"])),
     "bridge-error": Experiment(
         "bridge truncation and bit error table",
@@ -359,7 +365,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                                        a["mmin"], a["mmax"], a["reps"], a["seed"])),
     "mlmc": Experiment(
         "random-bit multilevel Monte Carlo runs",
-        (Param("model", str, "bridge", ("bridge", "kl")), Param("beta", float, 2.0),
+        (Param("model", str, "bridge", tuple(_MODELS)), Param("beta", float, 2.0),
          Param("alpha", float, 0.0), Param("eps", float), Param("functional", str, "norm"),
          Param("runs", int, 100)),
         lambda a: experiment_mlmc(a["model"], a["beta"], a["alpha"], a["eps"],

@@ -1,7 +1,7 @@
 """Gaussian measures on a separable Hilbert space in Karhunen-Loeve
 coordinates, with polynomially decaying eigenvalues
 
-    lambda_i = c * i**-beta * ln(i+1)**-alpha,        beta > 1,
+    lambda_i = i**-beta * ln(i+1)**-alpha,        beta > 1,
 
 a per-coordinate bit allocation that equalizes the contributions of the
 coefficient errors, coupled coarse/fine sampling of any Gaussian expansion
@@ -36,24 +36,21 @@ _ALLOC_BLOCK = 1 << 16  # indices allocation_kl evaluates ptilde at in one go
 class EigenSpec:
     """Eigenvalue model of the covariance operator.
 
-    Analytic mode fixes lambda_i = scale * i**-beta * ln(i+1)**-alpha;
-    explicit mode wraps a user-supplied vectorized eigenvalue function, for
-    which the allocation formula is unavailable.
+    Analytic mode fixes lambda_i = i**-beta * ln(i+1)**-alpha; explicit
+    mode wraps a user-supplied vectorized eigenvalue function (any constant
+    factor goes there), for which the allocation formula is unavailable.
     """
 
     beta: float
     alpha: float
-    scale: float = 1.0
     explicit: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        for name, value in (("beta", self.beta), ("alpha", self.alpha), ("scale", self.scale)):
+        for name, value in (("beta", self.beta), ("alpha", self.alpha)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.explicit is None and not self.beta > 1.0:
             raise ValueError("analytic mode requires beta > 1 for summability")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
 
     @property
     def analytic(self) -> bool:
@@ -63,7 +60,7 @@ class EigenSpec:
         i_arr = np.asarray(i, dtype=np.float64)
         if self.explicit is not None:
             return np.asarray(self.explicit(i_arr), dtype=np.float64)
-        return self.scale * i_arr ** -self.beta * np.log(i_arr + 1.0) ** -self.alpha
+        return i_arr ** -self.beta * np.log(i_arr + 1.0) ** -self.alpha
 
 
 def allocation_kl(m: int, spec: EigenSpec) -> BitAllocation:
@@ -188,8 +185,7 @@ def decode_rows(drawn: DrawnRows, a: int, b: int, scale: Optional[np.ndarray] = 
 
 
 def sample_rows(src: BitSource, alloc: BitAllocation, n: int,
-                scale: Optional[np.ndarray] = None,
-                indices: bool = True) -> tuple[np.ndarray, Optional[np.ndarray]]:
+                scale: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """Draw n expansion rows under ``alloc``: (coefficient rows, index rows).
 
     Draw order: bits are drawn run by run over the maximal runs of equal bit
@@ -198,10 +194,10 @@ def sample_rows(src: BitSource, alloc: BitAllocation, n: int,
     bits are consumed.  The stream is taken once (:func:`draw_rows`) and
     rows 0..n decoded from it (:func:`decode_rows`), so the (n, len(alloc))
     rows are held in memory: callers that need only blocks of rows keep the
-    :class:`DrawnRows` and decode those.  ``indices=False`` builds no index
-    rows and returns None for them.
+    :class:`DrawnRows` and decode those.  The (n, len(alloc)) uint64 index
+    rows are built too; callers that need only the coefficients drop them.
     """
-    return decode_rows(draw_rows(src, alloc, n), 0, n, scale, len(alloc) if indices else 0)
+    return decode_rows(draw_rows(src, alloc, n), 0, n, scale, len(alloc))
 
 
 def coarsen_rows(idx_rows: np.ndarray, fine: BitAllocation, coarse: BitAllocation,
@@ -234,12 +230,19 @@ def coarsen_rows(idx_rows: np.ndarray, fine: BitAllocation, coarse: BitAllocatio
     return coeffs, idx
 
 
+def _allocation(m: int, spec: EigenSpec, allocation: Optional[BitAllocation]) -> BitAllocation:
+    """The override ``allocation`` once its length is checked against m, else
+    :func:`allocation_kl`: the bit allocation of every KL function."""
+    alloc = allocation_kl(m, spec) if allocation is None else allocation
+    if len(alloc) != m:
+        raise ValueError("allocation length must equal m")
+    return alloc
+
+
 def sample_kl(src: BitSource, m: int, spec: EigenSpec,
               allocation: Optional[BitAllocation] = None) -> KLVector:
     """One truncated random-bit sample; consumes exactly |p(m)| bits."""
-    alloc = allocation if allocation is not None else allocation_kl(m, spec)
-    if len(alloc) != m:
-        raise ValueError("allocation length must equal m")
+    alloc = _allocation(m, spec, allocation)
     coeffs, idx = sample_rows(src, alloc, 1, np.sqrt(spec.eigenvalues(np.arange(1, m + 1))))
     return KLVector(m, coeffs[0], idx[0], alloc)
 
@@ -249,7 +252,7 @@ def coarsen_kl(x: KLVector, m2: int, spec: EigenSpec,
     """Coupled coarse version of a sampled vector; draws no bits."""
     if m2 >= x.m:
         raise ValueError("coarsening requires m2 < m")
-    alloc2 = allocation if allocation is not None else allocation_kl(m2, spec)
+    alloc2 = _allocation(m2, spec, allocation)
     lam_sqrt = np.sqrt(spec.eigenvalues(np.arange(1, m2 + 1)))
     coeffs, idx = coarsen_rows(x.retained_indices, x.allocation, alloc2, lam_sqrt)
     return KLVector(m2, coeffs[0], idx[0], alloc2)
@@ -300,9 +303,7 @@ def tail_sum(m: int, spec: EigenSpec) -> tuple[float, float]:
 
 def _kl_error_parts(m: int, spec: EigenSpec, allocation: Optional[BitAllocation]):
     """(coefficient-error sum over i <= m, tail_sum interval) of kl_error_sq."""
-    alloc = allocation if allocation is not None else allocation_kl(m, spec)
-    if len(alloc) != m:
-        raise ValueError("allocation length must equal m")
+    alloc = _allocation(m, spec, allocation)
     lam = spec.eigenvalues(np.arange(1, m + 1))
     head = math.fsum(bit_normal_mse_extended(int(p)) * lam[a:b].sum()
                      for a, b, p in alloc.runs)

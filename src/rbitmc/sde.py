@@ -171,7 +171,7 @@ def refined_path_sample(src: BitSource, model: SDEModel, m: int, q: int, level: 
     """
     before = src.bits_drawn
     skeleton = rbit_milstein_path(src, model, m, q)
-    coeffs, _ = sample_rows(src, allocation_bridge(level), m, indices=False)
+    coeffs, _ = sample_rows(src, allocation_bridge(level), m)
     used = src.bits_drawn - before
     expected = sde_bit_cost(m, q, level)
     if used != expected:
@@ -232,7 +232,7 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
         fine = BitAllocation(np.full(reps, 53))
         yf = np.empty((reps, mf), dtype=np.float64)
         for k0, k1 in _step_blocks(mf, reps):
-            yf[:, k0:k1] = sample_rows(src, fine, k1 - k0, indices=False)[0].T
+            yf[:, k0:k1] = sample_rows(src, fine, k1 - k0)[0].T
         y = yf.reshape(reps, m, FINE_FACTOR).sum(axis=2) / math.sqrt(FINE_FACTOR)
         u = Phi(y)
         idx_q = np.minimum((u * 2.0**q).astype(np.int64), (1 << q) - 1).astype(np.uint64) + np.uint64(1)

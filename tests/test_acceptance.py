@@ -230,6 +230,24 @@ def test_criterion_7c_mlmc_bit_ledger():
     assert ok
 
 
+def test_mlmc_cost_ratio_within_fixture_bracket():
+    """theoretical_cost / (oracle_cost + coeff_ops) of one run lies in the
+    fixture bracket [mlmc_cost_ratio_lo, mlmc_cost_ratio_hi] for the bridge
+    and the KL(2, 0) model at every eps of the grid."""
+    lo, hi = FIXTURES["mlmc_cost_ratio_lo"].value, FIXTURES["mlmc_cost_ratio_hi"].value
+    f = M.lookup_functional("coord1")
+    ratios = []
+    for model in (M.bridge_model(), M.kl_model(G.EigenSpec(beta=2.0, alpha=0.0))):
+        for k, eps in enumerate(EPS_GRID):
+            params = M.mlmc_params(eps, 2.0, 0.0)
+            ledger = M.mlmc_estimate(f, model, params, child_source(4000 + k, 0)).ledger
+            ratios.append(M.theoretical_cost(params) / (ledger.oracle_cost + ledger.coeff_ops))
+    ok = all(lo <= r <= hi for r in ratios)
+    _report("cost ratio", ok, f"theoretical / ledger cost in [{min(ratios):.3f}, {max(ratios):.3f}] "
+                              f"inside [{lo:g}, {hi:g}]")
+    assert ok
+
+
 def test_criterion_7d_cost_rate():
     t0 = time.time()
     costs = [M.theoretical_cost(M.mlmc_params(eps, 2.0, 0.0)) for eps in EPS_GRID]

@@ -3,6 +3,7 @@ import importlib
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -53,6 +54,26 @@ def test_fit_rate_errors():
         fit_rate([3.0, 3.0, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         fit_rate([1.0, 2.0, 0.0], [1.0, 2.0, 3.0])
+    for bad in (math.nan, math.inf, -math.inf):  # gave a nan slope, intercept and residual
+        with pytest.raises(ValueError, match="rate fits require finite data"):
+            fit_rate([1.0, 2.0, 4.0, 8.0], [1.0, bad, 3.0, 4.0])
+        with pytest.raises(ValueError, match="rate fits require finite data"):
+            fit_rate([1.0, bad, 4.0, 8.0], [1.0, 2.0, 3.0, 4.0])
+
+
+def test_fit_on_non_finite_data_is_bad_input(tmp_path, capsys):
+    """normal-error writes nan moments above p = 26, and fit printed
+    nan,nan,nan for them with exit 0."""
+    table, out = tmp_path / "normal.csv", tmp_path / "fit.csv"
+    assert main(["normal-error", "--pmin", "27", "--pmax", "30", "--csv", str(table)]) == 0
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text("m,err\n2,0.5\n4,inf\n8,0.125\n16,0.0625\n")
+    capsys.readouterr()
+    for data, x, y in ((table, "p", "moment2"), (mixed, "m", "err")):
+        assert main(["fit", "--input", str(data), "--x", x, "--y", y, "--csv", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: rate fits require finite data\n"
+        assert not out.exists()
 
 
 def test_format_value_17_digits():
@@ -80,6 +101,42 @@ def test_fixture_semantics(tmp_path):
     path.write_text("a 1.0 0.1 # one\na 2.0 0.1 # dup\n")
     with pytest.raises(ConfigurationError):
         load_fixtures(str(path))
+
+
+@pytest.mark.parametrize("line", ["bad abc 0.1 # note", "bad 1.0 tol", "bad 1.0 0.1x"])
+def test_fixture_value_that_is_not_a_number_names_its_line(tmp_path, capsys, line):
+    """A value or tolerance that is not a number printed only
+    "could not convert string to float", without the file and line."""
+    path = tmp_path / "f.txt"
+    path.write_text(f"# table\nok 1.0 0.1\n{line}\n")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}:3: value .* must be numbers$"):
+        load_fixtures(str(path))
+    assert main(["normal-error", "--pmin", "4", "--pmax", "4", "--fixtures", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {path}:3: value ")
+
+
+def test_every_fixture_is_read_somewhere():
+    """Each name of the fixture table is a string constant in src/ or tests/,
+    or matches an f-string template there (``kl_scaled_b{beta:g}_a{alpha:g}``):
+    a row no code reads checks nothing."""
+    root = os.path.join(os.path.dirname(__file__), "..")
+    constants, templates = set(), []
+    for folder in ("src/rbitmc", "tests"):
+        for name in sorted(os.listdir(os.path.join(root, folder))):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(root, folder, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.JoinedStr):
+                    templates.append("".join(re.escape(v.value) if isinstance(v, ast.Constant) else ".+"
+                                             for v in node.values))
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    constants.add(node.value)
+    unread = [name for name in load_fixtures(FIXTURES)
+              if name not in constants and not any(re.fullmatch(t, name) for t in templates)]
+    assert unread == []
 
 
 def test_load_shipped_fixtures():
@@ -481,6 +538,66 @@ def test_mlmc_bridge_refuses_other_decay_rates(tmp_path, capsys, rates):
                    f"{rates[0][2:]} = {rates[1]}\ncsv = {csv}\n")
     assert main(["suite", "--config", str(cfg)]) == 2
     assert not csv.exists()
+
+
+def test_mlmc_decay_rates_are_checked_against_the_chosen_model(capsys):
+    """One check against the model built from the --model table: the bridge
+    refuses other rates with the same message, a KL model takes its own."""
+    assert main(["mlmc", "--model", "bridge", "--beta", "3", "--eps", "0.125", "--runs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the bridge model has beta 2 and alpha 0, got beta 3 and alpha 0\n"
+    assert main(["mlmc", "--model", "kl", "--beta", "3", "--alpha", "1", "--eps", "0.125", "--runs", "1"]) == 0
+    assert capsys.readouterr().out.count("\n") == 2
+
+
+def test_sde_error_computes_its_rows_from_the_top_m_down(monkeypatch, capsys):
+    """sde-error builds its m ladder as kl-error does and computes the top
+    row first; each m has its own BitSource(seed), so the rows are as before."""
+    from rbitmc import sde
+    real, ms = sde.strong_error_experiment, []
+
+    def spy(model, m, *args):
+        ms.append(m)
+        return real(model, m, *args)
+
+    monkeypatch.setattr(sde, "strong_error_experiment", spy)
+    assert main(["sde-error", "--mmin", "3", "--mmax", "13", "--reps", "5"]) == 0
+    assert ms == [12, 6, 3]
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["3", "6", "12"]
+    rms, ledger = real(sde.geometric_model(0.05, 0.2, 1.0), 3, 52, 5, 0)
+    assert rows[0] == ",".join(map(format_value, [3, 52, 5, rms, ledger.bits]))
+
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+
+def _readme_blocks(lang):
+    with open(README, encoding="utf-8") as handle:
+        return re.findall(rf"^```{lang}\n(.*?)^```", handle.read(), flags=re.S | re.M)
+
+
+def test_readme_command_lines_parse():
+    """Every ``rbitmc`` line of the README's sh blocks parses: the README
+    once named ``sde-error --model`` after the flag was deleted."""
+    lines = [shlex.split(line.partition("#")[0])[1:] for block in _readme_blocks("sh")
+             for line in block.splitlines() if line.startswith("rbitmc ")]
+    assert len(lines) >= len(EXPERIMENTS) + 2
+    parser = cli.build_parser()
+    for argv in lines:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: rbitmc {shlex.join(argv)}")
+
+
+def test_readme_library_quick_tour_runs(capsys):
+    with open(README, encoding="utf-8") as handle:
+        section = handle.read().split("## Library quick tour", 1)[1]
+    code = re.search(r"^```python\n(.*?)^```", section, flags=re.S | re.M).group(1)
+    exec(compile(code, "README.md quick tour", "exec"), {})
+    assert len(capsys.readouterr().out.split()) == 3
 
 
 def test_mlmc_rmse_check_fails_when_not_finite():

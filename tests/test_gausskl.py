@@ -30,7 +30,8 @@ def _sample_batch(src, m, n):
 @example(counts=[63] * 5, n=7, head=3, seed=3)  # the rows of sde's 63-bit parents
 def test_sample_rows_matches_scalar_draws(counts, n, head, seed):
     """Both sampling paths give the rows of run-by-run scalar draws; index
-    rows are optional and change nothing else."""
+    rows are optional (decode_rows of width 0 builds none) and change
+    nothing else."""
     alloc = BitAllocation(np.array(counts))
     srcs = [BitSource(seed) for _ in range(3)]
     for src in srcs:
@@ -42,7 +43,7 @@ def test_sample_rows_matches_scalar_draws(counts, n, head, seed):
         values = [ref.draw_bits(p) + 1 for _ in range(n * (b - a))]
         idx_ref[:, a:b] = np.array(values, dtype=np.uint64).reshape(n, b - a)
     coeffs, idx = G.sample_rows(srcs[1], alloc, n)
-    bare, none = G.sample_rows(srcs[2], alloc, n, indices=False)
+    bare, none = G.decode_rows(G.draw_rows(srcs[2], alloc, n), 0, n)
     assert none is None and idx.dtype == np.uint64
     assert np.array_equal(idx, idx_ref)
     for j, p in enumerate(alloc.counts):
@@ -157,6 +158,21 @@ def test_coarsen_rejects_non_nested_allocation():
         G.coarsen_kl(x, 2, SPEC, allocation=bigger)
 
 
+@pytest.mark.parametrize("m2,counts", [(1, [3, 2, 1]), (1, [3, 2]), (2, [3]), (3, [3, 2, 1, 1])])
+def test_allocation_override_of_the_wrong_length_is_refused(m2, counts):
+    """coarsen_kl took an override of any length: m2 = 1 with three counts
+    returned a KLVector with m = 1 and three coefficients.  sample_kl,
+    coarsen_kl and kl_error_sq now share one check."""
+    x = G.sample_kl(BitSource(19), 4, SPEC)
+    alloc = BitAllocation(np.array(counts))
+    with pytest.raises(ValueError, match="allocation length must equal m"):
+        G.coarsen_kl(x, m2, SPEC, allocation=alloc)
+    with pytest.raises(ValueError, match="allocation length must equal m"):
+        G.sample_kl(BitSource(19), m2, SPEC, allocation=alloc)
+    with pytest.raises(ValueError, match="allocation length must equal m"):
+        G.kl_error_sq(m2, SPEC, allocation=alloc)
+
+
 def test_empirical_norm_matches_moment_sum():
     m, n = 64, 100_000
     src = BitSource(21)
@@ -245,13 +261,10 @@ def test_kl_error_interval_contains_value():
 def test_invalid_spec():
     with pytest.raises(ValueError):
         G.EigenSpec(beta=1.0, alpha=0.0)
-    with pytest.raises(ValueError):
-        G.EigenSpec(beta=2.0, alpha=0.0, scale=0.0)
-    # non-finite rates and scales were accepted: beta = inf gave nan bit counts (inf * 0)
+    # non-finite rates were accepted: beta = inf gave nan bit counts (inf * 0)
     for kwargs in ({"beta": math.inf, "alpha": 0.0}, {"beta": math.nan, "alpha": 0.0},
                    {"beta": 2.0, "alpha": math.inf}, {"beta": 2.0, "alpha": -math.inf},
-                   {"beta": 2.0, "alpha": math.nan}, {"beta": 2.0, "alpha": 0.0, "scale": math.inf},
-                   {"beta": 2.0, "alpha": 0.0, "scale": math.nan}):
+                   {"beta": 2.0, "alpha": math.nan}):
         name = next(k for k, v in kwargs.items() if not math.isfinite(v))
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             G.EigenSpec(**kwargs)

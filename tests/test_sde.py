@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ import pytest
 from rbitmc import bridge as BR
 from rbitmc import sde as S
 from rbitmc.bitcore import BitSource, dyadic_values, truncate_indices
+from rbitmc.cli import load_fixtures
 from rbitmc.errors import InternalInvariantError, NumericFailure
 from rbitmc.normal import bit_normal_mse, grid_normal_values, phi_inv
 
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures", "acceptance.txt")
 GM = S.geometric_model(0.05, 0.2, 1.0)
 GM_FINE = dataclasses.replace(GM, exact_strong_solution=None)  # the 64x fine Milstein reference
 
@@ -94,7 +97,7 @@ def test_q63_coupling_gap_fixture():
     pb = S.milstein_path(GM, m, phi_inv(dyadic_values(idx63, 63)))
     gap = float(np.max(np.abs(pa.values - pb.values)))
     assert gap < 1e-4
-    assert gap <= 1e-12  # recorded fixture bracket (sde_q63_coupling_gap)
+    assert gap <= load_fixtures(FIXTURES)["sde_q63_coupling_gap"].value
 
 
 def test_bit_cost_formula():
