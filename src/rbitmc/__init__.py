@@ -9,7 +9,7 @@ from .mlmc import MLMCParams, builtin_functionals, mlmc_estimate, mlmc_params, t
 from .normal import (
     Phi,
     bit_normal_mse,
-    bit_normal_moment,
+    bit_normal_mse_moments,
     bit_normal_sample,
     optimal_points,
     phi,
@@ -27,7 +27,7 @@ __all__ = [
     "coarsen", "sample_bridge",
     "EigenSpec", "KLVector", "allocation_kl", "coarsen_kl", "kl_error_sq", "sample_kl",
     "MLMCParams", "builtin_functionals", "mlmc_estimate", "mlmc_params", "theoretical_cost",
-    "Phi", "bit_normal_mse", "bit_normal_moment", "bit_normal_sample", "optimal_points",
+    "Phi", "bit_normal_mse", "bit_normal_mse_moments", "bit_normal_sample", "optimal_points",
     "phi", "phi_inv", "phi_inv_tail",
     "SDEModel", "geometric_model", "milstein_path", "rbit_milstein_path", "sde_bit_cost",
     "DiscreteUniform", "QuantileSpec", "rbit_error", "w2_empirical", "w2_uniform",

@@ -36,13 +36,23 @@ def schauder_level(i: int) -> tuple[int, int]:
     return m, i - (1 << m) + 1
 
 
+def _peak(m: int) -> float:
+    """Peak height 2**(-m/2-1) of the level-m hats."""
+    return 2.0 ** (-m / 2.0 - 1.0)
+
+
+def _hat(m: int, k0, t):
+    """The level-m hat with 0-based offset k0 (basis index 2**m + k0) at t:
+    the peak times the unit tent of half-width 2**-(m+1) centred on
+    (k0 + 1/2) 2**-m."""
+    center = (k0 + 0.5) / 2.0**m
+    return _peak(m) * np.maximum(0.0, 1.0 - np.abs(t - center) * 2.0 ** (m + 1))
+
+
 def schauder(i: int, t) -> np.ndarray | float:
     """Hat function s_i evaluated at t in [0, 1]."""
     m, k = schauder_level(i)
-    t = np.asarray(t, dtype=np.float64)
-    center = (k - 0.5) / 2.0**m
-    height = 2.0 ** (-m / 2.0 - 1.0)
-    out = height * np.maximum(0.0, 1.0 - np.abs(t - center) * 2.0 ** (m + 1))
+    out = _hat(m, k - 1, np.asarray(t, dtype=np.float64))
     return float(out) if out.ndim == 0 else out
 
 
@@ -57,12 +67,19 @@ def schauder_norm_sq(i) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def allocation_bridge(level: int) -> BitAllocation:
-    """Bit counts p_i = 2 * (level - m_i) for i = 1 .. 2**level - 1."""
+def _check_level(level: int) -> None:
+    """Refuse a level outside 1..MAX_LEVEL, the one domain of the bridge level
+    functions; every bridge sampler draws under allocation_bridge, so the cap
+    holds for them too."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    if level > MAX_LEVEL:  # caps every bridge sampler, as they all draw under this allocation
-        raise CapacityError(f"bridge allocation capped at level {MAX_LEVEL}")
+    if level > MAX_LEVEL:
+        raise CapacityError(f"bridge levels are capped at {MAX_LEVEL}, got {level}")
+
+
+def allocation_bridge(level: int) -> BitAllocation:
+    """Bit counts p_i = 2 * (level - m_i) for i = 1 .. 2**level - 1."""
+    _check_level(level)
     m = np.arange(level)
     return BitAllocation(np.repeat(2 * (level - m), 1 << m))
 
@@ -101,12 +118,8 @@ def evaluate_coeffs(coeffs: np.ndarray, level: int, t) -> np.ndarray | float:
         raise ValueError("evaluation points must lie in [0, 1]")
     out = np.zeros_like(t_arr)
     for m in range(level):
-        k = np.minimum((t_arr * 2.0**m).astype(np.int64), (1 << m) - 1)
-        i = (1 << m) + k  # basis index minus one offset: i - 1 indexes coeffs
-        center = (k + 0.5) / 2.0**m
-        height = 2.0 ** (-m / 2.0 - 1.0)
-        hat = height * np.maximum(0.0, 1.0 - np.abs(t_arr - center) * 2.0 ** (m + 1))
-        out += coeffs[..., i - 1] * hat
+        k = np.minimum((t_arr * 2.0**m).astype(np.int64), (1 << m) - 1)  # the one level-m hat active at t
+        out += coeffs[..., (1 << m) + k - 1] * _hat(m, k, t_arr)
     if np.asarray(t).ndim == 0:
         return float(out[0])
     return out
@@ -122,7 +135,7 @@ def nodes_from_coeffs(coeff_rows: np.ndarray, level: int) -> np.ndarray:
     rows = np.atleast_2d(coeff_rows)
     vals = np.zeros((rows.shape[0], 2), dtype=np.float64)
     for m in range(level):
-        mids = 0.5 * (vals[:, :-1] + vals[:, 1:]) + rows[:, (1 << m) - 1:(1 << (m + 1)) - 1] * 2.0 ** (-m / 2.0 - 1.0)
+        mids = 0.5 * (vals[:, :-1] + vals[:, 1:]) + rows[:, (1 << m) - 1:(1 << (m + 1)) - 1] * _peak(m)
         vals = _insert_midpoints(vals, mids)
     return vals
 
@@ -223,8 +236,7 @@ def coarsen(path: BridgePath, new_level: int) -> BridgePath:
 
 def bridge_truncation_error_sq(level: int) -> float:
     """Exact E || B - B^(level) ||_{L2}^2 = 2**-level / 6 (tail of norm sums)."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
+    _check_level(level)
     return 2.0 ** -level / 6.0
 
 
@@ -237,10 +249,7 @@ def bridge_bit_error_sq(level: int) -> float:
     above the exact-mse capacity (p > 26, i.e. level > 13) fall back to the
     asymptotic surrogate; their weight in the sum is below 1e-4 relative.
     """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    if level > MAX_LEVEL:
-        raise CapacityError(f"bridge error formula capped at level {MAX_LEVEL}")
+    _check_level(level)
     # level m holds 2**m hats of squared norm 2**(-2m-2)/3, which sum to 2**(-m-2)/3 exactly
     return math.fsum(bit_normal_mse_extended(2 * (level - m)) * (2.0 ** (-m - 2) / 3.0)
                      for m in range(level)) + bridge_truncation_error_sq(level)
@@ -248,8 +257,7 @@ def bridge_bit_error_sq(level: int) -> float:
 
 def precision_sum(level: int) -> float:
     """sum_i 2**-p_i / p_i * i**-2 for the bridge allocation at this level."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
+    _check_level(level)
     total = 0.0
     for m in range(level):
         p = 2 * (level - m)

@@ -85,8 +85,8 @@ class Fixture:
 
 
 def _entries(path: str) -> list[tuple[int, str]]:
-    """(line number, stripped line) of every line of a key file (fixture
-    table or suite config) that is neither blank nor a comment."""
+    """(line number, stripped line) of every line of a fixture table, suite
+    config or CSV that is neither blank nor a comment."""
     with open(path, "r", encoding="utf-8") as handle:
         return [(lineno, line) for lineno, line in enumerate(map(str.strip, handle), start=1)
                 if line and not line.startswith("#")]
@@ -134,9 +134,21 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> Non
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[float]]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().strip().split(",")
-        rows = [[float(tok) for tok in line.strip().split(",")] for line in handle if line.strip()]
+    """Header and numeric rows of a CSV; a row whose length differs from the
+    header's, or a cell that is not a number, raises ConfigurationError
+    naming ``path:line``."""
+    entries = _entries(path)
+    header = entries[0][1].split(",") if entries else []
+    rows = []
+    for lineno, line in entries[1:]:
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ConfigurationError(f"{path}:{lineno}: expected {len(header)} cells, as in the header, "
+                                     f"got {len(cells)}")
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError:
+            raise ConfigurationError(f"{path}:{lineno}: cells {line!r} must be numbers") from None
     return header, rows
 
 

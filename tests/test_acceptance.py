@@ -55,7 +55,7 @@ def test_criterion_1_exact_allocation_identities():
 def test_criterion_2_one_dimensional_normal_rate():
     t0 = time.time()
     ps = list(range(4, 25))
-    mses = [N.bit_normal_mse(p) for p in ps]
+    mses, moments2, moments4 = zip(*(N.bit_normal_mse_moments(p) for p in ps))
     bound = 49.0 / (6.0 * math.log(4.0)) + 0.5
     scaled = {p: 2.0**p * p * m for p, m in zip(ps, mses)}
     ok_a = all(scaled[p] <= bound for p in ps if p >= 16)
@@ -63,8 +63,6 @@ def test_criterion_2_one_dimensional_normal_rate():
     y = np.log(np.array(mses) * np.array(ps, dtype=np.float64))
     slope = np.polyfit(x, y, 1)[0]
     ok_b = -1.10 <= slope <= -0.95
-    moments2 = [N.bit_normal_moment(p, 2) for p in ps]
-    moments4 = [N.bit_normal_moment(p, 4) for p in ps]
     ok_c = all(m2 <= 1.0 for m2 in moments2) and all(m4 <= 3.0 for m4 in moments4)
     elapsed = time.time() - t0
     ok = ok_a and ok_b and ok_c and elapsed < 120.0

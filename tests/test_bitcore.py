@@ -335,6 +335,44 @@ def test_every_private_module_name_is_read():
     assert unread == []
 
 
+# public functions and classes that src/ does not read and rbitmc.__all__ does
+# not list, each kept for a reason
+_UNREAD_PUBLIC = {
+    "precision_sum": "the allocation's precision inequality of criterion 4",
+    "kl_error_interval": "kl_error_sq with its tail's certified bracket, checked in test_gausskl",
+    "plain_mc": "the plain Monte Carlo reference of criterion 7b and of the plain_mc_deep benchmark",
+    "bit_normal_support": "the support of the p-bit normal, pinned in test_normal_golden",
+    "bit_normal_cross_moment": "the oracle of the identity mse = 1 + E|Y^(p)|^2 - 2 E[Y Y^(p)]",
+    "gaussian_cell_sq_error": "the per-cell oracle of normal.gaussian_grid_sq_error",
+    "gaussian_cell_average": "the per-cell oracle of normal.gaussian_grid_average",
+    "refined_path_sample": "the continuous-time Milstein approximation X^(q, level), pinned in test_expansion_golden",
+}
+
+
+def test_every_public_function_or_class_is_used():
+    """The dead-code check for public functions and classes: each one a
+    module of the package defines at top level is read somewhere in src/
+    outside ``__init__`` (by name in its own module, through an import from
+    it, or as an attribute), is listed in ``rbitmc.__all__``, or is kept in
+    _UNREAD_PUBLIC with its reason."""
+    import rbitmc
+
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(__file__).resolve().parents[1].glob("src/rbitmc/*.py"))
+             if path.name != "__init__.py"}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    imported = {alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = attributes | imported | set(rbitmc.__all__)
+    unread = set()
+    for tree in trees.values():
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread |= {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_") and node.name not in loaded | used}
+    assert unread == set(_UNREAD_PUBLIC)
+
+
 def test_every_module_constant_is_read():
     """The dead-code check for module-level assignments, public ones too: each
     name a module of the package assigns at top level (dunders aside) is read

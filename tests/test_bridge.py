@@ -111,8 +111,11 @@ def test_level_cap_applies_to_every_sampler():
     level = BR.MAX_LEVEL + 1
     for call in (lambda: BR.allocation_bridge(level),
                  lambda: BR.sample_bridge(BitSource(1), level),
-                 lambda: S.refined_path_sample(BitSource(1), S.geometric_model(0.05, 0.2), 1, 4, level)):
-        with pytest.raises(CapacityError):
+                 lambda: S.refined_path_sample(BitSource(1), S.geometric_model(0.05, 0.2), 1, 4, level),
+                 lambda: BR.bridge_truncation_error_sq(level),
+                 lambda: BR.bridge_bit_error_sq(level),
+                 lambda: BR.precision_sum(level)):
+        with pytest.raises(CapacityError, match="capped"):
             call()
 
 
@@ -162,7 +165,7 @@ def test_empirical_second_moment_level4():
     norm_sq = BR.pl_l2_norm_sq(BR.nodes_from_coeffs(coeffs, level))
     alloc = BR.allocation_bridge(level)
     i = np.arange(1, (1 << level), dtype=np.int64)
-    expected = math.fsum(N.bit_normal_moment(int(p), 2) * BR.schauder_norm_sq(int(j))
+    expected = math.fsum(N.bit_normal_mse_moments(int(p))[1] * BR.schauder_norm_sq(int(j))
                          for j, p in zip(i, alloc.counts))
     se = norm_sq.std(ddof=1) / math.sqrt(n)
     assert abs(norm_sq.mean() - expected) < 4.0 * se

@@ -76,6 +76,24 @@ def test_fit_on_non_finite_data_is_bad_input(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("text,message", [
+    ("m,err\n2,0.5\n4\n8,0.1,3\n", "expected 2 cells, as in the header, got 1"),
+    ("m,err\n2,0.5\n8,0.1,3\n", "expected 2 cells, as in the header, got 3"),
+    ("m,err\n2,0.5\n4,abc\n8,0.1\n", "cells '4,abc' must be numbers"),
+], ids=["short", "long", "not-a-number"])
+def test_fit_on_a_malformed_row_names_its_line(tmp_path, capsys, text, message):
+    """A short row ended in an IndexError traceback with exit 1, and a cell
+    that is not a number printed "could not convert string to float" without
+    the file and line."""
+    data = tmp_path / "t.csv"
+    data.write_text(text)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(f'{data}:3: {message}')}$"):
+        read_csv(str(data))
+    assert main(["fit", "--input", str(data), "--x", "m", "--y", "err"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {data}:3: {message}\n"
+
+
 def test_format_value_17_digits():
     assert format_value(1) == "1"
     assert format_value(0.1) == "0.10000000000000001"

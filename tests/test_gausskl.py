@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rbitmc import gausskl as G
 from rbitmc.bitcore import BitAllocation, BitSource, byte_fields, child_source
 from rbitmc.errors import CapacityError, InternalInvariantError
-from rbitmc.normal import bit_normal_mse, bit_normal_moment, grid_normal_byte_table, grid_normal_values
+from rbitmc.normal import bit_normal_mse, bit_normal_mse_moments, grid_normal_byte_table, grid_normal_values
 from rbitmc.wasserstein1d import w2_empirical
 
 SPEC = G.EigenSpec(beta=2.0, alpha=0.0)
@@ -178,7 +178,7 @@ def test_empirical_norm_matches_moment_sum():
     src = BitSource(21)
     coeffs, _, alloc = _sample_batch(src, m, n)
     lam = SPEC.eigenvalues(np.arange(1, m + 1))
-    expected = math.fsum(lam[i] * bit_normal_moment(int(alloc.counts[i]), 2)
+    expected = math.fsum(lam[i] * bit_normal_mse_moments(int(alloc.counts[i]))[1]
                          for i in range(m))
     norm_sq = np.einsum("ij,ij->i", coeffs, coeffs)
     se = norm_sq.std(ddof=1) / math.sqrt(n)

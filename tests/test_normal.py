@@ -166,8 +166,8 @@ def test_mse_monotone_decreasing():
 
 @pytest.mark.parametrize("p", [4, 8, 12, 16])
 def test_mse_cross_moment_identity(p):
-    mse = N.bit_normal_mse(p)
-    ident = 1.0 + N.bit_normal_moment(p, 2) - 2.0 * N.bit_normal_cross_moment(p)
+    mse, m2, _ = N.bit_normal_mse_moments(p)
+    ident = 1.0 + m2 - 2.0 * N.bit_normal_cross_moment(p)
     assert abs(mse - ident) <= 1e-10 * mse
 
 
@@ -216,11 +216,10 @@ def test_mse_capacity_and_surrogate():
 
 
 @pytest.mark.parametrize("enumerate_cells", [
-    N.bit_normal_support, N.bit_normal_mse, lambda p: N.bit_normal_moment(p, 2),
-    N.bit_normal_mse_moments,
+    N.bit_normal_support, N.bit_normal_mse, N.bit_normal_mse_moments,
     N.bit_normal_cross_moment, lambda p: N.optimal_points(W.standard_normal_spec(), p),
     lambda p: W.rbit_error(W.standard_normal_spec(), p),
-], ids=["support", "mse", "moment", "mse_moments", "cross_moment", "optimal_points", "rbit_error"])
+], ids=["support", "mse", "mse_moments", "cross_moment", "optimal_points", "rbit_error"])
 def test_exact_enumerations_check_the_precision(enumerate_cells):
     for p in (0, -1):
         with pytest.raises(ValueError, match="positive integer"):
@@ -261,30 +260,33 @@ def test_grid_closed_forms_match_cell_forms(p):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 8, 12, 21])
 def test_fused_normal_error_row_matches_separate_calls(p, monkeypatch):
+    """The mse equals the mse-only pass, and each moment equals 2**-p times
+    the exactly rounded fsum of x_k^r over the whole support: up to p = 21
+    the upper half is one chunk, and the sum over both halves is twice it."""
     monkeypatch.setattr(N, "_MSE_CACHE", {})
     row = N.bit_normal_mse_moments(p)
     monkeypatch.setattr(N, "_MSE_CACHE", {})
-    separate = (N.bit_normal_mse(p), N.bit_normal_moment(p, 2), N.bit_normal_moment(p, 4))
+    support = N.bit_normal_support(p)
+    separate = (N.bit_normal_mse(p), 2.0 ** -p * math.fsum(support ** 2), 2.0 ** -p * math.fsum(support ** 4))
     assert [v.hex() for v in row] == [v.hex() for v in separate]
 
 
 def test_moments():
     x = N.phi_inv(0.75)
-    assert abs(N.bit_normal_moment(1, 2) - x * x) < 1e-15
-    assert abs(N.bit_normal_moment(1, 2) - 0.4549364231) < 1e-9
+    _, m2, _ = N.bit_normal_mse_moments(1)
+    assert abs(m2 - x * x) < 1e-15
+    assert abs(m2 - 0.4549364231) < 1e-9
     for p in (2, 6, 10, 16):
-        assert N.bit_normal_moment(p, 2) <= 1.0
-        assert N.bit_normal_moment(p, 4) <= 3.0
-    with pytest.raises(ValueError):
-        N.bit_normal_moment(4, 3)
+        _, m2, m4 = N.bit_normal_mse_moments(p)
+        assert m2 <= 1.0
+        assert m4 <= 3.0
 
 
 def test_monte_carlo_second_moment_consistency():
     p, n = 10, 1_000_000
     src = BitSource(31)
     draws = N.grid_normal_values(src.draw_bits_array(p, n) + np.uint64(1), p)
-    m2 = N.bit_normal_moment(p, 2)
-    m4 = N.bit_normal_moment(p, 4)
+    _, m2, m4 = N.bit_normal_mse_moments(p)
     se = math.sqrt((m4 - m2 * m2) / n)
     assert abs(np.mean(draws * draws) - m2) < 4.0 * se
 
