@@ -7,9 +7,10 @@ The dyadic midpoint grid
     D(p) = { k * 2**-p - 2**-(p+1) : k = 1, ..., 2**p }
 
 is the set of p-bit values in [0, 1), shifted by half a cell so that it is
-symmetric about 1/2.  Rounding a value of [0, 1) to its cell midpoint in D(p)
-is performed by :func:`truncate`; truncations to decreasing precision nest,
-which is what makes coupled coarse/fine sampling possible downstream.
+symmetric about 1/2.  A value of D(p) is kept as its 1-based cell index k;
+re-truncating it to a coarser grid is the exact integer shift of
+:func:`truncate_indices`.  Truncations to decreasing precision nest, which is
+what makes coupled coarse/fine sampling possible downstream.
 """
 
 from __future__ import annotations
@@ -28,33 +29,6 @@ _RAW_CHUNK = 1 << 16  # words per random_raw call of take_words: a draw holds it
 def _check_precision(p: int) -> None:
     if not isinstance(p, (int, np.integer)) or p < 1 or p > MAX_BITS:
         raise ValueError(f"bit count p must be an integer in [1, {MAX_BITS}], got {p!r}")
-
-
-@dataclass(frozen=True)
-class DyadicValue:
-    """Midpoint of cell ``index`` (1-based) of the p-bit dyadic grid.
-
-    The float value is ``index * 2**-p - 2**-(p+1)``; only (index, p) is
-    stored so that re-truncation is an exact integer operation.
-    """
-
-    index: int
-    p: int
-
-    def __post_init__(self):
-        _check_precision(self.p)
-        if not 1 <= self.index <= (1 << self.p):
-            raise ValueError(f"index {self.index} outside [1, 2^{self.p}]")
-
-    @property
-    def value(self) -> float:
-        return (2 * self.index - 1) * 2.0 ** -(self.p + 1)
-
-    def truncate_to(self, p: int) -> "DyadicValue":
-        """Exact re-truncation to a coarser grid (p <= self.p)."""
-        if p > self.p:
-            raise ValueError(f"cannot refine a {self.p}-bit value to {p} bits")
-        return DyadicValue(((self.index - 1) >> (self.p - p)) + 1, p)
 
 
 class BitSource:
@@ -102,11 +76,10 @@ class BitSource:
         stream order: the words that hold the p n bits are taken
         (:meth:`take_words`) and decoded whole by :func:`read_fields`.  No
         sampler of the package calls it; they draw rows through
-        :func:`gausskl.sample_rows`.
+        :func:`gausskl.sample_rows`.  A count n that is negative or not an
+        integer is refused by :meth:`take_words`.
         """
         _check_precision(p)
-        if n < 0:
-            raise ValueError("n must be non-negative")
         return read_fields(*self.take_words(p * n), p, n)
 
     def take_words(self, total: int) -> tuple[np.ndarray, int]:
@@ -118,8 +91,11 @@ class BitSource:
         :func:`read_fields` and :func:`read_bytes` need.  The words hold
         ``total`` / 8 bytes plus at most 24: nothing is decoded yet.  They
         are filled _RAW_CHUNK words at a time, in stream order, so the draw
-        holds at most one chunk beyond them.
+        holds at most one chunk beyond them.  A ``total`` that is negative or
+        not an integer raises ValueError before the stream moves.
         """
+        if not isinstance(total, (int, np.integer)) or total < 0:
+            raise ValueError(f"bit count must be a non-negative integer, got {total!r}")
         nwords = -(-max(total - self._avail, 0) // 64)
         w = np.zeros(nwords + 2, dtype=np.uint64)
         w[0] = self._partial
@@ -223,11 +199,6 @@ def child_source(base_seed: int, *key: int) -> BitSource:
     return BitSource(int(ss.generate_state(1, np.uint64)[0]))
 
 
-def sample_dyadic_uniform(src: BitSource, p: int) -> DyadicValue:
-    """Uniform draw from the p-bit midpoint grid D(p); consumes exactly p bits."""
-    return DyadicValue(src.draw_bits(p) + 1, p)
-
-
 def dyadic_values(indices: np.ndarray, p: int) -> np.ndarray:
     """Float midpoint values for an array of 1-based grid indices."""
     return (2.0 * np.asarray(indices, dtype=np.float64) - 1.0) * 2.0 ** -(p + 1)
@@ -236,16 +207,6 @@ def dyadic_values(indices: np.ndarray, p: int) -> np.ndarray:
 def dyadic_edges(k0: int, k1: int, p: int) -> np.ndarray:
     """Edges k * 2**-p, k = k0..k1, of the 2**p uniform cells of (0, 1) (the cells of D(p))."""
     return np.arange(k0, k1 + 1, dtype=np.float64) * 2.0 ** -p
-
-
-def truncate(u: float, p: int) -> DyadicValue:
-    """Round u in [0, 1) to the midpoint of its cell in D(p)."""
-    _check_precision(p)
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"u must lie in [0, 1), got {u!r}")
-    k = int(np.floor(u * 2.0**p))
-    k = min(k, (1 << p) - 1)  # guards the float rounding of u * 2**p up to 2**p
-    return DyadicValue(k + 1, p)
 
 
 def truncate_indices(indices: np.ndarray, p_from: int, p_to: int) -> np.ndarray:

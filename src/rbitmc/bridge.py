@@ -10,7 +10,9 @@ or via midpoint refinement on the dyadic nodes.
 
 The random-bit version replaces coefficient i by its p_i-bit grid normal,
 with p_i = 2 * (l - level(i)); coarsening to a lower level is an exact
-re-truncation of the retained dyadic uniforms and draws no new bits.
+re-truncation of the retained dyadic uniforms and draws no new bits.  Both
+are rows of :func:`gausskl.sample_rows` and :func:`gausskl.coarsen_rows`
+under :func:`allocation_bridge`.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # truncate_indices, grid_normal_values: unused, kept for perfbench/selftest.py
-from .bitcore import MAX_LEVEL, BitAllocation, BitSource, truncate_indices  # noqa: F401
+from .bitcore import MAX_LEVEL, BitAllocation, truncate_indices  # noqa: F401
 from .errors import CapacityError
-from .gausskl import coarsen_rows, sample_rows
 from .normal import bit_normal_mse_extended
 from .normal import grid_normal_values  # noqa: F401
 
@@ -86,40 +87,25 @@ def allocation_bridge(level: int) -> BitAllocation:
 
 def allocation_bridge_total(level: int) -> int:
     """Closed form |p(level)| = 2**(level+2) - 2*level - 4."""
+    _check_level(level)
     return (1 << (level + 2)) - 2 * level - 4
 
 
-@dataclass
-class BridgePath:
-    """Random-bit bridge sample: coefficients plus retained dyadic uniforms.
-
-    ``retained_indices`` stores the 1-based grid index of each coefficient's
-    dyadic uniform (not the float), so coarsening is a bit-exact shift.
-    """
-
-    level: int
-    coeffs: np.ndarray
-    retained_indices: np.ndarray
-    allocation: BitAllocation
-
-    def value(self, t) -> np.ndarray | float:
-        """Evaluate the path at t in [0, 1] (lazy, one hat per level)."""
-        return evaluate_coeffs(self.coeffs, self.level, t)
-
-    def node_values(self) -> np.ndarray:
-        """Path values at the dyadic nodes k * 2**-level, k = 0..2**level."""
-        return nodes_from_coeffs(self.coeffs[np.newaxis, :], self.level)[0]
-
-
 def evaluate_coeffs(coeffs: np.ndarray, level: int, t) -> np.ndarray | float:
-    """Sum of coeffs_i * s_i(t) using the one-active-hat-per-level structure."""
+    """Sum of coeffs_i * s_i(t) using the one-active-hat-per-level structure,
+    for one row of the 2**level - 1 coefficients of a level-``level`` path."""
+    _check_level(level)
+    coeffs = np.asarray(coeffs)
+    dim = (1 << level) - 1
+    if coeffs.shape != (dim,):
+        raise ValueError(f"expected one row of {dim} coefficients at level {level}, got shape {coeffs.shape}")
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if np.any((t_arr < 0.0) | (t_arr > 1.0)):
         raise ValueError("evaluation points must lie in [0, 1]")
     out = np.zeros_like(t_arr)
     for m in range(level):
         k = np.minimum((t_arr * 2.0**m).astype(np.int64), (1 << m) - 1)  # the one level-m hat active at t
-        out += coeffs[..., (1 << m) + k - 1] * _hat(m, k, t_arr)
+        out += coeffs[(1 << m) + k - 1] * _hat(m, k, t_arr)
     if np.asarray(t).ndim == 0:
         return float(out[0])
     return out
@@ -216,22 +202,6 @@ class BridgeRows:
         if g_norm > 1.0:
             g = g / g_norm
         return pl_inner(nodes, g[np.newaxis, :])
-
-
-def sample_bridge(src: BitSource, level: int) -> BridgePath:
-    """One random-bit bridge at the given level; consumes |p(level)| bits."""
-    alloc = allocation_bridge(level)
-    coeffs, idx = sample_rows(src, alloc, 1)
-    return BridgePath(level, coeffs[0], idx[0], alloc)
-
-
-def coarsen(path: BridgePath, new_level: int) -> BridgePath:
-    """Coupled coarse version of a sampled bridge; draws no bits."""
-    if new_level >= path.level:
-        raise ValueError("coarsening requires new_level < level")
-    alloc = allocation_bridge(new_level)
-    coeffs, idx = coarsen_rows(path.retained_indices, path.allocation, alloc)
-    return BridgePath(new_level, coeffs[0], idx[0], alloc)
 
 
 def bridge_truncation_error_sq(level: int) -> float:

@@ -98,19 +98,6 @@ def _bit_counts(a: int, b: int, m: int, spec: EigenSpec) -> np.ndarray:
 
 
 @dataclass
-class KLVector:
-    """Truncated random-bit expansion: coordinates plus retained uniforms."""
-
-    m: int
-    coeffs: np.ndarray
-    retained_indices: np.ndarray
-    allocation: BitAllocation
-
-    def norm_sq(self) -> float:
-        return float(np.dot(self.coeffs, self.coeffs))
-
-
-@dataclass
 class KLRows:
     """A batch of KL vectors as coefficient rows, for the functionals: the
     norm of each row and its inner products with the eigenvectors."""
@@ -230,34 +217,6 @@ def coarsen_rows(idx_rows: np.ndarray, fine: BitAllocation, coarse: BitAllocatio
     return coeffs, idx
 
 
-def _allocation(m: int, spec: EigenSpec, allocation: Optional[BitAllocation]) -> BitAllocation:
-    """The override ``allocation`` once its length is checked against m, else
-    :func:`allocation_kl`: the bit allocation of every KL function."""
-    alloc = allocation_kl(m, spec) if allocation is None else allocation
-    if len(alloc) != m:
-        raise ValueError("allocation length must equal m")
-    return alloc
-
-
-def sample_kl(src: BitSource, m: int, spec: EigenSpec,
-              allocation: Optional[BitAllocation] = None) -> KLVector:
-    """One truncated random-bit sample; consumes exactly |p(m)| bits."""
-    alloc = _allocation(m, spec, allocation)
-    coeffs, idx = sample_rows(src, alloc, 1, np.sqrt(spec.eigenvalues(np.arange(1, m + 1))))
-    return KLVector(m, coeffs[0], idx[0], alloc)
-
-
-def coarsen_kl(x: KLVector, m2: int, spec: EigenSpec,
-               allocation: Optional[BitAllocation] = None) -> KLVector:
-    """Coupled coarse version of a sampled vector; draws no bits."""
-    if m2 >= x.m:
-        raise ValueError("coarsening requires m2 < m")
-    alloc2 = _allocation(m2, spec, allocation)
-    lam_sqrt = np.sqrt(spec.eigenvalues(np.arange(1, m2 + 1)))
-    coeffs, idx = coarsen_rows(x.retained_indices, x.allocation, alloc2, lam_sqrt)
-    return KLVector(m2, coeffs[0], idx[0], alloc2)
-
-
 def tail_sum(m: int, spec: EigenSpec) -> tuple[float, float]:
     """Certified interval for sum_{i > m} lambda_i.
 
@@ -302,8 +261,12 @@ def tail_sum(m: int, spec: EigenSpec) -> tuple[float, float]:
 
 
 def _kl_error_parts(m: int, spec: EigenSpec, allocation: Optional[BitAllocation]):
-    """(coefficient-error sum over i <= m, tail_sum interval) of kl_error_sq."""
-    alloc = _allocation(m, spec, allocation)
+    """(coefficient-error sum over i <= m, tail_sum interval) of kl_error_sq,
+    under the override ``allocation`` once its length is checked against m,
+    else under :func:`allocation_kl`."""
+    alloc = allocation_kl(m, spec) if allocation is None else allocation
+    if len(alloc) != m:
+        raise ValueError("allocation length must equal m")
     lam = spec.eigenvalues(np.arange(1, m + 1))
     head = math.fsum(bit_normal_mse_extended(int(p)) * lam[a:b].sum()
                      for a, b, p in alloc.runs)

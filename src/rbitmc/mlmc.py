@@ -34,9 +34,9 @@ import numpy as np
 from . import gausskl
 # truncate_indices, grid_normal_values: unused, kept for perfbench/selftest.py
 from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, truncate_indices  # noqa: F401
-from .bridge import BridgePath, BridgeRows, allocation_bridge, nodes_from_coeffs
+from .bridge import BridgeRows, allocation_bridge, nodes_from_coeffs
 from .errors import ConfigurationError, InternalInvariantError
-from .gausskl import EigenSpec, KLRows, KLVector, allocation_kl
+from .gausskl import EigenSpec, KLRows, allocation_kl
 from .normal import grid_normal_values  # noqa: F401
 
 EPS_MAX = math.exp(-2.0)
@@ -210,20 +210,6 @@ class LipFunctional:
 
     name: str
     rows: Callable[[BridgeRows | KLRows], np.ndarray]
-
-    def evaluate(self, x) -> float:
-        """Evaluate on a single KLVector or BridgePath.
-
-        The vector goes through ``rows`` as a two-row batch (itself twice):
-        numpy's matmul rounds a one-row product differently, so this gives
-        the value ``rows`` gives the vector inside any larger batch.
-        """
-        if isinstance(x, BridgePath):
-            nodes = x.node_values()
-            return float(self.rows(BridgeRows(np.stack([nodes, nodes])))[0])
-        if isinstance(x, KLVector):
-            return float(self.rows(KLRows(np.stack([x.coeffs, x.coeffs])))[0])
-        raise TypeError(f"unsupported argument type {type(x).__name__}")
 
 
 CLIP = 1.0  # clip level of the catalog's clipped_norm

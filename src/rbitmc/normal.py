@@ -36,7 +36,7 @@ import math
 import numpy as np
 from scipy.special import erfc as _erfc
 
-from .bitcore import BitSource, byte_fields, dyadic_edges, dyadic_values, sample_dyadic_uniform
+from .bitcore import byte_fields, dyadic_edges, dyadic_values
 from .errors import CapacityError
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -181,11 +181,6 @@ def bit_normal_support(p: int) -> np.ndarray:
     """The 2**p support points x_k of the p-bit normal, in ascending order."""
     _exact_precision(p, "support")
     return _mid_quantiles(p, 1, 1 << p)
-
-
-def bit_normal_sample(src: BitSource, p: int) -> float:
-    """One draw of the p-bit normal; consumes exactly p bits."""
-    return float(phi_inv(sample_dyadic_uniform(src, p).value))
 
 
 # Quantile values of whole dyadic grids are reused heavily by the samplers;

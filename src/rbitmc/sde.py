@@ -5,7 +5,10 @@
 by the Milstein scheme on m equidistant steps, its random-bit version with
 q-bit grid normals as driving increments, and the continuous-time refinement
 that adds one random-bit bridge per step on top of the piecewise-linear
-skeleton interpolation.
+skeleton interpolation.  Paths are rows: :func:`milstein_rows` runs the
+scheme on a batch of driving rows, and the random-bit increments are rows of
+:func:`gausskl.sample_rows` under m q-bit coefficients (their coupled
+truncations rows of :func:`gausskl.coarsen_rows`).
 
 Coefficients are assumed differentiable with bounded, Lipschitz continuous
 derivatives (a caller obligation; it cannot be checked at runtime), and
@@ -67,13 +70,6 @@ def geometric_model(mu: float, sigma: float, x0: float = 1.0) -> SDEModel:
     )
 
 
-@dataclass
-class MilsteinPath:
-    m: int
-    values: np.ndarray  # shape (m + 1,), values at t_k = k/m
-    retained_indices: Optional[np.ndarray] = None  # q-bit grid indices of a random-bit path
-
-
 def _check_steps(m: int) -> None:
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -86,8 +82,19 @@ def _check_scheme(m: int, q: int) -> None:
         raise ValueError(f"q must be an integer in [1, {PARENT_BITS}], got {q!r}")
 
 
-def _milstein_rows(model: SDEModel, m: int, normals: np.ndarray) -> np.ndarray:
-    """Milstein recursion for a batch: normals shape (rows, m) -> (rows, m+1)."""
+def milstein_rows(model: SDEModel, m: int, normals) -> np.ndarray:
+    """Milstein scheme on m steps for a batch of driving rows: normalized
+    increments of shape (rows, m) -> path values at t_k = k/m, (rows, m + 1).
+
+    The random-bit scheme drives it with q-bit grid normals, the rows of
+    :func:`gausskl.sample_rows` under m q-bit coefficients; their index rows
+    are what a coupled companion re-truncates.  A non-finite state raises
+    NumericFailure naming its step.
+    """
+    _check_steps(m)
+    normals = np.asarray(normals, dtype=np.float64)
+    if normals.ndim != 2 or normals.shape[1] != m:
+        raise ValueError(f"expected normalized increments of shape (rows, {m}), got shape {normals.shape}")
     rows = normals.shape[0]
     out = np.empty((rows, m + 1), dtype=np.float64)
     x = np.full(rows, model.x0, dtype=np.float64)
@@ -105,32 +112,10 @@ def _milstein_rows(model: SDEModel, m: int, normals: np.ndarray) -> np.ndarray:
     return out
 
 
-def milstein_path(model: SDEModel, m: int, normals) -> MilsteinPath:
-    """Milstein scheme driven by the given normalized increments."""
-    _check_steps(m)
-    normals = np.asarray(normals, dtype=np.float64)
-    if normals.shape != (m,):
-        raise ValueError(f"expected {m} normalized increments, got shape {normals.shape}")
-    return MilsteinPath(m, _milstein_rows(model, m, normals[np.newaxis, :])[0])
-
-
-def rbit_milstein_path(src: BitSource, model: SDEModel, m: int, q: int) -> MilsteinPath:
-    """Random-bit Milstein scheme; consumes exactly m * q bits.
-
-    The m increments are one row of :func:`gausskl.sample_rows` under m
-    q-bit coefficients: q-bit grid normals in step order.  Their grid
-    indices are retained so the coupled exact-increment companion can be
-    reconstructed by the caller.
-    """
-    _check_scheme(m, q)
-    y, idx = sample_rows(src, BitAllocation(np.full(m, q)), 1)
-    return MilsteinPath(m, _milstein_rows(model, m, y)[0], retained_indices=idx[0])
-
-
 def sde_bit_cost(m: int, q: int, level: int) -> int:
-    """Total bit cost m * (q + 2**(level+2) - 2*level - 4) of the refined path."""
-    if m < 1 or q < 1 or level < 1:
-        raise ValueError("m, q, level must be positive integers")
+    """Total bit cost m * (q + 2**(level+2) - 2*level - 4) of the refined path;
+    m, q and level outside the domain of :func:`refined_path_sample` are refused."""
+    _check_scheme(m, q)
     return m * (q + allocation_bridge_total(level))
 
 
@@ -141,7 +126,7 @@ class RefinedPath:
     m: int
     q: int
     level: int
-    skeleton: MilsteinPath
+    skeleton: np.ndarray  # shape (m + 1,), skeleton values at t_k = k/m
     bridge_coeffs: np.ndarray  # shape (m, 2**level - 1)
     bits: int
 
@@ -152,8 +137,8 @@ class RefinedPath:
         m = self.m
         k = np.minimum((t * m).astype(np.int64), m - 1)
         s = t * m - k
-        xk = self.skeleton.values[k]
-        xk1 = self.skeleton.values[k + 1]
+        xk = self.skeleton[k]
+        xk1 = self.skeleton[k + 1]
         vals = s * xk1 + (1.0 - s) * xk
         bx = np.asarray(model.diffusion(xk), dtype=np.float64)
         for interval in np.unique(k):
@@ -166,14 +151,17 @@ class RefinedPath:
 def refined_path_sample(src: BitSource, model: SDEModel, m: int, q: int, level: int) -> RefinedPath:
     """Draw one continuous-time random-bit approximation X^(q, level).
 
-    Draw order: the m-step skeleton (m*q bits), then one level-`level` bridge
-    per step, as the m rows of :func:`gausskl.sample_rows`; bits = sde_bit_cost.
+    Draw order: the m-step skeleton (one row of :func:`gausskl.sample_rows`
+    under m q-bit coefficients, m*q bits), then one level-`level` bridge per
+    step, as the m rows of :func:`gausskl.sample_rows`; bits = sde_bit_cost,
+    which refuses m, q and level before the first draw.
     """
+    expected = sde_bit_cost(m, q, level)
     before = src.bits_drawn
-    skeleton = rbit_milstein_path(src, model, m, q)
+    y, _ = sample_rows(src, BitAllocation(np.full(m, q)), 1)
+    skeleton = milstein_rows(model, m, y)[0]
     coeffs, _ = sample_rows(src, allocation_bridge(level), m)
     used = src.bits_drawn - before
-    expected = sde_bit_cost(m, q, level)
     if used != expected:
         raise InternalInvariantError(f"bit accounting mismatch: {used} != {expected}")
     return RefinedPath(m, q, level, skeleton, coeffs, used)
@@ -237,9 +225,9 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
         u = Phi(y)
         idx_q = np.minimum((u * 2.0**q).astype(np.int64), (1 << q) - 1).astype(np.uint64) + np.uint64(1)
         yq = grid_normal_values(idx_q, q)
-        ref = _milstein_rows(model, mf, yf)[:, FINE_FACTOR::FINE_FACTOR]
+        ref = milstein_rows(model, mf, yf)[:, FINE_FACTOR::FINE_FACTOR]
     ledger.bits = src.bits_drawn
-    bit = _milstein_rows(model, m, yq)[:, 1:]
+    bit = milstein_rows(model, m, yq)[:, 1:]
     ledger.coeff_ops += m * reps
     err = np.max(np.abs(ref - bit), axis=1)
     return float(np.sqrt(np.mean(err * err))), ledger

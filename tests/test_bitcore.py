@@ -12,16 +12,14 @@ from rbitmc.bitcore import (
     MAX_BITS,
     BitAllocation,
     BitSource,
-    DyadicValue,
     byte_fields,
     child_source,
     dyadic_values,
     read_bytes,
-    sample_dyadic_uniform,
-    truncate,
     truncate_indices,
 )
-from rbitmc.gausskl import EigenSpec, sample_kl
+from rbitmc.bridge import allocation_bridge
+from rbitmc.gausskl import sample_rows
 
 
 def test_draw_bits_range_and_counter():
@@ -145,45 +143,35 @@ def test_invalid_bit_counts():
 
 def test_dyadic_grid_small_p():
     src = BitSource(3)
-    vals1 = {sample_dyadic_uniform(src, 1).value for _ in range(64)}
+    vals1 = set(dyadic_values(src.draw_bits_array(1, 64) + np.uint64(1), 1))
     assert vals1 <= {0.25, 0.75}
-    vals2 = {sample_dyadic_uniform(src, 2).value for _ in range(256)}
-    assert vals2 <= {0.125, 0.375, 0.625, 0.875}
+    vals2 = set(dyadic_values(src.draw_bits_array(2, 256) + np.uint64(1), 2))
     assert vals2 == {0.125, 0.375, 0.625, 0.875}
 
 
 def test_dyadic_value_invariants():
-    v = DyadicValue(3, 2)
-    assert v.value == 0.625
+    assert dyadic_values([3], 2)[0] == 0.625
     # grid is symmetric about 1/2: the mirror index gives 1 - value
-    mirror = DyadicValue((1 << 2) + 1 - 3, 2)
-    assert mirror.value == 1.0 - v.value
-    with pytest.raises(ValueError):
-        DyadicValue(0, 2)
-    with pytest.raises(ValueError):
-        DyadicValue(5, 2)
+    for p in (1, 2, 5, 20):
+        k = np.arange(1, (1 << p) + 1)
+        assert np.array_equal(dyadic_values((1 << p) + 1 - k, p), 1.0 - dyadic_values(k, p))
 
 
-def test_truncate_examples():
-    assert truncate(0.3, 2).value == 0.375
-    for p in (1, 3, 10):
-        assert truncate(0.0, p).value == 2.0 ** -(p + 1)
-    assert truncate(0.75, 1).value == 0.75
-    with pytest.raises(ValueError):
-        truncate(1.0, 3)
-    with pytest.raises(ValueError):
-        truncate(-0.1, 3)
+def _truncate_to(i: int, p_from: int, p_to: int) -> int:
+    """Exact scalar re-truncation of a 1-based grid index, in Python ints."""
+    return ((i - 1) >> (p_from - p_to)) + 1
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-       st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=20))
-def test_truncation_nesting(u, p_a, p_b):
-    p_small, p_big = sorted((p_a, p_b))
-    direct = truncate(u, p_small)
-    nested = truncate(truncate(u, p_big).value, p_small)
-    assert nested == direct
-    assert truncate(u, p_big).truncate_to(p_small) == direct
+@given(data=st.data())
+def test_truncation_nesting(data):
+    p_small, p_mid, p_big = sorted(data.draw(st.lists(st.integers(1, 63), min_size=3, max_size=3), label="p"))
+    idx = np.array(data.draw(st.lists(st.integers(1, 1 << p_big), min_size=1, max_size=30), label="idx"),
+                   dtype=np.uint64)
+    direct = truncate_indices(idx, p_big, p_small)
+    assert np.array_equal(truncate_indices(truncate_indices(idx, p_big, p_mid), p_mid, p_small), direct)
+    with pytest.raises(ValueError, match="cannot refine"):
+        truncate_indices(idx, p_small, p_small + 1)
 
 
 def test_truncate_indices_matches_scalar():
@@ -191,7 +179,7 @@ def test_truncate_indices_matches_scalar():
     idx = rng.integers(1, 1 << 16, size=1000).astype(np.uint64)
     out = truncate_indices(idx, 16, 9)
     for i, o in zip(idx[:50], out[:50]):
-        assert DyadicValue(int(i), 16).truncate_to(9).index == int(o)
+        assert _truncate_to(int(i), 16, 9) == int(o)
 
 
 @settings(max_examples=400, deadline=None)
@@ -203,7 +191,7 @@ def test_truncate_indices_matches_truncate_to(data):
     idx = [1, 1 << p_from, *data.draw(st.lists(st.integers(1, 1 << p_from), max_size=30))]
     out = truncate_indices(np.array(idx, dtype=np.uint64), p_from, p_to)
     assert out.dtype == np.uint64
-    assert [int(o) for o in out] == [DyadicValue(i, p_from).truncate_to(p_to).index for i in idx]
+    assert [int(o) for o in out] == [_truncate_to(i, p_from, p_to) for i in idx]
 
 
 @pytest.mark.parametrize("p", [1, 4, 8])
@@ -230,8 +218,8 @@ def test_composite_bit_accounting():
     src = BitSource(9)
     src.draw_bits(5)
     src.draw_bits_array(7, 11)
-    sample_dyadic_uniform(src, 3)
-    assert src.bits_drawn == 5 + 7 * 11 + 3
+    sample_rows(src, BitAllocation([3, 1]), 2)
+    assert src.bits_drawn == 5 + 7 * 11 + 2 * 4
 
 
 def test_child_sources_are_deterministic_and_distinct():
@@ -254,10 +242,25 @@ def test_allocation_validation():
     for counts in ([2.5, 3.9], [1.5, 1.5], [np.nan], [3.0, np.inf], [64.0]):
         with pytest.raises(ValueError):
             BitAllocation(counts)
-    with pytest.raises(ValueError, match="integers"):
-        sample_kl(BitSource(1), 2, EigenSpec(2, 0), allocation=BitAllocation([1.5, 1.5]))
     # integral floats, as np.ceil gives them, are counts
     assert BitAllocation(np.ceil([1.2, 3.0])).counts.tolist() == [2, 3]
+
+
+@pytest.mark.parametrize("draw", [
+    lambda src: sample_rows(src, allocation_bridge(3), -1),
+    lambda src: sample_rows(src, allocation_bridge(3), 2.5),
+    lambda src: src.take_words(-7),
+    lambda src: src.take_words(22.0),
+    lambda src: src.draw_bits_array(5, -1),
+], ids=["rows_n=-1", "rows_n=2.5", "take_words=-7", "take_words=22.0", "draw_bits_array_n=-1"])
+def test_a_bad_count_leaves_the_stream_untouched(draw):
+    """A negative or non-integer count moved the stream before numpy refused
+    it: bits_drawn read -22 and the next draw_bits(5) returned 0."""
+    src = BitSource(1)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        draw(src)
+    assert src.bits_drawn == 0
+    assert src.draw_bits(5) == BitSource(1).draw_bits(5)
 
 
 _DRAW_METHODS = {"draw_bits", "draw_bits_array", "take_words"}
@@ -393,3 +396,18 @@ def test_every_module_constant_is_read():
                        if isinstance(t, ast.Name) and not t.id.startswith("__")
                        and t.id not in loaded and (module, t.id) not in imported and t.id not in attributes]
     assert unread == []
+
+
+def test_export_list_is_the_import_list():
+    """``rbitmc.__all__`` has no duplicates, every name in it resolves on
+    the package, and it lists exactly the names ``__init__`` imports: a name
+    kept there after its object went would fail only ``from rbitmc import *``,
+    and test_every_public_function_or_class_is_used counts a listing as use."""
+    import rbitmc
+
+    init = Path(rbitmc.__file__)
+    imported = {alias.asname or alias.name for node in ast.parse(init.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(rbitmc.__all__) == len(set(rbitmc.__all__))
+    assert [name for name in rbitmc.__all__ if not hasattr(rbitmc, name)] == []
+    assert set(rbitmc.__all__) == imported

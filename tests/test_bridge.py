@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from rbitmc import bridge as BR
 from rbitmc import normal as N
 from rbitmc import sde as S
-from rbitmc.bitcore import BitSource, truncate
+from rbitmc.bitcore import BitSource, dyadic_values
 from rbitmc.errors import CapacityError
-from rbitmc.gausskl import sample_rows
+from rbitmc.gausskl import coarsen_rows, sample_rows
 
 
 def test_schauder_index_decomposition():
@@ -58,24 +58,34 @@ def test_allocation_examples_and_identity():
 def test_sample_bridge_bit_accounting():
     for level in range(1, 21):
         src = BitSource(100 + level)
-        BR.sample_bridge(src, level)
+        coeffs, idx = sample_rows(src, BR.allocation_bridge(level), 1)
+        assert coeffs.shape == idx.shape == (1, (1 << level) - 1)
         assert src.bits_drawn == BR.allocation_bridge_total(level)
 
 
 def test_bridge_path_endpoints_vanish():
     src = BitSource(4)
-    path = BR.sample_bridge(src, 5)
-    assert path.value(0.0) == 0.0 and path.value(1.0) == 0.0
-    nodes = path.node_values()
+    coeffs, _ = sample_rows(src, BR.allocation_bridge(5), 1)
+    assert BR.evaluate_coeffs(coeffs[0], 5, 0.0) == 0.0 and BR.evaluate_coeffs(coeffs[0], 5, 1.0) == 0.0
+    nodes = BR.nodes_from_coeffs(coeffs, 5)[0]
     assert nodes[0] == 0.0 and nodes[-1] == 0.0
 
 
 def test_node_values_match_direct_sum():
     src = BitSource(42)
-    path = BR.sample_bridge(src, 8)
+    coeffs, _ = sample_rows(src, BR.allocation_bridge(8), 1)
     grid = np.arange(0, (1 << 8) + 1, dtype=np.float64) / (1 << 8)
-    direct = path.value(grid)
-    assert np.max(np.abs(direct - path.node_values())) < 1e-12
+    direct = BR.evaluate_coeffs(coeffs[0], 8, grid)
+    assert np.max(np.abs(direct - BR.nodes_from_coeffs(coeffs, 8)[0])) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(2, 7), (1, 7), (6,), (8,), (9,), ()])
+def test_evaluate_coeffs_takes_one_row_of_the_level(shape):
+    """A 2-d batch hit a numpy broadcast error, a short row a bare
+    IndexError, and a long row was evaluated from its first 2**level - 1
+    coefficients."""
+    with pytest.raises(ValueError, match="expected one row of 7 coefficients at level 3"):
+        BR.evaluate_coeffs(np.ones(shape), 3, 0.3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -91,26 +101,27 @@ def test_nodes_from_coeffs_matches_evaluate_coeffs(level, rows, seed):
 
 def test_coarsen_chain_and_coefficients():
     src = BitSource(42)
-    path = BR.sample_bridge(src, 6)
+    a6, a5, a4, a2 = (BR.allocation_bridge(level) for level in (6, 5, 4, 2))
+    coeffs, idx = sample_rows(src, a6, 1)
     bits_after = src.bits_drawn
-    c4 = BR.coarsen(path, 4)
-    c2a = BR.coarsen(c4, 2)
-    c2b = BR.coarsen(path, 2)
-    assert np.array_equal(c2a.retained_indices, c2b.retained_indices)
-    assert np.array_equal(c2a.coeffs, c2b.coeffs)
+    c4 = coarsen_rows(idx, a6, a4)
+    c2a = coarsen_rows(c4[1], a4, a2)
+    c2b = coarsen_rows(idx, a6, a2)
+    assert np.array_equal(c2a[1], c2b[1])
+    assert np.array_equal(c2a[0], c2b[0])
     assert src.bits_drawn == bits_after  # coarsening draws nothing
-    # first coefficient identity under one-level coarsening
-    c5 = BR.coarsen(path, 5)
-    u1 = (2.0 * float(path.retained_indices[0]) - 1.0) * 2.0 ** -(2 * 6 + 1)
-    assert c5.coeffs[0] == N.phi_inv(truncate(u1, 2 * 5).value)
-    with pytest.raises(ValueError):
-        BR.coarsen(path, 6)
+    # first coefficient identity under one-level coarsening: 12 -> 10 bits
+    c5, _ = coarsen_rows(idx, a6, a5)
+    assert c5[0, 0] == N.phi_inv(dyadic_values([((int(idx[0, 0]) - 1) >> 2) + 1], 2 * 5))[0]
+    with pytest.raises(ValueError, match="coarse dimension exceeds fine dimension"):
+        coarsen_rows(idx, a6, BR.allocation_bridge(7))
 
 
 def test_level_cap_applies_to_every_sampler():
     level = BR.MAX_LEVEL + 1
     for call in (lambda: BR.allocation_bridge(level),
-                 lambda: BR.sample_bridge(BitSource(1), level),
+                 lambda: BR.allocation_bridge_total(level),
+                 lambda: BR.evaluate_coeffs(np.zeros(7), level, 0.5),
                  lambda: S.refined_path_sample(BitSource(1), S.geometric_model(0.05, 0.2), 1, 4, level),
                  lambda: BR.bridge_truncation_error_sq(level),
                  lambda: BR.bridge_bit_error_sq(level),

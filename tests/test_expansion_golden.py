@@ -16,7 +16,7 @@ from rbitmc import bridge as BR
 from rbitmc import gausskl as G
 from rbitmc import mlmc as M
 from rbitmc import sde as S
-from rbitmc.bitcore import BitSource
+from rbitmc.bitcore import BitAllocation, BitSource
 
 SPEC = G.EigenSpec(beta=2.0, alpha=0.0)
 
@@ -33,17 +33,19 @@ def _pair(coeffs, idx) -> list[str]:
 
 def _bridge_chain():
     src = BitSource(2024)
-    path = BR.sample_bridge(src, 6)
-    c4 = BR.coarsen(path, 4)
-    c2 = BR.coarsen(c4, 2)
-    return [d for x in (path, c4, c2) for d in _pair(x.coeffs, x.retained_indices)]
+    a6, a4, a2 = (BR.allocation_bridge(level) for level in (6, 4, 2))
+    path = G.sample_rows(src, a6, 1)
+    c4 = G.coarsen_rows(path[1], a6, a4)
+    c2 = G.coarsen_rows(c4[1], a4, a2)
+    return [d for rows in (path, c4, c2) for d in _pair(*rows)]
 
 
 def _kl_chain():
     src = BitSource(2025)
-    x = G.sample_kl(src, 64, SPEC)
-    c16 = G.coarsen_kl(x, 16, SPEC)
-    return [d for v in (x, c16) for d in _pair(v.coeffs, v.retained_indices)]
+    a64, a16 = G.allocation_kl(64, SPEC), G.allocation_kl(16, SPEC)
+    x = G.sample_rows(src, a64, 1, np.sqrt(SPEC.eigenvalues(np.arange(1, 65))))
+    c16 = G.coarsen_rows(x[1], a64, a16, np.sqrt(SPEC.eigenvalues(np.arange(1, 17))))
+    return [d for rows in (x, c16) for d in _pair(*rows)]
 
 
 def _model_rows(model, seed, level, n):
@@ -66,8 +68,9 @@ def _milstein_path(q, head=0):
     src = BitSource(2031 + q)
     if head:
         src.draw_bits(head)
-    path = S.rbit_milstein_path(src, S.geometric_model(0.05, 0.2, 1.0), 37, q)
-    return [_digest(path.values), _digest(path.retained_indices), src.bits_drawn]
+    y, idx = G.sample_rows(src, BitAllocation(np.full(37, q)), 1)
+    values = S.milstein_rows(S.geometric_model(0.05, 0.2, 1.0), 37, y)
+    return [_digest(values), _digest(idx), src.bits_drawn]
 
 
 CASES = {

@@ -131,44 +131,42 @@ def test_allocation_monotone_and_linear(beta, alpha):
 
 def test_sampling_accounting_and_norm():
     src = BitSource(17)
-    x = G.sample_kl(src, 32, SPEC)
-    assert src.bits_drawn == x.allocation.total
-    assert abs(x.norm_sq() - float(np.sum(x.coeffs ** 2))) <= 1e-12 * x.norm_sq()
+    alloc = G.allocation_kl(32, SPEC)
+    coeffs, idx = G.sample_rows(src, alloc, 1, np.sqrt(SPEC.eigenvalues(np.arange(1, 33))))
+    assert coeffs.shape == idx.shape == (1, 32)
+    assert src.bits_drawn == alloc.total
+    norm_sq = float(G.KLRows(coeffs).norm()[0]) ** 2
+    assert abs(norm_sq - float(np.sum(coeffs ** 2))) <= 1e-12 * norm_sq
 
 
 def test_coarsen_nesting_and_no_bits():
     src = BitSource(18)
-    x = G.sample_kl(src, 64, SPEC)
+    a64, a16, a4 = (G.allocation_kl(m, SPEC) for m in (64, 16, 4))
+    _, idx = G.sample_rows(src, a64, 1)
     drawn = src.bits_drawn
-    mid = G.coarsen_kl(x, 16, SPEC)
-    a = G.coarsen_kl(mid, 4, SPEC)
-    b = G.coarsen_kl(x, 4, SPEC)
-    assert np.array_equal(a.retained_indices, b.retained_indices)
-    assert np.array_equal(a.coeffs, b.coeffs)
+    mid = G.coarsen_rows(idx, a64, a16)
+    a = G.coarsen_rows(mid[1], a16, a4)
+    b = G.coarsen_rows(idx, a64, a4)
+    assert np.array_equal(a[1], b[1])
+    assert np.array_equal(a[0], b[0])
     assert src.bits_drawn == drawn
-    with pytest.raises(ValueError):
-        G.coarsen_kl(x, 64, SPEC)
+    with pytest.raises(ValueError, match="coarse dimension exceeds fine dimension"):
+        G.coarsen_rows(idx, a64, G.allocation_kl(128, SPEC))
 
 
 def test_coarsen_rejects_non_nested_allocation():
     src = BitSource(19)
-    x = G.sample_kl(src, 4, SPEC)
+    alloc = G.allocation_kl(4, SPEC)
+    _, idx = G.sample_rows(src, alloc, 1)
     bigger = BitAllocation(np.array([60, 60]))
     with pytest.raises(InternalInvariantError):
-        G.coarsen_kl(x, 2, SPEC, allocation=bigger)
+        G.coarsen_rows(idx, alloc, bigger)
 
 
 @pytest.mark.parametrize("m2,counts", [(1, [3, 2, 1]), (1, [3, 2]), (2, [3]), (3, [3, 2, 1, 1])])
 def test_allocation_override_of_the_wrong_length_is_refused(m2, counts):
-    """coarsen_kl took an override of any length: m2 = 1 with three counts
-    returned a KLVector with m = 1 and three coefficients.  sample_kl,
-    coarsen_kl and kl_error_sq now share one check."""
-    x = G.sample_kl(BitSource(19), 4, SPEC)
+    """An allocation override must have length m."""
     alloc = BitAllocation(np.array(counts))
-    with pytest.raises(ValueError, match="allocation length must equal m"):
-        G.coarsen_kl(x, m2, SPEC, allocation=alloc)
-    with pytest.raises(ValueError, match="allocation length must equal m"):
-        G.sample_kl(BitSource(19), m2, SPEC, allocation=alloc)
     with pytest.raises(ValueError, match="allocation length must equal m"):
         G.kl_error_sq(m2, SPEC, allocation=alloc)
 

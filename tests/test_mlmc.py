@@ -10,9 +10,9 @@ import pytest
 from rbitmc import gausskl as G
 from rbitmc import mlmc as M
 from rbitmc.bitcore import BitSource, CostLedger, child_source
-from rbitmc.bridge import BridgePath, allocation_bridge, allocation_bridge_total, pl_l2_norm_sq
+from rbitmc.bridge import allocation_bridge, allocation_bridge_total, nodes_from_coeffs, pl_l2_norm_sq
 from rbitmc.errors import CapacityError, ConfigurationError, InternalInvariantError
-from rbitmc.gausskl import EigenSpec, KLVector, allocation_kl
+from rbitmc.gausskl import EigenSpec, allocation_kl
 
 BRIDGE = M.bridge_model()
 KL_SPEC = EigenSpec(beta=2.0, alpha=0.0)
@@ -201,40 +201,26 @@ def test_variance_decay_slope():
     assert slope <= -0.8
 
 
-def _random_bridge_path(rng, level):
-    dim = (1 << level) - 1
-    coeffs = rng.standard_normal(dim)
-    return BridgePath(level, coeffs, np.ones(dim, dtype=np.uint64),
-                      allocation_bridge(level))
-
-
-def _random_kl_vector(rng, m):
-    coeffs = rng.standard_normal(m)
-    return KLVector(m, coeffs, np.ones(m, dtype=np.uint64), allocation_kl(m, KL_SPEC))
-
-
 def test_builtin_functionals_lipschitz_spot_check():
     rng = np.random.default_rng(6)
     catalog = M.builtin_functionals()
+    kl = M.kl_model(KL_SPEC)
     # trivial values
-    zero = KLVector(4, np.zeros(4), np.ones(4, dtype=np.uint64), allocation_kl(4, KL_SPEC))
-    assert catalog["norm"].evaluate(zero) == 0.0
-    v = _random_kl_vector(rng, 8)
-    assert catalog["coord1"].evaluate(v) == v.coeffs[0]
-    for _ in range(1000):
-        x = _random_kl_vector(rng, 8)
-        y = _random_kl_vector(rng, 8)
-        dist = float(np.linalg.norm(x.coeffs - y.coeffs))
-        for f in catalog.values():
-            assert abs(f.evaluate(x) - f.evaluate(y)) <= dist + 1e-9
-    from rbitmc.bridge import nodes_from_coeffs
-    for _ in range(200):
-        x = _random_bridge_path(rng, 4)
-        y = _random_bridge_path(rng, 4)
-        diff = nodes_from_coeffs((x.coeffs - y.coeffs)[np.newaxis, :], 4)
-        dist = math.sqrt(float(pl_l2_norm_sq(diff)[0]))
-        for f in catalog.values():
-            assert abs(f.evaluate(x) - f.evaluate(y)) <= dist + 1e-9
+    assert catalog["norm"].rows(kl.functional_rows(np.zeros((2, 4)), 2)).tolist() == [0.0, 0.0]
+    v = rng.standard_normal(8)
+    assert catalog["coord1"].rows(kl.functional_rows(v[np.newaxis, :], 3))[0] == v[0]
+    pairs = rng.standard_normal((1000, 2, 8))
+    x, y = pairs[:, 0], pairs[:, 1]
+    dist = np.linalg.norm(x - y, axis=1)
+    for f in catalog.values():
+        gap = np.abs(f.rows(kl.functional_rows(x, 3)) - f.rows(kl.functional_rows(y, 3)))
+        assert np.all(gap <= dist + 1e-9), f.name
+    pairs = rng.standard_normal((200, 2, 15))
+    x, y = pairs[:, 0], pairs[:, 1]
+    dist = np.sqrt(pl_l2_norm_sq(nodes_from_coeffs(x - y, 4)))
+    for f in catalog.values():
+        gap = np.abs(f.rows(BRIDGE.functional_rows(x, 4)) - f.rows(BRIDGE.functional_rows(y, 4)))
+        assert np.all(gap <= dist + 1e-9), f.name
 
 
 def test_unknown_functional_rejected():
@@ -425,7 +411,6 @@ def test_plain_mc_rejects_empty_runs_and_batches(kwargs):
 def test_bridge_functionals_refine_coarse_meshes(name, target, level):
     # the rows give the same bits as the same coefficients zero-padded to the
     # level of the functional's finest hat and put through nodes_from_coeffs
-    from rbitmc.bridge import nodes_from_coeffs
     f = M.lookup_functional(name)
     coeffs, _ = _decode(BRIDGE, level, BRIDGE.sample_rows(BitSource(40 + level), level, 9))
     padded = np.zeros((coeffs.shape[0], (1 << max(level, target)) - 1))
@@ -434,23 +419,6 @@ def test_bridge_functionals_refine_coarse_meshes(name, target, level):
     got = f.rows(BRIDGE.functional_rows(coeffs, level))
     assert got.tobytes() == f.rows(fine).tobytes()
     assert np.all(np.isfinite(got)) and np.any(got != 0.0)
-
-
-@pytest.mark.parametrize("model_name", sorted(MODELS))
-def test_evaluate_equals_batch_rows(model_name):
-    # a single vector gets the value its row gets inside the batch, also for
-    # the KL soft_linear, whose one-row matmul rounds differently
-    model, level, n = MODELS[model_name], 5, 205
-    drawn = model.sample_rows(BitSource(7), level, n)
-    (coeffs, idx), alloc = _decode(model, level, drawn), drawn.alloc
-    for name, f in M.builtin_functionals().items():
-        batch = f.rows(model.functional_rows(coeffs, level))
-        for i in range(n):
-            if model_name == "kl":
-                x = KLVector(1 << level, coeffs[i], idx[i], alloc)
-            else:
-                x = BridgePath(level, coeffs[i], idx[i], alloc)
-            assert f.evaluate(x) == batch[i], (name, i)
 
 
 def test_plain_mc_memory_is_bounded_by_the_drawn_words():

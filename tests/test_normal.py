@@ -10,8 +10,9 @@ from scipy.optimize import brentq
 
 from rbitmc import normal as N
 from rbitmc import wasserstein1d as W
-from rbitmc.bitcore import BitSource
+from rbitmc.bitcore import BitAllocation, BitSource
 from rbitmc.errors import CapacityError
+from rbitmc.gausskl import sample_rows
 
 mp.mp.dps = 40
 
@@ -124,8 +125,8 @@ def test_bit_normal_support_examples():
 def test_bit_normal_sampling_matches_support():
     src = BitSource(11)
     s2 = set(N.bit_normal_support(2))
-    draws = {N.bit_normal_sample(src, 2) for _ in range(200)}
-    assert draws <= s2
+    coeffs, _ = sample_rows(src, BitAllocation(np.full(200, 2)), 1)
+    assert set(coeffs[0]) <= s2
     assert src.bits_drawn == 400
     arr = N.grid_normal_values(src.draw_bits_array(2, 1000) + np.uint64(1), 2)
     assert set(arr) <= s2

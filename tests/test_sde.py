@@ -7,14 +7,20 @@ import pytest
 
 from rbitmc import bridge as BR
 from rbitmc import sde as S
-from rbitmc.bitcore import BitSource, dyadic_values, truncate_indices
+from rbitmc.bitcore import BitAllocation, BitSource, dyadic_values, truncate_indices
 from rbitmc.cli import load_fixtures
-from rbitmc.errors import InternalInvariantError, NumericFailure
+from rbitmc.errors import CapacityError, InternalInvariantError, NumericFailure
+from rbitmc.gausskl import sample_rows
 from rbitmc.normal import bit_normal_mse, grid_normal_values, phi_inv
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures", "acceptance.txt")
 GM = S.geometric_model(0.05, 0.2, 1.0)
 GM_FINE = dataclasses.replace(GM, exact_strong_solution=None)  # the 64x fine Milstein reference
+
+
+def milstein_path(model, m, normals):
+    """The Milstein values of one driving row."""
+    return S.milstein_rows(model, m, np.asarray(normals, dtype=np.float64)[np.newaxis, :])[0]
 
 
 def additive_model(x0=0.0):
@@ -42,18 +48,18 @@ def test_geometric_model_refuses_non_finite_parameters(arg, value):
 
 def test_milstein_additive_noise():
     ys = np.array([0.3, -1.2, 0.8])
-    path = S.milstein_path(additive_model(0.5), 3, ys)
+    path = milstein_path(additive_model(0.5), 3, ys)
     expected = 0.5 + np.concatenate([[0.0], np.cumsum(ys)]) / math.sqrt(3.0)
-    assert np.allclose(path.values, expected, atol=1e-15)
+    assert np.allclose(path, expected, atol=1e-15)
 
 
 def test_milstein_single_step_identities():
-    p = S.milstein_path(GM, 1, [0.0])
-    assert abs(p.values[1] - (1.0 + 0.05 - 0.5 * 0.2 * 0.2)) < 1e-15
+    p = milstein_path(GM, 1, [0.0])
+    assert abs(p[1] - (1.0 + 0.05 - 0.5 * 0.2 * 0.2)) < 1e-15
     y = 0.7
-    p = S.milstein_path(GM, 1, [y])
+    p = milstein_path(GM, 1, [y])
     expected = 1.0 * (1.0 + 0.05 + 0.2 * y + 0.5 * 0.04 * (y * y - 1.0))
-    assert abs(p.values[1] - expected) < 1e-15
+    assert abs(p[1] - expected) < 1e-15
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -61,15 +67,16 @@ def test_milstein_numeric_failure_reports_step():
     blow = S.SDEModel(drift=lambda x: x ** 5, diffusion=lambda x: np.ones_like(x) + 0.0 * x,
                       diffusion_deriv=lambda x: 0.0 * x, x0=1e80)
     with pytest.raises(NumericFailure) as err:
-        S.milstein_path(blow, 4, np.zeros(4))
+        milstein_path(blow, 4, np.zeros(4))
     assert err.value.step is not None
 
 
 def test_rbit_milstein_accounting_and_mean():
     src = BitSource(3)
-    path = S.rbit_milstein_path(src, GM, 16, 5)
+    y, idx = sample_rows(src, BitAllocation(np.full(16, 5)), 1)
+    path = S.milstein_rows(GM, 16, y)
     assert src.bits_drawn == 16 * 5
-    assert path.retained_indices is not None
+    assert path.shape == (1, 17) and idx.shape == (1, 16)
     src2 = BitSource(5)
     draws = grid_normal_values(src2.draw_bits_array(8, 1_000_000) + np.uint64(1), 8)
     se = draws.std(ddof=1) / 1000.0
@@ -82,9 +89,8 @@ def test_rbit_large_q_matches_parent_driven_path():
     idx63 = src.draw_bits_array(63, m) + np.uint64(1)
     y_full = phi_inv(dyadic_values(idx63, 63))
     y52 = grid_normal_values(truncate_indices(idx63, 63, 52), 52)
-    pa = S.milstein_path(GM, m, y_full)
-    pb = S.milstein_path(GM, m, y52)
-    assert np.max(np.abs(pa.values - pb.values)) < 1e-6
+    pa, pb = S.milstein_rows(GM, m, np.stack([y_full, y52]))
+    assert np.max(np.abs(pa - pb)) < 1e-6
 
 
 def test_q63_coupling_gap_fixture():
@@ -93,9 +99,9 @@ def test_q63_coupling_gap_fixture():
     idx63 = src.draw_bits_array(63, m) + np.uint64(1)
     extra = src.draw_bits_array(1, m)
     refined = ((2.0 * (idx63.astype(np.float64) - 1.0) + extra.astype(np.float64)) + 0.5) * 2.0 ** -64
-    pa = S.milstein_path(GM, m, phi_inv(refined))
-    pb = S.milstein_path(GM, m, phi_inv(dyadic_values(idx63, 63)))
-    gap = float(np.max(np.abs(pa.values - pb.values)))
+    pa = milstein_path(GM, m, phi_inv(refined))
+    pb = milstein_path(GM, m, phi_inv(dyadic_values(idx63, 63)))
+    gap = float(np.max(np.abs(pa - pb)))
     assert gap < 1e-4
     assert gap <= load_fixtures(FIXTURES)["sde_q63_coupling_gap"].value
 
@@ -117,7 +123,7 @@ def test_refined_path_nodes_and_bits():
     m, q, level = 4, 6, 2
     r = S.refined_path_sample(src, GM, m, q, level)
     grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    assert np.allclose(r.evaluate(GM, grid), r.skeleton.values, atol=1e-14)
+    assert np.allclose(r.evaluate(GM, grid), r.skeleton, atol=1e-14)
     assert r.bits == S.sde_bit_cost(m, q, level) == src.bits_drawn
     with pytest.raises(ValueError):
         r.evaluate(GM, [0.5, 0.25])
@@ -138,7 +144,7 @@ def test_refined_path_additive_closed_form():
     vals = r.evaluate(model, t)
     k = np.minimum((t * m).astype(int), m - 1)
     s = t * m - k
-    lin = (1 - s) * r.skeleton.values[k] + s * r.skeleton.values[k + 1]
+    lin = (1 - s) * r.skeleton[k] + s * r.skeleton[k + 1]
     bridge_term = np.array([
         BR.evaluate_coeffs(r.bridge_coeffs[kk], level, ss) for kk, ss in zip(k, s)
     ])
@@ -218,20 +224,44 @@ def test_strong_error_golden_values(m, q, reps, seed, reference, rms_hex, bits):
 def test_paths_reject_no_steps_before_drawing(m):
     # m = 0 divided by zero in the recursion; m < 0 failed inside the draw
     with pytest.raises(ValueError, match="m must be a positive integer"):
-        S.milstein_path(GM, m, [])
+        S.milstein_rows(GM, m, np.empty((1, 0)))
     src = BitSource(1)
-    with pytest.raises(ValueError, match="m must be a positive integer"):
-        S.rbit_milstein_path(src, GM, m, 8)
     with pytest.raises(ValueError, match="m must be a positive integer"):
         S.refined_path_sample(src, GM, m, 8, 2)
     assert src.bits_drawn == 0
 
 
+@pytest.mark.parametrize("shape", [(4,), (1, 3), (2, 5), (1, 1, 4)])
+def test_milstein_rows_refuse_rows_of_another_length(shape):
+    with pytest.raises(ValueError, match=r"shape \(rows, 4\)"):
+        S.milstein_rows(GM, 4, np.zeros(shape))
+
+
 @pytest.mark.parametrize("q", [0, -1, 64, 2.5])
 def test_rbit_milstein_rejects_q_outside_the_parent_bits(q):
+    # the increments of the random-bit scheme are rows under m q-bit counts:
+    # the allocation refuses q before a bit is drawn, as the refined path does
     src = BitSource(1)
+    with pytest.raises(ValueError, match=r"bit counts must be integers in \[1, 63\]"):
+        sample_rows(src, BitAllocation(np.full(8, q)), 1)
     with pytest.raises(ValueError, match=r"q must be an integer in \[1, 63\]"):
-        S.rbit_milstein_path(src, GM, 8, q)
+        S.refined_path_sample(src, GM, 8, q, 2)
+    assert src.bits_drawn == 0
+
+
+@pytest.mark.parametrize("m, q, level, error", [
+    (1, 64, 2, ValueError), (1, 2.5, 2, ValueError), (1, 0, 2, ValueError),
+    (0, 4, 2, ValueError), (1, 4, 0, ValueError), (1, 4, 26, CapacityError),
+])
+def test_bit_cost_and_refined_path_share_one_domain(m, q, level, error):
+    """sde_bit_cost priced paths that cannot be drawn (72 bits at q = 64,
+    10.5 at q = 2.5, 268435404 at level 26), and refined_path_sample drew
+    its skeleton before it refused the level."""
+    with pytest.raises(error):
+        S.sde_bit_cost(m, q, level)
+    src = BitSource(1)
+    with pytest.raises(error):
+        S.refined_path_sample(src, GM, m, q, level)
     assert src.bits_drawn == 0
 
 
