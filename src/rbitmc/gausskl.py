@@ -183,7 +183,11 @@ def sample_rows(src: BitSource, alloc: BitAllocation, n: int,
     rows are held in memory: callers that need only blocks of rows keep the
     :class:`DrawnRows` and decode those.  The (n, len(alloc)) uint64 index
     rows are built too; callers that need only the coefficients drop them.
+    A ``scale`` that is not one value per coefficient is refused before the
+    draw.
     """
+    if scale is not None and np.shape(scale) != (len(alloc),):
+        raise ValueError(f"scale must hold {len(alloc)} values, one per coefficient, got shape {np.shape(scale)}")
     return decode_rows(draw_rows(src, alloc, n), 0, n, scale, len(alloc))
 
 
@@ -195,7 +199,8 @@ def coarsen_rows(idx_rows: np.ndarray, fine: BitAllocation, coarse: BitAllocatio
     each retained index from fine to coarse bits, run by run over the runs of
     equal (fine, coarse) pairs; no bits are drawn.  Coefficients follow as in
     :func:`sample_rows`.  Raises InternalInvariantError when ``coarse`` is
-    not nested in ``fine``.
+    not nested in ``fine``, and ValueError for index rows narrower than
+    ``coarse`` or holding an index outside 1..2**p of its fine count p.
     """
     m2 = len(coarse)
     if m2 > len(fine):
@@ -207,6 +212,9 @@ def coarsen_rows(idx_rows: np.ndarray, fine: BitAllocation, coarse: BitAllocatio
             f"allocation not nested at coordinate {bad + 1}: "
             f"coarse p={int(pc[bad])} > fine p={int(pf[bad])}")
     rows = np.atleast_2d(idx_rows)
+    if rows.shape[1] < m2:
+        raise ValueError(f"index rows have {rows.shape[1]} columns, fewer than the {m2} coarse coordinates")
+    _check_indices(rows[:, :m2], pf)
     idx = np.empty((rows.shape[0], m2), dtype=np.uint64)
     coeffs = np.empty((rows.shape[0], m2), dtype=np.float64)
     for a, b, _ in equal_runs(pf * (1 << 32) + pc):
@@ -215,6 +223,18 @@ def coarsen_rows(idx_rows: np.ndarray, fine: BitAllocation, coarse: BitAllocatio
     if scale is not None:
         coeffs *= scale
     return coeffs, idx
+
+
+def _check_indices(rows: np.ndarray, p: np.ndarray) -> None:
+    """Refuse an index outside 1..2**p_j in column j of the index rows; only
+    the minimum of all rows and the maximum of each column are taken (1, a
+    valid index, when there is no row)."""
+    lo, hi = rows.min(initial=1), rows.max(axis=0, initial=1)
+    over = hi > np.uint64(1) << p.astype(np.uint64)
+    if lo < 1 or over.any():
+        j = int(np.argmax((rows == lo).any(axis=0) if lo < 1 else over))
+        value = lo if lo < 1 else hi[j]
+        raise ValueError(f"index {value} in column {j + 1} is outside 1..2**{p[j]} of its {p[j]}-bit count")
 
 
 def tail_sum(m: int, spec: EigenSpec) -> tuple[float, float]:

@@ -8,7 +8,9 @@ that adds one random-bit bridge per step on top of the piecewise-linear
 skeleton interpolation.  Paths are rows: :func:`milstein_rows` runs the
 scheme on a batch of driving rows, and the random-bit increments are rows of
 :func:`gausskl.sample_rows` under m q-bit coefficients (their coupled
-truncations rows of :func:`gausskl.coarsen_rows`).
+truncations rows of :func:`gausskl.coarsen_rows`).  A refined path is a row
+too: :func:`refined_rows` returns its values on the nodes of the mesh
+1/(m 2**level), where it is piecewise linear.
 
 Coefficients are assumed differentiable with bounded, Lipschitz continuous
 derivatives (a caller obligation; it cannot be checked at runtime), and
@@ -24,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, truncate_indices  # noqa: F401
-from .bridge import allocation_bridge, allocation_bridge_total, evaluate_coeffs
+from .bridge import allocation_bridge, allocation_bridge_total, nodes_from_coeffs
 from .errors import InternalInvariantError, NumericFailure
 from .gausskl import coarsen_rows, sample_rows
 from .normal import Phi, grid_normal_values
@@ -113,58 +115,41 @@ def milstein_rows(model: SDEModel, m: int, normals) -> np.ndarray:
 
 
 def sde_bit_cost(m: int, q: int, level: int) -> int:
-    """Total bit cost m * (q + 2**(level+2) - 2*level - 4) of the refined path;
-    m, q and level outside the domain of :func:`refined_path_sample` are refused."""
+    """Total bit cost m * (q + 2**(level+2) - 2*level - 4) of one refined path;
+    m, q and level outside the domain of :func:`refined_rows` are refused."""
     _check_scheme(m, q)
     return m * (q + allocation_bridge_total(level))
 
 
-@dataclass
-class RefinedPath:
-    """Skeleton values plus per-interval bridge coefficients of X^(q, level)."""
+def refined_rows(src: BitSource, model: SDEModel, m: int, q: int, level: int, n: int) -> np.ndarray:
+    """Draw n continuous-time random-bit approximations X^(q, level) as node
+    rows on the mesh 1/(m 2**level), shape (n, m * 2**level + 1).
 
-    m: int
-    q: int
-    level: int
-    skeleton: np.ndarray  # shape (m + 1,), skeleton values at t_k = k/m
-    bridge_coeffs: np.ndarray  # shape (m, 2**level - 1)
-    bits: int
-
-    def evaluate(self, model: SDEModel, grid) -> np.ndarray:
-        t = np.asarray(grid, dtype=np.float64)
-        if np.any((t < 0.0) | (t > 1.0)) or np.any(np.diff(t) < 0):
-            raise ValueError("grid must be sorted within [0, 1]")
-        m = self.m
-        k = np.minimum((t * m).astype(np.int64), m - 1)
-        s = t * m - k
-        xk = self.skeleton[k]
-        xk1 = self.skeleton[k + 1]
-        vals = s * xk1 + (1.0 - s) * xk
-        bx = np.asarray(model.diffusion(xk), dtype=np.float64)
-        for interval in np.unique(k):
-            mask = k == interval
-            bridge = evaluate_coeffs(self.bridge_coeffs[interval], self.level, s[mask])
-            vals[mask] = vals[mask] + bx[mask] * bridge / math.sqrt(m)
-        return vals
-
-
-def refined_path_sample(src: BitSource, model: SDEModel, m: int, q: int, level: int) -> RefinedPath:
-    """Draw one continuous-time random-bit approximation X^(q, level).
-
-    Draw order: the m-step skeleton (one row of :func:`gausskl.sample_rows`
-    under m q-bit coefficients, m*q bits), then one level-`level` bridge per
-    step, as the m rows of :func:`gausskl.sample_rows`; bits = sde_bit_cost,
-    which refuses m, q and level before the first draw.
+    Node k * 2**level + j of a row is (1 - s) x_k + s x_{k+1} +
+    b(x_k) B_k(s) / sqrt(m) with s = j / 2**level, x the row's Milstein
+    skeleton and B_k the level-``level`` bridge of step k; the last node is
+    x_m.  Draw order: the n skeleton rows (one :func:`gausskl.sample_rows`
+    call under m q-bit coefficients), then n * m bridge rows under
+    :func:`bridge.allocation_bridge`, path-major (row i * m + k is step k of
+    path i).  Bits = n * sde_bit_cost; m, q, level and n are refused before
+    the first draw.
     """
-    expected = sde_bit_cost(m, q, level)
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    expected = n * sde_bit_cost(m, q, level)
     before = src.bits_drawn
-    y, _ = sample_rows(src, BitAllocation(np.full(m, q)), 1)
-    skeleton = milstein_rows(model, m, y)[0]
-    coeffs, _ = sample_rows(src, allocation_bridge(level), m)
+    y, _ = sample_rows(src, BitAllocation(np.full(m, q)), n)
+    x = milstein_rows(model, m, y)
+    coeffs, _ = sample_rows(src, allocation_bridge(level), n * m)
     used = src.bits_drawn - before
     if used != expected:
         raise InternalInvariantError(f"bit accounting mismatch: {used} != {expected}")
-    return RefinedPath(m, q, level, skeleton, coeffs, used)
+    h = 1 << level
+    s = np.arange(h) / h
+    xk, xk1 = x[:, :-1, np.newaxis], x[:, 1:, np.newaxis]
+    bridge = nodes_from_coeffs(coeffs, level)[:, :-1].reshape(n, m, h)
+    nodes = s * xk1 + (1.0 - s) * xk + model.diffusion(xk) * bridge / math.sqrt(m)
+    return np.concatenate([nodes.reshape(n, m * h), x[:, m:]], axis=1)
 
 
 def _step_blocks(steps: int, reps: int):

@@ -348,7 +348,7 @@ _UNREAD_PUBLIC = {
     "bit_normal_cross_moment": "the oracle of the identity mse = 1 + E|Y^(p)|^2 - 2 E[Y Y^(p)]",
     "gaussian_cell_sq_error": "the per-cell oracle of normal.gaussian_grid_sq_error",
     "gaussian_cell_average": "the per-cell oracle of normal.gaussian_grid_average",
-    "refined_path_sample": "the continuous-time Milstein approximation X^(q, level), pinned in test_expansion_golden",
+    "evaluate_coeffs": "the lazy per-point oracle of bridge.nodes_from_coeffs, pinned in test_schauder_golden",
 }
 
 

@@ -122,7 +122,7 @@ def test_level_cap_applies_to_every_sampler():
     for call in (lambda: BR.allocation_bridge(level),
                  lambda: BR.allocation_bridge_total(level),
                  lambda: BR.evaluate_coeffs(np.zeros(7), level, 0.5),
-                 lambda: S.refined_path_sample(BitSource(1), S.geometric_model(0.05, 0.2), 1, 4, level),
+                 lambda: S.refined_rows(BitSource(1), S.geometric_model(0.05, 0.2), 1, 4, level, 1),
                  lambda: BR.bridge_truncation_error_sq(level),
                  lambda: BR.bridge_bit_error_sq(level),
                  lambda: BR.precision_sum(level)):

@@ -4,7 +4,8 @@ Each case pins the sha256 of ``.tobytes()`` of the coefficient rows and the
 retained index rows, so any change in draw order, bit counts, coarsening
 or scaling of the bridge, KL and MLMC samplers shows up as a digest change.
 The Milstein cases pin the skeleton values, its retained indices and the
-bits drawn.
+bits drawn; the refined path case pins its bridge coefficient rows, and the
+refined rows case its node rows and bits.
 """
 
 import hashlib
@@ -59,9 +60,17 @@ def _model_rows(model, seed, level, n):
 
 def _refined_path():
     src = BitSource(2026)
-    r = S.refined_path_sample(src, S.geometric_model(0.05, 0.2, 1.0), 5, 8, 4)
-    assert r.bridge_coeffs.shape == (5, 15)
-    return [_digest(r.bridge_coeffs)]
+    G.sample_rows(src, BitAllocation(np.full(5, 8)), 1)  # the 5-step 8-bit skeleton row
+    coeffs, _ = G.sample_rows(src, BR.allocation_bridge(4), 5)
+    assert coeffs.shape == (5, 15)
+    return [_digest(coeffs)]
+
+
+def _refined_rows():
+    src = BitSource(2026)
+    nodes = S.refined_rows(src, S.geometric_model(0.05, 0.2, 1.0), 5, 8, 4, 1)
+    assert nodes.shape == (1, 81)
+    return [_digest(nodes), src.bits_drawn]
 
 
 def _milstein_path(q, head=0):
@@ -82,6 +91,8 @@ CASES = {
     "kl_model_min0": lambda: _model_rows(M.kl_model(SPEC), 2029, 6, 9),
     "kl_model_min4": lambda: _model_rows(M.KLModel(SPEC, min_bits=4), 2030, 6, 9),
     "refined_path": _refined_path,
+    # the node rows of the same path
+    "refined_rows": _refined_rows,
     "milstein_q2": lambda: _milstein_path(2),
     "milstein_q5": lambda: _milstein_path(5),
     # the skeleton starts 3 bits into the stream
@@ -131,6 +142,10 @@ GOLDEN = {
     ],
     "refined_path": [
         "7d2efaf9020c31eaeb20d862d16f2eaec3b1b7f0ddc63525c8f309adf3dff1ac",
+    ],
+    "refined_rows": [
+        "d4793ddfc832849952ea4a6267d6c699c77ff8ac723d958a58504ad01b9d5f1f",
+        300,
     ],
     "milstein_q2": [
         "6b9ab73f11fe5d77407ea6ef9b2f76c1389a3935713f97e29f059f5c063b9f5a",

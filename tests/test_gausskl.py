@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rbitmc import gausskl as G
+from rbitmc.bridge import allocation_bridge
 from rbitmc.bitcore import BitAllocation, BitSource, byte_fields, child_source
 from rbitmc.errors import CapacityError, InternalInvariantError
 from rbitmc.normal import bit_normal_mse, bit_normal_mse_moments, grid_normal_byte_table, grid_normal_values
@@ -161,6 +162,46 @@ def test_coarsen_rejects_non_nested_allocation():
     bigger = BitAllocation(np.array([60, 60]))
     with pytest.raises(InternalInvariantError):
         G.coarsen_rows(idx, alloc, bigger)
+
+
+@pytest.mark.parametrize("shape", [(3,), (8,), (2, 7)])
+def test_sample_rows_refuses_a_scale_of_another_length_before_drawing(shape):
+    """A scale of 3 values for 7 coefficients raised numpy's broadcast error
+    after the draw, with 44 bits gone from the stream."""
+    src = BitSource(1)
+    with pytest.raises(ValueError, match="scale must hold 7 values"):
+        G.sample_rows(src, allocation_bridge(3), 2, np.ones(shape))
+    assert src.bits_drawn == 0
+
+
+def test_coarsen_rows_refuse_index_rows_narrower_than_the_coarse_level():
+    """Two index columns against the three of bridge level 2 were broadcast
+    into three coarse columns."""
+    with pytest.raises(ValueError, match="index rows have 2 columns, fewer than the 3 coarse coordinates"):
+        G.coarsen_rows(np.ones((1, 2), np.uint64), allocation_bridge(3), allocation_bridge(2))
+
+
+@pytest.mark.parametrize("rows, fine, coarse, match", [
+    # index 0 at an unchanged count gave the top grid value, 1.8627 at p = 4
+    (np.zeros((1, 1), np.uint64), BitAllocation([4]), BitAllocation([4]), r"index 0 in column 1 is outside 1\.\.2\*\*4"),
+    # a bare IndexError from the p <= 20 grid table
+    (np.zeros((1, 7), np.uint64), allocation_bridge(3), allocation_bridge(2), r"index 0 in column 1 "),
+    # "phi_inv requires 0 < u < 1" above the table
+    (np.zeros((1, 1), np.uint64), BitAllocation([30]), BitAllocation([25]), r"index 0 in column 1 is outside 1\.\.2\*\*30"),
+    (np.array([[64, 16, 17, 4]], np.uint64), allocation_bridge(3), allocation_bridge(2), r"index 17 in column 3 is outside 1\.\.2\*\*4"),
+    (np.array([[65, 1, 1]], np.uint64), allocation_bridge(3), allocation_bridge(2), r"index 65 in column 1 is outside 1\.\.2\*\*6"),
+    (np.array([[3, -1, 2]], np.int64), allocation_bridge(2), allocation_bridge(2), r"index -1 in column 2 "),
+], ids=["zero-same-p", "zero-table", "zero-above-table", "high-later-run", "high-first-run", "negative"])
+def test_coarsen_rows_refuse_an_index_outside_the_fine_grid(rows, fine, coarse, match):
+    with pytest.raises(ValueError, match=match):
+        G.coarsen_rows(rows, fine, coarse)
+
+
+def test_coarsen_rows_take_both_ends_of_the_fine_grid():
+    rows = np.array([[1, 16, 1, 4, 4, 1, 4], [64, 1, 16, 1, 1, 4, 1]], np.uint64)
+    coeffs, idx = G.coarsen_rows(rows, allocation_bridge(3), allocation_bridge(2))
+    assert np.array_equal(idx, [[1, 4, 1], [16, 1, 4]])
+    assert np.all(np.isfinite(coeffs))
 
 
 @pytest.mark.parametrize("m2,counts", [(1, [3, 2, 1]), (1, [3, 2]), (2, [3]), (3, [3, 2, 1, 1])])

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbitmc import bridge as BR
 from rbitmc import sde as S
@@ -118,37 +120,70 @@ def test_bit_cost_formula():
     assert S.sde_bit_cost(8, 6, 4) > base
 
 
+def redrawn(seed, model, m, q, level, n):
+    """The skeleton rows and the path-major bridge coefficient rows of
+    refined_rows, redrawn from the same seed in its draw order."""
+    src = BitSource(seed)
+    y, _ = sample_rows(src, BitAllocation(np.full(m, q)), n)
+    coeffs, _ = sample_rows(src, BR.allocation_bridge(level), n * m)
+    return S.milstein_rows(model, m, y), coeffs.reshape(n, m, -1)
+
+
 def test_refined_path_nodes_and_bits():
     src = BitSource(9)
     m, q, level = 4, 6, 2
-    r = S.refined_path_sample(src, GM, m, q, level)
-    grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    assert np.allclose(r.evaluate(GM, grid), r.skeleton, atol=1e-14)
-    assert r.bits == S.sde_bit_cost(m, q, level) == src.bits_drawn
-    with pytest.raises(ValueError):
-        r.evaluate(GM, [0.5, 0.25])
+    rows = S.refined_rows(src, GM, m, q, level, 1)
+    skeleton, _ = redrawn(9, GM, m, q, level, 1)
+    assert rows.shape == (1, m * 4 + 1)
+    assert np.array_equal(rows[:, ::4], skeleton)
+    assert src.bits_drawn == S.sde_bit_cost(m, q, level)
 
 
 def test_refined_path_bit_mismatch_is_internal(monkeypatch):
     monkeypatch.setattr(S, "sde_bit_cost", lambda m, q, level: 0)
     with pytest.raises(InternalInvariantError, match="bit accounting mismatch"):
-        S.refined_path_sample(BitSource(9), GM, 4, 6, 2)
+        S.refined_rows(BitSource(9), GM, 4, 6, 2, 1)
 
 
 def test_refined_path_additive_closed_form():
-    src = BitSource(10)
+    # b = 1: each step is the chord of the skeleton plus its bridge / sqrt(m)
     model = additive_model(0.25)
-    m, q, level = 4, 8, 3
-    r = S.refined_path_sample(src, model, m, q, level)
-    t = np.array([0.1, 0.3, 0.55, 0.8, 0.95])
-    vals = r.evaluate(model, t)
-    k = np.minimum((t * m).astype(int), m - 1)
-    s = t * m - k
-    lin = (1 - s) * r.skeleton[k] + s * r.skeleton[k + 1]
-    bridge_term = np.array([
-        BR.evaluate_coeffs(r.bridge_coeffs[kk], level, ss) for kk, ss in zip(k, s)
-    ])
-    assert np.allclose(vals, lin + bridge_term / math.sqrt(m), atol=1e-14)
+    m, q, level, n = 4, 8, 3, 2
+    rows = S.refined_rows(BitSource(10), model, m, q, level, n)
+    skeleton, coeffs = redrawn(10, model, m, q, level, n)
+    s = np.arange(8) / 8.0
+    for i in range(n):
+        for k in range(m):
+            lin = (1 - s) * skeleton[i, k] + s * skeleton[i, k + 1]
+            bridge = BR.evaluate_coeffs(coeffs[i, k], level, s)
+            assert np.allclose(rows[i, 8 * k:8 * k + 8], lin + bridge / math.sqrt(m), atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 8), q=st.integers(1, 63), level=st.integers(1, 6), n=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_refined_rows_are_the_skeleton_chords_plus_bridges(m, q, level, n, seed):
+    src = BitSource(seed)
+    rows = S.refined_rows(src, GM, m, q, level, n)
+    skeleton, coeffs = redrawn(seed, GM, m, q, level, n)
+    h = 1 << level
+    assert rows.shape == (n, m * h + 1)
+    assert np.array_equal(rows[:, ::h], skeleton)
+    assert src.bits_drawn == n * S.sde_bit_cost(m, q, level)
+    s = np.arange(1, h) / h
+    for i in range(n):
+        for k in range(m):
+            x0, x1 = skeleton[i, k], skeleton[i, k + 1]
+            want = (1 - s) * x0 + s * x1 + GM.diffusion(x0) * BR.evaluate_coeffs(coeffs[i, k], level, s) / math.sqrt(m)
+            assert np.max(np.abs(rows[i, k * h + 1:(k + 1) * h] - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5])
+def test_refined_rows_refuse_a_bad_path_count_before_drawing(n):
+    src = BitSource(1)
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        S.refined_rows(src, GM, 4, 8, 2, n)
+    assert src.bits_drawn == 0
 
 
 def test_strong_error_determinism_and_modes():
@@ -227,7 +262,7 @@ def test_paths_reject_no_steps_before_drawing(m):
         S.milstein_rows(GM, m, np.empty((1, 0)))
     src = BitSource(1)
     with pytest.raises(ValueError, match="m must be a positive integer"):
-        S.refined_path_sample(src, GM, m, 8, 2)
+        S.refined_rows(src, GM, m, 8, 2, 1)
     assert src.bits_drawn == 0
 
 
@@ -245,7 +280,7 @@ def test_rbit_milstein_rejects_q_outside_the_parent_bits(q):
     with pytest.raises(ValueError, match=r"bit counts must be integers in \[1, 63\]"):
         sample_rows(src, BitAllocation(np.full(8, q)), 1)
     with pytest.raises(ValueError, match=r"q must be an integer in \[1, 63\]"):
-        S.refined_path_sample(src, GM, 8, q, 2)
+        S.refined_rows(src, GM, 8, q, 2, 1)
     assert src.bits_drawn == 0
 
 
@@ -255,13 +290,13 @@ def test_rbit_milstein_rejects_q_outside_the_parent_bits(q):
 ])
 def test_bit_cost_and_refined_path_share_one_domain(m, q, level, error):
     """sde_bit_cost priced paths that cannot be drawn (72 bits at q = 64,
-    10.5 at q = 2.5, 268435404 at level 26), and refined_path_sample drew
+    10.5 at q = 2.5, 268435404 at level 26), and the refined path drew
     its skeleton before it refused the level."""
     with pytest.raises(error):
         S.sde_bit_cost(m, q, level)
     src = BitSource(1)
     with pytest.raises(error):
-        S.refined_path_sample(src, GM, m, q, level)
+        S.refined_rows(src, GM, m, q, level, 1)
     assert src.bits_drawn == 0
 
 
