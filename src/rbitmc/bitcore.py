@@ -209,13 +209,19 @@ def dyadic_edges(k0: int, k1: int, p: int) -> np.ndarray:
     return np.arange(k0, k1 + 1, dtype=np.float64) * 2.0 ** -p
 
 
-def truncate_indices(indices: np.ndarray, p_from: int, p_to: int) -> np.ndarray:
-    """Vectorized exact re-truncation of 1-based grid indices."""
-    if p_to > p_from:
+def truncate_indices(indices: np.ndarray, p_from, p_to) -> np.ndarray:
+    """Vectorized exact re-truncation of 1-based grid indices from p_from to
+    p_to bits, ((i - 1) >> (p_from - p_to)) + 1, into one new uint64 array.
+    Either count may be an array of counts that broadcasts against the
+    indices, such as one count per column of index rows."""
+    shift = np.subtract(p_from, p_to)
+    if np.any(shift < 0):
         raise ValueError(f"cannot refine {p_from}-bit indices to {p_to} bits")
-    shift = np.uint64(p_from - p_to)
     one = np.uint64(1)
-    return ((np.asarray(indices, dtype=np.uint64) - one) >> shift) + one
+    out = np.asarray(indices, dtype=np.uint64) - one
+    out >>= shift.astype(np.uint64)
+    out += one
+    return out
 
 
 def equal_runs(values: np.ndarray) -> list[tuple[int, int, int]]:

@@ -116,12 +116,15 @@ def nodes_from_coeffs(coeff_rows: np.ndarray, level: int) -> np.ndarray:
 
     Midpoint refinement: level-m hats vanish on the level-m grid and
     contribute their peak at the new midpoints, so each refinement step is
-    an average plus a scaled coefficient.
+    an average plus a scaled coefficient, 0.5 * (l + r) + c * peak, built
+    in place in the sum l + r.
     """
     rows = np.atleast_2d(coeff_rows)
     vals = np.zeros((rows.shape[0], 2), dtype=np.float64)
     for m in range(level):
-        mids = 0.5 * (vals[:, :-1] + vals[:, 1:]) + rows[:, (1 << m) - 1:(1 << (m + 1)) - 1] * _peak(m)
+        mids = vals[:, :-1] + vals[:, 1:]
+        mids *= 0.5
+        mids += rows[:, (1 << m) - 1:(1 << (m + 1)) - 1] * _peak(m)
         vals = _insert_midpoints(vals, mids)
     return vals
 
@@ -137,11 +140,16 @@ def _insert_midpoints(nodes: np.ndarray, mids: np.ndarray) -> np.ndarray:
 
 
 def pl_l2_norm_sq(node_rows: np.ndarray) -> np.ndarray:
-    """Exact squared L2[0,1] norm of piecewise-linear rows on a uniform grid."""
+    """Exact squared L2[0,1] norm of piecewise-linear rows on a uniform grid:
+    (h / 3) times the row sums of a*a + a*b + b*b over neighbours a, b,
+    with each node squared once."""
     rows = np.atleast_2d(node_rows)
     h = 1.0 / (rows.shape[1] - 1)
-    a, b = rows[:, :-1], rows[:, 1:]
-    return (h / 3.0) * np.sum(a * a + a * b + b * b, axis=1)
+    sq = rows * rows
+    t = rows[:, :-1] * rows[:, 1:]
+    t += sq[:, :-1]
+    t += sq[:, 1:]
+    return (h / 3.0) * np.sum(t, axis=1)
 
 
 def pl_inner(node_rows_f: np.ndarray, node_rows_g: np.ndarray) -> np.ndarray:

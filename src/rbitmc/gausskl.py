@@ -23,9 +23,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bitcore import MAX_BITS, MAX_LEVEL, BitAllocation, BitSource, byte_fields, equal_runs, read_bytes, read_fields, truncate_indices
+from .bitcore import MAX_BITS, MAX_LEVEL, BitAllocation, BitSource, byte_fields, read_bytes, read_fields, truncate_indices
 from .errors import CapacityError, InternalInvariantError
-from .normal import bit_normal_mse_extended, checked_quad, grid_normal_byte_table, grid_normal_values
+from .normal import (GRID_TABLE_MAX_P, bit_normal_mse_extended, checked_quad, grid_normal_byte_table, grid_normal_runs,
+                     grid_normal_values)
 
 _TAIL_EXTEND = 4096  # terms tail_sum looks past M for the eigenvalues to stop rising
 _TAIL_REL_INCREMENT = 1e-6  # tail_sum sums directly until a term falls below this share
@@ -144,28 +145,36 @@ def decode_rows(drawn: DrawnRows, a: int, b: int, scale: Optional[np.ndarray] = 
     (1-based) index; ``scale=None`` means unit scale.  Each run's fields are
     read once.  A run at p in {1, 2, 4, 8} looks its stream bytes up in the
     (256, 8/p) tables :func:`normal.grid_normal_byte_table` and
-    :func:`bitcore.byte_fields`; any other run maps its fields through
-    :func:`normal.grid_normal_values`.  Every block of rows gives the values
-    of the whole batch.
+    :func:`bitcore.byte_fields` with ``np.take``; a run at any other
+    p <= GRID_TABLE_MAX_P maps its fields through
+    :func:`normal.grid_normal_values`, and the runs above it go through one
+    :func:`normal.grid_normal_runs` call (one ``phi_inv`` call) for the
+    block.  Every block of rows gives the values of the whole batch.
     """
     nb = b - a
     coeffs = np.empty((nb, len(drawn.alloc)), dtype=np.float64) if out is None else out
     idx = np.empty((nb, width), dtype=np.uint64) if width else None
+    deep = []  # (c0, c1, fields, p) of the runs above GRID_TABLE_MAX_P
     pos = drawn.start
     for c0, c1, p in drawn.alloc.runs:
         w, k = c1 - c0, min(c1, width) - c0  # run width, index columns wanted from it
         at = pos + a * w * p
         pos += drawn.n * w * p
         if 8 % p == 0:
-            codes = read_bytes(drawn.words, at, p, nb * w)
-            coeffs[:, c0:c1] = grid_normal_byte_table(p)[codes].reshape(-1)[:nb * w].reshape(nb, w)
+            codes = read_bytes(drawn.words, at, p, nb * w).astype(np.intp)
+            coeffs[:, c0:c1] = np.take(grid_normal_byte_table(p), codes, axis=0).reshape(-1)[:nb * w].reshape(nb, w)
             if k > 0:
-                idx[:, c0:c0 + k] = byte_fields(p)[codes].reshape(-1)[:nb * w].reshape(nb, w)[:, :k]
-        else:
-            fields = read_fields(drawn.words, at, p, nb * w).reshape(nb, w) + np.uint64(1)
+                idx[:, c0:c0 + k] = np.take(byte_fields(p), codes, axis=0).reshape(-1)[:nb * w].reshape(nb, w)[:, :k]
+            continue
+        fields = read_fields(drawn.words, at, p, nb * w).reshape(nb, w) + np.uint64(1)
+        if p <= GRID_TABLE_MAX_P:
             coeffs[:, c0:c1] = grid_normal_values(fields, p)
-            if k > 0:
-                idx[:, c0:c0 + k] = fields[:, :k]
+        else:
+            deep.append((c0, c1, fields, p))
+        if k > 0:
+            idx[:, c0:c0 + k] = fields[:, :k]
+    for (c0, c1, _, _), values in zip(deep, grid_normal_runs([(f, p) for _, _, f, p in deep])):
+        coeffs[:, c0:c1] = values
     if scale is not None:
         coeffs *= scale
     return coeffs, idx
@@ -196,11 +205,16 @@ def coarsen_rows(idx_rows: np.ndarray, fine: BitAllocation, coarse: BitAllocatio
     """Coupled coarse rows of sampled index rows: (coefficient rows, index rows).
 
     The coarse sample keeps the first len(coarse) coordinates and re-truncates
-    each retained index from fine to coarse bits, run by run over the runs of
-    equal (fine, coarse) pairs; no bits are drawn.  Coefficients follow as in
-    :func:`sample_rows`.  Raises InternalInvariantError when ``coarse`` is
-    not nested in ``fine``, and ValueError for index rows narrower than
-    ``coarse`` or holding an index outside 1..2**p of its fine count p.
+    each retained index from fine to coarse bits; no bits are drawn.  The
+    indices are re-truncated in one :func:`bitcore.truncate_indices` call
+    with a count per column, and the coefficients follow run by run over
+    ``coarse.runs`` (computed once per allocation) as in
+    :func:`decode_rows`: a run at p <= GRID_TABLE_MAX_P through
+    :func:`normal.grid_normal_values`, all runs above it through one
+    :func:`normal.grid_normal_runs` call (one ``phi_inv`` call).  Raises
+    InternalInvariantError when ``coarse`` is not nested in ``fine``, and
+    ValueError for index rows narrower than ``coarse`` or holding an index
+    outside 1..2**p of its fine count p.
     """
     m2 = len(coarse)
     if m2 > len(fine):
@@ -215,11 +229,16 @@ def coarsen_rows(idx_rows: np.ndarray, fine: BitAllocation, coarse: BitAllocatio
     if rows.shape[1] < m2:
         raise ValueError(f"index rows have {rows.shape[1]} columns, fewer than the {m2} coarse coordinates")
     _check_indices(rows[:, :m2], pf)
-    idx = np.empty((rows.shape[0], m2), dtype=np.uint64)
+    idx = truncate_indices(rows[:, :m2], pf, pc)
     coeffs = np.empty((rows.shape[0], m2), dtype=np.float64)
-    for a, b, _ in equal_runs(pf * (1 << 32) + pc):
-        idx[:, a:b] = truncate_indices(rows[:, a:b], int(pf[a]), int(pc[a]))
-        coeffs[:, a:b] = grid_normal_values(idx[:, a:b], int(pc[a]))
+    deep = []  # (a, b, p) of the runs above GRID_TABLE_MAX_P
+    for a, b, p in coarse.runs:
+        if p <= GRID_TABLE_MAX_P:
+            coeffs[:, a:b] = grid_normal_values(idx[:, a:b], p)
+        else:
+            deep.append((a, b, p))
+    for (a, b, _), values in zip(deep, grid_normal_runs([(idx[:, a:b], p) for a, b, p in deep])):
+        coeffs[:, a:b] = values
     if scale is not None:
         coeffs *= scale
     return coeffs, idx

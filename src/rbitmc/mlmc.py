@@ -141,7 +141,10 @@ class ExpansionModel:
     def coarsen_rows(self, idx: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
         """(coefficient rows, index rows) one level below ``level``, re-truncated
         from the index rows ``idx`` of ``level`` by :func:`gausskl.coarsen_rows`;
-        ``idx`` needs only the coarse level's columns."""
+        ``idx`` needs only the coarse level's columns.  Its run plan is the
+        runs of the cached coarse allocation, so it is built once per level;
+        the nesting of the two allocations and the index rows of every
+        block are checked."""
         fine, coarse = self.allocation(level), self.allocation(level - 1)
         return gausskl.coarsen_rows(idx, fine, coarse, self.scale(level - 1))
 

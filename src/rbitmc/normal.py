@@ -128,13 +128,17 @@ def phi_inv(u):
     binary floating point on (1/2, 1).  For |u| or |1 - u| below 2**-63 use
     :func:`phi_inv_tail` instead.  The points are taken in blocks of
     2**14; every step is elementwise, so the blocking changes no value.
+    A point outside 0 < u < 1, NaN included, raises ValueError.  The grid
+    samplers reach it through :func:`grid_normal_runs`, one call per block
+    of decoded or coarsened rows, as each call pays a fixed numpy overhead
+    of some ten array passes however few its points.
     """
     arr = np.asarray(u, dtype=np.float64)
     flat = arr.ravel()
     y = np.empty(flat.shape)
     for a in range(0, flat.size, _PHI_INV_BLOCK):
         u_blk = flat[a:a + _PHI_INV_BLOCK]
-        if np.any(u_blk <= 0.0) or np.any(u_blk >= 1.0):
+        if not np.all((u_blk > 0.0) & (u_blk < 1.0)):  # NaN fails both
             raise ValueError("phi_inv requires 0 < u < 1")
         upper = u_blk > 0.5
         low = np.where(upper, 1.0 - u_blk, u_blk)
@@ -173,7 +177,8 @@ def phi_inv_tail(t: float) -> float:
 
 
 def _mid_quantiles(p: int, k0: int, k1: int) -> np.ndarray:
-    """Support points x_k of the p-bit normal for cells k0..k1."""
+    """Support points x_k of the p-bit normal for cells k0..k1 (p <= 26, so
+    every midpoint is below 1; the index arange is freed before phi_inv)."""
     return phi_inv(dyadic_values(np.arange(k0, k1 + 1, dtype=np.float64), p))
 
 
@@ -196,16 +201,58 @@ def _grid_table(p: int) -> np.ndarray:
     return table
 
 
+def grid_normal_runs(runs) -> list[np.ndarray]:
+    """The p-bit grid normals of each (indices, p) pair of ``runs``, from one
+    :func:`phi_inv` call for all of them (none for no pairs): one array per
+    pair in the shape of its indices, each a view of the phi_inv output.
+    A single pair's midpoints go to phi_inv as they are, several pairs'
+    in one concatenation.
+
+    This is the one route from sampled 1-based grid indices i to normals
+    without a table: phi_inv at the dyadic midpoint u = (2i - 1) 2**-(p+1)
+    (:func:`bitcore.dyadic_values`).  Only from p = 53 on can u round to
+    1.0 (index 2**53 at p = 53, the top 513 indices at p = 63); there, and
+    only there, the value is minus that of the mirror index 2**p + 1 - i,
+    whose midpoint is 1 - u.  :func:`grid_normal_values` looks up
+    p <= GRID_TABLE_MAX_P in a table and comes here above it.
+    """
+    if not runs:
+        return []
+    us, flips, off = [], [], 0
+    for i, p in runs:
+        u = np.asarray(dyadic_values(i, p))  # an array also for a scalar index
+        if p > 52:  # (2i - 1) 2**-(p+1) is exact, so below 1, up to p = 52
+            top = np.flatnonzero(u == 1.0)
+            if top.size:
+                mirror = np.uint64((1 << int(p)) + 1) - np.asarray(i, dtype=np.uint64).reshape(-1)[top]
+                u.reshape(-1)[top] = dyadic_values(mirror, p)
+                flips.append(off + top)
+        us.append(u)
+        off += u.size
+    flat = np.asarray(phi_inv(us[0] if len(us) == 1 else np.concatenate([u.reshape(-1) for u in us]))).reshape(-1)
+    if flips:
+        at = np.concatenate(flips)
+        flat[at] = -flat[at]
+    out, off = [], 0
+    for u in us:
+        out.append(flat[off:off + u.size].reshape(u.shape))
+        off += u.size
+    return out
+
+
 def grid_normal_values(indices: np.ndarray, p: int) -> np.ndarray:
     """phi_inv at the dyadic midpoints with the given 1-based grid indices.
 
-    Identical to ``phi_inv(dyadic_values(indices, p))``; small precisions go
-    through a cached full-grid table.
+    Identical to ``phi_inv(dyadic_values(indices, p))`` wherever that
+    midpoint is below 1 (:func:`grid_normal_runs` gives the top indices at
+    p >= 53 by antisymmetry); small precisions go through a cached
+    full-grid table.
     """
     idx = np.asarray(indices, dtype=np.uint64)
     if p <= GRID_TABLE_MAX_P:
         return np.take(_grid_table(p), idx.astype(np.int64) - 1)
-    return phi_inv(dyadic_values(idx, p))
+    (y,) = grid_normal_runs([(idx, p)])
+    return y
 
 
 @functools.cache

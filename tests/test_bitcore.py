@@ -194,6 +194,22 @@ def test_truncate_indices_matches_truncate_to(data):
     assert [int(o) for o in out] == [_truncate_to(i, p_from, p_to) for i in idx]
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_truncate_indices_with_a_count_per_column_is_one_call_per_column(data):
+    """One call with a count per column of index rows gives the columns of
+    one scalar-count call each, and refuses a column it would refine."""
+    p_from = np.array(data.draw(st.lists(st.integers(1, 63), min_size=1, max_size=8), label="p_from"))
+    p_to = np.array([data.draw(st.integers(1, int(p)), label="p_to") for p in p_from])
+    rows = np.array([[data.draw(st.integers(1, 1 << int(p))) for p in p_from] for _ in range(3)], dtype=np.uint64)
+    out = truncate_indices(rows, p_from, p_to)
+    assert out.dtype == np.uint64 and out.shape == rows.shape
+    for j, (pf, pt) in enumerate(zip(p_from, p_to)):
+        assert np.array_equal(out[:, j], truncate_indices(rows[:, j], int(pf), int(pt)))
+    with pytest.raises(ValueError, match="cannot refine"):
+        truncate_indices(rows, p_from, p_from + (np.arange(len(p_from)) == len(p_from) - 1))
+
+
 @pytest.mark.parametrize("p", [1, 4, 8])
 def test_chi_square_uniformity(p):
     n = 100_000

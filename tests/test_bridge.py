@@ -99,6 +99,42 @@ def test_nodes_from_coeffs_matches_evaluate_coeffs(level, rows, seed):
         assert np.max(np.abs(got - BR.evaluate_coeffs(row, level, grid))) < 1e-12
 
 
+def _nodes_oracle(rows, level):
+    """nodes_from_coeffs as one expression per refinement step."""
+    vals = np.zeros((rows.shape[0], 2))
+    for m in range(level):
+        mids = 0.5 * (vals[:, :-1] + vals[:, 1:]) + rows[:, (1 << m) - 1:(1 << (m + 1)) - 1] * 2.0 ** (-m / 2.0 - 1.0)
+        refined = np.empty((rows.shape[0], 2 * vals.shape[1] - 1))
+        refined[:, 0::2], refined[:, 1::2] = vals, mids
+        vals = refined
+    return vals
+
+
+def _norm_sq_oracle(nodes):
+    """pl_l2_norm_sq as one expression."""
+    a, b = nodes[:, :-1], nodes[:, 1:]
+    return (1.0 / (nodes.shape[1] - 1) / 3.0) * np.sum(a * a + a * b + b * b, axis=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(level=st.integers(1, 11), rows=st.integers(1, 6), spread=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+def test_in_place_refinement_and_norm_give_the_bytes_of_the_expressions(level, rows, spread, seed):
+    """nodes_from_coeffs builds each step's midpoints in place and
+    pl_l2_norm_sq squares each node once; both keep the elementwise
+    operations and the summed array of the one-expression forms, so their
+    bytes (coefficients over 2**±spread in magnitude, and a view of a
+    wider buffer as the decode hands over)."""
+    rng = np.random.default_rng(seed)
+    dim = (1 << level) - 1
+    buf = rng.standard_normal((rows, dim + 3)) * 2.0 ** rng.uniform(-spread, spread, (rows, dim + 3))
+    coeffs = buf[:, 1:dim + 1]
+    nodes = BR.nodes_from_coeffs(coeffs, level)
+    assert nodes.tobytes() == _nodes_oracle(coeffs, level).tobytes()
+    assert BR.pl_l2_norm_sq(nodes).tobytes() == _norm_sq_oracle(nodes).tobytes()
+    view = buf[:, 1:]  # rows that are not contiguous
+    assert BR.pl_l2_norm_sq(view).tobytes() == _norm_sq_oracle(view).tobytes()
+
+
 def test_coarsen_chain_and_coefficients():
     src = BitSource(42)
     a6, a5, a4, a2 = (BR.allocation_bridge(level) for level in (6, 5, 4, 2))

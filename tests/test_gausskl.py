@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rbitmc import gausskl as G
 from rbitmc.bridge import allocation_bridge
-from rbitmc.bitcore import BitAllocation, BitSource, byte_fields, child_source
+from rbitmc.bitcore import BitAllocation, BitSource, byte_fields, child_source, read_bytes, read_fields
 from rbitmc.errors import CapacityError, InternalInvariantError
 from rbitmc.normal import bit_normal_mse, bit_normal_mse_moments, grid_normal_byte_table, grid_normal_values
 from rbitmc.wasserstein1d import w2_empirical
@@ -98,6 +98,43 @@ def test_blocked_decode_equals_whole_batch(runs, n, head, seed, data):
             c, i = G.coarsen_rows(i, alloc, coarse, scale[:m2])
             assert c.tobytes() == coarse_coeffs[a:b].tobytes()
             assert np.array_equal(i, coarse_idx[a:b])
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=st.sampled_from([1, 2, 4, 8]), w=st.integers(1, 9), n=st.integers(1, 12), start=st.integers(0, 200),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+@example(p=2, w=3, n=5, start=67, seed=1, data=None)  # 30 bits: a partial last byte, off a byte and a word
+@example(p=1, w=5, n=3, start=130, seed=2, data=None)
+def test_byte_runs_decode_as_the_fields_of_their_bytes(p, w, n, start, seed, data):
+    """A run at p in {1, 2, 4, 8} is decoded by np.take on the (256, 8/p)
+    tables; its values and index rows equal grid_normal_values(byte_fields(p)[codes], p)
+    of the same stream bytes and the read_fields of the same bits."""
+    a = 0 if data is None else data.draw(st.integers(0, n - 1), label="a")
+    b = n if data is None else data.draw(st.integers(a + 1, n), label="b")
+    nb = b - a
+    words = np.random.default_rng(seed).integers(0, 2**64, -(-(start + n * w * p) // 64) + 1, dtype=np.uint64)
+    drawn = G.DrawnRows(words, start, n, BitAllocation([p] * w))
+    coeffs, idx = G.decode_rows(drawn, a, b, None, w)
+    at = start + a * w * p
+    codes = read_bytes(words, at, p, nb * w)
+    assert len(codes) == -(-nb * w * p // 8)
+    fields = byte_fields(p)[codes].reshape(-1)[:nb * w]
+    assert coeffs.tobytes() == grid_normal_values(fields, p).reshape(nb, w).tobytes()
+    assert np.array_equal(idx, fields.reshape(nb, w))
+    assert np.array_equal(idx.reshape(-1), read_fields(words, at, p, nb * w) + np.uint64(1))
+
+
+def test_top_63_bit_fields_decode_and_coarsen_to_the_mirror_values():
+    """All-ones 63-bit fields are index 2**63, whose midpoint rounds to 1.0;
+    the decode and the coarsening to 53 bits (index 2**53, the same case)
+    raised "phi_inv requires 0 < u < 1" and give minus the bottom values."""
+    drawn = G.DrawnRows(np.full(4, 2**64 - 1, dtype=np.uint64), 0, 3, BitAllocation([63]))
+    coeffs, idx = G.decode_rows(drawn, 0, 3, None, 1)
+    assert np.all(idx == np.uint64(1) << np.uint64(63))
+    assert np.all(coeffs == -grid_normal_values(np.ones(3, np.uint64), 63))
+    coarse, coarse_idx = G.coarsen_rows(idx, BitAllocation([63]), BitAllocation([53]))
+    assert np.all(coarse_idx == np.uint64(1) << np.uint64(53))
+    assert np.all(coarse == -grid_normal_values(np.ones(3, np.uint64), 53))
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 8])

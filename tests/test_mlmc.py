@@ -6,10 +6,12 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rbitmc import gausskl as G
 from rbitmc import mlmc as M
-from rbitmc.bitcore import BitSource, CostLedger, child_source
+from rbitmc.bitcore import BitAllocation, BitSource, CostLedger, child_source
 from rbitmc.bridge import allocation_bridge, allocation_bridge_total, nodes_from_coeffs, pl_l2_norm_sq
 from rbitmc.errors import CapacityError, ConfigurationError, InternalInvariantError
 from rbitmc.gausskl import EigenSpec, allocation_kl
@@ -498,3 +500,87 @@ def test_a_functional_of_the_row_methods_runs_on_both_models(model_name):
     params = M.mlmc_params(2.0 ** -4, model.beta, model.alpha)
     res, res1 = (M.mlmc_estimate(f, model, params, BitSource(12)) for f in (neg, coord1))
     assert (res.estimate.hex(), res.stderr.hex()) == ((-res1.estimate).hex(), res1.stderr.hex())
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_name=st.sampled_from(sorted(MODELS)), beta=st.sampled_from([1.5, 2.0, 3.0]),
+       alpha=st.sampled_from([-2.0, 0.0, 2.0]), min_bits=st.sampled_from([0, 5, 21, 52]),
+       level=st.integers(2, 8), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+@example(model_name="kl", beta=1.5, alpha=0.0, min_bits=0, level=8, n=3, seed=1)  # coarse counts vary inside a fine run
+@example(model_name="kl", beta=2.0, alpha=2.0, min_bits=21, level=6, n=2, seed=2)  # every coarse run past 20 bits
+@example(model_name="bridge", beta=2.0, alpha=0.0, min_bits=52, level=5, n=4, seed=3)
+@example(model_name="bridge", beta=2.0, alpha=0.0, min_bits=0, level=13, n=2, seed=4)  # coarse runs at p = 22, 24
+def test_model_coarsening_equals_coarsen_rows_on_fresh_allocations(model_name, beta, alpha, min_bits, level, n, seed):
+    """A model's coarsen_rows, on its cached allocations and scales, gives
+    the bytes of gausskl.coarsen_rows on allocations and scales built afresh."""
+    spec = EigenSpec(beta, alpha)
+    model = M.BridgeModel(min_bits) if model_name == "bridge" else M.KLModel(spec, min_bits)
+
+    def fresh(l):
+        base = allocation_bridge(l) if model_name == "bridge" else allocation_kl(1 << l, spec)
+        return BitAllocation(np.maximum(base.counts, min_bits))
+
+    fine, coarse = fresh(level), fresh(level - 1)
+    scale = None if model_name == "bridge" else np.sqrt(spec.eigenvalues(np.arange(1, len(coarse) + 1)))
+    _, idx = G.decode_rows(model.sample_rows(BitSource(seed), level, n), 0, n, model.scale(level), len(coarse))
+    want_coeffs, want_idx = G.coarsen_rows(idx, fine, coarse, scale)
+    for _ in range(2):  # the second call reuses the cached allocations, runs and scale
+        coeffs, got_idx = model.coarsen_rows(idx, level)
+        assert coeffs.tobytes() == want_coeffs.tobytes()
+        assert got_idx.tobytes() == want_idx.tobytes()
+
+
+def _phi_inv_calls_per_block(monkeypatch, run):
+    """(phi_inv calls, phi_inv calls within each decoded and each coarsened
+    block) of ``run()``, counted through normal.phi_inv patched at every
+    module of the package that binds it, one count per thread."""
+    import rbitmc
+    from rbitmc import normal
+
+    phi_inv, local, calls, per_block = normal.phi_inv, threading.local(), [], []
+
+    def counted(u):
+        calls.append(1)
+        local.calls = getattr(local, "calls", 0) + 1
+        return phi_inv(u)
+
+    for mod in [rbitmc, *(m for name, m in sys.modules.items() if name.startswith("rbitmc."))]:
+        for attr, obj in list(vars(mod).items()):
+            if obj is phi_inv:
+                monkeypatch.setattr(mod, attr, counted)
+
+    def block(fn):
+        def counting(*args, **kwargs):
+            local.calls = 0
+            out = fn(*args, **kwargs)
+            per_block.append(local.calls)
+            return out
+        return counting
+
+    monkeypatch.setattr(G, "decode_rows", block(G.decode_rows))
+    monkeypatch.setattr(M.ExpansionModel, "coarsen_rows", block(M.ExpansionModel.coarsen_rows))
+    run()
+    return len(calls), per_block
+
+
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+def test_mlmc_calls_phi_inv_at_most_once_per_block(model_name, monkeypatch):
+    """The runs above the p <= 20 grid tables of a decoded block go through
+    one phi_inv call, and so do those of a coarsened block (levels 11-13 at
+    eps = 2^-6; the 2^-6 schedule of the benchmark's mlmc_runs)."""
+    model, f = MODELS[model_name], M.lookup_functional("norm")
+    params = M.mlmc_params(2.0 ** -6, model.beta, model.alpha)
+    M.mlmc_estimate(f, model, params, BitSource(1))  # builds the grid tables, which call phi_inv once each
+    calls, per_block = _phi_inv_calls_per_block(monkeypatch, lambda: M.mlmc_estimate(f, model, params, BitSource(2)))
+    assert calls == sum(per_block) > 0
+    assert max(per_block) == 1
+
+
+def test_plain_mc_calls_phi_inv_at_most_once_per_block(monkeypatch):
+    """A 4096-row level-13 bridge batch has three runs above the grid tables
+    (p = 22, 24, 26) in every block: one phi_inv call per block."""
+    f = M.lookup_functional("norm")
+    M.plain_mc(f, BRIDGE, 13, 2, BitSource(1))
+    calls, per_block = _phi_inv_calls_per_block(monkeypatch, lambda: M.plain_mc(f, BRIDGE, 13, 4096, BitSource(2)))
+    assert calls == len(per_block) > 1
+    assert set(per_block) == {1}

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 from rbitmc import normal as N
 from rbitmc import wasserstein1d as W
-from rbitmc.bitcore import BitAllocation, BitSource
+from rbitmc.bitcore import BitAllocation, BitSource, dyadic_values
 from rbitmc.errors import CapacityError
 from rbitmc.gausskl import sample_rows
 
@@ -68,6 +68,37 @@ def test_phi_inv_domain_errors():
     us[-1] = 1.0
     with pytest.raises(ValueError):
         N.phi_inv(us)
+
+
+@pytest.mark.parametrize("bad", [math.nan, [0.5, math.nan], [math.nan, 0.25]])
+def test_phi_inv_refuses_nan(bad):
+    """NaN is outside 0 < u < 1: phi_inv(nan) gave nan and [0.5, nan] gave [0, nan]."""
+    with pytest.raises(ValueError, match="0 < u < 1"):
+        N.phi_inv(bad)
+    us = np.full(N._PHI_INV_BLOCK + 2, 0.25)
+    us[-1] = math.nan  # in a later block
+    with pytest.raises(ValueError, match="0 < u < 1"):
+        N.phi_inv(us)
+
+
+def test_top_grid_indices_are_the_mirrors_of_the_bottom_ones():
+    """From p = 53 on the midpoint of the top indices rounds to 1.0, where
+    phi_inv raised: index 2**53 at p = 53 and the top 513 indices at p = 63
+    There the value is minus that of the mirror index 2**p + 1 - i; every
+    other index keeps phi_inv(dyadic_values(i, p)), bit for bit."""
+    for p, top in ((53, 1), (63, 513)):
+        idx = (np.uint64(1) << np.uint64(p)) - np.arange(1030, dtype=np.uint64)  # 2**p down to 2**p - 1029
+        u = dyadic_values(idx, p)
+        assert int(np.sum(u == 1.0)) == top
+        got = N.grid_normal_values(idx, p)
+        mirror = np.uint64((1 << p) + 1) - idx
+        assert got[:top].tobytes() == (-N.grid_normal_values(mirror[:top], p)).tobytes()
+        assert got[top:].tobytes() == N.phi_inv(u[top:]).tobytes()
+        assert got[0] == -N.grid_normal_values(np.uint64(1), p) > 8.0
+        # the batched route of the decode gives them too, beside a run below the limit
+        runs = N.grid_normal_runs([(idx[:3].reshape(1, 3), p), (np.array([1, 2], np.uint64), 30)])
+        assert runs[0].shape == (1, 3) and runs[0].tobytes() == got[:3].tobytes()
+        assert runs[1].tobytes() == N.phi_inv(dyadic_values(np.array([1, 2]), 30)).tobytes()
 
 
 def test_blocked_phi_inv_matches_scalar_calls():
