@@ -224,12 +224,6 @@ def truncate_indices(indices: np.ndarray, p_from, p_to) -> np.ndarray:
     return out
 
 
-def equal_runs(values: np.ndarray) -> list[tuple[int, int, int]]:
-    """Maximal runs of equal values, left to right, as (start, stop, value) triples."""
-    bounds = [0, *(np.flatnonzero(np.diff(values)) + 1), len(values)]
-    return [(int(a), int(b), int(values[a])) for a, b in zip(bounds, bounds[1:])]
-
-
 @dataclass
 class BitAllocation:
     """Per-coefficient bit counts p = (p_1, ..., p_m), read-only: m is the
@@ -249,8 +243,9 @@ class BitAllocation:
 
     @cached_property
     def runs(self) -> list[tuple[int, int, int]]:
-        """Maximal runs of equal bit counts as (start, stop, p) triples."""
-        return equal_runs(self.counts)
+        """Maximal runs of equal bit counts, left to right, as (start, stop, p) triples."""
+        bounds = [0, *(np.flatnonzero(np.diff(self.counts)) + 1), len(self.counts)]
+        return [(int(a), int(b), int(self.counts[a])) for a, b in zip(bounds, bounds[1:])]
 
     @property
     def total(self) -> int:

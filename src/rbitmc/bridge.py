@@ -25,7 +25,7 @@ import numpy as np
 # truncate_indices, grid_normal_values: unused, kept for perfbench/selftest.py
 from .bitcore import MAX_LEVEL, BitAllocation, truncate_indices  # noqa: F401
 from .errors import CapacityError
-from .normal import bit_normal_mse_extended
+from .normal import coefficient_error_sq
 from .normal import grid_normal_values  # noqa: F401
 
 
@@ -222,15 +222,17 @@ def bridge_bit_error_sq(level: int) -> float:
     """Exact E || B - B^(level, p(level)) ||_{L2}^2.
 
     Independence of the coefficients makes the pointwise-variance identity
-    exact: sum_i mse(p_i) ||s_i||^2 plus the truncation tail, summed as
-    gausskl.kl_error_sq sums its terms.  Bit counts
-    above the exact-mse capacity (p > 26, i.e. level > 13) fall back to the
-    asymptotic surrogate; their weight in the sum is below 1e-4 relative.
+    exact: sum_i mse(p_i) ||s_i||^2 plus the truncation tail, the
+    coefficient part from :func:`normal.coefficient_error_sq` with one term
+    (2 (level - m), summed squared norm) per hat level m, as
+    gausskl.kl_error_sq passes one per run.  Bit counts above the exact-mse
+    capacity (p > 26, i.e. level > 13) take the asymptotic surrogate; their
+    weight in the sum is below 1e-4 relative.
     """
     _check_level(level)
     # level m holds 2**m hats of squared norm 2**(-2m-2)/3, which sum to 2**(-m-2)/3 exactly
-    return math.fsum(bit_normal_mse_extended(2 * (level - m)) * (2.0 ** (-m - 2) / 3.0)
-                     for m in range(level)) + bridge_truncation_error_sq(level)
+    return coefficient_error_sq((2 * (level - m), 2.0 ** (-m - 2) / 3.0)
+                                for m in range(level)) + bridge_truncation_error_sq(level)
 
 
 def precision_sum(level: int) -> float:

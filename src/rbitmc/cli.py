@@ -93,7 +93,10 @@ def _entries(path: str) -> list[tuple[int, str]]:
 
 
 def load_fixtures(path: str) -> dict[str, Fixture]:
-    """Parse the plain-text fixture table: ``name value tolerance # note``."""
+    """Parse the plain-text fixture table: ``name value tolerance # note``.
+    A value that is not finite or a tolerance that is negative or not finite
+    raises ConfigurationError naming ``path:line``: with inf or nan every
+    comparison would pass or fail whatever the experiment computed."""
     out: dict[str, Fixture] = {}
     for lineno, line in _entries(path):
         body, _, note = line.partition("#")
@@ -108,6 +111,9 @@ def load_fixtures(path: str) -> dict[str, Fixture]:
         except ValueError:
             raise ConfigurationError(f"{path}:{lineno}: value {value!r} and tolerance {tol!r} "
                                      "must be numbers") from None
+        if not (math.isfinite(out[name].value) and 0.0 <= out[name].tolerance < math.inf):
+            raise ConfigurationError(f"{path}:{lineno}: value {value!r} must be finite and tolerance {tol!r} "
+                                     "finite and non-negative")
     return out
 
 
@@ -156,9 +162,11 @@ def read_csv(path: str) -> tuple[list[str], list[list[float]]]:
 # experiments (shared by the CLI and run_suite)
 
 
-def _note_surrogate(column: str, flagged: list, extra: str = "") -> None:
-    """One stderr note naming the rows with bit counts above the exact cap,
-    whose error values use the asymptotic mse surrogate."""
+def _note_surrogate(column: str, top: dict, extra: str = "") -> None:
+    """One stderr note naming the rows whose largest bit count (``top``,
+    {row key: max p}) is above the exact cap, whose error values use the
+    asymptotic mse surrogate; this is the one place the tables decide it."""
+    flagged = sorted(key for key, p in top.items() if p > _normal.MSE_EXACT_MAX_P)
     if flagged:
         print(f"note: rows {column} in {flagged} have bit counts p above the exact cap "
               f"{_normal.MSE_EXACT_MAX_P}; the mse at such p is the asymptotic surrogate "
@@ -178,10 +186,9 @@ def experiment_normal_error(pmin: int, pmax: int):
     rows = []
     for p in range(pmin, pmax + 1):
         mse, m2, m4 = (_normal.bit_normal_mse_moments(p) if p <= _normal.MSE_EXACT_MAX_P
-                       else (_normal.bit_normal_mse_surrogate(p), math.nan, math.nan))
+                       else (_normal.bit_normal_mse_extended(p), math.nan, math.nan))
         rows.append([p, mse, math.sqrt(mse), 2.0**p * p * mse, m2, m4])
-    _note_surrogate("p", [p for p in range(pmin, pmax + 1) if p > _normal.MSE_EXACT_MAX_P],
-                    " and moments are nan")
+    _note_surrogate("p", {p: p for p in range(pmin, pmax + 1)}, " and moments are nan")
     return header, rows
 
 
@@ -214,8 +221,7 @@ def experiment_bridge_error(lmin: int, lmax: int):
                 _bridge.bridge_truncation_error_sq(level), err, 2.0**level * err]
 
     rows = _rows_top_down(range(lmin, lmax + 1), row)
-    _note_surrogate("level", [level for level in range(lmin, lmax + 1)
-                              if 2 * level > _normal.MSE_EXACT_MAX_P])  # p = 2 * level at m = 0
+    _note_surrogate("level", {level: 2 * level for level in range(lmin, lmax + 1)})  # p = 2 * level at m = 0
     return header, rows
 
 
@@ -225,17 +231,16 @@ def experiment_kl_error(beta: float, alpha: float, mmin: int, mmax: int):
                                  f"as the scaled column's factor (ln m)**alpha is undefined at m = 1")
     spec = _gausskl.EigenSpec(beta=beta, alpha=alpha)
     header = ["m", "bits", "err_sq", "scaled"]
-    flagged = []
+    top = {}
 
     def row(m):
         alloc = _gausskl.allocation_kl(m, spec)
         err = _gausskl.kl_error_sq(m, spec, alloc)
-        if alloc.counts.max() > _normal.MSE_EXACT_MAX_P:
-            flagged.append(m)
+        top[m] = alloc.counts.max()
         return [m, alloc.total, err, m ** (beta - 1.0) * math.log(m) ** alpha * err]
 
     rows = _rows_top_down(_doubling(mmin, mmax), row)
-    _note_surrogate("m", sorted(flagged))
+    _note_surrogate("m", top)
     return header, rows
 
 

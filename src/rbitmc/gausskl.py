@@ -3,7 +3,8 @@ coordinates, with polynomially decaying eigenvalues
 
     lambda_i = i**-beta * ln(i+1)**-alpha,        beta > 1,
 
-a per-coordinate bit allocation that equalizes the contributions of the
+or an explicit spectrum that declares such rates (beta, alpha), a
+per-coordinate bit allocation that equalizes the contributions of the
 coefficient errors, coupled coarse/fine sampling of any Gaussian expansion
 (:func:`sample_rows`, :func:`coarsen_rows`; the bridge uses it too), and
 the exact mean-square error of the truncated random-bit expansion.
@@ -25,7 +26,7 @@ import numpy as np
 
 from .bitcore import MAX_BITS, MAX_LEVEL, BitAllocation, BitSource, byte_fields, read_bytes, read_fields, truncate_indices
 from .errors import CapacityError, InternalInvariantError
-from .normal import (GRID_TABLE_MAX_P, bit_normal_mse_extended, checked_quad, grid_normal_byte_table, grid_normal_runs,
+from .normal import (GRID_TABLE_MAX_P, checked_quad, coefficient_error_sq, grid_normal_byte_table, grid_normal_runs,
                      grid_normal_values)
 
 _TAIL_EXTEND = 4096  # terms tail_sum looks past M for the eigenvalues to stop rising
@@ -35,11 +36,16 @@ _ALLOC_BLOCK = 1 << 16  # indices allocation_kl evaluates ptilde at in one go
 
 @dataclass
 class EigenSpec:
-    """Eigenvalue model of the covariance operator.
+    """Eigenvalue model of the covariance operator with decay rates
+    (beta, alpha), finite and beta > 1.
 
-    Analytic mode fixes lambda_i = i**-beta * ln(i+1)**-alpha; explicit
-    mode wraps a user-supplied vectorized eigenvalue function (any constant
-    factor goes there), for which the allocation formula is unavailable.
+    The eigenvalues are lambda_i = i**-beta * ln(i+1)**-alpha, or, when
+    ``explicit`` is given, the values of that vectorized eigenvalue
+    function (any constant factor goes there), whose decay the declared
+    rates state.  The bit allocation and the MLMC schedule read only the
+    rates; the scales, the error and its tail read the eigenvalues.  An
+    explicit eigenvalue that is negative or not finite raises ValueError
+    naming its index.
     """
 
     beta: float
@@ -50,37 +56,39 @@ class EigenSpec:
         for name, value in (("beta", self.beta), ("alpha", self.alpha)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.explicit is None and not self.beta > 1.0:
-            raise ValueError("analytic mode requires beta > 1 for summability")
-
-    @property
-    def analytic(self) -> bool:
-        return self.explicit is None
+        if not self.beta > 1.0:
+            raise ValueError(f"beta must exceed 1 for summability, got {self.beta!r}")
 
     def eigenvalues(self, i) -> np.ndarray:
         i_arr = np.asarray(i, dtype=np.float64)
-        if self.explicit is not None:
-            return np.asarray(self.explicit(i_arr), dtype=np.float64)
-        return i_arr ** -self.beta * np.log(i_arr + 1.0) ** -self.alpha
+        if self.explicit is None:
+            return i_arr ** -self.beta * np.log(i_arr + 1.0) ** -self.alpha
+        lam = np.asarray(self.explicit(i_arr), dtype=np.float64)
+        bad = ~(np.isfinite(lam) & (lam >= 0.0))
+        if bad.any():
+            j = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"explicit eigenvalue at i = {np.ravel(i_arr)[j]:g} is {float(np.ravel(lam)[j])!r}; "
+                             "eigenvalues must be finite and non-negative")
+        return lam
 
 
 def allocation_kl(m: int, spec: EigenSpec) -> BitAllocation:
     """Bit counts p_i = ceil(max(ptilde_i, 1)) with
 
-    ptilde_i = beta*log2(m/i) + max(alpha,0)*log2(log2(m+1)/log2(i+1)).
+    ptilde_i = beta*log2(m/i) + max(alpha,0)*log2(log2(m+1)/log2(i+1)),
 
-    Counts above :data:`bitcore.MAX_BITS` are refused by :class:`BitAllocation`,
-    and m above 2**MAX_LEVEL (:data:`bitcore.MAX_LEVEL`) raises CapacityError
-    before anything is built.  ptilde is evaluated _ALLOC_BLOCK indices at a
-    time into one byte per count, so the float temporaries stay small and
-    the counts take 9 bytes each at the peak (with their int64 copy).
+    the paper's rule on the declared rates of ``spec``, explicit or not: it
+    reads no eigenvalue.  Counts above :data:`bitcore.MAX_BITS` are refused
+    by :class:`BitAllocation`, and m above 2**MAX_LEVEL
+    (:data:`bitcore.MAX_LEVEL`) raises CapacityError before anything is
+    built.  ptilde is evaluated _ALLOC_BLOCK indices at a time into one byte
+    per count, so the float temporaries stay small and the counts take 9
+    bytes each at the peak (with their int64 copy).
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
     if m > 1 << MAX_LEVEL:
         raise CapacityError(f"KL allocation capped at m = 2**{MAX_LEVEL}, got {m}")
-    if not spec.analytic:
-        raise ValueError("allocation formula requires the analytic eigenvalue mode")
     counts = np.empty(m, dtype=np.uint8)
     for a in range(0, m, _ALLOC_BLOCK):
         b = min(a + _ALLOC_BLOCK, m)
@@ -307,8 +315,7 @@ def _kl_error_parts(m: int, spec: EigenSpec, allocation: Optional[BitAllocation]
     if len(alloc) != m:
         raise ValueError("allocation length must equal m")
     lam = spec.eigenvalues(np.arange(1, m + 1))
-    head = math.fsum(bit_normal_mse_extended(int(p)) * lam[a:b].sum()
-                     for a, b, p in alloc.runs)
+    head = coefficient_error_sq((p, lam[a:b].sum()) for a, b, p in alloc.runs)
     return head, tail_sum(m, spec)
 
 
@@ -316,10 +323,11 @@ def kl_error_sq(m: int, spec: EigenSpec,
                 allocation: Optional[BitAllocation] = None) -> float:
     """Exact E || X - X^(m, p(m)) ||^2 = sum_{i<=m} mse(p_i) lambda_i + tail(m).
 
-    Independence of the coordinates makes the identity exact; bit counts
-    beyond the exact-mse capacity use the asymptotic surrogate (flagged in
-    the normal module).  The truncation tail enters as the midpoint of its
-    certified interval.
+    Independence of the coordinates makes the identity exact; the sum is
+    :func:`normal.coefficient_error_sq` with one term (p, summed
+    eigenvalues) per run of equal counts, where bit counts beyond the
+    exact-mse capacity take the asymptotic surrogate.  The truncation tail
+    enters as the midpoint of its certified interval.
     """
     head, (lo, hi) = _kl_error_parts(m, spec, allocation)
     return head + 0.5 * (lo + hi)

@@ -163,12 +163,15 @@ class BridgeModel(ExpansionModel):
 
 
 class KLModel(ExpansionModel):
-    """Karhunen-Loeve model: level l truncates the expansion at m = 2**l."""
+    """Karhunen-Loeve model: level l truncates the expansion at m = 2**l.
+
+    Any :class:`EigenSpec` runs, explicit spectra too: the allocation and
+    the schedule's rates are the spec's declared (beta, alpha), and the
+    coefficient scales the square roots of its eigenvalues.
+    """
 
     def __init__(self, spec: EigenSpec, min_bits: int = 0):
         super().__init__(min_bits)
-        if not spec.analytic:
-            raise ConfigurationError("multilevel schedule requires the analytic eigenvalue mode")
         self.spec = spec
         self._scales: dict[int, np.ndarray] = {}
         self.beta = spec.beta

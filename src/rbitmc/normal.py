@@ -12,7 +12,10 @@ cell, which this module evaluates exactly up to floating-point rounding:
 ``bit_normal_mse`` gives the mean-square gap alone, ``bit_normal_mse_moments``
 the gap with the moments 2 and 4 from one pass (the only route to the
 moments), and ``bit_normal_cross_moment`` E[Y Y^(p)], the oracle of the
-identity mse = 1 + E|Y^(p)|^2 - 2 E[Y Y^(p)].
+identity mse = 1 + E|Y^(p)|^2 - 2 E[Y Y^(p)].  ``bit_normal_mse_extended``
+is the mse for every p, the asymptotic surrogate above MSE_EXACT_MAX_P,
+and ``coefficient_error_sq`` the one coefficient-error sum of the
+random-bit expansions (bridge and Karhunen-Loeve).
 
 Private helpers carry every exact enumeration: ``_exact_precision``
 refuses p outside 1..MSE_EXACT_MAX_P, ``_mid_quantiles`` gives the support
@@ -46,8 +49,8 @@ LN4 = math.log(4.0)
 
 TAIL_MAX_T = 1074  # 2**-1074 is the smallest positive double
 
-# Exact enumeration of the 2**p support cells is capped here; beyond it the
-# asymptotic surrogate (see mse_scaled_limit) must be used.
+# Exact enumeration of the 2**p support cells is capped here; beyond it
+# bit_normal_mse_extended gives the asymptotic surrogate.
 MSE_EXACT_MAX_P = 26
 
 _CHUNK = 1 << 20
@@ -324,7 +327,7 @@ def _upper_sums(p: int, terms) -> list[float]:
 
 
 _MSE_CACHE: dict[int, float] = {}
-_MSE_WHAT = "exact mse (bit_normal_mse_surrogate gives the asymptotic value)"
+_MSE_WHAT = "exact mse (bit_normal_mse_extended gives the asymptotic value)"
 
 
 def bit_normal_mse(p: int) -> float:
@@ -368,18 +371,27 @@ def bit_normal_mse_moments(p: int) -> tuple[float, float, float]:
 MSE_SCALED_LIMIT = 1.698411106154
 
 
-def bit_normal_mse_surrogate(p: int) -> float:
-    """Asymptotic stand-in MSE_SCALED_LIMIT * 2**-p / p for the exact mean-square gap."""
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+def bit_normal_mse_extended(p: int) -> float:
+    """The mean-square gap E|Y - Y^(p)|^2 for every p >= 1: bit_normal_mse,
+    exact, for p <= MSE_EXACT_MAX_P (26), and the asymptotic surrogate
+    MSE_SCALED_LIMIT * 2**-p / p beyond.  The CLI tables flag the rows whose
+    bit counts reach the surrogate; p < 1 raises ValueError."""
+    if p <= MSE_EXACT_MAX_P:
+        return bit_normal_mse(p)
     return MSE_SCALED_LIMIT * 2.0 ** -p / p
 
 
-def bit_normal_mse_extended(p: int) -> float:
-    """Exact mse for p <= 26, the flagged asymptotic surrogate beyond."""
-    if p <= MSE_EXACT_MAX_P:
-        return bit_normal_mse(p)
-    return bit_normal_mse_surrogate(p)
+def coefficient_error_sq(terms) -> float:
+    """sum mse(p) * w over the (p, w) pairs of ``terms``, by math.fsum in
+    their order, with mse from :func:`bit_normal_mse_extended`.
+
+    The coefficient part of the error E||X - X^(p)||^2 of a random-bit
+    Gaussian expansion with independent coefficients: w is the summed
+    weight (eigenvalue or squared basis norm) of the coefficients with p
+    bits, one pair per run of equal counts, so no per-coefficient array
+    is built.
+    """
+    return math.fsum(bit_normal_mse_extended(int(p)) * w for p, w in terms)
 
 
 def bit_normal_cross_moment(p: int) -> float:

@@ -306,6 +306,22 @@ def test_only_bitcore_states_the_bit_limit():
     assert binders == {"bitcore.py"}
 
 
+def test_only_normal_and_cli_decide_about_the_surrogate():
+    """The exact-or-surrogate mse is chosen in normal (bit_normal_mse_extended,
+    summed by coefficient_error_sq) and flagged in cli: no other module calls
+    bit_normal_mse_extended or reads MSE_EXACT_MAX_P, so no expansion module
+    writes its own exact-or-surrogate sum."""
+    names = {"bit_normal_mse_extended", "MSE_EXACT_MAX_P"}
+    users = set()
+    for path in sorted(Path(__file__).resolve().parents[1].glob("src/rbitmc/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in names:
+                users.add(path.name)
+    assert users == {"normal.py", "cli.py"}
+
+
 _PINNED_IMPORTS = {"grid_normal_values", "truncate_indices"}  # re-exports perfbench/selftest.py asserts
 
 

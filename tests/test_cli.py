@@ -134,6 +134,24 @@ def test_fixture_value_that_is_not_a_number_names_its_line(tmp_path, capsys, lin
     assert captured.out == "" and captured.err.startswith(f"error: {path}:3: value ")
 
 
+@pytest.mark.parametrize("line", [
+    "bridge_scaled_bit_error inf 0.20", "bridge_scaled_bit_error 0.20355 inf",
+    "bridge_scaled_bit_error nan 0.20", "bridge_scaled_bit_error 0.20355 -0.1",
+    "appendix_ratio5_lower -inf 0",
+])
+def test_fixture_value_or_tolerance_that_is_not_finite_names_its_line(tmp_path, capsys, line):
+    """With inf as a value or tolerance, matches and within_factor held for
+    any observation, and with -inf as a value lower_bound did: bridge-error
+    --fixtures exited 0 whatever it computed."""
+    path = tmp_path / "f.txt"
+    path.write_text(f"# table\nok 1.0 0.1\n{line}\n")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}:3: value .* must be finite"):
+        load_fixtures(str(path))
+    assert main(["bridge-error", "--lmin", "6", "--lmax", "6", "--fixtures", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {path}:3: value ")
+
+
 def test_every_fixture_is_read_somewhere():
     """Each name of the fixture table is a string constant in src/ or tests/,
     or matches an f-string template there (``kl_scaled_b{beta:g}_a{alpha:g}``):

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -10,6 +11,7 @@ from rbitmc import gausskl as G
 from rbitmc.bridge import allocation_bridge
 from rbitmc.bitcore import BitAllocation, BitSource, byte_fields, child_source, read_bytes, read_fields
 from rbitmc.errors import CapacityError, InternalInvariantError
+from rbitmc.mlmc import KLModel
 from rbitmc.normal import bit_normal_mse, bit_normal_mse_moments, grid_normal_byte_table, grid_normal_values
 from rbitmc.wasserstein1d import w2_empirical
 
@@ -148,8 +150,9 @@ def test_allocation_examples():
     assert list(G.allocation_kl(4, SPEC).counts) == [4, 2, 1, 1]
     assert G.allocation_kl(4, SPEC).total == 8
     assert list(G.allocation_kl(1, SPEC).counts) == [1]
-    with pytest.raises(ValueError):
-        G.allocation_kl(4, G.EigenSpec(beta=2.0, alpha=0.0, explicit=lambda i: i ** -2.0))
+    # an explicit spectrum is allocated by its declared rates, not refused
+    explicit = G.EigenSpec(beta=2.0, alpha=0.0, explicit=lambda i: 7.0 * i ** -3.0)
+    assert list(G.allocation_kl(4, explicit).counts) == [4, 2, 1, 1]
 
 
 @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
@@ -332,6 +335,28 @@ def test_kl_error_interval_contains_value():
     val = G.kl_error_sq(256, SPEC)
     assert lo <= val <= hi
     assert (hi - lo) <= 1e-5 * val
+
+
+def test_explicit_spec_needs_beta_above_one():
+    """Every spec declares summable rates, which the allocation and the MLMC
+    schedule read; an explicit spectrum with beta <= 1 was accepted."""
+    for beta in (1.0, 0.5):
+        with pytest.raises(ValueError, match="beta must exceed 1"):
+            G.EigenSpec(beta=beta, alpha=0.0, explicit=lambda i: i ** -2.0)
+
+
+@pytest.mark.parametrize("index,value", [(2, -1.0), (3, math.nan), (4, math.inf)])
+def test_explicit_eigenvalues_must_be_finite_and_non_negative(index, value):
+    """A negative or non-finite explicit eigenvalue was used silently:
+    lambda_2 = -1 gave kl_error_sq(4) = 0.198 and lambda_3 = nan gave nan.
+    It now raises naming its index, before the error or a model's scale
+    (whose sqrt would make the rows nan) is formed."""
+    spec = G.EigenSpec(beta=2.0, alpha=0.0, explicit=lambda i: np.where(i == index, value, i ** -2.0))
+    message = f"explicit eigenvalue at i = {index} is {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        G.kl_error_sq(4, spec, allocation=BitAllocation(np.array([4, 2, 1, 1])))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        KLModel(spec).scale(2)
 
 
 def test_invalid_spec():

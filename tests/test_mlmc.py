@@ -79,6 +79,36 @@ def test_ledger_bits_identity_bridge_and_kl():
     assert res.ledger.bits == expected
 
 
+@pytest.mark.parametrize("beta,alpha", [(2.0, 0.0), (1.5, 2.0), (3.0, -2.0)])
+def test_explicit_analytic_spectrum_is_the_analytic_model(beta, alpha):
+    """Explicit spectra take the one KL path: written out as the analytic
+    formula, a spectrum gives the analytic spec's allocations, scale bytes,
+    estimate and ledger at the same seed."""
+    analytic = EigenSpec(beta, alpha)
+    explicit = EigenSpec(beta, alpha, explicit=lambda i: i ** -beta * np.log(i + 1.0) ** -alpha)
+    params = M.mlmc_params(2.0 ** -3, beta, alpha)
+    a, e = M.KLModel(analytic), M.KLModel(explicit)
+    for level in range(1, params.L + 1):
+        assert np.array_equal(allocation_kl(1 << level, explicit).counts, allocation_kl(1 << level, analytic).counts)
+        assert e.scale(level).tobytes() == a.scale(level).tobytes()
+    f = M.lookup_functional("soft_linear")
+    got, want = M.mlmc_estimate(f, e, params, BitSource(5)), M.mlmc_estimate(f, a, params, BitSource(5))
+    assert got.estimate.hex() == want.estimate.hex()
+    assert got.ledger == want.ledger
+
+
+def test_bridge_spectrum_runs_as_a_kl_model():
+    """The Brownian bridge in its eigenbasis, lambda_i = (i pi)**-2 with
+    declared rates (2, 0), runs the estimator; the ledger holds the bit
+    budget sum_l N_l |p(l)| of the declared-rate allocations."""
+    spec = EigenSpec(2.0, 0.0, explicit=lambda i: (math.pi * i) ** -2.0)
+    params = M.mlmc_params(2.0 ** -3, spec.beta, spec.alpha)
+    res = M.mlmc_estimate(M.lookup_functional("norm"), M.KLModel(spec), params, BitSource(3))
+    assert res.ledger.bits == sum(n * allocation_kl(1 << l, spec).total
+                                  for l, n in zip(range(1, params.L + 1), params.N))
+    assert abs(res.estimate - 0.378131963726) <= 2.0 ** -3  # E||B||, the exact bridge norm mean
+
+
 def test_bit_budget_mismatch_is_internal():
     class OverDrawing(M.BridgeModel):
         def sample_rows(self, src, level, n):

@@ -241,10 +241,8 @@ def test_optimal_points_integrable_singular_quantile():
 def test_mse_capacity_and_surrogate():
     with pytest.raises(CapacityError):
         N.bit_normal_mse(27)
-    surro = N.bit_normal_mse_surrogate(30)
-    assert surro == N.MSE_SCALED_LIMIT * 2.0 ** -30 / 30
     assert N.bit_normal_mse_extended(12) == N.bit_normal_mse(12)
-    assert N.bit_normal_mse_extended(30) == surro
+    assert N.bit_normal_mse_extended(30) == N.MSE_SCALED_LIMIT * 2.0 ** -30 / 30
 
 
 @pytest.mark.parametrize("enumerate_cells", [
