@@ -26,8 +26,9 @@ import numpy as np
 
 from .bitcore import MAX_BITS, MAX_LEVEL, BitAllocation, BitSource, byte_fields, read_bytes, read_fields, truncate_indices
 from .errors import CapacityError, InternalInvariantError
-from .normal import (GRID_TABLE_MAX_P, checked_quad, coefficient_error_sq, grid_normal_byte_table, grid_normal_runs,
-                     grid_normal_values)
+from .normal import checked_quad, coefficient_error_sq, grid_normal_byte_table, grid_normal_runs
+# grid_normal_values: unused, kept for perfbench/selftest.py
+from .normal import grid_normal_values  # noqa: F401
 
 _TAIL_EXTEND = 4096  # terms tail_sum looks past M for the eigenvalues to stop rising
 _TAIL_REL_INCREMENT = 1e-6  # tail_sum sums directly until a term falls below this share
@@ -151,18 +152,18 @@ def decode_rows(drawn: DrawnRows, a: int, b: int, scale: Optional[np.ndarray] = 
 
     Coefficient i is scale[i] times the p_i-bit grid normal at its retained
     (1-based) index; ``scale=None`` means unit scale.  Each run's fields are
-    read once.  A run at p in {1, 2, 4, 8} looks its stream bytes up in the
-    (256, 8/p) tables :func:`normal.grid_normal_byte_table` and
-    :func:`bitcore.byte_fields` with ``np.take``; a run at any other
-    p <= GRID_TABLE_MAX_P maps its fields through
-    :func:`normal.grid_normal_values`, and the runs above it go through one
-    :func:`normal.grid_normal_runs` call (one ``phi_inv`` call) for the
-    block.  Every block of rows gives the values of the whole batch.
+    read once.  A run at p in {1, 2, 4, 8}, the stream format, looks its
+    stream bytes up in the (256, 8/p) tables
+    :func:`normal.grid_normal_byte_table` and :func:`bitcore.byte_fields`
+    with ``np.take``; the fields of all other runs go through one
+    :func:`normal.grid_normal_runs` call for the block (at most one
+    ``phi_inv`` call).  Every block of rows gives the values of the whole
+    batch.
     """
     nb = b - a
     coeffs = np.empty((nb, len(drawn.alloc)), dtype=np.float64) if out is None else out
     idx = np.empty((nb, width), dtype=np.uint64) if width else None
-    deep = []  # (c0, c1, fields, p) of the runs above GRID_TABLE_MAX_P
+    cols, pairs = [], []  # columns and (fields, p) of the runs that are not byte runs
     pos = drawn.start
     for c0, c1, p in drawn.alloc.runs:
         w, k = c1 - c0, min(c1, width) - c0  # run width, index columns wanted from it
@@ -175,13 +176,11 @@ def decode_rows(drawn: DrawnRows, a: int, b: int, scale: Optional[np.ndarray] = 
                 idx[:, c0:c0 + k] = np.take(byte_fields(p), codes, axis=0).reshape(-1)[:nb * w].reshape(nb, w)[:, :k]
             continue
         fields = read_fields(drawn.words, at, p, nb * w).reshape(nb, w) + np.uint64(1)
-        if p <= GRID_TABLE_MAX_P:
-            coeffs[:, c0:c1] = grid_normal_values(fields, p)
-        else:
-            deep.append((c0, c1, fields, p))
+        cols.append((c0, c1))
+        pairs.append((fields, p))
         if k > 0:
             idx[:, c0:c0 + k] = fields[:, :k]
-    for (c0, c1, _, _), values in zip(deep, grid_normal_runs([(f, p) for _, _, f, p in deep])):
+    for (c0, c1), values in zip(cols, grid_normal_runs(pairs)):
         coeffs[:, c0:c1] = values
     if scale is not None:
         coeffs *= scale
@@ -203,8 +202,7 @@ def sample_rows(src: BitSource, alloc: BitAllocation, n: int,
     A ``scale`` that is not one value per coefficient is refused before the
     draw.
     """
-    if scale is not None and np.shape(scale) != (len(alloc),):
-        raise ValueError(f"scale must hold {len(alloc)} values, one per coefficient, got shape {np.shape(scale)}")
+    _check_scale(scale, alloc)
     return decode_rows(draw_rows(src, alloc, n), 0, n, scale, len(alloc))
 
 
@@ -215,16 +213,16 @@ def coarsen_rows(idx_rows: np.ndarray, fine: BitAllocation, coarse: BitAllocatio
     The coarse sample keeps the first len(coarse) coordinates and re-truncates
     each retained index from fine to coarse bits; no bits are drawn.  The
     indices are re-truncated in one :func:`bitcore.truncate_indices` call
-    with a count per column, and the coefficients follow run by run over
-    ``coarse.runs`` (computed once per allocation) as in
-    :func:`decode_rows`: a run at p <= GRID_TABLE_MAX_P through
-    :func:`normal.grid_normal_values`, all runs above it through one
-    :func:`normal.grid_normal_runs` call (one ``phi_inv`` call).  Raises
-    InternalInvariantError when ``coarse`` is not nested in ``fine``, and
-    ValueError for index rows narrower than ``coarse`` or holding an index
-    outside 1..2**p of its fine count p.
+    with a count per column, and the coefficients of all runs of
+    ``coarse.runs`` (computed once per allocation) come from one
+    :func:`normal.grid_normal_runs` call (at most one ``phi_inv`` call).
+    Raises InternalInvariantError when ``coarse`` is not nested in ``fine``,
+    and ValueError for index rows narrower than ``coarse``, holding an
+    index outside 1..2**p of its fine count p, or a ``scale`` that is not
+    one value per coarse coefficient.
     """
     m2 = len(coarse)
+    _check_scale(scale, coarse)
     if m2 > len(fine):
         raise ValueError("coarse dimension exceeds fine dimension")
     pf, pc = fine.counts[:m2], coarse.counts
@@ -239,17 +237,17 @@ def coarsen_rows(idx_rows: np.ndarray, fine: BitAllocation, coarse: BitAllocatio
     _check_indices(rows[:, :m2], pf)
     idx = truncate_indices(rows[:, :m2], pf, pc)
     coeffs = np.empty((rows.shape[0], m2), dtype=np.float64)
-    deep = []  # (a, b, p) of the runs above GRID_TABLE_MAX_P
-    for a, b, p in coarse.runs:
-        if p <= GRID_TABLE_MAX_P:
-            coeffs[:, a:b] = grid_normal_values(idx[:, a:b], p)
-        else:
-            deep.append((a, b, p))
-    for (a, b, _), values in zip(deep, grid_normal_runs([(idx[:, a:b], p) for a, b, p in deep])):
+    for (a, b, _), values in zip(coarse.runs, grid_normal_runs([(idx[:, a:b], p) for a, b, p in coarse.runs])):
         coeffs[:, a:b] = values
     if scale is not None:
         coeffs *= scale
     return coeffs, idx
+
+
+def _check_scale(scale: Optional[np.ndarray], alloc: BitAllocation) -> None:
+    """Refuse a ``scale`` that is not None or one value per coefficient of ``alloc``."""
+    if scale is not None and np.shape(scale) != (len(alloc),):
+        raise ValueError(f"scale must hold {len(alloc)} values, one per coefficient, got shape {np.shape(scale)}")
 
 
 def _check_indices(rows: np.ndarray, p: np.ndarray) -> None:

@@ -381,7 +381,7 @@ def plain_mc(f: LipFunctional, model, level: int, n: int,
     blocks nor the threads change a value, and the batch sums are taken on
     the calling thread in row order.
     """
-    if n < 1:
+    if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     batch = max(1, min(_BATCH_ROWS, _BATCH_BYTES * 8 // model.allocation(level).total))
     ledger = CostLedger()

@@ -15,7 +15,11 @@ moments), and ``bit_normal_cross_moment`` E[Y Y^(p)], the oracle of the
 identity mse = 1 + E|Y^(p)|^2 - 2 E[Y Y^(p)].  ``bit_normal_mse_extended``
 is the mse for every p, the asymptotic surrogate above MSE_EXACT_MAX_P,
 and ``coefficient_error_sq`` the one coefficient-error sum of the
-random-bit expansions (bridge and Karhunen-Loeve).
+random-bit expansions (bridge and Karhunen-Loeve).  ``grid_normal_runs``
+is the one route from sampled grid indices to normals, and the one reader
+of GRID_TABLE_MAX_P: cached tables up to it, one ``phi_inv`` call for all
+pairs above it; ``grid_normal_values`` is its one-pair call and
+``grid_normal_byte_table`` the stream-byte table built from it.
 
 Private helpers carry every exact enumeration: ``_exact_precision``
 refuses p outside 1..MSE_EXACT_MAX_P, ``_mid_quantiles`` gives the support
@@ -133,8 +137,9 @@ def phi_inv(u):
     2**14; every step is elementwise, so the blocking changes no value.
     A point outside 0 < u < 1, NaN included, raises ValueError.  The grid
     samplers reach it through :func:`grid_normal_runs`, one call per block
-    of decoded or coarsened rows, as each call pays a fixed numpy overhead
-    of some ten array passes however few its points.
+    of decoded or coarsened rows for all its runs above GRID_TABLE_MAX_P,
+    as each call pays a fixed numpy overhead of some ten array passes
+    however few its points.
     """
     arr = np.asarray(u, dtype=np.float64)
     flat = arr.ravel()
@@ -205,56 +210,55 @@ def _grid_table(p: int) -> np.ndarray:
 
 
 def grid_normal_runs(runs) -> list[np.ndarray]:
-    """The p-bit grid normals of each (indices, p) pair of ``runs``, from one
-    :func:`phi_inv` call for all of them (none for no pairs): one array per
-    pair in the shape of its indices, each a view of the phi_inv output.
-    A single pair's midpoints go to phi_inv as they are, several pairs'
-    in one concatenation.
+    """The p-bit grid normals of each (indices, p) pair of ``runs``: one
+    array per pair in the shape of its 1-based grid indices.
 
-    This is the one route from sampled 1-based grid indices i to normals
-    without a table: phi_inv at the dyadic midpoint u = (2i - 1) 2**-(p+1)
-    (:func:`bitcore.dyadic_values`).  Only from p = 53 on can u round to
-    1.0 (index 2**53 at p = 53, the top 513 indices at p = 63); there, and
-    only there, the value is minus that of the mirror index 2**p + 1 - i,
-    whose midpoint is 1 - u.  :func:`grid_normal_values` looks up
-    p <= GRID_TABLE_MAX_P in a table and comes here above it.
+    This is the one route from sampled grid indices i to normals, and the
+    one place that reads GRID_TABLE_MAX_P.  A pair at p <= GRID_TABLE_MAX_P
+    is looked up in the cached full-grid table; all pairs above it share
+    one :func:`phi_inv` call (none when there are none) at the dyadic
+    midpoints u = (2i - 1) 2**-(p+1) (:func:`bitcore.dyadic_values`), and
+    each gets a view of its output.  Only from p = 53 on
+    can u round to 1.0 (index 2**53 at p = 53, the top 513 indices at
+    p = 63); there, and only there, the value is minus that of the mirror
+    index 2**p + 1 - i, whose midpoint is 1 - u.  Every other value is
+    ``phi_inv(dyadic_values(i, p))``, bit for bit, as the table holds
+    exactly those values.
     """
-    if not runs:
-        return []
-    us, flips, off = [], [], 0
+    out, deep, flips, off = [], [], [], 0  # deep: the slots of out holding midpoints above the table cap
     for i, p in runs:
+        i = np.asarray(i, dtype=np.uint64)
+        if p <= GRID_TABLE_MAX_P:
+            out.append(np.take(_grid_table(p), i.astype(np.int64) - 1))
+            continue
         u = np.asarray(dyadic_values(i, p))  # an array also for a scalar index
         if p > 52:  # (2i - 1) 2**-(p+1) is exact, so below 1, up to p = 52
             top = np.flatnonzero(u == 1.0)
             if top.size:
-                mirror = np.uint64((1 << int(p)) + 1) - np.asarray(i, dtype=np.uint64).reshape(-1)[top]
-                u.reshape(-1)[top] = dyadic_values(mirror, p)
+                u.reshape(-1)[top] = dyadic_values(np.uint64((1 << int(p)) + 1) - i.reshape(-1)[top], p)
                 flips.append(off + top)
-        us.append(u)
+        deep.append(len(out))
+        out.append(u)
         off += u.size
-    flat = np.asarray(phi_inv(us[0] if len(us) == 1 else np.concatenate([u.reshape(-1) for u in us]))).reshape(-1)
-    if flips:
-        at = np.concatenate(flips)
-        flat[at] = -flat[at]
-    out, off = [], 0
-    for u in us:
-        out.append(flat[off:off + u.size].reshape(u.shape))
-        off += u.size
+    if deep:
+        us = [out[k] for k in deep]
+        flat = np.asarray(phi_inv(us[0] if len(us) == 1 else np.concatenate([u.reshape(-1) for u in us]))).reshape(-1)
+        if flips:
+            at = np.concatenate(flips)
+            flat[at] = -flat[at]
+        off = 0
+        for k, u in zip(deep, us):
+            out[k] = flat[off:off + u.size].reshape(u.shape)
+            off += u.size
     return out
 
 
 def grid_normal_values(indices: np.ndarray, p: int) -> np.ndarray:
-    """phi_inv at the dyadic midpoints with the given 1-based grid indices.
-
-    Identical to ``phi_inv(dyadic_values(indices, p))`` wherever that
-    midpoint is below 1 (:func:`grid_normal_runs` gives the top indices at
-    p >= 53 by antisymmetry); small precisions go through a cached
-    full-grid table.
-    """
-    idx = np.asarray(indices, dtype=np.uint64)
-    if p <= GRID_TABLE_MAX_P:
-        return np.take(_grid_table(p), idx.astype(np.int64) - 1)
-    (y,) = grid_normal_runs([(idx, p)])
+    """The p-bit grid normals at the given 1-based grid indices: the one-pair
+    call of :func:`grid_normal_runs`, so ``phi_inv(dyadic_values(indices,
+    p))`` wherever that midpoint is below 1, and minus the mirror value at
+    the top indices of p >= 53."""
+    (y,) = grid_normal_runs([(indices, p)])
     return y
 
 
@@ -264,7 +268,9 @@ def grid_normal_byte_table(p: int) -> np.ndarray:
     built once per p, read-only.
 
     Row b is ``grid_normal_values(byte_fields(p)[b], p)``, so a lookup by
-    stream byte gives the values of grid_normal_values by construction.
+    stream byte gives the values of :func:`grid_normal_runs` by
+    construction; the decode of the byte runs reads it, and every other
+    grid value comes from grid_normal_runs.
     """
     table = grid_normal_values(byte_fields(p), p)
     table.flags.writeable = False  # shared by every caller

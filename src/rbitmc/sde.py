@@ -73,8 +73,8 @@ def geometric_model(mu: float, sigma: float, x0: float = 1.0) -> SDEModel:
 
 
 def _check_steps(m: int) -> None:
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"m must be a positive integer, got {m!r}")
 
 
 def _check_scheme(m: int, q: int) -> None:
@@ -181,8 +181,8 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     Milstein state does.
     """
     _check_scheme(m, q)
-    if reps < 1:
-        raise ValueError("reps must be a positive integer")
+    if not isinstance(reps, (int, np.integer)) or reps < 1:
+        raise ValueError(f"reps must be a positive integer, got {reps!r}")
     src = BitSource(seed)
     ledger = CostLedger()
     if model.exact_strong_solution is not None:
@@ -208,7 +208,7 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
             yf[:, k0:k1] = sample_rows(src, fine, k1 - k0)[0].T
         y = yf.reshape(reps, m, FINE_FACTOR).sum(axis=2) / math.sqrt(FINE_FACTOR)
         u = Phi(y)
-        idx_q = np.minimum((u * 2.0**q).astype(np.int64), (1 << q) - 1).astype(np.uint64) + np.uint64(1)
+        idx_q = np.minimum((u * 2.0**q).astype(np.uint64), np.uint64((1 << q) - 1)) + np.uint64(1)  # u = 1 is the top cell
         yq = grid_normal_values(idx_q, q)
         ref = milstein_rows(model, mf, yf)[:, FINE_FACTOR::FINE_FACTOR]
     ledger.bits = src.bits_drawn

@@ -322,6 +322,21 @@ def test_only_normal_and_cli_decide_about_the_surrogate():
     assert users == {"normal.py", "cli.py"}
 
 
+def test_only_normal_chooses_between_the_grid_table_and_phi_inv():
+    """Sampled grid indices become normals in normal.grid_normal_runs alone:
+    no other module reads GRID_TABLE_MAX_P or calls _grid_table, so no
+    sampler writes its own table-or-phi_inv choice."""
+    names = {"GRID_TABLE_MAX_P", "_grid_table"}
+    users = set()
+    for path in sorted(Path(__file__).resolve().parents[1].glob("src/rbitmc/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in names:
+                users.add(path.name)
+    assert users == {"normal.py"}
+
+
 _PINNED_IMPORTS = {"grid_normal_values", "truncate_indices"}  # re-exports perfbench/selftest.py asserts
 
 

@@ -214,6 +214,17 @@ def test_sample_rows_refuses_a_scale_of_another_length_before_drawing(shape):
     assert src.bits_drawn == 0
 
 
+@pytest.mark.parametrize("shape", [(1,), (), (4, 3), (4,)], ids=["one", "scalar", "rows-by-m2", "m2-plus-1"])
+def test_coarsen_rows_refuses_a_scale_of_another_shape(shape):
+    """coarsen_rows multiplied every value by a scale of shape (1,) or () and
+    took one of shape (rows, m2), all of which sample_rows refuses; here
+    rows = 4 and m2 = 3."""
+    fine, coarse = allocation_bridge(3), allocation_bridge(2)
+    _, idx = G.sample_rows(BitSource(1), fine, 4)
+    with pytest.raises(ValueError, match=r"scale must hold 3 values, one per coefficient, got shape"):
+        G.coarsen_rows(idx, fine, coarse, np.ones(shape))
+
+
 def test_coarsen_rows_refuse_index_rows_narrower_than_the_coarse_level():
     """Two index columns against the three of bridge level 2 were broadcast
     into three coarse columns."""

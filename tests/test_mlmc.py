@@ -438,6 +438,15 @@ def test_plain_mc_rejects_empty_runs_and_batches(kwargs):
     assert src.bits_drawn == 0
 
 
+def test_plain_mc_refuses_a_count_that_is_not_an_integer():
+    """n = 2.5 passed the n >= 1 check and was refused by the draw as
+    "bit count must be a non-negative integer, got 55.0"."""
+    src = BitSource(3)
+    with pytest.raises(ValueError, match="n must be a positive integer, got 2.5"):
+        M.plain_mc(M.lookup_functional("norm"), BRIDGE, 4, 2.5, src)
+    assert src.bits_drawn == 0
+
+
 @pytest.mark.parametrize("name, target", [("coord2", 2), ("soft_linear", 3)])
 @pytest.mark.parametrize("level", [1, 2])
 def test_bridge_functionals_refine_coarse_meshes(name, target, level):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -99,6 +100,43 @@ def test_top_grid_indices_are_the_mirrors_of_the_bottom_ones():
         runs = N.grid_normal_runs([(idx[:3].reshape(1, 3), p), (np.array([1, 2], np.uint64), 30)])
         assert runs[0].shape == (1, 3) and runs[0].tobytes() == got[:3].tobytes()
         assert runs[1].tobytes() == N.phi_inv(dyadic_values(np.array([1, 2]), 30)).tobytes()
+
+
+def _grid_pair(p):
+    """Indices at precision p in a 0-d, 1-d or 2-d shape, drawn from the whole
+    grid and from its top 1100 indices (where the mirror acts from p = 53 on)."""
+    index = st.one_of(st.integers(1, 2**p), st.integers(max(1, 2**p - 1100), 2**p))
+    return st.sampled_from([(), (3,), (2, 3)]).flatmap(
+        lambda shape: st.lists(index, min_size=math.prod(shape), max_size=math.prod(shape)).map(
+            lambda v: (np.array(v, dtype=np.uint64).reshape(shape), p)))
+
+
+_GRID_P = st.one_of(st.sampled_from([1, 2, 4, 8]), st.sampled_from([3, 5, 12, 20]), st.integers(21, 52),
+                    st.integers(53, 63))
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs=st.lists(_GRID_P.flatmap(_grid_pair), max_size=6))
+def test_grid_normal_runs_match_phi_inv_at_the_midpoints(runs):
+    """Each array of grid_normal_runs is phi_inv(dyadic_values(i, p)) byte for
+    byte in the shape of its indices (minus the mirror value at the top
+    indices of p >= 53), for byte, table and phi_inv precisions mixed in one
+    list, and the list costs one phi_inv call if a pair is above the table
+    cap, none otherwise."""
+    N.grid_normal_runs(runs)  # builds the grid tables, which call phi_inv once each
+    with mock.patch.object(N, "phi_inv", wraps=N.phi_inv) as spy:
+        got = N.grid_normal_runs(runs)
+    assert spy.call_count == int(any(p > N.GRID_TABLE_MAX_P for _, p in runs))
+    assert len(got) == len(runs)
+    for y, (i, p) in zip(got, runs):
+        u = dyadic_values(i, p).reshape(-1)
+        top = u == 1.0
+        u[top] = dyadic_values(np.uint64(2**p + 1) - i.reshape(-1)[top], p)
+        want = N.phi_inv(u)
+        want[top] = -want[top]
+        assert np.shape(y) == i.shape
+        assert np.asarray(y).tobytes() == want.tobytes()
+    assert N.grid_normal_runs([]) == []
 
 
 def test_blocked_phi_inv_matches_scalar_calls():

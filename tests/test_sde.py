@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbitmc import bridge as BR
+from rbitmc import normal as N
 from rbitmc import sde as S
 from rbitmc.bitcore import BitAllocation, BitSource, dyadic_values, truncate_indices
 from rbitmc.cli import load_fixtures
@@ -304,6 +305,62 @@ def test_bit_cost_and_refined_path_share_one_domain(m, q, level, error):
 def test_strong_error_rejects_no_steps(m):
     with pytest.raises(ValueError, match="m must be a positive integer"):
         S.strong_error_experiment(S.geometric_model(0.05, 0.2, 1.0), m, 8, 5, 1)
+
+
+@pytest.mark.parametrize("reference", ["auto", "fine"])
+@pytest.mark.parametrize("m, reps, name", [(2.5, 5, "m"), (8, 2.5, "reps")])
+def test_strong_error_refuses_counts_that_are_not_integers(m, reps, name, reference, monkeypatch):
+    """m = 2.5 and reps = 2.5 passed the >= 1 checks and raised numpy
+    TypeErrors; both are refused before any bit is drawn."""
+    sources = []
+
+    class Recording(BitSource):
+        def __init__(self, seed):
+            super().__init__(seed)
+            sources.append(self)
+
+    monkeypatch.setattr(S, "BitSource", Recording)
+    with pytest.raises(ValueError, match=f"{name} must be a positive integer, got 2.5"):
+        S.strong_error_experiment(GM if reference == "auto" else GM_FINE, m, 8, reps, 1)
+    assert all(src.bits_drawn == 0 for src in sources)
+
+
+def test_refined_rows_refuse_a_step_count_that_is_not_an_integer():
+    # m = 2.5 raised a numpy TypeError
+    src = BitSource(1)
+    with pytest.raises(ValueError, match="m must be a positive integer, got 2.5"):
+        S.refined_rows(src, GM, 2.5, 8, 2, 1)
+    assert src.bits_drawn == 0
+
+
+def test_fine_reference_at_63_bits_takes_the_top_cell_for_phi_one(monkeypatch):
+    """On the fallback path Phi(y) rounds to 1.0 from y = 8.3 on, and at
+    q = 63 u * 2**63 overflowed the int64 cast (index 2**63 + 1, a numpy
+    "invalid value" warning, then "phi_inv requires 0 < u < 1").  That
+    entry now takes the top grid normal; every other increment is the one
+    of the unpatched run."""
+    seen = []
+    milstein_rows = S.milstein_rows
+
+    def recording(model, m, normals):
+        if m == 4:
+            seen.append(np.array(normals))
+        return milstein_rows(model, m, normals)
+
+    monkeypatch.setattr(S, "milstein_rows", recording)
+    S.strong_error_experiment(GM_FINE, 4, 63, 3, 1)
+
+    def phi_top(y):
+        u = np.array(N.Phi(y))
+        u.flat[0] = 1.0
+        return u
+
+    monkeypatch.setattr(S, "Phi", phi_top)
+    rms, _ = S.strong_error_experiment(GM_FINE, 4, 63, 3, 1)
+    assert math.isfinite(rms)
+    plain, patched = seen
+    assert patched.flat[0] == grid_normal_values(np.uint64(2**63), 63) == -grid_normal_values(np.uint64(1), 63)
+    assert patched.reshape(-1)[1:].tobytes() == plain.reshape(-1)[1:].tobytes()
 
 
 @pytest.mark.parametrize("reference", ["auto", "fine"])
