@@ -11,10 +11,14 @@ symmetric about 1/2.  A value of D(p) is kept as its 1-based cell index k;
 re-truncating it to a coarser grid is the exact integer shift of
 :func:`truncate_indices`.  Truncations to decreasing precision nest, which is
 what makes coupled coarse/fine sampling possible downstream.
+
+:func:`exact_sum` is the package's one sum of a float64 array that must be
+exact: ``math.fsum``'s value, bit for bit, at a fraction of its cost.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -24,6 +28,10 @@ MAX_BITS = 63  # grid index must fit one machine word
 MAX_LEVEL = 25  # a level's dimension is at most 2**MAX_LEVEL (bridge and KL alike)
 _GATHER_MIN_BITS = 1 << 15  # draws this long at 4 < p <= 52 gather rather than unpack
 _RAW_CHUNK = 1 << 16  # words per random_raw call of take_words: a draw holds its words once
+_SUM_BLOCK = 1 << 16  # values per exponent binning of exact_sum: its temporaries stay small
+_SUM_BIN_VALUES = 1 << 26  # values whose split parts a float64 bin sums exactly (27 + 26 bits)
+_SUM_MAX_EXPONENT = 2006  # largest exponent field binned: 2**26 such values stay below 2**1011
+_SUM_HIGH = np.int64(-1 << 26)  # clears the low 26 mantissa bits of a float64's int64 view
 
 
 def _check_precision(p: int) -> None:
@@ -207,6 +215,42 @@ def dyadic_values(indices: np.ndarray, p: int) -> np.ndarray:
 def dyadic_edges(k0: int, k1: int, p: int) -> np.ndarray:
     """Edges k * 2**-p, k = k0..k1, of the 2**p uniform cells of (0, 1) (the cells of D(p))."""
     return np.arange(k0, k1 + 1, dtype=np.float64) * 2.0 ** -p
+
+
+def exact_sum(values) -> float:
+    """``math.fsum`` of the float64 values, bit for bit: their exact sum,
+    correctly rounded once.
+
+    Each value x with exponent field e splits exactly into xh, x with its
+    low 26 mantissa bits cleared, and xl = x - xh.  Within one exponent bin
+    every xh is a multiple of 2**(e-1049) of at most 27 bits and every xl a
+    multiple of 2**(e-1075) of at most 26 bits, so ``np.bincount`` sums the
+    two parts of up to 2**26 values per bin exactly in float64 (Neal's small
+    superaccumulator, arXiv:1505.05571).  The values are binned in blocks of
+    _SUM_BLOCK into running bins, which start afresh every _SUM_BIN_VALUES
+    values, and one ``math.fsum`` over the nonzero bins rounds the total.
+    Like fsum, that is correctly rounded, so the two agree bit for bit.
+
+    The whole input goes to ``math.fsum`` when a value is not finite or has
+    an exponent field above _SUM_MAX_EXPONENT (its NaN, inf, OverflowError or
+    ValueError is kept), and when every bin is zero (its sign of zero is kept).
+    """
+    x = np.asarray(values, dtype=np.float64).reshape(-1)
+    runs = []  # (2, _SUM_MAX_EXPONENT + 1) running bins of xh and xl
+    for a in range(0, len(x), _SUM_BLOCK):
+        if a % _SUM_BIN_VALUES == 0:
+            runs.append(np.zeros((2, _SUM_MAX_EXPONENT + 1)))
+        block = x[a:a + _SUM_BLOCK]
+        bits = block.view(np.int64)
+        e = (bits >> 52) & 0x7FF
+        high = (bits & _SUM_HIGH).view(np.float64)
+        high_bins = np.bincount(e, high, _SUM_MAX_EXPONENT + 1)
+        if len(high_bins) > _SUM_MAX_EXPONENT + 1:  # a larger exponent field lengthens the bins
+            return math.fsum(x)
+        runs[-1][0] += high_bins
+        runs[-1][1] += np.bincount(e, block - high, _SUM_MAX_EXPONENT + 1)
+    bins = [v for run in runs for v in run[run != 0].tolist()]
+    return math.fsum(bins) if bins else math.fsum(x)
 
 
 def truncate_indices(indices: np.ndarray, p_from, p_to) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # truncate_indices, grid_normal_values: unused, kept for perfbench/selftest.py
-from .bitcore import MAX_LEVEL, BitAllocation, truncate_indices  # noqa: F401
+from .bitcore import MAX_LEVEL, BitAllocation, exact_sum, truncate_indices  # noqa: F401
 from .errors import CapacityError
 from .normal import coefficient_error_sq
 from .normal import grid_normal_values  # noqa: F401
@@ -242,6 +242,6 @@ def precision_sum(level: int) -> float:
     for m in range(level):
         p = 2 * (level - m)
         i = np.arange(1 << m, 1 << (m + 1), dtype=np.float64)
-        total += 2.0 ** -p / p * math.fsum(i ** -2.0)
+        total += 2.0 ** -p / p * exact_sum(i ** -2.0)
     return total
 

@@ -140,7 +140,10 @@ class DrawnRows:
 
 def draw_rows(src: BitSource, alloc: BitAllocation, n: int) -> DrawnRows:
     """Draw n rows under ``alloc``; consumes exactly n * |alloc| bits and
-    decodes none of them (:func:`decode_rows`)."""
+    decodes none of them (:func:`decode_rows`).  An n that is not a
+    non-negative integer raises ValueError before the stream moves."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"row count n must be a non-negative integer, got {n!r}")
     words, start = src.take_words(n * alloc.total)
     return DrawnRows(words, start, n, alloc)
 
@@ -199,8 +202,8 @@ def sample_rows(src: BitSource, alloc: BitAllocation, n: int,
     rows are held in memory: callers that need only blocks of rows keep the
     :class:`DrawnRows` and decode those.  The (n, len(alloc)) uint64 index
     rows are built too; callers that need only the coefficients drop them.
-    A ``scale`` that is not one value per coefficient is refused before the
-    draw.
+    A ``scale`` that is not one value per coefficient, and a row count n
+    that is not a non-negative integer, are refused before the draw.
     """
     _check_scale(scale, alloc)
     return decode_rows(draw_rows(src, alloc, n), 0, n, scale, len(alloc))

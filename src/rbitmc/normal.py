@@ -30,7 +30,9 @@ edges of the uniform cells from one ``phi_inv`` pass over the lower half
 (kept for the latest p only), ``_sq_error`` the closed-form squared error
 of a cell from the terms at its edges, and ``_upper_sums`` sums several
 per-cell terms over the upper half of the grid in 2**20-cell chunks, in
-ascending cell order, so that one pass over the cells gives all of them.
+ascending cell order, so that one pass over the cells gives all of them;
+each chunk sum, and the sum of the chunk sums, is exact and correctly
+rounded (``bitcore.exact_sum``, ``math.fsum``'s value).
 ``phi_inv`` itself runs in blocks of 2**14 points, which keep its
 temporaries in cache.
 """
@@ -43,7 +45,7 @@ import math
 import numpy as np
 from scipy.special import erfc as _erfc
 
-from .bitcore import byte_fields, dyadic_edges, dyadic_values
+from .bitcore import byte_fields, dyadic_edges, dyadic_values, exact_sum
 from .errors import CapacityError
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -323,13 +325,13 @@ def _mid_terms(p: int, k0: int, k1: int):
 
 
 def _upper_sums(p: int, terms) -> list[float]:
-    """fsums over cells 2**(p-1)+1 .. 2**p of each array in terms(k0, k1): for
-    each term, one fsum per chunk of at most 2**20 cells, then one over the
-    chunk sums, in ascending order."""
+    """Exact sums over cells 2**(p-1)+1 .. 2**p of each array in terms(k0, k1):
+    for each term, one :func:`bitcore.exact_sum` per chunk of at most 2**20
+    cells, then one over the chunk sums, in ascending order."""
     n = 1 << p
-    chunk_sums = [[math.fsum(t) for t in terms(k0, min(k0 + _CHUNK - 1, n))]
+    chunk_sums = [[exact_sum(t) for t in terms(k0, min(k0 + _CHUNK - 1, n))]
                   for k0 in range((n >> 1) + 1, n + 1, _CHUNK)]
-    return [math.fsum(sums) for sums in zip(*chunk_sums)]
+    return [exact_sum(sums) for sums in zip(*chunk_sums)]
 
 
 _MSE_CACHE: dict[int, float] = {}
@@ -340,8 +342,9 @@ def bit_normal_mse(p: int) -> float:
     """Exact mean-square gap E|Y - Y^(p)|^2 between the normal and its p-bit version.
 
     Evaluated cell by cell with the closed-form Gaussian partial moments
-    (int y^2 phi = Phi - y phi, int y phi = -phi, int phi = Phi) and
-    compensated summation in ascending cell order.
+    (int y^2 phi = Phi - y phi, int y phi = -phi, int phi = Phi) and exact,
+    correctly rounded summation (:func:`bitcore.exact_sum`) in ascending
+    cell order.
     """
     _exact_precision(p, _MSE_WHAT)
     if p in _MSE_CACHE:

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import normal as _normal
-from .bitcore import dyadic_edges, dyadic_values
+from .bitcore import dyadic_edges, dyadic_values, exact_sum
 from .normal import LN2, checked_quad, gaussian_grid_average, gaussian_grid_sq_error, optimal_points
 
 _TAIL_EDGE = 2.0 ** -40
@@ -142,8 +142,7 @@ def w2_uniform(q: QuantileSpec, nu: DiscreteUniform) -> float:
         raise ValueError(f"law {q.name!r} has no finite second moment; W2 is infinite")
     pts, p = nu.points, n.bit_length() - 1
     if q.cell_sq_error is not None:
-        cells = np.asarray(q.cell_sq_error(p, pts), dtype=np.float64)
-        total = math.fsum(cells)
+        total = exact_sum(q.cell_sq_error(p, pts))
     else:
         edges = dyadic_edges(0, n, p)
         total = math.fsum(_cell_sq_error_quad(q, edges[k], edges[k + 1], pts[k]) for k in range(n))

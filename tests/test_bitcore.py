@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from rbitmc import bitcore
 from rbitmc.bitcore import (
     MAX_BITS,
     BitAllocation,
@@ -15,6 +16,7 @@ from rbitmc.bitcore import (
     byte_fields,
     child_source,
     dyadic_values,
+    exact_sum,
     read_bytes,
     truncate_indices,
 )
@@ -279,6 +281,79 @@ def test_a_bad_count_leaves_the_stream_untouched(draw):
     assert src.draw_bits(5) == BitSource(1).draw_bits(5)
 
 
+def _sum_or_error(total, x):
+    """``total(x)`` as float.hex, or the type of the exception it raised."""
+    try:
+        return total(x).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+# any finite float64, m 2**e over the whole exponent range, and the edge values
+_SUMMANDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_SUMMANDS, max_size=40))
+@example([])
+@example([-0.0])
+@example([-0.0, -0.0])
+@example([1.0, -1.0, -0.0])
+@example([5e-324])
+@example([1e308, 1e308])                # the sum overflows
+@example([1e308, 1e308, -1e308])        # fsum's intermediate overflow
+@example([1.0, 2.0 ** -53, 2.0 ** -106])  # a tie broken by the last value
+def test_exact_sum_is_fsum_bit_for_bit(values):
+    x = np.array(values, dtype=np.float64)
+    assert _sum_or_error(exact_sum, x) == _sum_or_error(math.fsum, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(_SUMMANDS, min_size=1, max_size=8),
+       special=st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1.5e308, 2.0 ** 984]),
+       at=st.integers(0, 8))
+@example(values=[-math.inf, 1.0], special=math.inf, at=0)  # fsum's ValueError for inf - inf
+def test_exact_sum_keeps_fsums_nan_inf_and_overflow(values, special, at):
+    """Non-finite values and exponents near overflow go to math.fsum whole:
+    its NaN or inf, or its OverflowError or ValueError, is the result."""
+    x = np.array(values[:at] + [special] + values[at:], dtype=np.float64)
+    assert _sum_or_error(exact_sum, x) == _sum_or_error(math.fsum, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5]),
+       seed=st.integers(0, 2**32 - 1), lo=st.integers(-1074, 963), width=st.integers(0, 60))
+@example(n=(1 << 16) - 1, seed=1, lo=959, width=60)  # fsum's intermediate overflow
+def test_exact_sum_of_long_arrays_is_fsum_bit_for_bit(n, seed, lo, width):
+    """Arrays around the 2**16-value block, with exponents in a band of
+    ``width`` from 2**lo on, so every bin is filled across several blocks."""
+    rng = np.random.default_rng(seed)
+    x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(lo, lo + width + 1, n))
+    assert _sum_or_error(exact_sum, x) == _sum_or_error(math.fsum, x)
+
+
+def test_exact_sum_restarts_its_bins(monkeypatch):
+    """The running bins start afresh every _SUM_BIN_VALUES values (2**26, more
+    than a test can hold): with 2**17 the 5-block array takes three runs."""
+    monkeypatch.setattr(bitcore, "_SUM_BIN_VALUES", 1 << 17)
+    rng = np.random.default_rng(7)
+    for x in (rng.standard_normal(5 << 16), np.ldexp(rng.uniform(-1.0, 1.0, 5 << 16), -1060),
+              np.ldexp(rng.uniform(0.5, 1.0, 5 << 16), 900)):
+        assert exact_sum(x).hex() == math.fsum(x).hex()
+
+
+def test_exact_sum_takes_any_float_sequence():
+    """A list, a strided view and a 2-d array are summed as their flat values."""
+    x = np.random.default_rng(3).standard_normal((4, 5))
+    assert exact_sum(x[:, ::2]).hex() == math.fsum(x[:, ::2].ravel()).hex()
+    assert exact_sum(x.tolist()[0]).hex() == math.fsum(x[0]).hex()
+
+
 _DRAW_METHODS = {"draw_bits", "draw_bits_array", "take_words"}
 
 
@@ -335,6 +410,30 @@ def test_only_normal_chooses_between_the_grid_table_and_phi_inv():
             if name in names:
                 users.add(path.name)
     assert users == {"normal.py"}
+
+
+_FSUM_OF_SCALARS = {("normal", "coefficient_error_sq"), ("wasserstein1d", "w2_uniform")}
+
+
+def test_math_fsum_sums_no_array():
+    """Arrays are summed by bitcore.exact_sum, at a fraction of fsum's cost:
+    math.fsum appears in src/ only inside exact_sum, and as the sum of a
+    generator of Python floats in coefficient_error_sq and in the quadrature
+    branch of w2_uniform."""
+    uses = set()
+    for path in sorted(Path(__file__).resolve().parents[1].glob("src/rbitmc/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if "fsum" not in {getattr(node, name, None) for name in ("attr", "id", "name")}:
+                continue
+            call = scope = parents.get(node)
+            while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = parents.get(scope)
+            where = (path.stem, getattr(scope, "name", None))
+            summand = call.args[0] if isinstance(call, ast.Call) and call.func is node and call.args else None
+            uses.add((*where, "scalars" if isinstance(summand, ast.GeneratorExp) else "other"))
+    assert uses == {("bitcore", "exact_sum", "other"), *((*where, "scalars") for where in _FSUM_OF_SCALARS)}
 
 
 _PINNED_IMPORTS = {"grid_normal_values", "truncate_indices"}  # re-exports perfbench/selftest.py asserts

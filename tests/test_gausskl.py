@@ -214,6 +214,17 @@ def test_sample_rows_refuses_a_scale_of_another_length_before_drawing(shape):
     assert src.bits_drawn == 0
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, np.float64(3.0), -1, "2"])
+@pytest.mark.parametrize("draw", [G.sample_rows, G.draw_rows], ids=["sample_rows", "draw_rows"])
+def test_a_row_count_that_is_not_a_count_is_refused_by_name(draw, n):
+    """n = 2.5 was refused only by take_words, as "bit count ... got 55.0",
+    which names the product n |alloc| and not n."""
+    src = BitSource(1)
+    with pytest.raises(ValueError, match=re.escape(f"row count n must be a non-negative integer, got {n!r}")):
+        draw(src, allocation_bridge(3), n)
+    assert src.bits_drawn == 0
+
+
 @pytest.mark.parametrize("shape", [(1,), (), (4, 3), (4,)], ids=["one", "scalar", "rows-by-m2", "m2-plus-1"])
 def test_coarsen_rows_refuses_a_scale_of_another_shape(shape):
     """coarsen_rows multiplied every value by a scale of shape (1,) or () and
