@@ -67,7 +67,8 @@ def mlmc_params(eps: float, beta: float, alpha: float) -> MLMCParams:
         raise ValueError("beta must exceed 1")
     log_inv = math.log(1.0 / eps)
     z = 1.0 + (1.0 / eps) * log_inv ** (-alpha / 2.0)
-    L = math.ceil(2.0 / (beta - 1.0) * math.log2(z))
+    # z > 1 exactly, so L >= 1; z rounds to 1.0 when the increment is below half an ulp
+    L = max(1, math.ceil(2.0 / (beta - 1.0) * math.log2(z)))
     exponent = max(2.0, beta / (beta - 1.0))
     if beta > 2.0:
         log_factor = 1.0

@@ -460,7 +460,7 @@ def checked_quad(f, a: float, b: float, cell: tuple[float, float], **kwargs) -> 
     to) when quad reports a problem -- subdivision limit reached, roundoff,
     probable divergence, bad integrand -- or returns a non-finite value.
     """
-    from scipy.integrate import quad  # only the quadrature routes pay its import
+    from scipy.integrate import quad  # only tail_sum pays its import
 
     out = quad(f, a, b, full_output=1, **kwargs)
     if len(out) > 3:  # quad appends its message only when ier > 0
@@ -475,24 +475,14 @@ def optimal_points(quantile_spec, p: int) -> np.ndarray:
     """Best-approximation support for fixed uniform weights 2**-p.
 
     The k-th point is the average of the quantile function over the k-th
-    cell of the uniform partition of (0, 1) into 2**p cells.  Closed-form
-    cell averages (``cell_average(p)``) are used when the law provides them;
-    otherwise each cell integral is computed by adaptive quadrature
-    (relative tolerance 1e-12).
+    cell of the uniform partition of (0, 1) into 2**p cells, read from the
+    law's closed form ``quantile_spec.cell_average(p)``.
 
-    Raises ValueError when a cell average is not finite, or when quadrature
-    does not certify a cell integral at that tolerance (in particular when
-    the quantile is not integrable over the cell).
+    Raises ValueError when a cell average is not finite (the quantile is
+    not integrable over that cell).
     """
     _exact_precision(p, "optimal points")
-    cell_average = getattr(quantile_spec, "cell_average", None)
-    if cell_average is not None:
-        pts = np.asarray(cell_average(p), dtype=np.float64)
-    else:
-        edges = dyadic_edges(0, 1 << p, p)
-        q = quantile_spec.quantile
-        pts = np.array([checked_quad(q, lo, hi, (lo, hi), epsabs=0.0, epsrel=1e-12, limit=200)
-                        for lo, hi in zip(edges[:-1], edges[1:])]) / 2.0 ** -p
+    pts = np.asarray(quantile_spec.cell_average(p), dtype=np.float64)
     if not np.all(np.isfinite(pts)):
         raise ValueError("divergent cell integral: quantile not integrable")
     return pts

@@ -412,14 +412,13 @@ def test_only_normal_chooses_between_the_grid_table_and_phi_inv():
     assert users == {"normal.py"}
 
 
-_FSUM_OF_SCALARS = {("normal", "coefficient_error_sq"), ("wasserstein1d", "w2_uniform")}
+_FSUM_OF_SCALARS = {("normal", "coefficient_error_sq")}
 
 
 def test_math_fsum_sums_no_array():
     """Arrays are summed by bitcore.exact_sum, at a fraction of fsum's cost:
     math.fsum appears in src/ only inside exact_sum, and as the sum of a
-    generator of Python floats in coefficient_error_sq and in the quadrature
-    branch of w2_uniform."""
+    generator of Python floats in coefficient_error_sq."""
     uses = set()
     for path in sorted(Path(__file__).resolve().parents[1].glob("src/rbitmc/*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -434,6 +433,26 @@ def test_math_fsum_sums_no_array():
             summand = call.args[0] if isinstance(call, ast.Call) and call.func is node and call.args else None
             uses.add((*where, "scalars" if isinstance(summand, ast.GeneratorExp) else "other"))
     assert uses == {("bitcore", "exact_sum", "other"), *((*where, "scalars") for where in _FSUM_OF_SCALARS)}
+
+
+def test_quadrature_runs_only_where_no_closed_form_exists():
+    """Every law the package ships gives its cells in closed form, so no
+    quadrature route comes back for them: scipy's quad and checked_quad are
+    called in src/ only by the tail sum of an explicit KL spectrum
+    (gausskl.tail_sum), by normal.func_h and inside checked_quad itself."""
+    callers = set()
+    for path in sorted(Path(__file__).resolve().parents[1].glob("src/rbitmc/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and
+                    {getattr(node.func, name, None) for name in ("attr", "id")} & {"quad", "checked_quad"}):
+                continue
+            scope = parents.get(node)
+            while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = parents.get(scope)
+            callers.add((path.stem, getattr(scope, "name", None)))
+    assert callers == {("gausskl", "tail_sum"), ("normal", "func_h"), ("normal", "checked_quad")}
 
 
 _PINNED_IMPORTS = {"grid_normal_values", "truncate_indices"}  # re-exports perfbench/selftest.py asserts

@@ -587,6 +587,19 @@ def test_mlmc_decay_rates_are_checked_against_the_chosen_model(capsys):
     assert capsys.readouterr().out.count("\n") == 2
 
 
+def test_mlmc_keeps_one_level_when_z_rounds_to_one(capsys):
+    """At alpha 55 the level count's z rounds to 1.0; each run still draws
+    its 3536 level-1 rows, |p(1)| bits each, instead of writing zeros."""
+    from rbitmc.gausskl import EigenSpec, allocation_kl
+
+    assert main(["mlmc", "--model", "kl", "--beta", "3", "--alpha", "55", "--eps", "0.01", "--runs", "2"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "run,estimate,bits,oracle_cost,theoretical_cost"
+    bits = 3536 * allocation_kl(2, EigenSpec(3.0, 55.0)).total
+    assert [row.split(",")[2] for row in rows] == [str(bits)] * 2
+    assert all(float(row.split(",")[1]) != 0.0 for row in rows)
+
+
 def test_sde_error_computes_its_rows_from_the_top_m_down(monkeypatch, capsys):
     """sde-error builds its m ladder as kl-error does and computes the top
     row first; each m has its own BitSource(seed), so the rows are as before."""

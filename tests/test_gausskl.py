@@ -13,7 +13,8 @@ from rbitmc.bitcore import BitAllocation, BitSource, byte_fields, child_source, 
 from rbitmc.errors import CapacityError, InternalInvariantError
 from rbitmc.mlmc import KLModel
 from rbitmc.normal import bit_normal_mse, bit_normal_mse_moments, grid_normal_byte_table, grid_normal_values
-from rbitmc.wasserstein1d import w2_empirical
+
+from test_wasserstein import w2_empirical
 
 SPEC = G.EigenSpec(beta=2.0, alpha=0.0)
 

@@ -61,6 +61,15 @@ def test_params_validation_and_nl():
         assert all(n >= 1 for n in p.N)
 
 
+def test_params_keep_one_level_when_z_rounds_to_one():
+    # the increment of z, 100 (ln 100)**-27.5 ~ 6e-17, is below half an ulp of 1,
+    # so z rounds to 1.0; the schedule still has the level that exact z > 1 gives
+    p = M.mlmc_params(0.01, 3.0, 55.0)
+    assert p.z == 1.0
+    assert p.L == 1
+    assert p.N == [3536]
+
+
 def test_cost_monotone_as_eps_shrinks():
     costs = [M.theoretical_cost(M.mlmc_params(2.0 ** -k, 2.0, 0.0)) for k in range(3, 9)]
     assert all(b >= a for a, b in zip(costs, costs[1:]))

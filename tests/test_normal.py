@@ -248,34 +248,6 @@ def test_mse_rate_slope_over_12_24():
     assert -1.10 <= slope <= -0.95
 
 
-def test_optimal_points_divergent_quantile():
-    from rbitmc.wasserstein1d import QuantileSpec
-    heavy = QuantileSpec(name="divergent", quantile=lambda u: u ** -2.0, second_moment=math.inf)
-    with pytest.raises(ValueError):
-        with np.errstate(all="ignore"):
-            N.optimal_points(heavy, 2)
-
-
-def test_optimal_points_upper_tail_divergent_quantile():
-    from rbitmc.wasserstein1d import QuantileSpec
-    heavy = QuantileSpec(name="upper-divergent", quantile=lambda u: (1.0 - u) ** -1.5,
-                         second_moment=math.inf)
-    with pytest.raises(ValueError, match=r"\(0\.75, 1\.0\)"):
-        with np.errstate(all="ignore"):
-            N.optimal_points(heavy, 2)
-
-
-def test_optimal_points_integrable_singular_quantile():
-    from rbitmc.wasserstein1d import QuantileSpec
-    spec = QuantileSpec(name="sqrt-singular", quantile=lambda u: u ** -0.5, second_moment=math.inf)
-    pts = N.optimal_points(spec, 3)
-    # cell averages of u**-0.5 over (lo, hi) are 2 (sqrt(hi) - sqrt(lo)) / (hi - lo)
-    edges = np.arange(9) / 8.0
-    exact = 2.0 * np.diff(np.sqrt(edges)) / np.diff(edges)
-    assert np.all(np.isfinite(pts))
-    assert np.allclose(pts, exact, rtol=1e-10)
-
-
 def test_mse_capacity_and_surrogate():
     with pytest.raises(CapacityError):
         N.bit_normal_mse(27)

@@ -12,12 +12,21 @@ from rbitmc.wasserstein1d import (
     rbit_error,
     standard_normal_spec,
     uniform_spec,
-    w2_empirical,
     w2_uniform,
 )
 
 NORMAL = standard_normal_spec()
 UNIFORM = uniform_spec()
+
+
+def w2_empirical(a, b) -> float:
+    """Exact W2 between the empirical measures of two equal-size samples."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1 or len(a) == 0:
+        raise ValueError("samples must be non-empty 1-d sequences of equal length")
+    d = np.sort(a) - np.sort(b)
+    return math.sqrt(np.mean(d * d))
 
 
 def test_w2_uniform_law_midpoint_grid():
@@ -68,44 +77,39 @@ def test_w2_unsorted_points_rejected():
         w2_uniform(NORMAL, DiscreteUniform(np.array([0.0, 1.0, 2.0])))  # not 2**p
 
 
-def test_generic_quadrature_route_agrees_with_closed_form():
-    generic = QuantileSpec(
-        name="normal-generic",
-        quantile=lambda u: float(N.phi_inv(u)),
-        second_moment=1.0,
-        tail_form=N.phi_inv_tail,
-    )
-    for p in (1, 2, 3):
-        pts = N.optimal_points(NORMAL, p)
-        a = w2_uniform(NORMAL, DiscreteUniform(pts))
-        b = w2_uniform(generic, DiscreteUniform(pts))
-        assert abs(a - b) < 1e-9 * a
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_rejected(bad):
+    # a NaN passes the sortedness check, and w2_uniform would then blame the law
+    for points, index in (([0.0, bad], 1), ([bad, 0.0, 1.0, 2.0], 0), ([0.0, 1.0, bad, bad], 2)):
+        with pytest.raises(ValueError, match=f"support points must be finite, got {bad} at index {index}"):
+            DiscreteUniform(np.array(points))
 
 
-def _pareto_like(second_moment, with_tail):
-    # quantile (1 - u)**-0.6: integrable, but (1 - u)**-1.2 is not, so W2 is infinite
-    return QuantileSpec(
-        name="pareto-like",
-        quantile=lambda u: (1.0 - u) ** -0.6,
-        second_moment=second_moment,
-        tail_form=(lambda t: 2.0 ** (0.6 * t)) if with_tail else None,
-    )
-
-
-def test_rbit_error_infinite_second_moment_rejected():
-    for with_tail in (True, False):
-        with pytest.raises(ValueError, match="second moment"):
-            rbit_error(_pareto_like(math.inf, with_tail), 1)
-
-
-def test_w2_quadrature_rejects_divergent_cells():
-    # a misdeclared finite second moment must not let a divergent cell through:
-    # the tail route sees a non-decaying integrand, the plain route an
-    # integral that quad flags as divergent
-    for with_tail in (True, False):
-        with pytest.raises(ValueError, match=r"divergent cell integral on \(0\.5, 1\.0\)"):
-            with np.errstate(all="ignore"):
-                rbit_error(_pareto_like(1.0, with_tail), 1)
+def test_specs_without_closed_forms_or_with_divergent_cells_are_refused():
+    # both cell forms are required fields of the dataclass
+    with pytest.raises(TypeError, match="'cell_average' and 'cell_sq_error'"):
+        QuantileSpec(name="no-cells")
+    with pytest.raises(TypeError, match="cell_sq_error"):
+        QuantileSpec(name="no-sq-error", cell_average=NORMAL.cell_average)
+    # a spec given by its quantile alone is refused
+    with pytest.raises(TypeError, match="quantile"):
+        QuantileSpec(name="old-style", quantile=lambda u: u, second_moment=1.0)
+    # a caller's own spec may still give non-finite cells; both entry points refuse them
+    for value in (math.nan, math.inf, -math.inf):
+        broken = QuantileSpec(
+            name="broken",
+            cell_average=lambda p, v=value: np.where(np.arange(1 << p) == (1 << p) - 1, v, 0.5),
+            cell_sq_error=lambda p, c, v=value: np.where(np.arange(1 << p) == 0, v, 0.25),
+        )
+        with pytest.raises(ValueError, match="quantile not integrable"):
+            N.optimal_points(broken, 2)
+        with pytest.raises(ValueError, match="quantile not integrable"):
+            rbit_error(broken, 2)
+        with pytest.raises(ValueError, match="divergent Wasserstein cell integral"):
+            w2_uniform(broken, DiscreteUniform(np.zeros(4)))
+    with pytest.raises(ValueError, match="divergent Wasserstein cell integral"):
+        w2_uniform(QuantileSpec("negative", NORMAL.cell_average, lambda p, c: np.full(1 << p, -1.0)),
+                   DiscreteUniform(np.zeros(2)))
 
 
 def test_rbit_error_uniform_constant():
