@@ -14,6 +14,9 @@ what makes coupled coarse/fine sampling possible downstream.
 
 :func:`exact_sum` is the package's one sum of a float64 array that must be
 exact: ``math.fsum``'s value, bit for bit, at a fraction of its cost.
+:func:`check_count` and :func:`check_finite` are its argument checks: every
+integer count and every real parameter of the package is refused by name
+through them.
 """
 
 from __future__ import annotations
@@ -34,9 +37,24 @@ _SUM_MAX_EXPONENT = 2006  # largest exponent field binned: 2**26 such values sta
 _SUM_HIGH = np.int64(-1 << 26)  # clears the low 26 mantissa bits of a float64's int64 view
 
 
-def _check_precision(p: int) -> None:
-    if not isinstance(p, (int, np.integer)) or p < 1 or p > MAX_BITS:
-        raise ValueError(f"bit count p must be an integer in [1, {MAX_BITS}], got {p!r}")
+def check_count(name: str, value, lo: int, hi: int | None = None) -> None:
+    """Refuse a count ``value`` that is not an int or np.integer in [lo, hi]
+    (no top when hi is None, where lo is 0 or 1) with ValueError naming it;
+    the one integer check of the package, run before anything is drawn or
+    built."""
+    if isinstance(value, (int, np.integer)) and lo <= value and (hi is None or value <= hi):
+        return
+    what = (f"an integer in [{lo}, {hi}]" if hi is not None
+            else "a positive integer" if lo == 1 else "a non-negative integer")
+    raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def check_finite(**values) -> None:
+    """Refuse the first of the named real ``values`` that is not finite with
+    ValueError naming it."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class BitSource:
@@ -63,7 +81,8 @@ class BitSource:
 
     def draw_bits(self, p: int) -> int:
         """Return p fresh bits packed as an integer in [0, 2**p)."""
-        _check_precision(p)
+        check_count("bit count p", p, 1, MAX_BITS)
+        p = int(p)  # the stream state stays Python ints, which do not overflow
         if self._avail >= p:
             self._avail -= p
             out = (self._partial >> self._avail) & ((1 << p) - 1)
@@ -84,10 +103,11 @@ class BitSource:
         stream order: the words that hold the p n bits are taken
         (:meth:`take_words`) and decoded whole by :func:`read_fields`.  No
         sampler of the package calls it; they draw rows through
-        :func:`gausskl.sample_rows`.  A count n that is negative or not an
-        integer is refused by :meth:`take_words`.
+        :func:`gausskl.sample_rows`.  A p or n out of range, or not an
+        integer, raises ValueError before the stream moves.
         """
-        _check_precision(p)
+        check_count("bit count p", p, 1, MAX_BITS)
+        check_count("n", n, 0)
         return read_fields(*self.take_words(p * n), p, n)
 
     def take_words(self, total: int) -> tuple[np.ndarray, int]:
@@ -102,8 +122,8 @@ class BitSource:
         holds at most one chunk beyond them.  A ``total`` that is negative or
         not an integer raises ValueError before the stream moves.
         """
-        if not isinstance(total, (int, np.integer)) or total < 0:
-            raise ValueError(f"bit count must be a non-negative integer, got {total!r}")
+        check_count("bit count", total, 0)
+        total = int(total)  # the stream state stays Python ints, which do not overflow
         nwords = -(-max(total - self._avail, 0) // 64)
         w = np.zeros(nwords + 2, dtype=np.uint64)
         w[0] = self._partial

@@ -23,16 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 # truncate_indices, grid_normal_values: unused, kept for perfbench/selftest.py
-from .bitcore import MAX_LEVEL, BitAllocation, exact_sum, truncate_indices  # noqa: F401
+from .bitcore import MAX_LEVEL, BitAllocation, check_count, exact_sum, truncate_indices  # noqa: F401
 from .errors import CapacityError
 from .normal import coefficient_error_sq
 from .normal import grid_normal_values  # noqa: F401
 
 
 def schauder_level(i: int) -> tuple[int, int]:
-    """Level m and offset k (1-based) of basis index i = 2**m + k - 1."""
-    if i < 1:
-        raise ValueError("basis index must be >= 1")
+    """Level m and offset k (1-based) of basis index i = 2**m + k - 1; an i
+    that is not a positive integer raises ValueError."""
+    check_count("basis index", i, 1)
     m = int(i).bit_length() - 1
     return m, i - (1 << m) + 1
 
@@ -69,11 +69,11 @@ def schauder_norm_sq(i) -> np.ndarray | float:
 
 
 def _check_level(level: int) -> None:
-    """Refuse a level outside 1..MAX_LEVEL, the one domain of the bridge level
-    functions; every bridge sampler draws under allocation_bridge, so the cap
-    holds for them too."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
+    """Refuse a level that is not an integer in 1..MAX_LEVEL, the one domain
+    of the bridge level functions (ValueError, CapacityError above the cap);
+    every bridge sampler draws under allocation_bridge, so the cap holds for
+    them too."""
+    check_count("level", level, 1)
     if level > MAX_LEVEL:
         raise CapacityError(f"bridge levels are capped at {MAX_LEVEL}, got {level}")
 

@@ -24,7 +24,7 @@ from . import mlmc as _mlmc
 from . import normal as _normal
 from . import sde as _sde
 from . import wasserstein1d as _w1d
-from .bitcore import MAX_BITS, child_source
+from .bitcore import MAX_BITS, check_count, check_finite, child_source
 from .errors import CapacityError, ConfigurationError
 
 
@@ -68,7 +68,6 @@ class Fixture:
     name: str
     value: float
     tolerance: float
-    note: str = ""
 
     def matches(self, observed: float) -> bool:
         """Relative-tolerance comparison (absolute when the value is zero)."""
@@ -93,13 +92,14 @@ def _entries(path: str) -> list[tuple[int, str]]:
 
 
 def load_fixtures(path: str) -> dict[str, Fixture]:
-    """Parse the plain-text fixture table: ``name value tolerance # note``.
+    """Parse the plain-text fixture table: ``name value tolerance``, with an
+    optional ``# note`` after it, a comment.
     A value that is not finite or a tolerance that is negative or not finite
     raises ConfigurationError naming ``path:line``: with inf or nan every
     comparison would pass or fail whatever the experiment computed."""
     out: dict[str, Fixture] = {}
     for lineno, line in _entries(path):
-        body, _, note = line.partition("#")
+        body = line.partition("#")[0]
         parts = body.split()
         if len(parts) != 3:
             raise ConfigurationError(f"{path}:{lineno}: expected 'name value tolerance'")
@@ -107,7 +107,7 @@ def load_fixtures(path: str) -> dict[str, Fixture]:
         if name in out:
             raise ConfigurationError(f"{path}:{lineno}: duplicate fixture {name!r}")
         try:
-            out[name] = Fixture(name, float(value), float(tol), note.strip())
+            out[name] = Fixture(name, float(value), float(tol))
         except ValueError:
             raise ConfigurationError(f"{path}:{lineno}: value {value!r} and tolerance {tol!r} "
                                      "must be numbers") from None
@@ -266,8 +266,7 @@ def experiment_mlmc(model_name: str, beta: float, alpha: float, eps: float,
     if (beta, alpha) != (model.beta, model.alpha):
         raise ConfigurationError(f"the {model_name} model has beta {model.beta:g} and alpha {model.alpha:g}, "
                                  f"got beta {beta:g} and alpha {alpha:g}")
-    if runs < 1:
-        raise ValueError("runs must be a positive integer")
+    check_count("runs", runs, 1)
     params = _mlmc.mlmc_params(eps, beta, alpha)
     f = _mlmc.lookup_functional(functional)
     cost = _mlmc.theoretical_cost(params)
@@ -407,9 +406,7 @@ def _run(name: str, values: dict, csv: Optional[str], fixtures_path: Optional[st
     exist; all of these, and an unreadable fixture table, raise before the
     experiment runs."""
     exp = EXPERIMENTS[name]
-    for prm in exp.params:
-        if prm.type is float and not math.isfinite(values[prm.name]):
-            raise ValueError(f"{prm.name} must be finite, got {values[prm.name]!r}")
+    check_finite(**{prm.name: values[prm.name] for prm in exp.params if prm.type is float})
     for prm in exp.params:
         hi = prm.name[:-3] + "max"
         if prm.name.endswith("min") and hi in values and values[prm.name] > values[hi]:

@@ -24,7 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bitcore import MAX_BITS, MAX_LEVEL, BitAllocation, BitSource, byte_fields, read_bytes, read_fields, truncate_indices
+from .bitcore import (MAX_BITS, MAX_LEVEL, BitAllocation, BitSource, byte_fields, check_count, check_finite, read_bytes,
+                      read_fields, truncate_indices)
 from .errors import CapacityError, InternalInvariantError
 from .normal import checked_quad, coefficient_error_sq, grid_normal_byte_table, grid_normal_runs
 # grid_normal_values: unused, kept for perfbench/selftest.py
@@ -54,9 +55,7 @@ class EigenSpec:
     explicit: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        for name, value in (("beta", self.beta), ("alpha", self.alpha)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        check_finite(beta=self.beta, alpha=self.alpha)
         if not self.beta > 1.0:
             raise ValueError(f"beta must exceed 1 for summability, got {self.beta!r}")
 
@@ -80,14 +79,14 @@ def allocation_kl(m: int, spec: EigenSpec) -> BitAllocation:
 
     the paper's rule on the declared rates of ``spec``, explicit or not: it
     reads no eigenvalue.  Counts above :data:`bitcore.MAX_BITS` are refused
-    by :class:`BitAllocation`, and m above 2**MAX_LEVEL
-    (:data:`bitcore.MAX_LEVEL`) raises CapacityError before anything is
-    built.  ptilde is evaluated _ALLOC_BLOCK indices at a time into one byte
-    per count, so the float temporaries stay small and the counts take 9
-    bytes each at the peak (with their int64 copy).
+    by :class:`BitAllocation`; an m that is not a positive integer raises
+    ValueError, and m above 2**MAX_LEVEL (:data:`bitcore.MAX_LEVEL`)
+    CapacityError, before anything is built.  ptilde is evaluated
+    _ALLOC_BLOCK indices at a time into one byte per count, so the float
+    temporaries stay small and the counts take 9 bytes each at the peak
+    (with their int64 copy).
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    check_count("m", m, 1)
     if m > 1 << MAX_LEVEL:
         raise CapacityError(f"KL allocation capped at m = 2**{MAX_LEVEL}, got {m}")
     counts = np.empty(m, dtype=np.uint8)
@@ -142,8 +141,7 @@ def draw_rows(src: BitSource, alloc: BitAllocation, n: int) -> DrawnRows:
     """Draw n rows under ``alloc``; consumes exactly n * |alloc| bits and
     decodes none of them (:func:`decode_rows`).  An n that is not a
     non-negative integer raises ValueError before the stream moves."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"row count n must be a non-negative integer, got {n!r}")
+    check_count("row count n", n, 0)
     words, start = src.take_words(n * alloc.total)
     return DrawnRows(words, start, n, alloc)
 
@@ -274,8 +272,11 @@ def tail_sum(m: int, spec: EigenSpec) -> tuple[float, float]:
     valid once the eigenvalue sequence is decreasing.
 
     Raises ValueError when the eigenvalues still rise _TAIL_EXTEND terms past
-    M, or when quadrature cannot certify the (e.g. divergent) tail integral.
+    M, or when quadrature cannot certify the (e.g. divergent) tail integral,
+    and a count m that is not a non-negative integer before any eigenvalue
+    is read.
     """
+    check_count("m", m, 0)
     f = spec.eigenvalues
     partial = 0.0
     big_m = m

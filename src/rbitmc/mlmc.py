@@ -33,7 +33,8 @@ import numpy as np
 
 from . import gausskl
 # truncate_indices, grid_normal_values: unused, kept for perfbench/selftest.py
-from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, truncate_indices  # noqa: F401
+from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, check_count, check_finite
+from .bitcore import truncate_indices  # noqa: F401
 from .bridge import BridgeRows, allocation_bridge, nodes_from_coeffs
 from .errors import ConfigurationError, InternalInvariantError
 from .gausskl import EigenSpec, KLRows, allocation_kl
@@ -60,9 +61,7 @@ def mlmc_params(eps: float, beta: float, alpha: float) -> MLMCParams:
     """Level count, replication numbers and scaling constant for accuracy eps."""
     if not 0.0 < eps <= EPS_MAX:
         raise ValueError(f"eps must lie in (0, e^-2], got {eps}")
-    for name, value in (("beta", beta), ("alpha", alpha)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    check_finite(beta=beta, alpha=alpha)
     if not beta > 1.0:
         raise ValueError("beta must exceed 1")
     log_inv = math.log(1.0 / eps)
@@ -117,8 +116,7 @@ class ExpansionModel:
     """
 
     def __init__(self, min_bits: int = 0):
-        if not isinstance(min_bits, (int, np.integer)) or not 0 <= min_bits <= MAX_BITS:
-            raise ValueError(f"min_bits must be an integer in [0, {MAX_BITS}], got {min_bits!r}")
+        check_count("min_bits", min_bits, 0, MAX_BITS)
         self.min_bits = int(min_bits)
         self._allocs: dict[int, BitAllocation] = {}
 
@@ -295,7 +293,8 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
     n, dim = drawn.n, len(drawn.alloc)
     coarse = width > 0
     scale = model.scale(level)
-    threads = min(2, len(os.sched_getaffinity(0)))
+    # usable CPUs: the affinity set where the OS has one (Linux), else all of them
+    threads = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     step = max(2, _EVAL_BYTES // threads // (8 * (dim + 2)))
     bounds = [0, n] if n <= step else [*range(0, n - 1, step), n]  # a last single row joins the block before it
     blocks = list(zip(bounds, bounds[1:]))
@@ -382,8 +381,7 @@ def plain_mc(f: LipFunctional, model, level: int, n: int,
     blocks nor the threads change a value, and the batch sums are taken on
     the calling thread in row order.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    check_count("n", n, 1)
     batch = max(1, min(_BATCH_ROWS, _BATCH_BYTES * 8 // model.allocation(level).total))
     ledger = CostLedger()
     total = 0.0

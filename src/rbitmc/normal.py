@@ -45,7 +45,7 @@ import math
 import numpy as np
 from scipy.special import erfc as _erfc
 
-from .bitcore import byte_fields, dyadic_edges, dyadic_values, exact_sum
+from .bitcore import byte_fields, check_count, check_finite, dyadic_edges, dyadic_values, exact_sum
 from .errors import CapacityError
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -65,8 +65,7 @@ _PHI_INV_BLOCK = 1 << 14
 
 def _exact_precision(p: int, what: str) -> None:
     """Refuse a precision outside 1..MSE_EXACT_MAX_P for an exact 2**p-cell enumeration."""
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    check_count("p", p, 1)
     if p > MSE_EXACT_MAX_P:
         raise CapacityError(f"{what} enumerates 2**{p} cells; capped at p={MSE_EXACT_MAX_P}")
 
@@ -163,9 +162,11 @@ def phi_inv_tail(t: float) -> float:
     """Phi^{-1}(1 - 2**-t) for real 1 <= t <= TAIL_MAX_T, solved on the log scale.
 
     Works far beyond the resolution of 1 - 2**-t in double precision and is
-    free of cancellation; relative accuracy is ~1e-14.
+    free of cancellation; relative accuracy is ~1e-14.  Any other t, NaN
+    included, raises ValueError.
     """
     t = float(t)
+    check_finite(t=t)
     if t < 1.0:
         raise ValueError(f"tail exponent t must be >= 1, got {t}")
     if t > TAIL_MAX_T:
@@ -384,7 +385,9 @@ def bit_normal_mse_extended(p: int) -> float:
     """The mean-square gap E|Y - Y^(p)|^2 for every p >= 1: bit_normal_mse,
     exact, for p <= MSE_EXACT_MAX_P (26), and the asymptotic surrogate
     MSE_SCALED_LIMIT * 2**-p / p beyond.  The CLI tables flag the rows whose
-    bit counts reach the surrogate; p < 1 raises ValueError."""
+    bit counts reach the surrogate; a p that is not a positive integer
+    raises ValueError."""
+    check_count("p", p, 1)
     if p <= MSE_EXACT_MAX_P:
         return bit_normal_mse(p)
     return MSE_SCALED_LIMIT * 2.0 ** -p / p
@@ -489,8 +492,9 @@ def optimal_points(quantile_spec, p: int) -> np.ndarray:
 
 
 def func_h(a: float) -> float:
-    """h(a) = int_0^a exp(x^2/2) dx by adaptive quadrature (rel. tol 1e-10)."""
+    """h(a) = int_0^a exp(x^2/2) dx by adaptive quadrature (rel. tol 1e-12)."""
     a = float(a)
+    check_finite(a=a)
     if a <= 0.0:
         raise ValueError("func_h requires a > 0")
     factor = 0.5 * a * a
@@ -508,6 +512,7 @@ def func_h(a: float) -> float:
 def func_g(a: float) -> float:
     """g(a) = int_a^inf (x - a)^2 phi(x) dx = (1 + a^2)(1 - Phi(a)) - a phi(a)."""
     a = float(a)
+    check_finite(a=a)
     if a < 0.0:
         raise ValueError("func_g requires a >= 0")
     return (1.0 + a * a) * Phi(-a) - a * phi(a)

@@ -25,7 +25,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, truncate_indices  # noqa: F401
+from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, check_count, check_finite
+# truncate_indices: unused, kept for perfbench/selftest.py
+from .bitcore import truncate_indices  # noqa: F401
 from .bridge import allocation_bridge, allocation_bridge_total, nodes_from_coeffs
 from .errors import InternalInvariantError, NumericFailure
 from .gausskl import coarsen_rows, sample_rows
@@ -52,9 +54,7 @@ class SDEModel:
 
 def geometric_model(mu: float, sigma: float, x0: float = 1.0) -> SDEModel:
     """dX = mu X dt + sigma X dW with exact solution x0 exp((mu - sigma^2/2) t + sigma W)."""
-    for name, value in (("mu", mu), ("sigma", sigma), ("x0", x0)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    check_finite(mu=mu, sigma=sigma, x0=x0)
     if sigma == 0.0 or x0 == 0.0:
         raise ValueError("geometric model requires sigma != 0 and x0 != 0")
 
@@ -72,16 +72,10 @@ def geometric_model(mu: float, sigma: float, x0: float = 1.0) -> SDEModel:
     )
 
 
-def _check_steps(m: int) -> None:
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-
-
 def _check_scheme(m: int, q: int) -> None:
     """Refuse m steps or q-bit increments before any bit is drawn."""
-    _check_steps(m)
-    if not isinstance(q, (int, np.integer)) or not 1 <= q <= PARENT_BITS:  # truncations of the parents
-        raise ValueError(f"q must be an integer in [1, {PARENT_BITS}], got {q!r}")
+    check_count("m", m, 1)
+    check_count("q", q, 1, PARENT_BITS)  # truncations of the parents
 
 
 def milstein_rows(model: SDEModel, m: int, normals) -> np.ndarray:
@@ -93,7 +87,7 @@ def milstein_rows(model: SDEModel, m: int, normals) -> np.ndarray:
     are what a coupled companion re-truncates.  A non-finite state raises
     NumericFailure naming its step.
     """
-    _check_steps(m)
+    check_count("m", m, 1)
     normals = np.asarray(normals, dtype=np.float64)
     if normals.ndim != 2 or normals.shape[1] != m:
         raise ValueError(f"expected normalized increments of shape (rows, {m}), got shape {normals.shape}")
@@ -134,8 +128,7 @@ def refined_rows(src: BitSource, model: SDEModel, m: int, q: int, level: int, n:
     path i).  Bits = n * sde_bit_cost; m, q, level and n are refused before
     the first draw.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    check_count("n", n, 1)
     expected = n * sde_bit_cost(m, q, level)
     before = src.bits_drawn
     y, _ = sample_rows(src, BitAllocation(np.full(m, q)), n)
@@ -181,8 +174,7 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     Milstein state does.
     """
     _check_scheme(m, q)
-    if not isinstance(reps, (int, np.integer)) or reps < 1:
-        raise ValueError(f"reps must be a positive integer, got {reps!r}")
+    check_count("reps", reps, 1)
     src = BitSource(seed)
     ledger = CostLedger()
     if model.exact_strong_solution is not None:

@@ -412,6 +412,48 @@ def test_only_normal_chooses_between_the_grid_table_and_phi_inv():
     assert users == {"normal.py"}
 
 
+def test_only_check_count_asks_for_an_integer_type():
+    """Integer counts are refused in one place, bitcore.check_count: an
+    isinstance test against np.integer appears in src/ only there and in
+    cli.format_value, which formats a value and refuses none."""
+    users = set()
+    for path in sorted(Path(__file__).resolve().parents[1].glob("src/rbitmc/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and any(getattr(sub, "attr", None) == "integer" for arg in node.args[1:] for sub in ast.walk(arg))):
+                continue
+            scope = parents.get(node)
+            while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = parents.get(scope)
+            users.add((path.stem, getattr(scope, "name", None)))
+    assert users == {("bitcore", "check_count"), ("cli", "format_value")}
+
+
+@pytest.mark.parametrize("args, message", [
+    (("n", 2.5, 1), "n must be a positive integer, got 2.5"),
+    (("n", -1, 0), "n must be a non-negative integer, got -1"),
+    (("p", 64, 1, MAX_BITS), "p must be an integer in [1, 63], got 64"),
+    (("p", np.float64(3), 1, MAX_BITS), f"p must be an integer in [1, 63], got {np.float64(3)!r}"),
+    (("p", "4", 1), "p must be a positive integer, got '4'"),
+])
+def test_check_count_messages(args, message):
+    with pytest.raises(ValueError) as info:
+        bitcore.check_count(*args)
+    assert str(info.value) == message
+    for ok in (0 if args[2] == 0 else 1, np.int64(args[2]), np.uint8(args[2])):
+        bitcore.check_count(args[0], ok, *args[2:])
+
+
+def test_check_finite_names_the_first_bad_value():
+    bitcore.check_finite(a=1.0, b=-1e308, c=3)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError) as info:
+            bitcore.check_finite(a=1.0, b=bad, c=math.nan)
+        assert str(info.value) == f"b must be finite, got {bad!r}"
+
+
 _FSUM_OF_SCALARS = {("normal", "coefficient_error_sq")}
 
 

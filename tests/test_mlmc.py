@@ -403,6 +403,33 @@ def test_threaded_blocks_give_the_one_block_bytes(model_name, monkeypatch):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+def test_estimators_run_where_the_os_has_no_affinity_set(model_name, monkeypatch):
+    """os.sched_getaffinity exists on Linux only: _evaluate called it on every
+    batch, so every estimator raised AttributeError elsewhere.  Without it the
+    threads follow os.cpu_count() (one when that is unknown), and the values
+    stay those of one thread, bit for bit."""
+    model = MODELS[model_name]
+    params = M.mlmc_params(2.0 ** -3, model.beta, model.alpha)
+    f = M.lookup_functional("norm")
+    monkeypatch.setattr(M, "_EVAL_BYTES", 8 * 66 * 16)  # plain_mc at level 6: many blocks of 8 rows
+
+    def run():
+        mean, stderr, ledger = M.plain_mc(f, model, 6, 203, BitSource(5))
+        est = M.mlmc_estimate(f, model, params, BitSource(6))
+        return mean.hex(), stderr.hex(), ledger.bits, est.estimate.hex(), est.stderr.hex()
+
+    with_affinity = run()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    pools = _PoolSpy(monkeypatch)
+    assert run() == with_affinity
+    assert pools.pools == ([1] if (os.cpu_count() or 1) > 1 else [])  # plain_mc's blocks on two threads
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    pools = _PoolSpy(monkeypatch)
+    assert run() == with_affinity
+    assert pools.pools == []
+
+
 def test_worker_exception_propagates_and_leaves_no_thread(monkeypatch):
     # a block evaluated off the calling thread raises: plain_mc and
     # mlmc_estimate raise it, and every pool thread has ended
