@@ -7,10 +7,13 @@ The dyadic midpoint grid
     D(p) = { k * 2**-p - 2**-(p+1) : k = 1, ..., 2**p }
 
 is the set of p-bit values in [0, 1), shifted by half a cell so that it is
-symmetric about 1/2.  A value of D(p) is kept as its 1-based cell index k;
-re-truncating it to a coarser grid is the exact integer shift of
-:func:`truncate_indices`.  Truncations to decreasing precision nest, which is
-what makes coupled coarse/fine sampling possible downstream.
+symmetric about 1/2.  A value of D(p) is kept as the p-bit field
+f = k - 1 in 0..2**p - 1 that the stream holds (its grid index);
+:func:`dyadic_values` is the one map from a field to its point of D(p), and
+re-truncating a field to a coarser grid is the exact shift
+f >> (p_from - p_to) of :func:`truncate_indices`.  Truncations to decreasing
+precision nest, which is what makes coupled coarse/fine sampling possible
+downstream.
 
 :func:`exact_sum` is the package's one sum of a float64 array that must be
 exact: ``math.fsum``'s value, bit for bit, at a fraction of its cost.
@@ -73,6 +76,7 @@ class BitSource:
     """
 
     def __init__(self, seed: int):
+        check_count("seed", seed, 0)
         self.seed = int(seed)
         self.bits_drawn = 0
         self._raw = np.random.PCG64(self.seed).random_raw
@@ -183,7 +187,7 @@ def read_bytes(words: np.ndarray, start: int, p: int, n: int) -> np.ndarray:
     from bit ``start`` of ``words`` on, as uint8 codes.
 
     Returns ceil(p n / 8) codes, most significant bit first: value j is
-    field j % (8/p) of byte j // (8/p), so the 1-based grid indices of the
+    field j % (8/p) of byte j // (8/p), so the grid indices (fields) of the
     values are ``byte_fields(p)[codes].reshape(-1)[:n]``; the bits of the
     last byte past them are not defined.  When ``start`` is not on a byte
     boundary, the bytes are shifted into place with one extra pass.  Only
@@ -204,15 +208,14 @@ _BYTE_PRECISIONS = (1, 2, 4, 8)
 
 @cache
 def byte_fields(p: int) -> np.ndarray:
-    """(256, 8/p) uint64 table whose row b holds the 1-based grid indices
-    of the p-bit fields of byte b (each field plus one), most significant
-    first, for p in {1, 2, 4, 8}; built once per p, read-only.
+    """(256, 8/p) uint64 table whose row b holds the p-bit fields of byte b,
+    most significant first, for p in {1, 2, 4, 8}; built once per p,
+    read-only.
     """
     if p not in _BYTE_PRECISIONS:
         raise ValueError(f"byte tables need p in {_BYTE_PRECISIONS}, got {p!r}")
     shifts = np.arange(8 - p, -1, -p, dtype=np.uint64)
-    fields = (np.arange(256, dtype=np.uint64)[:, np.newaxis] >> shifts) & np.uint64((1 << p) - 1)
-    table = fields + np.uint64(1)
+    table = (np.arange(256, dtype=np.uint64)[:, np.newaxis] >> shifts) & np.uint64((1 << p) - 1)
     table.flags.writeable = False  # shared by every caller
     return table
 
@@ -221,15 +224,28 @@ def child_source(base_seed: int, *key: int) -> BitSource:
     """Independently seeded source for replication ``key`` of ``base_seed``.
 
     The derivation is SeedSequence(base_seed, spawn_key=key); the resulting
-    64-bit seed is deterministic across platforms.
+    64-bit seed is deterministic across platforms.  The base seed and every
+    key must be non-negative integers.
     """
+    check_count("base_seed", base_seed, 0)
+    for k in key:
+        check_count("key", k, 0)
     ss = np.random.SeedSequence(int(base_seed), spawn_key=tuple(int(k) for k in key))
     return BitSource(int(ss.generate_state(1, np.uint64)[0]))
 
 
 def dyadic_values(indices: np.ndarray, p: int) -> np.ndarray:
-    """Float midpoint values for an array of 1-based grid indices."""
-    return (2.0 * np.asarray(indices, dtype=np.float64) - 1.0) * 2.0 ** -(p + 1)
+    """The points (2 fl(f + 1) - 1) 2**-(p+1) of D(p) at an array of p-bit
+    fields f: the one map from a field to its midpoint.  f + 1 is formed in
+    the fields' integer type and rounded to a double once; the shorter
+    (f + 0.5) 2**-p rounds differently from p = 54 on.  fl(f + 1) 2**-p -
+    2**-(p+1) is the same value, rounded once, and is computed in place on
+    one new float64 array, so a whole-grid table holds no temporary beside
+    its fields."""
+    u = np.add(indices, 1, out=np.empty(np.shape(indices)), casting="unsafe")
+    u *= 2.0 ** -p
+    u -= 2.0 ** -(p + 1)
+    return u
 
 
 def dyadic_edges(k0: int, k1: int, p: int) -> np.ndarray:
@@ -274,18 +290,14 @@ def exact_sum(values) -> float:
 
 
 def truncate_indices(indices: np.ndarray, p_from, p_to) -> np.ndarray:
-    """Vectorized exact re-truncation of 1-based grid indices from p_from to
-    p_to bits, ((i - 1) >> (p_from - p_to)) + 1, into one new uint64 array.
-    Either count may be an array of counts that broadcasts against the
-    indices, such as one count per column of index rows."""
+    """Vectorized exact re-truncation of grid indices (fields) from p_from to
+    p_to bits, f >> (p_from - p_to), into one new uint64 array.  Either count
+    may be an array of counts that broadcasts against the indices, such as
+    one count per column of index rows."""
     shift = np.subtract(p_from, p_to)
     if np.any(shift < 0):
         raise ValueError(f"cannot refine {p_from}-bit indices to {p_to} bits")
-    one = np.uint64(1)
-    out = np.asarray(indices, dtype=np.uint64) - one
-    out >>= shift.astype(np.uint64)
-    out += one
-    return out
+    return np.asarray(indices, dtype=np.uint64) >> shift.astype(np.uint64)
 
 
 @dataclass

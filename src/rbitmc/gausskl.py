@@ -46,8 +46,9 @@ class EigenSpec:
     function (any constant factor goes there), whose decay the declared
     rates state.  The bit allocation and the MLMC schedule read only the
     rates; the scales, the error and its tail read the eigenvalues.  An
-    explicit eigenvalue that is negative or not finite raises ValueError
-    naming its index.
+    explicit result that is not one value per index, and an explicit
+    eigenvalue that is negative or not finite, raise ValueError naming the
+    shapes or the index.
     """
 
     beta: float
@@ -64,6 +65,8 @@ class EigenSpec:
         if self.explicit is None:
             return i_arr ** -self.beta * np.log(i_arr + 1.0) ** -self.alpha
         lam = np.asarray(self.explicit(i_arr), dtype=np.float64)
+        if lam.shape != i_arr.shape:
+            raise ValueError(f"explicit eigenvalues have shape {lam.shape}, not the shape {i_arr.shape} of their indices")
         bad = ~(np.isfinite(lam) & (lam >= 0.0))
         if bad.any():
             j = int(np.flatnonzero(bad)[0])
@@ -151,16 +154,19 @@ def decode_rows(drawn: DrawnRows, a: int, b: int, scale: Optional[np.ndarray] = 
     """Rows a..b (b exclusive) of ``drawn``: (coefficient rows, into ``out``
     when given; index rows of the first ``width`` columns, None for width 0).
 
-    Coefficient i is scale[i] times the p_i-bit grid normal at its retained
-    (1-based) index; ``scale=None`` means unit scale.  Each run's fields are
-    read once.  A run at p in {1, 2, 4, 8}, the stream format, looks its
-    stream bytes up in the (256, 8/p) tables
+    Coefficient i is scale[i] times the p_i-bit grid normal at its p_i-bit
+    field, which is its index; ``scale=None`` means unit scale.  Each run's
+    fields are read once.  A run at p in {1, 2, 4, 8}, the stream format,
+    looks its stream bytes up in the (256, 8/p) tables
     :func:`normal.grid_normal_byte_table` and :func:`bitcore.byte_fields`
     with ``np.take``; the fields of all other runs go through one
     :func:`normal.grid_normal_runs` call for the block (at most one
     ``phi_inv`` call).  Every block of rows gives the values of the whole
-    batch.
+    batch.  A row range outside 0 <= a <= b <= drawn.n raises ValueError
+    before any word is read.
     """
+    check_count("row start a", a, 0, drawn.n)
+    check_count("row stop b", b, a, drawn.n)
     nb = b - a
     coeffs = np.empty((nb, len(drawn.alloc)), dtype=np.float64) if out is None else out
     idx = np.empty((nb, width), dtype=np.uint64) if width else None
@@ -176,7 +182,7 @@ def decode_rows(drawn: DrawnRows, a: int, b: int, scale: Optional[np.ndarray] = 
             if k > 0:
                 idx[:, c0:c0 + k] = np.take(byte_fields(p), codes, axis=0).reshape(-1)[:nb * w].reshape(nb, w)[:, :k]
             continue
-        fields = read_fields(drawn.words, at, p, nb * w).reshape(nb, w) + np.uint64(1)
+        fields = read_fields(drawn.words, at, p, nb * w).reshape(nb, w)
         cols.append((c0, c1))
         pairs.append((fields, p))
         if k > 0:
@@ -218,9 +224,9 @@ def coarsen_rows(idx_rows: np.ndarray, fine: BitAllocation, coarse: BitAllocatio
     ``coarse.runs`` (computed once per allocation) come from one
     :func:`normal.grid_normal_runs` call (at most one ``phi_inv`` call).
     Raises InternalInvariantError when ``coarse`` is not nested in ``fine``,
-    and ValueError for index rows narrower than ``coarse``, holding an
-    index outside 1..2**p of its fine count p, or a ``scale`` that is not
-    one value per coarse coefficient.
+    and ValueError for index rows that are not integers, are narrower than
+    ``coarse`` or hold a field outside 0..2**p - 1 of its fine count p, or a
+    ``scale`` that is not one value per coarse coefficient.
     """
     m2 = len(coarse)
     _check_scale(scale, coarse)
@@ -252,15 +258,17 @@ def _check_scale(scale: Optional[np.ndarray], alloc: BitAllocation) -> None:
 
 
 def _check_indices(rows: np.ndarray, p: np.ndarray) -> None:
-    """Refuse an index outside 1..2**p_j in column j of the index rows; only
-    the minimum of all rows and the maximum of each column are taken (1, a
-    valid index, when there is no row)."""
-    lo, hi = rows.min(initial=1), rows.max(axis=0, initial=1)
-    over = hi > np.uint64(1) << p.astype(np.uint64)
-    if lo < 1 or over.any():
-        j = int(np.argmax((rows == lo).any(axis=0) if lo < 1 else over))
-        value = lo if lo < 1 else hi[j]
-        raise ValueError(f"index {value} in column {j + 1} is outside 1..2**{p[j]} of its {p[j]}-bit count")
+    """Refuse index rows that are not integers, or that hold a field outside
+    0..2**p_j - 1 in column j; only the minimum of all rows and the maximum
+    of each column are taken (0, a valid field, when there is no row)."""
+    if rows.dtype.kind not in "iu":
+        raise ValueError(f"index rows must hold integer fields, got dtype {rows.dtype}")
+    lo, hi = rows.min(initial=0), rows.max(axis=0, initial=0)
+    over = hi >= np.uint64(1) << p.astype(np.uint64)
+    if lo < 0 or over.any():
+        j = int(np.argmax((rows == lo).any(axis=0) if lo < 0 else over))
+        value = lo if lo < 0 else hi[j]
+        raise ValueError(f"index {value} in column {j + 1} is outside 0..2**{p[j]} - 1 of its {p[j]}-bit count")
 
 
 def tail_sum(m: int, spec: EigenSpec) -> tuple[float, float]:

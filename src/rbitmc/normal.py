@@ -4,11 +4,11 @@ inverse, the p-bit grid normal, and exact moment/error formulas.
 The p-bit normal is obtained by pushing a uniform draw from the dyadic
 midpoint grid D(p) through the inverse distribution function.  Its support
 
-    x_k = Phi^{-1}(k * 2**-p - 2**-(p+1)),      k = 1, ..., 2**p,
+    x_f = Phi^{-1}((f + 1/2) * 2**-p),      f = 0, ..., 2**p - 1,
 
-is antisymmetric, and all second-order error quantities against the exact
-normal (mean-square gap, moments, cross moment) have closed forms per grid
-cell, which this module evaluates exactly up to floating-point rounding:
+indexed by the p-bit field f of the draw, is antisymmetric, and all
+second-order error quantities against the exact normal (mean-square gap,
+moments, cross moment) have closed forms per grid cell, which this module evaluates exactly up to floating-point rounding:
 ``bit_normal_mse`` gives the mean-square gap alone, ``bit_normal_mse_moments``
 the gap with the moments 2 and 4 from one pass (the only route to the
 moments), and ``bit_normal_cross_moment`` E[Y Y^(p)], the oracle of the
@@ -23,7 +23,7 @@ pairs above it; ``grid_normal_values`` is its one-pair call and
 
 Private helpers carry every exact enumeration: ``_exact_precision``
 refuses p outside 1..MSE_EXACT_MAX_P, ``_mid_quantiles`` gives the support
-points x_k of a range of cells, ``_quantile_density`` the density terms
+points x_f of a range of cells, ``_quantile_density`` the density terms
 phi(y) and y phi(y) at quantile edges y = Phi^{-1}(u) (zero at the infinite
 edges u = 0 and u = 1), ``_edge_density`` the same terms at all 2**p + 1
 edges of the uniform cells from one ``phi_inv`` pass over the lower half
@@ -187,16 +187,16 @@ def phi_inv_tail(t: float) -> float:
     return y
 
 
-def _mid_quantiles(p: int, k0: int, k1: int) -> np.ndarray:
-    """Support points x_k of the p-bit normal for cells k0..k1 (p <= 26, so
-    every midpoint is below 1; the index arange is freed before phi_inv)."""
-    return phi_inv(dyadic_values(np.arange(k0, k1 + 1, dtype=np.float64), p))
+def _mid_quantiles(p: int, f0: int, f1: int) -> np.ndarray:
+    """Support points x_f of the p-bit normal for cells f0 <= f < f1 (p <= 26,
+    so every midpoint is below 1; the field arange is freed before phi_inv)."""
+    return phi_inv(dyadic_values(np.arange(f0, f1), p))
 
 
 def bit_normal_support(p: int) -> np.ndarray:
-    """The 2**p support points x_k of the p-bit normal, in ascending order."""
+    """The 2**p support points x_f of the p-bit normal, in ascending order."""
     _exact_precision(p, "support")
-    return _mid_quantiles(p, 1, 1 << p)
+    return _mid_quantiles(p, 0, 1 << p)
 
 
 # Quantile values of whole dyadic grids are reused heavily by the samplers;
@@ -207,38 +207,38 @@ GRID_TABLE_MAX_P = 20
 @functools.cache
 def _grid_table(p: int) -> np.ndarray:
     """The 2**p support points of the p-bit normal for p <= GRID_TABLE_MAX_P, read-only."""
-    table = _mid_quantiles(p, 1, 1 << p)
+    table = _mid_quantiles(p, 0, 1 << p)
     table.flags.writeable = False  # shared by every caller
     return table
 
 
 def grid_normal_runs(runs) -> list[np.ndarray]:
     """The p-bit grid normals of each (indices, p) pair of ``runs``: one
-    array per pair in the shape of its 1-based grid indices.
+    array per pair in the shape of its grid indices, the p-bit fields f.
 
-    This is the one route from sampled grid indices i to normals, and the
+    This is the one route from sampled grid indices to normals, and the
     one place that reads GRID_TABLE_MAX_P.  A pair at p <= GRID_TABLE_MAX_P
-    is looked up in the cached full-grid table; all pairs above it share
-    one :func:`phi_inv` call (none when there are none) at the dyadic
-    midpoints u = (2i - 1) 2**-(p+1) (:func:`bitcore.dyadic_values`), and
-    each gets a view of its output.  Only from p = 53 on
-    can u round to 1.0 (index 2**53 at p = 53, the top 513 indices at
-    p = 63); there, and only there, the value is minus that of the mirror
-    index 2**p + 1 - i, whose midpoint is 1 - u.  Every other value is
-    ``phi_inv(dyadic_values(i, p))``, bit for bit, as the table holds
-    exactly those values.
+    is looked up at f in the cached full-grid table; all pairs above it
+    share one :func:`phi_inv` call (none when there are none) at the dyadic
+    midpoints u of :func:`bitcore.dyadic_values`, and each gets a view of
+    its output.  Only from p = 53 on can u round to 1.0 (field 2**53 - 1 at
+    p = 53, the top 513 fields at p = 63); there, and only there, the value
+    is minus that of the mirror field 2**p - 1 - f, whose midpoint is
+    1 - u.  Every other value is ``phi_inv(dyadic_values(f, p))``, bit for
+    bit, as the table holds exactly those values.  A field of 2**p or more
+    raises (IndexError from the table, ValueError from phi_inv).
     """
     out, deep, flips, off = [], [], [], 0  # deep: the slots of out holding midpoints above the table cap
     for i, p in runs:
         i = np.asarray(i, dtype=np.uint64)
         if p <= GRID_TABLE_MAX_P:
-            out.append(np.take(_grid_table(p), i.astype(np.int64) - 1))
+            out.append(np.take(_grid_table(p), i))
             continue
-        u = np.asarray(dyadic_values(i, p))  # an array also for a scalar index
-        if p > 52:  # (2i - 1) 2**-(p+1) is exact, so below 1, up to p = 52
+        u = dyadic_values(i, p)
+        if p > 52:  # (2f + 1) 2**-(p+1) is exact, so below 1, up to p = 52
             top = np.flatnonzero(u == 1.0)
             if top.size:
-                u.reshape(-1)[top] = dyadic_values(np.uint64((1 << int(p)) + 1) - i.reshape(-1)[top], p)
+                u.reshape(-1)[top] = dyadic_values(np.uint64((1 << int(p)) - 1) - i.reshape(-1)[top], p)
                 flips.append(off + top)
         deep.append(len(out))
         out.append(u)
@@ -257,10 +257,10 @@ def grid_normal_runs(runs) -> list[np.ndarray]:
 
 
 def grid_normal_values(indices: np.ndarray, p: int) -> np.ndarray:
-    """The p-bit grid normals at the given 1-based grid indices: the one-pair
-    call of :func:`grid_normal_runs`, so ``phi_inv(dyadic_values(indices,
-    p))`` wherever that midpoint is below 1, and minus the mirror value at
-    the top indices of p >= 53."""
+    """The p-bit grid normals at the given grid indices (p-bit fields): the
+    one-pair call of :func:`grid_normal_runs`, so
+    ``phi_inv(dyadic_values(indices, p))`` wherever that midpoint is below 1,
+    and minus the mirror value at the top fields of p >= 53."""
     (y,) = grid_normal_runs([(indices, p)])
     return y
 
@@ -313,25 +313,26 @@ def _sq_error(width, c, pdf_lo, pdf_hi, ypdf_lo, ypdf_hi):
     return (1.0 + c * c) * width + 2.0 * c * (pdf_hi - pdf_lo) - (ypdf_hi - ypdf_lo)
 
 
-def _cell_quantities(p: int, k0: int, k1: int):
-    """Midpoint quantiles of cells k0..k1 and the density terms at their edges."""
-    pdf, ypdf = _quantile_density(dyadic_edges(k0 - 1, k1, p))
-    return _mid_quantiles(p, k0, k1), pdf, ypdf
+def _cell_quantities(p: int, f0: int, f1: int):
+    """Midpoint quantiles of cells f0 <= f < f1 and the density terms at their edges."""
+    pdf, ypdf = _quantile_density(dyadic_edges(f0, f1, p))
+    return _mid_quantiles(p, f0, f1), pdf, ypdf
 
 
-def _mid_terms(p: int, k0: int, k1: int):
-    """Support points x_k of cells k0..k1 and each cell's int (Phi^{-1}(u) - x_k)^2 du."""
-    c, pdf, ypdf = _cell_quantities(p, k0, k1)
+def _mid_terms(p: int, f0: int, f1: int):
+    """Support points x_f of cells f0 <= f < f1 and each cell's int (Phi^{-1}(u) - x_f)^2 du."""
+    c, pdf, ypdf = _cell_quantities(p, f0, f1)
     return c, _sq_error(2.0 ** -p, c, pdf[:-1], pdf[1:], ypdf[:-1], ypdf[1:])
 
 
 def _upper_sums(p: int, terms) -> list[float]:
-    """Exact sums over cells 2**(p-1)+1 .. 2**p of each array in terms(k0, k1):
-    for each term, one :func:`bitcore.exact_sum` per chunk of at most 2**20
-    cells, then one over the chunk sums, in ascending order."""
+    """Exact sums over cells 2**(p-1) <= f < 2**p of each array in
+    terms(f0, f1), which covers cells f0 <= f < f1: for each term, one
+    :func:`bitcore.exact_sum` per chunk of at most 2**20 cells, then one over
+    the chunk sums, in ascending order."""
     n = 1 << p
-    chunk_sums = [[exact_sum(t) for t in terms(k0, min(k0 + _CHUNK - 1, n))]
-                  for k0 in range((n >> 1) + 1, n + 1, _CHUNK)]
+    chunk_sums = [[exact_sum(t) for t in terms(f0, min(f0 + _CHUNK, n))]
+                  for f0 in range(n >> 1, n, _CHUNK)]
     return [exact_sum(sums) for sums in zip(*chunk_sums)]
 
 
@@ -350,7 +351,7 @@ def bit_normal_mse(p: int) -> float:
     _exact_precision(p, _MSE_WHAT)
     if p in _MSE_CACHE:
         return _MSE_CACHE[p]
-    (half,) = _upper_sums(p, lambda k0, k1: _mid_terms(p, k0, k1)[1:])
+    (half,) = _upper_sums(p, lambda f0, f1: _mid_terms(p, f0, f1)[1:])
     mse = _MSE_CACHE[p] = 2.0 * half
     return mse
 
@@ -359,15 +360,15 @@ def bit_normal_mse_moments(p: int) -> tuple[float, float, float]:
     """Exact (E|Y - Y^(p)|^2, E|Y^(p)|^2, E|Y^(p)|^4) from one pass over the cells.
 
     The mse is bit_normal_mse(p), bit for bit (and is cached with it); the
-    moments 2**-p * sum_k x_k^r, r = 2 and 4, are summed over the upper half
-    of the grid, as x_k^r is even.  This is the one route to the moments;
+    moments 2**-p * sum_f x_f^r, r = 2 and 4, are summed over the upper half
+    of the grid, as x_f^r is even.  This is the one route to the moments;
     bit_normal_mse stays as the mse-only pass, which is faster when the
     moments are not needed.
     """
     _exact_precision(p, _MSE_WHAT)
 
-    def terms(k0, k1):
-        c, sq = _mid_terms(p, k0, k1)
+    def terms(f0, f1):
+        c, sq = _mid_terms(p, f0, f1)
         return sq, c ** 2, c ** 4
 
     half, s2, s4 = _upper_sums(p, terms)
@@ -407,11 +408,11 @@ def coefficient_error_sq(terms) -> float:
 
 
 def bit_normal_cross_moment(p: int) -> float:
-    """Exact E[Y * Y^(p)] = sum_k x_k * (phi(y_{k-1}) - phi(y_k))."""
+    """Exact E[Y * Y^(p)] = sum_f x_f * (phi(y_f) - phi(y_{f+1})), y_f = Phi^{-1}(f 2**-p)."""
     _exact_precision(p, "cross moment")
 
-    def terms(k0, k1):
-        c, pdf, _ = _cell_quantities(p, k0, k1)
+    def terms(f0, f1):
+        c, pdf, _ = _cell_quantities(p, f0, f1)
         return (c * (pdf[:-1] - pdf[1:]),)
 
     (half,) = _upper_sums(p, terms)

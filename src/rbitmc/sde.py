@@ -200,7 +200,7 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
             yf[:, k0:k1] = sample_rows(src, fine, k1 - k0)[0].T
         y = yf.reshape(reps, m, FINE_FACTOR).sum(axis=2) / math.sqrt(FINE_FACTOR)
         u = Phi(y)
-        idx_q = np.minimum((u * 2.0**q).astype(np.uint64), np.uint64((1 << q) - 1)) + np.uint64(1)  # u = 1 is the top cell
+        idx_q = np.minimum((u * 2.0**q).astype(np.uint64), np.uint64((1 << q) - 1))  # u = 1 is the top cell
         yq = grid_normal_values(idx_q, q)
         ref = milstein_rows(model, mf, yf)[:, FINE_FACTOR::FINE_FACTOR]
     ledger.bits = src.bits_drawn

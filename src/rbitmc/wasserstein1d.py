@@ -51,7 +51,7 @@ def uniform_spec() -> QuantileSpec:
     and a cell of width w and midpoint m adds w (m - c)^2 + w^3 / 12 to W2^2,
     two terms that cannot cancel (on D(p) itself, w^3 / 12 rounded once)."""
     def _cell_average(p):
-        return dyadic_values(np.arange(1, (1 << p) + 1), p)
+        return dyadic_values(np.arange(1 << p), p)
 
     def _cell_sq_error(p, c):
         w = 2.0 ** -p

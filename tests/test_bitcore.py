@@ -117,7 +117,7 @@ def test_byte_fields_split_every_byte(p):
     assert table.shape == (256, 8 // p) and table.dtype == np.uint64
     for b in range(256):
         bits = format(b, "08b")
-        assert [int(v) for v in table[b]] == [int(bits[j:j + p], 2) + 1 for j in range(0, 8, p)]
+        assert [int(v) for v in table[b]] == [int(bits[j:j + p], 2) for j in range(0, 8, p)]
 
 
 @pytest.mark.parametrize("head", [0, 3, 8, 61])
@@ -131,9 +131,32 @@ def test_draw_bytes_hold_the_scalar_draws(p, head):
     codes = read_bytes(*a.take_words(p * n), p, n)
     assert codes.dtype == np.uint8 and codes.shape == (-(-p * n // 8),)
     values = byte_fields(p)[codes].reshape(-1)[:n]
-    assert [int(v) for v in values] == [b.draw_bits(p) + 1 for _ in range(n)]
+    assert [int(v) for v in values] == [b.draw_bits(p) for _ in range(n)]
     assert a.bits_drawn == b.bits_drawn == head + p * n
     assert a.draw_bits(13) == b.draw_bits(13)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: BitSource(2.5), "seed must be a non-negative integer, got 2.5"),
+    (lambda: BitSource(-1), "seed must be a non-negative integer, got -1"),
+    (lambda: child_source(2.5), "base_seed must be a non-negative integer, got 2.5"),
+    (lambda: child_source(-1, 0), "base_seed must be a non-negative integer, got -1"),
+    (lambda: child_source(1, 0, 2.5), "key must be a non-negative integer, got 2.5"),
+    (lambda: child_source(1, -1), "key must be a non-negative integer, got -1"),
+], ids=["seed-2.5", "seed-minus-1", "base-2.5", "base-minus-1", "key-2.5", "key-minus-1"])
+def test_seeds_and_keys_are_counts(make, message):
+    """BitSource(2.5) drew the stream of seed 2 without a word, and
+    BitSource(-1) failed with numpy's "expected non-negative integer", which
+    does not name the seed."""
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_numpy_integer_seeds_draw_the_stream_of_the_int():
+    assert BitSource(np.int64(5)).draw_bits(40) == BitSource(5).draw_bits(40)
+    assert BitSource(np.uint64(2**64 - 1)).draw_bits(40) == BitSource(2**64 - 1).draw_bits(40)
+    assert child_source(np.int64(3), np.int64(1), np.uint8(2)).seed == child_source(3, 1, 2).seed
 
 
 def test_invalid_bit_counts():
@@ -145,30 +168,30 @@ def test_invalid_bit_counts():
 
 def test_dyadic_grid_small_p():
     src = BitSource(3)
-    vals1 = set(dyadic_values(src.draw_bits_array(1, 64) + np.uint64(1), 1))
+    vals1 = set(dyadic_values(src.draw_bits_array(1, 64), 1))
     assert vals1 <= {0.25, 0.75}
-    vals2 = set(dyadic_values(src.draw_bits_array(2, 256) + np.uint64(1), 2))
+    vals2 = set(dyadic_values(src.draw_bits_array(2, 256), 2))
     assert vals2 == {0.125, 0.375, 0.625, 0.875}
 
 
 def test_dyadic_value_invariants():
-    assert dyadic_values([3], 2)[0] == 0.625
-    # grid is symmetric about 1/2: the mirror index gives 1 - value
+    assert dyadic_values([2], 2)[0] == 0.625
+    # grid is symmetric about 1/2: the mirror field gives 1 - value
     for p in (1, 2, 5, 20):
-        k = np.arange(1, (1 << p) + 1)
-        assert np.array_equal(dyadic_values((1 << p) + 1 - k, p), 1.0 - dyadic_values(k, p))
+        f = np.arange(1 << p)
+        assert np.array_equal(dyadic_values((1 << p) - 1 - f, p), 1.0 - dyadic_values(f, p))
 
 
 def _truncate_to(i: int, p_from: int, p_to: int) -> int:
-    """Exact scalar re-truncation of a 1-based grid index, in Python ints."""
-    return ((i - 1) >> (p_from - p_to)) + 1
+    """Exact scalar re-truncation of a grid index (p-bit field), in Python ints."""
+    return i >> (p_from - p_to)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_truncation_nesting(data):
     p_small, p_mid, p_big = sorted(data.draw(st.lists(st.integers(1, 63), min_size=3, max_size=3), label="p"))
-    idx = np.array(data.draw(st.lists(st.integers(1, 1 << p_big), min_size=1, max_size=30), label="idx"),
+    idx = np.array(data.draw(st.lists(st.integers(0, (1 << p_big) - 1), min_size=1, max_size=30), label="idx"),
                    dtype=np.uint64)
     direct = truncate_indices(idx, p_big, p_small)
     assert np.array_equal(truncate_indices(truncate_indices(idx, p_big, p_mid), p_mid, p_small), direct)
@@ -178,7 +201,7 @@ def test_truncation_nesting(data):
 
 def test_truncate_indices_matches_scalar():
     rng = np.random.default_rng(0)
-    idx = rng.integers(1, 1 << 16, size=1000).astype(np.uint64)
+    idx = rng.integers(0, 1 << 16, size=1000).astype(np.uint64)
     out = truncate_indices(idx, 16, 9)
     for i, o in zip(idx[:50], out[:50]):
         assert _truncate_to(int(i), 16, 9) == int(o)
@@ -189,8 +212,8 @@ def test_truncate_indices_matches_scalar():
 def test_truncate_indices_matches_truncate_to(data):
     p_from = data.draw(st.integers(1, 63), label="p_from")
     p_to = data.draw(st.integers(1, p_from), label="p_to")
-    # the end cells 1 and 2**p_from go in every batch
-    idx = [1, 1 << p_from, *data.draw(st.lists(st.integers(1, 1 << p_from), max_size=30))]
+    # the end cells 0 and 2**p_from - 1 go in every batch
+    idx = [0, (1 << p_from) - 1, *data.draw(st.lists(st.integers(0, (1 << p_from) - 1), max_size=30))]
     out = truncate_indices(np.array(idx, dtype=np.uint64), p_from, p_to)
     assert out.dtype == np.uint64
     assert [int(o) for o in out] == [_truncate_to(i, p_from, p_to) for i in idx]
@@ -203,7 +226,7 @@ def test_truncate_indices_with_a_count_per_column_is_one_call_per_column(data):
     one scalar-count call each, and refuses a column it would refine."""
     p_from = np.array(data.draw(st.lists(st.integers(1, 63), min_size=1, max_size=8), label="p_from"))
     p_to = np.array([data.draw(st.integers(1, int(p)), label="p_to") for p in p_from])
-    rows = np.array([[data.draw(st.integers(1, 1 << int(p))) for p in p_from] for _ in range(3)], dtype=np.uint64)
+    rows = np.array([[data.draw(st.integers(0, (1 << int(p)) - 1)) for p in p_from] for _ in range(3)], dtype=np.uint64)
     out = truncate_indices(rows, p_from, p_to)
     assert out.dtype == np.uint64 and out.shape == rows.shape
     for j, (pf, pt) in enumerate(zip(p_from, p_to)):
@@ -216,8 +239,8 @@ def test_truncate_indices_with_a_count_per_column_is_one_call_per_column(data):
 def test_chi_square_uniformity(p):
     n = 100_000
     src = BitSource(1000 + p)
-    idx = src.draw_bits_array(p, n) + np.uint64(1)
-    counts = np.bincount(idx.astype(np.int64) - 1, minlength=1 << p)
+    idx = src.draw_bits_array(p, n)
+    counts = np.bincount(idx.astype(np.int64), minlength=1 << p)
     expected = n / (1 << p)
     stat = float(np.sum((counts - expected) ** 2) / expected)
     threshold = chi2.ppf(1.0 - 1e-6, df=(1 << p) - 1)
@@ -227,7 +250,7 @@ def test_chi_square_uniformity(p):
 def test_dyadic_mean_clt():
     n = 1_000_000
     src = BitSource(42)
-    vals = dyadic_values(src.draw_bits_array(4, n) + np.uint64(1), 4)
+    vals = dyadic_values(src.draw_bits_array(4, n), 4)
     sd = math.sqrt((1.0 - 2.0 ** -8) / 12.0)  # closed-form sd of uniform on D(4)
     assert abs(vals.mean() - 0.5) < 3.0 * sd / 1000.0
 

@@ -148,7 +148,7 @@ def test_coarsen_chain_and_coefficients():
     assert src.bits_drawn == bits_after  # coarsening draws nothing
     # first coefficient identity under one-level coarsening: 12 -> 10 bits
     c5, _ = coarsen_rows(idx, a6, a5)
-    assert c5[0, 0] == N.phi_inv(dyadic_values([((int(idx[0, 0]) - 1) >> 2) + 1], 2 * 5))[0]
+    assert c5[0, 0] == N.phi_inv(dyadic_values([int(idx[0, 0]) >> 2], 2 * 5))[0]
     with pytest.raises(ValueError, match="coarse dimension exceeds fine dimension"):
         coarsen_rows(idx, a6, BR.allocation_bridge(7))
 
@@ -225,8 +225,8 @@ def test_coupled_difference_matches_exact_formula():
     parent_p = 40
     dim = (1 << level) - 1
     alloc = BR.allocation_bridge(level)
-    idx = src.draw_bits_array(parent_p, n * dim).reshape(n, dim) + np.uint64(1)
-    fine = N.phi_inv((2.0 * idx.astype(np.float64) - 1.0) * 2.0 ** -(parent_p + 1))
+    idx = src.draw_bits_array(parent_p, n * dim).reshape(n, dim)
+    fine = N.phi_inv((2.0 * idx.astype(np.float64) + 1.0) * 2.0 ** -(parent_p + 1))
     coarse = np.empty_like(fine)
     from rbitmc.bitcore import truncate_indices
     for j in range(dim):

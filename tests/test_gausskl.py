@@ -8,11 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rbitmc import gausskl as G
+from rbitmc import mlmc as M
 from rbitmc.bridge import allocation_bridge
-from rbitmc.bitcore import BitAllocation, BitSource, byte_fields, child_source, read_bytes, read_fields
+from rbitmc.bitcore import (BitAllocation, BitSource, byte_fields, child_source, dyadic_values, read_bytes, read_fields,
+                            truncate_indices)
 from rbitmc.errors import CapacityError, InternalInvariantError
 from rbitmc.mlmc import KLModel
-from rbitmc.normal import bit_normal_mse, bit_normal_mse_moments, grid_normal_byte_table, grid_normal_values
+from rbitmc.normal import (bit_normal_mse, bit_normal_mse_moments, grid_normal_byte_table, grid_normal_values,
+                           phi_inv)
 
 from test_wasserstein import w2_empirical
 
@@ -44,7 +47,7 @@ def test_sample_rows_matches_scalar_draws(counts, n, head, seed):
     ref = srcs[0]
     idx_ref = np.empty((n, len(alloc)), dtype=np.uint64)
     for a, b, p in alloc.runs:
-        values = [ref.draw_bits(p) + 1 for _ in range(n * (b - a))]
+        values = [ref.draw_bits(p) for _ in range(n * (b - a))]
         idx_ref[:, a:b] = np.array(values, dtype=np.uint64).reshape(n, b - a)
     coeffs, idx = G.sample_rows(srcs[1], alloc, n)
     bare, none = G.decode_rows(G.draw_rows(srcs[2], alloc, n), 0, n)
@@ -55,6 +58,32 @@ def test_sample_rows_matches_scalar_draws(counts, n, head, seed):
     assert coeffs.tobytes() == bare.tobytes()
     assert ref.bits_drawn == srcs[1].bits_drawn == srcs[2].bits_drawn == head + n * alloc.total
     assert ref.draw_bits(17) == srcs[1].draw_bits(17) == srcs[2].draw_bits(17)
+
+
+@pytest.mark.parametrize("p", [1, 3, 8, 12, 20, 21, 52, 53, 63])
+def test_grid_indices_are_the_stream_fields(p):
+    """A grid index is the p-bit field the stream holds, 0..2**p - 1: the
+    index rows of sample_rows are the values draw_bits returns for the same
+    stream, truncate_indices is the plain shift f >> (p - q),
+    grid_normal_values is phi_inv(dyadic_values(f, p)) at every field
+    (minus the value of the mirror field 2**p - 1 - f where the midpoint
+    rounds to 1.0, from p = 53 on), and field 2**p raises."""
+    n = 40
+    _, idx = G.sample_rows(BitSource(7), BitAllocation([p]), n)
+    ref = BitSource(7)
+    assert [int(f) for f in idx[:, 0]] == [ref.draw_bits(p) for _ in range(n)]
+    top = (1 << p) - 1
+    ends = np.arange(1 << p) if p <= 12 else [0, 1, top >> 1, (top >> 1) + 1, top - 1, top]
+    fields = np.concatenate([np.asarray(ends, dtype=np.uint64), idx[:, 0]])
+    for q in sorted({1, p // 2 + 1, p - 1, p} - {0}):
+        assert [int(f) for f in truncate_indices(fields, p, q)] == [int(f) >> (p - q) for f in fields]
+    u = dyadic_values(fields, p)
+    mirror = u == 1.0
+    assert mirror.any() == (p >= 53)
+    want = phi_inv(np.where(mirror, dyadic_values(np.uint64(top) - fields, p), u))
+    assert grid_normal_values(fields, p).tobytes() == np.where(mirror, -want, want).tobytes()
+    with pytest.raises((IndexError, ValueError)):
+        grid_normal_values(np.array([1 << p], dtype=np.uint64), p)
 
 
 _RUN_PS = [1, 2, 3, 4, 6, 8, 9, 52, 53, 63]
@@ -124,20 +153,50 @@ def test_byte_runs_decode_as_the_fields_of_their_bytes(p, w, n, start, seed, dat
     fields = byte_fields(p)[codes].reshape(-1)[:nb * w]
     assert coeffs.tobytes() == grid_normal_values(fields, p).reshape(nb, w).tobytes()
     assert np.array_equal(idx, fields.reshape(nb, w))
-    assert np.array_equal(idx.reshape(-1), read_fields(words, at, p, nb * w) + np.uint64(1))
+    assert np.array_equal(idx.reshape(-1), read_fields(words, at, p, nb * w))
 
 
 def test_top_63_bit_fields_decode_and_coarsen_to_the_mirror_values():
-    """All-ones 63-bit fields are index 2**63, whose midpoint rounds to 1.0;
-    the decode and the coarsening to 53 bits (index 2**53, the same case)
-    raised "phi_inv requires 0 < u < 1" and give minus the bottom values."""
+    """All-ones 63-bit fields are field 2**63 - 1, whose midpoint rounds to
+    1.0; the decode and the coarsening to 53 bits (field 2**53 - 1, the same
+    case) raised "phi_inv requires 0 < u < 1" and give minus the bottom
+    values."""
     drawn = G.DrawnRows(np.full(4, 2**64 - 1, dtype=np.uint64), 0, 3, BitAllocation([63]))
     coeffs, idx = G.decode_rows(drawn, 0, 3, None, 1)
-    assert np.all(idx == np.uint64(1) << np.uint64(63))
-    assert np.all(coeffs == -grid_normal_values(np.ones(3, np.uint64), 63))
+    assert np.all(idx == (np.uint64(1) << np.uint64(63)) - np.uint64(1))
+    assert np.all(coeffs == -grid_normal_values(np.zeros(3, np.uint64), 63))
     coarse, coarse_idx = G.coarsen_rows(idx, BitAllocation([63]), BitAllocation([53]))
-    assert np.all(coarse_idx == np.uint64(1) << np.uint64(53))
-    assert np.all(coarse == -grid_normal_values(np.ones(3, np.uint64), 53))
+    assert np.all(coarse_idx == (np.uint64(1) << np.uint64(53)) - np.uint64(1))
+    assert np.all(coarse == -grid_normal_values(np.zeros(3, np.uint64), 53))
+
+
+@pytest.mark.parametrize("a, b, message", [
+    (0, 9, "row stop b must be an integer in [0, 4], got 9"),
+    (3, 1, "row stop b must be an integer in [3, 4], got 1"),
+    (-1, 2, "row start a must be an integer in [0, 4], got -1"),
+    (5, 5, "row start a must be an integer in [0, 4], got 5"),
+    (0, 2.0, "row stop b must be an integer in [0, 4], got 2.0"),
+], ids=["stop-past-the-draw", "stop-before-start", "negative-start", "start-past-the-draw", "float-stop"])
+def test_decode_rows_refuses_a_row_range_outside_the_draw(a, b, message):
+    """Rows 0..9 of 4 drawn rows came back, 5 of them read from other runs'
+    bits and the zero pad, and rows 3..1 failed with numpy's "negative
+    dimensions are not allowed".  The range is refused before any word is
+    read: here there are no words to read."""
+    drawn = G.draw_rows(BitSource(1), allocation_bridge(3), 4)
+    for rows in (drawn, G.DrawnRows(None, 0, 4, drawn.alloc)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            G.decode_rows(rows, a, b, None, 7)
+    assert [G.decode_rows(drawn, a, b, None, 7)[1].shape for a, b in ((0, 4), (4, 4), (1, 3))] == [(4, 7), (0, 7),
+                                                                                                  (2, 7)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
+def test_coarsen_rows_refuses_index_rows_that_are_not_integers(dtype):
+    """Float index rows were truncated without a word: [[1.5, 2, 3]] gave
+    coarse index 1."""
+    rows = np.array([[1.5, 2, 3]]).astype(dtype)
+    with pytest.raises(ValueError, match=re.escape(f"index rows must hold integer fields, got dtype {np.dtype(dtype)}")):
+        G.coarsen_rows(rows, allocation_bridge(2), allocation_bridge(1))
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 8])
@@ -245,25 +304,26 @@ def test_coarsen_rows_refuse_index_rows_narrower_than_the_coarse_level():
 
 
 @pytest.mark.parametrize("rows, fine, coarse, match", [
-    # index 0 at an unchanged count gave the top grid value, 1.8627 at p = 4
-    (np.zeros((1, 1), np.uint64), BitAllocation([4]), BitAllocation([4]), r"index 0 in column 1 is outside 1\.\.2\*\*4"),
+    # field 2**p at an unchanged count is past the end of the p = 4 grid table
+    (np.full((1, 1), 16, np.uint64), BitAllocation([4]), BitAllocation([4]), r"index 16 in column 1 is outside 0\.\.2\*\*4 - 1"),
     # a bare IndexError from the p <= 20 grid table
-    (np.zeros((1, 7), np.uint64), allocation_bridge(3), allocation_bridge(2), r"index 0 in column 1 "),
+    (np.full((1, 7), 64, np.uint64), allocation_bridge(3), allocation_bridge(2), r"index 64 in column 1 "),
     # "phi_inv requires 0 < u < 1" above the table
-    (np.zeros((1, 1), np.uint64), BitAllocation([30]), BitAllocation([25]), r"index 0 in column 1 is outside 1\.\.2\*\*30"),
-    (np.array([[64, 16, 17, 4]], np.uint64), allocation_bridge(3), allocation_bridge(2), r"index 17 in column 3 is outside 1\.\.2\*\*4"),
-    (np.array([[65, 1, 1]], np.uint64), allocation_bridge(3), allocation_bridge(2), r"index 65 in column 1 is outside 1\.\.2\*\*6"),
-    (np.array([[3, -1, 2]], np.int64), allocation_bridge(2), allocation_bridge(2), r"index -1 in column 2 "),
-], ids=["zero-same-p", "zero-table", "zero-above-table", "high-later-run", "high-first-run", "negative"])
+    (np.full((1, 1), 1 << 30, np.uint64), BitAllocation([30]), BitAllocation([25]),
+     r"index 1073741824 in column 1 is outside 0\.\.2\*\*30 - 1"),
+    (np.array([[63, 15, 16, 3]], np.uint64), allocation_bridge(3), allocation_bridge(2), r"index 16 in column 3 is outside 0\.\.2\*\*4 - 1"),
+    (np.array([[64, 0, 0]], np.uint64), allocation_bridge(3), allocation_bridge(2), r"index 64 in column 1 is outside 0\.\.2\*\*6 - 1"),
+    (np.array([[2, -1, 1]], np.int64), allocation_bridge(2), allocation_bridge(2), r"index -1 in column 2 "),
+], ids=["top-same-p", "top-table", "top-above-table", "high-later-run", "high-first-run", "negative"])
 def test_coarsen_rows_refuse_an_index_outside_the_fine_grid(rows, fine, coarse, match):
     with pytest.raises(ValueError, match=match):
         G.coarsen_rows(rows, fine, coarse)
 
 
 def test_coarsen_rows_take_both_ends_of_the_fine_grid():
-    rows = np.array([[1, 16, 1, 4, 4, 1, 4], [64, 1, 16, 1, 1, 4, 1]], np.uint64)
+    rows = np.array([[0, 15, 0, 3, 3, 0, 3], [63, 0, 15, 0, 0, 3, 0]], np.uint64)
     coeffs, idx = G.coarsen_rows(rows, allocation_bridge(3), allocation_bridge(2))
-    assert np.array_equal(idx, [[1, 4, 1], [16, 1, 4]])
+    assert np.array_equal(idx, [[0, 3, 0], [15, 0, 3]])
     assert np.all(np.isfinite(coeffs))
 
 
@@ -380,6 +440,23 @@ def test_explicit_eigenvalues_must_be_finite_and_non_negative(index, value):
         G.kl_error_sq(4, spec, allocation=BitAllocation(np.array([4, 2, 1, 1])))
     with pytest.raises(ValueError, match=re.escape(message)):
         KLModel(spec).scale(2)
+
+
+@pytest.mark.parametrize("explicit, shape", [(lambda i: 0.5, lambda m: ()), (lambda i: np.ones(1), lambda m: (1,)),
+                                             (lambda i: i[:, np.newaxis] ** -2.0, lambda m: (m, 1))],
+                         ids=["scalar", "one", "column"])
+def test_explicit_eigenvalues_must_have_the_shape_of_their_indices(explicit, shape):
+    """A scalar explicit result made kl_error_sq(8, spec) raise "IndexError:
+    too many indices for array" and mlmc_estimate on KLModel(spec) "Cannot
+    set flags on array scalars"; a broadcastable shape summed wrong values.
+    Each is refused naming both shapes."""
+    spec = G.EigenSpec(2.0, 0.0, explicit=explicit)
+    with pytest.raises(ValueError, match=re.escape(f"explicit eigenvalues have shape {shape(8)}, not the shape (8,) of")):
+        G.kl_error_sq(8, spec)
+    model = KLModel(spec)  # level 1 reads the eigenvalues at i = 1, 2
+    with pytest.raises(ValueError, match=re.escape(f"explicit eigenvalues have shape {shape(2)}, not the shape (2,) of")):
+        M.mlmc_estimate(M.lookup_functional("norm"), model, M.mlmc_params(2.0 ** -3, model.beta, model.alpha),
+                        BitSource(1))
 
 
 def test_invalid_spec():

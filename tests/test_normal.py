@@ -83,29 +83,29 @@ def test_phi_inv_refuses_nan(bad):
 
 
 def test_top_grid_indices_are_the_mirrors_of_the_bottom_ones():
-    """From p = 53 on the midpoint of the top indices rounds to 1.0, where
-    phi_inv raised: index 2**53 at p = 53 and the top 513 indices at p = 63
-    There the value is minus that of the mirror index 2**p + 1 - i; every
-    other index keeps phi_inv(dyadic_values(i, p)), bit for bit."""
+    """From p = 53 on the midpoint of the top fields rounds to 1.0, where
+    phi_inv raised: field 2**53 - 1 at p = 53 and the top 513 fields at p = 63.
+    There the value is minus that of the mirror field 2**p - 1 - f; every
+    other field keeps phi_inv(dyadic_values(f, p)), bit for bit."""
     for p, top in ((53, 1), (63, 513)):
-        idx = (np.uint64(1) << np.uint64(p)) - np.arange(1030, dtype=np.uint64)  # 2**p down to 2**p - 1029
+        idx = (np.uint64(1) << np.uint64(p)) - np.arange(1, 1031, dtype=np.uint64)  # 2**p - 1 down to 2**p - 1030
         u = dyadic_values(idx, p)
         assert int(np.sum(u == 1.0)) == top
         got = N.grid_normal_values(idx, p)
-        mirror = np.uint64((1 << p) + 1) - idx
+        mirror = np.uint64((1 << p) - 1) - idx
         assert got[:top].tobytes() == (-N.grid_normal_values(mirror[:top], p)).tobytes()
         assert got[top:].tobytes() == N.phi_inv(u[top:]).tobytes()
-        assert got[0] == -N.grid_normal_values(np.uint64(1), p) > 8.0
+        assert got[0] == -N.grid_normal_values(np.uint64(0), p) > 8.0
         # the batched route of the decode gives them too, beside a run below the limit
-        runs = N.grid_normal_runs([(idx[:3].reshape(1, 3), p), (np.array([1, 2], np.uint64), 30)])
+        runs = N.grid_normal_runs([(idx[:3].reshape(1, 3), p), (np.array([0, 1], np.uint64), 30)])
         assert runs[0].shape == (1, 3) and runs[0].tobytes() == got[:3].tobytes()
-        assert runs[1].tobytes() == N.phi_inv(dyadic_values(np.array([1, 2]), 30)).tobytes()
+        assert runs[1].tobytes() == N.phi_inv(dyadic_values(np.array([0, 1]), 30)).tobytes()
 
 
 def _grid_pair(p):
-    """Indices at precision p in a 0-d, 1-d or 2-d shape, drawn from the whole
-    grid and from its top 1100 indices (where the mirror acts from p = 53 on)."""
-    index = st.one_of(st.integers(1, 2**p), st.integers(max(1, 2**p - 1100), 2**p))
+    """Indices (p-bit fields) in a 0-d, 1-d or 2-d shape, drawn from the whole
+    grid and from its top 1101 fields (where the mirror acts from p = 53 on)."""
+    index = st.one_of(st.integers(0, 2**p - 1), st.integers(max(0, 2**p - 1101), 2**p - 1))
     return st.sampled_from([(), (3,), (2, 3)]).flatmap(
         lambda shape: st.lists(index, min_size=math.prod(shape), max_size=math.prod(shape)).map(
             lambda v: (np.array(v, dtype=np.uint64).reshape(shape), p)))
@@ -131,7 +131,7 @@ def test_grid_normal_runs_match_phi_inv_at_the_midpoints(runs):
     for y, (i, p) in zip(got, runs):
         u = dyadic_values(i, p).reshape(-1)
         top = u == 1.0
-        u[top] = dyadic_values(np.uint64(2**p + 1) - i.reshape(-1)[top], p)
+        u[top] = dyadic_values(np.uint64(2**p - 1) - i.reshape(-1)[top], p)
         want = N.phi_inv(u)
         want[top] = -want[top]
         assert np.shape(y) == i.shape
@@ -197,14 +197,14 @@ def test_bit_normal_sampling_matches_support():
     coeffs, _ = sample_rows(src, BitAllocation(np.full(200, 2)), 1)
     assert set(coeffs[0]) <= s2
     assert src.bits_drawn == 400
-    arr = N.grid_normal_values(src.draw_bits_array(2, 1000) + np.uint64(1), 2)
+    arr = N.grid_normal_values(src.draw_bits_array(2, 1000), 2)
     assert set(arr) <= s2
 
 
 def test_bit_normal_empirical_mean_p8():
     src = BitSource(20)
     n = 1_000_000
-    draws = N.grid_normal_values(src.draw_bits_array(8, n) + np.uint64(1), 8)
+    draws = N.grid_normal_values(src.draw_bits_array(8, n), 8)
     sigma_hat = draws.std(ddof=1)
     assert abs(draws.mean()) < 4.0 * sigma_hat / 1000.0
 
@@ -325,7 +325,7 @@ def test_moments():
 def test_monte_carlo_second_moment_consistency():
     p, n = 10, 1_000_000
     src = BitSource(31)
-    draws = N.grid_normal_values(src.draw_bits_array(p, n) + np.uint64(1), p)
+    draws = N.grid_normal_values(src.draw_bits_array(p, n), p)
     _, m2, m4 = N.bit_normal_mse_moments(p)
     se = math.sqrt((m4 - m2 * m2) / n)
     assert abs(np.mean(draws * draws) - m2) < 4.0 * se
@@ -333,8 +333,8 @@ def test_monte_carlo_second_moment_consistency():
 
 def test_grid_normal_values_match_phi_inv():
     src = BitSource(8)
-    idx = src.draw_bits_array(14, 1000) + np.uint64(1)
-    direct = N.phi_inv((2.0 * idx.astype(np.float64) - 1.0) * 2.0 ** -15)
+    idx = src.draw_bits_array(14, 1000)
+    direct = N.phi_inv((2.0 * idx.astype(np.float64) + 1.0) * 2.0 ** -15)
     assert np.array_equal(N.grid_normal_values(idx, 14), direct)
 
 

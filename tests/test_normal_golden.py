@@ -67,7 +67,7 @@ def test_support_golden(p):
 
 
 def test_grid_table_golden():
-    idx = np.arange(1, (1 << 12) + 1, dtype=np.uint64)
+    idx = np.arange(1 << 12, dtype=np.uint64)
     assert _sha256(N.grid_normal_values(idx, 12)) == SUPPORT_SHA256[12]
 
 

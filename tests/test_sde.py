@@ -81,7 +81,7 @@ def test_rbit_milstein_accounting_and_mean():
     assert src.bits_drawn == 16 * 5
     assert path.shape == (1, 17) and idx.shape == (1, 16)
     src2 = BitSource(5)
-    draws = grid_normal_values(src2.draw_bits_array(8, 1_000_000) + np.uint64(1), 8)
+    draws = grid_normal_values(src2.draw_bits_array(8, 1_000_000), 8)
     se = draws.std(ddof=1) / 1000.0
     assert abs(draws.mean()) < 4.0 * se
 
@@ -89,7 +89,7 @@ def test_rbit_milstein_accounting_and_mean():
 def test_rbit_large_q_matches_parent_driven_path():
     src = BitSource(2024)
     m = 64
-    idx63 = src.draw_bits_array(63, m) + np.uint64(1)
+    idx63 = src.draw_bits_array(63, m)
     y_full = phi_inv(dyadic_values(idx63, 63))
     y52 = grid_normal_values(truncate_indices(idx63, 63, 52), 52)
     pa, pb = S.milstein_rows(GM, m, np.stack([y_full, y52]))
@@ -99,9 +99,9 @@ def test_rbit_large_q_matches_parent_driven_path():
 def test_q63_coupling_gap_fixture():
     src = BitSource(4048)
     m = 256
-    idx63 = src.draw_bits_array(63, m) + np.uint64(1)
+    idx63 = src.draw_bits_array(63, m)
     extra = src.draw_bits_array(1, m)
-    refined = ((2.0 * (idx63.astype(np.float64) - 1.0) + extra.astype(np.float64)) + 0.5) * 2.0 ** -64
+    refined = ((2.0 * idx63.astype(np.float64) + extra.astype(np.float64)) + 0.5) * 2.0 ** -64
     pa = milstein_path(GM, m, phi_inv(refined))
     pb = milstein_path(GM, m, phi_inv(dyadic_values(idx63, 63)))
     gap = float(np.max(np.abs(pa - pb)))
@@ -228,8 +228,8 @@ def test_bridge_refinement_l2_consistency():
     parent_p = 40
     total = np.zeros(reps)
     for _ in range(m):
-        idx = src.draw_bits_array(parent_p, reps * dim_hat).reshape(reps, dim_hat) + np.uint64(1)
-        fine = phi_inv((2.0 * idx.astype(np.float64) - 1.0) * 2.0 ** -(parent_p + 1))
+        idx = src.draw_bits_array(parent_p, reps * dim_hat).reshape(reps, dim_hat)
+        fine = phi_inv((2.0 * idx.astype(np.float64) + 1.0) * 2.0 ** -(parent_p + 1))
         bit = np.zeros_like(fine)
         for j in range((1 << level) - 1):
             p = int(alloc.counts[j])
@@ -335,7 +335,7 @@ def test_refined_rows_refuse_a_step_count_that_is_not_an_integer():
 
 def test_fine_reference_at_63_bits_takes_the_top_cell_for_phi_one(monkeypatch):
     """On the fallback path Phi(y) rounds to 1.0 from y = 8.3 on, and at
-    q = 63 u * 2**63 overflowed the int64 cast (index 2**63 + 1, a numpy
+    q = 63 u * 2**63 overflowed the int64 cast (field 2**63, a numpy
     "invalid value" warning, then "phi_inv requires 0 < u < 1").  That
     entry now takes the top grid normal; every other increment is the one
     of the unpatched run."""
@@ -359,7 +359,7 @@ def test_fine_reference_at_63_bits_takes_the_top_cell_for_phi_one(monkeypatch):
     rms, _ = S.strong_error_experiment(GM_FINE, 4, 63, 3, 1)
     assert math.isfinite(rms)
     plain, patched = seen
-    assert patched.flat[0] == grid_normal_values(np.uint64(2**63), 63) == -grid_normal_values(np.uint64(1), 63)
+    assert patched.flat[0] == grid_normal_values(np.uint64(2**63 - 1), 63) == -grid_normal_values(np.uint64(0), 63)
     assert patched.reshape(-1)[1:].tobytes() == plain.reshape(-1)[1:].tobytes()
 
 
