@@ -104,41 +104,41 @@ CASES = {
 GOLDEN = {
     "bridge": [
         "caf2430e01a01b85e5b05f3277612967e853dd77e36de3b0505de0de2eb35e96",
-        "48c88cb6c0c03ca7a6bfa14656a65b726430200ad5cb6e7badcdb9c55d126e79",
+        "013f66759ccb2c4cea572749bd16f91ad6207b4c17aff75bcd691223bb6c37ae",
         "cdb35797f471f9f438bdce1e83699d82ecc38f5d62968c85ec3aa842d71c77e7",
-        "fa7b78db182c7feaf076506fdfae6cc689c3a3f20b4ff266aeaebeb6f797ca70",
+        "daa6076affa97904cf48a0930f30bcc7e5b53f5e591fb02a0dc8f3e996625f10",
         "1e03920dacc120890320544d3ef6145d91400a415f210d20a9b2ee58ae379882",
-        "6578b8e9689bfb45039c123aa8f231ede979c85dc7239360d986ef60987a9aa4",
+        "4bd202a0ebe8b3f86e55b8747cdac69c1e9d3b03c259471e4be50bf40ba36c7b",
     ],
     "bridge_model_min0": [
         "815c5bebf17c416c3622c7615773a4c7b10ff72eefc390cdae2418d0ce7896b8",
-        "a7cfb028fb1223d5a946f2ca34e4f26919fc96700f636a8aaf530332eda5050e",
+        "81b300884dc0da62fb2bcd839cb1bfe8caf583abc20961f20e4d74b6ae756c1d",
         "dacc34ff61e2a32ef4ff68080fa5a374f2eeb9901a6211c4d8588f812b134377",
-        "1c372683607f765da2bedffc54326635ff95708d30be58d6b951bc764fa086f3",
+        "68031b5b774696d407909c87154a756f1530dc7d3b6e002ac10ff6dc5b22682e",
     ],
     "bridge_model_min4": [
         "4e6ceb391a26bf9d8dd07edeb1b897c58367a510a0cf059fd9366425606c9a5f",
-        "3eed9481866375f43f2a5f85c48975434501a4390e228b48c915a4beeec78682",
+        "5851ea8e2659bc750375d46c374710c9b335922dabf79d3d24e49851a4966f8d",
         "42dd9d52072df45581994d49d99ef033a073c70aad34b701caba900869090422",
-        "253065c5b37552325631f4470790c528a82de2d16ab183a1d60d01e76a592f37",
+        "4a2ef70a5120a7fa475101784663f69ebce3ab60094f58be81750baf3eebb37e",
     ],
     "kl": [
         "2e6a38e28b4913a25769d1a53b8d9a62aa461d82f8bf46e0cb330fdf4d6a5d57",
-        "3b59be0ff68916faa89c123afab9f56770cc65ad763e4b2d5cc006a0391a5bc5",
+        "5f9028e3bfb1f87fcad6ad93108c1745950b87aaced4800ba7a55b7320653480",
         "e51cc76126a6bbb3dfaf11ba95e40fe240525ab9986bf827b3f62fb92fd79038",
-        "95fbe2fe337feab7303a89e92216b309415d051ac12da9e3910f1cf5eff5634b",
+        "0e650c485d53690474c69c452c240d0cf4eb1afaa340967f92a7d2a44594b420",
     ],
     "kl_model_min0": [
         "850af51ab9df50ed783fe0952fe54f42c1698a85c44c4f46dd4aeb902b4107a0",
-        "074d2b7a3f425668f9fd8044962473bf07b29b8d07e0bf9526a6eadc81321fb8",
+        "2de6463ae4cc520ebd20b07d8b3812f7d4815bf23b7ca63a096b7af81e5519df",
         "5f3aa35c3556c6724827644f5440b6d1574c480b44255347798f775df063e7d2",
-        "6227cdacd0f0e5c05438799c5af69f3b6b57c1034506eaa82d525e8f070cf80c",
+        "723905c7547190630cf758c45b6a66a230ba1f917920419d3bab1e19dbd5c00c",
     ],
     "kl_model_min4": [
         "1bcbb80fe7b5efc6cb3ad4be0086e91907a4c0c481f5eb600a88b3575e863ed8",
-        "c5aec7279d2006e5816aaa7ca7da4ee10b7eefd89185bdfa88d317661eadb1e8",
+        "e12f80243d4cc5b2b5baa6c184e805d8eba4a0bd9428468ca724593c4e936996",
         "d7f47c9fb93ca26281fb648cfe08eda868c9cfe0125cf352762209414a6a34de",
-        "819becfe1f441778e86aff29fc5f47a6646cf4ec8e7798890ea727f22be32ee5",
+        "f6c30a21f81a1151066b74ebd60d5f6b6ea63207901607a8241d1a646e14f00a",
     ],
     "refined_path": [
         "7d2efaf9020c31eaeb20d862d16f2eaec3b1b7f0ddc63525c8f309adf3dff1ac",
@@ -149,27 +149,27 @@ GOLDEN = {
     ],
     "milstein_q2": [
         "6b9ab73f11fe5d77407ea6ef9b2f76c1389a3935713f97e29f059f5c063b9f5a",
-        "7a6f088a359c8d49c2157fef73aa0ee942a6b28f4572cd67c1a33ebc97281228",
+        "bb7046e07f18b36545d8089313895fb3baf5c3c15247c515b0da134cf7bfbdac",
         74,
     ],
     "milstein_q5": [
         "6aafd81c10a683414d1680882defb17e9c73f34f6e32a92c9904973bbee19712",
-        "2a204c6cc7f4e464fe9709ef1e7de7a3dcbcfe6e4e2b17f4c08dd5bc1c85caae",
+        "e5c8e567365ae002403f62755015467b0d8ab9ea0d4fb5f5343db3ab891a42a9",
         185,
     ],
     "milstein_q8_head3": [
         "9f11a98a62d56609503f340d476d8138207dc4938022c693eff20064e75bc25f",
-        "5162a07ea52755e104c42c8fc9659a475ae54a7becaa018658c24c96f02037ba",
+        "72452c64e32b4cde057c2179cf40c6aa1cd197de9f7296c0e8e770ee8073b591",
         299,
     ],
     "milstein_q52": [
         "e46fb8ee22d0159584f2c40446fcf065277170169062f42e829b11d364c5069e",
-        "3416ba01293a1db539cd8e7e778452f8cc8ff9479ea8c3c861f0de9ad8ff7bac",
+        "c34ec8f248c629d0acec7ba0936f20afb2bf2380cf2af28a2477c9ec9f3f0773",
         1924,
     ],
     "milstein_q63": [
         "8f75f1a50cd5472a2bdd0c9beab1f451268d8a3927d4888c2ce2575329ca55b2",
-        "f7c575eda038400d7c89608b4aecf38b59102cc565ecf67abb6b9210cc2b6c5f",
+        "925ac8699b5881997ee31c6e5dfa08143c7d34532c036a7cc89a9c44319686b2",
         2331,
     ],
 }
