@@ -16,7 +16,8 @@ precision nest, which is what makes coupled coarse/fine sampling possible
 downstream.
 
 :func:`exact_sum` is the package's one sum of a float64 array that must be
-exact: ``math.fsum``'s value, bit for bit, at a fraction of its cost.
+exact: ``math.fsum``'s value, bit for bit, at a fraction of its cost;
+:func:`exact_sum_chunks` is the same sum over a stream of arrays.
 :func:`check_count` and :func:`check_finite` are its argument checks: every
 integer count and every real parameter of the package is refused by name
 through them.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -255,38 +257,52 @@ def dyadic_edges(k0: int, k1: int, p: int) -> np.ndarray:
 
 def exact_sum(values) -> float:
     """``math.fsum`` of the float64 values, bit for bit: their exact sum,
-    correctly rounded once.
+    correctly rounded once; the one-chunk call of :func:`exact_sum_chunks`."""
+    return exact_sum_chunks((values,))
+
+
+def exact_sum_chunks(chunks) -> float:
+    """``math.fsum`` of the float64 values of an iterable of arrays, read in
+    turn as one sequence, bit for bit: their exact sum, correctly rounded
+    once, with one chunk held at a time.
 
     Each value x with exponent field e splits exactly into xh, x with its
     low 26 mantissa bits cleared, and xl = x - xh.  Within one exponent bin
     every xh is a multiple of 2**(e-1049) of at most 27 bits and every xl a
     multiple of 2**(e-1075) of at most 26 bits, so ``np.bincount`` sums the
     two parts of up to 2**26 values per bin exactly in float64 (Neal's small
-    superaccumulator, arXiv:1505.05571).  The values are binned in blocks of
-    _SUM_BLOCK into running bins, which start afresh every _SUM_BIN_VALUES
-    values, and one ``math.fsum`` over the nonzero bins rounds the total.
-    Like fsum, that is correctly rounded, so the two agree bit for bit.
+    superaccumulator, arXiv:1505.05571).  A chunk's values are binned in
+    blocks of _SUM_BLOCK into running bins, which start afresh with every
+    chunk and every _SUM_BIN_VALUES values; the nonzero bins of all chunks
+    are kept, and one ``math.fsum`` over them rounds the total.  Like fsum,
+    that is correctly rounded, so the two agree bit for bit.
 
-    The whole input goes to ``math.fsum`` when a value is not finite or has
-    an exponent field above _SUM_MAX_EXPONENT (its NaN, inf, OverflowError or
-    ValueError is kept), and when every bin is zero (its sign of zero is kept).
+    A chunk with a value that is not finite or has an exponent field above
+    _SUM_MAX_EXPONENT goes to ``math.fsum`` whole, after the bins of the
+    chunks before it and followed by the rest of the stream (its NaN, inf,
+    OverflowError or ValueError is kept); a chunk whose bins are all zero
+    adds its own fsum instead (its sign of zero is kept).
     """
-    x = np.asarray(values, dtype=np.float64).reshape(-1)
-    runs = []  # (2, _SUM_MAX_EXPONENT + 1) running bins of xh and xl
-    for a in range(0, len(x), _SUM_BLOCK):
-        if a % _SUM_BIN_VALUES == 0:
-            runs.append(np.zeros((2, _SUM_MAX_EXPONENT + 1)))
-        block = x[a:a + _SUM_BLOCK]
-        bits = block.view(np.int64)
-        e = (bits >> 52) & 0x7FF
-        high = (bits & _SUM_HIGH).view(np.float64)
-        high_bins = np.bincount(e, high, _SUM_MAX_EXPONENT + 1)
-        if len(high_bins) > _SUM_MAX_EXPONENT + 1:  # a larger exponent field lengthens the bins
-            return math.fsum(x)
-        runs[-1][0] += high_bins
-        runs[-1][1] += np.bincount(e, block - high, _SUM_MAX_EXPONENT + 1)
-    bins = [v for run in runs for v in run[run != 0].tolist()]
-    return math.fsum(bins) if bins else math.fsum(x)
+    chunks, bins = iter(chunks), []
+    for values in chunks:
+        x = np.asarray(values, dtype=np.float64).reshape(-1)
+        runs = []  # (2, _SUM_MAX_EXPONENT + 1) running bins of xh and xl
+        for a in range(0, len(x), _SUM_BLOCK):
+            if a % _SUM_BIN_VALUES == 0:
+                runs.append(np.zeros((2, _SUM_MAX_EXPONENT + 1)))
+            block = x[a:a + _SUM_BLOCK]
+            bits = block.view(np.int64)
+            e = (bits >> 52) & 0x7FF
+            high = (bits & _SUM_HIGH).view(np.float64)
+            high_bins = np.bincount(e, high, _SUM_MAX_EXPONENT + 1)
+            if len(high_bins) > _SUM_MAX_EXPONENT + 1:  # a larger exponent field lengthens the bins
+                rest = (np.asarray(c, dtype=np.float64).reshape(-1) for c in chunks)
+                return math.fsum(chain(bins, x, chain.from_iterable(rest)))
+            runs[-1][0] += high_bins
+            runs[-1][1] += np.bincount(e, block - high, _SUM_MAX_EXPONENT + 1)
+        bins += [v for run in runs for v in run[run != 0].tolist()] or [math.fsum(x)]
+        values = x = block = bits = None  # the chunk is freed before the next one is built
+    return math.fsum(bins)
 
 
 def truncate_indices(indices: np.ndarray, p_from, p_to) -> np.ndarray:

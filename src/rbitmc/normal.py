@@ -25,14 +25,18 @@ Private helpers carry every exact enumeration: ``_exact_precision``
 refuses p outside 1..MSE_EXACT_MAX_P, ``_mid_quantiles`` gives the support
 points x_f of a range of cells, ``_quantile_density`` the density terms
 phi(y) and y phi(y) at quantile edges y = Phi^{-1}(u) (zero at the infinite
-edges u = 0 and u = 1), ``_edge_density`` the same terms at all 2**p + 1
-edges of the uniform cells from one ``phi_inv`` pass over the lower half
-(kept for the latest p only), ``_sq_error`` the closed-form squared error
-of a cell from the terms at its edges, and ``_upper_sums`` sums several
-per-cell terms over the upper half of the grid in 2**20-cell chunks, in
+edges u = 0 and u = 1), ``_sq_error`` the closed-form squared error of a
+cell from the terms at its edges, and ``_upper_sums`` sums several per-cell
+terms over the upper half of the grid in chunks of ``cell_chunks``, in
 ascending cell order, so that one pass over the cells gives all of them;
 each chunk sum, and the sum of the chunk sums, is exact and correctly
-rounded (``bitcore.exact_sum``, ``math.fsum``'s value).
+rounded (``bitcore.exact_sum``, ``math.fsum``'s value), so from p = 22 on,
+where the half spans several chunks, a sum can be 1 ulp off the correctly
+rounded sum of all its cells.  ``gaussian_cells`` gives the squared errors
+of a range of cells against any points (``_mid_terms`` is its call at the
+midpoints) or against the cells' averages, the normal law's cells in the
+W2 tables of ``wasserstein1d``; those walk the same chunks through
+``law_cells``, from which ``optimal_points`` fills its output.
 ``phi_inv`` itself runs in blocks of 2**14 points, which keep its
 temporaries in cache.
 """
@@ -288,51 +292,45 @@ def _quantile_density(u):
     return pdf, y * pdf
 
 
-@functools.lru_cache(maxsize=1)
-def _edge_density(p: int):
-    """phi(y) and y phi(y) at the edges u = k 2**-p, k = 0..2**p, of the uniform cells.
-
-    ``phi_inv`` runs once, over the lower half k <= 2**(p-1); the upper half
-    is its mirror, because phi_inv(1 - u) = -phi_inv(u) exactly, phi(y) is
-    even and y phi(y) odd.  The arrays are read-only; only the latest p is kept.
-    """
-    n = 1 << p
-    half = n >> 1
-    pdf_low, ypdf_low = _quantile_density(dyadic_edges(0, half, p))
-    mirror = slice(n - half - 1, None, -1)  # edges n - k for k = half + 1..n
-    pdf = np.concatenate((pdf_low, pdf_low[mirror]))
-    ypdf = np.concatenate((ypdf_low, -ypdf_low[mirror]))
-    ypdf[n] = 0.0  # +0.0 at the infinite edge u = 1, as _quantile_density gives
-    pdf.flags.writeable = ypdf.flags.writeable = False
-    return pdf, ypdf
-
-
 def _sq_error(width, c, pdf_lo, pdf_hi, ypdf_lo, ypdf_hi):
     """int (Phi^{-1}(u) - c)^2 du over cells of the given width from the density
     terms at their edges (int y^2 phi = Phi - y phi, int y phi = -phi)."""
     return (1.0 + c * c) * width + 2.0 * c * (pdf_hi - pdf_lo) - (ypdf_hi - ypdf_lo)
 
 
-def _cell_quantities(p: int, f0: int, f1: int):
-    """Midpoint quantiles of cells f0 <= f < f1 and the density terms at their edges."""
+def gaussian_cells(p: int, f0: int, f1: int, c=None):
+    """The points c of cells f0 <= f < f1 of the 2**p uniform cells of (0, 1),
+    by default their averages (gaussian_cell_average), and each cell's
+    int (Phi^{-1}(u) - c_f)^2 du (gaussian_cell_sq_error), bit for bit, from
+    one ``phi_inv`` pass over the cells' edges."""
     pdf, ypdf = _quantile_density(dyadic_edges(f0, f1, p))
-    return _mid_quantiles(p, f0, f1), pdf, ypdf
+    c = (pdf[:-1] - pdf[1:]) / 2.0 ** -p if c is None else np.asarray(c, dtype=np.float64)
+    return c, _sq_error(2.0 ** -p, c, pdf[:-1], pdf[1:], ypdf[:-1], ypdf[1:])
 
 
 def _mid_terms(p: int, f0: int, f1: int):
     """Support points x_f of cells f0 <= f < f1 and each cell's int (Phi^{-1}(u) - x_f)^2 du."""
-    c, pdf, ypdf = _cell_quantities(p, f0, f1)
-    return c, _sq_error(2.0 ** -p, c, pdf[:-1], pdf[1:], ypdf[:-1], ypdf[1:])
+    return gaussian_cells(p, f0, f1, _mid_quantiles(p, f0, f1))
+
+
+def cell_chunks(p: int, upper: bool = False):
+    """(f0, f1) for the chunks of at most 2**20 cells that cover the 2**p
+    uniform cells, or their upper half, in ascending order."""
+    n = 1 << p
+    return ((f0, min(f0 + _CHUNK, n)) for f0 in range(n >> 1 if upper else 0, n, _CHUNK))
 
 
 def _upper_sums(p: int, terms) -> list[float]:
-    """Exact sums over cells 2**(p-1) <= f < 2**p of each array in
-    terms(f0, f1), which covers cells f0 <= f < f1: for each term, one
-    :func:`bitcore.exact_sum` per chunk of at most 2**20 cells, then one over
-    the chunk sums, in ascending order."""
-    n = 1 << p
-    chunk_sums = [[exact_sum(t) for t in terms(f0, min(f0 + _CHUNK, n))]
-                  for f0 in range(n >> 1, n, _CHUNK)]
+    """Sums over cells 2**(p-1) <= f < 2**p of each array in terms(f0, f1),
+    which covers cells f0 <= f < f1: for each term, one correctly rounded
+    :func:`bitcore.exact_sum` per chunk of :func:`cell_chunks`, then one over
+    the chunk sums, in ascending order.  Up to p = 21 the half is one chunk
+    and each sum is the correctly rounded sum of its cells; from p = 22 on
+    it is the exact sum of the rounded chunk sums, rounded once, which can
+    be 1 ulp off that (moment 4 at p = 22 is 0x1.7fff61074ea60p+1 against
+    0x1.7fff61074ea5fp+1, and moment 2 at p = 24 is another case).  The
+    normal-error tables pin these values, so they keep this order."""
+    chunk_sums = [[exact_sum(t) for t in terms(f0, f1)] for f0, f1 in cell_chunks(p, upper=True)]
     return [exact_sum(sums) for sums in zip(*chunk_sums)]
 
 
@@ -344,9 +342,10 @@ def bit_normal_mse(p: int) -> float:
     """Exact mean-square gap E|Y - Y^(p)|^2 between the normal and its p-bit version.
 
     Evaluated cell by cell with the closed-form Gaussian partial moments
-    (int y^2 phi = Phi - y phi, int y phi = -phi, int phi = Phi) and exact,
-    correctly rounded summation (:func:`bitcore.exact_sum`) in ascending
-    cell order.
+    (int y^2 phi = Phi - y phi, int y phi = -phi, int phi = Phi) and twice
+    the sum over the upper half of the cells by :func:`_upper_sums`: exact
+    and correctly rounded up to p = 21, the exact sum of correctly rounded
+    2**20-cell chunk sums from p = 22 on.
     """
     _exact_precision(p, _MSE_WHAT)
     if p in _MSE_CACHE:
@@ -361,7 +360,9 @@ def bit_normal_mse_moments(p: int) -> tuple[float, float, float]:
 
     The mse is bit_normal_mse(p), bit for bit (and is cached with it); the
     moments 2**-p * sum_f x_f^r, r = 2 and 4, are summed over the upper half
-    of the grid, as x_f^r is even.  This is the one route to the moments;
+    of the grid, as x_f^r is even, by :func:`_upper_sums`, so from p = 22 on
+    a moment can be 1 ulp off its correctly rounded value (moment 4 at
+    p = 22 and moment 2 at p = 24 are).  This is the one route to the moments;
     bit_normal_mse stays as the mse-only pass, which is faster when the
     moments are not needed.
     """
@@ -412,8 +413,8 @@ def bit_normal_cross_moment(p: int) -> float:
     _exact_precision(p, "cross moment")
 
     def terms(f0, f1):
-        c, pdf, _ = _cell_quantities(p, f0, f1)
-        return (c * (pdf[:-1] - pdf[1:]),)
+        pdf, _ = _quantile_density(dyadic_edges(f0, f1, p))
+        return (_mid_quantiles(p, f0, f1) * (pdf[:-1] - pdf[1:]),)
 
     (half,) = _upper_sums(p, terms)
     return 2.0 * half
@@ -443,20 +444,6 @@ def gaussian_cell_average(u_lo, u_hi):
     return (_quantile_density(u_lo)[0] - _quantile_density(u_hi)[0]) / (u_hi - u_lo)
 
 
-def gaussian_grid_average(p: int) -> np.ndarray:
-    """gaussian_cell_average over the 2**p uniform cells of (0, 1), bit for bit."""
-    pdf, _ = _edge_density(p)
-    return (pdf[:-1] - pdf[1:]) / 2.0 ** -p
-
-
-def gaussian_grid_sq_error(p: int, c) -> np.ndarray:
-    """gaussian_cell_sq_error over the 2**p uniform cells of (0, 1) against the
-    points c (one per cell), bit for bit."""
-    pdf, ypdf = _edge_density(p)
-    c = np.asarray(c, dtype=np.float64)
-    return _sq_error(2.0 ** -p, c, pdf[:-1], pdf[1:], ypdf[:-1], ypdf[1:])
-
-
 def checked_quad(f, a: float, b: float, cell: tuple[float, float], **kwargs) -> float:
     """int_a^b f by ``scipy.integrate.quad``, refusing results it cannot certify.
 
@@ -475,20 +462,38 @@ def checked_quad(f, a: float, b: float, cell: tuple[float, float], **kwargs) -> 
     return out[0]
 
 
+def law_cells(quantile_spec, p: int, upper: bool = False):
+    """(f0, averages, squared errors) of ``quantile_spec.cells(p, f0, f1)`` for
+    the chunks of :func:`cell_chunks` over the 2**p uniform cells of (0, 1),
+    or over their upper half, in ascending order.
+
+    p is refused here, before any cell is built (ValueError, CapacityError
+    above MSE_EXACT_MAX_P); the chunks are built as they are read, and a
+    chunk with an average that is not finite raises ValueError (the
+    quantile is not integrable over that cell).
+    """
+    _exact_precision(p, "W2 cells")
+    return (_integrable(f0, *quantile_spec.cells(p, f0, f1)) for f0, f1 in cell_chunks(p, upper))
+
+
+def _integrable(f0: int, c, sq):
+    if not np.all(np.isfinite(c)):
+        raise ValueError("divergent cell integral: quantile not integrable")
+    return f0, c, sq
+
+
 def optimal_points(quantile_spec, p: int) -> np.ndarray:
     """Best-approximation support for fixed uniform weights 2**-p.
 
     The k-th point is the average of the quantile function over the k-th
-    cell of the uniform partition of (0, 1) into 2**p cells, read from the
-    law's closed form ``quantile_spec.cell_average(p)``.
-
-    Raises ValueError when a cell average is not finite (the quantile is
-    not integrable over that cell).
+    cell of the uniform partition of (0, 1) into 2**p cells, read chunk by
+    chunk from the law's closed form ``quantile_spec.cells`` through
+    :func:`law_cells` (which refuses p and non-finite averages).
     """
-    _exact_precision(p, "optimal points")
-    pts = np.asarray(quantile_spec.cell_average(p), dtype=np.float64)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("divergent cell integral: quantile not integrable")
+    cells = law_cells(quantile_spec, p)
+    pts = np.empty(1 << p)
+    for f0, c, _ in cells:
+        pts[f0:f0 + len(c)] = c
     return pts
 
 

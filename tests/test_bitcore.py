@@ -17,6 +17,7 @@ from rbitmc.bitcore import (
     child_source,
     dyadic_values,
     exact_sum,
+    exact_sum_chunks,
     read_bytes,
     truncate_indices,
 )
@@ -377,6 +378,67 @@ def test_exact_sum_takes_any_float_sequence():
     assert exact_sum(x.tolist()[0]).hex() == math.fsum(x[0]).hex()
 
 
+def _concat(chunks):
+    return np.concatenate([np.asarray(c, dtype=np.float64).reshape(-1) for c in chunks] or [np.empty(0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_SUMMANDS, max_size=12), max_size=6))
+@example([])              # an empty stream: fsum's 0.0
+@example([[], []])        # empty chunks only
+@example([[-0.0], [], [-0.0]])
+@example([[1.0], [-1.0], [-0.0]])
+@example([[1e308], [1e308, -1e308]])                 # fsum's intermediate overflow in a later chunk
+@example([[2.0 ** 983], [2.0 ** 983] * 3, [1e308]])  # binned chunks, then one above the bins
+@example([[1.0], [2.0 ** -53], [2.0 ** -106]])       # a tie broken by the last chunk
+def test_exact_sum_chunks_is_fsum_of_the_concatenation(chunks):
+    """The streaming sum is fsum of the chunks read as one sequence, bit for
+    bit, with empty chunks anywhere and its sign of zero."""
+    arrays = [np.array(c, dtype=np.float64) for c in chunks]
+    assert _sum_or_error(exact_sum_chunks, iter(arrays)) == _sum_or_error(math.fsum, _concat(arrays))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=st.lists(st.sampled_from([0, 1, 5, (1 << 16) - 1, (1 << 16) + 1, 3 * (1 << 16) + 5]),
+                      min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1), lo=st.integers(-1074, 963), width=st.integers(0, 60))
+def test_exact_sum_chunks_of_long_chunks_is_fsum(sizes, seed, lo, width):
+    """Chunks whose lengths are not multiples of the 2**16-value block, so a
+    chunk's last block is short, with exponents in a band as in
+    test_exact_sum_of_long_arrays_is_fsum_bit_for_bit."""
+    rng = np.random.default_rng(seed)
+    chunks = [np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(lo, lo + width + 1, n)) for n in sizes]
+    assert _sum_or_error(exact_sum_chunks, chunks) == _sum_or_error(math.fsum, _concat(chunks))
+
+
+def test_exact_sum_chunks_restarts_its_bins_across_chunks(monkeypatch):
+    """With 2**17 values per run, a 3 * 2**16 + 5-value chunk restarts its bins
+    within itself, and the runs of consecutive chunks meet at chunk
+    boundaries that are not multiples of the run."""
+    monkeypatch.setattr(bitcore, "_SUM_BIN_VALUES", 1 << 17)
+    rng = np.random.default_rng(8)
+    n = 3 * (1 << 16) + 5
+    for chunks in ([rng.standard_normal(n) for _ in range(3)],
+                   [np.ldexp(rng.uniform(-1.0, 1.0, n), -1060), np.ldexp(rng.uniform(-1.0, 1.0, 7), -1074)],
+                   [np.ldexp(rng.uniform(0.5, 1.0, n), 900), rng.standard_normal(1 << 16), np.ldexp(rng.uniform(0.5, 1.0, n), 900)]):
+        assert exact_sum_chunks(chunks).hex() == math.fsum(_concat(chunks)).hex()
+
+
+@settings(max_examples=80, deadline=None)
+@given(first=st.lists(_SUMMANDS, max_size=8), values=st.lists(_SUMMANDS, max_size=8),
+       special=st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1.5e308, 2.0 ** 984]),
+       at=st.integers(0, 8), tail=st.lists(st.sampled_from([1.0, -math.inf, math.nan, 1e308]), max_size=3))
+@example(first=[-math.inf], values=[1.0], special=math.inf, at=0, tail=[])  # fsum's ValueError for inf - inf
+@example(first=[2.0 ** 983, 2.0 ** 983], values=[], special=1e308, at=0, tail=[1e308])
+def test_exact_sum_chunks_keeps_fsums_nan_inf_and_overflow_in_a_later_chunk(first, values, special, at, tail):
+    """A non-finite value or an exponent near overflow in a later chunk sends
+    that chunk and the rest of the stream to math.fsum after the bins of
+    the chunks before it: its NaN or inf, or its OverflowError or
+    ValueError, is the result."""
+    chunks = [np.array(first), np.array(values[:at] + [special] + values[at:]), np.array(tail)]
+    assert _sum_or_error(exact_sum_chunks, chunks) == _sum_or_error(math.fsum, _concat(chunks))
+
+
 _DRAW_METHODS = {"draw_bits", "draw_bits_array", "take_words"}
 
 
@@ -482,8 +544,9 @@ _FSUM_OF_SCALARS = {("normal", "coefficient_error_sq")}
 
 def test_math_fsum_sums_no_array():
     """Arrays are summed by bitcore.exact_sum, at a fraction of fsum's cost:
-    math.fsum appears in src/ only inside exact_sum, and as the sum of a
-    generator of Python floats in coefficient_error_sq."""
+    math.fsum appears in src/ only inside its streaming form
+    exact_sum_chunks, and as the sum of a generator of Python floats in
+    coefficient_error_sq."""
     uses = set()
     for path in sorted(Path(__file__).resolve().parents[1].glob("src/rbitmc/*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -497,7 +560,7 @@ def test_math_fsum_sums_no_array():
             where = (path.stem, getattr(scope, "name", None))
             summand = call.args[0] if isinstance(call, ast.Call) and call.func is node and call.args else None
             uses.add((*where, "scalars" if isinstance(summand, ast.GeneratorExp) else "other"))
-    assert uses == {("bitcore", "exact_sum", "other"), *((*where, "scalars") for where in _FSUM_OF_SCALARS)}
+    assert uses == {("bitcore", "exact_sum_chunks", "other"), *((*where, "scalars") for where in _FSUM_OF_SCALARS)}
 
 
 def test_quadrature_runs_only_where_no_closed_form_exists():
@@ -576,8 +639,8 @@ _UNREAD_PUBLIC = {
     "plain_mc": "the plain Monte Carlo reference of criterion 7b and of the plain_mc_deep benchmark",
     "bit_normal_support": "the support of the p-bit normal, pinned in test_normal_golden",
     "bit_normal_cross_moment": "the oracle of the identity mse = 1 + E|Y^(p)|^2 - 2 E[Y Y^(p)]",
-    "gaussian_cell_sq_error": "the per-cell oracle of normal.gaussian_grid_sq_error",
-    "gaussian_cell_average": "the per-cell oracle of normal.gaussian_grid_average",
+    "gaussian_cell_sq_error": "the per-cell oracle of the chunked cell forms normal.gaussian_cells and gaussian_sq_errors",
+    "gaussian_cell_average": "the per-cell oracle of the chunked cell form normal.gaussian_cells",
     "evaluate_coeffs": "the lazy per-point oracle of bridge.nodes_from_coeffs, pinned in test_schauder_golden",
 }
 

@@ -4,12 +4,16 @@ Each case pins the sha256 of the CSV bytes, so any change in parsing,
 defaults, dispatch or formatting of an experiment shows up as a digest
 change.  Every experiment is run as a subcommand (at least once on its
 defaults) and once from a suite config; the printed table must equal the
-written file.
+written file.  The rbit-1d tables of the benchmark's ``cli_tables``
+workload, up to p = 22, are checked against the benchmark's own digests.
 """
 
 import hashlib
+import importlib.util
 import io
+import json
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -87,3 +91,35 @@ def test_suite_csv_digest(tmp_path, text, digest):
     cfg.write_text(text + f"csv = {out}\n")
     assert run_suite(str(cfg)) == 0
     assert _sha(out.read_bytes()) == digest
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _benchmark_rbit_tables():
+    """(name, arguments) of the rbit-1d rows of perfbench/workloads.CLI_TABLES."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [(name, args) for name, args, _, _ in workloads.CLI_TABLES if args[0] == "rbit-1d"]
+
+
+RBIT_TABLES = _benchmark_rbit_tables()
+
+
+def test_benchmark_has_three_rbit_tables():
+    assert [name for name, _ in RBIT_TABLES] == ["rbit-1d-normal-1-21", "rbit-1d-normal-22", "rbit-1d-uniform-1-22"]
+
+
+@pytest.mark.parametrize("name,args", RBIT_TABLES, ids=[name for name, _ in RBIT_TABLES])
+def test_benchmark_rbit_table_matches_its_digest(tmp_path, name, args):
+    """The CSV bytes of each rbit-1d table of the benchmark, run as the
+    benchmark runs it, equal its digest in perfbench/digests.json: the
+    tables above reach p = 22, where the W2 cells span several 2**20-cell
+    chunks, so a byte change at a chunk boundary fails here, not first in
+    the benchmark."""
+    out = tmp_path / "out.csv"
+    fixtures = ROOT / "fixtures" / "acceptance.txt"
+    assert main([*args, "--csv", str(out), "--seed", "1", "--fixtures", str(fixtures)]) == 0
+    digests = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))["cli_tables"]
+    assert _sha(out.read_bytes()) == digests[name]

@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 
 from rbitmc import normal as N
 from rbitmc import wasserstein1d as W
-from rbitmc.bitcore import BitAllocation, BitSource, dyadic_values
+from rbitmc.bitcore import BitAllocation, BitSource, dyadic_edges, dyadic_values, exact_sum, exact_sum_chunks
 from rbitmc.errors import CapacityError
 from rbitmc.gausskl import sample_rows
 
@@ -281,21 +281,37 @@ def test_gaussian_cell_average_matches_quadrature():
 
 @pytest.mark.parametrize("p", range(0, 13))
 def test_edge_density_matches_direct_density(p):
-    pdf, ypdf = N._edge_density(p)
+    """The density terms at the edges k 2**-p of the upper half are the
+    mirror of those of the lower half, bit for bit (phi_inv(1 - u) =
+    -phi_inv(u), phi(y) even, y phi(y) odd): the cells of the normal mirror
+    exactly, which rbit_error's doubled upper half relies on."""
+    n = 1 << p
+    half = n >> 1
+    pdf_low, ypdf_low = N._quantile_density(dyadic_edges(0, half, p))
+    mirror = slice(n - half - 1, None, -1)  # edges n - k for k = half + 1..n
+    pdf = np.concatenate((pdf_low, pdf_low[mirror]))
+    ypdf = np.concatenate((ypdf_low, -ypdf_low[mirror]))
+    ypdf[n] = 0.0  # +0.0 at the infinite edge u = 1, as _quantile_density gives
     want_pdf, want_ypdf = N._quantile_density(np.arange((1 << p) + 1, dtype=np.float64) * 2.0 ** -p)
     assert pdf.tobytes() == want_pdf.tobytes() and ypdf.tobytes() == want_ypdf.tobytes()
-    assert not pdf.flags.writeable and not ypdf.flags.writeable
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 5, 12])
 def test_grid_closed_forms_match_cell_forms(p):
+    """The range forms equal the per-cell forms over the whole grid, and a
+    range of cells gives the slice of the whole grid, bit for bit."""
     n = 1 << p
     lo = np.arange(0, n, dtype=np.float64) / n
     hi = np.arange(1, n + 1, dtype=np.float64) / n
-    avg = N.gaussian_grid_average(p)
+    avg, sq = N.gaussian_cells(p, 0, n)
     assert avg.tobytes() == N.gaussian_cell_average(lo, hi).tobytes()
+    assert sq.tobytes() == N.gaussian_cell_sq_error(lo, hi, avg).tobytes()
     c = avg * 1.01 + 0.125
-    assert N.gaussian_grid_sq_error(p, c).tobytes() == N.gaussian_cell_sq_error(lo, hi, c).tobytes()
+    sq_c = N.gaussian_cells(p, 0, n, c)[1]
+    assert sq_c.tobytes() == N.gaussian_cell_sq_error(lo, hi, c).tobytes()
+    f0, f1 = n // 3, n - n // 5
+    assert [a.tobytes() for a in N.gaussian_cells(p, f0, f1)] == [avg[f0:f1].tobytes(), sq[f0:f1].tobytes()]
+    assert N.gaussian_cells(p, f0, f1, c[f0:f1])[1].tobytes() == sq_c[f0:f1].tobytes()
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 8, 12, 21])
@@ -309,6 +325,20 @@ def test_fused_normal_error_row_matches_separate_calls(p, monkeypatch):
     support = N.bit_normal_support(p)
     separate = (N.bit_normal_mse(p), 2.0 ** -p * math.fsum(support ** 2), 2.0 ** -p * math.fsum(support ** 4))
     assert [v.hex() for v in row] == [v.hex() for v in separate]
+
+
+def test_chunked_moment_sums_are_one_ulp_off_at_p22():
+    """At p = 22 the upper half spans two 2**20-cell chunks.  The sum of the
+    rounded chunk sums (_upper_sums' order) gives the pinned moment 4,
+    1 ulp above the correctly rounded sum of all x_f^4, which the streaming
+    exact sum gives (fsum's value)."""
+    p = 22
+    chunks = [N._mid_quantiles(p, f0, f1) ** 4 for f0, f1 in N.cell_chunks(p, upper=True)]
+    assert len(chunks) == 2
+    scale = 2.0 ** -(p - 1)
+    one_rounding = (scale * exact_sum_chunks(chunks)).hex()
+    assert one_rounding == (scale * math.fsum(np.concatenate(chunks))).hex() == "0x1.7fff61074ea5fp+1"
+    assert (scale * exact_sum([exact_sum(c) for c in chunks])).hex() == "0x1.7fff61074ea60p+1"
 
 
 def test_moments():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -40,8 +41,9 @@ def test_uniform_grid_cells_are_correctly_rounded():
     # on its own grid every uniform cell is int (u - m)^2 du = w^3 / 12,
     # rounded once; pinned byte for byte
     for p in range(1, 23):
-        cells = UNIFORM.cell_sq_error(p, UNIFORM.cell_average(p))
+        avg, cells = UNIFORM.cells(p, 0, 1 << p)
         assert cells.tobytes() == np.full(1 << p, 2.0 ** (-3 * p) / 12.0).tobytes(), p
+        assert UNIFORM.cells(p, 0, 1 << p, avg)[1].tobytes() == cells.tobytes(), p
 
 
 def test_uniform_off_grid_cells_match_exact_integrals():
@@ -50,7 +52,7 @@ def test_uniform_off_grid_cells_match_exact_integrals():
     for p in (1, 4, 10, 16):
         n = 1 << p
         c = np.sort(rng.uniform(-0.5, 1.5, n))
-        cells = UNIFORM.cell_sq_error(p, c)
+        cells = UNIFORM.cells(p, 0, n, c)[1]
         for k in rng.choice(n, size=min(n, 64), replace=False):
             lo, hi, ck = Fraction(int(k), n), Fraction(int(k) + 1, n), Fraction(float(c[k]))
             exact = ((hi - ck) ** 3 - (lo - ck) ** 3) / 3
@@ -86,11 +88,9 @@ def test_non_finite_points_rejected(bad):
 
 
 def test_specs_without_closed_forms_or_with_divergent_cells_are_refused():
-    # both cell forms are required fields of the dataclass
-    with pytest.raises(TypeError, match="'cell_average' and 'cell_sq_error'"):
+    # the cell form is a required field of the dataclass
+    with pytest.raises(TypeError, match="'cells'"):
         QuantileSpec(name="no-cells")
-    with pytest.raises(TypeError, match="cell_sq_error"):
-        QuantileSpec(name="no-sq-error", cell_average=NORMAL.cell_average)
     # a spec given by its quantile alone is refused
     with pytest.raises(TypeError, match="quantile"):
         QuantileSpec(name="old-style", quantile=lambda u: u, second_moment=1.0)
@@ -98,8 +98,9 @@ def test_specs_without_closed_forms_or_with_divergent_cells_are_refused():
     for value in (math.nan, math.inf, -math.inf):
         broken = QuantileSpec(
             name="broken",
-            cell_average=lambda p, v=value: np.where(np.arange(1 << p) == (1 << p) - 1, v, 0.5),
-            cell_sq_error=lambda p, c, v=value: np.where(np.arange(1 << p) == 0, v, 0.25),
+            cells=lambda p, f0, f1, c=None, v=value: (
+                np.where(np.arange(f0, f1) == (1 << p) - 1, v, 0.5) if c is None else c,
+                np.full(f1 - f0, 0.25) if c is None else np.where(np.arange(f0, f1) == 0, v, 0.25)),
         )
         with pytest.raises(ValueError, match="quantile not integrable"):
             N.optimal_points(broken, 2)
@@ -108,8 +109,25 @@ def test_specs_without_closed_forms_or_with_divergent_cells_are_refused():
         with pytest.raises(ValueError, match="divergent Wasserstein cell integral"):
             w2_uniform(broken, DiscreteUniform(np.zeros(4)))
     with pytest.raises(ValueError, match="divergent Wasserstein cell integral"):
-        w2_uniform(QuantileSpec("negative", NORMAL.cell_average, lambda p, c: np.full(1 << p, -1.0)),
+        w2_uniform(QuantileSpec("negative", lambda p, f0, f1, c=None: (c, np.full(f1 - f0, -1.0))),
                    DiscreteUniform(np.zeros(2)))
+
+
+@pytest.mark.parametrize("spec", [NORMAL, UNIFORM], ids=["normal", "uniform"])
+def test_symmetric_laws_mirror_their_cells_bit_for_bit(spec):
+    """Both shipped laws declare symmetry: each lower cell has its mirror's
+    squared error bit for bit, so the doubled sum over the upper half is the
+    exact sum over all cells, and rbit_error equals the full-grid sum of a
+    spec that declares nothing, across chunk boundaries (p = 22 spans four
+    2**20-cell chunks, its upper half two)."""
+    assert spec.symmetric
+    for p in (1, 2, 5, 12):
+        n = 1 << p
+        _, sq = spec.cells(p, 0, n)
+        assert sq[:n >> 1].tobytes() == sq[:(n >> 1) - 1:-1].tobytes(), p
+    undeclared = dataclasses.replace(spec, symmetric=False)
+    for p in (1, 2, 5, 12, 22):
+        assert rbit_error(undeclared, p).hex() == rbit_error(spec, p).hex(), p
 
 
 def test_rbit_error_uniform_constant():
@@ -160,3 +178,31 @@ def test_w2_empirical_between_samplers():
     a = N.grid_normal_values(src.draw_bits_array(6, 20_000), 6)
     b = N.grid_normal_values(src.draw_bits_array(6, 20_000), 6)
     assert w2_empirical(a, b) < 0.05
+
+
+# ten 2**20-cell float64 arrays: the W2 tables work in 2**20-cell chunks, and
+# one 2**22-cell float64 grid alone is 32 MiB
+_W2_PEAK_BYTES = 10 * (8 << 20)
+
+
+@pytest.mark.parametrize("case", ["rbit_error-normal", "rbit_error-uniform", "w2_uniform-normal"])
+def test_w2_tables_at_p22_hold_chunks_not_grids(case):
+    """The tracemalloc peak of the p = 22 W2 tables stays within ten chunk
+    arrays: rbit_error of both laws, and w2_uniform against the 2**22
+    midpoint support beyond those input points (built before tracing).  The
+    whole-grid route peaked at 192 MiB (normal) and 96 MiB (uniform)."""
+    import tracemalloc
+
+    p = 22
+    call = {"rbit_error-normal": lambda: rbit_error(NORMAL, p),
+            "rbit_error-uniform": lambda: rbit_error(UNIFORM, p)}.get(case)
+    if call is None:
+        nu = DiscreteUniform(N.bit_normal_support(p))
+        call = lambda: w2_uniform(NORMAL, nu)  # noqa: E731
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _W2_PEAK_BYTES, f"{case}: peak {peak / 2**20:.1f} MiB"
