@@ -477,6 +477,7 @@ def law_cells(quantile_spec, p: int, upper: bool = False):
 
 
 def _integrable(f0: int, c, sq):
+    """(f0, c, sq) of one chunk of :func:`law_cells`, whose averages c must be finite."""
     if not np.all(np.isfinite(c)):
         raise ValueError("divergent cell integral: quantile not integrable")
     return f0, c, sq

@@ -413,8 +413,8 @@ def test_exact_sum_chunks_of_long_chunks_is_fsum(sizes, seed, lo, width):
 
 def test_exact_sum_chunks_restarts_its_bins_across_chunks(monkeypatch):
     """With 2**17 values per run, a 3 * 2**16 + 5-value chunk restarts its bins
-    within itself, and the runs of consecutive chunks meet at chunk
-    boundaries that are not multiples of the run."""
+    within itself, away from any chunk boundary, and the next chunk starts
+    afresh after a short last run."""
     monkeypatch.setattr(bitcore, "_SUM_BIN_VALUES", 1 << 17)
     rng = np.random.default_rng(8)
     n = 3 * (1 << 16) + 5
@@ -639,7 +639,7 @@ _UNREAD_PUBLIC = {
     "plain_mc": "the plain Monte Carlo reference of criterion 7b and of the plain_mc_deep benchmark",
     "bit_normal_support": "the support of the p-bit normal, pinned in test_normal_golden",
     "bit_normal_cross_moment": "the oracle of the identity mse = 1 + E|Y^(p)|^2 - 2 E[Y Y^(p)]",
-    "gaussian_cell_sq_error": "the per-cell oracle of the chunked cell forms normal.gaussian_cells and gaussian_sq_errors",
+    "gaussian_cell_sq_error": "the per-cell oracle of the chunked cell form normal.gaussian_cells",
     "gaussian_cell_average": "the per-cell oracle of the chunked cell form normal.gaussian_cells",
     "evaluate_coeffs": "the lazy per-point oracle of bridge.nodes_from_coeffs, pinned in test_schauder_golden",
 }
