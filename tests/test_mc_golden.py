@@ -3,7 +3,8 @@
 Each case pins ``float.hex`` of the mean and the standard error, and the bits
 drawn, of :func:`mlmc.plain_mc` and :func:`mlmc.mlmc_estimate` for both
 models, every built-in functional that runs on the model, models with
-``min_bits`` 0 and 4, row counts that are not multiples of 4, several
+``min_bits`` 0 and 4, bridge models with ``min_bits`` 20 (whose runs of
+equal bit count span several hat levels), row counts that are not multiples of 4, several
 ``plain_mc`` batch row counts (``_BATCH_ROWS``), and
 sources with 3 bits drawn beforehand (so every draw starts off a byte
 boundary).  Any change of draw order, sampling path, chunking or summation
@@ -19,6 +20,7 @@ from rbitmc.bitcore import BitSource
 SPEC = G.EigenSpec(beta=2.0, alpha=0.0)
 MODELS = {(name, min_bits): M.BridgeModel(min_bits) if name == "bridge" else M.KLModel(SPEC, min_bits)
           for name in ("bridge", "kl") for min_bits in (0, 4)}
+MODELS["bridge", 20] = M.BridgeModel(20)  # one run for hat levels 3.. at level 13, all of them at level 8
 
 # plain_mc: (model, functional, level, n, min_bits, head bits, batch)
 #   -> (mean.hex(), stderr.hex(), bits drawn); source BitSource(100 + case number)
@@ -53,6 +55,10 @@ PLAIN = {
     ('kl', 'norm', 8, 301, 0, 3, 128): ('0x1.23a97333924acp+0', '0x1.b512bea02ffefp-6', 258863),
     ('kl', 'clipped_norm', 8, 301, 0, 3, 128): ('0x1.d0f63b777bdefp-1', '0x1.093435273fd35p-7', 258863),
     ('kl', 'soft_linear', 8, 301, 0, 3, 128): ('0x1.3599e27ba49b9p-5', '0x1.2be3112b195c3p-5', 258863),
+    ('bridge', 'norm', 8, 301, 20, 3, 4096): ('0x1.6fcb455123867p-2', '0x1.117c1475cecc2p-7', 1535103),
+    ('bridge', 'norm', 13, 37, 20, 0, 4096): ('0x1.9826c6ce80853p-2', '0x1.fa86488bf3be0p-6', 6062154),
+    ('bridge', 'soft_linear', 8, 301, 20, 3, 4096): ('-0x1.dfd9b2b9aea0ep-6', '0x1.2a85628f14636p-6', 1535103),
+    ('bridge', 'soft_linear', 13, 37, 20, 0, 4096): ('0x1.c05a2ae6c1b8ep-6', '0x1.63ba462698b55p-5', 6062154),
 }
 
 # mlmc_estimate at eps 2^-4: (model, functional, min_bits, head bits)
@@ -74,6 +80,10 @@ MLMC = {
     ('kl', 'norm', 4, 3): ('0x1.2e25983f66378p+0', '0x1.18f8ef08ef20dp-5', 31197),
     ('kl', 'clipped_norm', 4, 3): ('0x1.cf01da890d80ep-1', '0x1.3a84169f8e736p-6', 31197),
     ('kl', 'soft_linear', 4, 3): ('-0x1.5d81df1b75994p-6', '0x1.35c477fa92c0bp-5', 31197),
+    ('bridge', 'norm', 20, 0): ('0x1.871ce0fe5b567p-2', '0x1.f029c2d18b4bap-7', 124100),
+    ('bridge', 'norm', 20, 3): ('0x1.89073b2caf170p-2', '0x1.d45c6e2dd25d5p-7', 124103),
+    ('bridge', 'soft_linear', 20, 0): ('0x1.ca0f167a6d2acp-6', '0x1.3c5c17f95ccbbp-6', 124100),
+    ('bridge', 'soft_linear', 20, 3): ('-0x1.0aa27338fac09p-9', '0x1.41628e117cd1ep-6', 124103),
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 
@@ -177,6 +178,26 @@ def test_refined_rows_are_the_skeleton_chords_plus_bridges(m, q, level, n, seed)
             x0, x1 = skeleton[i, k], skeleton[i, k + 1]
             want = (1 - s) * x0 + s * x1 + GM.diffusion(x0) * BR.evaluate_coeffs(coeffs[i, k], level, s) / math.sqrt(m)
             assert np.max(np.abs(rows[i, k * h + 1:(k + 1) * h] - want)) <= 1e-13
+
+
+# (m, q, level, n) -> sha256 of the node rows' bytes, from BitSource(300 + m + q + level + n)
+# with 3 bits drawn first, so every draw starts off a byte boundary
+REFINED_ROWS = {
+    (4, 8, 3, 5): "d852d15bc39c6c8b48dc77954321e9de27ec9d0860e92536b00fe7ffbf6b32ea",
+    (16, 52, 6, 3): "e27d30c34e35f388feefd80f2557299d238cfab21eebfc79caea1b627b4d74bf",
+    (1, 63, 10, 2): "28b15edd6c77f817b17dc08b68c2941c8f190a728340c42b77870a11acf76f32",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFINED_ROWS))
+def test_refined_rows_golden(case):
+    m, q, level, n = case
+    src = BitSource(300 + sum(case))
+    src.draw_bits(3)
+    rows = S.refined_rows(src, GM, m, q, level, n)
+    assert rows.shape == (n, m * (1 << level) + 1)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == REFINED_ROWS[case]
+    assert src.bits_drawn == 3 + n * S.sde_bit_cost(m, q, level)
 
 
 @pytest.mark.parametrize("n", [0, -1, 2.5])
