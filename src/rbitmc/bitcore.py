@@ -190,7 +190,7 @@ def read_bytes(words: np.ndarray, start: int, p: int, n: int) -> np.ndarray:
 
     Returns ceil(p n / 8) codes, most significant bit first: value j is
     field j % (8/p) of byte j // (8/p), so the grid indices (fields) of the
-    values are ``byte_fields(p)[codes].reshape(-1)[:n]``; the bits of the
+    values are ``byte_lookup(byte_fields(p), codes, 1, n)``; the bits of the
     last byte past them are not defined.  When ``start`` is not on a byte
     boundary, the bytes are shifted into place with one extra pass.  Only
     the words that hold the values are converted; ``words`` must hold one
@@ -203,6 +203,15 @@ def read_bytes(words: np.ndarray, start: int, p: int, n: int) -> np.ndarray:
     if shift:
         return (raw[:-1] << np.uint8(shift)) | (raw[1:] >> np.uint8(8 - shift))
     return raw[:-1]
+
+
+def byte_lookup(table: np.ndarray, codes: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The (rows, cols) entries that rows * cols p-bit fields, held by the
+    byte codes of :func:`read_bytes`, look up in a (256, 8/p) table whose
+    row b holds an entry per field of byte b, most significant first (as
+    :func:`byte_fields` holds the fields): value j is entry j % (8/p) of
+    row codes[j // (8/p)]."""
+    return np.take(table, codes, axis=0).reshape(-1)[:rows * cols].reshape(rows, cols)
 
 
 _BYTE_PRECISIONS = (1, 2, 4, 8)

@@ -17,15 +17,19 @@ under :func:`allocation_bridge`.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 # truncate_indices, grid_normal_values: unused, kept for perfbench/selftest.py
-from .bitcore import MAX_LEVEL, BitAllocation, check_count, exact_sum, truncate_indices  # noqa: F401
+from .bitcore import MAX_LEVEL, BitAllocation, byte_lookup, check_count, exact_sum, truncate_indices  # noqa: F401
 from .errors import CapacityError
-from .normal import coefficient_error_sq
+from .gausskl import DrawnRows, read_runs
+from .normal import coefficient_error_sq, grid_normal_byte_table, grid_normal_runs
 from .normal import grid_normal_values  # noqa: F401
 
 
@@ -129,6 +133,71 @@ def nodes_from_coeffs(coeff_rows: np.ndarray, level: int) -> np.ndarray:
     return vals
 
 
+def nodes_from_drawn(drawn: DrawnRows, a: int, b: int, width: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
+    """Node rows of rows a..b of bridge rows drawn under the allocation of
+    a level (:func:`allocation_bridge`, counts raised or not), and the index
+    rows of their first ``width`` columns (None for width 0): the bytes of
+    ``nodes_from_coeffs(decode_rows(drawn, a, b, None, width)[0], level)``
+    and of decode_rows' index rows, with no coefficient rows built.
+
+    Each refinement step is that of nodes_from_coeffs, in the same order,
+    with the hat level's peak-scaled coefficients (:func:`_hat_levels`)
+    added straight into the midpoints.  A row range outside
+    0 <= a <= b <= drawn.n raises ValueError before any word is read.
+    """
+    idx, runs = read_runs(drawn, a, b, width)
+    nodes = np.zeros((b - a, 2), dtype=np.float64)
+    for added in _hat_levels(runs, b - a):
+        mids = nodes[:, :-1] + nodes[:, 1:]
+        mids *= 0.5
+        mids += added
+        nodes = _insert_midpoints(nodes, mids)
+    return nodes, idx
+
+
+def _hat_levels(runs: Iterator, nb: int):
+    """Yield c * peak, the (nb, 2**m) coefficients of hat level m of the
+    rows whose runs :func:`gausskl.read_runs` reads, times the level's
+    peak, for m = 0, 1, ...; every run is read before the first value.
+
+    A run of one hat level at p in {2, 4, 8} looks its stream bytes up in a
+    byte table pre-scaled by the level's peak (:func:`_byte_table`):
+    fl(c * peak) is the same product per table entry as per coefficient.
+    Every other run is decoded whole, as decode_rows decodes it (the runs
+    that are not byte runs in one :func:`normal.grid_normal_runs` call for
+    the block), and scaled one hat level at a time: a run spans whole hat
+    levels, several of them where ``min_bits`` raised their counts to one.
+    """
+    byte_runs, pairs = [], []  # runs with their byte codes (None for the others); (fields, p) of the others
+    for c0, c1, p, data in runs:
+        byte_runs.append((c0, c1, p, data if 8 % p == 0 else None))
+        if 8 % p:
+            pairs.append((data, p))
+    decoded = deque(grid_normal_runs(pairs))  # each run's values are dropped once used
+    del pairs
+    m = 0  # the next hat level; its columns 2**m - 1 .. 2**(m+1) - 2 start the next run
+    for c0, c1, p, codes in byte_runs:
+        if codes is not None and c1 - c0 == 1 << m:
+            yield byte_lookup(_byte_table(p, m), codes, nb, c1 - c0)
+            m += 1
+            continue
+        values = decoded.popleft() if codes is None else byte_lookup(grid_normal_byte_table(p), codes, nb, c1 - c0)
+        while (1 << m) - 1 < c1:
+            added = values[:, (1 << m) - 1 - c0:(2 << m) - 1 - c0]
+            added *= _peak(m)
+            yield added
+            m += 1
+
+
+@functools.cache
+def _byte_table(p: int, m: int) -> np.ndarray:
+    """:func:`normal.grid_normal_byte_table` of p scaled by the level-m hat
+    peak, entry by entry; built once per (p, m), read-only."""
+    table = grid_normal_byte_table(p) * _peak(m)
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
 def _insert_midpoints(nodes: np.ndarray, mids: np.ndarray) -> np.ndarray:
     """The midpoint-refinement step: node rows (n, k) on the halved mesh,
     (n, 2k - 1), with the values ``mids`` (n, k - 1) inserted between
@@ -202,14 +271,23 @@ class BridgeRows:
         on a node.
         """
         nodes = _refine_nodes(self.nodes, len(w).bit_length())
-        n_nodes = nodes.shape[1]
-        g = np.zeros(n_nodes)
-        for j, wj in enumerate(w, start=1):
-            g += wj * _hat_on_nodes(j, n_nodes)
-        g_norm = math.sqrt(float(pl_l2_norm_sq(g[np.newaxis, :])[0]))
-        if g_norm > 1.0:
-            g = g / g_norm
-        return pl_inner(nodes, g[np.newaxis, :])
+        return pl_inner(nodes, _hat_weights(tuple(map(float, w)), nodes.shape[1])[np.newaxis, :])
+
+
+@functools.lru_cache(maxsize=64)
+def _hat_weights(w: tuple[float, ...], n_nodes: int) -> np.ndarray:
+    """g = sum_j w_j e_j of :meth:`BridgeRows.linear` on n_nodes dyadic
+    nodes, divided by its L2 norm when that is above 1; built once per
+    (w, n_nodes), read-only.  An MLMC run evaluates one g per level and
+    term, so a small cache holds every g of a run."""
+    g = np.zeros(n_nodes)
+    for j, wj in enumerate(w, start=1):
+        g += wj * _hat_on_nodes(j, n_nodes)
+    g_norm = math.sqrt(float(pl_l2_norm_sq(g[np.newaxis, :])[0]))
+    if g_norm > 1.0:
+        g = g / g_norm
+    g.flags.writeable = False  # shared by every caller
+    return g
 
 
 def bridge_truncation_error_sq(level: int) -> float:

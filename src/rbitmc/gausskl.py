@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .bitcore import (MAX_BITS, MAX_LEVEL, BitAllocation, BitSource, byte_fields, check_count, check_finite, read_bytes,
-                      read_fields, truncate_indices)
+from .bitcore import (MAX_BITS, MAX_LEVEL, BitAllocation, BitSource, byte_fields, byte_lookup, check_count, check_finite,
+                      read_bytes, read_fields, truncate_indices)
 from .errors import CapacityError, InternalInvariantError
 from .normal import checked_quad, coefficient_error_sq, grid_normal_byte_table, grid_normal_runs
 # grid_normal_values: unused, kept for perfbench/selftest.py
@@ -156,42 +156,72 @@ def decode_rows(drawn: DrawnRows, a: int, b: int, scale: Optional[np.ndarray] = 
 
     Coefficient i is scale[i] times the p_i-bit grid normal at its p_i-bit
     field, which is its index; ``scale=None`` means unit scale.  Each run's
-    fields are read once.  A run at p in {1, 2, 4, 8}, the stream format,
-    looks its stream bytes up in the (256, 8/p) tables
+    fields are read once (:func:`read_runs`).  A run at p in {1, 2, 4, 8},
+    the stream format, looks its stream bytes up in the (256, 8/p) tables
     :func:`normal.grid_normal_byte_table` and :func:`bitcore.byte_fields`
-    with ``np.take``; the fields of all other runs go through one
-    :func:`normal.grid_normal_runs` call for the block (at most one
+    (:func:`bitcore.byte_lookup`); the fields of all other runs go through
+    one :func:`normal.grid_normal_runs` call for the block (at most one
     ``phi_inv`` call).  Every block of rows gives the values of the whole
     batch.  A row range outside 0 <= a <= b <= drawn.n raises ValueError
     before any word is read.
     """
-    check_count("row start a", a, 0, drawn.n)
-    check_count("row stop b", b, a, drawn.n)
+    idx, runs = read_runs(drawn, a, b, width)
     nb = b - a
     coeffs = np.empty((nb, len(drawn.alloc)), dtype=np.float64) if out is None else out
-    idx = np.empty((nb, width), dtype=np.uint64) if width else None
     cols, pairs = [], []  # columns and (fields, p) of the runs that are not byte runs
+    for c0, c1, p, data in runs:
+        if 8 % p == 0:
+            coeffs[:, c0:c1] = byte_lookup(grid_normal_byte_table(p), data, nb, c1 - c0)
+        else:
+            cols.append((c0, c1))
+            pairs.append((data, p))
+    for (c0, c1), values in zip(cols, grid_normal_runs(pairs)):
+        coeffs[:, c0:c1] = values
+    if scale is not None:
+        coeffs *= scale
+    return coeffs, idx
+
+
+def read_runs(drawn: DrawnRows, a: int, b: int, width: int = 0) -> tuple[Optional[np.ndarray], Iterator]:
+    """Rows a..b of ``drawn`` run by run, in the layout of :func:`sample_rows`:
+    (index rows of the first ``width`` columns, None for width 0; an
+    iterator of (c0, c1, p, data) over the runs (c0, c1, p) of
+    ``drawn.alloc``, left to right).
+
+    ``data`` holds the run's bits of rows a..b: their stream bytes at p in
+    {1, 2, 4, 8} (the uint8 codes of :func:`bitcore.read_bytes`, whose
+    values :func:`bitcore.byte_lookup` finds), their (b - a, c1 - c0) p-bit
+    fields at every other p.  Each run is read once, when the iterator
+    reaches it, and its fields in the first ``width`` columns are written
+    to the index rows then.  This is the one reader of the run layout: the
+    decode (:func:`decode_rows`) and the bridge's node rows
+    (:func:`bridge.nodes_from_drawn`) read through it.  A row range outside
+    0 <= a <= b <= drawn.n raises ValueError before any word is read.
+    """
+    check_count("row start a", a, 0, drawn.n)
+    check_count("row stop b", b, a, drawn.n)
+    idx = np.empty((b - a, width), dtype=np.uint64) if width else None
+    return idx, _runs(drawn, a, b, idx)
+
+
+def _runs(drawn: DrawnRows, a: int, b: int, idx: Optional[np.ndarray]):
+    """The iterator of :func:`read_runs`, writing the index rows ``idx``."""
+    nb = b - a
+    width = 0 if idx is None else idx.shape[1]
     pos = drawn.start
     for c0, c1, p in drawn.alloc.runs:
         w, k = c1 - c0, min(c1, width) - c0  # run width, index columns wanted from it
         at = pos + a * w * p
         pos += drawn.n * w * p
         if 8 % p == 0:
-            codes = read_bytes(drawn.words, at, p, nb * w).astype(np.intp)
-            coeffs[:, c0:c1] = np.take(grid_normal_byte_table(p), codes, axis=0).reshape(-1)[:nb * w].reshape(nb, w)
+            data = read_bytes(drawn.words, at, p, nb * w)
             if k > 0:
-                idx[:, c0:c0 + k] = np.take(byte_fields(p), codes, axis=0).reshape(-1)[:nb * w].reshape(nb, w)[:, :k]
-            continue
-        fields = read_fields(drawn.words, at, p, nb * w).reshape(nb, w)
-        cols.append((c0, c1))
-        pairs.append((fields, p))
-        if k > 0:
-            idx[:, c0:c0 + k] = fields[:, :k]
-    for (c0, c1), values in zip(cols, grid_normal_runs(pairs)):
-        coeffs[:, c0:c1] = values
-    if scale is not None:
-        coeffs *= scale
-    return coeffs, idx
+                idx[:, c0:c0 + k] = byte_lookup(byte_fields(p), data, nb, w)[:, :k]
+        else:
+            data = read_fields(drawn.words, at, p, nb * w).reshape(nb, w)
+            if k > 0:
+                idx[:, c0:c0 + k] = data[:, :k]
+        yield c0, c1, p, data
 
 
 def sample_rows(src: BitSource, alloc: BitAllocation, n: int,

@@ -35,13 +35,15 @@ from . import gausskl
 # truncate_indices, grid_normal_values: unused, kept for perfbench/selftest.py
 from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, check_count, check_finite
 from .bitcore import truncate_indices  # noqa: F401
-from .bridge import BridgeRows, allocation_bridge, nodes_from_coeffs
+from .bridge import BridgeRows, allocation_bridge, nodes_from_coeffs, nodes_from_drawn
 from .errors import ConfigurationError, InternalInvariantError
 from .gausskl import EigenSpec, KLRows, allocation_kl
 from .normal import grid_normal_values  # noqa: F401
 
 EPS_MAX = math.exp(-2.0)
-_EVAL_BYTES = 4 << 20  # node values of all evaluation blocks in flight, split among the threads
+# node values of all evaluation blocks in flight, split among the threads; a level-13
+# bridge block peaks at about three times its node values (the norm's two temporaries)
+_EVAL_BYTES = 9 << 19
 _BATCH_BYTES = 32 << 20  # drawn words per plain_mc batch
 _BATCH_ROWS = 4096  # only keeps the batch sums of levels <= 14; goes once those sums are exact
 
@@ -109,7 +111,8 @@ class ExpansionModel:
     Allocations (and scales) are computed once per level, read-only.
 
     Rows pass as arrays: ``sample_rows`` draws a level's stream words,
-    :func:`gausskl.decode_rows` decodes blocks of them with ``scale(level)``,
+    :func:`gausskl.decode_rows` decodes blocks of them with ``scale(level)``
+    (bridge blocks go straight to node rows, :func:`bridge.nodes_from_drawn`),
     ``coarsen_rows`` re-truncates index rows one level down and
     ``functional_rows`` makes coefficient rows the batch of
     :attr:`LipFunctional.rows`.
@@ -267,22 +270,24 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
               width: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """``f.rows`` of every row of ``drawn`` (rows of ``level``) and, with the
     coarse dimension ``width`` > 0, of its coarsening one level down (else
-    None), decoded by :func:`gausskl.decode_rows` in blocks of rows; a
-    block's coarse rows are re-truncated from its index rows by
-    ``model.coarsen_rows``.
+    None), in blocks of rows.  A bridge block goes from the drawn words
+    straight to its node rows (:func:`bridge.nodes_from_drawn`), with no
+    coefficient rows; any other block is decoded by
+    :func:`gausskl.decode_rows`.  A block's coarse rows are re-truncated
+    from its index rows by ``model.coarsen_rows``.
 
     The blocks run on min(2, usable CPUs) threads while numpy releases the
     GIL: with three or more blocks and two CPUs, the calling thread and one
     pool thread, made for this call and joined before it returns, take
     every other block.  A lazily built table is stored only once complete,
     so a second thread at worst builds it again.  (A thread keeps its freed
-    blocks in its own malloc arena, so
-    the caller works rather than waits: an idle caller beside a pool of two
-    raised the peak RSS of a level-13 plain_mc by 10%.)  _EVAL_BYTES bounds
-    the node values of all blocks in flight, so a block holds
-    _EVAL_BYTES / threads of them.  Only the drawn words and the blocks in
-    flight are held: a thread decodes its fine coefficient blocks into one
-    reused buffer and writes its rows' values to their own slices of the
+    blocks in its own malloc arena, so the caller works rather than waits:
+    an idle caller beside a pool of two raised the peak RSS of a level-13
+    plain_mc by 10%.)  _EVAL_BYTES bounds the node values of all blocks in
+    flight, dim + 2 per row, so a block holds _EVAL_BYTES / threads of
+    them.  Only the drawn words and the blocks in flight are held: a thread
+    decodes its fine coefficient blocks into one reused buffer (a bridge
+    block has none) and writes its rows' values to their own slices of the
     result, and nothing is reduced across threads.  Rows are evaluated
     independently, so every value equals that of one call on the whole
     batch.  No block has a single row unless the batch has: numpy's matmul
@@ -292,6 +297,7 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
     """
     n, dim = drawn.n, len(drawn.alloc)
     coarse = width > 0
+    nodes = isinstance(model, BridgeModel)  # fine rows straight from the words to node rows
     scale = model.scale(level)
     # usable CPUs: the affinity set where the OS has one (Linux), else all of them
     threads = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
@@ -302,10 +308,15 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
     y_coarse = np.empty(n, dtype=np.float64) if coarse else None
 
     def run(blocks: list[tuple[int, int]]) -> None:
-        buf = np.empty((min(n, step + 1), dim))
+        buf = None if nodes else np.empty((min(n, step + 1), dim))
         for a, b in blocks:
-            coeffs, idx = gausskl.decode_rows(drawn, a, b, scale, width, buf[:b - a])
-            y[a:b] = f.rows(model.functional_rows(coeffs, level))
+            if nodes:
+                node_rows, idx = nodes_from_drawn(drawn, a, b, width)
+                y[a:b] = f.rows(BridgeRows(node_rows))
+                del node_rows  # freed before the next block's rows are built
+            else:
+                coeffs, idx = gausskl.decode_rows(drawn, a, b, scale, width, buf[:b - a])
+                y[a:b] = f.rows(model.functional_rows(coeffs, level))
             if coarse:
                 coarse_coeffs, _ = model.coarsen_rows(idx, level)
                 y_coarse[a:b] = f.rows(model.functional_rows(coarse_coeffs, level - 1))

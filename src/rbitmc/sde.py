@@ -28,9 +28,9 @@ import numpy as np
 from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, check_count, check_finite
 # truncate_indices: unused, kept for perfbench/selftest.py
 from .bitcore import truncate_indices  # noqa: F401
-from .bridge import allocation_bridge, allocation_bridge_total, nodes_from_coeffs
+from .bridge import allocation_bridge, allocation_bridge_total, nodes_from_drawn
 from .errors import InternalInvariantError, NumericFailure
-from .gausskl import coarsen_rows, sample_rows
+from .gausskl import coarsen_rows, draw_rows, sample_rows
 from .normal import Phi, grid_normal_values
 
 PARENT_BITS = MAX_BITS  # precision of the coupling uniforms in experiments
@@ -125,7 +125,7 @@ def refined_rows(src: BitSource, model: SDEModel, m: int, q: int, level: int, n:
     x_m.  Draw order: the n skeleton rows (one :func:`gausskl.sample_rows`
     call under m q-bit coefficients), then n * m bridge rows under
     :func:`bridge.allocation_bridge`, path-major (row i * m + k is step k of
-    path i).  Bits = n * sde_bit_cost; m, q, level and n are refused before
+    path i), which go from their drawn words straight to node rows.  Bits = n * sde_bit_cost; m, q, level and n are refused before
     the first draw.
     """
     check_count("n", n, 1)
@@ -133,14 +133,14 @@ def refined_rows(src: BitSource, model: SDEModel, m: int, q: int, level: int, n:
     before = src.bits_drawn
     y, _ = sample_rows(src, BitAllocation(np.full(m, q)), n)
     x = milstein_rows(model, m, y)
-    coeffs, _ = sample_rows(src, allocation_bridge(level), n * m)
+    bridges = draw_rows(src, allocation_bridge(level), n * m)
     used = src.bits_drawn - before
     if used != expected:
         raise InternalInvariantError(f"bit accounting mismatch: {used} != {expected}")
     h = 1 << level
     s = np.arange(h) / h
     xk, xk1 = x[:, :-1, np.newaxis], x[:, 1:, np.newaxis]
-    bridge = nodes_from_coeffs(coeffs, level)[:, :-1].reshape(n, m, h)
+    bridge = nodes_from_drawn(bridges, 0, n * m)[0][:, :-1].reshape(n, m, h)
     nodes = s * xk1 + (1.0 - s) * xk + model.diffusion(xk) * bridge / math.sqrt(m)
     return np.concatenate([nodes.reshape(n, m * h), x[:, m:]], axis=1)
 

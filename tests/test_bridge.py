@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rbitmc import bridge as BR
 from rbitmc import normal as N
 from rbitmc import sde as S
-from rbitmc.bitcore import BitSource, dyadic_values
+from rbitmc.bitcore import BitAllocation, BitSource, dyadic_values
 from rbitmc.errors import CapacityError
-from rbitmc.gausskl import coarsen_rows, sample_rows
+from rbitmc.gausskl import coarsen_rows, decode_rows, draw_rows, sample_rows
 
 
 def test_schauder_index_decomposition():
@@ -133,6 +133,53 @@ def test_in_place_refinement_and_norm_give_the_bytes_of_the_expressions(level, r
     assert BR.pl_l2_norm_sq(nodes).tobytes() == _norm_sq_oracle(nodes).tobytes()
     view = buf[:, 1:]  # rows that are not contiguous
     assert BR.pl_l2_norm_sq(view).tobytes() == _norm_sq_oracle(view).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(level=st.integers(1, 13), min_bits=st.sampled_from([0, 3, 4, 20]), n=st.integers(1, 9),
+       head=st.integers(0, 63), coarse=st.booleans(), step=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+@example(level=13, min_bits=0, n=5, head=3, coarse=True, step=2, seed=1)  # one run per hat level
+@example(level=13, min_bits=4, n=4, head=5, coarse=True, step=3, seed=2)  # a p = 4 byte run over levels 11, 12
+@example(level=13, min_bits=20, n=3, head=1, coarse=False, step=2, seed=3)  # a p = 20 run over levels 3..12
+@example(level=2, min_bits=4, n=5, head=7, coarse=True, step=2, seed=4)  # rows of 12 bits in one p = 4 byte run
+def test_nodes_from_drawn_are_the_nodes_of_the_decoded_rows(level, min_bits, n, head, coarse, step, seed):
+    """nodes_from_drawn builds no coefficient rows, and gives the bytes of
+    nodes_from_coeffs over decode_rows' coefficient rows, and decode_rows'
+    index rows of the coarse width, for every block of a batch: the blocks
+    of a step (the last one partial), one-row blocks and empty ones, drawn
+    after ``head`` bits so the runs start off byte boundaries, under counts
+    raised to ``min_bits`` (runs over several hat levels)."""
+    alloc = BitAllocation(np.maximum(BR.allocation_bridge(level).counts, min_bits))
+    src = BitSource(seed)
+    if head:
+        src.draw_bits(head)
+    drawn = draw_rows(src, alloc, n)
+    width = (1 << (level - 1)) - 1 if coarse else 0
+    step = min(step, n)
+    for a, b in [*((a, min(a + step, n)) for a in range(0, n, step)), (n - 1, n), (0, 0), (n, n)]:
+        coeffs, idx = decode_rows(drawn, a, b, None, width)
+        nodes, got_idx = BR.nodes_from_drawn(drawn, a, b, width)
+        assert nodes.shape == (b - a, (1 << level) + 1)
+        assert nodes.tobytes() == BR.nodes_from_coeffs(coeffs, level).tobytes(), (a, b)
+        assert got_idx is None if idx is None else got_idx.tobytes() == idx.tobytes()
+    with pytest.raises(ValueError, match="row stop b"):
+        BR.nodes_from_drawn(drawn, 0, n + 1)
+
+
+def test_linear_builds_its_weights_once_per_weights_and_mesh():
+    # g of BridgeRows.linear is cached read-only per (weights, node count):
+    # the same weights as a tuple or an array reuse it, and the values are
+    # those of a fresh build
+    rows = BR.BridgeRows(BR.nodes_from_coeffs(np.random.default_rng(5).standard_normal((3, 15)), 4))
+    BR._hat_weights.cache_clear()
+    first = rows.linear((0.6, 0.48, 0.384))
+    assert rows.linear(np.array([0.6, 0.48, 0.384])).tobytes() == first.tobytes()
+    info = BR._hat_weights.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    g = BR._hat_weights((0.6, 0.48, 0.384), 17)
+    assert not g.flags.writeable
+    BR._hat_weights.cache_clear()
+    assert rows.linear((0.6, 0.48, 0.384)).tobytes() == first.tobytes()
 
 
 def test_coarsen_chain_and_coefficients():

@@ -321,7 +321,7 @@ def test_estimators_do_not_depend_on_the_block_size(model_name, monkeypatch):
 
 def test_plain_mc_draws_no_index_rows(monkeypatch):
     # a batch is held as its drawn words: no index rows are decoded, and no
-    # coefficient block has more rows than one evaluation block of two threads
+    # node block has more rows than one evaluation block of two threads
     seen, decoded = [], []
     sample = M.ExpansionModel.sample_rows
 
@@ -330,15 +330,15 @@ def test_plain_mc_draws_no_index_rows(monkeypatch):
         seen.append((type(drawn), drawn.n))
         return drawn
 
-    decode = G.decode_rows
+    nodes = M.nodes_from_drawn  # the bridge's block entry: words to node rows
 
     def blocks(drawn, a, b, *args, **kwargs):
-        coeffs, idx = decode(drawn, a, b, *args, **kwargs)
+        node_rows, idx = nodes(drawn, a, b, *args, **kwargs)
         decoded.append((b - a, idx))
-        return coeffs, idx
+        return node_rows, idx
 
     monkeypatch.setattr(M.ExpansionModel, "sample_rows", spy)
-    monkeypatch.setattr(G, "decode_rows", blocks)
+    monkeypatch.setattr(M, "nodes_from_drawn", blocks)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(M, "_EVAL_BYTES", 8 * 65 * 4)  # level 6: 4 rows in flight, split among the threads
     monkeypatch.setattr(M, "_BATCH_ROWS", 20)
@@ -371,7 +371,7 @@ def test_threaded_blocks_give_the_one_block_bytes(model_name, monkeypatch):
     # a batch of many blocks, evaluated on two threads from cold tables and
     # switching threads every 10 us, gives the bytes of one block on one
     # thread; so does one CPU, serially
-    from rbitmc import bitcore, normal
+    from rbitmc import bitcore, bridge, normal
 
     level, n = 6, 203
     width = len(MODELS[model_name].allocation(level - 1))
@@ -389,7 +389,8 @@ def test_threaded_blocks_give_the_one_block_bytes(model_name, monkeypatch):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             pools = _PoolSpy(monkeypatch)
             for name, f in M.builtin_functionals().items():
-                for table in (normal._grid_table, normal.grid_normal_byte_table, bitcore.byte_fields):
+                for table in (normal._grid_table, normal.grid_normal_byte_table, bitcore.byte_fields,
+                              bridge._byte_table, bridge._hat_weights):
                     table.cache_clear()
                 model = _fresh_model(model_name)
                 drawn = model.sample_rows(BitSource(23), level, n)
@@ -607,8 +608,10 @@ def test_model_coarsening_equals_coarsen_rows_on_fresh_allocations(model_name, b
 
 def _phi_inv_calls_per_block(monkeypatch, run):
     """(phi_inv calls, phi_inv calls within each decoded and each coarsened
-    block) of ``run()``, counted through normal.phi_inv patched at every
-    module of the package that binds it, one count per thread."""
+    block) of ``run()``, a decoded block being a ``decode_rows`` call or a
+    bridge block's ``nodes_from_drawn`` call, counted through normal.phi_inv
+    patched at every module of the package that binds it, one count per
+    thread."""
     import rbitmc
     from rbitmc import normal
 
@@ -633,6 +636,7 @@ def _phi_inv_calls_per_block(monkeypatch, run):
         return counting
 
     monkeypatch.setattr(G, "decode_rows", block(G.decode_rows))
+    monkeypatch.setattr(M, "nodes_from_drawn", block(M.nodes_from_drawn))
     monkeypatch.setattr(M.ExpansionModel, "coarsen_rows", block(M.ExpansionModel.coarsen_rows))
     run()
     return len(calls), per_block
