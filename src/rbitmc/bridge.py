@@ -168,15 +168,15 @@ def _hat_levels(runs: Iterator, nb: int):
     the block), and scaled one hat level at a time: a run spans whole hat
     levels, several of them where ``min_bits`` raised their counts to one.
     """
-    byte_runs, pairs = [], []  # runs with their byte codes (None for the others); (fields, p) of the others
+    held, pairs = [], []  # the runs with their byte codes (None for the others); (fields, p) of the others
     for c0, c1, p, data in runs:
-        byte_runs.append((c0, c1, p, data if 8 % p == 0 else None))
+        held.append((c0, c1, p, data if 8 % p == 0 else None))
         if 8 % p:
             pairs.append((data, p))
     decoded = deque(grid_normal_runs(pairs))  # each run's values are dropped once used
     del pairs
     m = 0  # the next hat level; its columns 2**m - 1 .. 2**(m+1) - 2 start the next run
-    for c0, c1, p, codes in byte_runs:
+    for c0, c1, p, codes in held:
         if codes is not None and c1 - c0 == 1 << m:
             yield byte_lookup(_byte_table(p, m), codes, nb, c1 - c0)
             m += 1

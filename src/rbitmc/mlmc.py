@@ -297,7 +297,7 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
     """
     n, dim = drawn.n, len(drawn.alloc)
     coarse = width > 0
-    nodes = isinstance(model, BridgeModel)  # fine rows straight from the words to node rows
+    bridge = isinstance(model, BridgeModel)  # fine rows straight from the words to node rows
     scale = model.scale(level)
     # usable CPUs: the affinity set where the OS has one (Linux), else all of them
     threads = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
@@ -308,9 +308,9 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
     y_coarse = np.empty(n, dtype=np.float64) if coarse else None
 
     def run(blocks: list[tuple[int, int]]) -> None:
-        buf = None if nodes else np.empty((min(n, step + 1), dim))
+        buf = None if bridge else np.empty((min(n, step + 1), dim))
         for a, b in blocks:
-            if nodes:
+            if bridge:
                 node_rows, idx = nodes_from_drawn(drawn, a, b, width)
                 y[a:b] = f.rows(BridgeRows(node_rows))
                 del node_rows  # freed before the next block's rows are built
