@@ -125,8 +125,9 @@ def refined_rows(src: BitSource, model: SDEModel, m: int, q: int, level: int, n:
     x_m.  Draw order: the n skeleton rows (one :func:`gausskl.sample_rows`
     call under m q-bit coefficients), then n * m bridge rows under
     :func:`bridge.allocation_bridge`, path-major (row i * m + k is step k of
-    path i), which go from their drawn words straight to node rows.  Bits = n * sde_bit_cost; m, q, level and n are refused before
-    the first draw.
+    path i), which go from their drawn words straight to node rows
+    (:func:`bridge.nodes_from_drawn`).  Bits = n * sde_bit_cost; m, q,
+    level and n are refused before the first draw.
     """
     check_count("n", n, 1)
     expected = n * sde_bit_cost(m, q, level)
