@@ -20,15 +20,19 @@ exact: ``math.fsum``'s value, bit for bit, at a fraction of its cost;
 :func:`exact_sum_chunks` is the same sum over a stream of arrays.
 :func:`check_count` and :func:`check_finite` are its argument checks: every
 integer count and every real parameter of the package is refused by name
-through them.
+through them.  :func:`run_blocks` is its one thread policy: the blocks of
+a batch run on min(2, usable CPUs) threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 
@@ -323,6 +327,36 @@ def truncate_indices(indices: np.ndarray, p_from, p_to) -> np.ndarray:
     if np.any(shift < 0):
         raise ValueError(f"cannot refine {p_from}-bit indices to {p_to} bits")
     return np.asarray(indices, dtype=np.uint64) >> shift.astype(np.uint64)
+
+
+def run_blocks(run: Callable[[list], None], blocks_for: Callable[[int], list]) -> None:
+    """Work the blocks of a batch on min(2, usable CPUs) threads while numpy
+    releases the GIL: the package's one thread policy.
+
+    ``blocks_for(threads)`` lists the batch's blocks, sized for ``threads``
+    of them in flight at once; ``run(blocks)`` works a list of them in
+    order.  The usable CPUs are the process's affinity set where the OS has
+    one (Linux), else ``os.cpu_count()``, else 1.  With two threads and
+    three or more blocks, the calling thread runs every other block from
+    the first on and one pool thread, made for this call and joined before
+    it returns, runs the rest; a batch of one or two blocks starts no
+    thread.  (A thread keeps its freed blocks in its own malloc arena, so
+    the caller works rather than waits: an idle caller beside a pool of two
+    raised the peak RSS of a level-13 ``plain_mc`` by 10%.)  An exception
+    raised in any block propagates.  The values do not depend on the
+    threads as long as ``run`` writes each block's results where no other
+    block writes and reduces nothing across blocks.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    threads = min(2, cpus)
+    blocks = blocks_for(threads)
+    if threads == 1 or len(blocks) < 3:
+        run(blocks)
+        return
+    with ThreadPoolExecutor(1) as pool:
+        other = pool.submit(run, blocks[1::2])
+        run(blocks[::2])
+        other.result()
 
 
 @dataclass

@@ -24,8 +24,6 @@ evaluation), and generated coefficients as an arithmetic proxy.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -33,7 +31,7 @@ import numpy as np
 
 from . import gausskl
 # truncate_indices, grid_normal_values: unused, kept for perfbench/selftest.py
-from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, check_count, check_finite
+from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, check_count, check_finite, run_blocks
 from .bitcore import truncate_indices  # noqa: F401
 from .bridge import BridgeRows, allocation_bridge, nodes_from_coeffs, nodes_from_drawn
 from .errors import ConfigurationError, InternalInvariantError
@@ -276,39 +274,36 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
     :func:`gausskl.decode_rows`.  A block's coarse rows are re-truncated
     from its index rows by ``model.coarsen_rows``.
 
-    The blocks run on min(2, usable CPUs) threads while numpy releases the
-    GIL: with three or more blocks and two CPUs, the calling thread and one
-    pool thread, made for this call and joined before it returns, take
-    every other block.  A lazily built table is stored only once complete,
-    so a second thread at worst builds it again.  (A thread keeps its freed
-    blocks in its own malloc arena, so the caller works rather than waits:
-    an idle caller beside a pool of two raised the peak RSS of a level-13
-    plain_mc by 10%.)  _EVAL_BYTES bounds the node values of all blocks in
-    flight, dim + 2 per row, so a block holds _EVAL_BYTES / threads of
-    them.  Only the drawn words and the blocks in flight are held: a thread
-    decodes its fine coefficient blocks into one reused buffer (a bridge
-    block has none) and writes its rows' values to their own slices of the
-    result, and nothing is reduced across threads.  Rows are evaluated
-    independently, so every value equals that of one call on the whole
-    batch.  No block has a single row unless the batch has: numpy's matmul
-    rounds a one-row product differently (seen with the KL
-    ``soft_linear``).  A batch of one or two blocks starts no thread, and
-    an exception raised in any block propagates.
+    The blocks run on min(2, usable CPUs) threads (:func:`bitcore.run_blocks`):
+    with three or more blocks and two CPUs, the calling thread and one pool
+    thread take every other block.  A lazily built table is stored only
+    once complete, so a second thread at worst builds it again.
+    _EVAL_BYTES bounds the node values of all blocks in flight, dim + 2 per
+    row, so a block holds _EVAL_BYTES / threads of them.  Only the drawn
+    words and the blocks in flight are held: a thread decodes its fine
+    coefficient blocks into one reused buffer (a bridge block has none)
+    and writes its rows' values to their own slices of the result, and
+    nothing is reduced across threads.  Rows are evaluated independently,
+    so every value equals that of one call on the whole batch.  No block
+    has a single row unless the batch has: numpy's matmul rounds a one-row
+    product differently (seen with the KL ``soft_linear``).  A batch of one
+    or two blocks starts no thread, and an exception raised in any block
+    propagates.
     """
     n, dim = drawn.n, len(drawn.alloc)
     coarse = width > 0
     bridge = isinstance(model, BridgeModel)  # fine rows straight from the words to node rows
     scale = model.scale(level)
-    # usable CPUs: the affinity set where the OS has one (Linux), else all of them
-    threads = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    step = max(2, _EVAL_BYTES // threads // (8 * (dim + 2)))
-    bounds = [0, n] if n <= step else [*range(0, n - 1, step), n]  # a last single row joins the block before it
-    blocks = list(zip(bounds, bounds[1:]))
     y = np.empty(n, dtype=np.float64)
     y_coarse = np.empty(n, dtype=np.float64) if coarse else None
 
+    def blocks_for(threads: int) -> list[tuple[int, int]]:
+        step = max(2, _EVAL_BYTES // threads // (8 * (dim + 2)))
+        bounds = [0, n] if n <= step else [*range(0, n - 1, step), n]  # a last single row joins the block before it
+        return list(zip(bounds, bounds[1:]))
+
     def run(blocks: list[tuple[int, int]]) -> None:
-        buf = None if bridge else np.empty((min(n, step + 1), dim))
+        buf = None if bridge else np.empty((max(b - a for a, b in blocks), dim))
         for a, b in blocks:
             if bridge:
                 node_rows, idx = nodes_from_drawn(drawn, a, b, width)
@@ -321,13 +316,7 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
                 coarse_coeffs, _ = model.coarsen_rows(idx, level)
                 y_coarse[a:b] = f.rows(model.functional_rows(coarse_coeffs, level - 1))
 
-    if threads == 1 or len(blocks) < 3:
-        run(blocks)
-    else:
-        with ThreadPoolExecutor(1) as pool:
-            other = pool.submit(run, blocks[1::2])
-            run(blocks[::2])
-            other.result()
+    run_blocks(run, blocks_for)
     return y, y_coarse
 
 

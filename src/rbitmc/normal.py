@@ -103,22 +103,21 @@ _HALLEY_STEPS = 2
 
 
 def _acklam_low(u: np.ndarray) -> np.ndarray:
-    # u in (0, 0.5]; returns y <= 0
+    # u in (0, 0.5]; returns y <= 0.  The central rational runs on the whole
+    # block (its denominator stays above 1.1e-4 for r in [0, 0.25]) and the
+    # tail cells are overwritten.
     a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-    y = np.empty_like(u)
+    q = u - 0.5
+    r = q * q
+    num = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
+    den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
+    y = num / den
     tail = u < _ACK_SPLIT
     if np.any(tail):
         q = np.sqrt(-2.0 * np.log(u[tail]))
         num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
         den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
         y[tail] = num / den
-    mid = ~tail
-    if np.any(mid):
-        q = u[mid] - 0.5
-        r = q * q
-        num = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        y[mid] = num / den
     return y
 
 
@@ -153,10 +152,10 @@ def phi_inv(u):
         u_blk = flat[a:a + _PHI_INV_BLOCK]
         if not np.all((u_blk > 0.0) & (u_blk < 1.0)):  # NaN fails both
             raise ValueError("phi_inv requires 0 < u < 1")
-        upper = u_blk > 0.5
-        low = np.where(upper, 1.0 - u_blk, u_blk)
+        low = np.minimum(u_blk, 1.0 - u_blk)
         y_blk = _halley_low(low, _acklam_low(low))
-        y[a:a + _PHI_INV_BLOCK] = np.where(upper, -y_blk, y_blk)
+        np.negative(y_blk, out=y_blk, where=u_blk > 0.5)
+        y[a:a + _PHI_INV_BLOCK] = y_blk
     if arr.ndim == 0:
         return float(y[0])
     return y.reshape(arr.shape)

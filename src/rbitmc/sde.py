@@ -10,7 +10,10 @@ scheme on a batch of driving rows, and the random-bit increments are rows of
 :func:`gausskl.sample_rows` under m q-bit coefficients (their coupled
 truncations rows of :func:`gausskl.coarsen_rows`).  A refined path is a row
 too: :func:`refined_rows` returns its values on the nodes of the mesh
-1/(m 2**level), where it is piecewise linear.
+1/(m 2**level), where it is piecewise linear.  The strong-error experiment
+(:func:`strong_error_experiment`) holds its increments step-major, the layout
+the recursion runs on, and decodes them in blocks of steps on min(2, usable
+CPUs) threads (:func:`bitcore.run_blocks`).
 
 Coefficients are assumed differentiable with bounded, Lipschitz continuous
 derivatives (a caller obligation; it cannot be checked at runtime), and
@@ -25,17 +28,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, check_count, check_finite
+from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, check_count, check_finite, run_blocks
 # truncate_indices: unused, kept for perfbench/selftest.py
 from .bitcore import truncate_indices  # noqa: F401
 from .bridge import allocation_bridge, allocation_bridge_total, nodes_from_drawn
 from .errors import InternalInvariantError, NumericFailure
-from .gausskl import coarsen_rows, draw_rows, sample_rows
+from .gausskl import coarsen_rows, decode_rows, draw_rows, sample_rows
 from .normal import Phi, grid_normal_values
 
 PARENT_BITS = MAX_BITS  # precision of the coupling uniforms in experiments
 FINE_FACTOR = 64  # step refinement of the fallback reference scheme
-_BLOCK_BYTES = 1 << 20  # parent indices drawn at once by strong_error_experiment
+_BLOCK_BYTES = 1 << 20  # indices of all step blocks in flight in strong_error_experiment
+_BATCH_BYTES = 4 << 20  # drawn words per batch of steps
 
 
 @dataclass
@@ -84,28 +88,31 @@ def milstein_rows(model: SDEModel, m: int, normals) -> np.ndarray:
 
     The random-bit scheme drives it with q-bit grid normals, the rows of
     :func:`gausskl.sample_rows` under m q-bit coefficients; their index rows
-    are what a coupled companion re-truncates.  A non-finite state raises
-    NumericFailure naming its step.
+    are what a coupled companion re-truncates.  The recursion runs step by
+    step on a contiguous step-major (m, rows) copy of the increments, which
+    is no copy when ``normals`` is the transpose of step-major rows, and
+    fills an (m + 1, rows) array whose (rows, m + 1) transpose it returns.
+    A non-finite state raises NumericFailure naming its step.
     """
     check_count("m", m, 1)
     normals = np.asarray(normals, dtype=np.float64)
     if normals.ndim != 2 or normals.shape[1] != m:
         raise ValueError(f"expected normalized increments of shape (rows, {m}), got shape {normals.shape}")
-    rows = normals.shape[0]
-    out = np.empty((rows, m + 1), dtype=np.float64)
-    x = np.full(rows, model.x0, dtype=np.float64)
-    out[:, 0] = x
+    steps = np.ascontiguousarray(normals.T)
+    out = np.empty((m + 1, normals.shape[0]), dtype=np.float64)
+    x = np.full(normals.shape[0], model.x0, dtype=np.float64)
+    out[0] = x
     inv_m = 1.0 / m
     sq_m = math.sqrt(inv_m)
     for k in range(m):
-        y = normals[:, k]
+        y = steps[k]
         bx = model.diffusion(x)
         x = (x + model.drift(x) * inv_m + bx * sq_m * y
              + 0.5 * bx * model.diffusion_deriv(x) * inv_m * (y * y - 1.0))
         if not np.all(np.isfinite(x)):
             raise NumericFailure(f"non-finite state at step {k + 1}", step=k + 1)
-        out[:, k + 1] = x
-    return out
+        out[k + 1] = x
+    return out.T
 
 
 def sde_bit_cost(m: int, q: int, level: int) -> int:
@@ -146,11 +153,36 @@ def refined_rows(src: BitSource, model: SDEModel, m: int, q: int, level: int, n:
     return np.concatenate([nodes.reshape(n, m * h), x[:, m:]], axis=1)
 
 
-def _step_blocks(steps: int, reps: int):
-    """Yield (k0, k1) step ranges of at most _BLOCK_BYTES of uint64 indices."""
-    per = max(1, _BLOCK_BYTES // (8 * reps))
-    for k0 in range(0, steps, per):
-        yield k0, min(k0 + per, steps)
+def _decode_steps(src: BitSource, parent: BitAllocation, out: np.ndarray,
+                  child: Optional[BitAllocation] = None, out_child: Optional[np.ndarray] = None) -> None:
+    """Draw len(out) step rows under ``parent`` from ``src`` and decode them
+    into the step-major rows ``out``, their :func:`gausskl.coarsen_rows`
+    under ``child`` into ``out_child`` when given.
+
+    The calling thread draws the steps a batch at a time, _BATCH_BYTES of
+    words (at least one step), in the stream order of one
+    :func:`gausskl.sample_rows` call on all of them.  The batch's blocks of
+    steps are decoded by :func:`bitcore.run_blocks`; all blocks in flight
+    hold at most _BLOCK_BYTES of uint64 indices (at least one step each),
+    and each block writes only its own rows of ``out`` and ``out_child``.
+    """
+    reps = len(parent)
+    width = reps if child is not None else 0
+    batch = max(1, _BATCH_BYTES * 8 // parent.total)
+    for s0 in range(0, len(out), batch):
+        drawn = draw_rows(src, parent, min(batch, len(out) - s0))
+
+        def blocks_for(threads: int) -> list[tuple[int, int]]:
+            per = max(1, _BLOCK_BYTES // threads // (8 * reps))
+            return [(a, min(a + per, drawn.n)) for a in range(0, drawn.n, per)]
+
+        def run(blocks: list[tuple[int, int]]) -> None:
+            for a, b in blocks:
+                _, idx = decode_rows(drawn, a, b, None, width, out[s0 + a:s0 + b])
+                if child is not None:
+                    out_child[s0 + a:s0 + b] = coarsen_rows(idx, parent, child)[0]
+
+        run_blocks(run, blocks_for)
 
 
 def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: int) -> tuple[float, CostLedger]:
@@ -166,11 +198,16 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     Draw order is step-major: step k is row k of :func:`gausskl.sample_rows`
     under ``reps`` 63-bit coefficients, one per replication (53-bit rows
     over the 64*m fine steps for the fallback), and the q-bit increments
-    are its :func:`gausskl.coarsen_rows`.  Steps are drawn and transformed
-    in blocks of about 1 MiB of uint64 indices (``_BLOCK_BYTES``), at least
-    one step per block; the block size changes neither values nor bit
-    counts.  The ledger's bits are what the run's source counted: |p| of
-    every step row, PARENT_BITS * reps (53 * reps per fine step).  A
+    are its :func:`gausskl.coarsen_rows`.  The increments are held
+    step-major, (steps, reps), as :func:`milstein_rows` runs its recursion.
+    The calling thread draws the steps in batches of _BATCH_BYTES (4 MiB)
+    of words; blocks of a batch's steps are decoded (and coarsened) on
+    min(2, usable CPUs) threads (:func:`bitcore.run_blocks`), the blocks in
+    flight holding at most _BLOCK_BYTES (1 MiB) of uint64 indices, at least
+    one step each.  So besides the increments, the decode holds one batch
+    of words and the blocks in flight.  Neither the batches, the blocks nor
+    the threads change a value or a bit count.  The ledger's bits are what the run's source counted: |p|
+    of every step row, PARENT_BITS * reps (53 * reps per fine step).  A
     reference that is not finite raises NumericFailure, as a non-finite
     Milstein state does.
     """
@@ -179,31 +216,26 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     src = BitSource(seed)
     ledger = CostLedger()
     if model.exact_strong_solution is not None:
-        parent = BitAllocation(np.full(reps, PARENT_BITS))
-        child = BitAllocation(np.full(reps, q))
-        y = np.empty((reps, m), dtype=np.float64)
-        yq = np.empty((reps, m), dtype=np.float64)
-        for k0, k1 in _step_blocks(m, reps):
-            y_blk, idx = sample_rows(src, parent, k1 - k0)
-            y[:, k0:k1] = y_blk.T
-            yq[:, k0:k1] = coarsen_rows(idx, parent, child)[0].T
-        w = np.cumsum(y, axis=1) / math.sqrt(m)
+        y = np.empty((m, reps), dtype=np.float64)
+        yq = np.empty((m, reps), dtype=np.float64)
+        _decode_steps(src, BitAllocation(np.full(reps, PARENT_BITS)), y, BitAllocation(np.full(reps, q)), yq)
+        w = np.cumsum(y, axis=0) / math.sqrt(m)
         t = np.arange(1, m + 1, dtype=np.float64) / m
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-            ref = model.exact_strong_solution(t, w)
+            ref = model.exact_strong_solution(t, w.T)
         if not np.all(np.isfinite(ref)):
             raise NumericFailure("non-finite exact reference solution")
+        yq = yq.T
     else:
         mf = FINE_FACTOR * m
-        fine = BitAllocation(np.full(reps, 53))
-        yf = np.empty((reps, mf), dtype=np.float64)
-        for k0, k1 in _step_blocks(mf, reps):
-            yf[:, k0:k1] = sample_rows(src, fine, k1 - k0)[0].T
-        y = yf.reshape(reps, m, FINE_FACTOR).sum(axis=2) / math.sqrt(FINE_FACTOR)
+        yf = np.empty((mf, reps), dtype=np.float64)
+        _decode_steps(src, BitAllocation(np.full(reps, 53)), yf)
+        # summed over the contiguous rep-major copy: numpy's pairwise order there is the one the values pin
+        y = np.ascontiguousarray(yf.T).reshape(reps, m, FINE_FACTOR).sum(axis=2) / math.sqrt(FINE_FACTOR)
         u = Phi(y)
         idx_q = np.minimum((u * 2.0**q).astype(np.uint64), np.uint64((1 << q) - 1))  # u = 1 is the top cell
         yq = grid_normal_values(idx_q, q)
-        ref = milstein_rows(model, mf, yf)[:, FINE_FACTOR::FINE_FACTOR]
+        ref = milstein_rows(model, mf, yf.T)[:, FINE_FACTOR::FINE_FACTOR]
     ledger.bits = src.bits_drawn
     bit = milstein_rows(model, m, yq)[:, 1:]
     ledger.coeff_ops += m * reps

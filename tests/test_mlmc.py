@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rbitmc import bitcore
 from rbitmc import gausskl as G
 from rbitmc import mlmc as M
 from rbitmc.bitcore import BitAllocation, BitSource, CostLedger, child_source
@@ -349,17 +350,17 @@ def test_plain_mc_draws_no_index_rows(monkeypatch):
 
 
 class _PoolSpy:
-    """Records the thread count of each pool ``mlmc._evaluate`` makes."""
+    """Records the thread count of each pool ``bitcore.run_blocks`` makes."""
 
     def __init__(self, monkeypatch):
         self.pools = []
-        make = M.ThreadPoolExecutor
+        make = bitcore.ThreadPoolExecutor
 
         def spy(workers):
             self.pools.append(workers)
             return make(workers)
 
-        monkeypatch.setattr(M, "ThreadPoolExecutor", spy)
+        monkeypatch.setattr(bitcore, "ThreadPoolExecutor", spy)
 
 
 def _fresh_model(model_name):

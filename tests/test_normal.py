@@ -164,6 +164,51 @@ def test_blocked_phi_inv_matches_scalar_calls():
     assert isinstance(N.phi_inv(np.array(0.3)), float)
 
 
+def _select_block_body(u):
+    """phi_inv's block body as it was with branch selects, the oracle of the
+    select-free one: np.where folds and unfolds the upper half, and the
+    Acklam start evaluates each rational on its own cells only."""
+    a, b, c, d = N._ACK_A, N._ACK_B, N._ACK_C, N._ACK_D
+    upper = u > 0.5
+    low = np.where(upper, 1.0 - u, u)
+    start = np.empty_like(low)
+    tail = low < N._ACK_SPLIT
+    if np.any(tail):
+        q = np.sqrt(-2.0 * np.log(low[tail]))
+        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
+        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+        start[tail] = num / den
+    mid = ~tail
+    if np.any(mid):
+        q = low[mid] - 0.5
+        r = q * q
+        num = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
+        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
+        start[mid] = num / den
+    y = N._halley_low(low, start)
+    return np.where(upper, -y, y)
+
+
+_SPLIT_EDGES = [edge for s in (N._ACK_SPLIT, 1.0 - N._ACK_SPLIT)
+                for edge in (s, np.nextafter(s, 0.0), np.nextafter(s, 1.0))]
+_PHI_INV_EDGES = [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), *_SPLIT_EDGES,
+                  *(float(dyadic_values(np.uint64(f), p)) for p in (22, 52, 63) for f in (0, 2**p - 1)
+                    if dyadic_values(np.uint64(f), p) < 1.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([22, 52, 63]), fields=st.lists(st.integers(0, 2**63 - 1), max_size=200),
+       edges=st.lists(st.sampled_from(_PHI_INV_EDGES), max_size=20))
+def test_phi_inv_block_body_is_the_select_form_byte_for_byte(p, fields, edges):
+    """phi_inv folds with np.minimum, runs the central rational on the whole
+    block and negates the upper half in place: the bytes of the form with
+    selects, at p-bit midpoints and at the edges (one half, the split
+    +-0.02425 of the tails and their neighbours, the extreme cells)."""
+    u = np.concatenate([dyadic_values(np.array(fields, dtype=np.uint64) >> np.uint64(63 - p), p), edges])
+    u = u[u < 1.0]  # the top 63-bit cells round to 1
+    assert N.phi_inv(u).tobytes() == _select_block_body(u).tobytes()
+
+
 def test_phi_inv_tail_values():
     assert N.phi_inv_tail(1.0) == 0.0
     assert abs(N.phi_inv_tail(2.0) - 0.6744897501960817) < 1e-14

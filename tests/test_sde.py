@@ -2,12 +2,15 @@ import dataclasses
 import hashlib
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbitmc import bitcore
 from rbitmc import bridge as BR
 from rbitmc import normal as N
 from rbitmc import sde as S
@@ -73,6 +76,53 @@ def test_milstein_numeric_failure_reports_step():
     with pytest.raises(NumericFailure) as err:
         milstein_path(blow, 4, np.zeros(4))
     assert err.value.step is not None
+
+
+def milstein_columns(model, m, normals):
+    """The Milstein recursion column by column on (rows, m) increments, as
+    milstein_rows ran it before its step-major layout: its oracle."""
+    rows = normals.shape[0]
+    out = np.empty((rows, m + 1), dtype=np.float64)
+    x = np.full(rows, model.x0, dtype=np.float64)
+    out[:, 0] = x
+    inv_m = 1.0 / m
+    sq_m = math.sqrt(inv_m)
+    for k in range(m):
+        y = normals[:, k]
+        bx = model.diffusion(x)
+        x = (x + model.drift(x) * inv_m + bx * sq_m * y
+             + 0.5 * bx * model.diffusion_deriv(x) * inv_m * (y * y - 1.0))
+        if not np.all(np.isfinite(x)):
+            raise NumericFailure(f"non-finite state at step {k + 1}", step=k + 1)
+        out[:, k + 1] = x
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 40), m=st.integers(1, 70), seed=st.integers(0, 2**32 - 1),
+       step_major=st.booleans())
+def test_milstein_rows_are_the_column_loop_byte_for_byte(rows, m, seed, step_major):
+    # rows held either way: C-contiguous (rows, m), or the transpose of step-major rows
+    rng = np.random.default_rng(seed)
+    normals = rng.standard_normal((m, rows)).T if step_major else rng.standard_normal((rows, m))
+    for model in (GM, additive_model(0.25)):
+        got = S.milstein_rows(model, m, normals)
+        assert got.shape == (rows, m + 1)
+        assert got.tobytes() == milstein_columns(model, m, normals).tobytes()
+
+
+@pytest.mark.parametrize("c, step", [(1e200, 2), (1e20, 5), (1e5, 7)])
+def test_milstein_rows_fail_at_the_column_loop_step(c, step):
+    # a drift of c x^2 overflows after a few steps, later for a smaller c
+    blow = S.SDEModel(drift=lambda x: c * x * x, diffusion=lambda x: np.ones_like(x),
+                      diffusion_deriv=lambda x: 0.0 * x, x0=1.0)
+    normals = np.random.default_rng(3).standard_normal((5, 12))
+    steps = []
+    for run in (S.milstein_rows, milstein_columns):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericFailure) as err:
+            run(blow, 12, normals)
+        steps.append((err.value.step, str(err.value)))
+    assert steps[0] == steps[1] and steps[0][0] == step
 
 
 def test_rbit_milstein_accounting_and_mean():
@@ -265,7 +315,7 @@ def test_bridge_refinement_l2_consistency():
 
 # Pinned from one draw per step; no block size or bit-layer path may move them.
 @pytest.mark.parametrize("m, q, reps, seed, reference, rms_hex, bits", [
-    # blocks of 436, 436 and 152 steps
+    # one batch; blocks of 218 steps on two CPUs (436 on one), the last of 152
     (1024, 52, 300, 1234, "auto", "0x1.f833afb2556fbp-17", 19353600),
     # 7 * 63 bits per step: step boundaries fall inside words
     (1000, 16, 7, 3, "auto", "0x1.025612b26e7bep-14", 441000),
@@ -275,6 +325,51 @@ def test_strong_error_golden_values(m, q, reps, seed, reference, rms_hex, bits):
     rms, ledger = S.strong_error_experiment(GM if reference == "auto" else GM_FINE, m, q, reps, seed)
     assert float.hex(rms) == rms_hex
     assert ledger.bits == bits
+
+
+@pytest.mark.parametrize("model, m, steps", [(GM, 40, 40), (GM_FINE, 4, 4 * S.FINE_FACTOR)], ids=["exact", "fine"])
+def test_strong_error_threads_give_the_one_thread_bytes(model, m, steps, monkeypatch):
+    # batches of 8 or 9 steps in blocks of one step, decoded on two threads
+    # from cold tables and switching threads every 10 us, give the rms and
+    # ledger bits of one CPU and of the unpatched sizes; a block that raises
+    # off the calling thread propagates and leaves no thread
+    q, reps, seed = 12, 9, 4
+    whole = S.strong_error_experiment(model, m, q, reps, seed)
+    monkeypatch.setattr(S, "_BATCH_BYTES", 567)  # 8 steps of 9 63-bit parents, 9 of 9 53-bit fine ones
+    monkeypatch.setattr(S, "_BLOCK_BYTES", 2 * 8 * reps)  # two steps in flight
+    pools = []
+    make = bitcore.ThreadPoolExecutor
+
+    def spy(workers):
+        pools.append(workers)
+        return make(workers)
+
+    monkeypatch.setattr(bitcore, "ThreadPoolExecutor", spy)
+    batch = 567 * 8 // ((S.PARENT_BITS if model is GM else 53) * reps)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+            pools.clear()
+            N._grid_table.cache_clear()
+            rms, ledger = S.strong_error_experiment(model, m, q, reps, seed)
+            assert (rms.hex(), ledger.bits) == (whole[0].hex(), whole[1].bits), cpus
+            assert pools == ([1] * -(-steps // batch) if len(cpus) == 2 else []), cpus  # one pool thread per batch
+    finally:
+        sys.setswitchinterval(interval)
+    decode = S.decode_rows
+
+    def raising(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise InternalInvariantError("worker block")
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(S, "decode_rows", raising)
+    before = threading.active_count()
+    with pytest.raises(InternalInvariantError, match="worker block"):
+        S.strong_error_experiment(model, m, q, reps, seed)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("m", [0, -1])
