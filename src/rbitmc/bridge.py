@@ -21,14 +21,12 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 # truncate_indices, grid_normal_values: unused, kept for perfbench/selftest.py
 from .bitcore import MAX_LEVEL, BitAllocation, byte_lookup, check_count, exact_sum, truncate_indices  # noqa: F401
 from .errors import CapacityError
-from .gausskl import DrawnRows, read_runs
 from .normal import coefficient_error_sq, grid_normal_byte_table, grid_normal_runs
 from .normal import grid_normal_values  # noqa: F401
 
@@ -133,32 +131,35 @@ def nodes_from_coeffs(coeff_rows: np.ndarray, level: int) -> np.ndarray:
     return vals
 
 
-def nodes_from_drawn(drawn: DrawnRows, a: int, b: int, width: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
-    """Node rows of rows a..b of bridge rows drawn under the allocation of
-    a level (:func:`allocation_bridge`, counts raised or not), and the index
-    rows of their first ``width`` columns (None for width 0): the bytes of
-    ``nodes_from_coeffs(decode_rows(drawn, a, b, None, width)[0], level)``
-    and of decode_rows' index rows, with no coefficient rows built.
+def nodes_from_drawn(runs: list, nb: int) -> np.ndarray:
+    """Node rows of the nb bridge rows whose runs :func:`gausskl.read_runs`
+    read, drawn under the allocation of a level (:func:`allocation_bridge`,
+    counts raised or not): the bytes of
+    ``nodes_from_coeffs(decode_rows(drawn, a, b)[0], level)``, with no
+    coefficient rows built.
 
     Each refinement step is that of nodes_from_coeffs, in the same order,
     with the hat level's peak-scaled coefficients (:func:`_hat_levels`)
-    added straight into the midpoints.  A row range outside
-    0 <= a <= b <= drawn.n raises ValueError before any word is read.
+    added straight into the midpoints.  The list ``runs`` is taken over:
+    the fields of its runs that are not byte runs are dropped from it once
+    decoded, so a block does not hold them through its refinement (at
+    level 13 that raised the peak RSS of ``plain_mc`` by 4 MB).  A coupled
+    coarse decode of the same runs (:meth:`mlmc.ExpansionModel.coarsen_rows`)
+    comes first.
     """
-    idx, runs = read_runs(drawn, a, b, width)
-    nodes = np.zeros((b - a, 2), dtype=np.float64)
-    for added in _hat_levels(runs, b - a):
+    nodes = np.zeros((nb, 2), dtype=np.float64)
+    for added in _hat_levels(runs, nb):
         mids = nodes[:, :-1] + nodes[:, 1:]
         mids *= 0.5
         mids += added
         nodes = _insert_midpoints(nodes, mids)
-    return nodes, idx
+    return nodes
 
 
-def _hat_levels(runs: Iterator, nb: int):
+def _hat_levels(runs: list, nb: int):
     """Yield c * peak, the (nb, 2**m) coefficients of hat level m of the
-    rows whose runs :func:`gausskl.read_runs` reads, times the level's
-    peak, for m = 0, 1, ...; every run is read before the first value.
+    rows whose runs :func:`gausskl.read_runs` read, times the level's peak,
+    for m = 0, 1, ...
 
     A run of one hat level at p in {2, 4, 8} looks its stream bytes up in a
     byte table pre-scaled by the level's peak (:func:`_byte_table`):
@@ -168,20 +169,15 @@ def _hat_levels(runs: Iterator, nb: int):
     the block), and scaled one hat level at a time: a run spans whole hat
     levels, several of them where ``min_bits`` raised their counts to one.
     """
-    held, pairs = [], []  # the runs with their byte codes (None for the others); (fields, p) of the others
-    for c0, c1, p, data in runs:
-        held.append((c0, c1, p, data if 8 % p == 0 else None))
-        if 8 % p:
-            pairs.append((data, p))
-    decoded = deque(grid_normal_runs(pairs))  # each run's values are dropped once used
-    del pairs
+    decoded = deque(grid_normal_runs([(data, p) for _, _, p, data in runs if 8 % p]))  # each dropped once used
+    runs[:] = [(c0, c1, p, data if 8 % p == 0 else None) for c0, c1, p, data in runs]
     m = 0  # the next hat level; its columns 2**m - 1 .. 2**(m+1) - 2 start the next run
-    for c0, c1, p, codes in held:
-        if codes is not None and c1 - c0 == 1 << m:
-            yield byte_lookup(_byte_table(p, m), codes, nb, c1 - c0)
+    for c0, c1, p, data in runs:
+        if 8 % p == 0 and c1 - c0 == 1 << m:
+            yield byte_lookup(_byte_table(p, m), data, nb, c1 - c0)
             m += 1
             continue
-        values = decoded.popleft() if codes is None else byte_lookup(grid_normal_byte_table(p), codes, nb, c1 - c0)
+        values = decoded.popleft() if 8 % p else byte_lookup(grid_normal_byte_table(p, p), data, nb, c1 - c0)
         while (1 << m) - 1 < c1:
             added = values[:, (1 << m) - 1 - c0:(2 << m) - 1 - c0]
             added *= _peak(m)
@@ -193,7 +189,7 @@ def _hat_levels(runs: Iterator, nb: int):
 def _byte_table(p: int, m: int) -> np.ndarray:
     """:func:`normal.grid_normal_byte_table` of p scaled by the level-m hat
     peak, entry by entry; built once per (p, m), read-only."""
-    table = grid_normal_byte_table(p) * _peak(m)
+    table = grid_normal_byte_table(p, p) * _peak(m)
     table.flags.writeable = False  # shared by every caller
     return table
 

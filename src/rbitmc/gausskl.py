@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -155,73 +155,130 @@ def decode_rows(drawn: DrawnRows, a: int, b: int, scale: Optional[np.ndarray] = 
     when given; index rows of the first ``width`` columns, None for width 0).
 
     Coefficient i is scale[i] times the p_i-bit grid normal at its p_i-bit
-    field, which is its index; ``scale=None`` means unit scale.  Each run's
-    fields are read once (:func:`read_runs`).  A run at p in {1, 2, 4, 8},
-    the stream format, looks its stream bytes up in the (256, 8/p) tables
-    :func:`normal.grid_normal_byte_table` and :func:`bitcore.byte_fields`
-    (:func:`bitcore.byte_lookup`); the fields of all other runs go through
-    one :func:`normal.grid_normal_runs` call for the block (at most one
-    ``phi_inv`` call).  Every block of rows gives the values of the whole
-    batch.  A row range outside 0 <= a <= b <= drawn.n raises ValueError
-    before any word is read.
+    field, which is its index; ``scale=None`` means unit scale.  The block's
+    runs are read once (:func:`read_runs`) and decoded by the
+    :class:`RunDecoder` of ``drawn.alloc`` onto itself: a run at p in
+    {1, 2, 4, 8}, the stream format, looks its stream bytes up in the
+    (256, 8/p) table :func:`normal.grid_normal_byte_table`, and the fields
+    of all other runs go through one :func:`normal.grid_normal_runs` call
+    for the block (at most one ``phi_inv`` call).  The index rows, when
+    asked for, are the fields of the same runs.  Every block of rows gives
+    the values of the whole batch.  A row range outside
+    0 <= a <= b <= drawn.n raises ValueError before any word is read.
     """
-    idx, runs = read_runs(drawn, a, b, width)
-    nb = b - a
-    coeffs = np.empty((nb, len(drawn.alloc)), dtype=np.float64) if out is None else out
-    cols, pairs = [], []  # columns and (fields, p) of the runs that are not byte runs
-    for c0, c1, p, data in runs:
-        if 8 % p == 0:
-            coeffs[:, c0:c1] = byte_lookup(grid_normal_byte_table(p), data, nb, c1 - c0)
-        else:
-            cols.append((c0, c1))
-            pairs.append((data, p))
-    for (c0, c1), values in zip(cols, grid_normal_runs(pairs)):
-        coeffs[:, c0:c1] = values
-    if scale is not None:
-        coeffs *= scale
-    return coeffs, idx
+    runs = read_runs(drawn, a, b)
+    coeffs = RunDecoder(drawn.alloc, drawn.alloc)(runs, b - a, scale, out)
+    return coeffs, _index_rows(runs, b - a, width) if width else None
 
 
-def read_runs(drawn: DrawnRows, a: int, b: int, width: int = 0) -> tuple[Optional[np.ndarray], Iterator]:
+def read_runs(drawn: DrawnRows, a: int, b: int) -> list[tuple[int, int, int, np.ndarray]]:
     """Rows a..b of ``drawn`` run by run, in the layout of :func:`sample_rows`:
-    (index rows of the first ``width`` columns, None for width 0; an
-    iterator of (c0, c1, p, data) over the runs (c0, c1, p) of
-    ``drawn.alloc``, left to right).
+    one (c0, c1, p, data) per run (c0, c1, p) of ``drawn.alloc``, left to
+    right.
 
     ``data`` holds the run's bits of rows a..b: their stream bytes at p in
     {1, 2, 4, 8} (the uint8 codes of :func:`bitcore.read_bytes`, whose
-    values :func:`bitcore.byte_lookup` finds), their (b - a, c1 - c0) p-bit
-    fields at every other p.  Each run is read once, when the iterator
-    reaches it, and its fields in the first ``width`` columns are written
-    to the index rows then.  This is the one reader of the run layout: the
-    decode (:func:`decode_rows`) and the bridge's node rows
-    (:func:`bridge.nodes_from_drawn`) read through it.  A row range outside
+    values :func:`bitcore.byte_lookup` finds), their (b - a, c1 - c0) uint64
+    p-bit fields at every other p.  This is the one reader of the run
+    layout, and one read of a block feeds all its decodes: its coefficient
+    rows (:class:`RunDecoder`, :func:`decode_rows`), the bridge's node rows
+    (:func:`bridge.nodes_from_drawn`) and the coarse rows of a coupled
+    level (:meth:`mlmc.ExpansionModel.coarsen_rows`).  A row range outside
     0 <= a <= b <= drawn.n raises ValueError before any word is read.
     """
     check_count("row start a", a, 0, drawn.n)
     check_count("row stop b", b, a, drawn.n)
-    idx = np.empty((b - a, width), dtype=np.uint64) if width else None
-    return idx, _runs(drawn, a, b, idx)
-
-
-def _runs(drawn: DrawnRows, a: int, b: int, idx: Optional[np.ndarray]):
-    """The iterator of :func:`read_runs`, writing the index rows ``idx``."""
-    nb = b - a
-    width = 0 if idx is None else idx.shape[1]
-    pos = drawn.start
+    nb, pos, runs = b - a, drawn.start, []
     for c0, c1, p in drawn.alloc.runs:
-        w, k = c1 - c0, min(c1, width) - c0  # run width, index columns wanted from it
+        w = c1 - c0
         at = pos + a * w * p
         pos += drawn.n * w * p
         if 8 % p == 0:
             data = read_bytes(drawn.words, at, p, nb * w)
-            if k > 0:
-                idx[:, c0:c0 + k] = byte_lookup(byte_fields(p), data, nb, w)[:, :k]
         else:
             data = read_fields(drawn.words, at, p, nb * w).reshape(nb, w)
-            if k > 0:
-                idx[:, c0:c0 + k] = data[:, :k]
-        yield c0, c1, p, data
+        runs.append((c0, c1, p, data))
+    return runs
+
+
+def _index_rows(runs: list, nb: int, width: int) -> np.ndarray:
+    """The (nb, width) uint64 index rows of the first ``width`` columns of
+    the runs :func:`read_runs` read: the p-bit fields of each run, looked up
+    in :func:`bitcore.byte_fields` for a byte run."""
+    idx = np.empty((nb, width), dtype=np.uint64)
+    for c0, c1, p, data in runs:
+        k = min(c1, width) - c0  # index columns wanted from the run
+        if k <= 0:
+            break
+        fields = byte_lookup(byte_fields(p), data, nb, c1 - c0) if data.ndim == 1 else data
+        idx[:, c0:c0 + k] = fields[:, :k]
+    return idx
+
+
+class RunDecoder:
+    """The coefficient rows of a ``coarse`` allocation decoded straight from
+    the runs of rows drawn under ``fine`` (:func:`read_runs`), with no index
+    rows: coefficient j is the q_j-bit grid normal at the top q_j bits of
+    its p_j-bit field, which is the re-truncation f >> (p_j - q_j) of
+    :func:`bitcore.truncate_indices`.  With ``coarse`` = ``fine`` it is the
+    decode of the rows themselves (:func:`decode_rows`).
+
+    Built once per pair of allocations: the nesting of ``coarse`` in
+    ``fine`` is checked, and the columns of ``coarse`` are cut into
+    segments, each inside one fine run and one coarse run: columns c0..c1
+    take the top q bits of the p-bit fields in columns j..j + c1 - c0 of
+    fine run k, which is w columns wide.  Calling it decodes a block of nb
+    rows: a run held as stream bytes (1-d uint8 codes) looks them up in the
+    (256, 8/p) table ``grid_normal_byte_table(p, q)``, and the (nb, w)
+    fields of every other run, shifted by p - q, go through one
+    :func:`normal.grid_normal_runs` call per block (at most one ``phi_inv``
+    call); the rows are then multiplied by ``scale`` when given, and written
+    to ``out`` when given.  This is the one coarse decoder: the MLMC models
+    (:meth:`mlmc.ExpansionModel.coarsen_rows`), the strong-error
+    experiment's q-bit increments and :func:`coarsen_rows` on index rows
+    all decode through it.  A ``coarse`` longer than ``fine`` raises
+    ValueError, and a coarse count above its fine count
+    InternalInvariantError, before any value is built.
+    """
+
+    def __init__(self, fine: BitAllocation, coarse: BitAllocation):
+        m2 = len(coarse)
+        if m2 > len(fine):
+            raise ValueError("coarse dimension exceeds fine dimension")
+        pf, pc = fine.counts[:m2], coarse.counts
+        if np.any(pc > pf):
+            bad = int(np.flatnonzero(pc > pf)[0])
+            raise InternalInvariantError(
+                f"allocation not nested at coordinate {bad + 1}: "
+                f"coarse p={int(pc[bad])} > fine p={int(pf[bad])}")
+        self.width = m2
+        cuts = sorted({c for c0, c1, _ in (*fine.runs, *coarse.runs) for c in (c0, c1) if c < m2} | {m2})
+        self._segments, k = [], 0
+        for c0, c1 in zip(cuts, cuts[1:]):
+            while fine.runs[k][1] <= c0:
+                k += 1
+            f0, f1, p = fine.runs[k]
+            q = int(pc[c0])
+            self._segments.append((c0, c1, k, c0 - f0, f1 - f0, np.uint64(p - q) if q < p else None, q,
+                                   grid_normal_byte_table(p, q) if 8 % p == 0 else None))
+
+    def __call__(self, runs: list, nb: int, scale: Optional[np.ndarray] = None,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        coeffs = np.empty((nb, self.width), dtype=np.float64) if out is None else out
+        cols, pairs = [], []  # columns and (fields, q) of the segments that are not byte runs
+        for c0, c1, k, j, w, shift, q, table in self._segments:
+            data = runs[k][3]
+            if data.ndim == 1:  # stream bytes
+                coeffs[:, c0:c1] = byte_lookup(table, data, nb, w)[:, j:j + c1 - c0]
+            else:
+                fields = data[:, j:j + c1 - c0]
+                cols.append((c0, c1))
+                pairs.append((fields if shift is None else fields >> shift, q))
+        for (c0, c1), values in zip(cols, grid_normal_runs(pairs)):
+            coeffs[:, c0:c1] = values
+        if scale is not None:
+            coeffs *= scale
+        return coeffs
 
 
 def sample_rows(src: BitSource, alloc: BitAllocation, n: int,
@@ -249,36 +306,28 @@ def coarsen_rows(idx_rows: np.ndarray, fine: BitAllocation, coarse: BitAllocatio
 
     The coarse sample keeps the first len(coarse) coordinates and re-truncates
     each retained index from fine to coarse bits; no bits are drawn.  The
-    indices are re-truncated in one :func:`bitcore.truncate_indices` call
-    with a count per column, and the coefficients of all runs of
-    ``coarse.runs`` (computed once per allocation) come from one
-    :func:`normal.grid_normal_runs` call (at most one ``phi_inv`` call).
-    Raises InternalInvariantError when ``coarse`` is not nested in ``fine``,
-    and ValueError for index rows that are not integers, are narrower than
-    ``coarse`` or hold a field outside 0..2**p - 1 of its fine count p, or a
-    ``scale`` that is not one value per coarse coefficient.
+    coefficients come from the :class:`RunDecoder` of (``fine``, ``coarse``),
+    to which the index rows pass as the fields of the fine runs, and the
+    coarse index rows from one :func:`bitcore.truncate_indices` call with a
+    count per column.  Raises InternalInvariantError when ``coarse`` is not
+    nested in ``fine``, and ValueError for index rows that are not integers,
+    are narrower than ``coarse`` or hold a field outside 0..2**p - 1 of its
+    fine count p, or a ``scale`` that is not one value per coarse
+    coefficient.  Samplers that hold the stream bits of their rows decode
+    the coarse rows from those instead, with no index rows
+    (:meth:`mlmc.ExpansionModel.coarsen_rows`).
     """
     m2 = len(coarse)
     _check_scale(scale, coarse)
-    if m2 > len(fine):
-        raise ValueError("coarse dimension exceeds fine dimension")
-    pf, pc = fine.counts[:m2], coarse.counts
-    if np.any(pc > pf):
-        bad = int(np.flatnonzero(pc > pf)[0])
-        raise InternalInvariantError(
-            f"allocation not nested at coordinate {bad + 1}: "
-            f"coarse p={int(pc[bad])} > fine p={int(pf[bad])}")
+    decode = RunDecoder(fine, coarse)
     rows = np.atleast_2d(idx_rows)
     if rows.shape[1] < m2:
         raise ValueError(f"index rows have {rows.shape[1]} columns, fewer than the {m2} coarse coordinates")
+    pf = fine.counts[:m2]
     _check_indices(rows[:, :m2], pf)
-    idx = truncate_indices(rows[:, :m2], pf, pc)
-    coeffs = np.empty((rows.shape[0], m2), dtype=np.float64)
-    for (a, b, _), values in zip(coarse.runs, grid_normal_runs([(idx[:, a:b], p) for a, b, p in coarse.runs])):
-        coeffs[:, a:b] = values
-    if scale is not None:
-        coeffs *= scale
-    return coeffs, idx
+    rows = rows[:, :m2].astype(np.uint64, copy=False)
+    coeffs = decode([(c0, c1, p, rows[:, c0:c1]) for c0, c1, p in fine.runs if c0 < m2], rows.shape[0], scale)
+    return coeffs, truncate_indices(rows, pf, coarse.counts)
 
 
 def _check_scale(scale: Optional[np.ndarray], alloc: BitAllocation) -> None:

@@ -109,10 +109,11 @@ class ExpansionModel:
     Allocations (and scales) are computed once per level, read-only.
 
     Rows pass as arrays: ``sample_rows`` draws a level's stream words,
-    :func:`gausskl.decode_rows` decodes blocks of them with ``scale(level)``
-    (bridge blocks go straight to node rows, :func:`bridge.nodes_from_drawn`),
-    ``coarsen_rows`` re-truncates index rows one level down and
-    ``functional_rows`` makes coefficient rows the batch of
+    blocks of them are read run by run (:func:`gausskl.read_runs`) and
+    decoded with ``scale(level)`` (:class:`gausskl.RunDecoder`; bridge
+    blocks go straight to node rows, :func:`bridge.nodes_from_drawn`),
+    ``coarsen_rows`` decodes the same runs one level down, with no index
+    rows, and ``functional_rows`` makes coefficient rows the batch of
     :attr:`LipFunctional.rows`.
     """
 
@@ -120,6 +121,7 @@ class ExpansionModel:
         check_count("min_bits", min_bits, 0, MAX_BITS)
         self.min_bits = int(min_bits)
         self._allocs: dict[int, BitAllocation] = {}
+        self._decoders: dict[tuple[int, int], gausskl.RunDecoder] = {}
 
     def scale(self, level: int) -> Optional[np.ndarray]:
         return None
@@ -138,15 +140,22 @@ class ExpansionModel:
         and held as their stream words (:func:`gausskl.draw_rows`, n |p| / 8 bytes)."""
         return gausskl.draw_rows(src, self.allocation(level), n)
 
-    def coarsen_rows(self, idx: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """(coefficient rows, index rows) one level below ``level``, re-truncated
-        from the index rows ``idx`` of ``level`` by :func:`gausskl.coarsen_rows`;
-        ``idx`` needs only the coarse level's columns.  Its run plan is the
-        runs of the cached coarse allocation, so it is built once per level;
-        the nesting of the two allocations and the index rows of every
-        block are checked."""
-        fine, coarse = self.allocation(level), self.allocation(level - 1)
-        return gausskl.coarsen_rows(idx, fine, coarse, self.scale(level - 1))
+    def coarsen_rows(self, runs: list, level: int, nb: int) -> np.ndarray:
+        """The nb coefficient rows one level below ``level`` of the rows whose
+        runs :func:`gausskl.read_runs` read at ``level``, decoded straight
+        from those runs' stream bytes and fields with ``scale(level - 1)``
+        and no index rows: the bytes of :func:`gausskl.coarsen_rows` on their
+        index rows."""
+        return self._decoder(level, level - 1)(runs, nb, self.scale(level - 1))
+
+    def _decoder(self, level: int, below: int) -> gausskl.RunDecoder:
+        """The :class:`gausskl.RunDecoder` of the runs of ``level`` onto the
+        allocation of level ``below`` (``level`` itself, or the one below),
+        built once per pair: its segments and the nesting check."""
+        decode = self._decoders.get((level, below))
+        if decode is None:
+            decode = self._decoders[level, below] = gausskl.RunDecoder(self.allocation(level), self.allocation(below))
+        return decode
 
 
 class BridgeModel(ExpansionModel):
@@ -265,14 +274,16 @@ class MLMCResult:
 
 
 def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
-              width: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """``f.rows`` of every row of ``drawn`` (rows of ``level``) and, with the
-    coarse dimension ``width`` > 0, of its coarsening one level down (else
-    None), in blocks of rows.  A bridge block goes from the drawn words
-    straight to its node rows (:func:`bridge.nodes_from_drawn`), with no
-    coefficient rows; any other block is decoded by
-    :func:`gausskl.decode_rows`.  A block's coarse rows are re-truncated
-    from its index rows by ``model.coarsen_rows``.
+              coarse: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """``f.rows`` of every row of ``drawn`` (rows of ``level``) and, with
+    ``coarse``, of its coarsening one level down (else None), in blocks of
+    rows.  Each block's runs are read once (:func:`gausskl.read_runs`), and
+    that one read feeds both decodes: the coarse rows are decoded from the
+    runs by ``model.coarsen_rows``, with no index rows; then a bridge block
+    goes from the runs straight to its node rows
+    (:func:`bridge.nodes_from_drawn`, which drops their fields once
+    decoded), with no coefficient rows, and any other block is decoded by
+    the :class:`gausskl.RunDecoder` of its allocation.
 
     The blocks run on min(2, usable CPUs) threads (:func:`bitcore.run_blocks`):
     with three or more blocks and two CPUs, the calling thread and one pool
@@ -291,8 +302,8 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
     propagates.
     """
     n, dim = drawn.n, len(drawn.alloc)
-    coarse = width > 0
-    bridge = isinstance(model, BridgeModel)  # fine rows straight from the words to node rows
+    bridge = isinstance(model, BridgeModel)  # fine rows straight from the runs to node rows
+    decode = None if bridge else model._decoder(level, level)
     scale = model.scale(level)
     y = np.empty(n, dtype=np.float64)
     y_coarse = np.empty(n, dtype=np.float64) if coarse else None
@@ -305,16 +316,16 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
     def run(blocks: list[tuple[int, int]]) -> None:
         buf = None if bridge else np.empty((max(b - a for a, b in blocks), dim))
         for a, b in blocks:
+            runs = gausskl.read_runs(drawn, a, b)
+            if coarse:  # first, as a bridge block's node rows drop the fields of the runs
+                y_coarse[a:b] = f.rows(model.functional_rows(model.coarsen_rows(runs, level, b - a), level - 1))
             if bridge:
-                node_rows, idx = nodes_from_drawn(drawn, a, b, width)
+                node_rows = nodes_from_drawn(runs, b - a)
                 y[a:b] = f.rows(BridgeRows(node_rows))
                 del node_rows  # freed before the next block's rows are built
             else:
-                coeffs, idx = gausskl.decode_rows(drawn, a, b, scale, width, buf[:b - a])
-                y[a:b] = f.rows(model.functional_rows(coeffs, level))
-            if coarse:
-                coarse_coeffs, _ = model.coarsen_rows(idx, level)
-                y_coarse[a:b] = f.rows(model.functional_rows(coarse_coeffs, level - 1))
+                y[a:b] = f.rows(model.functional_rows(decode(runs, b - a, scale, buf[:b - a]), level))
+            del runs  # and its stream bytes before the next block is read
 
     run_blocks(run, blocks_for)
     return y, y_coarse
@@ -331,7 +342,7 @@ def _level_values(f: LipFunctional, model, src: BitSource, level: int, n: int,
     drawn = model.sample_rows(src, level, n)
     ledger.bits += src.bits_drawn - before
     width = len(model.allocation(level - 1)) if coarse else 0
-    y, y_coarse = _evaluate(f, model, level, drawn, width)
+    y, y_coarse = _evaluate(f, model, level, drawn, coarse)
     dims = len(drawn.alloc) + width
     ledger.oracle_cost += n * dims
     ledger.coeff_ops += n * dims
@@ -348,7 +359,7 @@ def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource) -
     (N_l |p(l)| / 8 bytes).  Its fine and coarse terms are decoded and
     evaluated in cache-sized blocks of rows, on two threads when a level
     has three or more blocks (:func:`_evaluate`); each block's coarse rows
-    are re-truncated from its index rows.  Level values, means and
+    are decoded from the runs its fine rows were read from.  Level values, means and
     variances are those of one thread.
     """
     ledger = CostLedger()

@@ -269,16 +269,20 @@ def grid_normal_values(indices: np.ndarray, p: int) -> np.ndarray:
 
 
 @functools.cache
-def grid_normal_byte_table(p: int) -> np.ndarray:
-    """(256, 8/p) grid normals of the p-bit fields of each byte, p in {1, 2, 4, 8};
-    built once per p, read-only.
+def grid_normal_byte_table(p: int, q: int) -> np.ndarray:
+    """(256, 8/p) q-bit grid normals at the top q bits of the p-bit fields
+    of each byte, p in {1, 2, 4, 8} and 1 <= q <= p; built once per (p, q),
+    read-only.
 
-    Row b is ``grid_normal_values(byte_fields(p)[b], p)``, so a lookup by
-    stream byte gives the values of :func:`grid_normal_runs` by
-    construction; the decode of the byte runs reads it, and every other
-    grid value comes from grid_normal_runs.
+    Row b is ``grid_normal_values(byte_fields(p)[b] >> (p - q), q)``, so a
+    lookup by stream byte gives the values of :func:`grid_normal_runs` at
+    the fields truncated to q bits by construction: q = p decodes a byte
+    run of a sample, q < p its coarsening (:class:`gausskl.RunDecoder`);
+    every other grid value comes from grid_normal_runs.
     """
-    table = grid_normal_values(byte_fields(p), p)
+    if not 1 <= q <= p:
+        raise ValueError(f"cannot truncate {p}-bit fields to {q} bits")
+    table = grid_normal_values(byte_fields(p) >> np.uint64(p - q), q)
     table.flags.writeable = False  # shared by every caller
     return table
 

@@ -13,7 +13,8 @@ too: :func:`refined_rows` returns its values on the nodes of the mesh
 1/(m 2**level), where it is piecewise linear.  The strong-error experiment
 (:func:`strong_error_experiment`) holds its increments step-major, the layout
 the recursion runs on, and decodes them in blocks of steps on min(2, usable
-CPUs) threads (:func:`bitcore.run_blocks`).
+CPUs) threads (:func:`bitcore.run_blocks`), the q-bit increments straight
+from the parents' fields (:class:`gausskl.RunDecoder`).
 
 Coefficients are assumed differentiable with bounded, Lipschitz continuous
 derivatives (a caller obligation; it cannot be checked at runtime), and
@@ -33,12 +34,12 @@ from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, check_count
 from .bitcore import truncate_indices  # noqa: F401
 from .bridge import allocation_bridge, allocation_bridge_total, nodes_from_drawn
 from .errors import InternalInvariantError, NumericFailure
-from .gausskl import coarsen_rows, decode_rows, draw_rows, sample_rows
+from .gausskl import RunDecoder, draw_rows, read_runs, sample_rows
 from .normal import Phi, grid_normal_values
 
 PARENT_BITS = MAX_BITS  # precision of the coupling uniforms in experiments
 FINE_FACTOR = 64  # step refinement of the fallback reference scheme
-_BLOCK_BYTES = 1 << 20  # indices of all step blocks in flight in strong_error_experiment
+_BLOCK_BYTES = 1 << 20  # fields of all step blocks in flight in strong_error_experiment
 _BATCH_BYTES = 4 << 20  # drawn words per batch of steps
 
 
@@ -148,7 +149,7 @@ def refined_rows(src: BitSource, model: SDEModel, m: int, q: int, level: int, n:
     h = 1 << level
     s = np.arange(h) / h
     xk, xk1 = x[:, :-1, np.newaxis], x[:, 1:, np.newaxis]
-    bridge = nodes_from_drawn(bridges, 0, n * m)[0][:, :-1].reshape(n, m, h)
+    bridge = nodes_from_drawn(read_runs(bridges, 0, n * m), n * m)[:, :-1].reshape(n, m, h)
     nodes = s * xk1 + (1.0 - s) * xk + model.diffusion(xk) * bridge / math.sqrt(m)
     return np.concatenate([nodes.reshape(n, m * h), x[:, m:]], axis=1)
 
@@ -156,18 +157,23 @@ def refined_rows(src: BitSource, model: SDEModel, m: int, q: int, level: int, n:
 def _decode_steps(src: BitSource, parent: BitAllocation, out: np.ndarray,
                   child: Optional[BitAllocation] = None, out_child: Optional[np.ndarray] = None) -> None:
     """Draw len(out) step rows under ``parent`` from ``src`` and decode them
-    into the step-major rows ``out``, their :func:`gausskl.coarsen_rows`
-    under ``child`` into ``out_child`` when given.
+    into the step-major rows ``out``, and their q-bit truncations under
+    ``child`` into ``out_child`` when given.
 
     The calling thread draws the steps a batch at a time, _BATCH_BYTES of
     words (at least one step), in the stream order of one
     :func:`gausskl.sample_rows` call on all of them.  The batch's blocks of
-    steps are decoded by :func:`bitcore.run_blocks`; all blocks in flight
-    hold at most _BLOCK_BYTES of uint64 indices (at least one step each),
-    and each block writes only its own rows of ``out`` and ``out_child``.
+    steps are decoded by :func:`bitcore.run_blocks`: each block's runs are
+    read once (:func:`gausskl.read_runs`, uint64 fields) and decoded by the
+    :class:`gausskl.RunDecoder` of ``parent`` onto itself and onto
+    ``child``, with no index rows.  All blocks in flight hold at most
+    _BLOCK_BYTES of fields (at least one step each), and each block writes
+    only its own rows of ``out`` and ``out_child``.
     """
     reps = len(parent)
-    width = reps if child is not None else 0
+    decoders = [(RunDecoder(parent, parent), out)]
+    if child is not None:
+        decoders.append((RunDecoder(parent, child), out_child))
     batch = max(1, _BATCH_BYTES * 8 // parent.total)
     for s0 in range(0, len(out), batch):
         drawn = draw_rows(src, parent, min(batch, len(out) - s0))
@@ -178,9 +184,9 @@ def _decode_steps(src: BitSource, parent: BitAllocation, out: np.ndarray,
 
         def run(blocks: list[tuple[int, int]]) -> None:
             for a, b in blocks:
-                _, idx = decode_rows(drawn, a, b, None, width, out[s0 + a:s0 + b])
-                if child is not None:
-                    out_child[s0 + a:s0 + b] = coarsen_rows(idx, parent, child)[0]
+                runs = read_runs(drawn, a, b)
+                for decode, rows in decoders:
+                    decode(runs, b - a, None, rows[s0 + a:s0 + b])
 
         run_blocks(run, blocks_for)
 
@@ -198,12 +204,13 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     Draw order is step-major: step k is row k of :func:`gausskl.sample_rows`
     under ``reps`` 63-bit coefficients, one per replication (53-bit rows
     over the 64*m fine steps for the fallback), and the q-bit increments
-    are its :func:`gausskl.coarsen_rows`.  The increments are held
+    are its :func:`gausskl.coarsen_rows`, decoded from the same fields with
+    no index rows (:func:`_decode_steps`).  The increments are held
     step-major, (steps, reps), as :func:`milstein_rows` runs its recursion.
     The calling thread draws the steps in batches of _BATCH_BYTES (4 MiB)
     of words; blocks of a batch's steps are decoded (and coarsened) on
     min(2, usable CPUs) threads (:func:`bitcore.run_blocks`), the blocks in
-    flight holding at most _BLOCK_BYTES (1 MiB) of uint64 indices, at least
+    flight holding at most _BLOCK_BYTES (1 MiB) of uint64 fields, at least
     one step each.  So besides the increments, the decode holds one batch
     of words and the blocks in flight.  Neither the batches, the blocks nor
     the threads change a value or a bit count.  The ledger's bits are what the run's source counted: |p|

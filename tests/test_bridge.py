@@ -10,7 +10,7 @@ from rbitmc import normal as N
 from rbitmc import sde as S
 from rbitmc.bitcore import BitAllocation, BitSource, dyadic_values
 from rbitmc.errors import CapacityError
-from rbitmc.gausskl import coarsen_rows, decode_rows, draw_rows, sample_rows
+from rbitmc.gausskl import RunDecoder, coarsen_rows, decode_rows, draw_rows, read_runs, sample_rows
 
 
 def test_schauder_index_decomposition():
@@ -144,11 +144,14 @@ def test_in_place_refinement_and_norm_give_the_bytes_of_the_expressions(level, r
 @example(level=2, min_bits=4, n=5, head=7, coarse=True, step=2, seed=4)  # rows of 12 bits in one p = 4 byte run
 def test_nodes_from_drawn_are_the_nodes_of_the_decoded_rows(level, min_bits, n, head, coarse, step, seed):
     """nodes_from_drawn builds no coefficient rows, and gives the bytes of
-    nodes_from_coeffs over decode_rows' coefficient rows, and decode_rows'
-    index rows of the coarse width, for every block of a batch: the blocks
-    of a step (the last one partial), one-row blocks and empty ones, drawn
-    after ``head`` bits so the runs start off byte boundaries, under counts
-    raised to ``min_bits`` (runs over several hat levels)."""
+    nodes_from_coeffs over decode_rows' coefficient rows for every block of
+    a batch: the blocks of a step (the last one partial), one-row blocks and
+    empty ones, drawn after ``head`` bits so the runs start off byte
+    boundaries, under counts raised to ``min_bits`` (runs over several hat
+    levels).  The same runs, read once, decode to decode_rows' rows and,
+    one level down, to coarsen_rows' rows of decode_rows' index rows of the
+    coarse width; nodes_from_drawn then drops their fields, keeping only
+    the stream bytes of the byte runs."""
     alloc = BitAllocation(np.maximum(BR.allocation_bridge(level).counts, min_bits))
     src = BitSource(seed)
     if head:
@@ -158,12 +161,17 @@ def test_nodes_from_drawn_are_the_nodes_of_the_decoded_rows(level, min_bits, n, 
     step = min(step, n)
     for a, b in [*((a, min(a + step, n)) for a in range(0, n, step)), (n - 1, n), (0, 0), (n, n)]:
         coeffs, idx = decode_rows(drawn, a, b, None, width)
-        nodes, got_idx = BR.nodes_from_drawn(drawn, a, b, width)
+        runs = read_runs(drawn, a, b)
+        assert RunDecoder(alloc, alloc)(runs, b - a).tobytes() == coeffs.tobytes()
+        if idx is not None:
+            below = BitAllocation(np.maximum(BR.allocation_bridge(level - 1).counts, min_bits))
+            assert RunDecoder(alloc, below)(runs, b - a).tobytes() == coarsen_rows(idx, alloc, below)[0].tobytes()
+        nodes = BR.nodes_from_drawn(runs, b - a)
         assert nodes.shape == (b - a, (1 << level) + 1)
         assert nodes.tobytes() == BR.nodes_from_coeffs(coeffs, level).tobytes(), (a, b)
-        assert got_idx is None if idx is None else got_idx.tobytes() == idx.tobytes()
+        assert [data is None for *_, data in runs] == [p not in (1, 2, 4, 8) for *_, p, _ in runs]  # fields dropped
     with pytest.raises(ValueError, match="row stop b"):
-        BR.nodes_from_drawn(drawn, 0, n + 1)
+        BR.nodes_from_drawn(read_runs(drawn, 0, n + 1), n + 1)
 
 
 def test_linear_builds_its_weights_once_per_weights_and_mesh():

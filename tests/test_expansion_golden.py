@@ -54,7 +54,8 @@ def _model_rows(model, seed, level, n):
     drawn = model.sample_rows(src, level, n)
     assert src.bits_drawn == n * model.allocation(level).total
     coeffs, idx = G.decode_rows(drawn, 0, n, model.scale(level), len(drawn.alloc))
-    coarse = model.coarsen_rows(idx, level)
+    coarse_idx = G.coarsen_rows(idx, drawn.alloc, model.allocation(level - 1))[1]
+    coarse = (model.coarsen_rows(G.read_runs(drawn, 0, n), level, n), coarse_idx)
     return [d for rows in ((coeffs, idx), coarse) for d in _pair(*rows)]
 
 

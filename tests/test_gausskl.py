@@ -201,9 +201,16 @@ def test_coarsen_rows_refuses_index_rows_that_are_not_integers(dtype):
 
 @pytest.mark.parametrize("p", [1, 2, 4, 8])
 def test_grid_normal_byte_table_matches_grid_normal_values(p):
-    table = grid_normal_byte_table(p)
+    table = grid_normal_byte_table(p, p)
     assert table.shape == (256, 8 // p)
     assert np.array_equal(table, grid_normal_values(byte_fields(p), p))
+    for q in range(1, p):  # the coarse tables: the q-bit normals at the top q bits of each field
+        truncated = grid_normal_byte_table(p, q)
+        assert truncated.shape == (256, 8 // p) and not truncated.flags.writeable
+        assert truncated.tobytes() == grid_normal_values(truncate_indices(byte_fields(p), p, q), q).tobytes()
+    for q in (0, p + 1):
+        with pytest.raises(ValueError, match=f"cannot truncate {p}-bit fields to {q} bits"):
+            grid_normal_byte_table(p, q)
 
 
 def test_allocation_examples():

@@ -16,6 +16,7 @@ from rbitmc.bitcore import BitAllocation, BitSource, CostLedger, child_source
 from rbitmc.bridge import allocation_bridge, allocation_bridge_total, nodes_from_coeffs, pl_l2_norm_sq
 from rbitmc.errors import CapacityError, ConfigurationError, InternalInvariantError
 from rbitmc.gausskl import EigenSpec, allocation_kl
+from rbitmc.normal import grid_normal_values
 
 BRIDGE = M.bridge_model()
 KL_SPEC = EigenSpec(beta=2.0, alpha=0.0)
@@ -24,6 +25,15 @@ KL_SPEC = EigenSpec(beta=2.0, alpha=0.0)
 def _decode(model, level, drawn):
     """(coefficient rows, index rows) of every row drawn by ``model.sample_rows``."""
     return G.decode_rows(drawn, 0, drawn.n, model.scale(level), len(drawn.alloc))
+
+
+def _coarsen(model, level, drawn):
+    """(coefficient rows, index rows) one level below every row drawn by
+    ``model.sample_rows``: the model's decode of the rows' runs, and
+    gausskl.coarsen_rows' re-truncation of their index rows."""
+    _, idx = _decode(model, level, drawn)
+    coeffs = model.coarsen_rows(G.read_runs(drawn, 0, drawn.n), level, drawn.n)
+    return coeffs, G.coarsen_rows(idx, drawn.alloc, model.allocation(level - 1))[1]
 
 
 def test_params_reference_case():
@@ -194,9 +204,9 @@ def test_estimator_deterministic():
 
 def test_coupling_bit_exact():
     src = BitSource(8)
-    _, idx = _decode(BRIDGE, 5, BRIDGE.sample_rows(src, 5, 64))
-    c1, i1 = BRIDGE.coarsen_rows(idx, 5)
-    c2, i2 = BRIDGE.coarsen_rows(idx, 5)
+    drawn = BRIDGE.sample_rows(src, 5, 64)
+    c1, i1 = _coarsen(BRIDGE, 5, drawn)
+    c2, i2 = _coarsen(BRIDGE, 5, drawn)
     assert np.array_equal(i1, i2)
     assert np.array_equal(c1, c2)
 
@@ -235,9 +245,10 @@ def test_variance_decay_slope():
     variances = []
     for level in levels:
         src = BitSource(900 + level)
-        coeffs, idx = _decode(BRIDGE, level, BRIDGE.sample_rows(src, level, 2000))
+        drawn = BRIDGE.sample_rows(src, level, 2000)
+        coeffs, _ = _decode(BRIDGE, level, drawn)
         y = (f.rows(BRIDGE.functional_rows(coeffs, level))
-             - f.rows(BRIDGE.functional_rows(BRIDGE.coarsen_rows(idx, level)[0], level - 1)))
+             - f.rows(BRIDGE.functional_rows(_coarsen(BRIDGE, level, drawn)[0], level - 1)))
         variances.append(float(np.var(y, ddof=1)))
     slope = np.polyfit(levels, np.log2(variances), 1)[0]
     assert slope <= -0.8
@@ -291,14 +302,13 @@ MODELS = {"bridge": BRIDGE, "kl": M.kl_model(KL_SPEC)}
 def test_blocked_evaluation_equals_whole_batch(model_name, name, n, monkeypatch):
     model, f = MODELS[model_name], M.lookup_functional(name)
     fine = model.sample_rows(BitSource(17), 5, n)
-    coeffs, idx = _decode(model, 5, fine)
-    for k, (rows, level) in enumerate(((coeffs, 5), (model.coarsen_rows(idx, 5)[0], 4))):
+    coeffs, _ = _decode(model, 5, fine)
+    for k, (rows, level) in enumerate(((coeffs, 5), (_coarsen(model, 5, fine)[0], 4))):
         whole = f.rows(model.functional_rows(rows, level)).tobytes()
-        width = len(model.allocation(4))
-        assert M._evaluate(f, model, 5, fine, width)[k].tobytes() == whole  # one block
+        assert M._evaluate(f, model, 5, fine, True)[k].tobytes() == whole  # one block
         for budget in (8 * 34 * 7, 8 * 34 * 5, 1):  # blocks of 5-14 rows, and of 2-3 rows
             monkeypatch.setattr(M, "_EVAL_BYTES", budget)
-            assert M._evaluate(f, model, 5, fine, width)[k].tobytes() == whole, budget
+            assert M._evaluate(f, model, 5, fine, True)[k].tobytes() == whole, budget
         monkeypatch.undo()
 
 
@@ -323,7 +333,7 @@ def test_estimators_do_not_depend_on_the_block_size(model_name, monkeypatch):
 def test_plain_mc_draws_no_index_rows(monkeypatch):
     # a batch is held as its drawn words: no index rows are decoded, and no
     # node block has more rows than one evaluation block of two threads
-    seen, decoded = [], []
+    seen, decoded, index_rows = [], [], []
     sample = M.ExpansionModel.sample_rows
 
     def spy(self, *args, **kwargs):
@@ -331,22 +341,26 @@ def test_plain_mc_draws_no_index_rows(monkeypatch):
         seen.append((type(drawn), drawn.n))
         return drawn
 
-    nodes = M.nodes_from_drawn  # the bridge's block entry: words to node rows
+    nodes, index = M.nodes_from_drawn, G._index_rows  # the bridge's block entry: runs to node rows
 
-    def blocks(drawn, a, b, *args, **kwargs):
-        node_rows, idx = nodes(drawn, a, b, *args, **kwargs)
-        decoded.append((b - a, idx))
-        return node_rows, idx
+    def blocks(runs, nb):
+        decoded.append((nb, runs))
+        return nodes(runs, nb)
+
+    def indexed(*args):
+        index_rows.append(args)
+        return index(*args)
 
     monkeypatch.setattr(M.ExpansionModel, "sample_rows", spy)
     monkeypatch.setattr(M, "nodes_from_drawn", blocks)
+    monkeypatch.setattr(G, "_index_rows", indexed)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(M, "_EVAL_BYTES", 8 * 65 * 4)  # level 6: 4 rows in flight, split among the threads
     monkeypatch.setattr(M, "_BATCH_ROWS", 20)
     M.plain_mc(M.lookup_functional("norm"), BRIDGE, 6, 50, BitSource(3))
     assert seen == [(G.DrawnRows, 20), (G.DrawnRows, 20), (G.DrawnRows, 10)]
     assert sum(rows for rows, _ in decoded) == 50 and max(rows for rows, _ in decoded) == 4 // 2
-    assert all(idx is None for _, idx in decoded)
+    assert index_rows == []
 
 
 class _PoolSpy:
@@ -375,11 +389,10 @@ def test_threaded_blocks_give_the_one_block_bytes(model_name, monkeypatch):
     from rbitmc import bitcore, bridge, normal
 
     level, n = 6, 203
-    width = len(MODELS[model_name].allocation(level - 1))
     one_block = {}
     for name, f in M.builtin_functionals().items():
         drawn = MODELS[model_name].sample_rows(BitSource(23), level, n)
-        y, y_coarse = M._evaluate(f, MODELS[model_name], level, drawn, width)
+        y, y_coarse = M._evaluate(f, MODELS[model_name], level, drawn, True)
         one_block[name] = y.tobytes(), y_coarse.tobytes()
     plain = M.plain_mc(M.lookup_functional("norm"), MODELS[model_name], level, n, BitSource(24))
     monkeypatch.setattr(M, "_EVAL_BYTES", 8 * 66 * 16)  # 8 rows a block on two threads
@@ -395,7 +408,7 @@ def test_threaded_blocks_give_the_one_block_bytes(model_name, monkeypatch):
                     table.cache_clear()
                 model = _fresh_model(model_name)
                 drawn = model.sample_rows(BitSource(23), level, n)
-                y, y_coarse = M._evaluate(f, model, level, drawn, width)
+                y, y_coarse = M._evaluate(f, model, level, drawn, True)
                 assert (y.tobytes(), y_coarse.tobytes()) == one_block[name], (name, cpus)
             mean, stderr, ledger = M.plain_mc(M.lookup_functional("norm"), _fresh_model(model_name),
                                               level, n, BitSource(24))
@@ -588,8 +601,11 @@ def test_a_functional_of_the_row_methods_runs_on_both_models(model_name):
 @example(model_name="bridge", beta=2.0, alpha=0.0, min_bits=52, level=5, n=4, seed=3)
 @example(model_name="bridge", beta=2.0, alpha=0.0, min_bits=0, level=13, n=2, seed=4)  # coarse runs at p = 22, 24
 def test_model_coarsening_equals_coarsen_rows_on_fresh_allocations(model_name, beta, alpha, min_bits, level, n, seed):
-    """A model's coarsen_rows, on its cached allocations and scales, gives
-    the bytes of gausskl.coarsen_rows on allocations and scales built afresh."""
+    """A model's coarsen_rows, on its cached allocations, decoder and scales,
+    decodes a block's runs (stream bytes and fields) to the bytes of
+    gausskl.coarsen_rows on the same block's index rows, under allocations
+    and scales built afresh; each column is the coarse grid normal at the
+    re-truncated index, times its scale."""
     spec = EigenSpec(beta, alpha)
     model = M.BridgeModel(min_bits) if model_name == "bridge" else M.KLModel(spec, min_bits)
 
@@ -599,20 +615,88 @@ def test_model_coarsening_equals_coarsen_rows_on_fresh_allocations(model_name, b
 
     fine, coarse = fresh(level), fresh(level - 1)
     scale = None if model_name == "bridge" else np.sqrt(spec.eigenvalues(np.arange(1, len(coarse) + 1)))
-    _, idx = G.decode_rows(model.sample_rows(BitSource(seed), level, n), 0, n, model.scale(level), len(coarse))
+    drawn = model.sample_rows(BitSource(seed), level, n)
+    _, idx = G.decode_rows(drawn, 0, n, model.scale(level), len(coarse))
     want_coeffs, want_idx = G.coarsen_rows(idx, fine, coarse, scale)
-    for _ in range(2):  # the second call reuses the cached allocations, runs and scale
-        coeffs, got_idx = model.coarsen_rows(idx, level)
+    runs = G.read_runs(drawn, 0, n)
+    for _ in range(2):  # the second call reuses the cached allocations, decoder and scale
+        coeffs = model.coarsen_rows(runs, level, n)
         assert coeffs.tobytes() == want_coeffs.tobytes()
-        assert got_idx.tobytes() == want_idx.tobytes()
+    for j, q in enumerate(coarse.counts):
+        column = grid_normal_values(want_idx[:, j], int(q)) * (1.0 if scale is None else scale[j])
+        assert coeffs[:, j].tobytes() == column.tobytes()
+
+
+class _Allocations(M.ExpansionModel):
+    """A model whose level l is the l-th of the given allocations, unit scale."""
+
+    def __init__(self, *allocs):
+        super().__init__()
+        self.allocs = allocs
+
+    def base_allocation(self, level):
+        return BitAllocation(self.allocs[level - 1])
+
+
+@pytest.mark.parametrize("p, q", [(p, q) for p in (2, 4, 8) for q in range(1, p)])
+def test_model_coarsening_truncates_byte_runs(p, q):
+    """A byte run at p coarsened to q < p bits looks its stream bytes up in
+    the (p, q) table: the model's run-data coarsen_rows gives the bytes of
+    gausskl.coarsen_rows on the block's index rows, for blocks that start
+    off byte boundaries, with the byte run cut by two coarse runs and
+    behind a field run."""
+    fine, coarse = [9, 9, *[p] * 5], [4, 4, q, q, 1, 1]
+    model = _Allocations(coarse, fine)
+    src = BitSource(1000 * p + q)
+    src.draw_bits(3)
+    drawn = G.draw_rows(src, model.allocation(2), 11)
+    for a, b in ((0, 11), (1, 4), (5, 6), (7, 7)):
+        _, idx = G.decode_rows(drawn, a, b, None, len(coarse))
+        want, want_idx = G.coarsen_rows(idx, BitAllocation(fine), BitAllocation(coarse))
+        assert model.coarsen_rows(G.read_runs(drawn, a, b), 2, b - a).tobytes() == want.tobytes(), (a, b)
+        assert want.tobytes() == np.stack([grid_normal_values(want_idx[:, j], c) for j, c in enumerate(coarse)],
+                                          axis=1).reshape(b - a, len(coarse)).tobytes()
+
+
+@pytest.mark.parametrize("q", range(53, 64))
+def test_model_coarsening_mirrors_the_top_fields(q):
+    """63-bit fields 2**63 - 1 - k, k < 600, coarsened to q >= 53 bits reach
+    the top coarse fields, whose midpoints round to 1.0: the coarse side takes
+    minus the mirror value there, as gausskl.coarsen_rows and
+    grid_normal_values do."""
+    fields = (np.uint64(2**63 - 1) - np.arange(600, dtype=np.uint64)).reshape(20, 30)
+    model = _Allocations([q] * 30, [63] * 30)
+    coeffs = model.coarsen_rows([(0, 30, 63, fields)], 2, 20)
+    want, want_idx = G.coarsen_rows(fields, model.allocation(2), model.allocation(1))
+    assert coeffs.tobytes() == want.tobytes()
+    assert coeffs.tobytes() == grid_normal_values(fields >> np.uint64(63 - q), q).tobytes()
+    assert np.all(np.isfinite(coeffs)) and np.all(coeffs > 5.0)
+
+
+def test_model_coarsening_refuses_a_pair_that_is_not_nested(monkeypatch):
+    """A coarse count above its fine count raises InternalInvariantError
+    naming the coordinate, before any value is built or any decoder cached."""
+    model = _Allocations([2, 5, 1], [4, 4, 4, 4])
+    drawn = G.draw_rows(BitSource(3), model.allocation(2), 4)
+    runs = G.read_runs(drawn, 0, 4)
+
+    def built(*args, **kwargs):
+        raise AssertionError("a value was built")
+
+    for name in ("grid_normal_runs", "byte_lookup", "grid_normal_byte_table"):
+        monkeypatch.setattr(G, name, built)
+    with pytest.raises(InternalInvariantError, match="not nested at coordinate 2: coarse p=5 > fine p=4"):
+        model.coarsen_rows(runs, 2, 4)
+    assert model._decoders == {}
 
 
 def _phi_inv_calls_per_block(monkeypatch, run):
     """(phi_inv calls, phi_inv calls within each decoded and each coarsened
-    block) of ``run()``, a decoded block being a ``decode_rows`` call or a
-    bridge block's ``nodes_from_drawn`` call, counted through normal.phi_inv
-    patched at every module of the package that binds it, one count per
-    thread."""
+    block) of ``run()``, a block being a ``gausskl.RunDecoder`` call (a KL
+    block's fine rows, or any block's coarse rows, which
+    ``ExpansionModel.coarsen_rows`` decodes through it) or a bridge block's
+    ``nodes_from_drawn`` call, counted through normal.phi_inv patched at
+    every module of the package that binds it, one count per thread."""
     import rbitmc
     from rbitmc import normal
 
@@ -636,9 +720,8 @@ def _phi_inv_calls_per_block(monkeypatch, run):
             return out
         return counting
 
-    monkeypatch.setattr(G, "decode_rows", block(G.decode_rows))
+    monkeypatch.setattr(G.RunDecoder, "__call__", block(G.RunDecoder.__call__))
     monkeypatch.setattr(M, "nodes_from_drawn", block(M.nodes_from_drawn))
-    monkeypatch.setattr(M.ExpansionModel, "coarsen_rows", block(M.ExpansionModel.coarsen_rows))
     run()
     return len(calls), per_block
 

@@ -25,19 +25,21 @@ def test_tracer_hooks_see_the_mlmc_layers():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    tr = tracer.Tracer()
-    tr.install()
-    try:
-        f, model = M.lookup_functional("norm"), M.bridge_model()
-        params = M.mlmc_params(2.0 ** -3, model.beta, model.alpha)
-        M.mlmc_estimate(f, model, params, BitSource(1))
-        M.plain_mc(f, model, 4, 50, BitSource(2))
-    finally:
-        tr.uninstall()
-    metrics = tr.layer_metrics(1)
-    names = ["mlmc.rows", "mlmc.coeff_ops",
-             *(f"mlmc.level.{level}.s" for level in range(1, params.L + 1)),
-             *(f"mlmc.{layer}.self_s" for layer in ("mlmc_estimate", "plain_mc", "sample_rows",
-                                                    "coarsen_rows", "functional_rows", "functional"))]
-    assert [name for name in names if not metrics[name][0] > 0] == []
-    assert "trace.hook_errors" not in tr.counters
+    layers = ("mlmc_estimate", "plain_mc", "sample_rows", "coarsen_rows", "functional_rows", "functional")
+    # both models: the coarse decode runs inside the model's coarsen_rows span on each
+    for model in (M.bridge_model(), M.kl_model(M.EigenSpec(beta=2.0, alpha=0.0))):
+        tr = tracer.Tracer()
+        tr.install()
+        try:
+            f = M.lookup_functional("norm")  # built after install, so its rows are wrapped
+            params = M.mlmc_params(2.0 ** -3, model.beta, model.alpha)
+            M.mlmc_estimate(f, model, params, BitSource(1))
+            M.plain_mc(f, model, 4, 50, BitSource(2))
+        finally:
+            tr.uninstall()
+        metrics = tr.layer_metrics(1)
+        names = ["mlmc.rows", "mlmc.coeff_ops",
+                 *(f"mlmc.level.{level}.s" for level in range(1, params.L + 1)),
+                 *(f"mlmc.{layer}.self_s" for layer in layers)]
+        assert [name for name in names if not metrics[name][0] > 0] == [], type(model).__name__
+        assert "trace.hook_errors" not in tr.counters

@@ -358,14 +358,14 @@ def test_strong_error_threads_give_the_one_thread_bytes(model, m, steps, monkeyp
             assert pools == ([1] * -(-steps // batch) if len(cpus) == 2 else []), cpus  # one pool thread per batch
     finally:
         sys.setswitchinterval(interval)
-    decode = S.decode_rows
+    read = S.read_runs
 
     def raising(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
             raise InternalInvariantError("worker block")
-        return decode(*args, **kwargs)
+        return read(*args, **kwargs)
 
-    monkeypatch.setattr(S, "decode_rows", raising)
+    monkeypatch.setattr(S, "read_runs", raising)
     before = threading.active_count()
     with pytest.raises(InternalInvariantError, match="worker block"):
         S.strong_error_experiment(model, m, q, reps, seed)
