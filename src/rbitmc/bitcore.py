@@ -155,7 +155,7 @@ def read_fields(words: np.ndarray, start: int, p: int, n: int) -> np.ndarray:
     by :meth:`BitSource.take_words` can be decoded on its own, in any order.
     ``words`` must hold one word past the last bit read.  Two paths give
     the same values, selected by p and n (runs at p in {1, 2, 4, 8} of a
-    sampled expansion are read by :func:`gausskl.decode_rows` as bytes
+    sampled expansion are read by :func:`gausskl.read_runs` as bytes
     instead):
 
     - p > 52, and reads of at least _GATHER_MIN_BITS bits at 4 < p <= 52,

@@ -5,8 +5,7 @@ Basis index i >= 1 decomposes as i = 2**m + k - 1 with level m and offset
 k in 1..2**m; the hat s_i is supported on [(k-1)/2**m, k/2**m] with peak
 height 2**(-m/2-1).  Truncating the expansion after 2**l - 1 terms gives the
 piecewise-linear interpolation of the bridge on the dyadic grid of mesh
-2**-l, so paths are evaluated either lazily (per point, one hat per level)
-or via midpoint refinement on the dyadic nodes.
+2**-l, so paths are evaluated by midpoint refinement on the dyadic nodes.
 
 The random-bit version replaces coefficient i by its p_i-bit grid normal,
 with p_i = 2 * (l - level(i)); coarsening to a lower level is an exact
@@ -93,62 +92,44 @@ def allocation_bridge_total(level: int) -> int:
     return (1 << (level + 2)) - 2 * level - 4
 
 
-def evaluate_coeffs(coeffs: np.ndarray, level: int, t) -> np.ndarray | float:
-    """Sum of coeffs_i * s_i(t) using the one-active-hat-per-level structure,
-    for one row of the 2**level - 1 coefficients of a level-``level`` path."""
-    _check_level(level)
-    coeffs = np.asarray(coeffs)
-    dim = (1 << level) - 1
-    if coeffs.shape != (dim,):
-        raise ValueError(f"expected one row of {dim} coefficients at level {level}, got shape {coeffs.shape}")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if np.any((t_arr < 0.0) | (t_arr > 1.0)):
-        raise ValueError("evaluation points must lie in [0, 1]")
-    out = np.zeros_like(t_arr)
-    for m in range(level):
-        k = np.minimum((t_arr * 2.0**m).astype(np.int64), (1 << m) - 1)  # the one level-m hat active at t
-        out += coeffs[(1 << m) + k - 1] * _hat(m, k, t_arr)
-    if np.asarray(t).ndim == 0:
-        return float(out[0])
-    return out
-
-
 def nodes_from_coeffs(coeff_rows: np.ndarray, level: int) -> np.ndarray:
     """Node values at mesh 2**-level for a batch of coefficient rows.
 
-    Midpoint refinement: level-m hats vanish on the level-m grid and
-    contribute their peak at the new midpoints, so each refinement step is
-    an average plus a scaled coefficient, 0.5 * (l + r) + c * peak, built
-    in place in the sum l + r.
+    Midpoint refinement (:func:`_refine`): level-m hats vanish on the
+    level-m grid and contribute their peak at the new midpoints, so each
+    refinement step is an average plus a scaled coefficient,
+    0.5 * (l + r) + c * peak.
     """
     rows = np.atleast_2d(coeff_rows)
-    vals = np.zeros((rows.shape[0], 2), dtype=np.float64)
-    for m in range(level):
-        mids = vals[:, :-1] + vals[:, 1:]
-        mids *= 0.5
-        mids += rows[:, (1 << m) - 1:(1 << (m + 1)) - 1] * _peak(m)
-        vals = _insert_midpoints(vals, mids)
-    return vals
+    return _refine(rows.shape[0], (rows[:, (1 << m) - 1:(2 << m) - 1] * _peak(m) for m in range(level)))
 
 
 def nodes_from_drawn(runs: list, nb: int) -> np.ndarray:
     """Node rows of the nb bridge rows whose runs :func:`gausskl.read_runs`
     read, drawn under the allocation of a level (:func:`allocation_bridge`,
-    counts raised or not): the bytes of
-    ``nodes_from_coeffs(decode_rows(drawn, a, b)[0], level)``, with no
+    counts raised or not): the bytes of ``nodes_from_coeffs`` over the
+    rows' coefficients (``RunDecoder(alloc, alloc)(runs, nb)``), with no
     coefficient rows built.
 
-    Each refinement step is that of nodes_from_coeffs, in the same order,
-    with the hat level's peak-scaled coefficients (:func:`_hat_levels`)
-    added straight into the midpoints.  The list ``runs`` is taken over:
+    The refinement is that of nodes_from_coeffs (:func:`_refine`), fed the
+    hat levels' peak-scaled coefficients straight from the runs
+    (:func:`_hat_levels`).  The list ``runs`` is taken over:
     the fields of its runs that are not byte runs are dropped from it once
     decoded, so a block does not hold them through its refinement (at
     level 13 that raised the peak RSS of ``plain_mc`` by 4 MB).  A coupled
     coarse decode of the same runs (:meth:`mlmc.ExpansionModel.coarsen_rows`)
     comes first.
     """
+    return _refine(nb, _hat_levels(runs, nb))
+
+
+def _refine(nb: int, levels) -> np.ndarray:
+    """The node rows of nb bridge rows at mesh 2**-m after m midpoint
+    refinements of the zero rows on {0, 1}, one per array c * peak that
+    ``levels`` yields for hat levels 0, 1, ...: each step builds
+    0.5 * (l + r) + c * peak in place in the sum l + r."""
     nodes = np.zeros((nb, 2), dtype=np.float64)
-    for added in _hat_levels(runs, nb):
+    for added in levels:
         mids = nodes[:, :-1] + nodes[:, 1:]
         mids *= 0.5
         mids += added
@@ -164,10 +145,11 @@ def _hat_levels(runs: list, nb: int):
     A run of one hat level at p in {2, 4, 8} looks its stream bytes up in a
     byte table pre-scaled by the level's peak (:func:`_byte_table`):
     fl(c * peak) is the same product per table entry as per coefficient.
-    Every other run is decoded whole, as decode_rows decodes it (the runs
-    that are not byte runs in one :func:`normal.grid_normal_runs` call for
-    the block), and scaled one hat level at a time: a run spans whole hat
-    levels, several of them where ``min_bits`` raised their counts to one.
+    Every other run is decoded whole, as :class:`gausskl.RunDecoder`
+    decodes it (the runs that are not byte runs in one
+    :func:`normal.grid_normal_runs` call for the block), and scaled one hat
+    level at a time: a run spans whole hat levels, several of them where
+    ``min_bits`` raised their counts to one.
     """
     decoded = deque(grid_normal_runs([(data, p) for _, _, p, data in runs if 8 % p]))  # each dropped once used
     runs[:] = [(c0, c1, p, data if 8 % p == 0 else None) for c0, c1, p, data in runs]

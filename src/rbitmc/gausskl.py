@@ -6,8 +6,8 @@ coordinates, with polynomially decaying eigenvalues
 or an explicit spectrum that declares such rates (beta, alpha), a
 per-coordinate bit allocation that equalizes the contributions of the
 coefficient errors, coupled coarse/fine sampling of any Gaussian expansion
-(:func:`sample_rows`, :func:`coarsen_rows`; the bridge uses it too), and
-the exact mean-square error of the truncated random-bit expansion.
+(:func:`sample_rows`, :func:`coarsen_rows`), and the exact mean-square
+error of the truncated random-bit expansion.
 
 The shifted logarithm ln(i+1) replaces ln(i) in the analytic eigenvalue
 model so that i = 1 is regular; the decay condition is asymptotic, so any
@@ -142,33 +142,11 @@ class DrawnRows:
 
 def draw_rows(src: BitSource, alloc: BitAllocation, n: int) -> DrawnRows:
     """Draw n rows under ``alloc``; consumes exactly n * |alloc| bits and
-    decodes none of them (:func:`decode_rows`).  An n that is not a
+    decodes none of them (:func:`read_runs` reads them).  An n that is not a
     non-negative integer raises ValueError before the stream moves."""
     check_count("row count n", n, 0)
     words, start = src.take_words(n * alloc.total)
     return DrawnRows(words, start, n, alloc)
-
-
-def decode_rows(drawn: DrawnRows, a: int, b: int, scale: Optional[np.ndarray] = None,
-                width: int = 0, out: Optional[np.ndarray] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Rows a..b (b exclusive) of ``drawn``: (coefficient rows, into ``out``
-    when given; index rows of the first ``width`` columns, None for width 0).
-
-    Coefficient i is scale[i] times the p_i-bit grid normal at its p_i-bit
-    field, which is its index; ``scale=None`` means unit scale.  The block's
-    runs are read once (:func:`read_runs`) and decoded by the
-    :class:`RunDecoder` of ``drawn.alloc`` onto itself: a run at p in
-    {1, 2, 4, 8}, the stream format, looks its stream bytes up in the
-    (256, 8/p) table :func:`normal.grid_normal_byte_table`, and the fields
-    of all other runs go through one :func:`normal.grid_normal_runs` call
-    for the block (at most one ``phi_inv`` call).  The index rows, when
-    asked for, are the fields of the same runs.  Every block of rows gives
-    the values of the whole batch.  A row range outside
-    0 <= a <= b <= drawn.n raises ValueError before any word is read.
-    """
-    runs = read_runs(drawn, a, b)
-    coeffs = RunDecoder(drawn.alloc, drawn.alloc)(runs, b - a, scale, out)
-    return coeffs, _index_rows(runs, b - a, width) if width else None
 
 
 def read_runs(drawn: DrawnRows, a: int, b: int) -> list[tuple[int, int, int, np.ndarray]]:
@@ -181,7 +159,7 @@ def read_runs(drawn: DrawnRows, a: int, b: int) -> list[tuple[int, int, int, np.
     values :func:`bitcore.byte_lookup` finds), their (b - a, c1 - c0) uint64
     p-bit fields at every other p.  This is the one reader of the run
     layout, and one read of a block feeds all its decodes: its coefficient
-    rows (:class:`RunDecoder`, :func:`decode_rows`), the bridge's node rows
+    rows (:class:`RunDecoder`, :func:`sample_rows`), the bridge's node rows
     (:func:`bridge.nodes_from_drawn`) and the coarse rows of a coupled
     level (:meth:`mlmc.ExpansionModel.coarsen_rows`).  A row range outside
     0 <= a <= b <= drawn.n raises ValueError before any word is read.
@@ -201,17 +179,13 @@ def read_runs(drawn: DrawnRows, a: int, b: int) -> list[tuple[int, int, int, np.
     return runs
 
 
-def _index_rows(runs: list, nb: int, width: int) -> np.ndarray:
-    """The (nb, width) uint64 index rows of the first ``width`` columns of
-    the runs :func:`read_runs` read: the p-bit fields of each run, looked up
-    in :func:`bitcore.byte_fields` for a byte run."""
-    idx = np.empty((nb, width), dtype=np.uint64)
+def _index_rows(runs: list, nb: int) -> np.ndarray:
+    """The (nb, dim) uint64 index rows of the runs :func:`read_runs` read,
+    every column: the p-bit fields of each run, looked up in
+    :func:`bitcore.byte_fields` for a byte run."""
+    idx = np.empty((nb, runs[-1][1]), dtype=np.uint64)
     for c0, c1, p, data in runs:
-        k = min(c1, width) - c0  # index columns wanted from the run
-        if k <= 0:
-            break
-        fields = byte_lookup(byte_fields(p), data, nb, c1 - c0) if data.ndim == 1 else data
-        idx[:, c0:c0 + k] = fields[:, :k]
+        idx[:, c0:c1] = byte_lookup(byte_fields(p), data, nb, c1 - c0) if data.ndim == 1 else data
     return idx
 
 
@@ -221,7 +195,7 @@ class RunDecoder:
     rows: coefficient j is the q_j-bit grid normal at the top q_j bits of
     its p_j-bit field, which is the re-truncation f >> (p_j - q_j) of
     :func:`bitcore.truncate_indices`.  With ``coarse`` = ``fine`` it is the
-    decode of the rows themselves (:func:`decode_rows`).
+    decode of the rows themselves (:func:`sample_rows`).
 
     Built once per pair of allocations: the nesting of ``coarse`` in
     ``fine`` is checked, and the columns of ``coarse`` are cut into
@@ -288,16 +262,19 @@ def sample_rows(src: BitSource, alloc: BitAllocation, n: int,
     Draw order: bits are drawn run by run over the maximal runs of equal bit
     count in ``alloc.counts``, left to right; each run is n * (run length)
     p-bit values filling the run's columns row by row.  Exactly n * |alloc|
-    bits are consumed.  The stream is taken once (:func:`draw_rows`) and
-    rows 0..n decoded from it (:func:`decode_rows`), so the (n, len(alloc))
-    rows are held in memory: callers that need only blocks of rows keep the
-    :class:`DrawnRows` and decode those.  The (n, len(alloc)) uint64 index
-    rows are built too; callers that need only the coefficients drop them.
+    bits are consumed.  The stream is taken once (:func:`draw_rows`), its
+    runs are read once (:func:`read_runs`), and rows 0..n are decoded from
+    them by the :class:`RunDecoder` of ``alloc`` onto itself, so the
+    (n, len(alloc)) rows are held in memory: callers that need only blocks
+    of rows keep the :class:`DrawnRows` and decode those.  The
+    (n, len(alloc)) uint64 index rows are the fields of the same runs;
+    callers that need only the coefficients decode the runs themselves.
     A ``scale`` that is not one value per coefficient, and a row count n
     that is not a non-negative integer, are refused before the draw.
     """
     _check_scale(scale, alloc)
-    return decode_rows(draw_rows(src, alloc, n), 0, n, scale, len(alloc))
+    runs = read_runs(draw_rows(src, alloc, n), 0, n)
+    return RunDecoder(alloc, alloc)(runs, n, scale), _index_rows(runs, n)
 
 
 def coarsen_rows(idx_rows: np.ndarray, fine: BitAllocation, coarse: BitAllocation,

@@ -8,18 +8,18 @@ midpoint grid D(p) through the inverse distribution function.  Its support
 
 indexed by the p-bit field f of the draw, is antisymmetric, and all
 second-order error quantities against the exact normal (mean-square gap,
-moments, cross moment) have closed forms per grid cell, which this module evaluates exactly up to floating-point rounding:
-``bit_normal_mse`` gives the mean-square gap alone, ``bit_normal_mse_moments``
-the gap with the moments 2 and 4 from one pass (the only route to the
-moments), and ``bit_normal_cross_moment`` E[Y Y^(p)], the oracle of the
-identity mse = 1 + E|Y^(p)|^2 - 2 E[Y Y^(p)].  ``bit_normal_mse_extended``
-is the mse for every p, the asymptotic surrogate above MSE_EXACT_MAX_P,
-and ``coefficient_error_sq`` the one coefficient-error sum of the
-random-bit expansions (bridge and Karhunen-Loeve).  ``grid_normal_runs``
-is the one route from sampled grid indices to normals, and the one reader
-of GRID_TABLE_MAX_P: cached tables up to it, one ``phi_inv`` call for all
-pairs above it; ``grid_normal_values`` is its one-pair call and
-``grid_normal_byte_table`` the stream-byte table built from it.
+moments) have closed forms per grid cell, which this module evaluates
+exactly up to floating-point rounding: ``bit_normal_mse`` gives the
+mean-square gap alone, and ``bit_normal_mse_moments`` the gap with the
+moments 2 and 4 from one pass (the only route to the moments).
+``bit_normal_mse_extended`` is the mse for every p, the asymptotic
+surrogate above MSE_EXACT_MAX_P, and ``coefficient_error_sq`` the one
+coefficient-error sum of the random-bit expansions (bridge and
+Karhunen-Loeve).  ``grid_normal_runs`` is the one route from sampled grid
+indices to normals, and the one reader of GRID_TABLE_MAX_P: cached tables
+up to it, one ``phi_inv`` call for all pairs above it;
+``grid_normal_values`` is its one-pair call and ``grid_normal_byte_table``
+the stream-byte table built from it.
 
 Private helpers carry every exact enumeration: ``_exact_precision``
 refuses p outside 1..MSE_EXACT_MAX_P, ``_mid_quantiles`` gives the support
@@ -303,9 +303,8 @@ def _sq_error(width, c, pdf_lo, pdf_hi, ypdf_lo, ypdf_hi):
 
 def gaussian_cells(p: int, f0: int, f1: int, c=None):
     """The points c of cells f0 <= f < f1 of the 2**p uniform cells of (0, 1),
-    by default their averages (gaussian_cell_average), and each cell's
-    int (Phi^{-1}(u) - c_f)^2 du (gaussian_cell_sq_error), bit for bit, from
-    one ``phi_inv`` pass over the cells' edges."""
+    by default their averages, and each cell's int (Phi^{-1}(u) - c_f)^2 du,
+    from one ``phi_inv`` pass over the cells' edges."""
     pdf, ypdf = _quantile_density(dyadic_edges(f0, f1, p))
     c = (pdf[:-1] - pdf[1:]) / 2.0 ** -p if c is None else np.asarray(c, dtype=np.float64)
     return c, _sq_error(2.0 ** -p, c, pdf[:-1], pdf[1:], ypdf[:-1], ypdf[1:])
@@ -409,42 +408,6 @@ def coefficient_error_sq(terms) -> float:
     is built.
     """
     return math.fsum(bit_normal_mse_extended(int(p)) * w for p, w in terms)
-
-
-def bit_normal_cross_moment(p: int) -> float:
-    """Exact E[Y * Y^(p)] = sum_f x_f * (phi(y_f) - phi(y_{f+1})), y_f = Phi^{-1}(f 2**-p)."""
-    _exact_precision(p, "cross moment")
-
-    def terms(f0, f1):
-        pdf, _ = _quantile_density(dyadic_edges(f0, f1, p))
-        return (_mid_quantiles(p, f0, f1) * (pdf[:-1] - pdf[1:]),)
-
-    (half,) = _upper_sums(p, terms)
-    return 2.0 * half
-
-
-def gaussian_cell_sq_error(u_lo, u_hi, c):
-    """int_{u_lo}^{u_hi} (Phi^{-1}(u) - c)^2 du in closed form (vectorized).
-
-    u_lo = 0 and u_hi = 1 are admitted as the unbounded edges.
-    """
-    u_lo = np.asarray(u_lo, dtype=np.float64)
-    u_hi = np.asarray(u_hi, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    pdf_lo, ypdf_lo = _quantile_density(u_lo)
-    pdf_hi, ypdf_hi = _quantile_density(u_hi)
-    out = _sq_error(u_hi - u_lo, c, pdf_lo, pdf_hi, ypdf_lo, ypdf_hi)
-    return float(out) if out.ndim == 0 else out
-
-
-def gaussian_cell_average(u_lo, u_hi):
-    """Mean of Phi^{-1} over (u_lo, u_hi) in closed form (vectorized; int y phi = -phi).
-
-    u_lo = 0 and u_hi = 1 are admitted as the unbounded edges.
-    """
-    u_lo = np.asarray(u_lo, dtype=np.float64)
-    u_hi = np.asarray(u_hi, dtype=np.float64)
-    return (_quantile_density(u_lo)[0] - _quantile_density(u_hi)[0]) / (u_hi - u_lo)
 
 
 def checked_quad(f, a: float, b: float, cell: tuple[float, float], **kwargs) -> float:

@@ -34,7 +34,7 @@ from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, check_count
 from .bitcore import truncate_indices  # noqa: F401
 from .bridge import allocation_bridge, allocation_bridge_total, nodes_from_drawn
 from .errors import InternalInvariantError, NumericFailure
-from .gausskl import RunDecoder, draw_rows, read_runs, sample_rows
+from .gausskl import RunDecoder, draw_rows, read_runs
 from .normal import Phi, grid_normal_values
 
 PARENT_BITS = MAX_BITS  # precision of the coupling uniforms in experiments
@@ -130,8 +130,9 @@ def refined_rows(src: BitSource, model: SDEModel, m: int, q: int, level: int, n:
     Node k * 2**level + j of a row is (1 - s) x_k + s x_{k+1} +
     b(x_k) B_k(s) / sqrt(m) with s = j / 2**level, x the row's Milstein
     skeleton and B_k the level-``level`` bridge of step k; the last node is
-    x_m.  Draw order: the n skeleton rows (one :func:`gausskl.sample_rows`
-    call under m q-bit coefficients), then n * m bridge rows under
+    x_m.  Draw order: the n skeleton rows (the rows of one
+    :func:`gausskl.sample_rows` call under m q-bit coefficients, decoded
+    from their runs with no index rows), then n * m bridge rows under
     :func:`bridge.allocation_bridge`, path-major (row i * m + k is step k of
     path i), which go from their drawn words straight to node rows
     (:func:`bridge.nodes_from_drawn`).  Bits = n * sde_bit_cost; m, q,
@@ -140,8 +141,8 @@ def refined_rows(src: BitSource, model: SDEModel, m: int, q: int, level: int, n:
     check_count("n", n, 1)
     expected = n * sde_bit_cost(m, q, level)
     before = src.bits_drawn
-    y, _ = sample_rows(src, BitAllocation(np.full(m, q)), n)
-    x = milstein_rows(model, m, y)
+    skeleton = BitAllocation(np.full(m, q))
+    x = milstein_rows(model, m, RunDecoder(skeleton, skeleton)(read_runs(draw_rows(src, skeleton, n), 0, n), n))
     bridges = draw_rows(src, allocation_bridge(level), n * m)
     used = src.bits_drawn - before
     if used != expected:

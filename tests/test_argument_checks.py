@@ -46,7 +46,6 @@ _SITES = [
      2.5, "runs"),
     ("allocation_bridge.level", lambda v, src: BR.allocation_bridge(v), 2.5, "level"),
     ("allocation_bridge_total.level", lambda v, src: BR.allocation_bridge_total(v), 0, "level"),
-    ("evaluate_coeffs.level", lambda v, src: BR.evaluate_coeffs(np.zeros(3), v, 0.5), 2.0, "level"),
     ("bridge_truncation_error_sq.level", lambda v, src: BR.bridge_truncation_error_sq(v), 2.5, "level"),
     ("bridge_bit_error_sq.level", lambda v, src: BR.bridge_bit_error_sq(v), 2.5, "level"),
     ("precision_sum.level", lambda v, src: BR.precision_sum(v), -1, "level"),

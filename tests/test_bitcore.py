@@ -638,10 +638,6 @@ _UNREAD_PUBLIC = {
     "kl_error_interval": "kl_error_sq with its tail's certified bracket, checked in test_gausskl",
     "plain_mc": "the plain Monte Carlo reference of criterion 7b and of the plain_mc_deep benchmark",
     "bit_normal_support": "the support of the p-bit normal, pinned in test_normal_golden",
-    "bit_normal_cross_moment": "the oracle of the identity mse = 1 + E|Y^(p)|^2 - 2 E[Y Y^(p)]",
-    "gaussian_cell_sq_error": "the per-cell oracle of the chunked cell form normal.gaussian_cells",
-    "gaussian_cell_average": "the per-cell oracle of the chunked cell form normal.gaussian_cells",
-    "evaluate_coeffs": "the lazy per-point oracle of bridge.nodes_from_coeffs, pinned in test_schauder_golden",
 }
 
 
@@ -689,6 +685,46 @@ def test_every_module_constant_is_read():
                        if isinstance(t, ast.Name) and not t.id.startswith("__")
                        and t.id not in loaded and (module, t.id) not in imported and t.id not in attributes]
     assert unread == []
+
+
+# parameters that src/ does not read, each fixed by the call protocol it serves
+_UNREAD_PARAMETERS = {
+    ("cli", "_check_normal_error", "a"): "cli fixture checks take (fixtures, records, typed parameters)",
+    ("cli", "_check_bridge_error", "a"): "cli fixture checks take (fixtures, records, typed parameters)",
+    ("cli", "_check_appendix_ratios", "a"): "cli fixture checks take (fixtures, records, typed parameters)",
+    ("cli", "_MODELS['bridge']", "beta"): "mlmc --model builds a model from (beta, alpha); the bridge's are fixed",
+    ("cli", "_MODELS['bridge']", "alpha"): "mlmc --model builds a model from (beta, alpha); the bridge's are fixed",
+    ("mlmc", "ExpansionModel.scale", "level"): "the unit scale of every level; KLModel.scale reads it",
+    ("mlmc", "KLModel.functional_rows", "level"): "KL rows need no level; BridgeModel.functional_rows reads it",
+}
+
+
+def test_every_parameter_is_read():
+    """The dead-code check for parameters: every parameter of every function,
+    method and lambda of the package (``self`` aside) is read in its body,
+    or is kept in _UNREAD_PARAMETERS because a call protocol fixes it.  A
+    lambda is named by the dict entry that holds it."""
+    unread = set()
+    for path in sorted(Path(__file__).resolve().parents[1].glob("src/rbitmc/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            outer = parents.get(node)
+            if isinstance(node, ast.Lambda):
+                holder = parents.get(outer)
+                key = outer.keys[outer.values.index(node)] if isinstance(outer, ast.Dict) else None
+                name = (f"{holder.targets[0].id}[{key.value!r}]" if isinstance(holder, ast.Assign) and key is not None
+                        else "<lambda>")
+            else:
+                name = f"{outer.name}.{node.name}" if isinstance(outer, ast.ClassDef) else node.name
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *(a for a in (args.vararg, args.kwarg) if a)]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for part in body for n in ast.walk(part) if isinstance(n, ast.Name)}
+            unread |= {(path.stem, name, a.arg) for a in params if a.arg != "self" and a.arg not in read}
+    assert unread == set(_UNREAD_PARAMETERS)
 
 
 def test_export_list_is_the_import_list():

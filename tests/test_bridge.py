@@ -10,7 +10,9 @@ from rbitmc import normal as N
 from rbitmc import sde as S
 from rbitmc.bitcore import BitAllocation, BitSource, dyadic_values
 from rbitmc.errors import CapacityError
-from rbitmc.gausskl import RunDecoder, coarsen_rows, decode_rows, draw_rows, read_runs, sample_rows
+from rbitmc.gausskl import RunDecoder, coarsen_rows, draw_rows, read_runs, sample_rows
+
+from oracles import decode_block, evaluate_coeffs
 
 
 def test_schauder_index_decomposition():
@@ -66,7 +68,7 @@ def test_sample_bridge_bit_accounting():
 def test_bridge_path_endpoints_vanish():
     src = BitSource(4)
     coeffs, _ = sample_rows(src, BR.allocation_bridge(5), 1)
-    assert BR.evaluate_coeffs(coeffs[0], 5, 0.0) == 0.0 and BR.evaluate_coeffs(coeffs[0], 5, 1.0) == 0.0
+    assert evaluate_coeffs(coeffs[0], 5, 0.0) == 0.0 and evaluate_coeffs(coeffs[0], 5, 1.0) == 0.0
     nodes = BR.nodes_from_coeffs(coeffs, 5)[0]
     assert nodes[0] == 0.0 and nodes[-1] == 0.0
 
@@ -75,7 +77,7 @@ def test_node_values_match_direct_sum():
     src = BitSource(42)
     coeffs, _ = sample_rows(src, BR.allocation_bridge(8), 1)
     grid = np.arange(0, (1 << 8) + 1, dtype=np.float64) / (1 << 8)
-    direct = BR.evaluate_coeffs(coeffs[0], 8, grid)
+    direct = evaluate_coeffs(coeffs[0], 8, grid)
     assert np.max(np.abs(direct - BR.nodes_from_coeffs(coeffs, 8)[0])) < 1e-12
 
 
@@ -85,7 +87,17 @@ def test_evaluate_coeffs_takes_one_row_of_the_level(shape):
     IndexError, and a long row was evaluated from its first 2**level - 1
     coefficients."""
     with pytest.raises(ValueError, match="expected one row of 7 coefficients at level 3"):
-        BR.evaluate_coeffs(np.ones(shape), 3, 0.3)
+        evaluate_coeffs(np.ones(shape), 3, 0.3)
+
+
+def test_evaluate_coeffs_refuses_a_level_outside_the_bridge_levels():
+    """The oracle takes the domain 1..MAX_LEVEL of the bridge level
+    functions: a level that is not an integer is refused by name, and a
+    level above the cap as a capacity error."""
+    with pytest.raises(ValueError, match=r"^level must be a positive integer, got 2\.0$"):
+        evaluate_coeffs(np.zeros(3), 2.0, 0.5)
+    with pytest.raises(CapacityError, match="capped"):
+        evaluate_coeffs(np.zeros(7), BR.MAX_LEVEL + 1, 0.5)
 
 
 @settings(max_examples=100, deadline=None)
@@ -96,7 +108,7 @@ def test_nodes_from_coeffs_matches_evaluate_coeffs(level, rows, seed):
     nodes = BR.nodes_from_coeffs(coeffs, level)
     assert nodes.shape == (rows, len(grid))
     for row, got in zip(coeffs, nodes):
-        assert np.max(np.abs(got - BR.evaluate_coeffs(row, level, grid))) < 1e-12
+        assert np.max(np.abs(got - evaluate_coeffs(row, level, grid))) < 1e-12
 
 
 def _nodes_oracle(rows, level):
@@ -144,26 +156,25 @@ def test_in_place_refinement_and_norm_give_the_bytes_of_the_expressions(level, r
 @example(level=2, min_bits=4, n=5, head=7, coarse=True, step=2, seed=4)  # rows of 12 bits in one p = 4 byte run
 def test_nodes_from_drawn_are_the_nodes_of_the_decoded_rows(level, min_bits, n, head, coarse, step, seed):
     """nodes_from_drawn builds no coefficient rows, and gives the bytes of
-    nodes_from_coeffs over decode_rows' coefficient rows for every block of
-    a batch: the blocks of a step (the last one partial), one-row blocks and
-    empty ones, drawn after ``head`` bits so the runs start off byte
-    boundaries, under counts raised to ``min_bits`` (runs over several hat
-    levels).  The same runs, read once, decode to decode_rows' rows and,
-    one level down, to coarsen_rows' rows of decode_rows' index rows of the
-    coarse width; nodes_from_drawn then drops their fields, keeping only
-    the stream bytes of the byte runs."""
+    nodes_from_coeffs over the block's coefficient rows (decode_block, the
+    decode of sample_rows) for every block of a batch: the blocks of a step
+    (the last one partial), one-row blocks and empty ones, drawn after
+    ``head`` bits so the runs start off byte boundaries, under counts raised
+    to ``min_bits`` (runs over several hat levels).  The same runs, read
+    once, decode to those rows and, one level down, to coarsen_rows' rows of
+    the block's index rows; nodes_from_drawn then drops their fields,
+    keeping only the stream bytes of the byte runs."""
     alloc = BitAllocation(np.maximum(BR.allocation_bridge(level).counts, min_bits))
     src = BitSource(seed)
     if head:
         src.draw_bits(head)
     drawn = draw_rows(src, alloc, n)
-    width = (1 << (level - 1)) - 1 if coarse else 0
     step = min(step, n)
     for a, b in [*((a, min(a + step, n)) for a in range(0, n, step)), (n - 1, n), (0, 0), (n, n)]:
-        coeffs, idx = decode_rows(drawn, a, b, None, width)
+        coeffs, idx = decode_block(drawn, a, b)
         runs = read_runs(drawn, a, b)
         assert RunDecoder(alloc, alloc)(runs, b - a).tobytes() == coeffs.tobytes()
-        if idx is not None:
+        if coarse and level > 1:  # level 1 has no level below
             below = BitAllocation(np.maximum(BR.allocation_bridge(level - 1).counts, min_bits))
             assert RunDecoder(alloc, below)(runs, b - a).tobytes() == coarsen_rows(idx, alloc, below)[0].tobytes()
         nodes = BR.nodes_from_drawn(runs, b - a)
@@ -212,7 +223,6 @@ def test_level_cap_applies_to_every_sampler():
     level = BR.MAX_LEVEL + 1
     for call in (lambda: BR.allocation_bridge(level),
                  lambda: BR.allocation_bridge_total(level),
-                 lambda: BR.evaluate_coeffs(np.zeros(7), level, 0.5),
                  lambda: S.refined_rows(BitSource(1), S.geometric_model(0.05, 0.2), 1, 4, level, 1),
                  lambda: BR.bridge_truncation_error_sq(level),
                  lambda: BR.bridge_bit_error_sq(level),

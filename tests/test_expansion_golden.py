@@ -19,6 +19,8 @@ from rbitmc import mlmc as M
 from rbitmc import sde as S
 from rbitmc.bitcore import BitAllocation, BitSource
 
+from oracles import decode_block
+
 SPEC = G.EigenSpec(beta=2.0, alpha=0.0)
 
 
@@ -53,7 +55,7 @@ def _model_rows(model, seed, level, n):
     src = BitSource(seed)
     drawn = model.sample_rows(src, level, n)
     assert src.bits_drawn == n * model.allocation(level).total
-    coeffs, idx = G.decode_rows(drawn, 0, n, model.scale(level), len(drawn.alloc))
+    coeffs, idx = decode_block(drawn, 0, n, model.scale(level))
     coarse_idx = G.coarsen_rows(idx, drawn.alloc, model.allocation(level - 1))[1]
     coarse = (model.coarsen_rows(G.read_runs(drawn, 0, n), level, n), coarse_idx)
     return [d for rows in ((coeffs, idx), coarse) for d in _pair(*rows)]

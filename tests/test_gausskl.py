@@ -17,6 +17,7 @@ from rbitmc.mlmc import KLModel
 from rbitmc.normal import (bit_normal_mse, bit_normal_mse_moments, grid_normal_byte_table, grid_normal_values,
                            phi_inv)
 
+from oracles import decode_block
 from test_wasserstein import w2_empirical
 
 SPEC = G.EigenSpec(beta=2.0, alpha=0.0)
@@ -36,9 +37,9 @@ def _sample_batch(src, m, n):
 @example(counts=[6] * 5 + [2] * 3, n=9, head=0, seed=2)
 @example(counts=[63] * 5, n=7, head=3, seed=3)  # the rows of sde's 63-bit parents
 def test_sample_rows_matches_scalar_draws(counts, n, head, seed):
-    """Both sampling paths give the rows of run-by-run scalar draws; index
-    rows are optional (decode_rows of width 0 builds none) and change
-    nothing else."""
+    """Both sampling paths give the rows of run-by-run scalar draws: the
+    index rows of sample_rows, and its coefficient rows, which the runs of
+    the drawn words decode to with no index rows built."""
     alloc = BitAllocation(np.array(counts))
     srcs = [BitSource(seed) for _ in range(3)]
     for src in srcs:
@@ -50,8 +51,8 @@ def test_sample_rows_matches_scalar_draws(counts, n, head, seed):
         values = [ref.draw_bits(p) for _ in range(n * (b - a))]
         idx_ref[:, a:b] = np.array(values, dtype=np.uint64).reshape(n, b - a)
     coeffs, idx = G.sample_rows(srcs[1], alloc, n)
-    bare, none = G.decode_rows(G.draw_rows(srcs[2], alloc, n), 0, n)
-    assert none is None and idx.dtype == np.uint64
+    bare = G.RunDecoder(alloc, alloc)(G.read_runs(G.draw_rows(srcs[2], alloc, n), 0, n), n)
+    assert isinstance(bare, np.ndarray) and idx.dtype == np.uint64
     assert np.array_equal(idx, idx_ref)
     for j, p in enumerate(alloc.counts):
         assert np.array_equal(coeffs[:, j], grid_normal_values(idx_ref[:, j], int(p)))
@@ -122,11 +123,10 @@ def test_blocked_decode_equals_whole_batch(runs, n, head, seed, data):
     for step in range(1, n + 1):
         for a in range(0, n, step):
             b = min(a + step, n)
-            c, none = G.decode_rows(drawn, a, b, scale)
-            assert none is None and c.tobytes() == coeffs[a:b].tobytes()
-            c, i = G.decode_rows(drawn, a, b, scale, m, buf[:b - a])
+            c = G.RunDecoder(alloc, alloc)(G.read_runs(drawn, a, b), b - a, scale)
+            assert isinstance(c, np.ndarray) and c.tobytes() == coeffs[a:b].tobytes()
+            c, i = decode_block(drawn, a, b, scale, buf[:b - a])
             assert c.tobytes() == coeffs[a:b].tobytes() and np.array_equal(i, idx[a:b])
-            _, i = G.decode_rows(drawn, a, b, scale, m2)
             c, i = G.coarsen_rows(i, alloc, coarse, scale[:m2])
             assert c.tobytes() == coarse_coeffs[a:b].tobytes()
             assert np.array_equal(i, coarse_idx[a:b])
@@ -146,7 +146,7 @@ def test_byte_runs_decode_as_the_fields_of_their_bytes(p, w, n, start, seed, dat
     nb = b - a
     words = np.random.default_rng(seed).integers(0, 2**64, -(-(start + n * w * p) // 64) + 1, dtype=np.uint64)
     drawn = G.DrawnRows(words, start, n, BitAllocation([p] * w))
-    coeffs, idx = G.decode_rows(drawn, a, b, None, w)
+    coeffs, idx = decode_block(drawn, a, b)
     at = start + a * w * p
     codes = read_bytes(words, at, p, nb * w)
     assert len(codes) == -(-nb * w * p // 8)
@@ -162,7 +162,7 @@ def test_top_63_bit_fields_decode_and_coarsen_to_the_mirror_values():
     case) raised "phi_inv requires 0 < u < 1" and give minus the bottom
     values."""
     drawn = G.DrawnRows(np.full(4, 2**64 - 1, dtype=np.uint64), 0, 3, BitAllocation([63]))
-    coeffs, idx = G.decode_rows(drawn, 0, 3, None, 1)
+    coeffs, idx = decode_block(drawn, 0, 3)
     assert np.all(idx == (np.uint64(1) << np.uint64(63)) - np.uint64(1))
     assert np.all(coeffs == -grid_normal_values(np.zeros(3, np.uint64), 63))
     coarse, coarse_idx = G.coarsen_rows(idx, BitAllocation([63]), BitAllocation([53]))
@@ -177,7 +177,7 @@ def test_top_63_bit_fields_decode_and_coarsen_to_the_mirror_values():
     (5, 5, "row start a must be an integer in [0, 4], got 5"),
     (0, 2.0, "row stop b must be an integer in [0, 4], got 2.0"),
 ], ids=["stop-past-the-draw", "stop-before-start", "negative-start", "start-past-the-draw", "float-stop"])
-def test_decode_rows_refuses_a_row_range_outside_the_draw(a, b, message):
+def test_read_runs_refuses_a_row_range_outside_the_draw(a, b, message):
     """Rows 0..9 of 4 drawn rows came back, 5 of them read from other runs'
     bits and the zero pad, and rows 3..1 failed with numpy's "negative
     dimensions are not allowed".  The range is refused before any word is
@@ -185,9 +185,9 @@ def test_decode_rows_refuses_a_row_range_outside_the_draw(a, b, message):
     drawn = G.draw_rows(BitSource(1), allocation_bridge(3), 4)
     for rows in (drawn, G.DrawnRows(None, 0, 4, drawn.alloc)):
         with pytest.raises(ValueError, match=re.escape(message)):
-            G.decode_rows(rows, a, b, None, 7)
-    assert [G.decode_rows(drawn, a, b, None, 7)[1].shape for a, b in ((0, 4), (4, 4), (1, 3))] == [(4, 7), (0, 7),
-                                                                                                  (2, 7)]
+            G.read_runs(rows, a, b)
+    assert [G._index_rows(G.read_runs(drawn, a, b), b - a).shape for a, b in ((0, 4), (4, 4), (1, 3))] == \
+        [(4, 7), (0, 7), (2, 7)]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])

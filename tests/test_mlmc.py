@@ -18,13 +18,15 @@ from rbitmc.errors import CapacityError, ConfigurationError, InternalInvariantEr
 from rbitmc.gausskl import EigenSpec, allocation_kl
 from rbitmc.normal import grid_normal_values
 
+from oracles import decode_block
+
 BRIDGE = M.bridge_model()
 KL_SPEC = EigenSpec(beta=2.0, alpha=0.0)
 
 
 def _decode(model, level, drawn):
     """(coefficient rows, index rows) of every row drawn by ``model.sample_rows``."""
-    return G.decode_rows(drawn, 0, drawn.n, model.scale(level), len(drawn.alloc))
+    return decode_block(drawn, 0, drawn.n, model.scale(level))
 
 
 def _coarsen(model, level, drawn):
@@ -616,7 +618,7 @@ def test_model_coarsening_equals_coarsen_rows_on_fresh_allocations(model_name, b
     fine, coarse = fresh(level), fresh(level - 1)
     scale = None if model_name == "bridge" else np.sqrt(spec.eigenvalues(np.arange(1, len(coarse) + 1)))
     drawn = model.sample_rows(BitSource(seed), level, n)
-    _, idx = G.decode_rows(drawn, 0, n, model.scale(level), len(coarse))
+    _, idx = decode_block(drawn, 0, n, model.scale(level))
     want_coeffs, want_idx = G.coarsen_rows(idx, fine, coarse, scale)
     runs = G.read_runs(drawn, 0, n)
     for _ in range(2):  # the second call reuses the cached allocations, decoder and scale
@@ -651,7 +653,7 @@ def test_model_coarsening_truncates_byte_runs(p, q):
     src.draw_bits(3)
     drawn = G.draw_rows(src, model.allocation(2), 11)
     for a, b in ((0, 11), (1, 4), (5, 6), (7, 7)):
-        _, idx = G.decode_rows(drawn, a, b, None, len(coarse))
+        _, idx = decode_block(drawn, a, b)
         want, want_idx = G.coarsen_rows(idx, BitAllocation(fine), BitAllocation(coarse))
         assert model.coarsen_rows(G.read_runs(drawn, a, b), 2, b - a).tobytes() == want.tobytes(), (a, b)
         assert want.tobytes() == np.stack([grid_normal_values(want_idx[:, j], c) for j, c in enumerate(coarse)],

@@ -15,6 +15,8 @@ from rbitmc.bitcore import BitAllocation, BitSource, dyadic_edges, dyadic_values
 from rbitmc.errors import CapacityError
 from rbitmc.gausskl import sample_rows
 
+from oracles import bit_normal_cross_moment, gaussian_cell_average, gaussian_cell_sq_error
+
 mp.mp.dps = 40
 
 
@@ -282,7 +284,7 @@ def test_mse_monotone_decreasing():
 @pytest.mark.parametrize("p", [4, 8, 12, 16])
 def test_mse_cross_moment_identity(p):
     mse, m2, _ = N.bit_normal_mse_moments(p)
-    ident = 1.0 + m2 - 2.0 * N.bit_normal_cross_moment(p)
+    ident = 1.0 + m2 - 2.0 * bit_normal_cross_moment(p)
     assert abs(mse - ident) <= 1e-10 * mse
 
 
@@ -302,7 +304,7 @@ def test_mse_capacity_and_surrogate():
 
 @pytest.mark.parametrize("enumerate_cells", [
     N.bit_normal_support, N.bit_normal_mse, N.bit_normal_mse_moments,
-    N.bit_normal_cross_moment, lambda p: N.optimal_points(W.standard_normal_spec(), p),
+    bit_normal_cross_moment, lambda p: N.optimal_points(W.standard_normal_spec(), p),
     lambda p: W.rbit_error(W.standard_normal_spec(), p),
 ], ids=["support", "mse", "mse_moments", "cross_moment", "optimal_points", "rbit_error"])
 def test_exact_enumerations_check_the_precision(enumerate_cells):
@@ -316,12 +318,12 @@ def test_exact_enumerations_check_the_precision(enumerate_cells):
 def test_gaussian_cell_average_matches_quadrature():
     lo = np.array([0.0, 0.1, 0.5, 0.75])
     hi = np.array([0.25, 0.3, 0.625, 1.0])
-    got = N.gaussian_cell_average(lo, hi)
+    got = gaussian_cell_average(lo, hi)
     for a, b, g in zip(lo, hi, got):
         want = quad(N.phi_inv, a, b, epsabs=0.0, epsrel=1e-12)[0] / (b - a)
         assert abs(g - want) <= 1e-10 * abs(want)
-    assert N.gaussian_cell_average(0.0, 1.0) == 0.0
-    assert N.gaussian_cell_average(0.0, 0.5) == -N.gaussian_cell_average(0.5, 1.0)
+    assert gaussian_cell_average(0.0, 1.0) == 0.0
+    assert gaussian_cell_average(0.0, 0.5) == -gaussian_cell_average(0.5, 1.0)
 
 
 @pytest.mark.parametrize("p", range(0, 13))
@@ -349,11 +351,11 @@ def test_grid_closed_forms_match_cell_forms(p):
     lo = np.arange(0, n, dtype=np.float64) / n
     hi = np.arange(1, n + 1, dtype=np.float64) / n
     avg, sq = N.gaussian_cells(p, 0, n)
-    assert avg.tobytes() == N.gaussian_cell_average(lo, hi).tobytes()
-    assert sq.tobytes() == N.gaussian_cell_sq_error(lo, hi, avg).tobytes()
+    assert avg.tobytes() == gaussian_cell_average(lo, hi).tobytes()
+    assert sq.tobytes() == gaussian_cell_sq_error(lo, hi, avg).tobytes()
     c = avg * 1.01 + 0.125
     sq_c = N.gaussian_cells(p, 0, n, c)[1]
-    assert sq_c.tobytes() == N.gaussian_cell_sq_error(lo, hi, c).tobytes()
+    assert sq_c.tobytes() == gaussian_cell_sq_error(lo, hi, c).tobytes()
     f0, f1 = n // 3, n - n // 5
     assert [a.tobytes() for a in N.gaussian_cells(p, f0, f1)] == [avg[f0:f1].tobytes(), sq[f0:f1].tobytes()]
     assert N.gaussian_cells(p, f0, f1, c[f0:f1])[1].tobytes() == sq_c[f0:f1].tobytes()

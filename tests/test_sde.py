@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from rbitmc import bitcore
 from rbitmc import bridge as BR
+from rbitmc import gausskl as G
 from rbitmc import normal as N
 from rbitmc import sde as S
 from rbitmc.bitcore import BitAllocation, BitSource, dyadic_values, truncate_indices
@@ -19,6 +20,8 @@ from rbitmc.cli import load_fixtures
 from rbitmc.errors import CapacityError, InternalInvariantError, NumericFailure
 from rbitmc.gausskl import sample_rows
 from rbitmc.normal import bit_normal_mse, grid_normal_values, phi_inv
+
+from oracles import evaluate_coeffs
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures", "acceptance.txt")
 GM = S.geometric_model(0.05, 0.2, 1.0)
@@ -207,7 +210,7 @@ def test_refined_path_additive_closed_form():
     for i in range(n):
         for k in range(m):
             lin = (1 - s) * skeleton[i, k] + s * skeleton[i, k + 1]
-            bridge = BR.evaluate_coeffs(coeffs[i, k], level, s)
+            bridge = evaluate_coeffs(coeffs[i, k], level, s)
             assert np.allclose(rows[i, 8 * k:8 * k + 8], lin + bridge / math.sqrt(m), atol=1e-14)
 
 
@@ -226,7 +229,7 @@ def test_refined_rows_are_the_skeleton_chords_plus_bridges(m, q, level, n, seed)
     for i in range(n):
         for k in range(m):
             x0, x1 = skeleton[i, k], skeleton[i, k + 1]
-            want = (1 - s) * x0 + s * x1 + GM.diffusion(x0) * BR.evaluate_coeffs(coeffs[i, k], level, s) / math.sqrt(m)
+            want = (1 - s) * x0 + s * x1 + GM.diffusion(x0) * evaluate_coeffs(coeffs[i, k], level, s) / math.sqrt(m)
             assert np.max(np.abs(rows[i, k * h + 1:(k + 1) * h] - want)) <= 1e-13
 
 
@@ -248,6 +251,20 @@ def test_refined_rows_golden(case):
     assert rows.shape == (n, m * (1 << level) + 1)
     assert hashlib.sha256(rows.tobytes()).hexdigest() == REFINED_ROWS[case]
     assert src.bits_drawn == 3 + n * S.sde_bit_cost(m, q, level)
+
+
+def test_refined_rows_build_no_index_rows(monkeypatch):
+    """The skeleton is decoded straight from its runs: refined_rows built
+    the (n, m) uint64 index rows of sample_rows and dropped them."""
+    calls = []
+    index_rows = G._index_rows
+    monkeypatch.setattr(G, "_index_rows", lambda *args: calls.append(args) or index_rows(*args))
+    case = (4, 8, 3, 5)
+    src = BitSource(300 + sum(case))
+    src.draw_bits(3)
+    rows = S.refined_rows(src, GM, *case)
+    assert calls == []
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == REFINED_ROWS[case]
 
 
 @pytest.mark.parametrize("n", [0, -1, 2.5])
