@@ -48,10 +48,11 @@ _SUM_HIGH = np.int64(-1 << 26)  # clears the low 26 mantissa bits of a float64's
 
 def check_count(name: str, value, lo: int, hi: int | None = None) -> None:
     """Refuse a count ``value`` that is not an int or np.integer in [lo, hi]
-    (no top when hi is None, where lo is 0 or 1) with ValueError naming it;
-    the one integer check of the package, run before anything is drawn or
-    built."""
-    if isinstance(value, (int, np.integer)) and lo <= value and (hi is None or value <= hi):
+    (no top when hi is None, where lo is 0 or 1), or is a bool, with
+    ValueError naming it; the one integer check of the package, run before
+    anything is drawn or built."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and lo <= value and (hi is None or value <= hi)):
         return
     what = (f"an integer in [{lo}, {hi}]" if hi is not None
             else "a positive integer" if lo == 1 else "a non-negative integer")

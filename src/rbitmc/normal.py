@@ -37,8 +37,11 @@ of a range of cells against any points (``_mid_terms`` is its call at the
 midpoints) or against the cells' averages, the normal law's cells in the
 W2 tables of ``wasserstein1d``; those walk the same chunks through
 ``law_cells``, from which ``optimal_points`` fills its output.
-``phi_inv`` itself runs in blocks of 2**14 points, which keep its
-temporaries in cache.
+``phi_inv`` itself runs in blocks of 2**14 points through scratch buffers
+allocated once per call, which stay in cache, and writes into ``out``
+(which may be its input) when given one: ``grid_normal_runs`` and
+``_quantile_density`` overwrite the midpoint and edge arrays they own with
+their quantiles.
 """
 
 from __future__ import annotations
@@ -102,63 +105,118 @@ _ACK_SPLIT = 0.02425
 _HALLEY_STEPS = 2
 
 
-def _acklam_low(u: np.ndarray) -> np.ndarray:
-    # u in (0, 0.5]; returns y <= 0.  The central rational runs on the whole
-    # block (its denominator stays above 1.1e-4 for r in [0, 0.25]) and the
-    # tail cells are overwritten.
+def _halley_low(u: np.ndarray, y: np.ndarray, t=None, s=None) -> np.ndarray:
+    """The Halley steps on Phi(y) = u, u in (0, 0.5], in place on y, which
+    is returned; t and s are scratch arrays of y's size (allocated when not
+    given).  Phi is evaluated through erfc so the residual stays relatively
+    accurate down to the smallest cells.  Each step is
+    y - r / (1 + 0.5 y r) with r = (0.5 erfc(-y / sqrt 2) - u) / phi(y),
+    every operation in that order."""
+    t = np.empty_like(y) if t is None else t
+    s = np.empty_like(y) if s is None else s
+    for _ in range(_HALLEY_STEPS):
+        np.negative(y, out=t)
+        t /= SQRT_2
+        _erfc(t, out=t)
+        np.multiply(0.5, t, out=t)
+        t -= u  # f
+        np.multiply(-0.5, y, out=s)
+        s *= y
+        np.exp(s, out=s)
+        np.multiply(INV_SQRT_2PI, s, out=s)
+        t /= s  # r
+        np.multiply(0.5, y, out=s)
+        s *= t
+        np.add(1.0, s, out=s)
+        np.divide(t, s, out=s)
+        y -= s
+    return y
+
+
+def _phi_inv_block(u, y, low, t, s, upper, tail) -> None:
+    """phi_inv of the block u into y (which may be u itself), through the
+    scratch arrays low, t, s (float64) and upper, tail (bool) of its size.
+
+    Each operation writes into a buffer, in the order of the expressions:
+    fold u to low = min(u, 1 - u) (positive throughout exactly when
+    0 < u < 1); read the sign mask u > 0.5 before y is written; start from
+    Acklam's central rational num(r) q / den(r), q = low - 0.5, r = q * q,
+    on the whole block (its denominator stays above 1.1e-4 for r in
+    [0, 0.25]), overwriting the tail cells low < _ACK_SPLIT with the tail
+    rational; refine by the Halley steps of :func:`_halley_low`; negate
+    the upper half.
+    """
     a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-    q = u - 0.5
-    r = q * q
-    num = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-    den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    y = num / den
-    tail = u < _ACK_SPLIT
-    if np.any(tail):
-        q = np.sqrt(-2.0 * np.log(u[tail]))
+    np.subtract(1.0, u, out=low)
+    np.minimum(u, low, out=low)
+    if not np.greater(low, 0.0, out=upper).all():  # NaN fails too
+        raise ValueError("phi_inv requires 0 < u < 1")
+    np.greater(u, 0.5, out=upper)
+    np.subtract(low, 0.5, out=s)  # q
+    np.multiply(s, s, out=t)  # r
+    np.multiply(a[0], t, out=y)
+    for k in range(1, 5):
+        y += a[k]
+        y *= t
+    y += a[5]
+    y *= s
+    np.multiply(b[0], t, out=s)
+    for k in range(1, 5):
+        s += b[k]
+        s *= t
+    s += 1.0
+    y /= s
+    if np.less(low, _ACK_SPLIT, out=tail).any():
+        q = np.sqrt(-2.0 * np.log(low[tail]))
         num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
         den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
         y[tail] = num / den
-    return y
+    _halley_low(low, y, t, s)
+    np.negative(y, out=y, where=upper)
 
 
-def _halley_low(u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Solve Phi(y) = u for u in (0, 0.5]; Phi is evaluated through erfc so
-    # the residual stays relatively accurate down to the smallest cells.
-    for _ in range(_HALLEY_STEPS):
-        f = 0.5 * _erfc(-y / SQRT_2) - u
-        r = f / (INV_SQRT_2PI * np.exp(-0.5 * y * y))
-        y = y - r / (1.0 + 0.5 * y * r)
-    return y
-
-
-def phi_inv(u):
+def phi_inv(u, out=None):
     """Inverse of Phi on (0, 1), elementwise over an array of any shape.
 
     Antisymmetry phi_inv(1 - u) = -phi_inv(u) holds exactly by construction:
     arguments above one half are mapped by u -> 1 - u, which is exact in
     binary floating point on (1/2, 1).  For |u| or |1 - u| below 2**-63 use
     :func:`phi_inv_tail` instead.  The points are taken in blocks of
-    2**14; every step is elementwise, so the blocking changes no value.
-    A point outside 0 < u < 1, NaN included, raises ValueError.  The grid
-    samplers reach it through :func:`grid_normal_runs`, one call per block
-    of decoded or coarsened rows for all its runs above GRID_TABLE_MAX_P,
-    as each call pays a fixed numpy overhead of some ten array passes
-    however few its points.
+    2**14, through scratch buffers allocated once per call; every step is
+    elementwise, so the blocking changes no value.
+
+    ``out``, when given, receives the values and is returned: a writable
+    C-contiguous float64 array of u's shape, which may be u itself (then u
+    is overwritten; each block's sign is read before its values are
+    written) but must not overlap it otherwise.  Any other ``out`` raises
+    ValueError before anything is written.  A point outside 0 < u < 1, NaN
+    included, raises ValueError; the blocks before its own are then already
+    written to ``out``.  The grid samplers reach it through
+    :func:`grid_normal_runs`, one call per block of decoded or coarsened
+    rows for all its runs above GRID_TABLE_MAX_P, as each call pays a fixed
+    cost of about 30 us however few its points (against 0.7 ms for a block
+    of 2**14).
     """
     arr = np.asarray(u, dtype=np.float64)
-    flat = arr.ravel()
-    y = np.empty(flat.shape)
+    if out is None:
+        y = np.empty(arr.shape)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == arr.shape
+              and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"phi_inv out must be a writable C-contiguous float64 array of shape {arr.shape}")
+    elif np.may_share_memory(arr, out) and not (arr.flags.c_contiguous and arr.ctypes.data == out.ctypes.data):
+        raise ValueError("phi_inv out must be u itself or not overlap it")
+    else:
+        y = out
+    flat, flat_y = arr.reshape(-1), y.reshape(-1)
+    size = min(flat.size, _PHI_INV_BLOCK)
+    low, t, s = np.empty(size), np.empty(size), np.empty(size)
+    upper, tail = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     for a in range(0, flat.size, _PHI_INV_BLOCK):
-        u_blk = flat[a:a + _PHI_INV_BLOCK]
-        if not np.all((u_blk > 0.0) & (u_blk < 1.0)):  # NaN fails both
-            raise ValueError("phi_inv requires 0 < u < 1")
-        low = np.minimum(u_blk, 1.0 - u_blk)
-        y_blk = _halley_low(low, _acklam_low(low))
-        np.negative(y_blk, out=y_blk, where=u_blk > 0.5)
-        y[a:a + _PHI_INV_BLOCK] = y_blk
-    if arr.ndim == 0:
-        return float(y[0])
-    return y.reshape(arr.shape)
+        n = min(_PHI_INV_BLOCK, flat.size - a)
+        _phi_inv_block(flat[a:a + n], flat_y[a:a + n], low[:n], t[:n], s[:n], upper[:n], tail[:n])
+    if out is None and arr.ndim == 0:
+        return float(y)
+    return y
 
 
 def phi_inv_tail(t: float) -> float:
@@ -192,7 +250,11 @@ def phi_inv_tail(t: float) -> float:
 
 def _mid_quantiles(p: int, f0: int, f1: int) -> np.ndarray:
     """Support points x_f of the p-bit normal for cells f0 <= f < f1 (p <= 26,
-    so every midpoint is below 1; the field arange is freed before phi_inv)."""
+    so every midpoint is below 1; the field arange is freed before phi_inv).
+    The quantiles go to a new array, not over the midpoints: the fields and
+    midpoints set the peak either way, and a grid table built over its
+    midpoints left later level-13 bridge batches 2 MB more peak RSS under
+    glibc's malloc."""
     return phi_inv(dyadic_values(np.arange(f0, f1), p))
 
 
@@ -248,7 +310,8 @@ def grid_normal_runs(runs) -> list[np.ndarray]:
         off += u.size
     if deep:
         us = [out[k] for k in deep]
-        flat = np.asarray(phi_inv(us[0] if len(us) == 1 else np.concatenate([u.reshape(-1) for u in us]))).reshape(-1)
+        flat = us[0].reshape(-1) if len(us) == 1 else np.concatenate([u.reshape(-1) for u in us])
+        phi_inv(flat, out=flat)
         if flips:
             at = np.concatenate(flips)
             flat[at] = -flat[at]
@@ -290,7 +353,9 @@ def grid_normal_byte_table(p: int, q: int) -> np.ndarray:
 def _quantile_density(u):
     """phi(y) and y * phi(y) at y = Phi^{-1}(u); both are 0 at the infinite edges u = 0, 1."""
     interior = (u > 0.0) & (u < 1.0)
-    y = np.where(interior, phi_inv(np.where(interior, u, 0.5)), 0.0)
+    y = np.where(interior, u, 0.5)
+    phi_inv(y, out=y)
+    y[~interior] = 0.0
     pdf = np.where(interior, INV_SQRT_2PI * np.exp(-0.5 * y * y), 0.0)
     return pdf, y * pdf
 

@@ -14,7 +14,11 @@ too: :func:`refined_rows` returns its values on the nodes of the mesh
 (:func:`strong_error_experiment`) holds its increments step-major, the layout
 the recursion runs on, and decodes them in blocks of steps on min(2, usable
 CPUs) threads (:func:`bitcore.run_blocks`), the q-bit increments straight
-from the parents' fields (:class:`gausskl.RunDecoder`).
+from the parents' fields (:class:`gausskl.RunDecoder`).  With an exact
+reference it holds three (m, reps) float64 arrays at once and its tail
+allocates no other: the Brownian path is summed into the parents' buffer,
+which is dropped once the model has built its reference from it, and the
+error is formed in the Milstein path's buffer.
 
 Coefficients are assumed differentiable with bounded, Lipschitz continuous
 derivatives (a caller obligation; it cannot be checked at runtime), and
@@ -64,9 +68,14 @@ def geometric_model(mu: float, sigma: float, x0: float = 1.0) -> SDEModel:
         raise ValueError("geometric model requires sigma != 0 and x0 != 0")
 
     def exact(t_grid, w_grid):
+        # x0 * exp(drift * t + sigma * w), built in one array
         t = np.asarray(t_grid, dtype=np.float64)
         w = np.asarray(w_grid, dtype=np.float64)
-        return x0 * np.exp((mu - 0.5 * sigma * sigma) * t + sigma * w)
+        out = np.multiply(sigma, w, out=np.empty(np.broadcast_shapes(t.shape, w.shape)))
+        out += (mu - 0.5 * sigma * sigma) * t
+        np.exp(out, out=out)
+        out *= x0
+        return out
 
     return SDEModel(
         drift=lambda x: mu * x,
@@ -214,7 +223,15 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     flight holding at most _BLOCK_BYTES (1 MiB) of uint64 fields, at least
     one step each.  So besides the increments, the decode holds one batch
     of words and the blocks in flight.  Neither the batches, the blocks nor
-    the threads change a value or a bit count.  The ledger's bits are what the run's source counted: |p|
+    the threads change a value or a bit count.  With the exact reference
+    the run holds three (m, reps) float64 arrays at once: the parent
+    normals and the q-bit increments while decoding; then the parents'
+    cumulative sum, scaled in their own buffer to the Brownian path, the
+    increments and the model's reference, built from that path; then, the
+    path's buffer dropped, the increments, the reference and the Milstein
+    path, in whose buffer |ref - bit| is formed.  The model's array is
+    never written, so it may be read-only or a view of its w argument.
+    The ledger's bits are what the run's source counted: |p|
     of every step row, PARENT_BITS * reps (53 * reps per fine step).  A
     reference that is not finite raises NumericFailure, as a non-finite
     Milstein state does.
@@ -227,10 +244,12 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
         y = np.empty((m, reps), dtype=np.float64)
         yq = np.empty((m, reps), dtype=np.float64)
         _decode_steps(src, BitAllocation(np.full(reps, PARENT_BITS)), y, BitAllocation(np.full(reps, q)), yq)
-        w = np.cumsum(y, axis=0) / math.sqrt(m)
+        np.cumsum(y, axis=0, out=y)  # the Brownian path, in the parents' buffer
+        y /= math.sqrt(m)
         t = np.arange(1, m + 1, dtype=np.float64) / m
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-            ref = model.exact_strong_solution(t, w.T)
+            ref = model.exact_strong_solution(t, y.T)
+        del y  # the tail reads only the model's array from here on
         if not np.all(np.isfinite(ref)):
             raise NumericFailure("non-finite exact reference solution")
         yq = yq.T
@@ -247,5 +266,6 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     ledger.bits = src.bits_drawn
     bit = milstein_rows(model, m, yq)[:, 1:]
     ledger.coeff_ops += m * reps
-    err = np.max(np.abs(ref - bit), axis=1)
+    diff = np.subtract(ref, bit, out=bit)  # into the path's own buffer: ref may be read-only, or a view
+    err = np.max(np.abs(diff, out=diff), axis=1)
     return float(np.sqrt(np.mean(err * err))), ledger

@@ -99,7 +99,18 @@ def test_every_site_refuses_a_bad_argument_by_name(call, value, name, monkeypatc
 def test_numpy_integer_counts_are_counts():
     """np.int64 counts, as numpy arithmetic gives them, pass every count check
     and give what the same Python ints give (draw_bits, take_words and so
-    sample_rows raised OverflowError on them, after the words were taken)."""
+    sample_rows raised OverflowError on them, after the words were taken).
+    A bool is not a count: strong_error_experiment failed on m or reps True
+    with a bare TypeError, and the other sites below took True as 1."""
+    bool_sites = [("m", lambda: S.strong_error_experiment(GM, True, 8, 5, 1)),
+                  ("reps", lambda: S.strong_error_experiment(GM, 4, 8, True, 1)),
+                  ("m", lambda: S.milstein_rows(GM, True, np.zeros((1, 1)))),
+                  ("n", lambda: M.plain_mc(NORM, M.bridge_model(), 3, True, BitSource(2))),
+                  ("level", lambda: BR.allocation_bridge(True)),
+                  ("seed", lambda: BitSource(True))]
+    for name, call in bool_sites:
+        with pytest.raises(ValueError, match=f"^{name} must be a (positive|non-negative) integer, got True$"):
+            call()
     i64 = np.int64
     assert BitSource(1).draw_bits(i64(5)) == BitSource(1).draw_bits(5)
     assert BitSource(1).draw_bits_array(i64(5), i64(4)).tolist() == BitSource(1).draw_bits_array(5, 4).tolist()

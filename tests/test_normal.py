@@ -211,6 +211,73 @@ def test_phi_inv_block_body_is_the_select_form_byte_for_byte(p, fields, edges):
     assert N.phi_inv(u).tobytes() == _select_block_body(u).tobytes()
 
 
+def _kernel_points():
+    """block + 1 points over both halves of (0, 1) and both tails beyond
+    _ACK_SPLIT, followed by the _PHI_INV_EDGES."""
+    block = N._PHI_INV_BLOCK
+    rng = np.random.default_rng(5)
+    us = rng.uniform(0.0, 1.0, block + 1)
+    quarter = (block + 1) // 4
+    us[:quarter] = N._ACK_SPLIT * 2.0 ** -rng.uniform(0.0, 60.0, quarter)
+    us[quarter:2 * quarter] = 1.0 - N._ACK_SPLIT * 2.0 ** -rng.uniform(0.0, 40.0, quarter)
+    return np.concatenate([us[rng.permutation(block + 1)], _PHI_INV_EDGES])
+
+
+def test_phi_inv_in_place_is_the_out_of_place_bytes():
+    """phi_inv(u, out=u) overwrites u with the bytes of phi_inv(u), at block - 1,
+    block and block + 1 points, on a 2-d input straddling a block boundary and
+    on the edges alone; a separate out gets the same bytes, and phi_inv(u)
+    leaves u as it was."""
+    block = N._PHI_INV_BLOCK
+    points = _kernel_points()
+    assert np.all((points > 0.0) & (points < 1.0))
+    for part in (points < N._ACK_SPLIT, points > 1.0 - N._ACK_SPLIT, (points > 0.25) & (points < 0.5),
+                 (points > 0.5) & (points < 0.75)):
+        assert part[:block - 1].any()
+    for u in (points[:block - 1], points[:block], points[:block + 1], points[-len(_PHI_INV_EDGES):],
+              points[:5 * 3277].reshape(5, 3277)):
+        kept = u.copy()
+        want = N.phi_inv(u)
+        assert u.tobytes() == kept.tobytes()
+        out = np.full_like(u, np.nan)
+        assert N.phi_inv(u, out=out) is out and out.tobytes() == want.tobytes()
+        u = u.copy()
+        assert N.phi_inv(u, out=u) is u and u.tobytes() == want.tobytes()
+    zero_d = np.array(0.3)
+    assert N.phi_inv(zero_d, out=zero_d) is zero_d and float(zero_d) == N.phi_inv(0.3)
+
+
+def _read_only(n):
+    out = np.zeros(n)
+    out.flags.writeable = False
+    return out
+
+
+# each builds a bad out for the 10 points backing[:10] of a 12-point array
+_BAD_OUTS = {
+    "list": lambda backing: [0.0] * 10,
+    "float32": lambda backing: np.zeros(10, dtype=np.float32),
+    "shape": lambda backing: np.zeros(11),
+    "strided": lambda backing: np.zeros(20)[::2],
+    "read_only": lambda backing: _read_only(10),
+    "overlap": lambda backing: backing[2:],
+}
+
+
+@pytest.mark.parametrize("kind", list(_BAD_OUTS))
+def test_phi_inv_refuses_a_bad_out_before_writing(kind):
+    """An out that is not a writable C-contiguous float64 array of u's shape,
+    or that overlaps u without being u, raises ValueError and nothing is
+    written, neither to out nor to u."""
+    backing = np.linspace(0.1, 0.9, 12)
+    u, out = backing[:10], _BAD_OUTS[kind](backing)
+    kept_u, kept_out = u.copy(), np.array(out, copy=True)
+    with pytest.raises(ValueError, match="^phi_inv out must be"):
+        N.phi_inv(u, out=out)
+    assert u.tobytes() == kept_u.tobytes()
+    assert np.asarray(out).tobytes() == kept_out.tobytes()
+
+
 def test_phi_inv_tail_values():
     assert N.phi_inv_tail(1.0) == 0.0
     assert abs(N.phi_inv_tail(2.0) - 0.6744897501960817) < 1e-14

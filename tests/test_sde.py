@@ -519,3 +519,57 @@ def test_overflowing_exact_reference_raises():
     wrote rms_error inf with a numpy RuntimeWarning (an error in this suite)."""
     with pytest.raises(NumericFailure, match="non-finite exact reference"):
         S.strong_error_experiment(S.geometric_model(800.0, 0.2, 1.0), 2, 52, 3, 0)
+
+
+def _watched_model(case, returned):
+    """GM with a read-only exact solution, or the additive model from 0, whose
+    exact solution X = W returns a view of its w argument; each call records
+    the array it returned and a copy of it."""
+    def read_only(t, w):
+        ref = GM.exact_strong_solution(t, w)
+        ref.flags.writeable = False
+        returned.append((ref, ref.copy()))
+        return ref
+
+    def view_of_w(t, w):
+        ref = w[:, :]
+        assert np.shares_memory(ref, w)
+        returned.append((ref, ref.copy()))
+        return ref
+
+    if case == "read_only":
+        return dataclasses.replace(GM, exact_strong_solution=read_only)
+    return dataclasses.replace(additive_model(), exact_strong_solution=view_of_w)
+
+
+@pytest.mark.parametrize("case, rms_hex", [("read_only", "0x1.48837ef113512p-8"),
+                                           ("view_of_w", "0x1.aa1a598d84c7bp-6")])
+def test_strong_error_tail_never_writes_the_models_array(case, rms_hex):
+    """|ref - bit| is formed in the Milstein path's own buffer, never in the
+    array the model returned: a read-only reference and a view of the
+    Brownian path give the rms of the out-of-place tail, bit for bit, and
+    keep their values."""
+    returned = []
+    rms, _ = S.strong_error_experiment(_watched_model(case, returned), 64, 8, 50, 7)
+    assert float.hex(rms) == rms_hex
+    ((ref, copy),) = returned
+    assert ref.tobytes() == copy.tobytes()
+
+
+def test_strong_error_tail_holds_three_step_arrays():
+    """One m = 1024, 1000-replication run holds the parents (then the Brownian
+    path), the q-bit increments, the reference and the Milstein path, three
+    (m, reps) float64 arrays of 7.8 MiB at a time, besides the decode's
+    batch of words and blocks: its tracemalloc peak is about 24.5 MiB, where
+    the tail's temporaries (cumsum, its scaling, the reference's terms,
+    ref - bit and its abs) made it 54.7 MiB."""
+    import tracemalloc
+
+    S.strong_error_experiment(GM, 16, 52, 1000, 1)  # builds the decode's cached tables
+    tracemalloc.start()
+    try:
+        S.strong_error_experiment(GM, 1024, 52, 1000, 1234)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
