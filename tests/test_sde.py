@@ -344,6 +344,47 @@ def test_strong_error_golden_values(m, q, reps, seed, reference, rms_hex, bits):
     assert ledger.bits == bits
 
 
+def batch_bytes(model, reps, steps):
+    """The smallest _BATCH_BYTES that holds ``steps`` steps of the scheme:
+    63-bit parents per step, or 64 fine steps of 53-bit parents each."""
+    bits = S.PARENT_BITS if model.exact_strong_solution is not None else S.FINE_FACTOR * 53
+    return -(-steps * bits * reps // 8)
+
+
+# (reference, m, q) -> (float.hex of the rms, ledger bits) at 5 replications, seed 40 + m + q
+STRONG_ERROR_PINS = {
+    ("exact", 1, 8): ("0x1.2c0c8cf86c32fp-7", 315),
+    ("exact", 1, 52): ("0x1.0d4868538ca88p-6", 315),
+    ("exact", 3, 8): ("0x1.98e302316e965p-9", 945),
+    ("exact", 3, 52): ("0x1.84194704d4d12p-8", 945),
+    ("exact", 16, 8): ("0x1.921b7f440cfe2p-10", 5040),
+    ("exact", 16, 52): ("0x1.16e275ecc652ep-11", 5040),
+    ("exact", 130, 8): ("0x1.38b80030c5fadp-7", 40950),
+    ("exact", 130, 52): ("0x1.c0f978adc39e2p-14", 40950),
+    ("fine", 1, 8): ("0x1.59b67b3701910p-7", 16960),
+    ("fine", 1, 52): ("0x1.4e0dc607d95a1p-8", 16960),
+    ("fine", 3, 8): ("0x1.d8e5be6e1c639p-9", 50880),
+    ("fine", 3, 52): ("0x1.e14d755388f4bp-9", 50880),
+    ("fine", 16, 8): ("0x1.e8bff2fff6a18p-9", 271360),
+    ("fine", 16, 52): ("0x1.1170e6f35135cp-11", 271360),
+    ("fine", 130, 8): ("0x1.6907121b118a0p-9", 2204800),
+    ("fine", 130, 52): ("0x1.579e688316f7cp-14", 2204800),
+}
+
+
+@pytest.mark.parametrize("batch", [None, 1, 3])
+@pytest.mark.parametrize("case", sorted(STRONG_ERROR_PINS), ids=lambda case: "{}-m{}-q{}".format(*case))
+def test_strong_error_pins_hold_at_every_batch_size(case, batch, monkeypatch):
+    """Batches of one and of three steps put a batch boundary after every
+    step, or inside every run of the ladder, and give the unbatched bits."""
+    reference, m, q = case
+    model = GM if reference == "exact" else GM_FINE
+    if batch is not None:
+        monkeypatch.setattr(S, "_BATCH_BYTES", batch_bytes(model, 5, batch))
+    rms, ledger = S.strong_error_experiment(model, m, q, 5, 40 + m + q)
+    assert (float.hex(rms), ledger.bits) == STRONG_ERROR_PINS[case]
+
+
 @pytest.mark.parametrize("model, m, steps", [(GM, 40, 40), (GM_FINE, 4, 4 * S.FINE_FACTOR)], ids=["exact", "fine"])
 def test_strong_error_threads_give_the_one_thread_bytes(model, m, steps, monkeypatch):
     # batches of 8 or 9 steps in blocks of one step, decoded on two threads
