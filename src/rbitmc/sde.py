@@ -11,14 +11,16 @@ scheme on a batch of driving rows, and the random-bit increments are rows of
 truncations rows of :func:`gausskl.coarsen_rows`).  A refined path is a row
 too: :func:`refined_rows` returns its values on the nodes of the mesh
 1/(m 2**level), where it is piecewise linear.  The strong-error experiment
-(:func:`strong_error_experiment`) holds its increments step-major, the layout
-the recursion runs on, and decodes them in blocks of steps on min(2, usable
-CPUs) threads (:func:`bitcore.run_blocks`), the q-bit increments straight
-from the parents' fields (:class:`gausskl.RunDecoder`).  With an exact
-reference it holds three (m, reps) float64 arrays at once and its tail
-allocates no other: the Brownian path is summed into the parents' buffer,
-which is dropped once the model has built its reference from it, and the
-error is formed in the Milstein path's buffer.
+(:func:`strong_error_experiment`) is one pass over batches of steps, about
+1 MiB of drawn words each: it decodes a batch step-major, the layout the
+recursion runs on, in blocks of steps on min(2, usable CPUs) threads
+(:func:`bitcore.run_blocks`), the q-bit increments straight from the
+parents' fields (:class:`gausskl.RunDecoder`), then runs the reference, the
+Milstein recursion and the error on that batch alone, carrying only the
+states and sums that cross a batch boundary.  So its memory is bounded by
+the batch's bytes, not by m.  The recursion is written once
+(:func:`_milstein_steps`), for :func:`milstein_rows` and for both paths of
+the experiment.
 
 Coefficients are assumed differentiable with bounded, Lipschitz continuous
 derivatives (a caller obligation; it cannot be checked at runtime), and
@@ -38,13 +40,12 @@ from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, check_count
 from .bitcore import truncate_indices  # noqa: F401
 from .bridge import allocation_bridge, allocation_bridge_total, nodes_from_drawn
 from .errors import InternalInvariantError, NumericFailure
-from .gausskl import RunDecoder, draw_rows, read_runs
+from .gausskl import DrawnRows, RunDecoder, draw_rows, read_runs
 from .normal import Phi, grid_normal_values
 
 PARENT_BITS = MAX_BITS  # precision of the coupling uniforms in experiments
 FINE_FACTOR = 64  # step refinement of the fallback reference scheme
-_BLOCK_BYTES = 1 << 20  # fields of all step blocks in flight in strong_error_experiment
-_BATCH_BYTES = 4 << 20  # drawn words per batch of steps
+_BATCH_BYTES = 1 << 20  # drawn words per batch of steps in strong_error_experiment
 
 
 @dataclass
@@ -53,7 +54,10 @@ class SDEModel:
     diffusion: Callable
     diffusion_deriv: Callable
     x0: float
-    # exact pathwise solution (t_grid, W_grid) -> values, when available
+    # exact pathwise solution (t_grid, W_grid) -> values, when available;
+    # strong_error_experiment calls it once per batch of steps, with the
+    # batch's times (steps,) and Brownian values (reps, steps), so it must be
+    # pointwise in (t, W(t)), as geometric_model's is
     exact_strong_solution: Optional[Callable] = None
 
     def __post_init__(self):
@@ -92,6 +96,26 @@ def _check_scheme(m: int, q: int) -> None:
     check_count("q", q, 1, PARENT_BITS)  # truncations of the parents
 
 
+def _milstein_steps(model: SDEModel, m: int, x: np.ndarray, steps: np.ndarray, out: np.ndarray,
+                    k0: int = 0) -> np.ndarray:
+    """The Milstein recursion on the m-step grid from the states x (rows,)
+    after step k0, driven by the step-major increments ``steps`` (k, rows)
+    of steps k0 + 1..k0 + k: writes the state after each step to its row of
+    ``out`` (k, rows), which may be ``steps`` itself, and returns the last.
+    A non-finite state raises NumericFailure naming its step on the grid.
+    """
+    inv_m = 1.0 / m
+    sq_m = math.sqrt(inv_m)
+    for i, y in enumerate(steps):
+        bx = model.diffusion(x)
+        x = (x + model.drift(x) * inv_m + bx * sq_m * y
+             + 0.5 * bx * model.diffusion_deriv(x) * inv_m * (y * y - 1.0))
+        if not np.all(np.isfinite(x)):
+            raise NumericFailure(f"non-finite state at step {k0 + i + 1}", step=k0 + i + 1)
+        out[i] = x
+    return x
+
+
 def milstein_rows(model: SDEModel, m: int, normals) -> np.ndarray:
     """Milstein scheme on m steps for a batch of driving rows: normalized
     increments of shape (rows, m) -> path values at t_k = k/m, (rows, m + 1).
@@ -108,20 +132,10 @@ def milstein_rows(model: SDEModel, m: int, normals) -> np.ndarray:
     normals = np.asarray(normals, dtype=np.float64)
     if normals.ndim != 2 or normals.shape[1] != m:
         raise ValueError(f"expected normalized increments of shape (rows, {m}), got shape {normals.shape}")
-    steps = np.ascontiguousarray(normals.T)
     out = np.empty((m + 1, normals.shape[0]), dtype=np.float64)
     x = np.full(normals.shape[0], model.x0, dtype=np.float64)
     out[0] = x
-    inv_m = 1.0 / m
-    sq_m = math.sqrt(inv_m)
-    for k in range(m):
-        y = steps[k]
-        bx = model.diffusion(x)
-        x = (x + model.drift(x) * inv_m + bx * sq_m * y
-             + 0.5 * bx * model.diffusion_deriv(x) * inv_m * (y * y - 1.0))
-        if not np.all(np.isfinite(x)):
-            raise NumericFailure(f"non-finite state at step {k + 1}", step=k + 1)
-        out[k + 1] = x
+    _milstein_steps(model, m, x, np.ascontiguousarray(normals.T), out[1:])
     return out.T
 
 
@@ -164,41 +178,69 @@ def refined_rows(src: BitSource, model: SDEModel, m: int, q: int, level: int, n:
     return np.concatenate([nodes.reshape(n, m * h), x[:, m:]], axis=1)
 
 
-def _decode_steps(src: BitSource, parent: BitAllocation, out: np.ndarray,
-                  child: Optional[BitAllocation] = None, out_child: Optional[np.ndarray] = None) -> None:
-    """Draw len(out) step rows under ``parent`` from ``src`` and decode them
-    into the step-major rows ``out``, and their q-bit truncations under
-    ``child`` into ``out_child`` when given.
+def _decode_steps(drawn: DrawnRows, decoders: list) -> None:
+    """Decode the step rows ``drawn`` into step-major rows: each (decoder,
+    out) pair of ``decoders`` writes its :class:`gausskl.RunDecoder` decode
+    of step i to row i of ``out``, with no index rows.
 
-    The calling thread draws the steps a batch at a time, _BATCH_BYTES of
-    words (at least one step), in the stream order of one
-    :func:`gausskl.sample_rows` call on all of them.  The batch's blocks of
-    steps are decoded by :func:`bitcore.run_blocks`: each block's runs are
-    read once (:func:`gausskl.read_runs`, uint64 fields) and decoded by the
-    :class:`gausskl.RunDecoder` of ``parent`` onto itself and onto
-    ``child``, with no index rows.  All blocks in flight hold at most
-    _BLOCK_BYTES of fields (at least one step each), and each block writes
-    only its own rows of ``out`` and ``out_child``.
+    The steps are decoded by :func:`bitcore.run_blocks`.  On two threads a
+    batch of three or more steps is three blocks, its first quarter, middle
+    half and last quarter: the calling thread decodes the first and the
+    last, the pool thread the middle, so each decodes half the steps in the
+    fewest blocks.  On one thread the batch is one block.  Each block's runs
+    are read once (:func:`gausskl.read_runs`) for all its decodes, and each
+    block writes only its own rows.
     """
-    reps = len(parent)
-    decoders = [(RunDecoder(parent, parent), out)]
-    if child is not None:
-        decoders.append((RunDecoder(parent, child), out_child))
-    batch = max(1, _BATCH_BYTES * 8 // parent.total)
-    for s0 in range(0, len(out), batch):
-        drawn = draw_rows(src, parent, min(batch, len(out) - s0))
+    n = drawn.n
 
-        def blocks_for(threads: int) -> list[tuple[int, int]]:
-            per = max(1, _BLOCK_BYTES // threads // (8 * reps))
-            return [(a, min(a + per, drawn.n)) for a in range(0, drawn.n, per)]
+    def blocks_for(threads: int) -> list[tuple[int, int]]:
+        if threads == 1 or n < 3:
+            return [(0, n)]
+        a = max(1, n // 4)
+        return [(0, a), (a, n - a), (n - a, n)]
 
-        def run(blocks: list[tuple[int, int]]) -> None:
-            for a, b in blocks:
-                runs = read_runs(drawn, a, b)
-                for decode, rows in decoders:
-                    decode(runs, b - a, None, rows[s0 + a:s0 + b])
+    def run(blocks: list[tuple[int, int]]) -> None:
+        for a, b in blocks:
+            runs = read_runs(drawn, a, b)
+            for decode, rows in decoders:
+                decode(runs, b - a, None, rows[a:b])
 
-        run_blocks(run, blocks_for)
+    run_blocks(run, blocks_for)
+
+
+def _exact_reference(model: SDEModel, m: int, k0: int, w: np.ndarray,
+                     carry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact reference at steps k0 + 1..k0 + n from the batch's parent
+    normals w (n, reps), after the unscaled Brownian sum ``carry`` at step
+    k0: turns w into the batch's Brownian path in place and returns the
+    model's array, (reps, n), and the unscaled sum after the batch."""
+    w[0] += carry
+    np.cumsum(w, axis=0, out=w)  # the Brownian path, in the parents' buffer
+    carry = w[-1].copy()
+    w /= math.sqrt(m)
+    t = np.arange(k0 + 1, k0 + len(w) + 1, dtype=np.float64) / m
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        ref = model.exact_strong_solution(t, w.T)
+    if not np.all(np.isfinite(ref)):
+        raise NumericFailure("non-finite exact reference solution")
+    return ref, carry
+
+
+def _fine_reference(model: SDEModel, m: int, q: int, k0: int, yf: np.ndarray, out: np.ndarray,
+                    carry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fine Milstein reference at steps k0 + 1..k0 + n from the batch's
+    64 n fine increments yf, after the fine state ``carry`` at step k0:
+    writes the batch's q-bit increments, the truncations of the coarse sums,
+    to ``out`` (n, reps), runs the fine states over their own increments,
+    and returns every 64th, (reps, n), and the fine state after the batch."""
+    n, reps = out.shape
+    # summed over the contiguous rep-major copy: numpy's pairwise order there is the one the values pin
+    y = np.ascontiguousarray(yf.T).reshape(reps, n, FINE_FACTOR).sum(axis=2) / math.sqrt(FINE_FACTOR)
+    u = Phi(y)
+    idx_q = np.minimum((u * 2.0**q).astype(np.uint64), np.uint64((1 << q) - 1))  # u = 1 is the top cell
+    out[...] = grid_normal_values(idx_q, q).T
+    carry = _milstein_steps(model, FINE_FACTOR * m, carry, yf, yf, FINE_FACTOR * k0)
+    return yf[FINE_FACTOR - 1::FINE_FACTOR].T, carry
 
 
 def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: int) -> tuple[float, CostLedger]:
@@ -215,57 +257,69 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     under ``reps`` 63-bit coefficients, one per replication (53-bit rows
     over the 64*m fine steps for the fallback), and the q-bit increments
     are its :func:`gausskl.coarsen_rows`, decoded from the same fields with
-    no index rows (:func:`_decode_steps`).  The increments are held
-    step-major, (steps, reps), as :func:`milstein_rows` runs its recursion.
-    The calling thread draws the steps in batches of _BATCH_BYTES (4 MiB)
-    of words; blocks of a batch's steps are decoded (and coarsened) on
-    min(2, usable CPUs) threads (:func:`bitcore.run_blocks`), the blocks in
-    flight holding at most _BLOCK_BYTES (1 MiB) of uint64 fields, at least
-    one step each.  So besides the increments, the decode holds one batch
-    of words and the blocks in flight.  Neither the batches, the blocks nor
-    the threads change a value or a bit count.  With the exact reference
-    the run holds three (m, reps) float64 arrays at once: the parent
-    normals and the q-bit increments while decoding; then the parents'
-    cumulative sum, scaled in their own buffer to the Brownian path, the
-    increments and the model's reference, built from that path; then, the
-    path's buffer dropped, the increments, the reference and the Milstein
-    path, in whose buffer |ref - bit| is formed.  The model's array is
-    never written, so it may be read-only or a view of its w argument.
-    The ledger's bits are what the run's source counted: |p|
-    of every step row, PARENT_BITS * reps (53 * reps per fine step).  A
-    reference that is not finite raises NumericFailure, as a non-finite
-    Milstein state does.
+    no index rows (:class:`gausskl.RunDecoder`).
+
+    The run is one pass over batches of steps, each _BATCH_BYTES (1 MiB)
+    of drawn words or one step if that is more (whole steps of the scheme,
+    64 fine steps each, for the fallback).  The calling thread draws a
+    batch in stream order, its blocks of steps are decoded (and coarsened)
+    on min(2, usable CPUs) threads (:func:`bitcore.run_blocks`), and the
+    tail then runs on that batch alone, carrying from batch to batch only
+    the unscaled Brownian sum (with the exact reference), the Milstein
+    states (the fine one too for the fallback) and the running max error
+    of each replication.  So the run holds a few batches' bytes of arrays
+    at any m: the words, the increments held step-major, (steps, reps),
+    as the recursion runs on them, and the reference; the Brownian path is
+    summed in the parents' buffer, the Milstein states overwrite their own
+    increments, and |ref - bit| is formed in the Milstein path's buffer.
+    The model's array is never written, so it may be read-only or a view
+    of its w argument.  Neither the batches, the blocks nor the threads
+    change a value or a bit count: the cumulative sum is sequential, so
+    the carry added into a batch's first step gives the additions of one
+    sum; max is exact; and a fallback coarse increment is still the
+    pairwise sum of its 64 contiguous rep-major fine values.
+
+    The ledger's bits are what the run's source counted: |p| of every step
+    row, PARENT_BITS * reps (53 * reps per fine step).  Batch by batch, the
+    reference before the random-bit path, a reference that is not finite
+    raises NumericFailure, as a non-finite Milstein state does, naming its
+    step on its own grid.
     """
     _check_scheme(m, q)
     check_count("reps", reps, 1)
     src = BitSource(seed)
+    exact = model.exact_strong_solution is not None
+    fine = 1 if exact else FINE_FACTOR  # parent steps per step of the scheme
+    parent = BitAllocation(np.full(reps, PARENT_BITS if exact else 53))
+    decoders = [RunDecoder(parent, parent)]
+    if exact:  # the fallback's q-bit increments are the truncated coarse sums, not a decode
+        decoders.append(RunDecoder(parent, BitAllocation(np.full(reps, q))))
+    batch = min(m, max(1, _BATCH_BYTES * 8 // (fine * parent.total)))
+    # one buffer for the parents and the path (the q-bit increments, then the
+    # random-bit states): freed, it lifts glibc's dynamic mmap and trim
+    # thresholds above a batch's temporaries, which a split pair left to be
+    # trimmed and faulted in again every batch (4,800 against 21,000 minor
+    # faults per 16..1024 sweep at 1000 replications)
+    buf = np.empty(((fine + 1) * batch, reps), dtype=np.float64)
+    parents, path = buf[:fine * batch], buf[fine * batch:]
+    x = np.full(reps, model.x0, dtype=np.float64)
+    carry = np.zeros(reps) if exact else np.full(reps, model.x0, dtype=np.float64)
+    err = np.zeros(reps)
+    for k0 in range(0, m, batch):
+        n = min(batch, m - k0)
+        y, bit = parents[:fine * n], path[:n]
+        _decode_steps(draw_rows(src, parent, len(y)), list(zip(decoders, (y, bit))))
+        if exact:
+            ref, carry = _exact_reference(model, m, k0, y, carry)
+            if np.may_share_memory(ref, parents):  # the model's array is never written
+                parents = np.empty_like(parents)
+        else:
+            ref, carry = _fine_reference(model, m, q, k0, y, bit, carry)
+        x = _milstein_steps(model, m, x, bit, bit, k0)
+        diff = np.subtract(ref, bit.T, out=bit.T)  # into the path's own buffer: ref may be read-only
+        np.maximum(err, np.max(np.abs(diff, out=diff), axis=1), out=err)
+        del ref  # before the next batch is drawn
     ledger = CostLedger()
-    if model.exact_strong_solution is not None:
-        y = np.empty((m, reps), dtype=np.float64)
-        yq = np.empty((m, reps), dtype=np.float64)
-        _decode_steps(src, BitAllocation(np.full(reps, PARENT_BITS)), y, BitAllocation(np.full(reps, q)), yq)
-        np.cumsum(y, axis=0, out=y)  # the Brownian path, in the parents' buffer
-        y /= math.sqrt(m)
-        t = np.arange(1, m + 1, dtype=np.float64) / m
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-            ref = model.exact_strong_solution(t, y.T)
-        del y  # the tail reads only the model's array from here on
-        if not np.all(np.isfinite(ref)):
-            raise NumericFailure("non-finite exact reference solution")
-        yq = yq.T
-    else:
-        mf = FINE_FACTOR * m
-        yf = np.empty((mf, reps), dtype=np.float64)
-        _decode_steps(src, BitAllocation(np.full(reps, 53)), yf)
-        # summed over the contiguous rep-major copy: numpy's pairwise order there is the one the values pin
-        y = np.ascontiguousarray(yf.T).reshape(reps, m, FINE_FACTOR).sum(axis=2) / math.sqrt(FINE_FACTOR)
-        u = Phi(y)
-        idx_q = np.minimum((u * 2.0**q).astype(np.uint64), np.uint64((1 << q) - 1))  # u = 1 is the top cell
-        yq = grid_normal_values(idx_q, q)
-        ref = milstein_rows(model, mf, yf.T)[:, FINE_FACTOR::FINE_FACTOR]
     ledger.bits = src.bits_drawn
-    bit = milstein_rows(model, m, yq)[:, 1:]
     ledger.coeff_ops += m * reps
-    diff = np.subtract(ref, bit, out=bit)  # into the path's own buffer: ref may be read-only, or a view
-    err = np.max(np.abs(diff, out=diff), axis=1)
     return float(np.sqrt(np.mean(err * err))), ledger

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,16 +386,16 @@ def test_strong_error_pins_hold_at_every_batch_size(case, batch, monkeypatch):
     assert (float.hex(rms), ledger.bits) == STRONG_ERROR_PINS[case]
 
 
-@pytest.mark.parametrize("model, m, steps", [(GM, 40, 40), (GM_FINE, 4, 4 * S.FINE_FACTOR)], ids=["exact", "fine"])
-def test_strong_error_threads_give_the_one_thread_bytes(model, m, steps, monkeypatch):
-    # batches of 8 or 9 steps in blocks of one step, decoded on two threads
-    # from cold tables and switching threads every 10 us, give the rms and
-    # ledger bits of one CPU and of the unpatched sizes; a block that raises
-    # off the calling thread propagates and leaves no thread
+@pytest.mark.parametrize("model, m, batches", [(GM, 40, 5), (GM_FINE, 4, 4)], ids=["exact", "fine"])
+def test_strong_error_threads_give_the_one_thread_bytes(model, m, batches, monkeypatch):
+    # batches of 8 steps (of one coarse step, 64 fine steps, for the fallback),
+    # each decoded in three blocks on two threads from cold tables and switching
+    # threads every 10 us, give the rms and ledger bits of one CPU and of the
+    # unpatched sizes; a block that raises off the calling thread propagates
+    # and leaves no thread
     q, reps, seed = 12, 9, 4
     whole = S.strong_error_experiment(model, m, q, reps, seed)
-    monkeypatch.setattr(S, "_BATCH_BYTES", 567)  # 8 steps of 9 63-bit parents, 9 of 9 53-bit fine ones
-    monkeypatch.setattr(S, "_BLOCK_BYTES", 2 * 8 * reps)  # two steps in flight
+    monkeypatch.setattr(S, "_BATCH_BYTES", 567)  # 8 steps of 9 63-bit parents, under one coarse step of the fallback
     pools = []
     make = bitcore.ThreadPoolExecutor
 
@@ -403,7 +404,6 @@ def test_strong_error_threads_give_the_one_thread_bytes(model, m, steps, monkeyp
         return make(workers)
 
     monkeypatch.setattr(bitcore, "ThreadPoolExecutor", spy)
-    batch = 567 * 8 // ((S.PARENT_BITS if model is GM else 53) * reps)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -413,7 +413,7 @@ def test_strong_error_threads_give_the_one_thread_bytes(model, m, steps, monkeyp
             N._grid_table.cache_clear()
             rms, ledger = S.strong_error_experiment(model, m, q, reps, seed)
             assert (rms.hex(), ledger.bits) == (whole[0].hex(), whole[1].bits), cpus
-            assert pools == ([1] * -(-steps // batch) if len(cpus) == 2 else []), cpus  # one pool thread per batch
+            assert pools == ([1] * batches if len(cpus) == 2 else []), cpus  # one pool thread per batch
     finally:
         sys.setswitchinterval(interval)
     read = S.read_runs
@@ -514,14 +514,14 @@ def test_fine_reference_at_63_bits_takes_the_top_cell_for_phi_one(monkeypatch):
     entry now takes the top grid normal; every other increment is the one
     of the unpatched run."""
     seen = []
-    milstein_rows = S.milstein_rows
+    milstein_steps = S._milstein_steps
 
-    def recording(model, m, normals):
-        if m == 4:
-            seen.append(np.array(normals))
-        return milstein_rows(model, m, normals)
+    def recording(model, m, x, steps, out, k0=0):
+        if m == 4:  # the random-bit path, which overwrites its increments
+            seen.append(np.array(steps))
+        return milstein_steps(model, m, x, steps, out, k0)
 
-    monkeypatch.setattr(S, "milstein_rows", recording)
+    monkeypatch.setattr(S, "_milstein_steps", recording)
     S.strong_error_experiment(GM_FINE, 4, 63, 3, 1)
 
     def phi_top(y):
@@ -562,6 +562,47 @@ def test_overflowing_exact_reference_raises():
         S.strong_error_experiment(S.geometric_model(800.0, 0.2, 1.0), 2, 52, 3, 0)
 
 
+def test_a_reference_that_overflows_in_a_later_batch_raises(monkeypatch):
+    """In batches of two steps, exp(800 t) overflows only at t = 1, in the
+    last of four batches, after three batches of the random-bit path have
+    run (its states grow only by about 101 per step)."""
+    model = S.geometric_model(800.0, 0.2, 1.0)
+    finite = []
+
+    def recording(t, w):
+        ref = model.exact_strong_solution(t, w)
+        finite.append(bool(np.all(np.isfinite(ref))))
+        return ref
+
+    monkeypatch.setattr(S, "_BATCH_BYTES", batch_bytes(model, 3, 2))
+    with pytest.raises(NumericFailure, match="non-finite exact reference"):
+        S.strong_error_experiment(dataclasses.replace(model, exact_strong_solution=recording), 8, 52, 3, 0)
+    assert finite == [True, True, True, False]
+
+
+def blowing_model(c, exact):
+    """Drift c x^2 from x0 = 1 overflows the Milstein state after a few steps,
+    with a finite exact reference w + t, or with the fine one."""
+    return S.SDEModel(drift=lambda x: c * x * x, diffusion=lambda x: np.ones_like(x),
+                      diffusion_deriv=lambda x: 0.0 * x, x0=1.0,
+                      exact_strong_solution=(lambda t, w: w + t) if exact else None)
+
+
+# steps as the run before batching named them, at seed 1 and 5 replications
+@pytest.mark.parametrize("c, exact, m, step", [(1e5, True, 12, 7), (2.0, False, 8, 201)], ids=["exact", "fine"])
+def test_a_milstein_failure_in_a_later_batch_names_its_step(c, exact, m, step, monkeypatch):
+    """In batches of two steps the state overflows in a later batch: step 7
+    of 12 in the fourth, or fine step 201 of 512 in the second batch of 128
+    fine steps; the failure names the step of the unbatched run."""
+    model = blowing_model(c, exact)
+    for batch in (None, 2):
+        if batch is not None:
+            monkeypatch.setattr(S, "_BATCH_BYTES", batch_bytes(model, 5, batch))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericFailure) as err:
+            S.strong_error_experiment(model, m, 8, 5, 1)
+        assert (err.value.step, str(err.value)) == (step, f"non-finite state at step {step}"), batch
+
+
 def _watched_model(case, returned):
     """GM with a read-only exact solution, or the additive model from 0, whose
     exact solution X = W returns a view of its w argument; each call records
@@ -585,32 +626,49 @@ def _watched_model(case, returned):
 
 @pytest.mark.parametrize("case, rms_hex", [("read_only", "0x1.48837ef113512p-8"),
                                            ("view_of_w", "0x1.aa1a598d84c7bp-6")])
-def test_strong_error_tail_never_writes_the_models_array(case, rms_hex):
+def test_strong_error_tail_never_writes_the_models_array(case, rms_hex, monkeypatch):
     """|ref - bit| is formed in the Milstein path's own buffer, never in the
     array the model returned: a read-only reference and a view of the
     Brownian path give the rms of the out-of-place tail, bit for bit, and
-    keep their values."""
-    returned = []
-    rms, _ = S.strong_error_experiment(_watched_model(case, returned), 64, 8, 50, 7)
-    assert float.hex(rms) == rms_hex
-    ((ref, copy),) = returned
-    assert ref.tobytes() == copy.tobytes()
+    keep their values, also in batches of two steps, where each batch
+    builds its Brownian path and its Milstein path in buffers of its own."""
+    for batch in (None, 2):
+        returned = []
+        if batch is not None:
+            monkeypatch.setattr(S, "_BATCH_BYTES", batch_bytes(GM, 50, batch))
+        rms, _ = S.strong_error_experiment(_watched_model(case, returned), 64, 8, 50, 7)
+        assert float.hex(rms) == rms_hex
+        assert len(returned) == (1 if batch is None else 32)  # one call per batch
+        for ref, copy in returned:
+            assert ref.tobytes() == copy.tobytes()
+
+
+def traced_peak(model, m):
+    """tracemalloc peak of one q = 52, 1000-replication run, in bytes."""
+    tracemalloc.start()
+    try:
+        S.strong_error_experiment(model, m, 52, 1000, 1234)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_strong_error_tail_holds_three_step_arrays():
-    """One m = 1024, 1000-replication run holds the parents (then the Brownian
-    path), the q-bit increments, the reference and the Milstein path, three
-    (m, reps) float64 arrays of 7.8 MiB at a time, besides the decode's
-    batch of words and blocks: its tracemalloc peak is about 24.5 MiB, where
-    the tail's temporaries (cumsum, its scaling, the reference's terms,
-    ref - bit and its abs) made it 54.7 MiB."""
-    import tracemalloc
-
+    """One m = 1024, 1000-replication run holds, per batch of about 1 MiB of
+    words (133 steps), the parents (then the Brownian path), the q-bit
+    increments (then the Milstein path) and the reference, three batch
+    arrays besides the batch's words and the blocks in flight: its
+    tracemalloc peak is about 7 MiB.  Three whole (m, reps) arrays made it
+    24.5 MiB, and the tail's temporaries before them 54.7 MiB."""
     S.strong_error_experiment(GM, 16, 52, 1000, 1)  # builds the decode's cached tables
-    tracemalloc.start()
-    try:
-        S.strong_error_experiment(GM, 1024, 52, 1000, 1234)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * 2**20
+    assert traced_peak(GM, 1024) < 12 * 2**20
+
+
+def test_strong_error_memory_does_not_grow_with_m():
+    """The run holds a batch's arrays at any m: with the exact reference
+    m = 1024 (eight batches) peaks within 1.25x of m = 128 (one batch), about
+    7 and 6 MiB; the fallback at m = 64 peaks at about 6 MiB, where its
+    (64 m, reps) fine increments and their copies made it 65.5 MiB."""
+    S.strong_error_experiment(GM, 16, 52, 1000, 1)  # builds the decode's cached tables
+    assert traced_peak(GM, 1024) <= 1.25 * traced_peak(GM, 128)
+    assert traced_peak(GM_FINE, 64) < 12 * 2**20
