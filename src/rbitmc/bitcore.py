@@ -20,8 +20,8 @@ exact: ``math.fsum``'s value, bit for bit, at a fraction of its cost;
 :func:`exact_sum_chunks` is the same sum over a stream of arrays.
 :func:`check_count` and :func:`check_finite` are its argument checks: every
 integer count and every real parameter of the package is refused by name
-through them.  :func:`run_blocks` is its one thread policy: the blocks of
-a batch run on min(2, usable CPUs) threads.
+through them.  :func:`run_blocks` is its one thread policy: it cuts a
+batch into blocks of rows and runs them on min(2, usable CPUs) threads.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ class BitSource:
     most-significant-first, so the leading bits of any multi-bit draw
     coincide with what a coarser draw from the same stream position would
     have returned.  :meth:`take_words` is the draw of every batch sampler
-    (through :func:`gausskl.sample_rows`); :meth:`draw_bits` draws single
+    (through :func:`gausskl.draw_rows`, which the public
+    :func:`gausskl.sample_rows` also calls); :meth:`draw_bits` draws single
     values and is the scalar oracle the tests hold the batch draws against.
 
     A BitSource is single-owner: parallel replications should each construct
@@ -114,7 +115,7 @@ class BitSource:
         stream order: the words that hold the p n bits are taken
         (:meth:`take_words`) and decoded whole by :func:`read_fields`.  No
         sampler of the package calls it; they draw rows through
-        :func:`gausskl.sample_rows`.  A p or n out of range, or not an
+        :func:`gausskl.draw_rows`.  A p or n out of range, or not an
         integer, raises ValueError before the stream moves.
         """
         check_count("bit count p", p, 1, MAX_BITS)
@@ -330,28 +331,34 @@ def truncate_indices(indices: np.ndarray, p_from, p_to) -> np.ndarray:
     return np.asarray(indices, dtype=np.uint64) >> shift.astype(np.uint64)
 
 
-def run_blocks(run: Callable[[list], None], blocks_for: Callable[[int], list]) -> None:
-    """Work the blocks of a batch on min(2, usable CPUs) threads while numpy
-    releases the GIL: the package's one thread policy.
+def run_blocks(n: int, rows: int, run: Callable[[list[tuple[int, int]]], None]) -> None:
+    """Work rows 0..n of a batch in blocks on min(2, usable CPUs) threads
+    while numpy releases the GIL: the package's one thread policy.
 
-    ``blocks_for(threads)`` lists the batch's blocks, sized for ``threads``
-    of them in flight at once; ``run(blocks)`` works a list of them in
-    order.  The usable CPUs are the process's affinity set where the OS has
-    one (Linux), else ``os.cpu_count()``, else 1.  With two threads and
-    three or more blocks, the calling thread runs every other block from
-    the first on and one pool thread, made for this call and joined before
-    it returns, runs the rest; a batch of one or two blocks starts no
-    thread.  (A thread keeps its freed blocks in its own malloc arena, so
-    the caller works rather than waits: an idle caller beside a pool of two
-    raised the peak RSS of a level-13 ``plain_mc`` by 10%.)  An exception
-    raised in any block propagates.  The values do not depend on the
-    threads as long as ``run`` writes each block's results where no other
-    block writes and reduces nothing across blocks.
+    ``rows`` is the caller's budget of rows in flight at once, so a block
+    has max(2, rows // threads) rows; a last single row joins the block
+    before it, so no block has one row unless the batch has (numpy's matmul
+    rounds a one-row product differently, seen with the KL ``soft_linear``).
+    ``run(blocks)`` works a list of (a, b) row ranges in order.  The usable
+    CPUs are the process's affinity set where the OS has one (Linux), else
+    ``os.cpu_count()``, else 1.  With two threads and two or more blocks,
+    the calling thread runs every other block from the first on and one
+    pool thread, made for this call and joined before it returns, runs the
+    rest; a batch of one block starts no thread.  (Each thread's ``run``
+    gets its whole list, so it can reuse one buffer for its blocks; and a
+    thread keeps its freed blocks in its own malloc arena, so the caller
+    works rather than waits: an idle caller beside a pool of two raised the
+    peak RSS of a level-13 ``plain_mc`` by 10%.)  An exception raised in
+    any block propagates.  The values do not depend on the threads as long
+    as ``run`` writes each block's results where no other block writes and
+    reduces nothing across blocks.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     threads = min(2, cpus)
-    blocks = blocks_for(threads)
-    if threads == 1 or len(blocks) < 3:
+    step = max(2, rows // threads)
+    bounds = [0, n] if n <= step else [*range(0, n - 1, step), n]
+    blocks = list(zip(bounds, bounds[1:]))
+    if threads == 1 or len(blocks) < 2:
         run(blocks)
         return
     with ThreadPoolExecutor(1) as pool:

@@ -65,27 +65,31 @@ def mlmc_params(eps: float, beta: float, alpha: float) -> MLMCParams:
     if not beta > 1.0:
         raise ValueError("beta must exceed 1")
     log_inv = math.log(1.0 / eps)
-    z = 1.0 + (1.0 / eps) * log_inv ** (-alpha / 2.0)
-    # z > 1 exactly, so L >= 1; z rounds to 1.0 when the increment is below half an ulp
-    L = max(1, math.ceil(2.0 / (beta - 1.0) * math.log2(z)))
     exponent = max(2.0, beta / (beta - 1.0))
-    if beta > 2.0:
-        log_factor = 1.0
-    elif beta == 2.0 and alpha != 2.0:
-        log_factor = log_inv ** max(0.0, 1.0 - alpha / 2.0)
-    elif beta == 2.0:
-        log_factor = math.log(log_inv)
-    else:
-        log_factor = log_inv ** (alpha / (2.0 * (1.0 - beta)))
-    try:
-        K = eps ** -exponent * log_factor
+    try:  # a power that overflows raises, and so does ceil of an infinite product
+        z = 1.0 + (1.0 / eps) * log_inv ** (-alpha / 2.0)
+        # z > 1 exactly, so L >= 1; z rounds to 1.0 when the increment is below half an ulp
+        L = max(1, math.ceil(2.0 / (beta - 1.0) * math.log2(z)))
+        if beta > 2.0:
+            log_factor = 1.0
+        elif beta == 2.0 and alpha != 2.0:
+            log_factor = log_inv ** max(0.0, 1.0 - alpha / 2.0)
+        elif beta == 2.0:
+            log_factor = math.log(log_inv)
+        else:
+            log_factor = log_inv ** (alpha / (2.0 * (1.0 - beta)))
+        try:
+            K = eps ** -exponent * log_factor
+        except OverflowError:
+            K = math.inf
+        if not math.isfinite(K):
+            raise ValueError(f"eps {eps!r} is too small for beta {beta!r}: the replication constant "
+                             f"K(eps) overflows, as eps is raised to -max(2, beta/(beta-1)) = {-exponent:.6g}")
+        N = [max(1, math.ceil(2.0 ** (-l * beta / 2.0) * l ** (-alpha / 2.0) * K))
+             for l in range(1, L + 1)]
     except OverflowError:
-        K = math.inf
-    if not math.isfinite(K):
-        raise ValueError(f"eps {eps!r} is too small for beta {beta!r}: the replication constant "
-                         f"K(eps) overflows, as eps is raised to -max(2, beta/(beta-1)) = {-exponent:.6g}")
-    N = [max(1, math.ceil(2.0 ** (-l * beta / 2.0) * l ** (-alpha / 2.0) * K))
-         for l in range(1, L + 1)]
+        raise ValueError(f"eps {eps!r} with beta {beta!r} and alpha {alpha!r} overflows z(eps), "
+                         f"the log factor of K(eps) or a replication number N_l") from None
     return MLMCParams(eps, beta, alpha, z, L, K, N)
 
 
@@ -285,21 +289,18 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
     decoded), with no coefficient rows, and any other block is decoded by
     the :class:`gausskl.RunDecoder` of its allocation.
 
-    The blocks run on min(2, usable CPUs) threads (:func:`bitcore.run_blocks`):
-    with three or more blocks and two CPUs, the calling thread and one pool
-    thread take every other block.  A lazily built table is stored only
-    once complete, so a second thread at worst builds it again.
-    _EVAL_BYTES bounds the node values of all blocks in flight, dim + 2 per
-    row, so a block holds _EVAL_BYTES / threads of them.  Only the drawn
-    words and the blocks in flight are held: a thread decodes its fine
-    coefficient blocks into one reused buffer (a bridge block has none)
-    and writes its rows' values to their own slices of the result, and
-    nothing is reduced across threads.  Rows are evaluated independently,
-    so every value equals that of one call on the whole batch.  No block
-    has a single row unless the batch has: numpy's matmul rounds a one-row
-    product differently (seen with the KL ``soft_linear``).  A batch of one
-    or two blocks starts no thread, and an exception raised in any block
-    propagates.
+    :func:`bitcore.run_blocks` cuts the blocks and runs them on min(2,
+    usable CPUs) threads: with two or more blocks and two CPUs, the calling
+    thread and one pool thread take every other block.  A lazily built
+    table is stored only once complete, so a second thread at worst builds
+    it again.  _EVAL_BYTES bounds the node values of all blocks in flight,
+    dim + 2 per row, so a block holds _EVAL_BYTES / threads of them.  Only
+    the drawn words and the blocks in flight are held: a thread decodes its
+    fine coefficient blocks into one reused buffer (a bridge block has
+    none) and writes its rows' values to their own slices of the result,
+    and nothing is reduced across threads.  Rows are evaluated
+    independently, so every value equals that of one call on the whole
+    batch.
     """
     n, dim = drawn.n, len(drawn.alloc)
     bridge = isinstance(model, BridgeModel)  # fine rows straight from the runs to node rows
@@ -307,11 +308,6 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
     scale = model.scale(level)
     y = np.empty(n, dtype=np.float64)
     y_coarse = np.empty(n, dtype=np.float64) if coarse else None
-
-    def blocks_for(threads: int) -> list[tuple[int, int]]:
-        step = max(2, _EVAL_BYTES // threads // (8 * (dim + 2)))
-        bounds = [0, n] if n <= step else [*range(0, n - 1, step), n]  # a last single row joins the block before it
-        return list(zip(bounds, bounds[1:]))
 
     def run(blocks: list[tuple[int, int]]) -> None:
         buf = None if bridge else np.empty((max(b - a for a, b in blocks), dim))
@@ -327,7 +323,7 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
                 y[a:b] = f.rows(model.functional_rows(decode(runs, b - a, scale, buf[:b - a]), level))
             del runs  # and its stream bytes before the next block is read
 
-    run_blocks(run, blocks_for)
+    run_blocks(n, _EVAL_BYTES // (8 * (dim + 2)), run)
     return y, y_coarse
 
 
@@ -358,7 +354,7 @@ def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource) -
     stream order of :func:`gausskl.sample_rows`, and holds only their words
     (N_l |p(l)| / 8 bytes).  Its fine and coarse terms are decoded and
     evaluated in cache-sized blocks of rows, on two threads when a level
-    has three or more blocks (:func:`_evaluate`); each block's coarse rows
+    has two or more blocks (:func:`_evaluate`); each block's coarse rows
     are decoded from the runs its fine rows were read from.  Level values, means and
     variances are those of one thread.
     """
@@ -387,7 +383,7 @@ def plain_mc(f: LipFunctional, model, level: int, n: int,
     term) in the stream order of :func:`gausskl.sample_rows`.  A batch holds
     at most _BATCH_ROWS rows and _BATCH_BYTES of drawn words (one row if a
     row alone is larger), and is decoded and evaluated in cache-sized
-    blocks, on two threads when it has three or more (:func:`_evaluate`),
+    blocks, on two threads when it has two or more (:func:`_evaluate`),
     so no (batch, dim) array and no index row is ever built; neither the
     blocks nor the threads change a value, and the batch sums are taken on
     the calling thread in row order.

@@ -40,7 +40,7 @@ from .bitcore import MAX_BITS, BitAllocation, BitSource, CostLedger, check_count
 from .bitcore import truncate_indices  # noqa: F401
 from .bridge import allocation_bridge, allocation_bridge_total, nodes_from_drawn
 from .errors import InternalInvariantError, NumericFailure
-from .gausskl import DrawnRows, RunDecoder, draw_rows, read_runs
+from .gausskl import RunDecoder, draw_rows, read_runs
 from .normal import Phi, grid_normal_values
 
 PARENT_BITS = MAX_BITS  # precision of the coupling uniforms in experiments
@@ -178,36 +178,6 @@ def refined_rows(src: BitSource, model: SDEModel, m: int, q: int, level: int, n:
     return np.concatenate([nodes.reshape(n, m * h), x[:, m:]], axis=1)
 
 
-def _decode_steps(drawn: DrawnRows, decoders: list) -> None:
-    """Decode the step rows ``drawn`` into step-major rows: each (decoder,
-    out) pair of ``decoders`` writes its :class:`gausskl.RunDecoder` decode
-    of step i to row i of ``out``, with no index rows.
-
-    The steps are decoded by :func:`bitcore.run_blocks`.  On two threads a
-    batch of three or more steps is three blocks, its first quarter, middle
-    half and last quarter: the calling thread decodes the first and the
-    last, the pool thread the middle, so each decodes half the steps in the
-    fewest blocks.  On one thread the batch is one block.  Each block's runs
-    are read once (:func:`gausskl.read_runs`) for all its decodes, and each
-    block writes only its own rows.
-    """
-    n = drawn.n
-
-    def blocks_for(threads: int) -> list[tuple[int, int]]:
-        if threads == 1 or n < 3:
-            return [(0, n)]
-        a = max(1, n // 4)
-        return [(0, a), (a, n - a), (n - a, n)]
-
-    def run(blocks: list[tuple[int, int]]) -> None:
-        for a, b in blocks:
-            runs = read_runs(drawn, a, b)
-            for decode, rows in decoders:
-                decode(runs, b - a, None, rows[a:b])
-
-    run_blocks(run, blocks_for)
-
-
 def _exact_reference(model: SDEModel, m: int, k0: int, w: np.ndarray,
                      carry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The exact reference at steps k0 + 1..k0 + n from the batch's parent
@@ -259,31 +229,37 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     are its :func:`gausskl.coarsen_rows`, decoded from the same fields with
     no index rows (:class:`gausskl.RunDecoder`).
 
-    The run is one pass over batches of steps, each _BATCH_BYTES (1 MiB)
-    of drawn words or one step if that is more (whole steps of the scheme,
-    64 fine steps each, for the fallback).  The calling thread draws a
-    batch in stream order, its blocks of steps are decoded (and coarsened)
-    on min(2, usable CPUs) threads (:func:`bitcore.run_blocks`), and the
-    tail then runs on that batch alone, carrying from batch to batch only
-    the unscaled Brownian sum (with the exact reference), the Milstein
-    states (the fine one too for the fallback) and the running max error
-    of each replication.  So the run holds a few batches' bytes of arrays
-    at any m: the words, the increments held step-major, (steps, reps),
-    as the recursion runs on them, and the reference; the Brownian path is
-    summed in the parents' buffer, the Milstein states overwrite their own
+    The run is one pass over batches of steps, each _BATCH_BYTES (1 MiB) of
+    drawn words or one step if that is more (whole steps of the scheme, 64
+    fine steps each, for the fallback).  The calling thread draws a batch in
+    stream order, and :func:`bitcore.run_blocks` decodes (and coarsens) its
+    steps in blocks on min(2, usable CPUs) threads, with half the batch's
+    steps in flight: on two threads a batch of n steps is cut into blocks of
+    max(2, n // 4) steps (four quarters when 4 divides n and n >= 8), which
+    the calling thread and the pool thread take in turn; on one thread it is
+    two halves.  Each block's runs are read once (:func:`gausskl.read_runs`)
+    for all its decodes, and each block writes only its own rows.  The tail
+    then runs on that batch alone, carrying from batch to batch only the
+    unscaled Brownian sum (with the exact reference), the Milstein states
+    (the fine one too for the fallback) and the running max error of each
+    replication.  So the run holds a few batches' bytes of arrays at any m:
+    the words, the increments held step-major, (steps, reps), as the
+    recursion runs on them, and the reference; the Brownian path is summed
+    in the parents' buffer, the Milstein states overwrite their own
     increments, and |ref - bit| is formed in the Milstein path's buffer.
-    The model's array is never written, so it may be read-only or a view
-    of its w argument.  Neither the batches, the blocks nor the threads
-    change a value or a bit count: the cumulative sum is sequential, so
-    the carry added into a batch's first step gives the additions of one
-    sum; max is exact; and a fallback coarse increment is still the
-    pairwise sum of its 64 contiguous rep-major fine values.
+    The model's array is never written, so it may be read-only or a view of
+    its w argument.  Neither the batches, the blocks nor the threads change
+    a value or a bit count: the cumulative sum is sequential, so the carry
+    added into a batch's first step gives the additions of one sum; max is
+    exact; and a fallback coarse increment is still the pairwise sum of its
+    64 contiguous rep-major fine values.
 
     The ledger's bits are what the run's source counted: |p| of every step
     row, PARENT_BITS * reps (53 * reps per fine step).  Batch by batch, the
     reference before the random-bit path, a reference that is not finite
     raises NumericFailure, as a non-finite Milstein state does, naming its
-    step on its own grid.
+    step on its own grid.  An rms error whose squares overflow a double,
+    though every max error is finite, raises NumericFailure too.
     """
     _check_scheme(m, q)
     check_count("reps", reps, 1)
@@ -308,7 +284,15 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     for k0 in range(0, m, batch):
         n = min(batch, m - k0)
         y, bit = parents[:fine * n], path[:n]
-        _decode_steps(draw_rows(src, parent, len(y)), list(zip(decoders, (y, bit))))
+        drawn = draw_rows(src, parent, len(y))
+
+        def run(blocks: list[tuple[int, int]]) -> None:
+            for a, b in blocks:
+                runs = read_runs(drawn, a, b)
+                for decode, rows in zip(decoders, (y, bit)):
+                    decode(runs, b - a, None, rows[a:b])
+
+        run_blocks(len(y), len(y) // 2, run)
         if exact:
             ref, carry = _exact_reference(model, m, k0, y, carry)
             if np.may_share_memory(ref, parents):  # the model's array is never written
@@ -318,8 +302,12 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
         x = _milstein_steps(model, m, x, bit, bit, k0)
         diff = np.subtract(ref, bit.T, out=bit.T)  # into the path's own buffer: ref may be read-only
         np.maximum(err, np.max(np.abs(diff, out=diff), axis=1), out=err)
-        del ref  # before the next batch is drawn
+        del ref, drawn  # before the next batch is drawn
     ledger = CostLedger()
     ledger.bits = src.bits_drawn
     ledger.coeff_ops += m * reps
-    return float(np.sqrt(np.mean(err * err))), ledger
+    with np.errstate(over="ignore"):  # refused below, not warned about
+        rms = float(np.sqrt(np.mean(err * err)))
+    if not math.isfinite(rms):
+        raise NumericFailure(f"non-finite rms error: the squares of max errors up to {err.max():.6g} overflow")
+    return rms, ledger

@@ -1,5 +1,7 @@
 import ast
 import math
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -443,7 +445,7 @@ _DRAW_METHODS = {"draw_bits", "draw_bits_array", "take_words"}
 
 
 def test_only_bitcore_and_gausskl_draw_from_the_stream():
-    """Every sampler draws through gausskl.sample_rows: no other module of
+    """Every sampler draws through gausskl.draw_rows: no other module of
     the package calls a BitSource draw method itself."""
     callers = set()
     for path in sorted(Path(__file__).resolve().parents[1].glob("src/rbitmc/*.py")):
@@ -514,6 +516,109 @@ def test_only_check_count_asks_for_an_integer_type():
                 scope = parents.get(scope)
             users.add((path.stem, getattr(scope, "name", None)))
     assert users == {("bitcore", "check_count"), ("cli", "format_value")}
+
+
+_THREAD_NAMES = {"sched_getaffinity", "cpu_count", "ThreadPoolExecutor"}
+
+
+def test_only_run_blocks_decides_about_threads():
+    """The thread count and the blocks of a batch are chosen in one place,
+    bitcore.run_blocks: no other function in src/ takes a ``threads``
+    parameter, reads os.sched_getaffinity or os.cpu_count, or names
+    ThreadPoolExecutor (bitcore imports it at module level)."""
+    users = set()
+    for path in sorted(Path(__file__).resolve().parents[1].glob("src/rbitmc/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if not (name in _THREAD_NAMES or isinstance(node, ast.arg) and node.arg == "threads"):
+                continue
+            scope = parents.get(node)
+            while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = parents.get(scope)
+            users.add((path.stem, getattr(scope, "name", None)))
+    assert users == {("bitcore", "run_blocks"), ("bitcore", None)}
+
+
+class _Pools:
+    """Records the blocks each thread's ``run`` gets from ``bitcore.run_blocks``
+    and the thread count of every pool it makes, with the usable CPUs set to
+    ``cpus`` (None: no affinity set, and os.cpu_count() unknown)."""
+
+    def __init__(self, monkeypatch, cpus):
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        self.pools, self.calls = [], []
+        make = bitcore.ThreadPoolExecutor
+
+        def spy(workers):
+            self.pools.append(workers)
+            return make(workers)
+
+        monkeypatch.setattr(bitcore, "ThreadPoolExecutor", spy)
+
+    def run(self, n, rows):
+        self.pools.clear()
+        self.calls.clear()
+        bitcore.run_blocks(n, rows, lambda blocks: self.calls.append((threading.current_thread(), blocks)))
+        return sorted(block for _, blocks in self.calls for block in blocks)
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_run_blocks_cuts_the_batch_once_in_order(monkeypatch, cpus):
+    """The blocks cover rows 0..n once, in order; each has max(2, rows //
+    threads) rows but the last, which takes in a single row left over, and
+    none has one row unless the batch has."""
+    pools = _Pools(monkeypatch, cpus)
+    for rows in (0, 1, 2, 3, 4, 5, 8, 13, 40, 100):
+        step = max(2, rows // len(cpus))
+        for n in range(1, 41):
+            blocks = pools.run(n, rows)
+            assert [a for a, _ in blocks] == [0, *(b for _, b in blocks[:-1])] and blocks[-1][1] == n
+            assert all(own == sorted(own) for _, own in pools.calls)
+            sizes = [b - a for a, b in blocks]
+            assert all(size == step for size in sizes[:-1]), (n, rows)
+            assert (sizes[-1] == 1) == (n == 1) and sizes[-1] <= step + 1, (n, rows)
+
+
+def test_run_blocks_starts_one_pool_thread_for_two_or_more_blocks(monkeypatch):
+    pools = _Pools(monkeypatch, {0, 1})
+    for rows in (0, 4, 16):
+        for n in range(1, 41):
+            blocks = pools.run(n, rows)
+            mine = [b for t, b in pools.calls if t is threading.current_thread()]
+            other = [b for t, b in pools.calls if t is not threading.current_thread()]
+            assert mine == [blocks[::2]] and other == ([blocks[1::2]] if len(blocks) >= 2 else [])
+            assert pools.pools == ([1] if len(blocks) >= 2 else [])
+
+
+@pytest.mark.parametrize("cpus", [{0}, None], ids=["one_cpu", "no_affinity_no_count"])
+def test_run_blocks_on_one_cpu_starts_no_thread(monkeypatch, cpus):
+    pools = _Pools(monkeypatch, cpus)
+    for n in (1, 2, 5, 40):
+        blocks = pools.run(n, 4)
+        assert pools.pools == [] and pools.calls == [(threading.current_thread(), blocks)]
+
+
+def test_run_blocks_pool_exception_propagates_and_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seen = []
+
+    def run(blocks):
+        seen.append(blocks)
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("pool block")
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="pool block"):
+        bitcore.run_blocks(10, 4, run)
+    assert threading.active_count() == before
+    assert sorted(seen) == [[(0, 2), (4, 6), (8, 10)], [(2, 4), (6, 8)]]
 
 
 @pytest.mark.parametrize("args, message", [

@@ -334,6 +334,12 @@ def test_malformed_suite_config_is_bad_input(tmp_path, capsys, text, key):
     ["mlmc", "--model", "kl", "--alpha", "inf", "--eps", "0.1", "--runs", "2"],
     ["mlmc", "--model", "kl", "--alpha", "nan", "--eps", "0.1", "--runs", "2"],
     ["kl-error", "--beta", "inf", "--alpha", "0", "--mmin", "16", "--mmax", "32"],
+    # overflows of the schedule beside K(eps): z, a replication number N_l, z at 1/eps = inf,
+    # and the log factor (ln 1/eps)^(alpha/(2(1-beta))) of K(eps) at beta < 2
+    ["mlmc", "--model", "kl", "--beta", "2", "--alpha=-2000", "--eps", "0.1", "--runs", "1"],
+    ["mlmc", "--model", "kl", "--beta", "2", "--alpha=-300", "--eps", "0.1", "--runs", "1"],
+    ["mlmc", "--model", "kl", "--beta", "2", "--alpha", "0", "--eps", "5e-324", "--runs", "1"],
+    ["mlmc", "--model", "kl", "--beta", "1.1", "--alpha=-300", "--eps", "0.1", "--runs", "1"],
 ])
 def test_out_of_range_argument_is_bad_input(capsys, args):
     assert main(args) == 2
@@ -780,6 +786,16 @@ def test_sde_error_with_an_overflowing_reference_raises(tmp_path):
     csv = tmp_path / "out.csv"
     with pytest.raises(NumericFailure, match="non-finite exact reference"):
         main(["sde-error", "--mmin", "2", "--mmax", "2", "--reps", "3", "--mu", "800", "--csv", str(csv)])
+    assert not csv.exists()
+
+
+def test_sde_error_with_an_overflowing_rms_raises(tmp_path):
+    """At x0 = 1e200 every max error is finite but its square is not: the
+    run wrote rms_error inf and exited 0, with a numpy RuntimeWarning (an
+    error in this suite)."""
+    csv = tmp_path / "out.csv"
+    with pytest.raises(NumericFailure, match="non-finite rms error"):
+        main(["sde-error", "--x0", "1e200", "--mmin", "1", "--mmax", "2", "--reps", "2", "--csv", str(csv)])
     assert not csv.exists()
 
 

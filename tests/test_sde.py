@@ -389,7 +389,7 @@ def test_strong_error_pins_hold_at_every_batch_size(case, batch, monkeypatch):
 @pytest.mark.parametrize("model, m, batches", [(GM, 40, 5), (GM_FINE, 4, 4)], ids=["exact", "fine"])
 def test_strong_error_threads_give_the_one_thread_bytes(model, m, batches, monkeypatch):
     # batches of 8 steps (of one coarse step, 64 fine steps, for the fallback),
-    # each decoded in three blocks on two threads from cold tables and switching
+    # each decoded in four blocks on two threads from cold tables and switching
     # threads every 10 us, give the rms and ledger bits of one CPU and of the
     # unpatched sizes; a block that raises off the calling thread propagates
     # and leaves no thread
