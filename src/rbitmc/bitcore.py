@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -39,7 +40,6 @@ import numpy as np
 MAX_BITS = 63  # grid index must fit one machine word
 MAX_LEVEL = 25  # a level's dimension is at most 2**MAX_LEVEL (bridge and KL alike)
 _GATHER_MIN_BITS = 1 << 15  # draws this long at 4 < p <= 52 gather rather than unpack
-_RAW_CHUNK = 1 << 16  # words per random_raw call of take_words: a draw holds its words once
 _SUM_BLOCK = 1 << 16  # values per exponent binning of exact_sum: its temporaries stay small
 _SUM_BIN_VALUES = 1 << 26  # values whose split parts a float64 bin sums exactly (27 + 26 bits)
 _SUM_MAX_EXPONENT = 2006  # largest exponent field binned: 2**26 such values stay below 2**1011
@@ -74,22 +74,29 @@ class BitSource:
     read straight from ``PCG64(seed).random_raw`` and consumed
     most-significant-first, so the leading bits of any multi-bit draw
     coincide with what a coarser draw from the same stream position would
-    have returned.  :meth:`take_words` is the draw of every batch sampler
+    have returned.  :meth:`_draw` is the draw of every batch sampler
     (through :func:`gausskl.draw_rows`, which the public
-    :func:`gausskl.sample_rows` also calls); :meth:`draw_bits` draws single
-    values and is the scalar oracle the tests hold the batch draws against.
+    :func:`gausskl.sample_rows` also calls): it moves the stream past the
+    drawn bits and returns their place in it, a :class:`_StreamDraw`, from
+    which any block of the words is generated again when it is read, so no
+    drawn word is held.  :meth:`take_words` is the full read of such a
+    draw; :meth:`draw_bits` draws single values and is the scalar oracle
+    the tests hold the batch draws against.
 
     A BitSource is single-owner: parallel replications should each construct
-    their own source, e.g. via :func:`child_source`.
+    their own source, e.g. via :func:`child_source`.  Its draws may be read
+    on any thread, each thread with its own generator.
     """
 
     def __init__(self, seed: int):
         check_count("seed", seed, 0)
         self.seed = int(seed)
         self.bits_drawn = 0
-        self._raw = np.random.PCG64(self.seed).random_raw
+        self._gen = np.random.PCG64(self.seed)
+        self._raw = self._gen.random_raw
         self._partial = 0  # unconsumed bits of the current word, right-aligned
         self._avail = 0
+        self._readers = threading.local()  # each thread's generator for reading the draws (_StreamDraw.words)
 
     def draw_bits(self, p: int) -> int:
         """Return p fresh bits packed as an integer in [0, 2**p)."""
@@ -126,35 +133,101 @@ class BitSource:
         """The words that hold the next ``total`` stream bits, and the bit
         offset of the first of them; advances the stream by ``total`` bits.
 
-        w[0] is the unconsumed partial word, right-aligned, so the stream
-        starts at bit 64 - _avail of w; a zero word pads the end, as
-        :func:`read_fields` and :func:`read_bytes` need.  The words hold
-        ``total`` / 8 bytes plus at most 24: nothing is decoded yet.  They
-        are filled _RAW_CHUNK words at a time, in stream order, so the draw
-        holds at most one chunk beyond them.  A ``total`` that is negative or
-        not an integer raises ValueError before the stream moves.
+        The full read of :meth:`_draw`: w[0] is the unconsumed partial word,
+        right-aligned, so the stream starts at bit 64 - _avail of w; a zero
+        word pads the end, as :func:`read_fields` and :func:`read_bytes`
+        need.  The words hold ``total`` / 8 bytes plus at most 24, generated
+        by one ``random_raw`` call straight into the returned array: nothing
+        is decoded yet.  A ``total`` that is negative or not an integer
+        raises ValueError before the stream moves.
+        """
+        return self._draw(total).window(0, total)
+
+    def _draw(self, total: int) -> _StreamDraw:
+        """Advance the stream by ``total`` bits and return their place in it.
+
+        The generator jumps past the whole words the bits reach into with
+        one ``advance`` (O(log n) steps of the 128-bit LCG) and generates
+        only the last of them, whose unread bits are the next partial word;
+        the bits themselves are generated when the draw is read
+        (:meth:`_StreamDraw.words`).  A ``total`` that is negative or not an
+        integer raises ValueError before the stream moves.
         """
         check_count("bit count", total, 0)
         total = int(total)  # the stream state stays Python ints, which do not overflow
         nwords = -(-max(total - self._avail, 0) // 64)
-        w = np.zeros(nwords + 2, dtype=np.uint64)
-        w[0] = self._partial
-        for a in range(1, nwords + 1, _RAW_CHUNK):
-            b = min(a + _RAW_CHUNK, nwords + 1)
-            w[a:b] = self._raw(b - a)
-        start = 64 - self._avail
+        draw = _StreamDraw(self._gen.state, self._partial, 64 - self._avail, nwords, self._readers)
+        last = self._partial
+        if nwords:
+            self._gen.advance(nwords - 1)
+            last = int(self._raw())
         self._avail += 64 * nwords - total
-        self._partial = int(w[nwords]) & ((1 << self._avail) - 1)
+        self._partial = last & ((1 << self._avail) - 1)
         self.bits_drawn += total
-        return w, start
+        return draw
+
+
+@dataclass(frozen=True, eq=False)
+class _StreamDraw:
+    """A draw's place in the stream (:meth:`BitSource._draw`): its words,
+    generated again on demand, with no word held.
+
+    Word 0 is ``partial``, the unconsumed bits of the word before the draw,
+    right-aligned; words 1..nwords are the PCG64 outputs from ``state`` on
+    (the generator state at the draw's first whole word); word nwords + 1
+    is zero, the pad that :func:`read_fields` and :func:`read_bytes` read
+    past the last bit.  The draw's bits start at bit ``start`` of word 0.
+    ``readers`` holds each thread's generator for reading the draws of
+    one source.
+    """
+
+    state: dict
+    partial: int
+    start: int
+    nwords: int
+    readers: threading.local
+
+    def words(self, i0: int, i1: int) -> np.ndarray:
+        """Words i0..i1 (0 <= i0 <= i1 <= nwords + 2) of the draw, generated
+        with one state assignment, one ``advance`` and one ``random_raw``
+        call straight into the returned array: word 0 takes the place of
+        the output before the first whole word.
+
+        The generator is the calling thread's own, built at its first read
+        of the source's draws (a PCG64 costs about 9 us to build, for its
+        SeedSequence, and about 1 us to reposition), so threads that read
+        one draw never share a generator, and the draw's values do not
+        depend on which thread reads them, or in what order."""
+        gen = getattr(self.readers, "gen", None)
+        if gen is None:
+            gen = self.readers.gen = np.random.PCG64(0)  # the seed is never read: every read assigns the state
+        gen.state = self.state
+        gen.advance(i0 - 1)  # -1 is 2**128 - 1 steps, back to word 0's place
+        w = gen.random_raw(i1 - i0)
+        if i0 == 0 and i1 > 0:
+            w[0] = self.partial
+        if i1 > self.nwords + 1:
+            w[max(self.nwords + 1 - i0, 0):] = 0
+        return w
+
+    def window(self, lo: int, hi: int) -> tuple[np.ndarray, int]:
+        """The words that hold bits lo..hi of the draw (counted from its
+        first bit, 0 <= lo <= hi) and one word past them, and the offset of
+        bit lo in them: the arguments :func:`read_fields` and
+        :func:`read_bytes` read a block of values from."""
+        at = self.start + lo
+        i0 = at >> 6
+        i1 = min(((self.start + max(hi, lo + 1) - 1) >> 6) + 2, self.nwords + 2)
+        return self.words(i0, i1), at & 63
 
 
 def read_fields(words: np.ndarray, start: int, p: int, n: int) -> np.ndarray:
     """The ``n`` values of ``p`` bits each (uint64) held by bits ``start``,
     ``start + p``, ... of ``words``, most significant bit first.
 
-    A pure function of its arguments: any block of values of a stream taken
-    by :meth:`BitSource.take_words` can be decoded on its own, in any order.
+    A pure function of its arguments: any block of values of a draw can be
+    decoded on its own, in any order, from the words that hold it
+    (:meth:`_StreamDraw.window`).
     ``words`` must hold one word past the last bit read.  Two paths give
     the same values, selected by p and n (runs at p in {1, 2, 4, 8} of a
     sampled expansion are read by :func:`gausskl.read_runs` as bytes
@@ -217,7 +290,7 @@ def byte_lookup(table: np.ndarray, codes: np.ndarray, rows: int, cols: int) -> n
     row b holds an entry per field of byte b, most significant first (as
     :func:`byte_fields` holds the fields): value j is entry j % (8/p) of
     row codes[j // (8/p)]."""
-    return np.take(table, codes, axis=0).reshape(-1)[:rows * cols].reshape(rows, cols)
+    return table.take(codes, axis=0).reshape(-1)[:rows * cols].reshape(rows, cols)
 
 
 _BYTE_PRECISIONS = (1, 2, 4, 8)

@@ -24,8 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bitcore import (MAX_BITS, MAX_LEVEL, BitAllocation, BitSource, byte_fields, byte_lookup, check_count, check_finite,
-                      read_bytes, read_fields, truncate_indices)
+from .bitcore import (MAX_BITS, MAX_LEVEL, BitAllocation, BitSource, _StreamDraw, byte_fields, byte_lookup, check_count,
+                      check_finite, read_bytes, read_fields, truncate_indices)
 from .errors import CapacityError, InternalInvariantError
 from .normal import checked_quad, coefficient_error_sq, grid_normal_byte_table, grid_normal_runs
 # grid_normal_values: unused, kept for perfbench/selftest.py
@@ -128,25 +128,26 @@ class KLRows:
 
 @dataclass(eq=False)
 class DrawnRows:
-    """n expansion rows under ``alloc``, held as the stream bits that encode
-    them: bits ``start`` on of ``words`` (:meth:`BitSource.take_words`), in
-    the draw order of :func:`sample_rows`.  That is n |alloc| / 8 bytes,
-    where the decoded rows take 8 bytes per coefficient.
+    """n expansion rows under ``alloc``, held as their place in the stream,
+    ``stream`` (:meth:`BitSource._draw`), in the draw order of
+    :func:`sample_rows`: a generator state and a few ints, where the words
+    that encode the rows take n |alloc| / 8 bytes.  :func:`read_runs`
+    generates the words of the rows it reads, so a sampler holds only the
+    blocks it decodes.
     """
 
-    words: np.ndarray
-    start: int
+    stream: _StreamDraw
     n: int
     alloc: BitAllocation
 
 
 def draw_rows(src: BitSource, alloc: BitAllocation, n: int) -> DrawnRows:
-    """Draw n rows under ``alloc``; consumes exactly n * |alloc| bits and
-    decodes none of them (:func:`read_runs` reads them).  An n that is not a
-    non-negative integer raises ValueError before the stream moves."""
+    """Draw n rows under ``alloc``; advances the stream by exactly n * |alloc|
+    bits and neither generates nor decodes any of them (:func:`read_runs`
+    does).  An n that is not a non-negative integer raises ValueError before
+    the stream moves."""
     check_count("row count n", n, 0)
-    words, start = src.take_words(n * alloc.total)
-    return DrawnRows(words, start, n, alloc)
+    return DrawnRows(src._draw(n * alloc.total), n, alloc)
 
 
 def read_runs(drawn: DrawnRows, a: int, b: int) -> list[tuple[int, int, int, np.ndarray]]:
@@ -161,20 +162,32 @@ def read_runs(drawn: DrawnRows, a: int, b: int) -> list[tuple[int, int, int, np.
     layout, and one read of a block feeds all its decodes: its coefficient
     rows (:class:`RunDecoder`, :func:`sample_rows`), the bridge's node rows
     (:func:`bridge.nodes_from_drawn`) and the coarse rows of a coupled
-    level (:meth:`mlmc.ExpansionModel.coarsen_rows`).  A row range outside
-    0 <= a <= b <= drawn.n raises ValueError before any word is read.
+    level (:meth:`mlmc.ExpansionModel.coarsen_rows`).
+
+    Only the words read are generated, by the calling thread's own
+    generator (:meth:`bitcore._StreamDraw.words`): a read of the whole draw
+    (a = 0, b = n) generates all of them with one ``random_raw`` call, any
+    other read generates each run's words of rows a..b with one
+    ``advance`` and one ``random_raw`` (:meth:`bitcore._StreamDraw.window`).
+    The words are the stream's, so the data do not depend on the blocks,
+    their order or the thread.  A row range outside 0 <= a <= b <= drawn.n
+    raises ValueError before any word is generated.
     """
     check_count("row start a", a, 0, drawn.n)
     check_count("row stop b", b, a, drawn.n)
-    nb, pos, runs = b - a, drawn.start, []
+    nb, pos, runs, stream = b - a, 0, [], drawn.stream
+    whole = nb == drawn.n  # a = 0 and b = n: one generation for every run
+    if whole:
+        words, start = stream.window(0, drawn.n * drawn.alloc.total)
     for c0, c1, p in drawn.alloc.runs:
         w = c1 - c0
         at = pos + a * w * p
         pos += drawn.n * w * p
+        held, s = (words, start + at) if whole else stream.window(at, at + nb * w * p)
         if 8 % p == 0:
-            data = read_bytes(drawn.words, at, p, nb * w)
+            data = read_bytes(held, s, p, nb * w)
         else:
-            data = read_fields(drawn.words, at, p, nb * w).reshape(nb, w)
+            data = read_fields(held, s, p, nb * w).reshape(nb, w)
         runs.append((c0, c1, p, data))
     return runs
 

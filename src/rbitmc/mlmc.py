@@ -42,7 +42,7 @@ EPS_MAX = math.exp(-2.0)
 # node values of all evaluation blocks in flight, split among the threads; a level-13
 # bridge block peaks at about three times its node values (the norm's two temporaries)
 _EVAL_BYTES = 9 << 19
-_BATCH_BYTES = 32 << 20  # drawn words per plain_mc batch
+_BATCH_BYTES = 32 << 20  # bytes of drawn bits per plain_mc batch; sets only the batch sums of levels >= 15
 _BATCH_ROWS = 4096  # only keeps the batch sums of levels <= 14; goes once those sums are exact
 
 
@@ -112,13 +112,13 @@ class ExpansionModel:
     the level's dimension, and its total |p| the bits of one row.
     Allocations (and scales) are computed once per level, read-only.
 
-    Rows pass as arrays: ``sample_rows`` draws a level's stream words,
-    blocks of them are read run by run (:func:`gausskl.read_runs`) and
-    decoded with ``scale(level)`` (:class:`gausskl.RunDecoder`; bridge
-    blocks go straight to node rows, :func:`bridge.nodes_from_drawn`),
-    ``coarsen_rows`` decodes the same runs one level down, with no index
-    rows, and ``functional_rows`` makes coefficient rows the batch of
-    :attr:`LipFunctional.rows`.
+    Rows pass as arrays: ``sample_rows`` draws a level's rows, held as
+    their place in the stream, blocks of them are read run by run
+    (:func:`gausskl.read_runs`) and decoded with ``scale(level)``
+    (:class:`gausskl.RunDecoder`; bridge blocks go straight to node rows,
+    :func:`bridge.nodes_from_drawn`), ``coarsen_rows`` decodes the same
+    runs one level down, with no index rows, and ``functional_rows`` makes
+    coefficient rows the batch of :attr:`LipFunctional.rows`.
     """
 
     def __init__(self, min_bits: int = 0):
@@ -141,7 +141,8 @@ class ExpansionModel:
 
     def sample_rows(self, src: BitSource, level: int, n: int) -> gausskl.DrawnRows:
         """n fine rows at ``level``, drawn in the order of :func:`gausskl.sample_rows`
-        and held as their stream words (:func:`gausskl.draw_rows`, n |p| / 8 bytes)."""
+        and held as their place in the stream (:func:`gausskl.draw_rows`), not
+        their n |p| / 8 bytes of words."""
         return gausskl.draw_rows(src, self.allocation(level), n)
 
     def coarsen_rows(self, runs: list, level: int, nb: int) -> np.ndarray:
@@ -295,12 +296,14 @@ def _evaluate(f: LipFunctional, model, level: int, drawn: gausskl.DrawnRows,
     table is stored only once complete, so a second thread at worst builds
     it again.  _EVAL_BYTES bounds the node values of all blocks in flight,
     dim + 2 per row, so a block holds _EVAL_BYTES / threads of them.  Only
-    the drawn words and the blocks in flight are held: a thread decodes its
-    fine coefficient blocks into one reused buffer (a bridge block has
-    none) and writes its rows' values to their own slices of the result,
-    and nothing is reduced across threads.  Rows are evaluated
-    independently, so every value equals that of one call on the whole
-    batch.
+    the blocks in flight are held: ``drawn`` is the rows' place in the
+    stream, and each thread generates the words of its blocks' runs as it
+    reads them, with a generator of its own (:func:`gausskl.read_runs`,
+    repositioned per read); it decodes its fine
+    coefficient blocks into one reused buffer (a bridge block has none) and
+    writes its rows' values to their own slices of the result, and nothing
+    is reduced across threads.  Rows are evaluated independently, so every
+    value equals that of one call on the whole batch.
     """
     n, dim = drawn.n, len(drawn.alloc)
     bridge = isinstance(model, BridgeModel)  # fine rows straight from the runs to node rows
@@ -331,9 +334,10 @@ def _level_values(f: LipFunctional, model, src: BitSource, level: int, n: int,
                   coarse: bool, ledger: CostLedger) -> np.ndarray:
     """f at n rows of ``level`` drawn from ``src``, minus f at their coupled
     coarsening with ``coarse``; charges the bits drawn and the oracle cost
-    and coefficients of every evaluated row to ``ledger``.  The words are
-    drawn on the calling thread before :func:`_evaluate` runs any block on
-    a second thread, so the stream order does not depend on the threads."""
+    and coefficients of every evaluated row to ``ledger``.  The rows are
+    drawn on the calling thread, which moves the stream past them, before
+    :func:`_evaluate` generates and reads any of their words on a second
+    thread, so the stream order does not depend on the threads."""
     before = src.bits_drawn
     drawn = model.sample_rows(src, level, n)
     ledger.bits += src.bits_drawn - before
@@ -351,12 +355,13 @@ def mlmc_estimate(f: LipFunctional, model, params: MLMCParams, src: BitSource) -
     The bit budget sum_l N_l |p(l)| is summed top level first, before the
     first draw, so a level beyond the model's cap raises with nothing drawn.
     A level (:func:`_level_values`) draws all its N_l rows at once, in the
-    stream order of :func:`gausskl.sample_rows`, and holds only their words
-    (N_l |p(l)| / 8 bytes).  Its fine and coarse terms are decoded and
-    evaluated in cache-sized blocks of rows, on two threads when a level
-    has two or more blocks (:func:`_evaluate`); each block's coarse rows
-    are decoded from the runs its fine rows were read from.  Level values, means and
-    variances are those of one thread.
+    stream order of :func:`gausskl.sample_rows`, and holds only their place
+    in the stream, not their N_l |p(l)| / 8 bytes of words.  Its fine and
+    coarse terms are decoded and evaluated in cache-sized blocks of rows,
+    on two threads when a level has two or more blocks (:func:`_evaluate`),
+    each block generating the words it reads; each block's coarse rows are
+    decoded from the runs its fine rows were read from.  Level values,
+    means and variances are those of one thread.
     """
     ledger = CostLedger()
     estimate = 0.0
@@ -380,11 +385,13 @@ def plain_mc(f: LipFunctional, model, level: int, n: int,
     """Single-level Monte Carlo reference at the given level: (mean, stderr, ledger).
 
     Rows are drawn a batch at a time (:func:`_level_values`, with no coarse
-    term) in the stream order of :func:`gausskl.sample_rows`.  A batch holds
-    at most _BATCH_ROWS rows and _BATCH_BYTES of drawn words (one row if a
-    row alone is larger), and is decoded and evaluated in cache-sized
-    blocks, on two threads when it has two or more (:func:`_evaluate`),
-    so no (batch, dim) array and no index row is ever built; neither the
+    term) in the stream order of :func:`gausskl.sample_rows`.  A batch has
+    at most _BATCH_ROWS rows and _BATCH_BYTES of drawn bits (one row if a
+    row alone is larger), which fixes where the batch sums are rounded; it
+    is held as its place in the stream, and decoded and evaluated in
+    cache-sized blocks that generate only the words they read, on two
+    threads when it has two or more (:func:`_evaluate`), so no (batch, dim)
+    array, no index row and no batch of words is ever built; neither the
     blocks nor the threads change a value, and the batch sums are taken on
     the calling thread in row order.
     """

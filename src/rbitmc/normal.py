@@ -297,7 +297,7 @@ def grid_normal_runs(runs) -> list[np.ndarray]:
     for i, p in runs:
         i = np.asarray(i, dtype=np.uint64)
         if p <= GRID_TABLE_MAX_P:
-            out.append(np.take(_grid_table(p), i))
+            out.append(_grid_table(p).take(i))
             continue
         u = dyadic_values(i, p)
         if p > 52:  # (2f + 1) 2**-(p+1) is exact, so below 1, up to p = 52

@@ -12,7 +12,7 @@ truncations rows of :func:`gausskl.coarsen_rows`).  A refined path is a row
 too: :func:`refined_rows` returns its values on the nodes of the mesh
 1/(m 2**level), where it is piecewise linear.  The strong-error experiment
 (:func:`strong_error_experiment`) is one pass over batches of steps, about
-1 MiB of drawn words each: it decodes a batch step-major, the layout the
+1 MiB of drawn bits each: it decodes a batch step-major, the layout the
 recursion runs on, in blocks of steps on min(2, usable CPUs) threads
 (:func:`bitcore.run_blocks`), the q-bit increments straight from the
 parents' fields (:class:`gausskl.RunDecoder`), then runs the reference, the
@@ -45,7 +45,7 @@ from .normal import Phi, grid_normal_values
 
 PARENT_BITS = MAX_BITS  # precision of the coupling uniforms in experiments
 FINE_FACTOR = 64  # step refinement of the fallback reference scheme
-_BATCH_BYTES = 1 << 20  # drawn words per batch of steps in strong_error_experiment
+_BATCH_BYTES = 1 << 20  # bytes of drawn bits per batch of steps in strong_error_experiment
 
 
 @dataclass
@@ -237,13 +237,14 @@ def strong_error_experiment(model: SDEModel, m: int, q: int, reps: int, seed: in
     steps in flight: on two threads a batch of n steps is cut into blocks of
     max(2, n // 4) steps (four quarters when 4 divides n and n >= 8), which
     the calling thread and the pool thread take in turn; on one thread it is
-    two halves.  Each block's runs are read once (:func:`gausskl.read_runs`)
-    for all its decodes, and each block writes only its own rows.  The tail
+    two halves.  Each block's runs are read once (:func:`gausskl.read_runs`,
+    which generates the block's words with the thread's own generator) for
+    all its decodes, and each block writes only its own rows.  The tail
     then runs on that batch alone, carrying from batch to batch only the
     unscaled Brownian sum (with the exact reference), the Milstein states
     (the fine one too for the fallback) and the running max error of each
     replication.  So the run holds a few batches' bytes of arrays at any m:
-    the words, the increments held step-major, (steps, reps), as the
+    a block's words, the increments held step-major, (steps, reps), as the
     recursion runs on them, and the reference; the Brownian path is summed
     in the parents' buffer, the Milstein states overwrite their own
     increments, and |ref - bit| is formed in the Milstein path's buffer.

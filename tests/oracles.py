@@ -1,7 +1,7 @@
 """Reference forms that only the tests call: the lazy per-point bridge
 evaluation, the cross moment of the p-bit normal, the per-cell Gaussian
-error and average, and a block decode that returns index rows with the
-coefficient rows.
+error and average, a block decode that returns index rows with the
+coefficient rows, and a draw over given words.
 
 Each oracle is a second, simpler route to a value the package computes in
 a faster form (:func:`rbitmc.bridge.nodes_from_coeffs`,
@@ -13,11 +13,12 @@ golden files pin.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from rbitmc.bitcore import dyadic_edges
+from rbitmc.bitcore import _StreamDraw, dyadic_edges
 from rbitmc.bridge import _check_level, _hat
 from rbitmc.gausskl import DrawnRows, RunDecoder, _index_rows, read_runs
 from rbitmc.normal import _exact_precision, _mid_quantiles, _quantile_density, _sq_error, _upper_sums
@@ -86,3 +87,24 @@ def decode_block(drawn: DrawnRows, a: int, b: int, scale: Optional[np.ndarray] =
     the block's runs."""
     runs = read_runs(drawn, a, b)
     return RunDecoder(drawn.alloc, drawn.alloc)(runs, b - a, scale, out), _index_rows(runs, b - a)
+
+
+@dataclass
+class HeldWords:
+    """A draw over the given words ``held`` from bit ``start`` on, in the
+    layout of :meth:`rbitmc.bitcore.BitSource.take_words` (one word past
+    the last bit): the stream handle of :class:`DrawnRows` with its words
+    sliced instead of generated, so crafted words, or the words of a
+    ``take_words`` call, are read as a draw's."""
+
+    held: np.ndarray
+    start: int
+
+    @property
+    def nwords(self) -> int:
+        return len(self.held) - 2
+
+    def words(self, i0: int, i1: int) -> np.ndarray:
+        return self.held[i0:i1]
+
+    window = _StreamDraw.window

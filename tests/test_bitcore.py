@@ -53,8 +53,8 @@ def test_scalar_and_array_draws_share_the_stream():
 
 
 def test_take_words_fill_the_stream_once():
-    # a draw over several random_raw chunks holds the unchunked stream words,
-    # leaves the stream where it was, and holds those words about once
+    # a draw of 3 * 2**16 + 5 whole words holds the stream words, leaves the
+    # stream where it was, and holds those words about once
     import tracemalloc
 
     nwords = 3 * 2 ** 16 + 5
@@ -441,7 +441,7 @@ def test_exact_sum_chunks_keeps_fsums_nan_inf_and_overflow_in_a_later_chunk(firs
     assert _sum_or_error(exact_sum_chunks, chunks) == _sum_or_error(math.fsum, _concat(chunks))
 
 
-_DRAW_METHODS = {"draw_bits", "draw_bits_array", "take_words"}
+_DRAW_METHODS = {"draw_bits", "draw_bits_array", "take_words", "_draw"}
 
 
 def test_only_bitcore_and_gausskl_draw_from_the_stream():
@@ -454,6 +454,19 @@ def test_only_bitcore_and_gausskl_draw_from_the_stream():
                     and node.func.attr in _DRAW_METHODS):
                 callers.add(path.name)
     assert callers == {"bitcore.py", "gausskl.py"}
+
+
+def test_only_bitcore_generates_stream_words():
+    """The PCG64 outputs are generated in bitcore alone: no other module
+    calls random_raw or advance, so every word a sampler reads is generated
+    at its draw's place in the stream (BitSource._draw, _StreamDraw.words)."""
+    callers = set()
+    for path in sorted(Path(__file__).resolve().parents[1].glob("src/rbitmc/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in {"random_raw", "advance"}):
+                callers.add(path.name)
+    assert callers == {"bitcore.py"}
 
 
 def test_only_bitcore_states_the_bit_limit():

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 import time
 
 import numpy as np
@@ -17,7 +19,7 @@ from rbitmc.mlmc import KLModel
 from rbitmc.normal import (bit_normal_mse, bit_normal_mse_moments, grid_normal_byte_table, grid_normal_values,
                            phi_inv)
 
-from oracles import decode_block
+from oracles import HeldWords, decode_block
 from test_wasserstein import w2_empirical
 
 SPEC = G.EigenSpec(beta=2.0, alpha=0.0)
@@ -145,7 +147,7 @@ def test_byte_runs_decode_as_the_fields_of_their_bytes(p, w, n, start, seed, dat
     b = n if data is None else data.draw(st.integers(a + 1, n), label="b")
     nb = b - a
     words = np.random.default_rng(seed).integers(0, 2**64, -(-(start + n * w * p) // 64) + 1, dtype=np.uint64)
-    drawn = G.DrawnRows(words, start, n, BitAllocation([p] * w))
+    drawn = G.DrawnRows(HeldWords(words, start), n, BitAllocation([p] * w))
     coeffs, idx = decode_block(drawn, a, b)
     at = start + a * w * p
     codes = read_bytes(words, at, p, nb * w)
@@ -161,7 +163,7 @@ def test_top_63_bit_fields_decode_and_coarsen_to_the_mirror_values():
     1.0; the decode and the coarsening to 53 bits (field 2**53 - 1, the same
     case) raised "phi_inv requires 0 < u < 1" and give minus the bottom
     values."""
-    drawn = G.DrawnRows(np.full(4, 2**64 - 1, dtype=np.uint64), 0, 3, BitAllocation([63]))
+    drawn = G.DrawnRows(HeldWords(np.full(4, 2**64 - 1, dtype=np.uint64), 0), 3, BitAllocation([63]))
     coeffs, idx = decode_block(drawn, 0, 3)
     assert np.all(idx == (np.uint64(1) << np.uint64(63)) - np.uint64(1))
     assert np.all(coeffs == -grid_normal_values(np.zeros(3, np.uint64), 63))
@@ -183,11 +185,74 @@ def test_read_runs_refuses_a_row_range_outside_the_draw(a, b, message):
     dimensions are not allowed".  The range is refused before any word is
     read: here there are no words to read."""
     drawn = G.draw_rows(BitSource(1), allocation_bridge(3), 4)
-    for rows in (drawn, G.DrawnRows(None, 0, 4, drawn.alloc)):
+    for rows in (drawn, G.DrawnRows(None, 4, drawn.alloc)):
         with pytest.raises(ValueError, match=re.escape(message)):
             G.read_runs(rows, a, b)
     assert [G._index_rows(G.read_runs(drawn, a, b), b - a).shape for a, b in ((0, 4), (4, 4), (1, 3))] == \
         [(4, 7), (0, 7), (2, 7)]
+
+
+def _run_bytes(runs: list) -> list:
+    """The runs of a read_runs call as comparable values: (c0, c1, p, dtype, shape, bytes)."""
+    return [(c0, c1, p, data.dtype, data.shape, data.tobytes()) for c0, c1, p, data in runs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), before=st.integers(0, 200), head=st.lists(st.integers(1, 63), max_size=4),
+       counts=st.lists(st.integers(1, 63), min_size=1, max_size=6), n=st.integers(1, 30),
+       cuts=st.lists(st.integers(0, 30), max_size=4))
+@example(seed=1, before=0, head=[], counts=[8, 8, 4, 1], n=9, cuts=[4])  # a fresh stream: no partial word
+@example(seed=2, before=0, head=[63, 1], counts=[63, 5], n=3, cuts=[1, 2])  # a whole word used up: partial 0
+@example(seed=3, before=3, head=[61], counts=[1], n=2, cuts=[1])  # the draw ends inside the partial word
+def test_read_runs_generate_the_words_take_words_holds(seed, before, head, counts, n, cuts):
+    """After earlier draws and scalar draws have left a partial word, every
+    row range of a draw reads the bytes that the same draw's take_words
+    words hold: the whole draw (from word 0 to the last word, one
+    generation), and blocks that start in word 0 and end on the last word,
+    read in reverse order by one thread's generator."""
+    drawn_src, held_src = BitSource(seed), BitSource(seed)
+    for src in (drawn_src, held_src):
+        src.draw_bits_array(7, before)
+        for p in head:
+            src.draw_bits(p)
+    alloc = BitAllocation(counts)
+    drawn = G.draw_rows(drawn_src, alloc, n)
+    held = G.DrawnRows(HeldWords(*held_src.take_words(n * alloc.total)), n, alloc)
+    assert drawn_src.bits_drawn == held_src.bits_drawn and drawn_src.draw_bits(63) == held_src.draw_bits(63)
+    assert _run_bytes(G.read_runs(drawn, 0, n)) == _run_bytes(G.read_runs(held, 0, n))
+    bounds = sorted({min(c, n) for c in cuts} | {0, n})
+    for a, b in reversed(list(zip(bounds, bounds[1:]))):
+        assert _run_bytes(G.read_runs(drawn, a, b)) == _run_bytes(G.read_runs(held, a, b))
+
+
+def test_threads_reading_one_draw_give_the_one_thread_bytes():
+    """Two threads read interleaved blocks of one draw, as mlmc._evaluate's
+    and the strong-error experiment's threads do, while the interpreter
+    switches threads every microsecond: every block reads the bytes of a
+    one-thread read.  Threads that shared a generator would read from each
+    other's positions."""
+    alloc = BitAllocation([63] * 3 + [9] * 5 + [4] * 6 + [1] * 3)  # wide, field, byte runs
+    drawn = G.draw_rows(BitSource(8), alloc, 4000)
+    blocks = [(a, a + 2) for a in range(0, 4000, 2)]
+    expected = [_run_bytes(G.read_runs(drawn, a, b)) for a, b in blocks]
+    got = [None] * len(blocks)
+
+    def read(first: int) -> None:
+        for k in range(first, len(blocks), 2):
+            got[k] = _run_bytes(G.read_runs(drawn, *blocks[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(first,)) for first in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])

@@ -38,6 +38,26 @@ def _coarsen(model, level, drawn):
     return coeffs, G.coarsen_rows(idx, drawn.alloc, model.allocation(level - 1))[1]
 
 
+def test_plain_mc_holds_no_batch_of_words(monkeypatch):
+    """A level-12 batch of 4096 bridge rows is n |p| / 8 = 8.4 MB of stream
+    words, which plain_mc held until the batch was evaluated.  Its blocks
+    now generate only the words they read: with small blocks the call peaks
+    below a quarter of those words."""
+    import tracemalloc
+
+    monkeypatch.setattr(M, "_EVAL_BYTES", 1 << 19)
+    model, f = M.bridge_model(), M.lookup_functional("norm")
+    M.plain_mc(f, model, 12, 4, BitSource(1))  # the level's allocation and tables, built once
+    words = 4096 * model.allocation(12).total / 8
+    tracemalloc.start()
+    try:
+        M.plain_mc(f, model, 12, 4096, BitSource(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < words / 4
+
+
 def test_params_reference_case():
     p = M.mlmc_params(math.exp(-2.0), 2.0, 0.0)
     assert abs(p.z - (1.0 + math.exp(2.0))) < 1e-12
